@@ -18,9 +18,7 @@ from fractions import Fraction
 from math import comb, exp, sqrt
 
 from .grid import BlockGrid, BlockId
-from .ledger import RunLedger
-from .orchestrate import run_verification
-from .recorder import LEDGER_FILE
+from .orchestrate import Run, check_trust_chain
 from .rng import rng_for
 from .verifier import PASS, VerificationReport
 
@@ -169,25 +167,24 @@ class AuditReport:
         }
 
 
-def audit_run(run_dir, plan: AuditPlan, isolated: bool = False,
+def audit_run(run, plan: AuditPlan, isolated: bool = False,
               **verify_kw) -> AuditReport:
-    """One audit: sample per the committed plan, verify each sampled
-    block, and (for training runs) check each sampled block's
-    commitment provenance against the trust anchors."""
+    """One audit of ``run`` (an open Run or a run directory): sample per
+    the committed plan, verify each sampled block, and (for training
+    runs) check each sampled block's commitment provenance against the
+    trust anchors."""
     t0 = time.perf_counter()
-    ledger = RunLedger.load(f"{run_dir}/{LEDGER_FILE}")
-    grid = ledger.grid
-    committed = {e.block for e in ledger.entries}
-    chosen = sample_blocks(plan, grid)
-    missing = [b for b in chosen if b not in committed]
+    run = run if isinstance(run, Run) else Run.open(run)
+    chosen = sample_blocks(plan, run.grid)
+    missing = [b for b in chosen if b not in run.ledger.by_block]
     if missing:
         raise AuditError(f"sampled blocks lack commitments: "
                          f"{[str(b) for b in missing]}")
-    chain_bad = _chain_bad_blocks(run_dir, ledger)
+    chain_bad = _chain_bad_blocks(run)
     verdicts: dict[str, str] = {}
     reports = []
-    for bid in chosen:
-        rep = run_verification(run_dir, bid, isolated=isolated, **verify_kw)
+    for bid, rep in zip(chosen, run.verify(chosen, isolated=isolated,
+                                           **verify_kw)):
         verdict = rep.verdict
         if verdict == PASS and str(bid) in chain_bad:
             verdict = "fail"
@@ -204,15 +201,10 @@ def audit_run(run_dir, plan: AuditPlan, isolated: bool = False,
     )
 
 
-def _chain_bad_blocks(run_dir, ledger: RunLedger) -> set[str]:
-    if ledger.manifest.get("mode") != "training":
+def _chain_bad_blocks(run: Run) -> set[str]:
+    if run.mode != "training":
         return set()
-    from .orchestrate import check_trust_chain
-    from .store import TensorStore
-    store = None
-    if not ledger.grid.config.zero_storage:
-        store = TensorStore(run_dir)
-    return set(check_trust_chain(ledger, store).bad_blocks)
+    return set(check_trust_chain(run.ledger, run.store).bad_blocks)
 
 
 @dataclass
@@ -253,20 +245,18 @@ def _exact_campaign_rate(plan: AuditPlan, grid: BlockGrid,
     return 1.0 - evade
 
 
-def run_campaign(run_dir, plan: AuditPlan, trials: int,
+def run_campaign(run, plan: AuditPlan, trials: int,
                  **verify_kw) -> CampaignResult:
     """Estimate the detection rate of ``plan`` against a (possibly
-    tampered) run: verify every block once (and walk the trust chain)
-    to find the failing set, then resample the plan many times and
-    count samples that intersect it."""
-    ledger = RunLedger.load(f"{run_dir}/{LEDGER_FILE}")
-    grid = ledger.grid
-    failing = set()
-    for e in ledger.entries:
-        rep = run_verification(run_dir, e.block, **verify_kw)
-        if rep.verdict != PASS:
-            failing.add(e.block)
-    failing.update(BlockId.parse(s) for s in _chain_bad_blocks(run_dir, ledger))
+    tampered) run, an open Run or a run directory: verify every block
+    once (and walk the trust chain) to find the failing set, then
+    resample the plan many times and count samples that intersect it."""
+    run = run if isinstance(run, Run) else Run.open(run)
+    grid = run.grid
+    blocks = [e.block for e in run.ledger.entries]
+    failing = {bid for bid, rep in zip(blocks, run.verify(blocks, **verify_kw))
+               if rep.verdict != PASS}
+    failing.update(BlockId.parse(s) for s in _chain_bad_blocks(run))
     per_trial = []
     for r in range(trials):
         sampled = sample_blocks(plan, grid, trial=r)

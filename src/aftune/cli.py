@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -25,17 +24,14 @@ from .auditor import (STRATEGIES, AuditPlan, audit_run, p_detect_approx,
 from .data import make_dataset
 from .grid import BlockId, GridConfig
 from .hashing import ALGORITHMS, chunked_hash
-from .ledger import SCHEMA_VERSION, RunLedger
+from .ledger import LedgerError
 from .model import build_model
-from .orchestrate import (check_trust_chain, run_verification,
-                          save_inference_params)
+from .orchestrate import Run, check_trust_chain, save_inference_params
 from .presets import (ATTACK_SAMPLE, PRESETS, dataset_for, default_optimizer,
                       grid_for, model_for, mlp_model,
                       trained_attack_classifier)
-from .recorder import (LEDGER_FILE, build_inference_manifest, build_manifest,
-                       prune_after_verification, record_inference,
-                       record_training)
-from .store import TensorStore
+from .recorder import (build_inference_manifest, build_manifest,
+                       record_inference, record_training)
 
 RUN_ROOT_ENV = "AFTUNE_RUN_ROOT"
 
@@ -46,16 +42,11 @@ def _run_dir(path: str) -> Path:
     return p if p.is_absolute() else root / p
 
 
-def _load_ledger(run_dir: Path) -> RunLedger:
-    path = run_dir / LEDGER_FILE
-    if not path.exists():
-        raise click.UsageError(f"no ledger at {path}")
-    ledger = RunLedger.load(path)
-    version = ledger.manifest.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise click.UsageError(
-            f"ledger schema version {version} != supported {SCHEMA_VERSION}")
-    return ledger
+def _open_run(run_dir: Path) -> Run:
+    try:
+        return Run.open(run_dir)
+    except (FileNotFoundError, LedgerError) as e:
+        raise click.UsageError(str(e))
 
 
 def _write_report(run_dir: Path, name: str, payload: dict) -> None:
@@ -210,8 +201,8 @@ def record_infer(out_dir, preset, n_steps, bl, bs, ic, ia, chunk_size, algo,
 def verify(run_dir, block_id, verify_all, full_scan, precision, tau,
            isolated, jobs, trust_chain):
     """Replay and check one block or the whole grid."""
-    run = _run_dir(run_dir)
-    ledger = _load_ledger(run)
+    run = _open_run(_run_dir(run_dir))
+    ledger = run.ledger
     committed = [e.block for e in ledger.entries]
     if block_id is not None:
         try:
@@ -224,26 +215,21 @@ def verify(run_dir, block_id, verify_all, full_scan, precision, tau,
     else:
         targets = committed
 
-    kw = dict(full_scan=full_scan, precision=precision, tau=tau,
-              isolated=isolated)
-    if jobs > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(
-                lambda b: run_verification(run, b, **dict(kw, isolated=True)),
-                targets))
-    else:
-        reports = [run_verification(run, b, **kw) for b in targets]
+    parallel = jobs > 1 and len(targets) > 1
+    reports = run.verify(targets, isolated=isolated or parallel,
+                         jobs=jobs if parallel else 1, full_scan=full_scan,
+                         precision=precision, tau=tau)
 
     chain = None
-    if trust_chain and ledger.manifest["mode"] == "training" \
+    if trust_chain and run.mode == "training" \
             and len(targets) == len(committed):
-        chain = check_trust_chain(ledger, TensorStore(run))
+        chain = check_trust_chain(ledger, run.store)
 
     ok = all(r.passed for r in reports) and (chain is None or chain.ok)
     payload = {"reports": [r.to_json() for r in reports],
                "trust_chain": chain.to_json() if chain else None,
                "ok": ok}
-    _write_report(run, "verify_report.json", payload)
+    _write_report(run.dir, "verify_report.json", payload)
     for r in reports:
         line = f"block {r.block}: {r.verdict}"
         if r.cause:
@@ -275,21 +261,20 @@ def verify(run_dir, block_id, verify_all, full_scan, precision, tau,
 def audit(run_dir, strategy, m_samples, seed, trials, explicit_blocks,
           isolated):
     """Spot-check randomly sampled blocks of a recorded run."""
-    run = _run_dir(run_dir)
-    _load_ledger(run)
+    run = _open_run(_run_dir(run_dir))
     plan = AuditPlan(m=m_samples, strategy=strategy, seed=seed,
                      blocks=list(explicit_blocks))
     click.echo(f"plan commitment {plan.commitment()}")
     if trials > 0:
         result = run_campaign(run, plan, trials)
-        _write_report(run, "audit_report.json", result.to_json())
+        _write_report(run.dir, "audit_report.json", result.to_json())
         click.echo(f"tampered blocks found: {result.failing_blocks or 'none'}")
         click.echo(f"empirical detection {result.empirical_rate:.4f} "
                    f"(95% CI {result.ci95[0]:.4f}-{result.ci95[1]:.4f}) "
                    f"vs exact {result.exact_rate:.4f} over {trials} trials")
         sys.exit(0)
     report = audit_run(run, plan, isolated=isolated)
-    _write_report(run, "audit_report.json", report.to_json())
+    _write_report(run.dir, "audit_report.json", report.to_json())
     for b, v in report.verdicts.items():
         click.echo(f"block {b}: {v}")
     click.echo("AUDIT PASS" if report.ok else "AUDIT FAIL")
@@ -383,14 +368,13 @@ def attack_stats(bl_values, steps, seed, out_file):
                    "repeatable.")
 def prune(run_dir, keep_blocks):
     """Release evidence not needed to re-verify the kept blocks."""
-    run = _run_dir(run_dir)
-    _load_ledger(run)
+    run = _open_run(_run_dir(run_dir))
     try:
         bids = [BlockId.parse(s) for s in keep_blocks]
     except (ValueError, IndexError):
         raise click.UsageError("--keep values must look like 'i,j'")
     try:
-        removed = prune_after_verification(run, bids)
+        removed = run.prune(bids)
     except ValueError as e:
         raise click.UsageError(str(e))
     click.echo(f"released {removed} blobs; ledger unchanged")

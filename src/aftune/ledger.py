@@ -117,6 +117,9 @@ class RunLedger:
         manifest.setdefault("schema_version", SCHEMA_VERSION)
         self.manifest = manifest
         self.entries: list[CommitmentSet] = []
+        # block -> its (first) commitment set, and sealed blocks per row
+        self.by_block: dict[BlockId, CommitmentSet] = {}
+        self._row_sizes: dict[int, int] = {}
 
     # -- structure -------------------------------------------------------
 
@@ -128,20 +131,22 @@ class RunLedger:
         if not cs.sealed:
             raise LedgerError("only sealed commitment sets may be appended")
         n_lb = self.grid.n_layer_blocks
-        seen = {(e.block.i, e.block.j) for e in self.entries}
-        if (cs.block.i, cs.block.j) in seen:
+        if cs.block in self.by_block:
             raise OrderError(f"duplicate entry for block {cs.block}")
-        row_counts: dict[int, int] = {}
-        for i, j in seen:
-            row_counts[j] = row_counts.get(j, 0) + 1
         for j in range(cs.block.j):
-            if row_counts.get(j, 0) != n_lb:
+            if self._row_sizes.get(j, 0) != n_lb:
                 raise OrderError(
                     f"cannot append block {cs.block}: row {j} incomplete")
-        if any(j > cs.block.j for _, j in seen):
+        if self._row_sizes and max(self._row_sizes) > cs.block.j:
             raise OrderError(
                 f"cannot append block {cs.block}: a later row already sealed")
+        self._add(cs)
+
+    def _add(self, cs: CommitmentSet) -> None:
         self.entries.append(cs)
+        if cs.block not in self.by_block:
+            self.by_block[cs.block] = cs
+            self._row_sizes[cs.block.j] = self._row_sizes.get(cs.block.j, 0) + 1
 
     def lookup(self, key: BoundaryKey) -> Digest | None:
         for e in self.entries:
@@ -150,10 +155,7 @@ class RunLedger:
         return None
 
     def entry_for(self, bid: BlockId) -> CommitmentSet | None:
-        for e in self.entries:
-            if e.block == bid:
-                return e
-        return None
+        return self.by_block.get(bid)
 
     def all_digests(self) -> dict[BoundaryKey, Digest]:
         out: dict[BoundaryKey, Digest] = {}
@@ -189,7 +191,7 @@ class RunLedger:
         while off < len(data):
             (elen,) = struct.unpack_from("<I", data, off)
             off += 4
-            ledger.entries.append(CommitmentSet.decode(data[off:off + elen]))
+            ledger._add(CommitmentSet.decode(data[off:off + elen]))
             off += elen
         return ledger
 

@@ -1,33 +1,47 @@
 """Client-side verification orchestration.
 
-Builds self-contained verification requests out of a recorded run
-(ledger + tensor store, or a deterministic rerun in zero-storage mode),
-reconstructs model state from sparse checkpoints, walks the cross-block
-trust chain, and can hand requests to an isolated verifier process.
+A ``Run`` opens a recorded run once per command: the ledger with its
+digest map, the run context, and the tensor store. It builds self-
+contained verification requests for a list of blocks in one forward
+walk over the grid, carrying each layer-block row's replayed state from
+block to block (or, in zero-storage mode, taking tensors from a single
+deterministic rerun), and hands them to the verifier in process or in
+an isolated worker. It also reconstructs model state from sparse
+checkpoints and walks the cross-block trust chain.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .grid import BlockGrid, BlockId, BoundaryKey
+from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from .hashing import chunked_hash
-from .ledger import RunLedger
+from .ledger import SCHEMA_VERSION, LedgerError, RunLedger
 from .model import ModelState, build_model, param_bytes
 from .optim import build_optimizer
-from .recorder import LEDGER_FILE, RunContext, materialize_block_tensors
+from .recorder import (LEDGER_FILE, RunContext, reference_closure,
+                       rerun_rows)
 from .store import EvidenceReleasedError, TensorStore
-from .verifier import (DEFAULT_MEMORY_BUDGET, EVIDENCE_RELEASED,
-                       BlockReplayer, VerificationReport, VerificationRequest,
-                       load_layer_params, verify_block)
+from .tensors import NonFiniteError
+from .verifier import (DEFAULT_MEMORY_BUDGET, EVIDENCE_RELEASED, FAIL,
+                       NON_FINITE, REFUSED, BlockReplayer, VerificationReport,
+                       VerificationRequest, load_layer_params, load_opt_state,
+                       non_finite_key, verify_block)
 
 DEFAULT_TAU = {"f32": 1e-5, "f64": 1e-12}
+
+# the directory holding the imported package, for isolated workers
+_PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)
 
 
 class ReconstructionError(Exception):
@@ -40,99 +54,397 @@ class NonDeterministicBlockError(ReconstructionError):
     checkpoints at every step block)."""
 
 
-def _block_is_deterministic(layers, grid: BlockGrid, i: int) -> bool:
-    return all(getattr(layers[l], "deterministic", True)
-               for l in grid.block_layers(i))
+class _Row:
+    """Replayed state of one layer-block row: restored from the stored
+    checkpoint at step ``origin`` (None: the step-0 init) and carried
+    forward to step ``t``. ``broken`` holds the key and message of the
+    NaN/Inf that stopped the replay."""
+
+    def __init__(self, origin: int | None, params: dict, opts: dict):
+        self.origin = origin
+        self.t = origin or 0
+        self.params, self.opts = params, opts
+        self.replayer: BlockReplayer | None = None
+        self.broken: tuple[str, str] | None = None
+
+    def blobs(self) -> tuple[dict, dict]:
+        rep = self.replayer
+        if rep is None:
+            return self.params, self.opts
+        return ({l: rep.param_blob(l) for l in rep.layer_indices},
+                {l: rep.opt_blob(l) for l in rep.layer_indices})
 
 
-def _block_checkpoint_bytes(ctx: RunContext, store: TensorStore, i: int,
-                            t_target: int, labels_needed: bool):
-    """Parameter and optimizer blobs for layer block i at step t_target,
-    replayed forward from the nearest prior checkpoint when t_target is
-    not itself checkpointed."""
-    grid = ctx.grid
-    layer_ids = list(grid.block_layers(i))
-    ckpts = [t for t in grid.checkpoint_steps(i) if t <= t_target]
-    t0 = max(ckpts) if ckpts else 0
-    fresh = build_model(ctx.manifest["model"])
-    if t0 < t_target and not _block_is_deterministic(fresh, grid, i):
-        raise NonDeterministicBlockError(
-            f"layer block {i} contains a non-deterministic layer; replaying "
-            f"steps {t0}..{t_target} cannot be bit-exact. Isolate the layer "
-            f"(isolate_layers) so it checkpoints at every step block.")
-    if ckpts:
-        params = {l: store.get_bytes(BoundaryKey("parameter", l, t0))
-                  for l in layer_ids}
-        opts = {l: store.get_bytes(BoundaryKey("optimizer-state", l, t0))
-                for l in layer_ids}
-    else:
-        # no stored checkpoint covers t_target, but the step-0 state is
+class Run:
+    """One recorded run, opened once per command."""
+
+    def __init__(self, run_dir, ledger: RunLedger):
+        self.dir = Path(run_dir)
+        self.ledger = ledger
+        self.manifest = ledger.manifest
+        self.mode = self.manifest["mode"]
+        self.config = GridConfig.from_dict(self.manifest["grid"])
+        self.grid = BlockGrid(self.config)
+        training = self.mode == "training"
+        self.ctx = RunContext(self.manifest) if training else None
+        self.store = None if training and self.config.zero_storage \
+            else TensorStore(self.dir)
+
+    @classmethod
+    def open(cls, run_dir) -> "Run":
+        path = Path(run_dir) / LEDGER_FILE
+        if not path.exists():
+            raise FileNotFoundError(f"no ledger at {path}")
+        ledger = RunLedger.load(path)
+        version = ledger.manifest.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise LedgerError(f"ledger schema version {version} != "
+                              f"supported {SCHEMA_VERSION}")
+        return cls(run_dir, ledger)
+
+    @cached_property
+    def digests(self):
+        return self.ledger.all_digests()
+
+    @cached_property
+    def _fresh_layers(self):
+        return build_model(self.manifest["model"])
+
+    # -- verification ----------------------------------------------------
+
+    def verify(self, bids, isolated: bool = False, jobs: int = 1,
+               **kw) -> list[VerificationReport]:
+        """Verify ``bids``, one report per entry in the order given. With
+        ``jobs > 1`` up to that many checks run at once."""
+        done: dict[BlockId, VerificationReport] = {}
+        pending: deque = deque()
+        pool = ThreadPoolExecutor(jobs) if jobs > 1 else None
+        try:
+            for bid, req in self.requests(bids, **kw):
+                if isinstance(req, VerificationReport):
+                    done[bid] = req
+                elif pool is None:
+                    done[bid] = _check(req, isolated)
+                else:
+                    pending.append((bid, pool.submit(_check, req, isolated)))
+                    if len(pending) >= jobs:
+                        b, fut = pending.popleft()
+                        done[b] = fut.result()
+            for b, fut in pending:
+                done[b] = fut.result()
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        return [done[b] for b in bids]
+
+    def request(self, bid: BlockId, **kw):
+        return next(self.requests([bid], **kw))[1]
+
+    def requests(self, bids, tau: float | None = None,
+                 precision: str | None = None, full_scan: bool = False,
+                 memory_budget: int = DEFAULT_MEMORY_BUDGET):
+        """Yield ``(bid, request)`` for each distinct block of ``bids`` in
+        grid order (row j ascending). ``request`` is a VerificationReport
+        instead when the block cannot reach the verifier: its evidence was
+        released, or the replay to its entry state went non-finite."""
+        order = sorted(set(bids), key=lambda b: (b.j, b.i))
+        opts = dict(tau=tau, precision=precision, full_scan=full_scan,
+                    memory_budget=memory_budget)
+        if self.mode == "inference":
+            for bid in order:
+                yield bid, self._inference_request(bid, **opts)
+        elif self.store is None:
+            yield from self._rerun_requests(order, opts)
+        else:
+            yield from self._stored_requests(order, opts)
+
+    def _training_request(self, bid: BlockId, tensors: dict, tau, precision,
+                          full_scan, memory_budget) -> VerificationRequest:
+        config, manifest = self.config, self.manifest
+        steps = self.grid.block_steps(bid.j)
+        labels = {t: self.ctx.batch(t).labels for t in steps} \
+            if self._needs_labels(bid.i) else {}
+        return VerificationRequest(
+            block=bid, mode="training",
+            tau=config.tau if tau is None else tau,
+            precision=precision or config.precision, grid=config.to_dict(),
+            model=manifest["model"], optimizer=manifest["optimizer"],
+            tensors=tensors,
+            ledger_digests={str(k): self.digests[k]
+                            for k in self.grid.commitment_keys(bid)},
+            labels=labels, chunk_size=config.chunk_size, algo=self.ctx.algo,
+            memory_budget=memory_budget, full_scan=full_scan,
+        )
+
+    def _rerun_requests(self, order, opts):
+        """Zero-storage: one deterministic rerun, building each row's
+        requests as the rerun passes it and stopping after the last."""
+        if not order:
+            return
+        by_row: dict[int, list[BlockId]] = {}
+        for bid in order:
+            by_row.setdefault(bid.j, []).append(bid)
+        wanted = {k for bid in order for k in self.grid.commitment_keys(bid)}
+        for j, captured in rerun_rows(self.manifest, wanted):
+            for bid in by_row.get(j, ()):
+                tensors = {
+                    str(k): captured[k] if k.kind in ("activation", "gradient")
+                    else captured[k].tobytes()
+                    for k in self.grid.commitment_keys(bid) if k in captured}
+                yield bid, self._training_request(bid, tensors, **opts)
+            if j == order[-1].j:
+                return
+
+    def _stored_requests(self, order, opts):
+        """Stored evidence: each row's entry state is carried forward from
+        the previous requested block of that row, and restarted from a
+        stored checkpoint only where a fresh replay would restart."""
+        grid, store = self.grid, self.store
+        next_in_row: dict[BlockId, BlockId] = {}
+        last: dict[int, BlockId] = {}
+        for bid in order:
+            if bid.i in last:
+                next_in_row[last[bid.i]] = bid
+            last[bid.i] = bid
+        rows: dict[int, _Row] = {}
+        for bid in order:
+            i, j = bid.i, bid.j
+            t_in, t_out = grid.commitment_boundary_steps(j)
+            layer_ids = grid.block_layers(i)
+            tensors: dict[str, np.ndarray | bytes] = {}
+            try:
+                for t in grid.block_steps(j):
+                    for b in (i, i + 1):
+                        for kind in ("activation", "gradient"):
+                            k = BoundaryKey(kind, b, t)
+                            tensors[str(k)] = store.get_tensor(k)
+                row = rows[i] = self._row_at(i, t_in, rows.pop(i, None))
+                if row.broken:
+                    yield bid, _non_finite_report(bid, *row.broken)
+                    continue
+                p, o = row.blobs()
+                for l in layer_ids:
+                    tensors[str(BoundaryKey("parameter", l, t_in))] = p[l]
+                    tensors[str(BoundaryKey("optimizer-state", l, t_in))] = o[l]
+                # exit blobs are optional: included when checkpointed
+                for l in layer_ids:
+                    for kind in ("parameter", "optimizer-state"):
+                        k = BoundaryKey(kind, l, t_out)
+                        if store.has_blob(k):
+                            tensors[str(k)] = store.get_bytes(k)
+            except EvidenceReleasedError as e:
+                rows.pop(i, None)
+                yield bid, VerificationReport(block=bid,
+                                              verdict=EVIDENCE_RELEASED,
+                                              note=str(e))
+                continue
+            nxt = next_in_row.get(bid)
+            if nxt is not None and self._deterministic(i) and \
+                    self._origin(i, grid.step_blocks[nxt.j][0]) == row.origin:
+                # walk the row on through this block, on its own tensors
+                for t in grid.block_steps(j):
+                    if row.broken:
+                        break
+                    self._replay_step(
+                        i, row, t, tensors[str(BoundaryKey("activation", i, t))],
+                        tensors[str(BoundaryKey("gradient", i + 1, t))])
+            else:
+                del rows[i]
+            yield bid, self._training_request(bid, tensors, **opts)
+
+    def _origin(self, i: int, target: int) -> int | None:
+        """The stored checkpoint step a replay of layer block i to
+        ``target`` starts from; None for the step-0 init."""
+        return max((t for t in self.grid.checkpoint_steps(i) if t <= target),
+                   default=None)
+
+    def _row_at(self, i: int, target: int, row: _Row | None = None) -> _Row:
+        """Layer block i's replayed state at step ``target``. ``row`` is
+        carried on when it starts from the same checkpoint a fresh replay
+        would, so the state is bitwise that of a fresh replay."""
+        t0 = self._origin(i, target)
+        if (t0 or 0) < target and not self._deterministic(i):
+            raise NonDeterministicBlockError(
+                f"layer block {i} contains a non-deterministic layer; "
+                f"replaying steps {t0 or 0}..{target} cannot be bit-exact. "
+                f"Isolate the layer (isolate_layers) so it checkpoints at "
+                f"every step block.")
+        if row is None or row.origin != t0 or row.t > target:
+            row = _Row(t0, *self._checkpoint(i, t0))
+        for t in range(row.t, target):
+            if row.broken:
+                break
+            self._replay_step(
+                i, row, t, self.store.get_tensor(BoundaryKey("activation", i, t)),
+                self.store.get_tensor(BoundaryKey("gradient", i + 1, t)))
+        return row
+
+    def _checkpoint(self, i: int, t0: int | None) -> tuple[dict, dict]:
+        layer_ids = self.grid.block_layers(i)
+        if t0 is not None:
+            get = self.store.get_bytes
+            return ({l: get(BoundaryKey("parameter", l, t0)) for l in layer_ids},
+                    {l: get(BoundaryKey("optimizer-state", l, t0))
+                     for l in layer_ids})
+        # no stored checkpoint covers the target, but the step-0 state is
         # derivable from the manifest alone: base init, zeroed optimizer
-        opt = build_optimizer(ctx.manifest["optimizer"], fresh)
-        params = {l: param_bytes(fresh[l]) for l in layer_ids}
-        opts = {l: opt.state_bytes(l, fresh[l]) for l in layer_ids}
-    if t0 == t_target:
-        return params, opts
-    rep = BlockReplayer(ctx.manifest["model"], ctx.manifest["optimizer"],
-                        layer_ids, params, opts)
-    for t in range(t0, t_target):
-        x = store.get_tensor(BoundaryKey("activation", i, t))
-        upstream = store.get_tensor(BoundaryKey("gradient", i + 1, t))
-        labels = ctx.batch(t).labels if labels_needed else None
-        rep.replay_step(x, upstream, labels=labels)
-    return ({l: rep.param_blob(l) for l in layer_ids},
-            {l: rep.opt_blob(l) for l in layer_ids})
+        fresh = self._fresh_layers
+        opt = build_optimizer(self.manifest["optimizer"], fresh)
+        return ({l: param_bytes(fresh[l]) for l in layer_ids},
+                {l: opt.state_bytes(l, fresh[l]) for l in layer_ids})
+
+    def _replay_step(self, i: int, row: _Row, t: int, x, upstream) -> None:
+        if row.replayer is None:
+            row.replayer = BlockReplayer(
+                self.manifest["model"], self.manifest["optimizer"],
+                self.grid.block_layers(i), row.params, row.opts)
+        labels = self.ctx.batch(t).labels if self._needs_labels(i) else None
+        try:
+            row.replayer.replay_step(x, upstream, labels=labels)
+        except NonFiniteError as e:
+            row.broken = (non_finite_key(i, t, x, upstream), str(e))
+            return
+        row.t = t + 1
+
+    def _deterministic(self, i: int) -> bool:
+        return all(getattr(self._fresh_layers[l], "deterministic", True)
+                   for l in self.grid.block_layers(i))
+
+    def _needs_labels(self, i: int) -> bool:
+        return self.config.n_layers - 1 in self.grid.block_layers(i)
+
+    def _inference_request(self, bid: BlockId, tau, precision, full_scan,
+                           memory_budget):
+        config, manifest = self.config, self.manifest
+        bounds = self.grid.inference_boundaries()
+        lo = max(b for b in bounds if b <= bid.i)
+        hi = min(b for b in bounds if b > bid.i)
+        tensors: dict[str, np.ndarray | bytes] = {}
+        try:
+            for b in (lo, hi):
+                k = BoundaryKey("activation", b, 0)
+                tensors[str(k)] = self.store.get_tensor(k)
+        except EvidenceReleasedError as e:
+            return VerificationReport(block=bid, verdict=EVIDENCE_RELEASED,
+                                      note=str(e))
+        # the full served parameter set travels with the request: the digest
+        # binding covers every layer, not just the replayed span
+        layers = _inference_layers(manifest, self.dir / "params")
+        for l in range(len(layers)):
+            tensors[str(BoundaryKey("parameter", l, 0))] = param_bytes(layers[l])
+        keys = [BoundaryKey("activation", b, 0) for b in (lo, hi)]
+        return VerificationRequest(
+            block=bid, mode="inference",
+            tau=config.tau if tau is None else tau,
+            precision=precision or config.precision, grid=config.to_dict(),
+            model=manifest["model"], optimizer=None, tensors=tensors,
+            ledger_digests={str(k): self.digests[k] for k in keys},
+            model_digest=manifest["model_digest"],
+            chunk_size=config.chunk_size, algo=manifest["hash_algo"],
+            memory_budget=memory_budget, full_scan=full_scan,
+        )
+
+    # -- state, provenance and pruning ------------------------------------
+
+    def state_at(self, step: int) -> ModelState:
+        """Rebuild the full model/optimizer state at ``step`` (which must be
+        a step-block boundary) from sparse checkpoints plus per-block
+        replay, and require bitwise agreement with the ledger's parameter
+        digests."""
+        grid, config = self.grid, self.config
+        starts = {a for a, _ in grid.step_blocks} | {config.n_steps}
+        if step not in starts:
+            raise ReconstructionError(f"step {step} is not a step-block boundary")
+        if self.mode != "training":
+            raise ReconstructionError("an inference run has no training state")
+        if self.store is None:
+            raise ReconstructionError(
+                "zero-storage run: reconstruct by deterministic rerun instead")
+        param_blobs: dict[int, bytes] = {}
+        opt_blobs: dict[int, bytes] = {}
+        for i in range(grid.n_layer_blocks):
+            row = self._row_at(i, step)
+            if row.broken:
+                raise ReconstructionError(
+                    f"replaying layer block {i} to step {step} hit "
+                    f"non-finite values at {row.broken[0]}")
+            p, o = row.blobs()
+            param_blobs.update(p)
+            opt_blobs.update(o)
+
+        mismatched = []
+        for l in range(config.n_layers):
+            for kind, blob in (("parameter", param_blobs[l]),
+                               ("optimizer-state", opt_blobs[l])):
+                key = BoundaryKey(kind, l, step)
+                got = chunked_hash(blob, config.chunk_size, self.ctx.algo)
+                if key not in self.digests \
+                        or self.digests[key].value != got.value:
+                    mismatched.append(str(key))
+        if mismatched:
+            raise ReconstructionError(
+                f"reconstructed state disagrees with ledger at: {mismatched}")
+
+        layers = build_model(self.manifest["model"])
+        for l, layer in enumerate(layers):
+            load_layer_params(layer, param_blobs[l])
+        opt = build_optimizer(self.manifest["optimizer"], layers)
+        counters = {load_opt_state(opt, l, layer, opt_blobs[l])
+                    for l, layer in enumerate(layers)}
+        opt.step_count = counters.pop() if len(counters) == 1 else step
+        return ModelState(layers=layers, opt=opt, t=step)
+
+    def prune(self, requested: list[BlockId]) -> int:
+        """Delete blobs not needed to verify the requested blocks. The
+        ledger is untouched; pruned keys later report 'evidence
+        released'."""
+        for bid in requested:
+            if bid not in self.ledger.by_block:
+                raise ValueError(
+                    f"block {bid} has no sealed commitment; cannot prune")
+        if self.store is None:
+            return 0
+        keep = reference_closure(self.grid, requested)
+        index = self.store.index
+        return self.store.prune({index[str(k)]["digest"]
+                                 for k in keep if str(k) in index})
+
+
+def _non_finite_report(bid: BlockId, key: str, msg: str) -> VerificationReport:
+    return VerificationReport(
+        block=bid, verdict=FAIL, cause=NON_FINITE, failed_key=key,
+        failures=[{"cause": NON_FINITE, "key": key, "error": None,
+                   "tau": None}],
+        note=f"replay to the block's entry state: {msg}")
+
+
+def _check(req: VerificationRequest, isolated: bool) -> VerificationReport:
+    if not isolated:
+        return verify_block(req)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "aftune.verifier_worker"],
+        input=req.to_bytes(), capture_output=True, env=env)
+    if proc.returncode != 0:
+        tail = proc.stderr.decode(errors="replace").strip()[-500:]
+        return VerificationReport(
+            block=req.block, verdict=REFUSED,
+            note=f"verifier worker exited with {proc.returncode}: {tail}")
+    report = VerificationReport.from_json(json.loads(proc.stdout))
+    if report.block is None:
+        report.block = req.block
+    return report
+
+
+# -- one-block entry points ----------------------------------------------
 
 
 def reconstruct_state(run_dir, step: int) -> ModelState:
-    """Rebuild the full model/optimizer state at ``step`` (which must be
-    a step-block boundary) from sparse checkpoints plus per-block replay,
-    and require bitwise agreement with the ledger's parameter digests."""
-    run_dir = Path(run_dir)
-    ledger = RunLedger.load(run_dir / LEDGER_FILE)
-    ctx = RunContext(ledger.manifest)
-    grid, config = ctx.grid, ctx.config
-    starts = {a for a, _ in grid.step_blocks} | {config.n_steps}
-    if step not in starts:
-        raise ReconstructionError(f"step {step} is not a step-block boundary")
-    if config.zero_storage:
-        raise ReconstructionError(
-            "zero-storage run: reconstruct by deterministic rerun instead")
-    store = TensorStore(run_dir)
-    head_layer = config.n_layers - 1
-    param_blobs: dict[int, bytes] = {}
-    opt_blobs: dict[int, bytes] = {}
-    for i in range(grid.n_layer_blocks):
-        needs_labels = head_layer in grid.block_layers(i)
-        p, o = _block_checkpoint_bytes(ctx, store, i, step, needs_labels)
-        param_blobs.update(p)
-        opt_blobs.update(o)
-
-    digests = ledger.all_digests()
-    mismatched = []
-    for l in range(config.n_layers):
-        for kind, blob in (("parameter", param_blobs[l]),
-                           ("optimizer-state", opt_blobs[l])):
-            key = BoundaryKey(kind, l, step)
-            got = chunked_hash(blob, config.chunk_size, ctx.algo)
-            if key not in digests or digests[key].value != got.value:
-                mismatched.append(str(key))
-    if mismatched:
-        raise ReconstructionError(
-            f"reconstructed state disagrees with ledger at: {mismatched}")
-
-    layers = build_model(ctx.manifest["model"])
-    for l, layer in enumerate(layers):
-        load_layer_params(layer, param_blobs[l])
-    opt = build_optimizer(ctx.manifest["optimizer"], layers)
-    from .verifier import load_opt_state
-    counters = {load_opt_state(opt, l, layer, opt_blobs[l])
-                for l, layer in enumerate(layers)}
-    opt.step_count = counters.pop() if len(counters) == 1 else step
-    return ModelState(layers=layers, opt=opt, t=step)
-
-
-# -- building requests ---------------------------------------------------
+    """Rebuild the full model/optimizer state at ``step``; see
+    ``Run.state_at``."""
+    return Run.open(run_dir).state_at(step)
 
 
 def gather_request(run_dir, bid: BlockId, tau: float | None = None,
@@ -144,108 +456,9 @@ def gather_request(run_dir, bid: BlockId, tau: float | None = None,
     Returns a VerificationReport directly (verdict 'evidence-released')
     when a required blob was pruned and cannot be rematerialized.
     """
-    run_dir = Path(run_dir)
-    ledger = RunLedger.load(run_dir / LEDGER_FILE)
-    manifest = ledger.manifest
-    if manifest["mode"] == "inference":
-        return _gather_inference(run_dir, ledger, bid, tau, precision,
-                                 full_scan, memory_budget)
-    ctx = RunContext(manifest)
-    grid, config = ctx.grid, ctx.config
-    precision = precision or config.precision
-    tau = config.tau if tau is None else tau
-    i, j = bid.i, bid.j
-    t_in, t_out = grid.commitment_boundary_steps(j)
-    layer_ids = list(grid.block_layers(i))
-    steps = list(grid.block_steps(j))
-    head_layer = config.n_layers - 1
-    needs_labels = head_layer in layer_ids
-
-    digests = ledger.all_digests()
-    wanted_keys = grid.commitment_keys(bid)
-    ledger_digests = {str(k): digests[k] for k in wanted_keys}
-
-    tensors: dict[str, np.ndarray | bytes] = {}
-    try:
-        if config.zero_storage:
-            mat = materialize_block_tensors(manifest, set(wanted_keys))
-            for k in wanted_keys:
-                if k not in mat:
-                    continue
-                v = mat[k]
-                if k.kind in ("activation", "gradient"):
-                    tensors[str(k)] = v
-                else:
-                    tensors[str(k)] = v.tobytes()
-        else:
-            store = TensorStore(run_dir)
-            for t in steps:
-                for b in (i, i + 1):
-                    for kind in ("activation", "gradient"):
-                        k = BoundaryKey(kind, b, t)
-                        tensors[str(k)] = store.get_tensor(k)
-            p, o = _block_checkpoint_bytes(ctx, store, i, t_in, needs_labels)
-            for l in layer_ids:
-                tensors[str(BoundaryKey("parameter", l, t_in))] = p[l]
-                tensors[str(BoundaryKey("optimizer-state", l, t_in))] = o[l]
-            # exit blobs are optional: included when checkpointed
-            for l in layer_ids:
-                for kind in ("parameter", "optimizer-state"):
-                    k = BoundaryKey(kind, l, t_out)
-                    if store.has_blob(k):
-                        tensors[str(k)] = store.get_bytes(k)
-    except EvidenceReleasedError as e:
-        return VerificationReport(block=bid, verdict=EVIDENCE_RELEASED,
-                                  note=str(e))
-
-    labels = {t: ctx.batch(t).labels for t in steps} if needs_labels else {}
-    return VerificationRequest(
-        block=bid, mode="training", tau=tau, precision=precision,
-        grid=config.to_dict(), model=manifest["model"],
-        optimizer=manifest["optimizer"], tensors=tensors,
-        ledger_digests=ledger_digests, labels=labels,
-        chunk_size=config.chunk_size, algo=ctx.algo,
-        memory_budget=memory_budget, full_scan=full_scan,
-    )
-
-
-def _gather_inference(run_dir, ledger, bid, tau, precision, full_scan,
-                      memory_budget):
-    manifest = ledger.manifest
-    from .grid import GridConfig
-    config = GridConfig.from_dict(manifest["grid"])
-    grid = BlockGrid(config)
-    precision = precision or config.precision
-    tau = config.tau if tau is None else tau
-    store = TensorStore(run_dir)
-    bounds = grid.inference_boundaries()
-    lo = max(b for b in bounds if b <= bid.i)
-    hi = min(b for b in bounds if b > bid.i)
-    layer_ids = range(grid.boundary_layer(lo), grid.boundary_layer(hi))
-    tensors: dict[str, np.ndarray | bytes] = {}
-    try:
-        for b in (lo, hi):
-            k = BoundaryKey("activation", b, 0)
-            tensors[str(k)] = store.get_tensor(k)
-    except EvidenceReleasedError as e:
-        return VerificationReport(block=bid, verdict=EVIDENCE_RELEASED,
-                                  note=str(e))
-    # the full served parameter set travels with the request: the digest
-    # binding covers every layer, not just the replayed span
-    params_dir = Path(run_dir) / "params"
-    layers = _inference_layers(manifest, params_dir)
-    for l in range(len(layers)):
-        tensors[str(BoundaryKey("parameter", l, 0))] = param_bytes(layers[l])
-    digests = ledger.all_digests()
-    keys = [BoundaryKey("activation", b, 0) for b in (lo, hi)]
-    return VerificationRequest(
-        block=bid, mode="inference", tau=tau, precision=precision,
-        grid=config.to_dict(), model=manifest["model"], optimizer=None,
-        tensors=tensors, ledger_digests={str(k): digests[k] for k in keys},
-        model_digest=manifest["model_digest"], chunk_size=config.chunk_size,
-        algo=manifest["hash_algo"], memory_budget=memory_budget,
-        full_scan=full_scan,
-    )
+    return Run.open(run_dir).request(bid, tau=tau, precision=precision,
+                                     full_scan=full_scan,
+                                     memory_budget=memory_budget)
 
 
 def save_inference_params(run_dir, layers) -> None:
@@ -267,20 +480,9 @@ def _inference_layers(manifest, params_dir: Path):
     return layers
 
 
-# -- running the verifier ------------------------------------------------
-
-
 def run_verification(run_dir, bid: BlockId, isolated: bool = False,
                      **kw) -> VerificationReport:
-    req = gather_request(run_dir, bid, **kw)
-    if isinstance(req, VerificationReport):
-        return req
-    if not isolated:
-        return verify_block(req)
-    proc = subprocess.run(
-        [sys.executable, "-m", "aftune.verifier_worker"],
-        input=req.to_bytes(), stdout=subprocess.PIPE, check=True)
-    return VerificationReport.from_json(json.loads(proc.stdout))
+    return Run.open(run_dir).verify([bid], isolated=isolated, **kw)[0]
 
 
 # -- trust chain ---------------------------------------------------------

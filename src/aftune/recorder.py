@@ -171,10 +171,22 @@ def materialize_block_tensors(manifest: dict,
                               wanted: set[BoundaryKey]) -> dict[BoundaryKey, np.ndarray]:
     """Deterministic rerun that captures only the requested boundary and
     checkpoint tensors (zero-storage verification path)."""
+    out: dict[BoundaryKey, np.ndarray] = {}
+    for _, row in rerun_rows(manifest, wanted):
+        out.update(row)
+    return out
+
+
+def rerun_rows(manifest: dict, wanted: set[BoundaryKey]):
+    """Deterministic rerun that yields ``(j, tensors)`` as soon as it has
+    passed step-block row j: the wanted keys whose step lies in row j's
+    span, its entry and exit parameter steps included. Parameters are
+    float32 arrays, optimizer states uint8 arrays. Stop iterating to stop
+    the rerun."""
     ctx = RunContext(manifest)
     grid, config = ctx.grid, ctx.config
     state = ctx.fresh_state()
-    out: dict[BoundaryKey, np.ndarray] = {}
+    row: dict[BoundaryKey, np.ndarray] = {}
     param_steps = {k.step for k in wanted
                    if k.kind in ("parameter", "optimizer-state")}
 
@@ -185,25 +197,28 @@ def materialize_block_tensors(manifest: dict,
             pk = BoundaryKey("parameter", l, t)
             ok = BoundaryKey("optimizer-state", l, t)
             if pk in wanted:
-                out[pk] = np.frombuffer(param_bytes(state.layers[l]),
+                row[pk] = np.frombuffer(param_bytes(state.layers[l]),
                                         dtype="<f4").copy()
             if ok in wanted:
-                out[ok] = np.frombuffer(opt_state_bytes(state, l),
+                row[ok] = np.frombuffer(opt_state_bytes(state, l),
                                         dtype=np.uint8).copy()
 
-    for t in range(config.n_steps):
-        capture_params(t)
-        trace = train_step(state, ctx.batch(t))
-        acts, gacts = ctx.boundary_tensors(trace)
-        for b in range(grid.n_boundaries):
-            ak = BoundaryKey("activation", b, t)
-            gk = BoundaryKey("gradient", b, t)
-            if ak in wanted:
-                out[ak] = acts[b]
-            if gk in wanted:
-                out[gk] = gacts[b]
-    capture_params(config.n_steps)
-    return out
+    capture_params(0)
+    for j, (a, b) in enumerate(grid.step_blocks):
+        for t in range(a, b):
+            trace = train_step(state, ctx.batch(t))
+            acts, gacts = ctx.boundary_tensors(trace)
+            for k in range(grid.n_boundaries):
+                ak = BoundaryKey("activation", k, t)
+                gk = BoundaryKey("gradient", k, t)
+                if ak in wanted:
+                    row[ak] = acts[k]
+                if gk in wanted:
+                    row[gk] = gacts[k]
+            capture_params(t + 1)
+        yield j, row
+        # the exit parameters are the next row's entry
+        row = {k: v for k, v in row.items() if k.step == b}
 
 
 # -- inference ----------------------------------------------------------
@@ -274,15 +289,5 @@ def reference_closure(grid: BlockGrid, bids: list[BlockId]) -> set[BoundaryKey]:
 def prune_after_verification(run_dir, requested: list[BlockId]) -> int:
     """Delete blobs not needed to verify the requested blocks. The ledger
     is untouched; pruned keys later report 'evidence released'."""
-    run_dir = Path(run_dir)
-    ledger = RunLedger.load(run_dir / LEDGER_FILE)
-    grid = ledger.grid
-    committed = {e.block for e in ledger.entries}
-    for bid in requested:
-        if bid not in committed:
-            raise ValueError(f"block {bid} has no sealed commitment; cannot prune")
-    store = TensorStore(run_dir)
-    keep = reference_closure(grid, requested)
-    keep_digests = {store.index[str(k)]["digest"]
-                    for k in keep if str(k) in store.index}
-    return store.prune(keep_digests)
+    from .orchestrate import Run
+    return Run.open(run_dir).prune(requested)

@@ -12,6 +12,7 @@ request bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .ledger import RunLedger
 from .model import build_model, backward_block, forward_block, param_bytes
 from .optim import build_optimizer
 from .store import EvidenceReleasedError, TensorStore
-from .tensors import rel_l2_error
+from .tensors import NonFiniteError, rel_l2_error
 
 DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024  # bytes of payload a verifier accepts
 
@@ -36,6 +37,7 @@ EVIDENCE_RELEASED = "evidence-released"
 
 HASH_MISMATCH = "hash-mismatch"
 NUMERICAL_MISMATCH = "numerical-mismatch"
+NON_FINITE = "non-finite"
 
 
 class VerifierError(Exception):
@@ -96,27 +98,52 @@ class VerificationRequest:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VerificationRequest":
+        """Parse request bytes; any malformed input raises VerifierError."""
+        try:
+            return cls._parse(data)
+        except VerifierError:
+            raise
+        except (ValueError, TypeError, KeyError, IndexError, AttributeError,
+                OverflowError, struct.error) as e:
+            raise VerifierError(f"malformed request: {e!r}") from None
+
+    @classmethod
+    def _parse(cls, data: bytes) -> "VerificationRequest":
+        if len(data) < 4:
+            raise VerifierError(f"request of {len(data)} bytes has no header")
         (hlen,) = struct.unpack_from("<I", data, 0)
+        if hlen > len(data) - 4:
+            raise VerifierError(f"header length {hlen} exceeds the request")
         h = json.loads(data[4:4 + hlen])
-        payload = data[4 + hlen:]
+        payload = memoryview(data)[4 + hlen:]
         tensors: dict[str, np.ndarray | bytes] = {}
         for k, m in h["tensors"].items():
-            raw = payload[m["offset"]:m["offset"] + m["length"]]
-            if m["shape"] is None:
-                tensors[k] = raw
-            else:
-                tensors[k] = np.frombuffer(raw, "<f4").reshape(m["shape"]).copy()
+            off, length, shape = m["offset"], m["length"], m["shape"]
+            if not (isinstance(off, int) and isinstance(length, int)
+                    and 0 <= off and 0 <= length
+                    and off + length <= len(payload)):
+                raise VerifierError(f"tensor {k} lies outside the payload")
+            raw = payload[off:off + length]
+            if shape is None:
+                tensors[k] = bytes(raw)
+                continue
+            if not all(isinstance(d, int) and d >= 0 for d in shape) \
+                    or length != 4 * math.prod(shape):
+                raise VerifierError(
+                    f"tensor {k}: {length} bytes do not fill shape {shape}")
+            tensors[k] = np.frombuffer(raw, "<f4").reshape(shape).copy()
         return cls(
-            block=BlockId.parse(h["block"]), mode=h["mode"], tau=h["tau"],
-            precision=h["precision"], grid=h["grid"], model=h["model"],
-            optimizer=h["optimizer"], tensors=tensors,
+            block=BlockId.parse(h["block"]), mode=h["mode"],
+            tau=float(h["tau"]), precision=h["precision"], grid=h["grid"],
+            model=h["model"], optimizer=h["optimizer"], tensors=tensors,
             ledger_digests={k: Digest.from_hex(v[1], v[0])
                             for k, v in h["ledger_digests"].items()},
             labels={int(t): np.asarray(v, dtype=np.int64)
                     for t, v in h["labels"].items()},
-            model_digest=h["model_digest"], chunk_size=h["chunk_size"],
-            algo=h["algo"], memory_budget=h["memory_budget"],
-            full_scan=h["full_scan"], replay_noise=h.get("replay_noise", 0.0),
+            model_digest=h["model_digest"], chunk_size=int(h["chunk_size"]),
+            algo=h["algo"], memory_budget=int(h["memory_budget"]),
+            full_scan=bool(h["full_scan"]),
+            replay_noise=float(h.get("replay_noise", 0.0)),
         )
 
     def payload_bytes(self) -> int:
@@ -128,9 +155,9 @@ class VerificationRequest:
 
 @dataclass
 class VerificationReport:
-    block: BlockId
+    block: BlockId | None             # None: the request named no block
     verdict: str
-    cause: str | None = None          # hash-mismatch | numerical-mismatch
+    cause: str | None = None          # hash-mismatch | numerical-mismatch | non-finite
     failed_key: str | None = None
     measured_error: float | None = None
     tau: float | None = None
@@ -145,7 +172,8 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {
-            "block": str(self.block), "verdict": self.verdict,
+            "block": None if self.block is None else str(self.block),
+            "verdict": self.verdict,
             "cause": self.cause, "failed_key": self.failed_key,
             "measured_error": self.measured_error, "tau": self.tau,
             "errors": self.errors, "failures": self.failures,
@@ -154,7 +182,9 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, d: dict) -> "VerificationReport":
-        return cls(block=BlockId.parse(d["block"]), verdict=d["verdict"],
+        block = d["block"]
+        return cls(block=None if block is None else BlockId.parse(block),
+                   verdict=d["verdict"],
                    cause=d["cause"], failed_key=d["failed_key"],
                    measured_error=d["measured_error"], tau=d["tau"],
                    errors=d.get("errors", {}), failures=d.get("failures", []),
@@ -210,6 +240,17 @@ class BlockReplayer:
     def opt_blob(self, l: int) -> bytes:
         li = self.layer_indices.index(l)
         return self.opt.state_bytes(li, self.layers[li])
+
+
+def non_finite_key(i: int, t: int, x, upstream) -> str:
+    """The boundary a NonFiniteError in layer block i's step-t replay is
+    charged to: the first consumed tensor holding NaN or Inf, else the
+    block's replayed output."""
+    for key, arr in ((BoundaryKey("activation", i, t), x),
+                     (BoundaryKey("gradient", i + 1, t), upstream)):
+        if not np.all(np.isfinite(arr)):
+            return str(key)
+    return str(BoundaryKey("activation", i + 1, t))
 
 
 def load_layer_params(layer, data: bytes) -> None:
@@ -347,14 +388,20 @@ def verify_training_block(req: VerificationRequest) -> VerificationReport:
         labels = req.labels.get(t)
         x = stored("activation", i, t)
         upstream = stored("gradient", i + 1, t)
-        acts, gacts = replayer.replay_step(x, upstream, labels=labels)
+        try:
+            acts, gacts = replayer.replay_step(x, upstream, labels=labels)
+        except NonFiniteError:
+            # replay cannot go on past NaN/Inf, full scan or not
+            collector.fail(NON_FINITE, non_finite_key(i, t, x, upstream))
+            report.wall_time = time.perf_counter() - t_start
+            return report
         for kind, replayed, ref_key in (
             ("activation", jitter(acts[-1]), BoundaryKey("activation", i + 1, t)),
             ("gradient", jitter(gacts[0]), BoundaryKey("gradient", i, t)),
         ):
             err = rel_l2_error(replayed, req.tensors[str(ref_key)])
             report.errors[str(ref_key)] = err
-            if err > req.tau:
+            if not err <= req.tau:
                 if collector.fail(NUMERICAL_MISMATCH, ref_key, err, req.tau):
                     report.wall_time = time.perf_counter() - t_start
                     return report
@@ -372,7 +419,8 @@ def verify_training_block(req: VerificationRequest) -> VerificationReport:
             err = 0.0 if chunked_hash(replayed_p, req.chunk_size, req.algo).value \
                 == req.ledger_digests[str(pk)].value else float("inf")
         report.errors[str(pk)] = err
-        if err > req.tau and collector.fail(NUMERICAL_MISMATCH, pk, err, req.tau):
+        if not err <= req.tau \
+                and collector.fail(NUMERICAL_MISMATCH, pk, err, req.tau):
             break
         if str(ok) in req.tensors:
             err_o = _opt_blob_error(replayed_o, req.tensors[str(ok)])
@@ -380,7 +428,8 @@ def verify_training_block(req: VerificationRequest) -> VerificationReport:
             err_o = 0.0 if chunked_hash(replayed_o, req.chunk_size, req.algo).value \
                 == req.ledger_digests[str(ok)].value else float("inf")
         report.errors[str(ok)] = err_o
-        if err_o > req.tau and collector.fail(NUMERICAL_MISMATCH, ok, err_o, req.tau):
+        if not err_o <= req.tau \
+                and collector.fail(NUMERICAL_MISMATCH, ok, err_o, req.tau):
             break
 
     report.wall_time = time.perf_counter() - t_start
@@ -439,10 +488,17 @@ def verify_inference_block(req: VerificationRequest) -> VerificationReport:
     replayer = BlockReplayer(req.model, None, layer_ids, param_blobs, {},
                              precision=req.precision)
     labels = req.labels.get(0)
-    acts, _ = replayer.forward(req.tensors[str(keys[0])], labels=labels)
+    x = req.tensors[str(keys[0])]
+    try:
+        acts, _ = replayer.forward(x, labels=labels)
+    except NonFiniteError:
+        key = keys[0] if not np.all(np.isfinite(x)) else keys[1]
+        collector.fail(NON_FINITE, key)
+        report.wall_time = time.perf_counter() - t_start
+        return report
     err = rel_l2_error(acts[-1], req.tensors[str(keys[1])])
     report.errors[str(keys[1])] = err
-    if err > req.tau:
+    if not err <= req.tau:
         collector.fail(NUMERICAL_MISMATCH, keys[1], err, req.tau)
     report.wall_time = time.perf_counter() - t_start
     return report

@@ -4,7 +4,7 @@ Each test is a self-contained end-to-end check of one property the
 package promises — detection odds, honest-run completeness, tamper
 soundness, boundary dedup, bitwise sparse reconstruction, exact storage
 accounting, hash schedule independence, gradient correctness, attack
-separation, and scenario detection. Run with ``pytest -v
+separation, scenario detection, and the failure of non-finite forgeries. Run with ``pytest -v
 tests/test_acceptance.py`` for one pass/fail line per guarantee.
 """
 
@@ -34,7 +34,8 @@ from aftune.recorder import (LEDGER_FILE, RunContext,
                              opt_state_bytes, record_inference,
                              record_training, run_uninstrumented)
 from aftune.store import TensorStore
-from aftune.verifier import FAIL, HASH_MISMATCH, NUMERICAL_MISMATCH, PASS
+from aftune.verifier import (FAIL, HASH_MISMATCH, NON_FINITE,
+                             NUMERICAL_MISMATCH, PASS)
 
 from conftest import BATCH_SIZE, RUN_SEED, make_manifest, record_run
 from test_engine import _fd_check, _layer_instance
@@ -362,3 +363,48 @@ def test_acceptance_scenarios_detected_by_documented_strategy(tmp_path,
         report = run_verification(run, bad)
         assert report.verdict == FAIL, scenario
         assert report.cause == cause, scenario
+
+
+# -- 11. non-finite forgeries ------------------------------------------------
+
+
+def test_acceptance_nan_forgeries_fail(tmp_path):
+    # a training boundary rewritten to all-NaN and committed consistently:
+    # its producer fails the comparison, its consumer cannot replay, and
+    # with ic=inf the consumer row's later entry states replay through it
+    record_run(tmp_path / "train", n_steps=6, ic=None)
+    key = BoundaryKey("activation", 1, 2)  # made by (0,1), used by (1,1)
+    shape = TensorStore(tmp_path / "train").get_tensor(key).shape
+    rewrite_key(tmp_path / "train", key, np.full(shape, np.nan, np.float32))
+    verdicts = _all_verdicts(tmp_path / "train")
+    producer = verdicts["0,1"]
+    assert (producer.verdict, producer.cause, producer.failed_key) == \
+        (FAIL, NUMERICAL_MISMATCH, str(key))
+    for consumer in ("1,1", "1,2"):
+        report = verdicts[consumer]
+        assert (report.verdict, report.cause, report.failed_key) == \
+            (FAIL, NON_FINITE, str(key)), consumer
+    assert {b for b, r in verdicts.items() if r.verdict != PASS} == \
+        {"0,1", "1,1", "1,2"}
+    campaign = run_campaign(tmp_path / "train", AuditPlan(m=1), trials=10)
+    assert campaign.failing_blocks == ["0,1", "1,1", "1,2"]
+
+    # the served inference output rewritten to all-NaN
+    spec = attack_mlp_model()
+    config = GridConfig(n_layers=len(spec["layers"]), n_steps=1, bl=2, bs=1)
+    layers = build_model(spec)
+    x = make_dataset(dataset_for("mlp")).inputs[:1]
+    run = tmp_path / "infer"
+    record_inference(build_inference_manifest(spec, config, layers=layers),
+                     layers, x, run)
+    save_inference_params(run, layers)
+    last = BlockGrid(config).n_layer_blocks
+    out_key = BoundaryKey("activation", last, 0)
+    shape = TensorStore(run).get_tensor(out_key).shape
+    rewrite_key(run, out_key, np.full(shape, np.nan, np.float32))
+    verdicts = _all_verdicts(run)
+    report = verdicts[str(BlockId(last - 1, 0))]
+    assert (report.verdict, report.cause, report.failed_key) == \
+        (FAIL, NUMERICAL_MISMATCH, str(out_key))
+    assert all(r.verdict == PASS for b, r in verdicts.items()
+               if b != str(BlockId(last - 1, 0)))

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import aftune
 from aftune.cli import main
 
 
@@ -151,3 +156,18 @@ def test_bench_hash_schedule_check(runner, tmp_path):
 def test_verify_isolated_jobs(cli_run, runner):
     result = _invoke(runner, cli_run, "verify", "run", "--jobs", "2")
     assert result.exit_code == 0, result.output
+
+
+def test_isolated_verify_from_a_source_checkout(cli_run, tmp_path):
+    # the package is importable only through sys.path, not PYTHONPATH
+    src = str(Path(aftune.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from aftune.cli import main; main(sys.argv[2:])")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src, "--root", str(cli_run), "verify",
+         "run", "--block", "0,1", "--isolated"],
+        env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads((cli_run / "run" / "verify_report.json").read_text())
+    assert [r["verdict"] for r in report["reports"]] == ["pass"]

@@ -159,6 +159,19 @@ def test_lookup_and_entry_for():
     assert ledger.entry_for(BlockId(5, 5)) is None
 
 
+def test_decoded_ledger_keeps_its_block_index():
+    ledger = RunLedger(_manifest())
+    _fill_row(ledger, 0, 2)
+    back = RunLedger.decode(ledger.encode())
+    for e in back.entries:
+        assert back.entry_for(e.block) is e
+    # the ordering checks see decoded rows too
+    with pytest.raises(OrderError):
+        back.append(_sealed(0, 0))
+    back.append(_sealed(0, 1))
+    assert back.entry_for(BlockId(0, 1)) is back.entries[-1]
+
+
 def test_export_json_shape():
     ledger = RunLedger(_manifest())
     _fill_row(ledger, 0, 2)

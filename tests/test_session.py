@@ -1,0 +1,160 @@
+"""The Run session: one open per command, one forward walk per row.
+
+Requests built by one walk over many blocks must be byte-identical to
+requests built one block at a time; a command must load the ledger and
+the store once; and a verify-all must replay each layer-block row at
+most once over the run's steps.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+from click.testing import CliRunner
+
+from aftune import orchestrate
+from aftune.adversary import (SCENARIOS, apply_inference_scenario,
+                              apply_scenario)
+from aftune.cli import main
+from aftune.data import make_dataset
+from aftune.grid import BlockId, GridConfig
+from aftune.ledger import RunLedger
+from aftune.model import build_model
+from aftune.orchestrate import Run
+from aftune.presets import attack_mlp_model, dataset_for
+from aftune.recorder import LEDGER_FILE
+from aftune.store import TensorStore
+from aftune.verifier import BlockReplayer, VerificationRequest
+
+from conftest import make_manifest, record_run
+
+
+def _wire(req):
+    return req.to_bytes() if isinstance(req, VerificationRequest) \
+        else req.to_json()
+
+
+def _assert_walk_matches_per_block(run_dir):
+    blocks = [e.block for e in Run.open(run_dir).ledger.entries]
+    walked = dict(Run.open(run_dir).requests(blocks))
+    assert list(walked) == sorted(blocks, key=lambda b: (b.j, b.i))
+    for bid in blocks:
+        single = Run.open(run_dir).request(bid)
+        assert _wire(walked[bid]) == _wire(single), (str(run_dir), str(bid))
+
+
+@pytest.mark.parametrize("kw", [dict(ic=2), dict(ic=None),
+                                dict(ic=None, zero_storage=True)],
+                         ids=["ic2", "ic-inf", "zero-storage"])
+def test_walk_requests_equal_per_block_requests(tmp_path, kw):
+    record_run(tmp_path / "run", n_steps=8, algo="sha256", **kw)
+    _assert_walk_matches_per_block(tmp_path / "run")
+
+
+@pytest.mark.parametrize("ic", [None, 2], ids=["ic-inf", "ic2"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_walk_requests_equal_per_block_requests_under_attack(tmp_path,
+                                                             scenario, ic):
+    run = tmp_path / scenario
+    if scenario in ("serve-wrong-model", "fabricate-output"):
+        spec = attack_mlp_model()
+        config = GridConfig(n_layers=len(spec["layers"]), n_steps=1, bl=2,
+                            bs=1)
+        x = make_dataset(dataset_for("mlp")).inputs[:1]
+        apply_inference_scenario(scenario, spec, config, build_model(spec),
+                                 x, run)
+    else:
+        apply_scenario(scenario, make_manifest(ic=ic, algo="sha256"), run)
+    _assert_walk_matches_per_block(run)
+
+
+def test_walk_skips_a_missing_block_without_losing_the_row(tmp_path):
+    # every second block of row 0: the carried state crosses the gaps
+    _, result = record_run(tmp_path / "run", n_steps=12, ic=None,
+                           algo="sha256")
+    grid = result.ledger.grid
+    wanted = [BlockId(0, j) for j in range(0, grid.n_step_blocks, 2)]
+    walked = dict(Run.open(tmp_path / "run").requests(wanted))
+    for bid in wanted:
+        assert _wire(walked[bid]) == \
+            _wire(Run.open(tmp_path / "run").request(bid))
+
+
+def test_reports_come_back_in_the_order_asked(mlp_run):
+    asked = [BlockId(2, 1), BlockId(0, 3), BlockId(2, 1), BlockId(1, 0)]
+    reports = Run.open(mlp_run["dir"]).verify(asked)
+    assert [r.block for r in reports] == asked
+    assert all(r.passed for r in reports)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    counts = {"load": 0, "store": 0}
+    load, init = RunLedger.load.__func__, TensorStore.__init__
+
+    def counting_load(cls, path):
+        counts["load"] += 1
+        return load(cls, path)
+
+    def counting_init(self, root):
+        counts["store"] += 1
+        init(self, root)
+
+    monkeypatch.setattr(RunLedger, "load", classmethod(counting_load))
+    monkeypatch.setattr(TensorStore, "__init__", counting_init)
+    return counts
+
+
+@pytest.mark.parametrize("kw", [dict(ic=None), dict(ic=None,
+                                                    zero_storage=True)],
+                         ids=["stored", "zero-storage"])
+@pytest.mark.parametrize("args", [["verify"], ["verify", "--isolated"],
+                                  ["audit", "--m", "4"],
+                                  ["audit", "--m", "2", "--isolated"],
+                                  ["audit", "--trials", "5"]],
+                         ids=["verify", "verify-isolated", "audit",
+                              "audit-isolated", "campaign"])
+def test_one_ledger_load_and_one_store_per_command(tmp_path, counted, kw,
+                                                   args):
+    record_run(tmp_path / "run", n_steps=4, algo="sha256", **kw)
+    counted.update(load=0, store=0)
+    result = CliRunner().invoke(main, [args[0], str(tmp_path / "run"),
+                                       *args[1:]])
+    assert result.exit_code == 0, result.output
+    assert counted["load"] == 1
+    assert counted["store"] <= 1
+
+
+@pytest.mark.parametrize("ic", [None, 2])
+def test_verify_all_replays_each_row_at_most_once(tmp_path, monkeypatch, ic):
+    _, result = record_run(tmp_path / "run", n_steps=16, ic=ic,
+                           algo="sha256")
+    grid = result.ledger.grid
+    calls: dict[tuple, int] = {}
+    replay = BlockReplayer.replay_step
+
+    def counting(self, x, upstream, labels=None):
+        if sys._getframe(1).f_globals["__name__"] == orchestrate.__name__:
+            row = tuple(self.layer_indices)
+            calls[row] = calls.get(row, 0) + 1
+        return replay(self, x, upstream, labels=labels)
+
+    monkeypatch.setattr(BlockReplayer, "replay_step", counting)
+    run = Run.open(tmp_path / "run")
+    reports = run.verify([e.block for e in run.ledger.entries])
+    assert all(r.passed for r in reports)
+    assert calls  # the walk does replay entry states
+    assert len(calls) <= grid.n_layer_blocks
+    assert all(n <= grid.config.n_steps for n in calls.values())
+
+
+def test_index_does_not_change_ledger_bytes(tmp_path):
+    _, result = record_run(tmp_path / "run", n_steps=4, algo="sha256")
+    loaded = RunLedger.load(tmp_path / "run" / LEDGER_FILE)
+    rebuilt = RunLedger(loaded.manifest)
+    for e in loaded.entries:
+        rebuilt.append(e)
+    assert rebuilt.encode() == loaded.encode() == result.ledger.encode()
+    assert rebuilt.digest().hex == result.ledger.digest().hex
+    assert all(rebuilt.entry_for(e.block) is e for e in loaded.entries)

@@ -9,10 +9,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aftune.grid import BlockId, BoundaryKey
 from aftune.hashing import Digest
-from aftune.orchestrate import gather_request, run_verification
+from aftune.orchestrate import Run, gather_request, run_verification
 from aftune.verifier import (EVIDENCE_RELEASED, FAIL, HASH_MISMATCH,
                              NUMERICAL_MISMATCH, PASS, REFUSED,
                              VerificationReport, VerificationRequest,
@@ -201,3 +203,57 @@ def test_inference_run_verifies_and_binds_model_digest(tmp_path):
     assert report.verdict == FAIL
     assert report.cause == HASH_MISMATCH
     assert report.failed_key == "model-parameters"
+
+
+# -- malformed requests ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def request_bytes(mlp_run):
+    return _request(mlp_run, BlockId(2, 1)).to_bytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_damaged_request_bytes_parse_or_raise_verifier_error(request_bytes,
+                                                             data):
+    raw = bytearray(request_bytes)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1),
+                                      min_size=1, max_size=8), label="bits"):
+            raw[bit // 8] ^= 1 << (bit % 8)
+    try:
+        req = VerificationRequest.from_bytes(bytes(raw))
+    except VerifierError:
+        return
+    assert isinstance(req, VerificationRequest)
+
+
+@pytest.mark.parametrize("cut", [0, 3, 40, -1])
+def test_truncated_request_is_refused_by_worker(request_bytes, cut):
+    proc = subprocess.run([sys.executable, "-m", "aftune.verifier_worker"],
+                          input=request_bytes[:cut], stdout=subprocess.PIPE,
+                          check=True)
+    report = VerificationReport.from_json(json.loads(proc.stdout))
+    assert report.verdict == REFUSED
+    assert report.note
+
+
+def test_crashed_worker_becomes_a_refused_report(mlp_run, monkeypatch):
+    # a request the worker parses but cannot replay: the model spec names
+    # a layer kind that does not exist, so the worker dies with a traceback
+    to_bytes = VerificationRequest.to_bytes
+
+    def broken(self):
+        self.model = {"seed": 0, "layers": [{"kind": "no-such-layer"}]}
+        return to_bytes(self)
+
+    monkeypatch.setattr(VerificationRequest, "to_bytes", broken)
+    [report] = Run.open(mlp_run["dir"]).verify([BlockId(0, 0)],
+                                               isolated=True)
+    assert report.block == BlockId(0, 0)
+    assert report.verdict == REFUSED
+    assert "exited with" in report.note
