@@ -9,6 +9,7 @@ directory next to a plain-text summary on stdout.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -49,8 +50,21 @@ def _open_run(run_dir: Path) -> Run:
         raise click.UsageError(str(e))
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by None, so reports
+    are strict JSON."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_report(run_dir: Path, name: str, payload: dict) -> None:
-    (run_dir / name).write_text(json.dumps(payload, indent=2, default=str))
+    (run_dir / name).write_text(json.dumps(_finite(payload), indent=2,
+                                           default=str, allow_nan=False))
 
 
 @click.group()
@@ -192,10 +206,11 @@ def record_infer(out_dir, preset, n_steps, bl, bs, ic, ia, chunk_size, algo,
 @click.option("--tau", type=float, default=None,
               help="Override the run's verification tolerance.")
 @click.option("--isolated", is_flag=True,
-              help="Run each check in a separate verifier process that "
-                   "receives only the block payload.")
+              help="Check in a separate verifier process that serves the "
+                   "whole command and receives only request bytes.")
 @click.option("--jobs", default=1, show_default=True,
-              help="Parallel verifier processes with --all.")
+              help="Number of isolated verifier processes checking blocks "
+                   "at once (implies --isolated when above 1).")
 @click.option("--trust-chain/--no-trust-chain", default=True,
               show_default=True, help="Also walk commitment provenance.")
 def verify(run_dir, block_id, verify_all, full_scan, precision, tau,

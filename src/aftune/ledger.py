@@ -69,22 +69,31 @@ class CommitmentSet:
 
     @classmethod
     def decode(cls, data: bytes) -> "CommitmentSet":
+        if len(data) < 10:
+            raise LedgerError(f"commitment set of {len(data)} bytes is "
+                              f"shorter than its header")
         i, j, n = struct.unpack_from("<IIH", data, 0)
+        size = 10 + 42 * n + 1 + SIGNATURE_SLOT_BYTES
+        if len(data) != size:
+            raise LedgerError(f"commitment set of {len(data)} bytes; "
+                              f"{n} entries take {size}")
         off = 10
         entries = {}
         for _ in range(n):
             kind_c, index, step, algo_c = struct.unpack_from("<BIIB", data, off)
+            if kind_c not in _CODE_KIND or algo_c >= len(ALGORITHMS):
+                raise LedgerError(f"unknown kind or algorithm code at "
+                                  f"offset {off} of block {i},{j}")
             off += 10
             value = data[off:off + 32]
             off += 32
             entries[BoundaryKey(_CODE_KIND[kind_c], index, step)] = \
                 Digest(value, ALGORITHMS[algo_c])
-        (has_sig,) = struct.unpack_from("<B", data, off)
-        off += 1
-        sig = data[off:off + SIGNATURE_SLOT_BYTES]
-        cs = cls(BlockId(i, j), entries, sealed=True,
-                 signature=sig.rstrip(b"\x00") if has_sig else b"")
-        return cs
+        has_sig, sig = data[off], data[off + 1:]
+        if has_sig not in (0, 1) or (not has_sig and sig.strip(b"\x00")):
+            raise LedgerError(f"malformed signature slot in block {i},{j}")
+        return cls(BlockId(i, j), entries, sealed=True,
+                   signature=sig.rstrip(b"\x00") if has_sig else b"")
 
 
 def seal_block(grid: BlockGrid, bid: BlockId,
@@ -180,17 +189,34 @@ class RunLedger:
 
     @classmethod
     def decode(cls, data: bytes) -> "RunLedger":
+        """Parse ledger bytes; every length must match exactly, and any
+        malformation raises LedgerError."""
         if data[:len(MAGIC)] != MAGIC:
             raise LedgerError("bad ledger magic")
+        try:
+            return cls._decode(data)
+        except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise LedgerError(f"malformed ledger: {e}") from e
+
+    @classmethod
+    def _decode(cls, data: bytes) -> "RunLedger":
         off = len(MAGIC)
         (mlen,) = struct.unpack_from("<I", data, off)
         off += 4
+        if off + mlen > len(data):
+            raise LedgerError(f"manifest of {mlen} bytes overruns the "
+                              f"{len(data)}-byte ledger")
         manifest = json.loads(data[off:off + mlen])
+        if not isinstance(manifest, dict):
+            raise LedgerError("ledger manifest is not a JSON object")
         off += mlen
         ledger = cls(manifest)
         while off < len(data):
             (elen,) = struct.unpack_from("<I", data, off)
             off += 4
+            if off + elen > len(data):
+                raise LedgerError(f"entry of {elen} bytes at offset {off} "
+                                  f"overruns the {len(data)}-byte ledger")
             ledger._add(CommitmentSet.decode(data[off:off + elen]))
             off += elen
         return ledger

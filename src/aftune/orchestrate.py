@@ -5,9 +5,10 @@ digest map, the run context, and the tensor store. It builds self-
 contained verification requests for a list of blocks in one forward
 walk over the grid, carrying each layer-block row's replayed state from
 block to block (or, in zero-storage mode, taking tensors from a single
-deterministic rerun), and hands them to the verifier in process or in
-an isolated worker. It also reconstructs model state from sparse
-checkpoints and walks the cross-block trust chain.
+deterministic rerun), and hands them to the verifier in process or to
+isolated worker processes that serve the whole command. It also
+reconstructs model state from sparse checkpoints and walks the
+cross-block trust chain.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -37,6 +40,7 @@ from .verifier import (DEFAULT_MEMORY_BUDGET, EVIDENCE_RELEASED, FAIL,
                        NON_FINITE, REFUSED, BlockReplayer, VerificationReport,
                        VerificationRequest, load_layer_params, load_opt_state,
                        non_finite_key, verify_block)
+from .verifier_worker import frame
 
 DEFAULT_TAU = {"f32": 1e-5, "f64": 1e-12}
 
@@ -115,18 +119,21 @@ class Run:
     def verify(self, bids, isolated: bool = False, jobs: int = 1,
                **kw) -> list[VerificationReport]:
         """Verify ``bids``, one report per entry in the order given. With
-        ``jobs > 1`` up to that many checks run at once."""
+        ``jobs > 1`` up to that many checks run at once; ``isolated``
+        checks run in at most that many worker processes."""
         done: dict[BlockId, VerificationReport] = {}
         pending: deque = deque()
+        workers = _Workers() if isolated else None
+        check = workers.check if workers else verify_block
         pool = ThreadPoolExecutor(jobs) if jobs > 1 else None
         try:
             for bid, req in self.requests(bids, **kw):
                 if isinstance(req, VerificationReport):
                     done[bid] = req
                 elif pool is None:
-                    done[bid] = _check(req, isolated)
+                    done[bid] = check(req)
                 else:
-                    pending.append((bid, pool.submit(_check, req, isolated)))
+                    pending.append((bid, pool.submit(check, req)))
                     if len(pending) >= jobs:
                         b, fut = pending.popleft()
                         done[b] = fut.result()
@@ -135,6 +142,8 @@ class Run:
         finally:
             if pool is not None:
                 pool.shutdown()
+            if workers is not None:
+                workers.close()
         return [done[b] for b in bids]
 
     def request(self, bid: BlockId, **kw):
@@ -418,24 +427,83 @@ def _non_finite_report(bid: BlockId, key: str, msg: str) -> VerificationReport:
         note=f"replay to the block's entry state: {msg}")
 
 
-def _check(req: VerificationRequest, isolated: bool) -> VerificationReport:
-    if not isolated:
-        return verify_block(req)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "aftune.verifier_worker"],
-        input=req.to_bytes(), capture_output=True, env=env)
-    if proc.returncode != 0:
-        tail = proc.stderr.decode(errors="replace").strip()[-500:]
-        return VerificationReport(
-            block=req.block, verdict=REFUSED,
-            note=f"verifier worker exited with {proc.returncode}: {tail}")
-    report = VerificationReport.from_json(json.loads(proc.stdout))
-    if report.block is None:
-        report.block = req.block
-    return report
+class _Worker:
+    """One isolated verifier process, fed framed requests on stdin. Its
+    stderr goes to a temporary file, read only once the process exits,
+    so a chatty worker cannot block on a full pipe."""
+
+    def __init__(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+        self.stderr = tempfile.TemporaryFile()
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "aftune.verifier_worker"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=self.stderr, env=env)
+
+    def check(self, req: VerificationRequest) -> VerificationReport | None:
+        """The worker's report on ``req``; None when it died instead."""
+        try:
+            self.proc.stdin.write(frame(req.to_bytes()))
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            return None
+        line = self.proc.stdout.readline()
+        if not line.endswith(b"\n"):
+            return None
+        report = VerificationReport.from_json(json.loads(line))
+        if report.block is None:
+            report.block = req.block
+        return report
+
+    def close(self) -> str:
+        """Close stdin, reap the process, and describe how it exited."""
+        try:
+            self.proc.stdin.close()
+        except BrokenPipeError:
+            pass
+        code = self.proc.wait()
+        self.proc.stdout.close()
+        self.stderr.seek(0)
+        tail = self.stderr.read().decode(errors="replace").strip()[-500:]
+        self.stderr.close()
+        return f"verifier worker exited with {code}: {tail}"
+
+
+class _Workers:
+    """The isolated verifier processes of one command: a worker starts
+    the first time a check finds none idle and is reused after its
+    reply, so at most as many run as checks run at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: list[_Worker] = []
+        self._live: list[_Worker] = []  # started, not yet closed
+
+    def check(self, req: VerificationRequest) -> VerificationReport:
+        with self._lock:
+            worker = self._idle.pop() if self._idle else None
+        if worker is None:
+            worker = _Worker()
+            with self._lock:
+                self._live.append(worker)
+        report = worker.check(req)
+        if report is None:
+            with self._lock:
+                self._live.remove(worker)
+            return VerificationReport(block=req.block, verdict=REFUSED,
+                                      note=worker.close())
+        with self._lock:
+            self._idle.append(worker)
+        return report
+
+    def close(self) -> None:
+        """Close and reap every worker; call once no check is running."""
+        for worker in self._live:
+            worker.close()
+        self._idle.clear()
+        self._live.clear()
 
 
 # -- one-block entry points ----------------------------------------------

@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import aftune
+from aftune.adversary import rewrite_key
 from aftune.cli import main
+from aftune.grid import BoundaryKey
+from aftune.store import TensorStore
 
 
 @pytest.fixture()
@@ -171,3 +176,48 @@ def test_isolated_verify_from_a_source_checkout(cli_run, tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads((cli_run / "run" / "verify_report.json").read_text())
     assert [r["verdict"] for r in report["reports"]] == ["pass"]
+
+
+@pytest.fixture(scope="module")
+def sha_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sha")
+    result = CliRunner().invoke(main, [
+        "--root", str(root), "record-train", "run", "--n-steps", "4",
+        "--algo", "sha256", "--batch-size", "8"])
+    assert result.exit_code == 0, result.output
+    return root / "run"
+
+
+@pytest.mark.parametrize("cut", [7, 100, 5000])
+def test_truncated_ledger_is_a_usage_error(sha_run, tmp_path, runner, cut):
+    run = tmp_path / "cut"
+    shutil.copytree(sha_run, run)
+    ledger = run / "ledger.bin"
+    ledger.write_bytes(ledger.read_bytes()[:-cut])
+    result = _invoke(runner, tmp_path, "verify", "cut")
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "ledger" in result.output
+
+
+def test_reports_are_strict_json(sha_run, tmp_path, runner):
+    run = tmp_path / "nan"
+    shutil.copytree(sha_run, run)
+    key = BoundaryKey("activation", 1, 2)
+    shape = TensorStore(run).get_tensor(key).shape
+    rewrite_key(run, key, np.full(shape, np.nan, np.float32))
+    result = _invoke(runner, tmp_path, "verify", "nan")
+    assert result.exit_code == 1, result.output
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (run / "verify_report.json").read_text()
+    payload = json.loads(text, parse_constant=reject)
+    failing = [r for r in payload["reports"] if r["failed_key"] == str(key)
+               and r["cause"] == "numerical-mismatch"]
+    assert failing
+    for r in failing:
+        assert r["errors"][str(key)] is None
+        assert r["measured_error"] is None

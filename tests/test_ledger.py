@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from aftune.hashing import Digest
-from aftune.ledger import (MAGIC, CommitmentSet, LedgerError, OrderError,
-                           RunLedger, SealedError, seal_block)
+from aftune.ledger import (MAGIC, SIGNATURE_SLOT_BYTES, CommitmentSet,
+                           LedgerError, OrderError, RunLedger, SealedError,
+                           seal_block)
+from aftune.recorder import LEDGER_FILE
 
 
 def _digest(n: int) -> Digest:
@@ -180,3 +184,54 @@ def test_export_json_shape():
     assert len(out["entries"]) == 2
     assert all(":" in d for e in out["entries"] for d in e["digests"].values())
     assert len(out["ledger_digest"]) == 64
+
+
+# -- malformed ledgers -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def ledger_bytes(mlp_run):
+    return (mlp_run["dir"] / LEDGER_FILE).read_bytes()
+
+
+@pytest.mark.parametrize("cut", [1, 3, 7, 64, 100, 5000])
+def test_truncated_ledger_is_rejected(ledger_bytes, cut):
+    with pytest.raises(LedgerError):
+        RunLedger.decode(ledger_bytes[:-cut])
+
+
+def test_trailing_bytes_are_rejected(ledger_bytes):
+    for extra in (b"\x00", b"\x00" * 4, b"\x01\x00\x00\x00\x00"):
+        with pytest.raises(LedgerError):
+            RunLedger.decode(ledger_bytes + extra)
+
+
+def test_commitment_set_sizes_are_exact():
+    blob = _sealed(1, 2).encode()
+    assert len(blob) == 10 + 42 * 3 + 1 + SIGNATURE_SLOT_BYTES
+    for bad in (blob[:-1], blob + b"\x00", blob[:-7]):
+        with pytest.raises(LedgerError):
+            CommitmentSet.decode(bad)
+    padded = bytearray(blob)
+    padded[-1] = 1  # padding of an absent signature
+    with pytest.raises(LedgerError):
+        CommitmentSet.decode(bytes(padded))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_damaged_ledger_bytes_decode_or_raise_ledger_error(ledger_bytes,
+                                                           data):
+    raw = bytearray(ledger_bytes)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1),
+                                      min_size=1, max_size=8), label="bits"):
+            raw[bit // 8] ^= 1 << (bit % 8)
+    try:
+        ledger = RunLedger.decode(bytes(raw))
+    except LedgerError:
+        return
+    assert isinstance(ledger, RunLedger)

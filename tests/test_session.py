@@ -8,6 +8,7 @@ most once over the run's steps.
 
 from __future__ import annotations
 
+import subprocess
 import sys
 
 import pytest
@@ -158,3 +159,42 @@ def test_index_does_not_change_ledger_bytes(tmp_path):
     assert rebuilt.encode() == loaded.encode() == result.ledger.encode()
     assert rebuilt.digest().hex == result.ledger.digest().hex
     assert all(rebuilt.entry_for(e.block) is e for e in loaded.entries)
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every process started through subprocess.Popen, in order."""
+    procs: list[subprocess.Popen] = []
+
+    class Counting(subprocess.Popen):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Counting)
+    return procs
+
+
+@pytest.mark.parametrize("args, most", [
+    (["audit", "--m", "3", "--isolated"], 1),
+    (["verify", "--isolated"], 1),
+    (["verify", "--jobs", "2"], 2),
+    (["verify", "--jobs", "3"], 3),
+], ids=["audit-isolated", "verify-isolated", "jobs-2", "jobs-3"])
+def test_one_worker_per_concurrent_check(tmp_path, spawned, args, most):
+    record_run(tmp_path / "run", n_steps=4, algo="sha256")
+    result = CliRunner().invoke(main, [args[0], str(tmp_path / "run"),
+                                       *args[1:]])
+    assert result.exit_code == 0, result.output
+    assert 1 <= len(spawned) <= most
+    assert all(p.poll() is not None for p in spawned)
+
+
+def test_blocks_answered_without_the_verifier_start_no_worker(tmp_path,
+                                                              spawned):
+    record_run(tmp_path / "run", n_steps=4, ic=1, algo="sha256")
+    run = Run.open(tmp_path / "run")
+    run.prune([BlockId(0, 0)])
+    [report] = run.verify([BlockId(1, 1)], isolated=True)
+    assert report.verdict == "evidence-released"
+    assert spawned == []

@@ -3,6 +3,7 @@ tolerance window, refusal, full scan, and the isolated worker."""
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from aftune import verifier_worker
 from aftune.grid import BlockId, BoundaryKey
 from aftune.hashing import Digest
 from aftune.orchestrate import Run, gather_request, run_verification
@@ -146,8 +148,8 @@ def test_isolated_worker_matches_in_process(mlp_run):
 def test_worker_reads_request_bytes_only(mlp_run):
     req = _request(mlp_run, BlockId(0, 1))
     proc = subprocess.run([sys.executable, "-m", "aftune.verifier_worker"],
-                          input=req.to_bytes(), stdout=subprocess.PIPE,
-                          check=True)
+                          input=verifier_worker.frame(req.to_bytes()),
+                          stdout=subprocess.PIPE, check=True)
     report = VerificationReport.from_json(json.loads(proc.stdout))
     assert report.verdict == PASS
 
@@ -235,8 +237,8 @@ def test_damaged_request_bytes_parse_or_raise_verifier_error(request_bytes,
 @pytest.mark.parametrize("cut", [0, 3, 40, -1])
 def test_truncated_request_is_refused_by_worker(request_bytes, cut):
     proc = subprocess.run([sys.executable, "-m", "aftune.verifier_worker"],
-                          input=request_bytes[:cut], stdout=subprocess.PIPE,
-                          check=True)
+                          input=verifier_worker.frame(request_bytes[:cut]),
+                          stdout=subprocess.PIPE, check=True)
     report = VerificationReport.from_json(json.loads(proc.stdout))
     assert report.verdict == REFUSED
     assert report.note
@@ -257,3 +259,79 @@ def test_crashed_worker_becomes_a_refused_report(mlp_run, monkeypatch):
     assert report.block == BlockId(0, 0)
     assert report.verdict == REFUSED
     assert "exited with" in report.note
+
+
+# -- the worker stream -----------------------------------------------------
+
+
+def _stream(data: bytes) -> tuple[list[VerificationReport], bytes]:
+    """Feed ``data`` to one worker; its reports in order, and its stderr."""
+    proc = subprocess.run([sys.executable, "-m", "aftune.verifier_worker"],
+                          input=data, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return ([VerificationReport.from_json(json.loads(line))
+             for line in proc.stdout.splitlines()], proc.stderr)
+
+
+def _comparable(report: VerificationReport) -> dict:
+    out = report.to_json()
+    del out["wall_time"]
+    return out
+
+
+def test_worker_answers_each_frame_in_order(request_bytes):
+    frames = [request_bytes, request_bytes[:40], request_bytes]
+    reports, _ = _stream(b"".join(map(verifier_worker.frame, frames)))
+    assert [r.verdict for r in reports] == [PASS, REFUSED, PASS]
+    assert reports[0].block == reports[2].block == BlockId(2, 1)
+
+
+def test_bogus_frame_length_is_refused_without_allocating_it():
+    head = (2**62 + 5).to_bytes(8, "little")
+    reports, stderr = _stream(head + bytes(10))
+    [report] = reports
+    assert report.verdict == REFUSED
+    assert "input ended after 10" in report.note
+    assert b"MemoryError" not in stderr
+
+
+def test_read_frame_roundtrip_and_boundaries():
+    stream = io.BytesIO(verifier_worker.frame(b"abc")
+                        + verifier_worker.frame(b""))
+    assert verifier_worker.read_frame(stream) == b"abc"
+    assert verifier_worker.read_frame(stream) == b""
+    assert verifier_worker.read_frame(stream) is None
+    with pytest.raises(verifier_worker.FrameError):
+        verifier_worker.read_frame(io.BytesIO(b"\x03\x00"))
+
+
+def test_reused_worker_matches_fresh_workers(mlp_run):
+    run = Run.open(mlp_run["dir"])
+    requests = [req for _, req in
+                run.requests([e.block for e in run.ledger.entries])]
+    frames = [verifier_worker.frame(req.to_bytes()) for req in requests]
+    shared, _ = _stream(b"".join(frames))
+    fresh = [_stream(f)[0][0] for f in frames]
+    assert [r.verdict for r in shared] == [PASS] * len(requests)
+    assert [_comparable(r) for r in shared] == \
+        [_comparable(r) for r in fresh]
+
+
+def test_crash_mid_command_refuses_only_that_block(mlp_run, monkeypatch):
+    to_bytes = VerificationRequest.to_bytes
+    crash = BlockId(0, 1)
+
+    def broken(self):
+        if self.block == crash:
+            self.model = {"seed": 0, "layers": [{"kind": "no-such-layer"}]}
+        return to_bytes(self)
+
+    monkeypatch.setattr(VerificationRequest, "to_bytes", broken)
+    bids = [e.block for e in Run.open(mlp_run["dir"]).ledger.entries]
+    reports = Run.open(mlp_run["dir"]).verify(bids, isolated=True)
+    verdicts = {r.block: r for r in reports}
+    assert verdicts[crash].verdict == REFUSED
+    assert "exited with" in verdicts[crash].note
+    later = [b for b in bids if (b.j, b.i) > (crash.j, crash.i)]
+    assert later and all(verdicts[b].verdict == PASS for b in later)
+    assert all(r.verdict == PASS for b, r in verdicts.items() if b != crash)
