@@ -18,11 +18,10 @@ import numpy as np
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from .hashing import Digest, chunked_hash
 from .ledger import RunLedger, seal_block
-from .model import (backward_block, build_model, forward_block,
-                    param_bytes, train_step)
+from .model import backward_block, build_model, forward_block, train_step
 from .recorder import (LEDGER_FILE, RunContext, build_inference_manifest,
-                       build_manifest, opt_state_bytes, record_inference,
-                       record_training)
+                       build_manifest, commit_boundaries, commit_params,
+                       record_inference, record_training)
 from .store import TensorStore
 
 SCENARIOS = (
@@ -82,27 +81,12 @@ def _cheating_record(manifest: dict, out_dir, freeze_from: int) -> None:
     store = TensorStore(out_dir)
     state = ctx.fresh_state()
     table: dict[BoundaryKey, Digest] = {}
-    ckpt_steps = {i: set(grid.checkpoint_steps(i))
-                  for i in range(grid.n_layer_blocks)}
     block_starts = {a: j for j, (a, _) in enumerate(grid.step_blocks)}
-
-    def commit_params(t):
-        for i in range(grid.n_layer_blocks):
-            for l in grid.block_layers(i):
-                pk = BoundaryKey("parameter", l, t)
-                ok = BoundaryKey("optimizer-state", l, t)
-                pdata = param_bytes(state.layers[l])
-                odata = opt_state_bytes(state, l)
-                table[pk] = ctx.hash_bytes(pdata)
-                table[ok] = ctx.hash_bytes(odata)
-                if t in ckpt_steps[i]:
-                    store.put_bytes(pk, pdata, table[pk])
-                    store.put_bytes(ok, odata, table[ok])
 
     for t in range(config.n_steps):
         j = block_starts.get(t)
         if j is not None:
-            commit_params(t)
+            commit_params(ctx, state, t, table, store)
             if j > 0:
                 for i in range(grid.n_layer_blocks):
                     ledger.append(seal_block(grid, BlockId(i, j - 1), table))
@@ -121,15 +105,8 @@ def _cheating_record(manifest: dict, out_dir, freeze_from: int) -> None:
             from .model import StepTrace
             trace = StepTrace(step=t, acts=acts, gacts=gacts,
                               param_grads=[], loss=0.0)
-        a_idx = [grid.boundary_layer(b) for b in range(grid.n_boundaries)]
-        for b, k in enumerate(a_idx):
-            ak, gk = BoundaryKey("activation", b, t), BoundaryKey("gradient", b, t)
-            table[ak] = ctx.hash_tensor(trace.acts[k])
-            table[gk] = ctx.hash_tensor(trace.gacts[k])
-            if not config.zero_storage:
-                store.put_tensor(ak, trace.acts[k], table[ak])
-                store.put_tensor(gk, trace.gacts[k], table[gk])
-    commit_params(config.n_steps)
+        commit_boundaries(ctx, trace, t, table, store)
+    commit_params(ctx, state, config.n_steps, table, store)
     for i in range(grid.n_layer_blocks):
         ledger.append(seal_block(grid, BlockId(i, grid.n_step_blocks - 1), table))
     ledger.save(out_dir / LEDGER_FILE)

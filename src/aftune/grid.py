@@ -11,6 +11,12 @@ LABEL_ANCHOR = "label-anchor"
 BASE_MODEL_ANCHOR = "base-model-anchor"
 
 
+def label_anchor_key(step: int) -> str:
+    """Name of step ``step``'s label-anchor digest in a verification
+    request."""
+    return f"{LABEL_ANCHOR}@{step}"
+
+
 @dataclass(frozen=True, order=True)
 class BlockId:
     i: int  # layer-block index

@@ -6,6 +6,12 @@ chunk may be short and is hashed as-is, unpadded), every chunk hashed
 independently, and the concatenation of the chunk digests hashed once
 more into the commitment. The result is independent of how chunk work
 is scheduled across workers.
+
+``chunked_hash_many`` commits several tensors at once: the map pieces
+of all of them go to the hash in one batch, then all their reduce
+inputs in a second. For BLAKE3 a batch is one lane-packed pass over
+every 1 KiB chunk of every piece (see ``aftune._blake3``); SHA-256
+hashes each piece with hashlib.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blake3 import blake3_digest
+from ._blake3 import blake3_many
 
 DEFAULT_CHUNK_SIZE = 4096  # elements
 DEFAULT_ALGO = "blake3"
@@ -25,10 +31,12 @@ ELEMENT_BYTES = 4
 ALGORITHMS = ("blake3", "sha256")
 
 
-def _sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+def _sha256_many(messages) -> list[bytes]:
+    return [hashlib.sha256(m).digest() for m in messages]
 
-_HASHERS = {"blake3": blake3_digest, "sha256": _sha256}
+
+# each hashes a list of messages; only BLAKE3 gains from hashing them together
+_HASHERS = {"blake3": blake3_many, "sha256": _sha256_many}
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,47 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
 
+def label_bytes(labels) -> bytes:
+    """Canonical serialization of a step's labels: little-endian int64."""
+    return np.ascontiguousarray(labels, "<i8").tobytes()
+
+
+def _pieces(data: bytes | np.ndarray, chunk_size: int) -> list[bytes]:
+    """The map pieces of one tensor or byte string."""
+    if isinstance(data, np.ndarray):
+        data = tensor_bytes(data)
+    chunk_bytes = chunk_size * ELEMENT_BYTES
+    if len(data) <= chunk_bytes:
+        return [data]
+    return [data[k:k + chunk_bytes] for k in range(0, len(data), chunk_bytes)]
+
+
+def _check_args(chunk_size: int, algo: str) -> None:
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    if algo not in _HASHERS:
+        raise ValueError(f"unknown hash algorithm {algo!r}")
+
+
+def chunked_hash_many(
+    items,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    algo: str = DEFAULT_ALGO,
+) -> list[Digest]:
+    """``[chunked_hash(x, chunk_size, algo) for x in items]``, with the
+    map pieces of all items hashed in one call and the reduce inputs in
+    a second."""
+    _check_args(chunk_size, algo)
+    many = _HASHERS[algo]
+    pieces, ends = [], []
+    for x in items:
+        pieces += _pieces(x, chunk_size)
+        ends.append(len(pieces))
+    digests = many(pieces)
+    reduce_inputs = [b"".join(digests[a:b]) for a, b in zip([0] + ends, ends)]
+    return [Digest(d, algo) for d in many(reduce_inputs)]
+
+
 def chunked_hash(
     data: bytes | np.ndarray,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -72,24 +121,18 @@ def chunked_hash(
     ``chunk_size`` is in elements (4 bytes each). ``workers`` only affects
     wall time; the digest is identical for any worker count.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if algo not in _HASHERS:
-        raise ValueError(f"unknown hash algorithm {algo!r}")
-    if isinstance(data, np.ndarray):
-        data = tensor_bytes(data)
-    h = _HASHERS[algo]
-    chunk_bytes = chunk_size * ELEMENT_BYTES
-    m = max(1, -(-len(data) // chunk_bytes))
-    chunks = [data[k * chunk_bytes:(k + 1) * chunk_bytes] for k in range(m)]
-    if workers > 1 and m > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_digests = list(pool.map(h, chunks))
-    else:
-        chunk_digests = [h(c) for c in chunks]
-    return Digest(h(b"".join(chunk_digests)), algo)
+    if workers <= 1:
+        return chunked_hash_many([data], chunk_size, algo)[0]
+    _check_args(chunk_size, algo)
+    many = _HASHERS[algo]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        chunk_digests = pool.map(lambda piece: many([piece])[0],
+                                 _pieces(data, chunk_size))
+        (reduced,) = many([b"".join(chunk_digests)])
+    return Digest(reduced, algo)
 
 
 def hash_bytes(data: bytes, algo: str = DEFAULT_ALGO) -> Digest:
     """Plain (non-chunked) hash, for manifests and ledger framing."""
-    return Digest(_HASHERS[algo](data), algo)
+    (value,) = _HASHERS[algo]([data])
+    return Digest(value, algo)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hashing import Digest, chunked_hash, tensor_bytes
+from .hashing import Digest, chunked_hash, chunked_hash_many, tensor_bytes
 from .layers import Layer, build_layer
 from .optim import Optimizer, build_optimizer
 from .rng import rng_for
@@ -53,9 +53,9 @@ def param_items(layers: list[Layer]):
 
 def params_digest(layers, chunk_size, algo) -> Digest:
     """Digest binding the full parameter set (hash of per-tensor hashes)."""
-    parts = [chunked_hash(p, chunk_size, algo).value
-             for _, _, p in param_items(layers)]
-    return chunked_hash(b"".join(parts), chunk_size, algo)
+    parts = chunked_hash_many([p for _, _, p in param_items(layers)],
+                              chunk_size, algo)
+    return chunked_hash(b"".join(d.value for d in parts), chunk_size, algo)
 
 
 def param_bytes(layer: Layer) -> bytes:

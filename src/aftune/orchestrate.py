@@ -27,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
-from .hashing import chunked_hash
+from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig, label_anchor_key
+from .hashing import ALGORITHMS, Digest, chunked_hash_many
 from .ledger import SCHEMA_VERSION, LedgerError, RunLedger
-from .model import ModelState, build_model, param_bytes
+from .model import ModelState, build_model, param_bytes, params_digest
 from .optim import build_optimizer
 from .recorder import (LEDGER_FILE, RunContext, reference_closure,
                        rerun_rows)
@@ -104,6 +104,7 @@ class Run:
         if version != SCHEMA_VERSION:
             raise LedgerError(f"ledger schema version {version} != "
                               f"supported {SCHEMA_VERSION}")
+        _check_manifest(ledger.manifest)
         return cls(run_dir, ledger)
 
     @cached_property
@@ -171,16 +172,21 @@ class Run:
                           full_scan, memory_budget) -> VerificationRequest:
         config, manifest = self.config, self.manifest
         steps = self.grid.block_steps(bid.j)
-        labels = {t: self.ctx.batch(t).labels for t in steps} \
-            if self._needs_labels(bid.i) else {}
+        ledger_digests = {str(k): self.digests[k]
+                          for k in self.grid.commitment_keys(bid)}
+        labels = {}
+        if self._needs_labels(bid.i):
+            labels = {t: self.ctx.batch(t).labels for t in steps}
+            anchors = manifest["label_anchors"]
+            ledger_digests.update(
+                (label_anchor_key(t), Digest.from_hex(anchors[t], self.ctx.algo))
+                for t in steps if t < len(anchors))
         return VerificationRequest(
             block=bid, mode="training",
             tau=config.tau if tau is None else tau,
             precision=precision or config.precision, grid=config.to_dict(),
             model=manifest["model"], optimizer=manifest["optimizer"],
-            tensors=tensors,
-            ledger_digests={str(k): self.digests[k]
-                            for k in self.grid.commitment_keys(bid)},
+            tensors=tensors, ledger_digests=ledger_digests,
             labels=labels, chunk_size=config.chunk_size, algo=self.ctx.algo,
             memory_budget=memory_budget, full_scan=full_scan,
         )
@@ -381,15 +387,15 @@ class Run:
             param_blobs.update(p)
             opt_blobs.update(o)
 
-        mismatched = []
+        keys, blobs = [], []
         for l in range(config.n_layers):
-            for kind, blob in (("parameter", param_blobs[l]),
-                               ("optimizer-state", opt_blobs[l])):
-                key = BoundaryKey(kind, l, step)
-                got = chunked_hash(blob, config.chunk_size, self.ctx.algo)
-                if key not in self.digests \
-                        or self.digests[key].value != got.value:
-                    mismatched.append(str(key))
+            keys += [BoundaryKey("parameter", l, step),
+                     BoundaryKey("optimizer-state", l, step)]
+            blobs += [param_blobs[l], opt_blobs[l]]
+        got = chunked_hash_many(blobs, config.chunk_size, self.ctx.algo)
+        mismatched = [str(key) for key, d in zip(keys, got)
+                      if key not in self.digests
+                      or self.digests[key].value != d.value]
         if mismatched:
             raise ReconstructionError(
                 f"reconstructed state disagrees with ledger at: {mismatched}")
@@ -417,6 +423,44 @@ class Run:
         index = self.store.index
         return self.store.prune({index[str(k)]["digest"]
                                  for k in keep if str(k) in index})
+
+
+def _check_manifest(manifest: dict) -> None:
+    """Raise LedgerError unless ``manifest`` holds, with the right types,
+    every field a Run and its RunContext read."""
+    def need(key, types, within=manifest, where="manifest"):
+        if not isinstance(within.get(key), types):
+            raise LedgerError(f"{where} field {key!r} is missing or malformed")
+        return within[key]
+
+    mode = need("mode", str)
+    if mode not in ("training", "inference"):
+        raise LedgerError(f"unknown run mode {mode!r} in the manifest")
+    need("model", dict)
+    if need("hash_algo", str) not in ALGORITHMS:
+        raise LedgerError(f"unknown hash algorithm {manifest['hash_algo']!r} "
+                          f"in the manifest")
+    try:
+        GridConfig.from_dict(need("grid", dict))
+    except (KeyError, TypeError, ValueError) as e:
+        raise LedgerError(f"manifest grid is malformed: {e!r}") from None
+    if mode == "inference":
+        need("model_digest", str)
+        return
+    need("optimizer", dict)
+    need("spec", dict, need("dataset", dict), "manifest dataset")
+    need("run_seed", int)
+    need("batch_size", int)
+    for key in ("input_anchors", "label_anchors"):
+        if not all(_is_digest_hex(a) for a in need(key, list)):
+            raise LedgerError(f"manifest field {key!r} holds a malformed digest")
+
+
+def _is_digest_hex(s) -> bool:
+    try:
+        return isinstance(s, str) and len(bytes.fromhex(s)) == 32
+    except ValueError:
+        return False
 
 
 def _non_finite_report(bid: BlockId, key: str, msg: str) -> VerificationReport:
@@ -650,15 +694,11 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None) -> Ch
 
 
 def _recompute_base_digest(manifest, store: TensorStore) -> str | None:
-    config_d = manifest["grid"]
-    chunk, algo = config_d["chunk_size"], manifest["hash_algo"]
     layers = build_model(manifest["model"])
-    parts = []
     for l, layer in enumerate(layers):
         key = BoundaryKey("parameter", l, 0)
         if not store.has_blob(key):
             return None  # pruned; nothing to recompute against
         load_layer_params(layer, store.get_bytes(key))
-        for p in layer.params.values():
-            parts.append(chunked_hash(p, chunk, algo).value)
-    return chunked_hash(b"".join(parts), chunk, algo).hex
+    return params_digest(layers, manifest["grid"]["chunk_size"],
+                         manifest["hash_algo"]).hex

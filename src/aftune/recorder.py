@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Dataset, make_dataset
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
-from .hashing import Digest, chunked_hash
+from .hashing import Digest, chunked_hash_many, label_bytes
 from .ledger import RunLedger, seal_block
 from .model import (ModelState, build_model, build_state, forward_block,
                     param_bytes, params_digest, train_step)
@@ -47,11 +47,8 @@ class RunContext:
     def batch(self, t: int):
         return self.dataset.batch(self.run_seed, t, self.batch_size)
 
-    def hash_tensor(self, arr) -> Digest:
-        return chunked_hash(arr, self.config.chunk_size, self.algo)
-
-    def hash_bytes(self, data: bytes) -> Digest:
-        return chunked_hash(data, self.config.chunk_size, self.algo)
+    def hash_many(self, items) -> list[Digest]:
+        return chunked_hash_many(items, self.config.chunk_size, self.algo)
 
     def boundary_tensors(self, trace) -> tuple[list, list]:
         """Activation and gradient tensors at every grid boundary."""
@@ -67,13 +64,12 @@ def build_manifest(model_spec: dict, opt_spec: dict, dataset_spec: dict,
     dataset = make_dataset(dataset_spec)
     layers = build_model(model_spec)
     base_digest = params_digest(layers, config.chunk_size, algo)
-    input_anchors, label_anchors = [], []
-    for t in range(config.n_steps):
-        b = dataset.batch(run_seed, t, batch_size)
-        input_anchors.append(chunked_hash(b.inputs, config.chunk_size, algo).hex)
-        label_anchors.append(
-            chunked_hash(np.ascontiguousarray(b.labels, "<i8").tobytes(),
-                         config.chunk_size, algo).hex)
+    batches = [dataset.batch(run_seed, t, batch_size)
+               for t in range(config.n_steps)]
+    input_anchors = [d.hex for d in chunked_hash_many(
+        [b.inputs for b in batches], config.chunk_size, algo)]
+    label_anchors = [d.hex for d in chunked_hash_many(
+        [label_bytes(b.labels) for b in batches], config.chunk_size, algo)]
     return {
         "mode": "training",
         "grid": config.to_dict(),
@@ -94,6 +90,41 @@ def opt_state_bytes(state: ModelState, layer_idx: int) -> bytes:
     return state.opt.state_bytes(layer_idx, state.layers[layer_idx])
 
 
+def commit_params(ctx: RunContext, state: ModelState, t: int, table: dict,
+                  store: TensorStore) -> None:
+    """Hash every layer's parameters and optimizer state at step ``t``
+    into ``table`` in one batch, and store the blobs of the layer blocks
+    that checkpoint at ``t``."""
+    grid = ctx.grid
+    stored = {i for i in range(grid.n_layer_blocks)
+              if t in grid.checkpoint_steps(i)}
+    entries = [
+        (BoundaryKey(kind, l, t), blob, i in stored)
+        for i in range(grid.n_layer_blocks) for l in grid.block_layers(i)
+        for kind, blob in (("parameter", param_bytes(state.layers[l])),
+                           ("optimizer-state", opt_state_bytes(state, l)))]
+    digests = ctx.hash_many([blob for _, blob, _ in entries])
+    for (key, blob, checkpointed), digest in zip(entries, digests):
+        table[key] = digest
+        if checkpointed:
+            store.put_bytes(key, blob, digest)
+
+
+def commit_boundaries(ctx: RunContext, trace, t: int, table: dict,
+                      store: TensorStore) -> None:
+    """Hash the activation and gradient at every grid boundary of step
+    ``t`` into ``table`` in one batch, and store them unless the run is
+    zero-storage."""
+    acts, gacts = ctx.boundary_tensors(trace)
+    keys = [BoundaryKey(kind, b, t) for kind in ("activation", "gradient")
+            for b in range(ctx.grid.n_boundaries)]
+    tensors = acts + gacts
+    for key, arr, digest in zip(keys, tensors, ctx.hash_many(tensors)):
+        table[key] = digest
+        if not ctx.config.zero_storage:
+            store.put_tensor(key, arr, digest)
+
+
 def record_training(manifest: dict, out_dir) -> RunResult:
     """Run instrumented training; produces ledger, store, checkpoints.
 
@@ -110,23 +141,7 @@ def record_training(manifest: dict, out_dir) -> RunResult:
     state = ctx.fresh_state()
     table: dict[BoundaryKey, Digest] = {}
     losses: list[float] = []
-
-    ckpt_steps = {i: set(grid.checkpoint_steps(i))
-                  for i in range(grid.n_layer_blocks)}
     block_starts = {a: j for j, (a, _) in enumerate(grid.step_blocks)}
-
-    def commit_params(t: int) -> None:
-        for i in range(grid.n_layer_blocks):
-            for l in grid.block_layers(i):
-                pk = BoundaryKey("parameter", l, t)
-                ok = BoundaryKey("optimizer-state", l, t)
-                pdata = param_bytes(state.layers[l])
-                odata = opt_state_bytes(state, l)
-                table[pk] = ctx.hash_bytes(pdata)
-                table[ok] = ctx.hash_bytes(odata)
-                if t in ckpt_steps[i]:
-                    store.put_bytes(pk, pdata, table[pk])
-                    store.put_bytes(ok, odata, table[ok])
 
     def seal_row(j: int) -> None:
         for i in range(grid.n_layer_blocks):
@@ -136,22 +151,14 @@ def record_training(manifest: dict, out_dir) -> RunResult:
     for t in range(config.n_steps):
         j = block_starts.get(t)
         if j is not None:
-            commit_params(t)
+            commit_params(ctx, state, t, table, store)
             if j > 0:
                 seal_row(j - 1)
         trace = train_step(state, ctx.batch(t))
         losses.append(trace.loss)
-        acts, gacts = ctx.boundary_tensors(trace)
-        for b in range(grid.n_boundaries):
-            ak = BoundaryKey("activation", b, t)
-            gk = BoundaryKey("gradient", b, t)
-            table[ak] = ctx.hash_tensor(acts[b])
-            table[gk] = ctx.hash_tensor(gacts[b])
-            if not config.zero_storage:
-                store.put_tensor(ak, acts[b], table[ak])
-                store.put_tensor(gk, gacts[b], table[gk])
+        commit_boundaries(ctx, trace, t, table, store)
 
-    commit_params(config.n_steps)
+    commit_params(ctx, state, config.n_steps, table, store)
     seal_row(grid.n_step_blocks - 1)
     store.save_index()
     return RunResult(ledger, store, state, losses, store.logical_bytes())
@@ -248,12 +255,13 @@ def record_inference(manifest: dict, layers, x: np.ndarray, out_dir) -> RunResul
     ledger = RunLedger(manifest)
     store = TensorStore(out_dir)
     acts, _ = forward_block(layers, x)
+    keys = [BoundaryKey("activation", b, 0) for b in grid.inference_boundaries()]
+    tensors = [acts[grid.boundary_layer(k.index)] for k in keys]
     table: dict[BoundaryKey, Digest] = {}
-    for b in grid.inference_boundaries():
-        key = BoundaryKey("activation", b, 0)
-        arr = acts[grid.boundary_layer(b)]
-        table[key] = chunked_hash(arr, config.chunk_size, manifest["hash_algo"])
-        store.put_tensor(key, arr, table[key])
+    for key, arr, digest in zip(keys, tensors, chunked_hash_many(
+            tensors, config.chunk_size, manifest["hash_algo"])):
+        table[key] = digest
+        store.put_tensor(key, arr, digest)
     for i in range(grid.n_layer_blocks):
         ledger.append(seal_block(grid, BlockId(i, 0), table, mode="inference"))
     ledger.save(out_dir / LEDGER_FILE)

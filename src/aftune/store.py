@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import BoundaryKey
-from .hashing import Digest, chunked_hash, tensor_bytes
+from .hashing import Digest, chunked_hash_many, tensor_bytes
 
 
 class StoreError(Exception):
@@ -110,16 +110,21 @@ class TensorStore:
         return sum(p.stat().st_size for p in self.blob_dir.iterdir())
 
     def verify_integrity(self, chunk_size: int) -> list[str]:
-        """Re-hash every reachable blob; returns keys that fail."""
-        bad = []
-        for key_s, ent in self.index.items():
+        """Re-hash every reachable blob, each distinct blob once and all
+        blobs of one algorithm in one batch; returns keys that fail."""
+        blobs: dict[str, dict[str, bytes]] = {}
+        for ent in self.index.values():
             path = self.blob_dir / ent["digest"]
-            if not path.exists():
-                continue
-            got = chunked_hash(path.read_bytes(), chunk_size, ent["algo"])
-            if got.hex != ent["digest"]:
-                bad.append(key_s)
-        return bad
+            held = blobs.setdefault(ent["algo"], {})
+            if ent["digest"] not in held and path.exists():
+                held[ent["digest"]] = path.read_bytes()
+        bad = set()
+        for algo, held in blobs.items():
+            got = chunked_hash_many(list(held.values()), chunk_size, algo)
+            bad.update((algo, name) for name, d in zip(held, got)
+                       if d.hex != name)
+        return [key_s for key_s, ent in self.index.items()
+                if (ent["algo"], ent["digest"]) in bad]
 
     def prune(self, keep_digests: set[str]) -> int:
         """Delete blobs whose digest is not in ``keep_digests``; index

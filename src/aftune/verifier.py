@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (BASE_MODEL_ANCHOR, INPUT_ANCHOR, LABEL_ANCHOR, BlockGrid,
-                   BlockId, BoundaryKey, GridConfig)
-from .hashing import Digest, chunked_hash
+                   BlockId, BoundaryKey, GridConfig, label_anchor_key)
+from .hashing import Digest, chunked_hash_many, label_bytes
 from .ledger import RunLedger
-from .model import build_model, backward_block, forward_block, param_bytes
+from .model import (build_model, backward_block, forward_block, param_bytes,
+                    params_digest)
 from .optim import build_optimizer
 from .store import EvidenceReleasedError, TensorStore
 from .tensors import NonFiniteError, rel_l2_error
@@ -318,19 +319,33 @@ class _FailureCollector:
         return self.report.cause is not None
 
 
-def _check_hashes(req: VerificationRequest, keys, collector) -> bool:
-    """Stored tensor vs ledger digest, in canonical key order. Returns
-    True when verification should stop."""
-    for key in keys:
-        ks = str(key)
-        if ks not in req.tensors:
-            raise VerifierError(f"request is missing tensor {ks}")
-        if ks not in req.ledger_digests:
-            raise VerifierError(f"request is missing ledger digest for {ks}")
-        got = chunked_hash(req.tensors[ks], req.chunk_size, req.algo)
-        if got.value != req.ledger_digests[ks].value:
-            if collector.fail(HASH_MISMATCH, ks):
-                return True
+def _check_hashes(req: VerificationRequest, keys, collector,
+                  label_steps=()) -> bool:
+    """Stored tensors, then the labels of ``label_steps``, against their
+    ledger digests, in that order. Returns True when verification should
+    stop. Everything before the first missing item is hashed in one
+    batch and checked in order; the missing item raises VerifierError
+    only if no mismatch before it stopped verification."""
+    names, data, missing = [], [], None
+    items = [(str(k), req.tensors.get(str(k)), "tensor") for k in keys]
+    items += [(label_anchor_key(t), req.labels.get(t), "labels")
+              for t in label_steps]
+    for name, value, what in items:
+        if value is None:
+            missing = f"request is missing {what} {name}"
+        elif name not in req.ledger_digests:
+            missing = f"request is missing ledger digest for {name}"
+        if missing:
+            break
+        names.append(name)
+        data.append(label_bytes(value) if what == "labels" else value)
+    digests = chunked_hash_many(data, req.chunk_size, req.algo) if data else []
+    for name, got in zip(names, digests):
+        if got.value != req.ledger_digests[name].value \
+                and collector.fail(HASH_MISMATCH, name):
+            return True
+    if missing:
+        raise VerifierError(missing)
     return False
 
 
@@ -361,7 +376,10 @@ def verify_training_block(req: VerificationRequest) -> VerificationReport:
     exit_keys = [BoundaryKey(k, l, t_out)
                  for l in layer_ids for k in ("parameter", "optimizer-state")
                  if str(BoundaryKey(k, l, t_out)) in req.tensors]
-    if _check_hashes(req, entry_keys + boundary_keys + exit_keys, collector):
+    # the loss block's labels are bound to the manifest's label anchors
+    label_steps = steps if grid.config.n_layers - 1 in layer_ids else ()
+    if _check_hashes(req, entry_keys + boundary_keys + exit_keys, collector,
+                     label_steps):
         report.wall_time = time.perf_counter() - t_start
         return report
 
@@ -406,27 +424,32 @@ def verify_training_block(req: VerificationRequest) -> VerificationReport:
                     report.wall_time = time.perf_counter() - t_start
                     return report
 
-    # block-exit parameter/optimizer check
+    # block-exit parameter/optimizer check; where no blob is stored at
+    # this step, fall back to a bitwise hash check of the replayed one
+    replayed = {}
+    for l in layer_ids:
+        replayed[str(BoundaryKey("parameter", l, t_out))] = replayer.param_blob(l)
+        replayed[str(BoundaryKey("optimizer-state", l, t_out))] = \
+            replayer.opt_blob(l)
+    unstored = [k for k in replayed if k not in req.tensors]
+    hashed = dict(zip(unstored, chunked_hash_many(
+        [replayed[k] for k in unstored], req.chunk_size, req.algo)))
+
+    def exit_error(key, compare):
+        if key in req.tensors:
+            return compare(replayed[key], req.tensors[key])
+        return 0.0 if hashed[key].value == req.ledger_digests[key].value \
+            else float("inf")
+
     for l in layer_ids:
         pk = BoundaryKey("parameter", l, t_out)
         ok = BoundaryKey("optimizer-state", l, t_out)
-        replayed_p = replayer.param_blob(l)
-        replayed_o = replayer.opt_blob(l)
-        if str(pk) in req.tensors:
-            err = _blob_rel_error(replayed_p, req.tensors[str(pk)])
-        else:
-            # no stored blob at this step: fall back to bitwise hash check
-            err = 0.0 if chunked_hash(replayed_p, req.chunk_size, req.algo).value \
-                == req.ledger_digests[str(pk)].value else float("inf")
+        err = exit_error(str(pk), _blob_rel_error)
         report.errors[str(pk)] = err
         if not err <= req.tau \
                 and collector.fail(NUMERICAL_MISMATCH, pk, err, req.tau):
             break
-        if str(ok) in req.tensors:
-            err_o = _opt_blob_error(replayed_o, req.tensors[str(ok)])
-        else:
-            err_o = 0.0 if chunked_hash(replayed_o, req.chunk_size, req.algo).value \
-                == req.ledger_digests[str(ok)].value else float("inf")
+        err_o = exit_error(str(ok), _opt_blob_error)
         report.errors[str(ok)] = err_o
         if not err_o <= req.tau \
                 and collector.fail(NUMERICAL_MISMATCH, ok, err_o, req.tau):
@@ -471,15 +494,12 @@ def verify_inference_block(req: VerificationRequest) -> VerificationReport:
                    for l in layer_ids}
     # bind provided parameters to the manifest's model digest
     if req.model_digest is not None:
-        parts = []
         full = build_model(req.model)
         for l, layer in enumerate(full):
             key = str(BoundaryKey("parameter", l, 0))
             if key in req.tensors:
                 load_layer_params(layer, req.tensors[key])
-            for p in layer.params.values():
-                parts.append(chunked_hash(p, req.chunk_size, req.algo).value)
-        got = chunked_hash(b"".join(parts), req.chunk_size, req.algo)
+        got = params_digest(full, req.chunk_size, req.algo)
         if got.hex != req.model_digest:
             collector.fail(HASH_MISMATCH, "model-parameters")
             report.wall_time = time.perf_counter() - t_start

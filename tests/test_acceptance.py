@@ -4,7 +4,8 @@ Each test is a self-contained end-to-end check of one property the
 package promises — detection odds, honest-run completeness, tamper
 soundness, boundary dedup, bitwise sparse reconstruction, exact storage
 accounting, hash schedule independence, gradient correctness, attack
-separation, scenario detection, and the failure of non-finite forgeries. Run with ``pytest -v
+separation, scenario detection, the failure of non-finite forgeries,
+and labels bound to their anchors. Run with ``pytest -v
 tests/test_acceptance.py`` for one pass/fail line per guarantee.
 """
 
@@ -21,11 +22,11 @@ from aftune.adversary import apply_inference_scenario, apply_scenario, \
 from aftune.auditor import AuditPlan, p_detect_exact, run_campaign
 from aftune.data import make_dataset
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
-    storage_estimate
+    label_anchor_key, storage_estimate
 from aftune.hashing import chunked_hash
 from aftune.ledger import RunLedger
 from aftune.model import build_model, forward_block, param_bytes
-from aftune.orchestrate import check_trust_chain, reconstruct_state, \
+from aftune.orchestrate import Run, check_trust_chain, reconstruct_state, \
     run_verification, save_inference_params
 from aftune.presets import attack_mlp_model, dataset_for, default_optimizer, \
     trained_attack_classifier
@@ -408,3 +409,46 @@ def test_acceptance_nan_forgeries_fail(tmp_path):
         (FAIL, NUMERICAL_MISMATCH, str(out_key))
     assert all(r.verdict == PASS for b, r in verdicts.items()
                if b != str(BlockId(last - 1, 0)))
+
+
+def _loss_block_failures(run: Run, isolated: bool) -> dict:
+    """Verify every block; the failing ones, each with its cause and
+    failed key."""
+    bids = [e.block for e in run.ledger.entries]
+    return {r.block: (r.cause, r.failed_key)
+            for r in run.verify(bids, isolated=isolated)
+            if r.verdict != PASS}
+
+
+def test_acceptance_labels_are_bound_to_their_anchors(tmp_path):
+    """The loss block's labels are hashed against the manifest's label
+    anchors before any replay: zeroed anchors fail, and so do flipped
+    labels that an orchestrator sends for an honest run, in process and
+    isolated."""
+    manifest, result = record_run(tmp_path / "run", n_steps=4)
+    grid = result.ledger.grid
+    last = grid.n_layer_blocks - 1
+    want = {BlockId(last, j): (HASH_MISMATCH,
+                               label_anchor_key(grid.block_steps(j)[0]))
+            for j in range(grid.n_step_blocks)}
+    n_classes = manifest["dataset"]["spec"].get("n_classes", 2)
+
+    run = Run.open(tmp_path / "run")
+    honest = run.requests
+
+    def flipped(bids, **kw):
+        for bid, req in honest(bids, **kw):
+            req.labels = {t: (y + 1) % n_classes for t, y in req.labels.items()}
+            yield bid, req
+
+    run.requests = flipped
+    for isolated in (False, True):
+        assert _loss_block_failures(run, isolated) == want
+
+    zeroed = shutil.copytree(tmp_path / "run", tmp_path / "zeroed")
+    ledger = RunLedger.load(zeroed / LEDGER_FILE)
+    ledger.manifest["label_anchors"] = ["0" * 64] * len(
+        ledger.manifest["label_anchors"])
+    ledger.save(zeroed / LEDGER_FILE)
+    for isolated in (False, True):
+        assert _loss_block_failures(Run.open(zeroed), isolated) == want

@@ -221,3 +221,36 @@ def test_reports_are_strict_json(sha_run, tmp_path, runner):
     for r in failing:
         assert r["errors"][str(key)] is None
         assert r["measured_error"] is None
+
+
+@pytest.mark.parametrize("field", ["mode", "grid", "model", "hash_algo",
+                                   "dataset", "run_seed", "label_anchors"])
+def test_garbled_manifest_field_is_a_usage_error(sha_run, tmp_path, runner,
+                                                 field):
+    # one byte of the key's name flipped: well-formed ledger bytes whose
+    # manifest lacks a field the run session reads
+    run = tmp_path / "garbled"
+    shutil.copytree(sha_run, run)
+    ledger = run / "ledger.bin"
+    data = ledger.read_bytes()
+    key = f'"{field}"'.encode()
+    assert data.count(key) == 1
+    ledger.write_bytes(data.replace(key, key[:-2] + b'X"'))
+    for args in (["verify", "garbled"], ["audit", "garbled", "--m", "1"]):
+        result = _invoke(runner, tmp_path, *args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+
+def test_zeroed_label_anchors_fail_verify(sha_run, tmp_path, runner):
+    from aftune.ledger import RunLedger
+    run = tmp_path / "zeroed"
+    shutil.copytree(sha_run, run)
+    ledger = RunLedger.load(run / "ledger.bin")
+    anchors = ledger.manifest["label_anchors"]
+    ledger.manifest["label_anchors"] = ["0" * 64] * len(anchors)
+    ledger.save(run / "ledger.bin")
+    result = _invoke(runner, tmp_path, "verify", "zeroed")
+    assert result.exit_code == 1, result.output
+    assert "fail (hash-mismatch" in result.output

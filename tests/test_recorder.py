@@ -48,9 +48,12 @@ def test_manifest_anchors_are_recomputable(tmp_path):
     ctx = RunContext(manifest)
     for t in range(ctx.config.n_steps):
         batch = ctx.batch(t)
-        assert manifest["input_anchors"][t] == ctx.hash_tensor(batch.inputs).hex
+        chunk = ctx.config.chunk_size
+        assert manifest["input_anchors"][t] == \
+            chunked_hash(batch.inputs, chunk, ctx.algo).hex
         labels = np.ascontiguousarray(batch.labels, "<i8").tobytes()
-        assert manifest["label_anchors"][t] == ctx.hash_bytes(labels).hex
+        assert manifest["label_anchors"][t] == \
+            chunked_hash(labels, chunk, ctx.algo).hex
 
 
 def test_checkpoint_blobs_follow_the_schedule(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aftune import verifier_worker
-from aftune.grid import BlockId, BoundaryKey
+from aftune.grid import BlockId, BoundaryKey, label_anchor_key
 from aftune.hashing import Digest
 from aftune.orchestrate import Run, gather_request, run_verification
 from aftune.verifier import (EVIDENCE_RELEASED, FAIL, HASH_MISMATCH,
@@ -128,6 +128,49 @@ def test_missing_tensor_is_an_error(mlp_run):
     req = _request(mlp_run, BlockId(0, 0))
     del req.tensors[str(BoundaryKey("activation", 0, 0))]
     with pytest.raises(VerifierError):
+        verify_block(req)
+
+
+def test_mismatch_before_a_missing_tensor_stays_a_failure(mlp_run):
+    # a forged tensor stops a quick check before it reaches the missing
+    # one; a full scan walks on and finds the request malformed
+    forged = str(BoundaryKey("activation", 0, 0))
+    missing = str(BoundaryKey("gradient", 1, 1))
+    for full_scan in (False, True):
+        req = _request(mlp_run, BlockId(0, 0), full_scan=full_scan)
+        keys = list(req.tensors)
+        assert keys.index(forged) < keys.index(missing)
+        req.tensors[forged] = req.tensors[forged] + np.float32(1.0)
+        del req.tensors[missing]
+        if full_scan:
+            with pytest.raises(VerifierError, match=missing):
+                verify_block(req)
+            continue
+        report = verify_block(req)
+        assert report.verdict == FAIL
+        assert report.cause == HASH_MISMATCH
+        assert report.failed_key == forged
+
+
+def test_loss_block_labels_are_hash_checked(mlp_run):
+    bid = BlockId(mlp_run["result"].ledger.grid.n_layer_blocks - 1, 1)
+    req = _request(mlp_run, bid)
+    assert set(req.labels) == {2, 3}
+    assert {label_anchor_key(t) for t in (2, 3)} <= set(req.ledger_digests)
+    assert verify_block(req).verdict == PASS
+    req.labels[3] = (req.labels[3] + 1) % 2
+    report = verify_block(req)
+    assert (report.verdict, report.cause, report.failed_key) == \
+        (FAIL, HASH_MISMATCH, label_anchor_key(3))
+    assert not report.errors  # caught before any replay
+    # a request that leaves the labels or their digest out is refused
+    req = _request(mlp_run, bid)
+    del req.labels[2]
+    with pytest.raises(VerifierError, match="missing labels label-anchor@2"):
+        verify_block(req)
+    req = _request(mlp_run, bid)
+    del req.ledger_digests[label_anchor_key(2)]
+    with pytest.raises(VerifierError, match="digest for label-anchor@2"):
         verify_block(req)
 
 
