@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
-from .hashing import Digest, chunked_hash
-from .ledger import RunLedger, seal_block
-from .model import backward_block, build_model, forward_block, train_step
-from .recorder import (LEDGER_FILE, RunContext, build_inference_manifest,
-                       build_manifest, commit_boundaries, commit_params,
+from .hashing import chunked_hash
+from .ledger import RunLedger
+from .model import (StepTrace, backward_block, build_model, forward_block,
+                    train_step)
+from .recorder import (LEDGER_FILE, build_inference_manifest, build_manifest,
                        record_inference, record_training)
 from .store import TensorStore
 
@@ -68,49 +68,23 @@ def rewrite_key(run_dir, key: BoundaryKey, data, shape=None) -> None:
     ledger.save(run_dir / LEDGER_FILE)
 
 
-def _cheating_record(manifest: dict, out_dir, freeze_from: int) -> None:
-    """Recorder clone for a provider that silently stops updating the
-    model after step ``freeze_from`` while still billing for the full
-    schedule. All evidence is internally consistent."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ctx = RunContext(manifest)
-    grid, config = ctx.grid, ctx.config
-    ledger = RunLedger(manifest)
-    ledger.save(out_dir / LEDGER_FILE)
-    store = TensorStore(out_dir)
-    state = ctx.fresh_state()
-    table: dict[BoundaryKey, Digest] = {}
-    block_starts = {a: j for j, (a, _) in enumerate(grid.step_blocks)}
-
-    for t in range(config.n_steps):
-        j = block_starts.get(t)
-        if j is not None:
-            commit_params(ctx, state, t, table, store)
-            if j > 0:
-                for i in range(grid.n_layer_blocks):
-                    ledger.append(seal_block(grid, BlockId(i, j - 1), table))
-                ledger.save(out_dir / LEDGER_FILE)
-        if t < freeze_from:
-            trace = train_step(state, ctx.batch(t))
-        else:
-            # forward/backward only; skip the paid-for update
-            batch = ctx.batch(t)
-            acts, caches = forward_block(state.layers, batch.inputs,
-                                         labels=batch.labels)
-            upstream = np.full(acts[-1].shape, 1.0 / acts[-1].size,
-                               dtype=acts[-1].dtype)
-            gacts, _ = backward_block(state.layers, caches, upstream,
-                                      labels=batch.labels)
-            from .model import StepTrace
-            trace = StepTrace(step=t, acts=acts, gacts=gacts,
-                              param_grads=[], loss=0.0)
-        commit_boundaries(ctx, trace, t, table, store)
-    commit_params(ctx, state, config.n_steps, table, store)
-    for i in range(grid.n_layer_blocks):
-        ledger.append(seal_block(grid, BlockId(i, grid.n_step_blocks - 1), table))
-    ledger.save(out_dir / LEDGER_FILE)
-    store.save_index()
+def _frozen_from(freeze: int):
+    """Step function of a provider that silently stops updating the
+    model at step ``freeze`` while still billing for the full schedule:
+    from then on it runs forward and backward but skips the paid-for
+    update. Recorded with it, all evidence is internally consistent."""
+    def step(state, batch):
+        if batch.step < freeze:
+            return train_step(state, batch)
+        acts, caches = forward_block(state.layers, batch.inputs,
+                                     labels=batch.labels)
+        upstream = np.full(acts[-1].shape, 1.0 / acts[-1].size,
+                           dtype=acts[-1].dtype)
+        gacts, _ = backward_block(state.layers, caches, upstream,
+                                  labels=batch.labels)
+        return StepTrace(step=batch.step, acts=acts, gacts=gacts,
+                         param_grads=[], loss=0.0)
+    return step
 
 
 # -- scenarios -----------------------------------------------------------
@@ -141,7 +115,7 @@ def apply_scenario(scenario: str, manifest: dict, out_dir,
 
     if scenario == "under-train":
         freeze = config.n_steps // 2
-        _cheating_record(manifest, out_dir, freeze_from=freeze)
+        record_training(manifest, out_dir, step=_frozen_from(freeze))
         bad = [str(BlockId(i, j)) for i in range(grid.n_layer_blocks)
                for j in range(grid.n_step_blocks)
                if grid.step_blocks[j][1] > freeze]

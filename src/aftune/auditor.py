@@ -20,7 +20,7 @@ from math import comb, exp, sqrt
 from .grid import BlockGrid, BlockId
 from .orchestrate import Run, check_trust_chain
 from .rng import rng_for
-from .verifier import PASS, VerificationReport
+from .verifier import PASS
 
 STRATEGIES = ("uniform", "input-row", "per-step-column", "explicit")
 
@@ -167,14 +167,12 @@ class AuditReport:
         }
 
 
-def audit_run(run, plan: AuditPlan, isolated: bool = False,
+def audit_run(run: Run, plan: AuditPlan, isolated: bool = False,
               **verify_kw) -> AuditReport:
-    """One audit of ``run`` (an open Run or a run directory): sample per
-    the committed plan, verify each sampled block, and (for training
-    runs) check each sampled block's commitment provenance against the
-    trust anchors."""
+    """One audit of an open ``run``: sample per the committed plan,
+    verify each sampled block, and (for training runs) check each
+    sampled block's commitment provenance against the trust anchors."""
     t0 = time.perf_counter()
-    run = run if isinstance(run, Run) else Run.open(run)
     chosen = sample_blocks(plan, run.grid)
     missing = [b for b in chosen if b not in run.ledger.by_block]
     if missing:
@@ -245,13 +243,12 @@ def _exact_campaign_rate(plan: AuditPlan, grid: BlockGrid,
     return 1.0 - evade
 
 
-def run_campaign(run, plan: AuditPlan, trials: int,
+def run_campaign(run: Run, plan: AuditPlan, trials: int,
                  **verify_kw) -> CampaignResult:
-    """Estimate the detection rate of ``plan`` against a (possibly
-    tampered) run, an open Run or a run directory: verify every block
-    once (and walk the trust chain) to find the failing set, then
-    resample the plan many times and count samples that intersect it."""
-    run = run if isinstance(run, Run) else Run.open(run)
+    """Estimate the detection rate of ``plan`` against an open, possibly
+    tampered ``run``: verify every block once (and walk the trust chain)
+    to find the failing set, then resample the plan many times and count
+    samples that intersect it."""
     grid = run.grid
     blocks = [e.block for e in run.ledger.entries]
     failing = {bid for bid, rep in zip(blocks, run.verify(blocks, **verify_kw))

@@ -33,6 +33,7 @@ from .presets import (ATTACK_SAMPLE, PRESETS, dataset_for, default_optimizer,
                       trained_attack_classifier)
 from .recorder import (build_inference_manifest, build_manifest,
                        record_inference, record_training)
+from .store import StoreError
 
 RUN_ROOT_ENV = "AFTUNE_RUN_ROOT"
 
@@ -46,7 +47,7 @@ def _run_dir(path: str) -> Path:
 def _open_run(run_dir: Path) -> Run:
     try:
         return Run.open(run_dir)
-    except (FileNotFoundError, LedgerError) as e:
+    except (FileNotFoundError, LedgerError, StoreError) as e:
         raise click.UsageError(str(e))
 
 

@@ -213,27 +213,6 @@ class BlockGrid:
         a, b = self.step_blocks[j]
         return a, b
 
-    def boundary_schedule(self, mode: str = "training") -> list[BoundaryKey]:
-        """All keys whose tensors are stored (blob schedule)."""
-        keys: list[BoundaryKey] = []
-        if mode == "training":
-            if not self.config.zero_storage:
-                for t in range(self.config.n_steps):
-                    for b in range(self.n_boundaries):
-                        keys.append(BoundaryKey("activation", b, t))
-                        keys.append(BoundaryKey("gradient", b, t))
-            for i in range(self.n_layer_blocks):
-                for t in self.checkpoint_steps(i):
-                    for l in self.block_layers(i):
-                        keys.append(BoundaryKey("parameter", l, t))
-                        keys.append(BoundaryKey("optimizer-state", l, t))
-            return keys
-        if mode == "inference":
-            for b in self.inference_boundaries():
-                keys.append(BoundaryKey("activation", b, 0))
-            return keys
-        raise ValueError(f"unknown mode {mode!r}")
-
     def inference_boundaries(self) -> list[int]:
         """Recorded boundaries for forward-only runs: every ia-th block
         edge, plus the model input and the final output."""
@@ -274,10 +253,6 @@ class BlockGrid:
                       else LABEL_ANCHOR),
             "above": BlockId(i, j - 1) if j > 0 else BASE_MODEL_ANCHOR,
         }
-
-
-def partition(config: GridConfig) -> BlockGrid:
-    return BlockGrid(config)
 
 
 def storage_estimate(config: GridConfig, param_bytes: int, opt_bytes: int,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import ShapeError, check_finite
+from .tensors import ShapeError
 
 LAYER_KINDS = (
     "linear",

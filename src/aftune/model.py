@@ -62,22 +62,6 @@ def param_bytes(layer: Layer) -> bytes:
     return b"".join(tensor_bytes(p) for p in layer.params.values())
 
 
-def snapshot(state: ModelState) -> dict:
-    return {
-        "t": state.t,
-        "params": [{n: p.copy() for n, p in l.params.items()} for l in state.layers],
-        "opt": state.opt.copy(),
-    }
-
-
-def restore(state: ModelState, snap: dict) -> None:
-    state.t = snap["t"]
-    for layer, saved in zip(state.layers, snap["params"]):
-        for n in layer.params:
-            layer.params[n] = saved[n].copy()
-    state.opt.load_from(snap["opt"])
-
-
 def forward_block(layers: list[Layer], x: np.ndarray, labels=None):
     """Run a contiguous sub-list of layers; returns all activations
     (input included, so len(layers)+1 entries) and the backward caches."""

@@ -54,20 +54,6 @@ class Optimizer:
                              .astype("<f4").tobytes())
         return b"".join(parts)
 
-    def copy(self) -> "Optimizer":
-        new = object.__new__(type(self))
-        new.hyper = dict(self.hyper)
-        new.step_count = self.step_count
-        new.slots = {k: {s: a.copy() for s, a in v.items()}
-                     for k, v in self.slots.items()}
-        return new
-
-    def load_from(self, other: "Optimizer") -> None:
-        self.step_count = other.step_count
-        for k, v in other.slots.items():
-            for s, a in v.items():
-                self.slots[k][s] = a.copy()
-
 
 class SGDMomentum(Optimizer):
     kind = "sgd-momentum"

@@ -21,7 +21,7 @@ import tempfile
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -34,12 +34,12 @@ from .model import ModelState, build_model, param_bytes, params_digest
 from .optim import build_optimizer
 from .recorder import (LEDGER_FILE, RunContext, reference_closure,
                        rerun_rows)
-from .store import EvidenceReleasedError, TensorStore
+from .store import StoreError, TensorStore
 from .tensors import NonFiniteError
 from .verifier import (DEFAULT_MEMORY_BUDGET, EVIDENCE_RELEASED, FAIL,
                        NON_FINITE, REFUSED, BlockReplayer, VerificationReport,
-                       VerificationRequest, load_layer_params, load_opt_state,
-                       non_finite_key, verify_block)
+                       VerificationRequest, VerifierError, load_layer_params,
+                       non_finite_key, verify_or_refuse)
 from .verifier_worker import frame
 
 DEFAULT_TAU = {"f32": 1e-5, "f64": 1e-12}
@@ -61,15 +61,16 @@ class NonDeterministicBlockError(ReconstructionError):
 class _Row:
     """Replayed state of one layer-block row: restored from the stored
     checkpoint at step ``origin`` (None: the step-0 init) and carried
-    forward to step ``t``. ``broken`` holds the key and message of the
-    NaN/Inf that stopped the replay."""
+    forward to step ``t``. ``broken`` is the report, block unset, for
+    the blocks past a replay that stopped: on NaN/Inf, or on a
+    checkpoint the replayer cannot load."""
 
     def __init__(self, origin: int | None, params: dict, opts: dict):
         self.origin = origin
         self.t = origin or 0
         self.params, self.opts = params, opts
         self.replayer: BlockReplayer | None = None
-        self.broken: tuple[str, str] | None = None
+        self.broken: VerificationReport | None = None
 
     def blobs(self) -> tuple[dict, dict]:
         rep = self.replayer
@@ -125,7 +126,7 @@ class Run:
         done: dict[BlockId, VerificationReport] = {}
         pending: deque = deque()
         workers = _Workers() if isolated else None
-        check = workers.check if workers else verify_block
+        check = workers.check if workers else verify_or_refuse
         pool = ThreadPoolExecutor(jobs) if jobs > 1 else None
         try:
             for bid, req in self.requests(bids, **kw):
@@ -235,7 +236,7 @@ class Run:
                             tensors[str(k)] = store.get_tensor(k)
                 row = rows[i] = self._row_at(i, t_in, rows.pop(i, None))
                 if row.broken:
-                    yield bid, _non_finite_report(bid, *row.broken)
+                    yield bid, replace(row.broken, block=bid)
                     continue
                 p, o = row.blobs()
                 for l in layer_ids:
@@ -247,7 +248,7 @@ class Run:
                         k = BoundaryKey(kind, l, t_out)
                         if store.has_blob(k):
                             tensors[str(k)] = store.get_bytes(k)
-            except EvidenceReleasedError as e:
+            except StoreError as e:
                 rows.pop(i, None)
                 yield bid, VerificationReport(block=bid,
                                               verdict=EVIDENCE_RELEASED,
@@ -309,15 +310,25 @@ class Run:
                 {l: opt.state_bytes(l, fresh[l]) for l in layer_ids})
 
     def _replay_step(self, i: int, row: _Row, t: int, x, upstream) -> None:
-        if row.replayer is None:
-            row.replayer = BlockReplayer(
-                self.manifest["model"], self.manifest["optimizer"],
-                self.grid.block_layers(i), row.params, row.opts)
         labels = self.ctx.batch(t).labels if self._needs_labels(i) else None
         try:
+            if row.replayer is None:
+                row.replayer = BlockReplayer(
+                    self.manifest["model"], self.manifest["optimizer"],
+                    self.grid.block_layers(i), row.params, row.opts)
             row.replayer.replay_step(x, upstream, labels=labels)
         except NonFiniteError as e:
-            row.broken = (non_finite_key(i, t, x, upstream), str(e))
+            key = non_finite_key(i, t, x, upstream)
+            row.broken = VerificationReport(
+                block=None, verdict=FAIL, cause=NON_FINITE, failed_key=key,
+                failures=[{"cause": NON_FINITE, "key": key, "error": None,
+                           "tau": None}],
+                note=f"replay to the block's entry state: {e}")
+            return
+        except VerifierError as e:
+            row.broken = VerificationReport(
+                block=None, verdict=REFUSED,
+                note=f"replay to the block's entry state: {e}")
             return
         row.t = t + 1
 
@@ -339,7 +350,7 @@ class Run:
             for b in (lo, hi):
                 k = BoundaryKey("activation", b, 0)
                 tensors[str(k)] = self.store.get_tensor(k)
-        except EvidenceReleasedError as e:
+        except StoreError as e:
             return VerificationReport(block=bid, verdict=EVIDENCE_RELEASED,
                                       note=str(e))
         # the full served parameter set travels with the request: the digest
@@ -381,8 +392,7 @@ class Run:
             row = self._row_at(i, step)
             if row.broken:
                 raise ReconstructionError(
-                    f"replaying layer block {i} to step {step} hit "
-                    f"non-finite values at {row.broken[0]}")
+                    f"layer block {i} at step {step}: {row.broken.note}")
             p, o = row.blobs()
             param_blobs.update(p)
             opt_blobs.update(o)
@@ -400,14 +410,13 @@ class Run:
             raise ReconstructionError(
                 f"reconstructed state disagrees with ledger at: {mismatched}")
 
-        layers = build_model(self.manifest["model"])
-        for l, layer in enumerate(layers):
-            load_layer_params(layer, param_blobs[l])
-        opt = build_optimizer(self.manifest["optimizer"], layers)
-        counters = {load_opt_state(opt, l, layer, opt_blobs[l])
-                    for l, layer in enumerate(layers)}
-        opt.step_count = counters.pop() if len(counters) == 1 else step
-        return ModelState(layers=layers, opt=opt, t=step)
+        try:
+            rep = BlockReplayer(self.manifest["model"],
+                                self.manifest["optimizer"],
+                                range(config.n_layers), param_blobs, opt_blobs)
+        except VerifierError as e:
+            raise ReconstructionError(f"state at step {step}: {e}") from None
+        return ModelState(layers=rep.layers, opt=rep.opt, t=step)
 
     def prune(self, requested: list[BlockId]) -> int:
         """Delete blobs not needed to verify the requested blocks. The
@@ -461,14 +470,6 @@ def _is_digest_hex(s) -> bool:
         return isinstance(s, str) and len(bytes.fromhex(s)) == 32
     except ValueError:
         return False
-
-
-def _non_finite_report(bid: BlockId, key: str, msg: str) -> VerificationReport:
-    return VerificationReport(
-        block=bid, verdict=FAIL, cause=NON_FINITE, failed_key=key,
-        failures=[{"cause": NON_FINITE, "key": key, "error": None,
-                   "tau": None}],
-        note=f"replay to the block's entry state: {msg}")
 
 
 class _Worker:
@@ -550,29 +551,6 @@ class _Workers:
         self._live.clear()
 
 
-# -- one-block entry points ----------------------------------------------
-
-
-def reconstruct_state(run_dir, step: int) -> ModelState:
-    """Rebuild the full model/optimizer state at ``step``; see
-    ``Run.state_at``."""
-    return Run.open(run_dir).state_at(step)
-
-
-def gather_request(run_dir, bid: BlockId, tau: float | None = None,
-                   precision: str | None = None, full_scan: bool = False,
-                   memory_budget: int = DEFAULT_MEMORY_BUDGET,
-                   ) -> VerificationRequest | VerificationReport:
-    """Assemble everything the verifier needs for one block.
-
-    Returns a VerificationReport directly (verdict 'evidence-released')
-    when a required blob was pruned and cannot be rematerialized.
-    """
-    return Run.open(run_dir).request(bid, tau=tau, precision=precision,
-                                     full_scan=full_scan,
-                                     memory_budget=memory_budget)
-
-
 def save_inference_params(run_dir, layers) -> None:
     """Persist the served parameter set next to an inference recording so
     verification requests can include it."""
@@ -590,11 +568,6 @@ def _inference_layers(manifest, params_dir: Path):
             if blob.exists():
                 load_layer_params(layer, blob.read_bytes())
     return layers
-
-
-def run_verification(run_dir, bid: BlockId, isolated: bool = False,
-                     **kw) -> VerificationReport:
-    return Run.open(run_dir).verify([bid], isolated=isolated, **kw)[0]
 
 
 # -- trust chain ---------------------------------------------------------

@@ -3,13 +3,12 @@ write blobs and checkpoints, and seal the run ledger row by row."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, make_dataset
+from .data import make_dataset
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from .hashing import Digest, chunked_hash_many, label_bytes
 from .ledger import RunLedger, seal_block
@@ -90,76 +89,73 @@ def opt_state_bytes(state: ModelState, layer_idx: int) -> bytes:
     return state.opt.state_bytes(layer_idx, state.layers[layer_idx])
 
 
-def commit_params(ctx: RunContext, state: ModelState, t: int, table: dict,
-                  store: TensorStore) -> None:
-    """Hash every layer's parameters and optimizer state at step ``t``
-    into ``table`` in one batch, and store the blobs of the layer blocks
-    that checkpoint at ``t``."""
-    grid = ctx.grid
-    stored = {i for i in range(grid.n_layer_blocks)
-              if t in grid.checkpoint_steps(i)}
-    entries = [
-        (BoundaryKey(kind, l, t), blob, i in stored)
-        for i in range(grid.n_layer_blocks) for l in grid.block_layers(i)
-        for kind, blob in (("parameter", param_bytes(state.layers[l])),
-                           ("optimizer-state", opt_state_bytes(state, l)))]
-    digests = ctx.hash_many([blob for _, blob, _ in entries])
-    for (key, blob, checkpointed), digest in zip(entries, digests):
-        table[key] = digest
-        if checkpointed:
-            store.put_bytes(key, blob, digest)
+def _run_rows(ctx: RunContext, state: ModelState, step, on_params, on_step):
+    """The one training loop: run the schedule from ``state``, the fresh
+    state, with ``step(state, batch)``. Calls ``on_params(state, t)`` at
+    step 0 and at each step-block row's exit step, ``on_step(trace, t)``
+    after each step, and yields row j once its exit parameters have been
+    passed."""
+    on_params(state, 0)
+    for j, (a, b) in enumerate(ctx.grid.step_blocks):
+        for t in range(a, b):
+            on_step(step(state, ctx.batch(t)), t)
+        on_params(state, b)
+        yield j
 
 
-def commit_boundaries(ctx: RunContext, trace, t: int, table: dict,
-                      store: TensorStore) -> None:
-    """Hash the activation and gradient at every grid boundary of step
-    ``t`` into ``table`` in one batch, and store them unless the run is
-    zero-storage."""
-    acts, gacts = ctx.boundary_tensors(trace)
-    keys = [BoundaryKey(kind, b, t) for kind in ("activation", "gradient")
-            for b in range(ctx.grid.n_boundaries)]
-    tensors = acts + gacts
-    for key, arr, digest in zip(keys, tensors, ctx.hash_many(tensors)):
-        table[key] = digest
-        if not ctx.config.zero_storage:
-            store.put_tensor(key, arr, digest)
-
-
-def record_training(manifest: dict, out_dir) -> RunResult:
+def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
     """Run instrumented training; produces ledger, store, checkpoints.
 
     Training results are bitwise identical to an uninstrumented run of
-    the same manifest: instrumentation only reads state.
+    the same manifest: instrumentation only reads state. ``step`` runs
+    one training step (default: the honest ``train_step``).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(manifest)
-    grid, config = ctx.grid, ctx.config
+    grid = ctx.grid
     ledger = RunLedger(manifest)
     ledger.save(out_dir / LEDGER_FILE)  # anchors on disk before step 0
     store = TensorStore(out_dir)
     state = ctx.fresh_state()
     table: dict[BoundaryKey, Digest] = {}
     losses: list[float] = []
-    block_starts = {a: j for j, (a, _) in enumerate(grid.step_blocks)}
 
-    def seal_row(j: int) -> None:
+    def commit_params(state: ModelState, t: int) -> None:
+        """Hash every layer's parameters and optimizer state at step ``t``
+        in one batch, and store the blobs of the layer blocks that
+        checkpoint at ``t``."""
+        stored = {i for i in range(grid.n_layer_blocks)
+                  if t in grid.checkpoint_steps(i)}
+        entries = [
+            (BoundaryKey(kind, l, t), blob, i in stored)
+            for i in range(grid.n_layer_blocks) for l in grid.block_layers(i)
+            for kind, blob in (("parameter", param_bytes(state.layers[l])),
+                               ("optimizer-state", opt_state_bytes(state, l)))]
+        digests = ctx.hash_many([blob for _, blob, _ in entries])
+        for (key, blob, checkpointed), digest in zip(entries, digests):
+            table[key] = digest
+            if checkpointed:
+                store.put_bytes(key, blob, digest)
+
+    def commit_boundaries(trace, t: int) -> None:
+        """Hash the activation and gradient at every grid boundary of step
+        ``t`` in one batch, and store them unless the run is
+        zero-storage."""
+        losses.append(trace.loss)
+        acts, gacts = ctx.boundary_tensors(trace)
+        keys = [BoundaryKey(kind, b, t) for kind in ("activation", "gradient")
+                for b in range(grid.n_boundaries)]
+        tensors = acts + gacts
+        for key, arr, digest in zip(keys, tensors, ctx.hash_many(tensors)):
+            table[key] = digest
+            if not ctx.config.zero_storage:
+                store.put_tensor(key, arr, digest)
+
+    for j in _run_rows(ctx, state, step, commit_params, commit_boundaries):
         for i in range(grid.n_layer_blocks):
             ledger.append(seal_block(grid, BlockId(i, j), table))
         ledger.save(out_dir / LEDGER_FILE)
-
-    for t in range(config.n_steps):
-        j = block_starts.get(t)
-        if j is not None:
-            commit_params(ctx, state, t, table, store)
-            if j > 0:
-                seal_row(j - 1)
-        trace = train_step(state, ctx.batch(t))
-        losses.append(trace.loss)
-        commit_boundaries(ctx, trace, t, table, store)
-
-    commit_params(ctx, state, config.n_steps, table, store)
-    seal_row(grid.n_step_blocks - 1)
     store.save_index()
     return RunResult(ledger, store, state, losses, store.logical_bytes())
 
@@ -174,16 +170,6 @@ def run_uninstrumented(manifest: dict) -> tuple[ModelState, list[float]]:
     return state, losses
 
 
-def materialize_block_tensors(manifest: dict,
-                              wanted: set[BoundaryKey]) -> dict[BoundaryKey, np.ndarray]:
-    """Deterministic rerun that captures only the requested boundary and
-    checkpoint tensors (zero-storage verification path)."""
-    out: dict[BoundaryKey, np.ndarray] = {}
-    for _, row in rerun_rows(manifest, wanted):
-        out.update(row)
-    return out
-
-
 def rerun_rows(manifest: dict, wanted: set[BoundaryKey]):
     """Deterministic rerun that yields ``(j, tensors)`` as soon as it has
     passed step-block row j: the wanted keys whose step lies in row j's
@@ -191,16 +177,11 @@ def rerun_rows(manifest: dict, wanted: set[BoundaryKey]):
     float32 arrays, optimizer states uint8 arrays. Stop iterating to stop
     the rerun."""
     ctx = RunContext(manifest)
-    grid, config = ctx.grid, ctx.config
-    state = ctx.fresh_state()
+    grid = ctx.grid
     row: dict[BoundaryKey, np.ndarray] = {}
-    param_steps = {k.step for k in wanted
-                   if k.kind in ("parameter", "optimizer-state")}
 
-    def capture_params(t: int) -> None:
-        if t not in param_steps:
-            return
-        for l in range(config.n_layers):
+    def capture_params(state: ModelState, t: int) -> None:
+        for l in range(ctx.config.n_layers):
             pk = BoundaryKey("parameter", l, t)
             ok = BoundaryKey("optimizer-state", l, t)
             if pk in wanted:
@@ -210,21 +191,19 @@ def rerun_rows(manifest: dict, wanted: set[BoundaryKey]):
                 row[ok] = np.frombuffer(opt_state_bytes(state, l),
                                         dtype=np.uint8).copy()
 
-    capture_params(0)
-    for j, (a, b) in enumerate(grid.step_blocks):
-        for t in range(a, b):
-            trace = train_step(state, ctx.batch(t))
-            acts, gacts = ctx.boundary_tensors(trace)
-            for k in range(grid.n_boundaries):
-                ak = BoundaryKey("activation", k, t)
-                gk = BoundaryKey("gradient", k, t)
-                if ak in wanted:
-                    row[ak] = acts[k]
-                if gk in wanted:
-                    row[gk] = gacts[k]
-            capture_params(t + 1)
+    def capture_boundaries(trace, t: int) -> None:
+        acts, gacts = ctx.boundary_tensors(trace)
+        for k in range(grid.n_boundaries):
+            for key, arr in ((BoundaryKey("activation", k, t), acts[k]),
+                             (BoundaryKey("gradient", k, t), gacts[k])):
+                if key in wanted:
+                    row[key] = arr
+
+    for j in _run_rows(ctx, ctx.fresh_state(), train_step, capture_params,
+                       capture_boundaries):
         yield j, row
         # the exit parameters are the next row's entry
+        b = grid.step_blocks[j][1]
         row = {k: v for k, v in row.items() if k.step == b}
 
 
@@ -292,10 +271,3 @@ def reference_closure(grid: BlockGrid, bids: list[BlockId]) -> set[BoundaryKey]:
             keep.add(BoundaryKey("activation", bid.i, t))
             keep.add(BoundaryKey("gradient", bid.i + 1, t))
     return keep
-
-
-def prune_after_verification(run_dir, requested: list[BlockId]) -> int:
-    """Delete blobs not needed to verify the requested blocks. The ledger
-    is untouched; pruned keys later report 'evidence released'."""
-    from .orchestrate import Run
-    return Run.open(run_dir).prune(requested)

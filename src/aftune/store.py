@@ -34,7 +34,13 @@ class TensorStore:
         self.blob_dir.mkdir(parents=True, exist_ok=True)
         self.index: dict[str, dict] = {}
         if self.index_path.exists():
-            self.index = json.loads(self.index_path.read_text())
+            try:
+                self.index = json.loads(self.index_path.read_text())
+            except ValueError as e:
+                raise StoreError(f"{self.index_path} is not valid JSON: {e}") \
+                    from None
+            if not isinstance(self.index, dict):
+                raise StoreError(f"{self.index_path} is not a JSON object")
 
     @property
     def index_path(self) -> Path:
@@ -82,10 +88,6 @@ class TensorStore:
         ent = self.index.get(str(key))
         return ent is not None and self._blob_path(
             Digest.from_hex(ent["digest"], ent["algo"])).exists()
-
-    def digest_of(self, key: BoundaryKey) -> Digest:
-        ent = self._entry(key)
-        return Digest.from_hex(ent["digest"], ent["algo"])
 
     def get_bytes(self, key: BoundaryKey) -> bytes:
         ent = self._entry(key)

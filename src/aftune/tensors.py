@@ -32,7 +32,3 @@ def rel_l2_error(replayed: np.ndarray, recorded: np.ndarray) -> float:
     diff = float(np.linalg.norm(a - b))
     denom = float(np.linalg.norm(b))
     return diff / denom if denom > 0.0 else diff
-
-
-def as_f32(arr) -> np.ndarray:
-    return np.asarray(arr, dtype=np.float32)

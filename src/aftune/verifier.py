@@ -19,14 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (BASE_MODEL_ANCHOR, INPUT_ANCHOR, LABEL_ANCHOR, BlockGrid,
-                   BlockId, BoundaryKey, GridConfig, label_anchor_key)
+from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig, label_anchor_key
 from .hashing import Digest, chunked_hash_many, label_bytes
-from .ledger import RunLedger
 from .model import (build_model, backward_block, forward_block, param_bytes,
                     params_digest)
 from .optim import build_optimizer
-from .store import EvidenceReleasedError, TensorStore
 from .tensors import NonFiniteError, rel_l2_error
 
 DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024  # bytes of payload a verifier accepts
@@ -530,3 +527,18 @@ def verify_block(req: VerificationRequest) -> VerificationReport:
     if req.mode == "inference":
         return verify_inference_block(req)
     raise VerifierError(f"unknown mode {req.mode!r}")
+
+
+def verify_or_refuse(req: VerificationRequest | bytes) -> VerificationReport:
+    """``verify_block``'s report on ``req``, parsed first when it is
+    request bytes. A request that cannot be parsed or checked
+    (VerifierError) is answered 'refused': the rule of both the
+    in-process and the isolated verifier."""
+    block = None
+    try:
+        if isinstance(req, bytes):
+            req = VerificationRequest.from_bytes(req)
+        block = req.block
+        return verify_block(req)
+    except VerifierError as e:
+        return VerificationReport(block=block, verdict=REFUSED, note=str(e))

@@ -9,7 +9,8 @@ read, and exits 0 at end of input on a frame boundary.
 The process sees nothing but request bytes, so verification cannot
 depend on ambient run state; ``verify_block`` keeps no state between
 requests. A request that cannot be parsed or checked is answered with a
-'refused' report. A frame that declares more bytes than stdin delivers
+'refused' report, by the rule the in-process path applies too
+(``verify_or_refuse``). A frame that declares more bytes than stdin delivers
 is answered with 'refused' and ends the loop; frame bodies are read in
 bounded pieces, so a bogus length costs no more memory than the bytes
 actually sent. Any other exception kills the worker with a traceback.
@@ -21,8 +22,8 @@ import json
 import struct
 import sys
 
-from .verifier import (REFUSED, VerificationReport, VerificationRequest,
-                       VerifierError, verify_block)
+from .verifier import (REFUSED, VerificationReport, VerifierError,
+                       verify_or_refuse)
 
 _LENGTH = struct.Struct("<Q")
 _PIECE = 1 << 20  # largest single read of a frame body
@@ -67,16 +68,6 @@ def read_frame(stream) -> bytes | None:
     return body
 
 
-def _verify(data: bytes) -> VerificationReport:
-    req = None
-    try:
-        req = VerificationRequest.from_bytes(data)
-        return verify_block(req)
-    except VerifierError as e:
-        return VerificationReport(block=req.block if req else None,
-                                  verdict=REFUSED, note=str(e))
-
-
 def _answer(report: VerificationReport) -> None:
     sys.stdout.write(json.dumps(report.to_json()) + "\n")
     sys.stdout.flush()
@@ -92,7 +83,7 @@ def main() -> int:
             return 0
         if data is None:
             return 0
-        _answer(_verify(data))
+        _answer(verify_or_refuse(data))
 
 
 if __name__ == "__main__":

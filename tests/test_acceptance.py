@@ -26,8 +26,7 @@ from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
 from aftune.hashing import chunked_hash
 from aftune.ledger import RunLedger
 from aftune.model import build_model, forward_block, param_bytes
-from aftune.orchestrate import Run, check_trust_chain, reconstruct_state, \
-    run_verification, save_inference_params
+from aftune.orchestrate import Run, check_trust_chain, save_inference_params
 from aftune.presets import attack_mlp_model, dataset_for, default_optimizer, \
     trained_attack_classifier
 from aftune.recorder import (LEDGER_FILE, RunContext,
@@ -102,7 +101,7 @@ def attack_subject():
 
 def _all_verdicts(run_dir):
     ledger = RunLedger.load(Path(run_dir) / LEDGER_FILE)
-    return {str(e.block): run_verification(run_dir, e.block)
+    return {str(e.block): Run.open(run_dir).verify([e.block])[0]
             for e in ledger.entries}
 
 
@@ -124,7 +123,7 @@ def test_acceptance_detection_probability(tmp_path):
     raw[0] ^= 0x01
     blob.write_bytes(bytes(raw))
     plan = AuditPlan(m=3, strategy="uniform", seed=2)
-    result = run_campaign(tmp_path / "run", plan, trials=10_000)
+    result = run_campaign(Run.open(tmp_path / "run"), plan, trials=10_000)
     assert result.failing_blocks == ["0,1"]
     assert result.exact_rate == pytest.approx(1 / 3, rel=1e-12)
     assert abs(result.empirical_rate - 1 / 3) < 0.03
@@ -162,7 +161,7 @@ def test_acceptance_bit_flips_fail_hash_check(tmp_path):
         bit = int(rng.integers(len(raw) * 8))
         raw[bit // 8] ^= 1 << (bit % 8)
         blob.write_bytes(bytes(raw))
-        report = run_verification(tmp_path / "run", block)
+        report = Run.open(tmp_path / "run").verify([block])[0]
         assert report.verdict == FAIL, (str(block), str(key), bit)
         assert report.cause == HASH_MISMATCH, (str(block), str(key))
         raw[bit // 8] ^= 1 << (bit % 8)
@@ -187,7 +186,7 @@ def test_acceptance_small_forgeries_fail_numerically(tmp_path):
         rel = float(rng.uniform(10 * TAU, 100 * TAU))
         noise *= rel * np.linalg.norm(x) / np.linalg.norm(noise)
         rewrite_key(run, key, (x + noise).astype(np.float32))
-        report = run_verification(run, BlockId(b - 1, t // grid.config.bs))
+        report = Run.open(run).verify([BlockId(b - 1, t // grid.config.bs)])[0]
         assert report.verdict == FAIL, (b, t, rel)
         assert report.cause == NUMERICAL_MISMATCH, (b, t, rel)
         assert report.measured_error > TAU
@@ -216,8 +215,8 @@ def test_acceptance_sparse_reconstruction_is_bitwise(tmp_path, ic):
     record_run(tmp_path / "sparse", ic=ic, **kw)
     record_run(tmp_path / "dense", ic=1, **kw)
     for step in range(0, 17, 2):
-        sparse = reconstruct_state(tmp_path / "sparse", step)
-        dense = reconstruct_state(tmp_path / "dense", step)
+        sparse = Run.open(tmp_path / "sparse").state_at(step)
+        dense = Run.open(tmp_path / "dense").state_at(step)
         for a, b in zip(sparse.layers, dense.layers):
             assert param_bytes(a) == param_bytes(b)
         for l in range(len(dense.layers)):
@@ -287,7 +286,7 @@ def test_acceptance_attack_separation(tmp_path, attack_subject):
     save_inference_params(tmp_path / "honest", layers)
     honest_err = 0.0
     for i in range(BlockGrid(config).n_layer_blocks):
-        report = run_verification(tmp_path / "honest", BlockId(i, 0))
+        report = Run.open(tmp_path / "honest").verify([BlockId(i, 0)])[0]
         assert report.verdict == PASS
         honest_err = max(honest_err, max(report.errors.values()))
     # minimal successful forgeries sit far above the honest floor
@@ -330,7 +329,7 @@ def test_acceptance_scenarios_detected_by_documented_strategy(tmp_path,
         run = tmp_path / scenario
         result = apply_scenario(scenario, make_manifest(ic=1), run)
         plan = AuditPlan(m=3, strategy="uniform", seed=9)
-        campaign = run_campaign(run, plan, trials=3000)
+        campaign = run_campaign(Run.open(run), plan, trials=3000)
         grid = BlockGrid(GridConfig.from_dict(
             RunLedger.load(run / LEDGER_FILE).manifest["grid"]))
         k = len(campaign.failing_blocks)
@@ -361,7 +360,7 @@ def test_acceptance_scenarios_detected_by_documented_strategy(tmp_path,
         result = apply_inference_scenario(scenario, spec, infer_config,
                                           served, x, run)
         bad = BlockId.parse(result.tampered_blocks[0])
-        report = run_verification(run, bad)
+        report = Run.open(run).verify([bad])[0]
         assert report.verdict == FAIL, scenario
         assert report.cause == cause, scenario
 
@@ -387,7 +386,8 @@ def test_acceptance_nan_forgeries_fail(tmp_path):
             (FAIL, NON_FINITE, str(key)), consumer
     assert {b for b, r in verdicts.items() if r.verdict != PASS} == \
         {"0,1", "1,1", "1,2"}
-    campaign = run_campaign(tmp_path / "train", AuditPlan(m=1), trials=10)
+    campaign = run_campaign(Run.open(tmp_path / "train"), AuditPlan(m=1),
+                            trials=10)
     assert campaign.failing_blocks == ["0,1", "1,1", "1,2"]
 
     # the served inference output rewritten to all-NaN

@@ -11,7 +11,7 @@ from aftune.adversary import (AdversaryError, apply_inference_scenario,
                               rewrite_key)
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from aftune.ledger import RunLedger
-from aftune.orchestrate import check_trust_chain, run_verification
+from aftune.orchestrate import Run, check_trust_chain
 from aftune.presets import (ATTACK_SAMPLE, attack_mlp_model,
                             trained_attack_classifier)
 from aftune.recorder import LEDGER_FILE
@@ -29,7 +29,7 @@ def attack_subject():
 
 def _verdicts(run_dir):
     ledger = RunLedger.load(f"{run_dir}/{LEDGER_FILE}")
-    return {str(e.block): run_verification(run_dir, e.block)
+    return {str(e.block): Run.open(run_dir).verify([e.block])[0]
             for e in ledger.entries}
 
 
@@ -46,7 +46,7 @@ def test_rewrite_key_is_self_consistent(mlp_run, tmp_path):
     assert store.get_tensor(key).tobytes() == forged.tobytes()
     assert ledger.all_digests()[key].hex == store.index[str(key)]["digest"]
     # only recomputation exposes it
-    report = run_verification(run, BlockId(0, 1))
+    report = Run.open(run).verify([BlockId(0, 1)])[0]
     assert report.verdict == FAIL
     assert report.cause == NUMERICAL_MISMATCH
 
@@ -136,7 +136,7 @@ def test_serve_wrong_model_detected(tmp_path, attack_subject):
     config = GridConfig(n_layers=len(spec["layers"]), n_steps=1, bl=2, bs=1)
     result = apply_inference_scenario("serve-wrong-model", spec, config,
                                       layers, x, tmp_path / "swm")
-    report = run_verification(tmp_path / "swm", BlockId(0, 0))
+    report = Run.open(tmp_path / "swm").verify([BlockId(0, 0)])[0]
     assert report.verdict == FAIL
     assert report.cause == HASH_MISMATCH
     assert report.failed_key == "model-parameters"
@@ -150,11 +150,11 @@ def test_fabricate_output_detected(tmp_path, attack_subject):
     result = apply_inference_scenario("fabricate-output", spec, config,
                                       layers, x, tmp_path / "fo")
     bad = BlockId.parse(result.tampered_blocks[0])
-    report = run_verification(tmp_path / "fo", bad)
+    report = Run.open(tmp_path / "fo").verify([bad])[0]
     assert report.verdict == FAIL
     assert report.cause == NUMERICAL_MISMATCH
     # untouched prefix blocks still pass
-    assert run_verification(tmp_path / "fo", BlockId(0, 0)).verdict == PASS
+    assert Run.open(tmp_path / "fo").verify([BlockId(0, 0)])[0].verdict == PASS
 
 
 def test_pgd_attack_flips_the_prediction(attack_subject):

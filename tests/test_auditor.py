@@ -13,6 +13,7 @@ from aftune.auditor import (AuditError, AuditPlan, audit_run,
                             p_detect_exact, p_detect_poisson, p_evade_exact,
                             run_campaign, sample_blocks, wilson_interval)
 from aftune.grid import BlockGrid, BlockId, GridConfig
+from aftune.orchestrate import Run
 
 GRID = BlockGrid(GridConfig(n_layers=8, n_steps=12, bl=2, bs=3))  # 4 x 4
 
@@ -132,7 +133,7 @@ def test_uniform_sampling_frequencies_are_uniform():
 
 def test_audit_run_on_honest_run(mlp_run):
     plan = AuditPlan(m=4, strategy="uniform", seed=5)
-    report = audit_run(mlp_run["dir"], plan)
+    report = audit_run(Run.open(mlp_run["dir"]), plan)
     assert report.ok
     assert report.plan_commitment == plan.commitment()
     assert len(report.sampled) == 4
@@ -142,12 +143,12 @@ def test_audit_run_on_honest_run(mlp_run):
 def test_audit_rejects_uncommitted_explicit_blocks(mlp_run):
     plan = AuditPlan(m=0, strategy="explicit", blocks=["9,9"])
     with pytest.raises(AuditError):
-        audit_run(mlp_run["dir"], plan)
+        audit_run(Run.open(mlp_run["dir"]), plan)
 
 
 def test_campaign_on_honest_run_never_detects(mlp_run):
     plan = AuditPlan(m=2, strategy="uniform", seed=3)
-    result = run_campaign(mlp_run["dir"], plan, trials=50)
+    result = run_campaign(Run.open(mlp_run["dir"]), plan, trials=50)
     assert result.failing_blocks == []
     assert result.detections == 0
     assert result.exact_rate == 0.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,10 @@ from click.testing import CliRunner
 import aftune
 from aftune.adversary import rewrite_key
 from aftune.cli import main
-from aftune.grid import BoundaryKey
+from aftune.grid import BlockId, BoundaryKey
+from aftune.orchestrate import ReconstructionError, Run
 from aftune.store import TensorStore
+from aftune.verifier import REFUSED
 
 
 @pytest.fixture()
@@ -254,3 +257,65 @@ def test_zeroed_label_anchors_fail_verify(sha_run, tmp_path, runner):
     result = _invoke(runner, tmp_path, "verify", "zeroed")
     assert result.exit_code == 1, result.output
     assert "fail (hash-mismatch" in result.output
+
+
+def _exits_cleanly(result, code):
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+def test_forged_optimizer_counter_is_refused(mlp_run, tmp_path, runner):
+    # a self-consistent checkpoint whose layers disagree on the step count
+    run = tmp_path / "counter"
+    shutil.copytree(mlp_run["dir"], run)
+    key = BoundaryKey("optimizer-state", 0, 4)
+    blob = TensorStore(run).get_bytes(key)
+    rewrite_key(run, key, struct.pack("<I", 99) + blob[4:])
+    # 0,2 loads the checkpoint in the verifier, 0,3 replays from it in
+    # the orchestrator; both alone and in one walk
+    bids = [BlockId(0, 2), BlockId(0, 3)]
+    in_proc = Run.open(run).verify(bids) + \
+        [Run.open(run).verify([b])[0] for b in bids]
+    isolated = Run.open(run).verify(bids, isolated=True) + \
+        [Run.open(run).verify([b], isolated=True)[0] for b in bids]
+    assert [r.verdict for r in in_proc] == [REFUSED] * 4
+    assert all("inconsistent optimizer counters" in r.note for r in in_proc)
+    assert [r.to_json() for r in isolated] == [r.to_json() for r in in_proc]
+    for args in (["verify", "counter"], ["verify", "counter", "--isolated"],
+                 ["verify", "counter", "--block", "0,3"],
+                 ["audit", "counter", "--strategy", "explicit",
+                  "--block", "0,2", "--block", "0,3"]):
+        _exits_cleanly(_invoke(runner, tmp_path, *args), 1)
+    with pytest.raises(ReconstructionError, match="optimizer counters"):
+        Run.open(run).state_at(4)
+
+
+def test_missing_index_is_evidence_released(sha_run, tmp_path, runner):
+    # what a recording that crashed before its end leaves behind
+    run = tmp_path / "noindex"
+    shutil.copytree(sha_run, run)
+    (run / "index.json").unlink()
+    for args in (["verify", "noindex"], ["verify", "noindex", "--isolated"],
+                 ["audit", "noindex", "--m", "3"]):
+        _exits_cleanly(_invoke(runner, tmp_path, *args), 1)
+    reports = json.loads((run / "verify_report.json").read_text())["reports"]
+    assert {r["verdict"] for r in reports} == {"evidence-released"}
+    assert all(r["note"].startswith("no index entry for ") for r in reports)
+
+    assert _invoke(runner, tmp_path, "record-infer", "infer").exit_code == 0
+    (tmp_path / "infer" / "index.json").unlink()
+    _exits_cleanly(_invoke(runner, tmp_path, "verify", "infer"), 1)
+
+
+@pytest.mark.parametrize("text", ['{"activation:0@0": ', "[]"],
+                         ids=["truncated", "not-an-object"])
+def test_garbled_index_is_a_usage_error(sha_run, tmp_path, runner, text):
+    run = tmp_path / "badindex"
+    shutil.copytree(sha_run, run)
+    (run / "index.json").write_text(text)
+    for args in (["verify", "badindex"], ["audit", "badindex", "--m", "1"],
+                 ["prune", "badindex", "--keep", "0,0"]):
+        result = _invoke(runner, tmp_path, *args)
+        _exits_cleanly(result, 2)
+        assert "index.json" in result.output

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from aftune.grid import (BASE_MODEL_ANCHOR, INPUT_ANCHOR, LABEL_ANCHOR,
                          BlockGrid, BlockId, BoundaryKey, GridConfig,
-                         partition, storage_estimate)
+                         storage_estimate)
 
 
 @st.composite
@@ -173,7 +173,6 @@ def test_key_string_roundtrip():
     assert BoundaryKey.parse(str(key)) == key
     bid = BlockId(4, 9)
     assert BlockId.parse(str(bid)) == bid
-    assert partition(GridConfig(n_layers=2, n_steps=2, bl=1, bs=1)) is not None
 
 
 def test_storage_estimate_matches_hand_formula():

@@ -8,9 +8,7 @@ from aftune.grid import BlockId, BoundaryKey
 from aftune.ledger import RunLedger
 from aftune.model import param_bytes
 from aftune.orchestrate import (NonDeterministicBlockError,
-                                ReconstructionError, check_trust_chain,
-                                gather_request, reconstruct_state,
-                                run_verification)
+                                ReconstructionError, Run, check_trust_chain)
 from aftune.recorder import LEDGER_FILE, opt_state_bytes
 from aftune.store import TensorStore
 from aftune.verifier import PASS
@@ -24,8 +22,8 @@ def test_sparse_reconstruction_is_bitwise(tmp_path, ic):
     record_run(tmp_path / "sparse", ic=ic, **kw)
     record_run(tmp_path / "dense", ic=1, **kw)
     for step in (0, 2, 4, 6, 8):
-        sparse = reconstruct_state(tmp_path / "sparse", step)
-        dense = reconstruct_state(tmp_path / "dense", step)
+        sparse = Run.open(tmp_path / "sparse").state_at(step)
+        dense = Run.open(tmp_path / "dense").state_at(step)
         assert sparse.t == step
         for a, b in zip(sparse.layers, dense.layers):
             assert param_bytes(a) == param_bytes(b)
@@ -35,13 +33,13 @@ def test_sparse_reconstruction_is_bitwise(tmp_path, ic):
 
 def test_reconstruction_requires_step_block_boundary(mlp_run):
     with pytest.raises(ReconstructionError):
-        reconstruct_state(mlp_run["dir"], 3)
+        Run.open(mlp_run["dir"]).state_at(3)
 
 
 def test_reconstruction_refuses_zero_storage(tmp_path):
     record_run(tmp_path / "zs", ic=None, zero_storage=True)
     with pytest.raises(ReconstructionError):
-        reconstruct_state(tmp_path / "zs", 0)
+        Run.open(tmp_path / "zs").state_at(0)
 
 
 def test_reconstruction_detects_tampered_checkpoint(mlp_run, tmp_path):
@@ -53,7 +51,7 @@ def test_reconstruction_detects_tampered_checkpoint(mlp_run, tmp_path):
     raw[0] ^= 0x01
     blob.write_bytes(bytes(raw))
     with pytest.raises(ReconstructionError):
-        reconstruct_state(run, 4)
+        Run.open(run).state_at(4)
 
 
 def test_non_deterministic_layer_needs_isolation(tmp_path):
@@ -70,7 +68,7 @@ def test_non_deterministic_layer_needs_isolation(tmp_path):
                               dataset_for("unstable"), config, 11, 8)
     record_training(manifest, tmp_path / "bad")
     with pytest.raises(NonDeterministicBlockError):
-        gather_request(tmp_path / "bad", BlockId(1, 1))
+        Run.open(tmp_path / "bad").request(BlockId(1, 1))
 
 
 def test_isolated_unstable_preset_verifies(tmp_path):
@@ -78,7 +76,7 @@ def test_isolated_unstable_preset_verifies(tmp_path):
     grid = result.ledger.grid
     assert any(grid.is_isolated(i) for i in range(grid.n_layer_blocks))
     for bid in grid.block_ids():
-        assert run_verification(tmp_path / "iso", bid).verdict == PASS
+        assert Run.open(tmp_path / "iso").verify([bid])[0].verdict == PASS
 
 
 def test_trust_chain_ok_on_honest_run(mlp_run):

@@ -6,17 +6,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from aftune.adversary import apply_scenario
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
     storage_estimate
 from aftune.hashing import chunked_hash
 from aftune.ledger import RunLedger
 from aftune.model import build_model, forward_block, param_bytes
 from aftune.presets import dataset_for, default_optimizer, grid_for, model_for
+from aftune.orchestrate import Run
 from aftune.recorder import (LEDGER_FILE, RunContext, build_inference_manifest,
-                             build_manifest, materialize_block_tensors,
-                             opt_state_bytes, prune_after_verification,
-                             record_inference, record_training,
-                             run_uninstrumented)
+                             build_manifest, opt_state_bytes, record_inference,
+                             record_training, rerun_rows, run_uninstrumented)
 from aftune.store import TensorStore
 from aftune.verifier import EVIDENCE_RELEASED
 
@@ -31,6 +31,34 @@ def test_recording_does_not_perturb_training(tmp_path):
         assert param_bytes(rec) == param_bytes(bare)
     for l in range(len(bare_state.layers)):
         assert opt_state_bytes(result.state, l) == opt_state_bytes(bare_state, l)
+
+
+# ledger digests of fixed 4-step runs: any change to what the recorder
+# commits, or in which order, shows here
+GOLDEN_LEDGER_DIGESTS = [
+    ("sha256", dict(algo="sha256"), None,
+     "3c6a6d05497aecc9f2ac72dbb46bf70206d2d0567eb8a28e2ee4f0a1afd52d72"),
+    ("zero-storage", dict(algo="sha256", ic=None, zero_storage=True), None,
+     "34f90fc3c66831265f28b391af14f5e0f336dc53772b0c0a6d641b7f1d7dfaa5"),
+    ("blake3", dict(algo="blake3"), None,
+     "aaa65b2debc9118c72b68562db6177042566e7f6bbc7ac2f43d55d14cae7b9c9"),
+    ("under-train-sha256", dict(algo="sha256"), "under-train",
+     "797283b4e524252fb498be673c9e538d3e5fb2449ecac8a15277ba53b932385b"),
+    ("under-train-blake3", dict(algo="blake3"), "under-train",
+     "246a491484765472e37c6e76457651c2c27ed68b61f4fff20bc073609819060e"),
+]
+
+
+@pytest.mark.parametrize("kw, scenario, want",
+                         [g[1:] for g in GOLDEN_LEDGER_DIGESTS],
+                         ids=[g[0] for g in GOLDEN_LEDGER_DIGESTS])
+def test_ledger_digest_is_golden(tmp_path, kw, scenario, want):
+    manifest = make_manifest(n_steps=4, **kw)
+    if scenario is None:
+        record_training(manifest, tmp_path / "run")
+    else:
+        apply_scenario(scenario, manifest, tmp_path / "run")
+    assert RunLedger.load(tmp_path / "run" / LEDGER_FILE).digest().hex == want
 
 
 def test_ledger_row_structure(tmp_path):
@@ -117,7 +145,9 @@ def test_materialized_tensors_match_ledger_digests(tmp_path):
     grid = ledger.grid
     digests = ledger.all_digests()
     wanted = set(grid.commitment_keys(BlockId(1, 1)))
-    mat = materialize_block_tensors(manifest, wanted)
+    mat = {}
+    for _, row in rerun_rows(manifest, wanted):
+        mat.update(row)
     assert set(mat) == wanted
     for key, arr in mat.items():
         got = chunked_hash(np.ascontiguousarray(arr).tobytes()
@@ -145,17 +175,16 @@ def test_record_inference_boundaries(tmp_path):
 
 
 def test_prune_keeps_requested_block_verifiable(tmp_path):
-    from aftune.orchestrate import run_verification
     record_run(tmp_path / "run", n_steps=8, bl=2, bs=2, ic=2)
     keep = BlockId(0, 1)
-    removed = prune_after_verification(tmp_path / "run", [keep])
+    removed = Run.open(tmp_path / "run").prune([keep])
     assert removed > 0
-    assert run_verification(tmp_path / "run", keep).verdict == "pass"
-    dropped = run_verification(tmp_path / "run", BlockId(2, 3))
+    assert Run.open(tmp_path / "run").verify([keep])[0].verdict == "pass"
+    dropped = Run.open(tmp_path / "run").verify([BlockId(2, 3)])[0]
     assert dropped.verdict == EVIDENCE_RELEASED
 
 
 def test_prune_rejects_uncommitted_block(tmp_path):
     record_run(tmp_path / "run")
     with pytest.raises(ValueError):
-        prune_after_verification(tmp_path / "run", [BlockId(9, 9)])
+        Run.open(tmp_path / "run").prune([BlockId(9, 9)])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from aftune import verifier_worker
 from aftune.grid import BlockId, BoundaryKey, label_anchor_key
 from aftune.hashing import Digest
-from aftune.orchestrate import Run, gather_request, run_verification
+from aftune.orchestrate import Run
 from aftune.verifier import (EVIDENCE_RELEASED, FAIL, HASH_MISMATCH,
                              NUMERICAL_MISMATCH, PASS, REFUSED,
                              VerificationReport, VerificationRequest,
@@ -26,7 +26,7 @@ from conftest import copy_run
 
 
 def _request(run, bid=BlockId(0, 0), **kw):
-    req = gather_request(run["dir"], bid, **kw)
+    req = Run.open(run["dir"]).request(bid, **kw)
     assert isinstance(req, VerificationRequest)
     return req
 
@@ -52,14 +52,14 @@ def test_request_wire_roundtrip(mlp_run):
 def test_honest_blocks_pass_with_zero_error(mlp_run):
     grid = mlp_run["result"].ledger.grid
     for bid in grid.block_ids():
-        report = run_verification(mlp_run["dir"], bid)
+        report = Run.open(mlp_run["dir"]).verify([bid])[0]
         assert report.verdict == PASS, report.to_json()
         # same-platform replay is bitwise: every measured error is 0
         assert all(v == 0.0 for v in report.errors.values())
 
 
 def test_report_json_roundtrip(mlp_run):
-    report = run_verification(mlp_run["dir"], BlockId(0, 0))
+    report = Run.open(mlp_run["dir"]).verify([BlockId(0, 0)])[0]
     back = VerificationReport.from_json(json.loads(json.dumps(report.to_json())))
     assert back.block == report.block
     assert back.verdict == report.verdict
@@ -68,7 +68,8 @@ def test_report_json_roundtrip(mlp_run):
 
 
 def test_memory_budget_refusal(mlp_run):
-    report = run_verification(mlp_run["dir"], BlockId(0, 0), memory_budget=64)
+    report = Run.open(mlp_run["dir"]).verify([BlockId(0, 0)],
+                                             memory_budget=64)[0]
     assert report.verdict == REFUSED
     assert "budget" in report.note
 
@@ -91,8 +92,8 @@ def test_replay_noise_beyond_tolerance_fails(mlp_run):
 
 
 def test_f64_shadow_replay_stays_close_to_f32_recording(mlp_run):
-    report = run_verification(mlp_run["dir"], BlockId(1, 1), precision="f64",
-                              tau=1e-5)
+    report = Run.open(mlp_run["dir"]).verify([BlockId(1, 1)], precision="f64",
+                                             tau=1e-5)[0]
     assert report.verdict == PASS
     # replaying in f64 against f32 recordings leaves rounding-level drift
     assert 0 < max(report.errors.values()) < 1e-5
@@ -182,8 +183,9 @@ def test_unknown_mode_rejected(mlp_run):
 
 
 def test_isolated_worker_matches_in_process(mlp_run):
-    in_proc = run_verification(mlp_run["dir"], BlockId(1, 0))
-    isolated = run_verification(mlp_run["dir"], BlockId(1, 0), isolated=True)
+    in_proc = Run.open(mlp_run["dir"]).verify([BlockId(1, 0)])[0]
+    isolated = Run.open(mlp_run["dir"]).verify([BlockId(1, 0)],
+                                               isolated=True)[0]
     assert isolated.verdict == in_proc.verdict == PASS
     assert isolated.errors == in_proc.errors
 
@@ -213,7 +215,7 @@ def test_zero_storage_blocks_verify_by_rematerialization(tmp_path):
     from conftest import record_run
     record_run(tmp_path / "zs", ic=None, zero_storage=True)
     for bid in (BlockId(0, 0), BlockId(2, 3)):
-        report = run_verification(tmp_path / "zs", bid)
+        report = Run.open(tmp_path / "zs").verify([bid])[0]
         assert report.verdict == PASS, report.to_json()
 
 
@@ -236,7 +238,7 @@ def test_inference_run_verifies_and_binds_model_digest(tmp_path):
     record_inference(manifest, layers, x, tmp_path / "inf")
     save_inference_params(tmp_path / "inf", layers)
     for bid in BlockGrid(config).block_ids():
-        assert run_verification(tmp_path / "inf", bid).verdict == PASS
+        assert Run.open(tmp_path / "inf").verify([bid])[0].verdict == PASS
 
     # swap the served parameters: the manifest digest binding must catch it
     tampered = copy_run(tmp_path / "inf", tmp_path / "inf2")
@@ -244,7 +246,7 @@ def test_inference_run_verifies_and_binds_model_digest(tmp_path):
     raw = bytearray(blob.read_bytes())
     raw[0] ^= 0x40
     blob.write_bytes(bytes(raw))
-    report = run_verification(tampered, BlockId(0, 0))
+    report = Run.open(tampered).verify([BlockId(0, 0)])[0]
     assert report.verdict == FAIL
     assert report.cause == HASH_MISMATCH
     assert report.failed_key == "model-parameters"
