@@ -20,8 +20,8 @@ from .hashing import chunked_hash
 from .ledger import RunLedger
 from .model import (StepTrace, backward_block, build_model, forward_block,
                     train_step)
-from .recorder import (LEDGER_FILE, build_inference_manifest, build_manifest,
-                       record_inference, record_training)
+from .recorder import (LEDGER_FILE, build_manifest, record_inference,
+                       record_training)
 from .store import TensorStore
 
 SCENARIOS = (
@@ -202,33 +202,27 @@ def apply_scenario(scenario: str, manifest: dict, out_dir,
                          "apply_inference_scenario")
 
 
-def apply_inference_scenario(scenario: str, model_spec: dict,
-                             config: GridConfig, layers, x: np.ndarray,
-                             out_dir, seed: int = 0) -> ScenarioResult:
-    """Tampered forward-only recordings."""
+def apply_inference_scenario(scenario: str, manifest: dict, layers,
+                             x: np.ndarray, out_dir,
+                             seed: int = 0) -> ScenarioResult:
+    """Tampered forward-only recordings for ``manifest``, whose model
+    digest binds ``layers``, on input ``x``."""
     out_dir = Path(out_dir)
-    from .orchestrate import save_inference_params
+    grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
     if scenario == "serve-wrong-model":
         # serve a model with perturbed weights under the claimed digest
-        manifest = build_inference_manifest(model_spec, config,
-                                            layers=layers)
         rng = np.random.default_rng(seed)
-        served = build_model(model_spec)
+        served = build_model(manifest["model"])
         for mine, theirs in zip(served, layers):
             for n in mine.params:
                 p = theirs.params[n]
                 mine.params[n] = p + rng.normal(0, 0.05 * (np.abs(p).mean() + 1e-6),
                                                 p.shape).astype(np.float32)
         record_inference(manifest, served, x, out_dir)
-        save_inference_params(out_dir, served)
-        grid = BlockGrid(config)
         return ScenarioResult(scenario, str(out_dir),
                               [str(BlockId(i, 0)) for i in range(grid.n_layer_blocks)])
     if scenario == "fabricate-output":
-        manifest = build_inference_manifest(model_spec, config, layers=layers)
         record_inference(manifest, layers, x, out_dir)
-        save_inference_params(out_dir, layers)
-        grid = BlockGrid(config)
         b = grid.n_layer_blocks
         key = BoundaryKey("activation", b, 0)
         store = TensorStore(out_dir)

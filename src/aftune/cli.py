@@ -27,10 +27,9 @@ from .grid import BlockId, GridConfig
 from .hashing import ALGORITHMS, chunked_hash
 from .ledger import LedgerError
 from .model import build_model
-from .orchestrate import Run, check_trust_chain, save_inference_params
+from .orchestrate import Run, check_trust_chain
 from .presets import (ATTACK_SAMPLE, PRESETS, dataset_for, default_optimizer,
-                      grid_for, model_for, mlp_model,
-                      trained_attack_classifier)
+                      grid_for, model_for, trained_attack_classifier)
 from .recorder import (build_inference_manifest, build_manifest,
                        record_inference, record_training)
 from .store import StoreError
@@ -158,6 +157,20 @@ def record_train(out_dir, preset, n_steps, bl, bs, ic, ia, chunk_size, algo,
     click.echo(f"ledger digest {summary['ledger_digest']}")
 
 
+def _served_pass(preset, bl, ia, chunk_size, algo, tau, model_seed=7,
+                 input_seed=0):
+    """Manifest, served layers and input of one forward pass of
+    ``preset``'s model without its loss head."""
+    spec = model_for(preset, model_seed)
+    model_spec = {"seed": spec["seed"], "layers": spec["layers"][:-1]}
+    config = GridConfig(n_layers=len(model_spec["layers"]), n_steps=1,
+                        bl=bl, bs=1, ia=ia, chunk_size=chunk_size, tau=tau)
+    layers = build_model(model_spec)
+    ds = make_dataset(dataset_for(preset))
+    x = ds.inputs[input_seed % ds.n][None, ...]
+    return build_inference_manifest(model_spec, config, algo, layers), layers, x
+
+
 @main.command("record-infer")
 @click.argument("out_dir")
 @click.option("--preset", type=click.Choice(PRESETS), default="mlp",
@@ -169,20 +182,10 @@ def record_train(out_dir, preset, n_steps, bl, bs, ic, ia, chunk_size, algo,
 def record_infer(out_dir, preset, n_steps, bl, bs, ic, ia, chunk_size, algo,
                  tau, model_seed, input_seed):
     """Record one verified forward pass into OUT_DIR."""
-    model_spec = mlp_model(model_seed, with_head=False) if preset == "mlp" \
-        else model_for(preset, model_seed)
-    if preset != "mlp":
-        model_spec = {"seed": model_spec["seed"],
-                      "layers": model_spec["layers"][:-1]}  # logits only
-    config = GridConfig(n_layers=len(model_spec["layers"]), n_steps=1,
-                        bl=bl, bs=1, ia=ia, chunk_size=chunk_size, tau=tau)
-    layers = build_model(model_spec)
-    ds = make_dataset(dataset_for(preset))
-    x = ds.inputs[input_seed % ds.n][None, ...]
-    manifest = build_inference_manifest(model_spec, config, algo)
+    manifest, layers, x = _served_pass(preset, bl, ia, chunk_size, algo, tau,
+                                       model_seed, input_seed)
     out = _run_dir(out_dir)
     result = record_inference(manifest, layers, x, out)
-    save_inference_params(out, layers)
     summary = {"run_dir": str(out), "mode": "inference",
                "blocks": len(result.ledger.entries),
                "bytes_written": result.bytes_written,
@@ -311,18 +314,15 @@ def attack(out_dir, scenario, preset, n_steps, bl, bs, ic, ia, chunk_size,
            algo, tau, seed):
     """Produce a tampered run directory for later verify/audit."""
     out = _run_dir(out_dir)
-    config = grid_for(preset, n_steps=n_steps, bl=bl, bs=bs,
-                      ic=_parse_ic(ic), ia=ia, chunk_size=chunk_size, tau=tau)
     if scenario in ("serve-wrong-model", "fabricate-output"):
-        model_spec = mlp_model(with_head=False)
-        config = GridConfig(n_layers=len(model_spec["layers"]), n_steps=1,
-                            bl=bl, bs=1, ia=ia, chunk_size=chunk_size, tau=tau)
-        layers = build_model(model_spec)
-        ds = make_dataset(dataset_for("mlp"))
-        result = apply_inference_scenario(scenario, model_spec, config,
-                                          layers, ds.inputs[:1], out,
+        manifest, layers, x = _served_pass(preset, bl, ia, chunk_size, algo,
+                                           tau)
+        result = apply_inference_scenario(scenario, manifest, layers, x, out,
                                           seed=seed)
     else:
+        config = grid_for(preset, n_steps=n_steps, bl=bl, bs=bs,
+                          ic=_parse_ic(ic), ia=ia, chunk_size=chunk_size,
+                          tau=tau)
         manifest = build_manifest(model_for(preset), default_optimizer(),
                                   dataset_for(preset), config, 11, 16, algo)
         result = apply_scenario(scenario, manifest, out, seed=seed)

@@ -10,7 +10,7 @@ from .hashing import Digest, chunked_hash, chunked_hash_many, tensor_bytes
 from .layers import Layer, build_layer
 from .optim import Optimizer, build_optimizer
 from .rng import rng_for
-from .tensors import ShapeError, check_finite
+from .tensors import BlobError, ShapeError, check_finite
 
 
 @dataclass
@@ -60,6 +60,21 @@ def params_digest(layers, chunk_size, algo) -> Digest:
 
 def param_bytes(layer: Layer) -> bytes:
     return b"".join(tensor_bytes(p) for p in layer.params.values())
+
+
+def load_param_bytes(layer: Layer, data: bytes) -> None:
+    """Inverse of ``param_bytes``: set ``layer``'s parameters from a blob.
+    Raises BlobError unless the blob has exactly their length."""
+    params = layer.params
+    want = sum(4 * p.size for p in params.values())
+    if not isinstance(data, bytes) or len(data) != want:
+        raise BlobError(f"parameter blob for a {layer.kind} layer is "
+                        f"{len(data)} bytes, not {want}")
+    off = 0
+    for name, p in params.items():
+        params[name] = np.frombuffer(data, "<f4", p.size, off) \
+            .reshape(p.shape).copy()
+        off += 4 * p.size
 
 
 def forward_block(layers: list[Layer], x: np.ndarray, labels=None):

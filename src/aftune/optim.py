@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 
-from .tensors import NonFiniteError
+from .tensors import BlobError, NonFiniteError
 
 OPTIMIZER_KINDS = ("sgd-momentum", "adamw")
 
@@ -53,6 +53,24 @@ class Optimizer:
                 parts.append(self.slots[(layer_idx, pname)][sname]
                              .astype("<f4").tobytes())
         return b"".join(parts)
+
+    def load_state_bytes(self, layer_idx: int, layer, data: bytes) -> int:
+        """Inverse of ``state_bytes``: set one layer's optimizer state from
+        a blob and return the step counter it holds. Raises BlobError
+        unless the blob has exactly the state's length."""
+        want = 4 + sum(4 * p.size for p in layer.params.values()) \
+            * len(self.state_names)
+        if not isinstance(data, bytes) or len(data) != want:
+            raise BlobError(f"optimizer state blob for a {layer.kind} layer "
+                            f"is {len(data)} bytes, not {want}")
+        (counter,) = struct.unpack_from("<I", data)
+        off = 4
+        for pname, p in layer.params.items():
+            for sname in self.state_names:
+                self.slots[(layer_idx, pname)][sname] = np.frombuffer(
+                    data, "<f4", p.size, off).reshape(p.shape).copy()
+                off += 4 * p.size
+        return counter
 
 
 class SGDMomentum(Optimizer):

@@ -30,16 +30,17 @@ import numpy as np
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig, label_anchor_key
 from .hashing import ALGORITHMS, Digest, chunked_hash_many
 from .ledger import SCHEMA_VERSION, LedgerError, RunLedger
-from .model import ModelState, build_model, param_bytes, params_digest
+from .model import (ModelState, build_model, load_param_bytes, param_bytes,
+                    params_digest)
 from .optim import build_optimizer
-from .recorder import (LEDGER_FILE, RunContext, reference_closure,
-                       rerun_rows)
+from .recorder import (LEDGER_FILE, PARAMS_DIR, RunContext,
+                       reference_closure, rerun_rows)
 from .store import StoreError, TensorStore
-from .tensors import NonFiniteError
+from .tensors import BlobError, NonFiniteError
 from .verifier import (DEFAULT_MEMORY_BUDGET, EVIDENCE_RELEASED, FAIL,
                        NON_FINITE, REFUSED, BlockReplayer, VerificationReport,
-                       VerificationRequest, VerifierError, load_layer_params,
-                       non_finite_key, verify_or_refuse)
+                       VerificationRequest, VerifierError, non_finite_key,
+                       verify_or_refuse)
 from .verifier_worker import frame
 
 DEFAULT_TAU = {"f32": 1e-5, "f64": 1e-12}
@@ -162,33 +163,40 @@ class Run:
         opts = dict(tau=tau, precision=precision, full_scan=full_scan,
                     memory_budget=memory_budget)
         if self.mode == "inference":
-            for bid in order:
-                yield bid, self._inference_request(bid, **opts)
+            yield from self._inference_requests(order, opts)
         elif self.store is None:
             yield from self._rerun_requests(order, opts)
         else:
             yield from self._stored_requests(order, opts)
 
-    def _training_request(self, bid: BlockId, tensors: dict, tau, precision,
-                          full_scan, memory_budget) -> VerificationRequest:
+    def _request(self, bid: BlockId, tensors: dict, tau, precision,
+                 full_scan, memory_budget) -> VerificationRequest:
+        """The request for ``bid`` carrying ``tensors`` and the ledger
+        digests of its commitment keys; for a training loss block also its
+        labels and their anchors, for inference the served parameters."""
         config, manifest = self.config, self.manifest
-        steps = self.grid.block_steps(bid.j)
-        ledger_digests = {str(k): self.digests[k]
-                          for k in self.grid.commitment_keys(bid)}
+        training = self.mode == "training"
+        keys = self.grid.commitment_keys(bid) if training \
+            else self.grid.inference_commitment_keys(bid)
+        ledger_digests = {str(k): self.digests[k] for k in keys}
         labels = {}
-        if self._needs_labels(bid.i):
+        if training and self._needs_labels(bid.i):
+            steps = self.grid.block_steps(bid.j)
             labels = {t: self.ctx.batch(t).labels for t in steps}
             anchors = manifest["label_anchors"]
             ledger_digests.update(
                 (label_anchor_key(t), Digest.from_hex(anchors[t], self.ctx.algo))
                 for t in steps if t < len(anchors))
+        if not training:
+            tensors.update(self._served_params)
         return VerificationRequest(
-            block=bid, mode="training",
+            block=bid, mode=self.mode,
             tau=config.tau if tau is None else tau,
             precision=precision or config.precision, grid=config.to_dict(),
-            model=manifest["model"], optimizer=manifest["optimizer"],
-            tensors=tensors, ledger_digests=ledger_digests,
-            labels=labels, chunk_size=config.chunk_size, algo=self.ctx.algo,
+            model=manifest["model"], optimizer=manifest.get("optimizer"),
+            tensors=tensors, ledger_digests=ledger_digests, labels=labels,
+            model_digest=manifest.get("model_digest"),
+            chunk_size=config.chunk_size, algo=manifest["hash_algo"],
             memory_budget=memory_budget, full_scan=full_scan,
         )
 
@@ -203,11 +211,10 @@ class Run:
         wanted = {k for bid in order for k in self.grid.commitment_keys(bid)}
         for j, captured in rerun_rows(self.manifest, wanted):
             for bid in by_row.get(j, ()):
-                tensors = {
-                    str(k): captured[k] if k.kind in ("activation", "gradient")
-                    else captured[k].tobytes()
-                    for k in self.grid.commitment_keys(bid) if k in captured}
-                yield bid, self._training_request(bid, tensors, **opts)
+                tensors = {str(k): captured[k]
+                           for k in self.grid.commitment_keys(bid)
+                           if k in captured}
+                yield bid, self._request(bid, tensors, **opts)
             if j == order[-1].j:
                 return
 
@@ -266,7 +273,7 @@ class Run:
                         tensors[str(BoundaryKey("gradient", i + 1, t))])
             else:
                 del rows[i]
-            yield bid, self._training_request(bid, tensors, **opts)
+            yield bid, self._request(bid, tensors, **opts)
 
     def _origin(self, i: int, target: int) -> int | None:
         """The stored checkpoint step a replay of layer block i to
@@ -339,36 +346,30 @@ class Run:
     def _needs_labels(self, i: int) -> bool:
         return self.config.n_layers - 1 in self.grid.block_layers(i)
 
-    def _inference_request(self, bid: BlockId, tau, precision, full_scan,
-                           memory_budget):
-        config, manifest = self.config, self.manifest
-        bounds = self.grid.inference_boundaries()
-        lo = max(b for b in bounds if b <= bid.i)
-        hi = min(b for b in bounds if b > bid.i)
-        tensors: dict[str, np.ndarray | bytes] = {}
-        try:
-            for b in (lo, hi):
-                k = BoundaryKey("activation", b, 0)
-                tensors[str(k)] = self.store.get_tensor(k)
-        except StoreError as e:
-            return VerificationReport(block=bid, verdict=EVIDENCE_RELEASED,
-                                      note=str(e))
-        # the full served parameter set travels with the request: the digest
-        # binding covers every layer, not just the replayed span
-        layers = _inference_layers(manifest, self.dir / "params")
-        for l in range(len(layers)):
-            tensors[str(BoundaryKey("parameter", l, 0))] = param_bytes(layers[l])
-        keys = [BoundaryKey("activation", b, 0) for b in (lo, hi)]
-        return VerificationRequest(
-            block=bid, mode="inference",
-            tau=config.tau if tau is None else tau,
-            precision=precision or config.precision, grid=config.to_dict(),
-            model=manifest["model"], optimizer=None, tensors=tensors,
-            ledger_digests={str(k): self.digests[k] for k in keys},
-            model_digest=manifest["model_digest"],
-            chunk_size=config.chunk_size, algo=manifest["hash_algo"],
-            memory_budget=memory_budget, full_scan=full_scan,
-        )
+    def _inference_requests(self, order, opts):
+        for bid in order:
+            try:
+                tensors = {str(k): self.store.get_tensor(k)
+                           for k in self.grid.inference_commitment_keys(bid)}
+            except StoreError as e:
+                yield bid, VerificationReport(block=bid,
+                                              verdict=EVIDENCE_RELEASED,
+                                              note=str(e))
+                continue
+            yield bid, self._request(bid, tensors, **opts)
+
+    @cached_property
+    def _served_params(self) -> dict[str, bytes]:
+        """Blobs of the served parameter set of an inference run, read
+        once. All of it travels with every request: the digest binding
+        covers every layer, not just the replayed span. A layer with no
+        saved blob serves its base init."""
+        blobs = {}
+        for l, layer in enumerate(self._fresh_layers):
+            path = self.dir / PARAMS_DIR / f"{l}.bin"
+            blobs[str(BoundaryKey("parameter", l, 0))] = \
+                path.read_bytes() if path.exists() else param_bytes(layer)
+        return blobs
 
     # -- state, provenance and pruning ------------------------------------
 
@@ -389,7 +390,11 @@ class Run:
         param_blobs: dict[int, bytes] = {}
         opt_blobs: dict[int, bytes] = {}
         for i in range(grid.n_layer_blocks):
-            row = self._row_at(i, step)
+            try:
+                row = self._row_at(i, step)
+            except StoreError as e:
+                raise ReconstructionError(f"state at step {step}: {e}") \
+                    from None
             if row.broken:
                 raise ReconstructionError(
                     f"layer block {i} at step {step}: {row.broken.note}")
@@ -551,25 +556,6 @@ class _Workers:
         self._live.clear()
 
 
-def save_inference_params(run_dir, layers) -> None:
-    """Persist the served parameter set next to an inference recording so
-    verification requests can include it."""
-    pdir = Path(run_dir) / "params"
-    pdir.mkdir(parents=True, exist_ok=True)
-    for l, layer in enumerate(layers):
-        (pdir / f"{l}.bin").write_bytes(param_bytes(layer))
-
-
-def _inference_layers(manifest, params_dir: Path):
-    layers = build_model(manifest["model"])
-    if params_dir.exists():
-        for l, layer in enumerate(layers):
-            blob = params_dir / f"{l}.bin"
-            if blob.exists():
-                load_layer_params(layer, blob.read_bytes())
-    return layers
-
-
 # -- trust chain ---------------------------------------------------------
 
 
@@ -656,22 +642,28 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None) -> Ch
 
     # when evidence is on hand, tie the row-0 parameters to the anchor value
     if report.ok and store is not None and "base_model_digest" in manifest \
-            and manifest["mode"] == "training":
-        got = _recompute_base_digest(manifest, store)
-        if got is not None and got != manifest["base_model_digest"]:
-            current_block[0] = None
-            problem("stored step-0 parameters do not match the base-model anchor")
-            bad.update(str(BlockId(i, 0)) for i in range(n_lb))
+            and manifest["mode"] == "training" \
+            and _base_anchor_broken(manifest, store):
+        current_block[0] = None
+        problem("stored step-0 parameters do not match the base-model anchor")
+        bad.update(str(BlockId(i, 0)) for i in range(n_lb))
     report.bad_blocks = sorted(bad)
     return report
 
 
-def _recompute_base_digest(manifest, store: TensorStore) -> str | None:
+def _base_anchor_broken(manifest, store: TensorStore) -> bool:
+    """Whether the stored step-0 parameters contradict the base-model
+    anchor: a blob that does not decode does. False when any was pruned,
+    as there is nothing to recompute against."""
     layers = build_model(manifest["model"])
     for l, layer in enumerate(layers):
         key = BoundaryKey("parameter", l, 0)
         if not store.has_blob(key):
-            return None  # pruned; nothing to recompute against
-        load_layer_params(layer, store.get_bytes(key))
+            return False
+        try:
+            load_param_bytes(layer, store.get_bytes(key))
+        except BlobError:
+            return True
     return params_digest(layers, manifest["grid"]["chunk_size"],
-                         manifest["hash_algo"]).hex
+                         manifest["hash_algo"]).hex \
+        != manifest["base_model_digest"]

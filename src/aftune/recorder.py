@@ -17,6 +17,7 @@ from .model import (ModelState, build_model, build_state, forward_block,
 from .store import TensorStore
 
 LEDGER_FILE = "ledger.bin"
+PARAMS_DIR = "params"  # an inference run's served parameters, one blob a layer
 
 
 @dataclass
@@ -173,23 +174,21 @@ def run_uninstrumented(manifest: dict) -> tuple[ModelState, list[float]]:
 def rerun_rows(manifest: dict, wanted: set[BoundaryKey]):
     """Deterministic rerun that yields ``(j, tensors)`` as soon as it has
     passed step-block row j: the wanted keys whose step lies in row j's
-    span, its entry and exit parameter steps included. Parameters are
-    float32 arrays, optimizer states uint8 arrays. Stop iterating to stop
+    span, its entry and exit parameter steps included. Parameters and
+    optimizer states are checkpoint blobs (bytes). Stop iterating to stop
     the rerun."""
     ctx = RunContext(manifest)
     grid = ctx.grid
-    row: dict[BoundaryKey, np.ndarray] = {}
+    row: dict[BoundaryKey, np.ndarray | bytes] = {}
 
     def capture_params(state: ModelState, t: int) -> None:
         for l in range(ctx.config.n_layers):
             pk = BoundaryKey("parameter", l, t)
             ok = BoundaryKey("optimizer-state", l, t)
             if pk in wanted:
-                row[pk] = np.frombuffer(param_bytes(state.layers[l]),
-                                        dtype="<f4").copy()
+                row[pk] = param_bytes(state.layers[l])
             if ok in wanted:
-                row[ok] = np.frombuffer(opt_state_bytes(state, l),
-                                        dtype=np.uint8).copy()
+                row[ok] = opt_state_bytes(state, l)
 
     def capture_boundaries(trace, t: int) -> None:
         acts, gacts = ctx.boundary_tensors(trace)
@@ -225,10 +224,14 @@ def build_inference_manifest(model_spec: dict, config: GridConfig,
 
 
 def record_inference(manifest: dict, layers, x: np.ndarray, out_dir) -> RunResult:
-    """Forward-only recording: activations at every ia-th layer-block
-    edge plus the model input and final output. One request = one step."""
+    """Forward-only recording of ``layers``, the served parameter set, on
+    ``x``: activations at every ia-th layer-block edge plus the model
+    input and final output. One request = one step. The served
+    parameters are saved too, so verification requests can carry them."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / PARAMS_DIR).mkdir(parents=True, exist_ok=True)
+    for l, layer in enumerate(layers):
+        (out_dir / PARAMS_DIR / f"{l}.bin").write_bytes(param_bytes(layer))
     config = GridConfig.from_dict(manifest["grid"])
     grid = BlockGrid(config)
     ledger = RunLedger(manifest)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .grid import BoundaryKey
-from .hashing import Digest, chunked_hash_many, tensor_bytes
+from .hashing import ALGORITHMS, Digest, chunked_hash_many, tensor_bytes
 
 
 class StoreError(Exception):
@@ -41,6 +42,10 @@ class TensorStore:
                     from None
             if not isinstance(self.index, dict):
                 raise StoreError(f"{self.index_path} is not a JSON object")
+            for key, ent in self.index.items():
+                if not _well_formed(ent):
+                    raise StoreError(f"{self.index_path}: malformed entry "
+                                     f"for {key}")
 
     @property
     def index_path(self) -> Path:
@@ -49,8 +54,8 @@ class TensorStore:
     def save_index(self) -> None:
         self.index_path.write_text(json.dumps(self.index, sort_keys=True))
 
-    def _blob_path(self, digest: Digest) -> Path:
-        return self.blob_dir / digest.hex
+    def _blob_path(self, digest_hex: str) -> Path:
+        return self.blob_dir / digest_hex
 
     # -- writes ----------------------------------------------------------
 
@@ -62,7 +67,7 @@ class TensorStore:
         return self._put(key, data, digest, shape=None)
 
     def _put(self, key, data, digest, shape) -> int:
-        path = self._blob_path(digest)
+        path = self._blob_path(digest.hex)
         if not path.exists():
             tmp = path.with_suffix(".tmp")
             tmp.write_bytes(data)
@@ -86,12 +91,11 @@ class TensorStore:
 
     def has_blob(self, key: BoundaryKey) -> bool:
         ent = self.index.get(str(key))
-        return ent is not None and self._blob_path(
-            Digest.from_hex(ent["digest"], ent["algo"])).exists()
+        return ent is not None and self._blob_path(ent["digest"]).exists()
 
     def get_bytes(self, key: BoundaryKey) -> bytes:
         ent = self._entry(key)
-        path = self._blob_path(Digest.from_hex(ent["digest"], ent["algo"]))
+        path = self._blob_path(ent["digest"])
         if not path.exists():
             raise EvidenceReleasedError(f"evidence released for {key}")
         return path.read_bytes()
@@ -116,7 +120,7 @@ class TensorStore:
         blobs of one algorithm in one batch; returns keys that fail."""
         blobs: dict[str, dict[str, bytes]] = {}
         for ent in self.index.values():
-            path = self.blob_dir / ent["digest"]
+            path = self._blob_path(ent["digest"])
             held = blobs.setdefault(ent["algo"], {})
             if ent["digest"] not in held and path.exists():
                 held[ent["digest"]] = path.read_bytes()
@@ -137,3 +141,19 @@ class TensorStore:
                 path.unlink()
                 removed += 1
         return removed
+
+
+def _well_formed(ent) -> bool:
+    """Whether ``ent`` is an index entry: a lowercase hex digest of 32
+    bytes, a known algorithm, a byte length, and a shape (None for raw
+    bytes)."""
+    def count(v):
+        return type(v) is int and v >= 0
+    try:
+        return bool(re.fullmatch("[0-9a-f]{64}", ent["digest"])) \
+            and ent["algo"] in ALGORITHMS and count(ent["length"]) \
+            and (ent["shape"] is None
+                 or isinstance(ent["shape"], list)
+                 and all(count(d) for d in ent["shape"]))
+    except (KeyError, TypeError):
+        return False

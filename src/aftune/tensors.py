@@ -13,6 +13,11 @@ class ShapeError(ValueError):
     """Tensor shape does not match what a layer expects."""
 
 
+class BlobError(ValueError):
+    """A checkpoint blob does not have the exact length of the parameters
+    or optimizer state it is decoded into."""
+
+
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite values in {what}")

@@ -21,8 +21,8 @@ import numpy as np
 
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig, label_anchor_key
 from .hashing import Digest, chunked_hash_many, label_bytes
-from .model import (build_model, backward_block, forward_block, param_bytes,
-                    params_digest)
+from .model import (backward_block, build_model, forward_block,
+                    load_param_bytes, param_bytes, params_digest)
 from .optim import build_optimizer
 from .tensors import NonFiniteError, rel_l2_error
 
@@ -194,26 +194,33 @@ class VerificationReport:
 
 class BlockReplayer:
     """A contiguous layer slice with parameters and optimizer state loaded
-    from serialized checkpoint bytes, ready for step-by-step replay."""
+    from serialized checkpoint bytes, ready for step-by-step replay.
+    ``model`` is the whole model, with every blob of ``param_blobs``
+    loaded; a model spec, optimizer spec or blob that cannot be loaded
+    raises VerifierError."""
 
     def __init__(self, model_spec, opt_spec, layer_indices,
                  param_blobs: dict[int, bytes], opt_blobs: dict[int, bytes],
                  precision: str = "f32"):
-        full = build_model(model_spec)
         self.layer_indices = list(layer_indices)
-        self.layers = [full[l] for l in self.layer_indices]
         self.precision = precision
-        for l, layer in zip(self.layer_indices, self.layers):
-            load_layer_params(layer, param_blobs[l])
-        self.opt = None
-        if opt_spec is not None:
-            self.opt = build_optimizer(opt_spec, self.layers)
-            counters = set()
-            for li, (l, layer) in enumerate(zip(self.layer_indices, self.layers)):
-                counters.add(load_opt_state(self.opt, li, layer, opt_blobs[l]))
-            if len(counters) != 1:
-                raise VerifierError(f"inconsistent optimizer counters {counters}")
-            self.opt.step_count = counters.pop()
+        try:
+            self.model = build_model(model_spec)
+            self.layers = [self.model[l] for l in self.layer_indices]
+            for l, blob in param_blobs.items():
+                load_param_bytes(self.model[l], blob)
+            self.opt = None
+            if opt_spec is not None:
+                self.opt = build_optimizer(opt_spec, self.layers)
+                counters = {self.opt.load_state_bytes(li, layer, opt_blobs[l])
+                            for li, (l, layer) in enumerate(
+                                zip(self.layer_indices, self.layers))}
+                if len(counters) != 1:
+                    raise VerifierError(
+                        f"inconsistent optimizer counters {counters}")
+                self.opt.step_count = counters.pop()
+        except (IndexError, KeyError, TypeError, ValueError) as e:
+            raise VerifierError(f"cannot load the block: {e}") from None
 
     def _cast(self, x):
         return x.astype(np.float64) if self.precision == "f64" else x
@@ -233,7 +240,7 @@ class BlockReplayer:
         return acts, gacts
 
     def param_blob(self, l: int) -> bytes:
-        return param_bytes(self.layers[self.layer_indices.index(l)])
+        return param_bytes(self.model[l])
 
     def opt_blob(self, l: int) -> bytes:
         li = self.layer_indices.index(l)
@@ -251,44 +258,15 @@ def non_finite_key(i: int, t: int, x, upstream) -> str:
     return str(BoundaryKey("activation", i + 1, t))
 
 
-def load_layer_params(layer, data: bytes) -> None:
-    off = 0
-    for name, p in layer.params.items():
-        n = p.size * 4
-        layer.params[name] = np.frombuffer(data[off:off + n], "<f4") \
-            .reshape(p.shape).copy()
-        off += n
-    if off != len(data):
-        raise VerifierError(f"parameter blob length mismatch for {layer.kind}")
-
-
-def load_opt_state(opt, layer_idx: int, layer, data: bytes) -> int:
-    (counter,) = struct.unpack_from("<I", data, 0)
-    off = 4
-    for pname, p in layer.params.items():
-        for sname in opt.state_names:
-            n = p.size * 4
-            opt.slots[(layer_idx, pname)][sname] = \
-                np.frombuffer(data[off:off + n], "<f4").reshape(p.shape).copy()
-            off += n
-    if off != len(data):
-        raise VerifierError("optimizer state blob length mismatch")
-    return counter
-
-
-def _opt_blob_error(replayed: bytes, recorded: bytes) -> float:
-    """Counter must match exactly; state tensors compared numerically."""
-    (c1,) = struct.unpack_from("<I", replayed, 0)
-    (c2,) = struct.unpack_from("<I", recorded, 0)
-    if c1 != c2:
+def _exit_blob_error(kind: str, replayed: bytes, recorded: bytes) -> float:
+    """Relative error of a recorded block-exit blob against the replayed
+    one. An optimizer state's step counter must match exactly."""
+    head = 4 if kind == "optimizer-state" else 0
+    if not isinstance(recorded, bytes) or len(recorded) != len(replayed) \
+            or recorded[:head] != replayed[:head]:
         return float("inf")
-    a = np.frombuffer(replayed[4:], "<f4")
-    b = np.frombuffer(recorded[4:], "<f4")
-    if len(a) != len(b):
-        return float("inf")
-    if len(a) == 0:
-        return 0.0
-    return rel_l2_error(a, b)
+    return rel_l2_error(np.frombuffer(replayed, "<f4", offset=head),
+                        np.frombuffer(recorded, "<f4", offset=head))
 
 
 # -- the verification protocol ------------------------------------------
@@ -311,9 +289,12 @@ class _FailureCollector:
             self.report.tau = tau
         return not self.full_scan
 
-    @property
-    def failed(self) -> bool:
-        return self.report.cause is not None
+    def compare(self, key, err: float, tau: float) -> bool:
+        """Record ``key``'s measured error, a failure when it is not within
+        ``tau`` (NaN never is); returns True when verification should
+        stop."""
+        self.report.errors[str(key)] = err
+        return not err <= tau and self.fail(NUMERICAL_MISMATCH, key, err, tau)
 
 
 def _check_hashes(req: VerificationRequest, keys, collector,
@@ -346,19 +327,11 @@ def _check_hashes(req: VerificationRequest, keys, collector,
     return False
 
 
-def verify_training_block(req: VerificationRequest) -> VerificationReport:
+def _verify_training(req: VerificationRequest, grid: BlockGrid,
+                     collector: _FailureCollector) -> None:
     """Replay one training block cell and check it against its
     commitments (hash integrity first, then numerical correctness of the
     forward, backward, and parameter-update recomputation)."""
-    t_start = time.perf_counter()
-    report = VerificationReport(block=req.block, verdict=PASS, tau=req.tau)
-    if req.payload_bytes() > req.memory_budget:
-        report.verdict = REFUSED
-        report.note = (f"payload {req.payload_bytes()} bytes exceeds memory "
-                       f"budget {req.memory_budget}")
-        return report
-    collector = _FailureCollector(report, req.full_scan)
-    grid = BlockGrid(GridConfig.from_dict(req.grid))
     i, j = req.block.i, req.block.j
     steps = list(grid.block_steps(j))
     t_in, t_out = grid.commitment_boundary_steps(j)
@@ -371,14 +344,13 @@ def verify_training_block(req: VerificationRequest) -> VerificationReport:
                      for t in steps for b in (i, i + 1)
                      for kind in ("activation", "gradient")]
     exit_keys = [BoundaryKey(k, l, t_out)
-                 for l in layer_ids for k in ("parameter", "optimizer-state")
-                 if str(BoundaryKey(k, l, t_out)) in req.tensors]
+                 for l in layer_ids for k in ("parameter", "optimizer-state")]
+    stored_exit = [k for k in exit_keys if str(k) in req.tensors]
     # the loss block's labels are bound to the manifest's label anchors
     label_steps = steps if grid.config.n_layers - 1 in layer_ids else ()
-    if _check_hashes(req, entry_keys + boundary_keys + exit_keys, collector,
+    if _check_hashes(req, entry_keys + boundary_keys + stored_exit, collector,
                      label_steps):
-        report.wall_time = time.perf_counter() - t_start
-        return report
+        return
 
     replayer = BlockReplayer(
         req.model, req.optimizer, layer_ids,
@@ -387,10 +359,6 @@ def verify_training_block(req: VerificationRequest) -> VerificationReport:
          for l in layer_ids},
         precision=req.precision,
     )
-
-    def stored(kind, idx, t):
-        return req.tensors[str(BoundaryKey(kind, idx, t))]
-
     noise_rng = np.random.default_rng(0) if req.replay_noise > 0 else None
 
     def jitter(arr):
@@ -400,133 +368,102 @@ def verify_training_block(req: VerificationRequest) -> VerificationReport:
         return (arr * scale).astype(arr.dtype)
 
     for t in steps:
-        labels = req.labels.get(t)
-        x = stored("activation", i, t)
-        upstream = stored("gradient", i + 1, t)
+        x = req.tensors[str(BoundaryKey("activation", i, t))]
+        upstream = req.tensors[str(BoundaryKey("gradient", i + 1, t))]
         try:
-            acts, gacts = replayer.replay_step(x, upstream, labels=labels)
+            acts, gacts = replayer.replay_step(x, upstream,
+                                               labels=req.labels.get(t))
         except NonFiniteError:
             # replay cannot go on past NaN/Inf, full scan or not
             collector.fail(NON_FINITE, non_finite_key(i, t, x, upstream))
-            report.wall_time = time.perf_counter() - t_start
-            return report
-        for kind, replayed, ref_key in (
-            ("activation", jitter(acts[-1]), BoundaryKey("activation", i + 1, t)),
-            ("gradient", jitter(gacts[0]), BoundaryKey("gradient", i, t)),
-        ):
-            err = rel_l2_error(replayed, req.tensors[str(ref_key)])
-            report.errors[str(ref_key)] = err
-            if not err <= req.tau:
-                if collector.fail(NUMERICAL_MISMATCH, ref_key, err, req.tau):
-                    report.wall_time = time.perf_counter() - t_start
-                    return report
+            return
+        for replayed, key in ((acts[-1], BoundaryKey("activation", i + 1, t)),
+                              (gacts[0], BoundaryKey("gradient", i, t))):
+            err = rel_l2_error(jitter(replayed), req.tensors[str(key)])
+            if collector.compare(key, err, req.tau):
+                return
 
     # block-exit parameter/optimizer check; where no blob is stored at
     # this step, fall back to a bitwise hash check of the replayed one
-    replayed = {}
-    for l in layer_ids:
-        replayed[str(BoundaryKey("parameter", l, t_out))] = replayer.param_blob(l)
-        replayed[str(BoundaryKey("optimizer-state", l, t_out))] = \
-            replayer.opt_blob(l)
-    unstored = [k for k in replayed if k not in req.tensors]
+    replayed = {k: (replayer.param_blob if k.kind == "parameter"
+                    else replayer.opt_blob)(k.index) for k in exit_keys}
+    unstored = [k for k in exit_keys if k not in stored_exit]
+    for k in unstored:
+        if str(k) not in req.ledger_digests:
+            raise VerifierError(f"request is missing ledger digest for {k}")
     hashed = dict(zip(unstored, chunked_hash_many(
         [replayed[k] for k in unstored], req.chunk_size, req.algo)))
-
-    def exit_error(key, compare):
-        if key in req.tensors:
-            return compare(replayed[key], req.tensors[key])
-        return 0.0 if hashed[key].value == req.ledger_digests[key].value \
-            else float("inf")
-
-    for l in layer_ids:
-        pk = BoundaryKey("parameter", l, t_out)
-        ok = BoundaryKey("optimizer-state", l, t_out)
-        err = exit_error(str(pk), _blob_rel_error)
-        report.errors[str(pk)] = err
-        if not err <= req.tau \
-                and collector.fail(NUMERICAL_MISMATCH, pk, err, req.tau):
-            break
-        err_o = exit_error(str(ok), _opt_blob_error)
-        report.errors[str(ok)] = err_o
-        if not err_o <= req.tau \
-                and collector.fail(NUMERICAL_MISMATCH, ok, err_o, req.tau):
-            break
-
-    report.wall_time = time.perf_counter() - t_start
-    return report
+    for k in exit_keys:
+        if k in hashed:
+            err = 0.0 if hashed[k].value == req.ledger_digests[str(k)].value \
+                else float("inf")
+        else:
+            err = _exit_blob_error(k.kind, replayed[k], req.tensors[str(k)])
+        if collector.compare(k, err, req.tau):
+            return
 
 
-def _blob_rel_error(replayed: bytes, recorded) -> float:
-    a = np.frombuffer(replayed, "<f4")
-    if isinstance(recorded, np.ndarray):
-        b = np.ascontiguousarray(recorded, "<f4").ravel()
-    else:
-        b = np.frombuffer(recorded, "<f4")
-    if len(a) != len(b):
-        return float("inf")
-    return rel_l2_error(a, b)
-
-
-def verify_inference_block(req: VerificationRequest) -> VerificationReport:
+def _verify_inference(req: VerificationRequest, grid: BlockGrid,
+                      collector: _FailureCollector) -> None:
     """Forward-only verification between two recorded boundaries (with
     ia > 1 the replay spans the unrecorded blocks in between)."""
+    keys = grid.inference_commitment_keys(req.block)
+    if _check_hashes(req, keys, collector):
+        return
+    # the full served parameter set is loaded and bound to the manifest's
+    # model digest; the replay runs on the span between the boundaries
+    lo, hi = (grid.boundary_layer(k.index) for k in keys)
+    span = range(lo, hi)
+    blobs = {l: req.tensors[str(BoundaryKey("parameter", l, 0))]
+             for l in range(grid.config.n_layers)
+             if str(BoundaryKey("parameter", l, 0)) in req.tensors}
+    missing = [l for l in span if l not in blobs]
+    if missing:
+        raise VerifierError(f"request is missing parameters of layers {missing}")
+    replayer = BlockReplayer(req.model, None, span, blobs, {},
+                             precision=req.precision)
+    if req.model_digest is not None and req.model_digest != params_digest(
+            replayer.model, req.chunk_size, req.algo).hex:
+        collector.fail(HASH_MISMATCH, "model-parameters")
+        return
+    x = req.tensors[str(keys[0])]
+    try:
+        acts, _ = replayer.forward(x, labels=req.labels.get(0))
+    except NonFiniteError:
+        collector.fail(NON_FINITE,
+                       keys[0] if not np.all(np.isfinite(x)) else keys[1])
+        return
+    collector.compare(keys[1], rel_l2_error(acts[-1], req.tensors[str(keys[1])]),
+                      req.tau)
+
+
+_VERIFY = {"training": _verify_training, "inference": _verify_inference}
+
+
+def verify_block(req: VerificationRequest) -> VerificationReport:
+    """Check one block request: refuse it when its payload exceeds its
+    memory budget, else hash-check, replay and compare it by its mode.
+    A request that cannot be checked raises VerifierError."""
+    check = _VERIFY.get(req.mode)
+    if check is None:
+        raise VerifierError(f"unknown mode {req.mode!r}")
     t_start = time.perf_counter()
     report = VerificationReport(block=req.block, verdict=PASS, tau=req.tau)
     if req.payload_bytes() > req.memory_budget:
         report.verdict = REFUSED
-        report.note = "payload exceeds memory budget"
+        report.note = (f"payload {req.payload_bytes()} bytes exceeds memory "
+                       f"budget {req.memory_budget}")
         return report
-    collector = _FailureCollector(report, req.full_scan)
-    grid = BlockGrid(GridConfig.from_dict(req.grid))
-    bounds = grid.inference_boundaries()
-    lo = max(b for b in bounds if b <= req.block.i)
-    hi = min(b for b in bounds if b > req.block.i)
-    keys = [BoundaryKey("activation", lo, 0), BoundaryKey("activation", hi, 0)]
-    if _check_hashes(req, keys, collector):
-        report.wall_time = time.perf_counter() - t_start
-        return report
-
-    layer_ids = list(range(grid.boundary_layer(lo), grid.boundary_layer(hi)))
-    param_blobs = {l: req.tensors[str(BoundaryKey("parameter", l, 0))]
-                   for l in layer_ids}
-    # bind provided parameters to the manifest's model digest
-    if req.model_digest is not None:
-        full = build_model(req.model)
-        for l, layer in enumerate(full):
-            key = str(BoundaryKey("parameter", l, 0))
-            if key in req.tensors:
-                load_layer_params(layer, req.tensors[key])
-        got = params_digest(full, req.chunk_size, req.algo)
-        if got.hex != req.model_digest:
-            collector.fail(HASH_MISMATCH, "model-parameters")
-            report.wall_time = time.perf_counter() - t_start
-            return report
-
-    replayer = BlockReplayer(req.model, None, layer_ids, param_blobs, {},
-                             precision=req.precision)
-    labels = req.labels.get(0)
-    x = req.tensors[str(keys[0])]
     try:
-        acts, _ = replayer.forward(x, labels=labels)
-    except NonFiniteError:
-        key = keys[0] if not np.all(np.isfinite(x)) else keys[1]
-        collector.fail(NON_FINITE, key)
-        report.wall_time = time.perf_counter() - t_start
-        return report
-    err = rel_l2_error(acts[-1], req.tensors[str(keys[1])])
-    report.errors[str(keys[1])] = err
-    if not err <= req.tau:
-        collector.fail(NUMERICAL_MISMATCH, keys[1], err, req.tau)
+        grid = BlockGrid(GridConfig.from_dict(req.grid))
+    except (KeyError, TypeError, ValueError) as e:
+        raise VerifierError(f"request grid is malformed: {e!r}") from None
+    i, j = req.block.i, req.block.j
+    if not (0 <= i < grid.n_layer_blocks and 0 <= j < grid.n_step_blocks):
+        raise VerifierError(f"block {req.block} lies outside the grid")
+    check(req, grid, _FailureCollector(report, req.full_scan))
     report.wall_time = time.perf_counter() - t_start
     return report
-
-
-def verify_block(req: VerificationRequest) -> VerificationReport:
-    if req.mode == "training":
-        return verify_training_block(req)
-    if req.mode == "inference":
-        return verify_inference_block(req)
-    raise VerifierError(f"unknown mode {req.mode!r}")
 
 
 def verify_or_refuse(req: VerificationRequest | bytes) -> VerificationReport:

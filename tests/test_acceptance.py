@@ -26,7 +26,7 @@ from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
 from aftune.hashing import chunked_hash
 from aftune.ledger import RunLedger
 from aftune.model import build_model, forward_block, param_bytes
-from aftune.orchestrate import Run, check_trust_chain, save_inference_params
+from aftune.orchestrate import Run, check_trust_chain
 from aftune.presets import attack_mlp_model, dataset_for, default_optimizer, \
     trained_attack_classifier
 from aftune.recorder import (LEDGER_FILE, RunContext,
@@ -283,7 +283,6 @@ def test_acceptance_attack_separation(tmp_path, attack_subject):
     config = GridConfig(n_layers=len(layers), n_steps=1, bl=1, bs=1)
     manifest = build_inference_manifest(spec, config, layers=layers)
     record_inference(manifest, layers, x, tmp_path / "honest")
-    save_inference_params(tmp_path / "honest", layers)
     honest_err = 0.0
     for i in range(BlockGrid(config).n_layer_blocks):
         report = Run.open(tmp_path / "honest").verify([BlockId(i, 0)])[0]
@@ -357,8 +356,10 @@ def test_acceptance_scenarios_detected_by_documented_strategy(tmp_path,
     for scenario, cause in (("serve-wrong-model", HASH_MISMATCH),
                             ("fabricate-output", NUMERICAL_MISMATCH)):
         run = tmp_path / scenario
-        result = apply_inference_scenario(scenario, spec, infer_config,
-                                          served, x, run)
+        result = apply_inference_scenario(
+            scenario, build_inference_manifest(spec, infer_config,
+                                               layers=served),
+            served, x, run)
         bad = BlockId.parse(result.tampered_blocks[0])
         report = Run.open(run).verify([bad])[0]
         assert report.verdict == FAIL, scenario
@@ -398,7 +399,6 @@ def test_acceptance_nan_forgeries_fail(tmp_path):
     run = tmp_path / "infer"
     record_inference(build_inference_manifest(spec, config, layers=layers),
                      layers, x, run)
-    save_inference_params(run, layers)
     last = BlockGrid(config).n_layer_blocks
     out_key = BoundaryKey("activation", last, 0)
     shape = TensorStore(run).get_tensor(out_key).shape

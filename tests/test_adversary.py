@@ -14,7 +14,7 @@ from aftune.ledger import RunLedger
 from aftune.orchestrate import Run, check_trust_chain
 from aftune.presets import (ATTACK_SAMPLE, attack_mlp_model,
                             trained_attack_classifier)
-from aftune.recorder import LEDGER_FILE
+from aftune.recorder import LEDGER_FILE, build_inference_manifest
 from aftune.store import TensorStore
 from aftune.verifier import (FAIL, HASH_MISMATCH, NUMERICAL_MISMATCH, PASS)
 
@@ -134,8 +134,9 @@ def test_serve_wrong_model_detected(tmp_path, attack_subject):
     layers, x = attack_subject
     spec = attack_mlp_model()
     config = GridConfig(n_layers=len(spec["layers"]), n_steps=1, bl=2, bs=1)
-    result = apply_inference_scenario("serve-wrong-model", spec, config,
-                                      layers, x, tmp_path / "swm")
+    manifest = build_inference_manifest(spec, config, layers=layers)
+    result = apply_inference_scenario("serve-wrong-model", manifest, layers, x,
+                                      tmp_path / "swm")
     report = Run.open(tmp_path / "swm").verify([BlockId(0, 0)])[0]
     assert report.verdict == FAIL
     assert report.cause == HASH_MISMATCH
@@ -147,8 +148,9 @@ def test_fabricate_output_detected(tmp_path, attack_subject):
     layers, x = attack_subject
     spec = attack_mlp_model()
     config = GridConfig(n_layers=len(spec["layers"]), n_steps=1, bl=2, bs=1)
-    result = apply_inference_scenario("fabricate-output", spec, config,
-                                      layers, x, tmp_path / "fo")
+    manifest = build_inference_manifest(spec, config, layers=layers)
+    result = apply_inference_scenario("fabricate-output", manifest, layers, x,
+                                      tmp_path / "fo")
     bad = BlockId.parse(result.tampered_blocks[0])
     report = Run.open(tmp_path / "fo").verify([bad])[0]
     assert report.verdict == FAIL

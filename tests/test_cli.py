@@ -303,13 +303,17 @@ def test_missing_index_is_evidence_released(sha_run, tmp_path, runner):
     assert {r["verdict"] for r in reports} == {"evidence-released"}
     assert all(r["note"].startswith("no index entry for ") for r in reports)
 
+    with pytest.raises(ReconstructionError, match="no index entry"):
+        Run.open(run).state_at(2)
+
     assert _invoke(runner, tmp_path, "record-infer", "infer").exit_code == 0
     (tmp_path / "infer" / "index.json").unlink()
     _exits_cleanly(_invoke(runner, tmp_path, "verify", "infer"), 1)
 
 
-@pytest.mark.parametrize("text", ['{"activation:0@0": ', "[]"],
-                         ids=["truncated", "not-an-object"])
+@pytest.mark.parametrize("text", ['{"activation:0@0": ', "[]",
+                                  '{"activation:1@0": {"digest": "zz"}}'],
+                         ids=["truncated", "not-an-object", "malformed-entry"])
 def test_garbled_index_is_a_usage_error(sha_run, tmp_path, runner, text):
     run = tmp_path / "badindex"
     shutil.copytree(sha_run, run)
@@ -319,3 +323,39 @@ def test_garbled_index_is_a_usage_error(sha_run, tmp_path, runner, text):
         result = _invoke(runner, tmp_path, *args)
         _exits_cleanly(result, 2)
         assert "index.json" in result.output
+
+
+@pytest.mark.parametrize("kind,keep,chain", [
+    ("parameter", -4, "BROKEN — stored step-0 parameters do not match"),
+    ("optimizer-state", 2, "ok")],
+    ids=["parameter-4-bytes-short", "optimizer-state-without-counter"])
+def test_short_checkpoint_blob_is_refused(sha_run, tmp_path, runner, kind,
+                                          keep, chain):
+    # a self-consistently rewritten step-0 blob that does not decode
+    run = tmp_path / "short"
+    shutil.copytree(sha_run, run)
+    key = BoundaryKey(kind, 0, 0)
+    rewrite_key(run, key, TensorStore(run).get_bytes(key)[:keep])
+    for args in (["verify", "short"], ["verify", "short", "--block", "0,0"],
+                 ["verify", "short", "--block", "0,0", "--isolated"],
+                 ["audit", "short", "--m", "3"]):
+        result = _invoke(runner, tmp_path, *args)
+        _exits_cleanly(result, 1)
+        assert "block 0,0: refused" in result.output
+        if args == ["verify", "short"]:
+            assert f"trust chain: {chain}" in result.output
+
+
+@pytest.mark.parametrize("scenario", ["serve-wrong-model", "fabricate-output"])
+def test_inference_attack_records_what_record_infer_does(tmp_path, runner,
+                                                         scenario):
+    opts = ["--preset", "attention", "--algo", "sha256", "--bl", "1"]
+    assert _invoke(runner, tmp_path, "record-infer", "honest",
+                   *opts).exit_code == 0
+    assert _invoke(runner, tmp_path, "attack", "atk", "--scenario", scenario,
+                   *opts).exit_code == 0
+    honest, attacked = Run.open(tmp_path / "honest"), Run.open(tmp_path / "atk")
+    assert attacked.manifest == honest.manifest
+    assert attacked.manifest["hash_algo"] == "sha256"
+    assert _invoke(runner, tmp_path, "verify", "honest").exit_code == 0
+    _exits_cleanly(_invoke(runner, tmp_path, "verify", "atk"), 1)

@@ -24,7 +24,7 @@ from aftune.ledger import RunLedger
 from aftune.model import build_model
 from aftune.orchestrate import Run
 from aftune.presets import attack_mlp_model, dataset_for
-from aftune.recorder import LEDGER_FILE
+from aftune.recorder import LEDGER_FILE, build_inference_manifest
 from aftune.store import TensorStore
 from aftune.verifier import BlockReplayer, VerificationRequest
 
@@ -63,8 +63,10 @@ def test_walk_requests_equal_per_block_requests_under_attack(tmp_path,
         config = GridConfig(n_layers=len(spec["layers"]), n_steps=1, bl=2,
                             bs=1)
         x = make_dataset(dataset_for("mlp")).inputs[:1]
-        apply_inference_scenario(scenario, spec, config, build_model(spec),
-                                 x, run)
+        layers = build_model(spec)
+        apply_inference_scenario(
+            scenario, build_inference_manifest(spec, config, layers=layers),
+            layers, x, run)
     else:
         apply_scenario(scenario, make_manifest(ic=ic, algo="sha256"), run)
     _assert_walk_matches_per_block(run)

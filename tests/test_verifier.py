@@ -13,14 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aftune import verifier_worker
+from aftune import orchestrate, verifier_worker
 from aftune.grid import BlockId, BoundaryKey, label_anchor_key
 from aftune.hashing import Digest
 from aftune.orchestrate import Run
 from aftune.verifier import (EVIDENCE_RELEASED, FAIL, HASH_MISMATCH,
                              NUMERICAL_MISMATCH, PASS, REFUSED,
                              VerificationReport, VerificationRequest,
-                             VerifierError, verify_block)
+                             VerifierError, verify_block, verify_or_refuse)
 
 from conftest import copy_run
 
@@ -224,7 +224,6 @@ def test_inference_run_verifies_and_binds_model_digest(tmp_path):
 
     from aftune.grid import BlockGrid, GridConfig
     from aftune.model import build_model
-    from aftune.orchestrate import save_inference_params
     from aftune.presets import model_for
     from aftune.recorder import build_inference_manifest, record_inference
 
@@ -236,7 +235,6 @@ def test_inference_run_verifies_and_binds_model_digest(tmp_path):
     manifest = build_inference_manifest(spec, config)
     x = np.array([[0.5, -1.0], [2.0, 0.25]], np.float32)
     record_inference(manifest, layers, x, tmp_path / "inf")
-    save_inference_params(tmp_path / "inf", layers)
     for bid in BlockGrid(config).block_ids():
         assert Run.open(tmp_path / "inf").verify([bid])[0].verdict == PASS
 
@@ -289,16 +287,21 @@ def test_truncated_request_is_refused_by_worker(request_bytes, cut):
     assert report.note
 
 
+def _kill_worker_on(monkeypatch, crash: BlockId) -> None:
+    """Make the isolated worker die just before it is sent ``crash``."""
+    check = orchestrate._Worker.check
+
+    def dying(self, req):
+        if req.block == crash:
+            self.proc.kill()
+            self.proc.wait()
+        return check(self, req)
+
+    monkeypatch.setattr(orchestrate._Worker, "check", dying)
+
+
 def test_crashed_worker_becomes_a_refused_report(mlp_run, monkeypatch):
-    # a request the worker parses but cannot replay: the model spec names
-    # a layer kind that does not exist, so the worker dies with a traceback
-    to_bytes = VerificationRequest.to_bytes
-
-    def broken(self):
-        self.model = {"seed": 0, "layers": [{"kind": "no-such-layer"}]}
-        return to_bytes(self)
-
-    monkeypatch.setattr(VerificationRequest, "to_bytes", broken)
+    _kill_worker_on(monkeypatch, BlockId(0, 0))
     [report] = Run.open(mlp_run["dir"]).verify([BlockId(0, 0)],
                                                isolated=True)
     assert report.block == BlockId(0, 0)
@@ -322,6 +325,33 @@ def _comparable(report: VerificationReport) -> dict:
     out = report.to_json()
     del out["wall_time"]
     return out
+
+
+# parseable requests that cannot be checked; block 0,0 of the mlp run
+# exits at step 2, where no parameter blob is stored
+HOSTILE = {
+    "grid-rejected": lambda req: req.grid.update(bl=99),
+    "block-outside-grid": lambda req: setattr(req, "block", BlockId(7, 7)),
+    "unknown-layer-kind": lambda req: setattr(
+        req, "model", dict(req.model, layers=[{"kind": "no-such-layer"}])),
+    "unstored-exit-digest-missing":
+        lambda req: req.ledger_digests.pop("parameter:0@2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_request_is_refused_and_worker_lives_on(mlp_run, case):
+    honest = _request(mlp_run, BlockId(0, 0))
+    req = _request(mlp_run, BlockId(0, 0))
+    HOSTILE[case](req)
+    with pytest.raises(VerifierError):
+        verify_block(req)
+    in_proc = verify_or_refuse(req)
+    assert in_proc.verdict == REFUSED and in_proc.note
+    reports, _ = _stream(verifier_worker.frame(req.to_bytes())
+                         + verifier_worker.frame(honest.to_bytes()))
+    assert [r.verdict for r in reports] == [REFUSED, PASS]
+    assert _comparable(reports[0]) == _comparable(in_proc)
 
 
 def test_worker_answers_each_frame_in_order(request_bytes):
@@ -363,15 +393,8 @@ def test_reused_worker_matches_fresh_workers(mlp_run):
 
 
 def test_crash_mid_command_refuses_only_that_block(mlp_run, monkeypatch):
-    to_bytes = VerificationRequest.to_bytes
     crash = BlockId(0, 1)
-
-    def broken(self):
-        if self.block == crash:
-            self.model = {"seed": 0, "layers": [{"kind": "no-such-layer"}]}
-        return to_bytes(self)
-
-    monkeypatch.setattr(VerificationRequest, "to_bytes", broken)
+    _kill_worker_on(monkeypatch, crash)
     bids = [e.block for e in Run.open(mlp_run["dir"]).ledger.entries]
     reports = Run.open(mlp_run["dir"]).verify(bids, isolated=True)
     verdicts = {r.block: r for r in reports}
