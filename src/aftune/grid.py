@@ -222,20 +222,43 @@ class BlockGrid:
                 sel.add(b)
         return sorted(sel)
 
+    # -- the key schedule of a training block ------------------------------
+
+    def state_keys(self, i: int, t: int) -> list[BoundaryKey]:
+        """Parameter and optimizer-state keys of layer block i at step t,
+        layer by layer."""
+        return [BoundaryKey(kind, l, t) for l in self.block_layers(i)
+                for kind in ("parameter", "optimizer-state")]
+
+    def replay_inputs(self, i: int, t: int) -> tuple[BoundaryKey, BoundaryKey]:
+        """What a step-t replay of layer block i consumes: its input
+        activation and the gradient flowing back into it."""
+        return BoundaryKey("activation", i, t), BoundaryKey("gradient", i + 1, t)
+
+    def replay_outputs(self, i: int, t: int) -> tuple[BoundaryKey, BoundaryKey]:
+        """What a step-t replay of layer block i produces: its output
+        activation and the gradient it passes back."""
+        return BoundaryKey("activation", i + 1, t), BoundaryKey("gradient", i, t)
+
+    def replay_origin(self, i: int, target: int) -> int | None:
+        """The stored checkpoint step a replay of layer block i to step
+        ``target`` starts from; None for the step-0 init, which the
+        manifest alone derives."""
+        return max((t for t in self.checkpoint_steps(i) if t <= target),
+                   default=None)
+
+    def boundary_keys(self, bid: BlockId) -> list[BoundaryKey]:
+        """Activations and gradients at both edges of block (i, j), step
+        by step."""
+        return [BoundaryKey(kind, b, t) for t in self.block_steps(bid.j)
+                for b in (bid.i, bid.i + 1)
+                for kind in ("activation", "gradient")]
+
     def commitment_keys(self, bid: BlockId) -> list[BoundaryKey]:
         """The keys hashed into block (i, j)'s commitment set."""
-        i, j = bid.i, bid.j
-        keys = []
-        entry, exit_ = self.commitment_boundary_steps(j)
-        for t in self.block_steps(j):
-            for b in (i, i + 1):
-                keys.append(BoundaryKey("activation", b, t))
-                keys.append(BoundaryKey("gradient", b, t))
-        for t in (entry, exit_):
-            for l in self.block_layers(i):
-                keys.append(BoundaryKey("parameter", l, t))
-                keys.append(BoundaryKey("optimizer-state", l, t))
-        return keys
+        entry, exit_ = self.commitment_boundary_steps(bid.j)
+        return (self.boundary_keys(bid) + self.state_keys(bid.i, entry)
+                + self.state_keys(bid.i, exit_))
 
     def inference_commitment_keys(self, bid: BlockId) -> list[BoundaryKey]:
         bounds = self.inference_boundaries()

@@ -157,12 +157,6 @@ class RunLedger:
             self.by_block[cs.block] = cs
             self._row_sizes[cs.block.j] = self._row_sizes.get(cs.block.j, 0) + 1
 
-    def lookup(self, key: BoundaryKey) -> Digest | None:
-        for e in self.entries:
-            if key in e.entries:
-                return e.entries[key]
-        return None
-
     def entry_for(self, bid: BlockId) -> CommitmentSet | None:
         return self.by_block.get(bid)
 

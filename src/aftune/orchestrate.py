@@ -1,14 +1,14 @@
 """Client-side verification orchestration.
 
-A ``Run`` opens a recorded run once per command: the ledger with its
-digest map, the run context, and the tensor store. It builds self-
-contained verification requests for a list of blocks in one forward
-walk over the grid, carrying each layer-block row's replayed state from
-block to block (or, in zero-storage mode, taking tensors from a single
-deterministic rerun), and hands them to the verifier in process or to
-isolated worker processes that serve the whole command. It also
-reconstructs model state from sparse checkpoints and walks the
-cross-block trust chain.
+A ``Run`` opens a recorded run once per command: the ledger, the run
+context, and the tensor store. It builds self-contained verification
+requests for a list of blocks in one forward walk over the grid,
+carrying each layer-block row's replayed state from block to block (or,
+in zero-storage mode, taking tensors from a single deterministic rerun);
+each request carries the digests of its block's own sealed commitment.
+It hands them to the verifier in process or to isolated worker
+processes that serve the whole command. It also reconstructs model
+state from sparse checkpoints and walks the cross-block trust chain.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig, label_anchor_key
+from .grid import (INPUT_ANCHOR, LABEL_ANCHOR, BlockGrid, BlockId, BoundaryKey,
+                   GridConfig, label_anchor_key)
 from .hashing import ALGORITHMS, Digest, chunked_hash_many
 from .ledger import SCHEMA_VERSION, LedgerError, RunLedger
 from .model import (ModelState, build_model, load_param_bytes, param_bytes,
@@ -62,23 +63,27 @@ class NonDeterministicBlockError(ReconstructionError):
 class _Row:
     """Replayed state of one layer-block row: restored from the stored
     checkpoint at step ``origin`` (None: the step-0 init) and carried
-    forward to step ``t``. ``broken`` is the report, block unset, for
-    the blocks past a replay that stopped: on NaN/Inf, or on a
-    checkpoint the replayer cannot load."""
+    forward to step ``t``. ``pending`` holds the replay inputs, by step,
+    of the last block requested on the row, so the walk on past it need
+    not read them again. ``broken`` is the report, block unset, for the
+    blocks past a replay that stopped: on NaN/Inf, or on a checkpoint
+    the replayer cannot load."""
 
     def __init__(self, origin: int | None, params: dict, opts: dict):
         self.origin = origin
         self.t = origin or 0
         self.params, self.opts = params, opts
         self.replayer: BlockReplayer | None = None
+        self.pending: dict[int, tuple] = {}
         self.broken: VerificationReport | None = None
 
-    def blobs(self) -> tuple[dict, dict]:
-        rep = self.replayer
-        if rep is None:
-            return self.params, self.opts
-        return ({l: rep.param_blob(l) for l in rep.layer_indices},
-                {l: rep.opt_blob(l) for l in rep.layer_indices})
+    def blob(self, key: BoundaryKey) -> bytes:
+        """The row's current blob of the parameter or optimizer state
+        ``key`` names."""
+        rep, l = self.replayer, key.index
+        if key.kind == "parameter":
+            return rep.param_blob(l) if rep else self.params[l]
+        return rep.opt_blob(l) if rep else self.opts[l]
 
 
 class Run:
@@ -108,10 +113,6 @@ class Run:
                               f"supported {SCHEMA_VERSION}")
         _check_manifest(ledger.manifest)
         return cls(run_dir, ledger)
-
-    @cached_property
-    def digests(self):
-        return self.ledger.all_digests()
 
     @cached_property
     def _fresh_layers(self):
@@ -171,14 +172,18 @@ class Run:
 
     def _request(self, bid: BlockId, tensors: dict, tau, precision,
                  full_scan, memory_budget) -> VerificationRequest:
-        """The request for ``bid`` carrying ``tensors`` and the ledger
-        digests of its commitment keys; for a training loss block also its
-        labels and their anchors, for inference the served parameters."""
+        """The request for ``bid`` carrying ``tensors`` and the digests of
+        its commitment keys as the block's own sealed commitment holds
+        them (a key it omits goes without, and the verifier refuses); for
+        a training loss block also its labels and their anchors, for
+        inference the served parameters."""
         config, manifest = self.config, self.manifest
         training = self.mode == "training"
         keys = self.grid.commitment_keys(bid) if training \
             else self.grid.inference_commitment_keys(bid)
-        ledger_digests = {str(k): self.digests[k] for k in keys}
+        own = self.ledger.by_block.get(bid)
+        committed = own.entries if own is not None else {}
+        ledger_digests = {str(k): committed[k] for k in keys if k in committed}
         labels = {}
         if training and self._needs_labels(bid.i):
             steps = self.grid.block_steps(bid.j)
@@ -223,69 +228,40 @@ class Run:
         the previous requested block of that row, and restarted from a
         stored checkpoint only where a fresh replay would restart."""
         grid, store = self.grid, self.store
-        next_in_row: dict[BlockId, BlockId] = {}
-        last: dict[int, BlockId] = {}
-        for bid in order:
-            if bid.i in last:
-                next_in_row[last[bid.i]] = bid
-            last[bid.i] = bid
         rows: dict[int, _Row] = {}
         for bid in order:
-            i, j = bid.i, bid.j
-            t_in, t_out = grid.commitment_boundary_steps(j)
-            layer_ids = grid.block_layers(i)
-            tensors: dict[str, np.ndarray | bytes] = {}
+            i = bid.i
+            t_in, t_out = grid.commitment_boundary_steps(bid.j)
             try:
-                for t in grid.block_steps(j):
-                    for b in (i, i + 1):
-                        for kind in ("activation", "gradient"):
-                            k = BoundaryKey(kind, b, t)
-                            tensors[str(k)] = store.get_tensor(k)
+                tensors = {str(k): store.get_tensor(k)
+                           for k in grid.boundary_keys(bid)}
                 row = rows[i] = self._row_at(i, t_in, rows.pop(i, None))
                 if row.broken:
                     yield bid, replace(row.broken, block=bid)
                     continue
-                p, o = row.blobs()
-                for l in layer_ids:
-                    tensors[str(BoundaryKey("parameter", l, t_in))] = p[l]
-                    tensors[str(BoundaryKey("optimizer-state", l, t_in))] = o[l]
+                for k in grid.state_keys(i, t_in):
+                    tensors[str(k)] = row.blob(k)
                 # exit blobs are optional: included when checkpointed
-                for l in layer_ids:
-                    for kind in ("parameter", "optimizer-state"):
-                        k = BoundaryKey(kind, l, t_out)
-                        if store.has_blob(k):
-                            tensors[str(k)] = store.get_bytes(k)
+                for k in grid.state_keys(i, t_out):
+                    if store.has_blob(k):
+                        tensors[str(k)] = store.get_bytes(k)
             except StoreError as e:
                 rows.pop(i, None)
                 yield bid, VerificationReport(block=bid,
                                               verdict=EVIDENCE_RELEASED,
                                               note=str(e))
                 continue
-            nxt = next_in_row.get(bid)
-            if nxt is not None and self._deterministic(i) and \
-                    self._origin(i, grid.step_blocks[nxt.j][0]) == row.origin:
-                # walk the row on through this block, on its own tensors
-                for t in grid.block_steps(j):
-                    if row.broken:
-                        break
-                    self._replay_step(
-                        i, row, t, tensors[str(BoundaryKey("activation", i, t))],
-                        tensors[str(BoundaryKey("gradient", i + 1, t))])
-            else:
-                del rows[i]
+            row.pending = {t: tuple(tensors[str(k)]
+                                    for k in grid.replay_inputs(i, t))
+                           for t in grid.block_steps(bid.j)}
             yield bid, self._request(bid, tensors, **opts)
-
-    def _origin(self, i: int, target: int) -> int | None:
-        """The stored checkpoint step a replay of layer block i to
-        ``target`` starts from; None for the step-0 init."""
-        return max((t for t in self.grid.checkpoint_steps(i) if t <= target),
-                   default=None)
 
     def _row_at(self, i: int, target: int, row: _Row | None = None) -> _Row:
         """Layer block i's replayed state at step ``target``. ``row`` is
         carried on when it starts from the same checkpoint a fresh replay
-        would, so the state is bitwise that of a fresh replay."""
-        t0 = self._origin(i, target)
+        would, so the state is bitwise that of a fresh replay; its
+        pending replay inputs are used before the store's."""
+        t0 = self.grid.replay_origin(i, target)
         if (t0 or 0) < target and not self._deterministic(i):
             raise NonDeterministicBlockError(
                 f"layer block {i} contains a non-deterministic layer; "
@@ -297,18 +273,18 @@ class Run:
         for t in range(row.t, target):
             if row.broken:
                 break
-            self._replay_step(
-                i, row, t, self.store.get_tensor(BoundaryKey("activation", i, t)),
-                self.store.get_tensor(BoundaryKey("gradient", i + 1, t)))
+            inputs = row.pending.get(t) or tuple(
+                self.store.get_tensor(k) for k in self.grid.replay_inputs(i, t))
+            self._replay_step(i, row, t, *inputs)
+        row.pending = {}
         return row
 
     def _checkpoint(self, i: int, t0: int | None) -> tuple[dict, dict]:
         layer_ids = self.grid.block_layers(i)
         if t0 is not None:
-            get = self.store.get_bytes
-            return ({l: get(BoundaryKey("parameter", l, t0)) for l in layer_ids},
-                    {l: get(BoundaryKey("optimizer-state", l, t0))
-                     for l in layer_ids})
+            keys, get = self.grid.state_keys(i, t0), self.store.get_bytes
+            return ({k.index: get(k) for k in keys if k.kind == "parameter"},
+                    {k.index: get(k) for k in keys if k.kind != "parameter"})
         # no stored checkpoint covers the target, but the step-0 state is
         # derivable from the manifest alone: base init, zeroed optimizer
         fresh = self._fresh_layers
@@ -325,7 +301,7 @@ class Run:
                     self.grid.block_layers(i), row.params, row.opts)
             row.replayer.replay_step(x, upstream, labels=labels)
         except NonFiniteError as e:
-            key = non_finite_key(i, t, x, upstream)
+            key = non_finite_key(self.grid, i, t, x, upstream)
             row.broken = VerificationReport(
                 block=None, verdict=FAIL, cause=NON_FINITE, failed_key=key,
                 failures=[{"cause": NON_FINITE, "key": key, "error": None,
@@ -387,8 +363,11 @@ class Run:
         if self.store is None:
             raise ReconstructionError(
                 "zero-storage run: reconstruct by deterministic rerun instead")
-        param_blobs: dict[int, bytes] = {}
-        opt_blobs: dict[int, bytes] = {}
+        # row j's blocks commit the state at ``step``: as their entry, or
+        # at the run's end as their exit
+        j = min(sorted(starts).index(step), grid.n_step_blocks - 1)
+        state: dict[BoundaryKey, bytes] = {}
+        committed: dict[BoundaryKey, Digest] = {}
         for i in range(grid.n_layer_blocks):
             try:
                 row = self._row_at(i, step)
@@ -398,27 +377,26 @@ class Run:
             if row.broken:
                 raise ReconstructionError(
                     f"layer block {i} at step {step}: {row.broken.note}")
-            p, o = row.blobs()
-            param_blobs.update(p)
-            opt_blobs.update(o)
+            own = self.ledger.by_block.get(BlockId(i, j))
+            for k in grid.state_keys(i, step):
+                state[k] = row.blob(k)
+                if own is not None and k in own.entries:
+                    committed[k] = own.entries[k]
 
-        keys, blobs = [], []
-        for l in range(config.n_layers):
-            keys += [BoundaryKey("parameter", l, step),
-                     BoundaryKey("optimizer-state", l, step)]
-            blobs += [param_blobs[l], opt_blobs[l]]
-        got = chunked_hash_many(blobs, config.chunk_size, self.ctx.algo)
-        mismatched = [str(key) for key, d in zip(keys, got)
-                      if key not in self.digests
-                      or self.digests[key].value != d.value]
+        got = chunked_hash_many(list(state.values()), config.chunk_size,
+                                self.ctx.algo)
+        mismatched = [str(k) for k, d in zip(state, got)
+                      if k not in committed or committed[k].value != d.value]
         if mismatched:
             raise ReconstructionError(
                 f"reconstructed state disagrees with ledger at: {mismatched}")
 
         try:
-            rep = BlockReplayer(self.manifest["model"],
-                                self.manifest["optimizer"],
-                                range(config.n_layers), param_blobs, opt_blobs)
+            rep = BlockReplayer(
+                self.manifest["model"], self.manifest["optimizer"],
+                range(config.n_layers),
+                {k.index: b for k, b in state.items() if k.kind == "parameter"},
+                {k.index: b for k, b in state.items() if k.kind != "parameter"})
         except VerifierError as e:
             raise ReconstructionError(f"state at step {step}: {e}") from None
         return ModelState(layers=rep.layers, opt=rep.opt, t=step)
@@ -575,78 +553,76 @@ class ChainReport:
 
 def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None) -> ChainReport:
     """Confirm every digest a block's verification consumes is vouched
-    for: by a sealed neighbor commitment, or by a trust anchor in the
-    manifest (inputs/labels per step, the base model for row 0)."""
+    for: by the sealed commitment of the neighbor ``grid.neighbors``
+    names, or, at the grid's edges, by a trust anchor in the manifest
+    (inputs/labels per step, the base model for row 0)."""
     report = ChainReport(ok=True)
     manifest = ledger.manifest
     grid = ledger.grid
-    n_lb = grid.n_layer_blocks
+    inputs = manifest.get("input_anchors", [])
+    labels = manifest.get("label_anchors", [])
     bad: set[str] = set()
-    current_block: list = [None]
 
-    def problem(msg):
+    def problem(msg, bid=None):
         report.ok = False
         report.problems.append(msg)
-        if current_block[0] is not None:
-            bad.add(str(current_block[0]))
+        if bid is not None:
+            bad.add(str(bid))
 
-    def anchored(kind):
-        report.anchored[kind] = report.anchored.get(kind, 0) + 1
+    def anchor_problem(anchor, key, digest, t) -> str | None:
+        if anchor == INPUT_ANCHOR:
+            if t >= len(inputs):
+                return f"no input anchor for step {t} backing {key}"
+            if digest.hex != inputs[t]:
+                return f"{key} does not match the input anchor for step {t}"
+        elif anchor == LABEL_ANCHOR:
+            # loss-side seed: fixed by the committed labels for step t
+            if t >= len(labels):
+                return f"no label anchor for step {t} backing {key}"
+        elif "base_model_digest" not in manifest:  # the base-model anchor
+            return f"row 0 {key} has no base-model anchor"
+        return None
 
-    def vouched_by(neighbor: BlockId, key: BoundaryKey, digest) -> bool:
+    def neighbor_problem(neighbor, key, digest) -> str | None:
         e = ledger.entry_for(neighbor)
         if e is None:
-            problem(f"missing neighbor commitment {neighbor} for {key}")
-            return False
+            return f"missing neighbor commitment {neighbor} for {key}"
         if key not in e.entries:
-            problem(f"neighbor {neighbor} does not commit {key}")
-            return False
+            return f"neighbor {neighbor} does not commit {key}"
         if e.entries[key].value != digest.value:
-            problem(f"digest conflict with neighbor {neighbor} on {key}")
-            return False
-        return True
+            return f"digest conflict with neighbor {neighbor} on {key}"
+        return None
 
     for e in ledger.entries:
         report.checked += 1
-        current_block[0] = e.block
-        i, j = e.block.i, e.block.j
-        t_in, _ = grid.commitment_boundary_steps(j)
-        for t in grid.block_steps(j):
-            akey = BoundaryKey("activation", i, t)
-            if i > 0:
-                vouched_by(BlockId(i - 1, j), akey, e.entries[akey])
+        bid = e.block
+        near = grid.neighbors(bid)
+        t_in, _ = grid.commitment_boundary_steps(bid.j)
+        consumed = [(key, side, t) for t in grid.block_steps(bid.j)
+                    for key, side in zip(grid.replay_inputs(bid.i, t),
+                                         ("left", "right"))]
+        consumed += [(key, "above", t_in)
+                     for key in grid.state_keys(bid.i, t_in)]
+        for key, side, t in consumed:
+            by, digest = near[side], e.entries.get(key)
+            if digest is None:
+                why = f"block {bid} does not commit {key}"
+            elif isinstance(by, BlockId):
+                why = neighbor_problem(by, key, digest)
             else:
-                want = manifest["input_anchors"][t]
-                if e.entries[akey].hex != want:
-                    problem(f"{akey} does not match the input anchor for step {t}")
-                else:
-                    anchored("input")
-            gkey = BoundaryKey("gradient", i + 1, t)
-            if i < n_lb - 1:
-                vouched_by(BlockId(i + 1, j), gkey, e.entries[gkey])
-            else:
-                # loss-side seed: fixed by the committed labels for step t
-                if t >= len(manifest.get("label_anchors", [])):
-                    problem(f"no label anchor for step {t} backing {gkey}")
-                else:
-                    anchored("label")
-        for l in grid.block_layers(i):
-            for kind in ("parameter", "optimizer-state"):
-                pkey = BoundaryKey(kind, l, t_in)
-                if j > 0:
-                    vouched_by(BlockId(i, j - 1), pkey, e.entries[pkey])
-                elif "base_model_digest" not in manifest:
-                    problem(f"row 0 {pkey} has no base-model anchor")
-                else:
-                    anchored("base-model")
+                why = anchor_problem(by, key, digest, t)
+                if why is None:
+                    kind = by.removesuffix("-anchor")
+                    report.anchored[kind] = report.anchored.get(kind, 0) + 1
+            if why is not None:
+                problem(why, bid)
 
     # when evidence is on hand, tie the row-0 parameters to the anchor value
     if report.ok and store is not None and "base_model_digest" in manifest \
             and manifest["mode"] == "training" \
             and _base_anchor_broken(manifest, store):
-        current_block[0] = None
         problem("stored step-0 parameters do not match the base-model anchor")
-        bad.update(str(BlockId(i, 0)) for i in range(n_lb))
+        bad.update(str(BlockId(i, 0)) for i in range(grid.n_layer_blocks))
     report.bad_blocks = sorted(bad)
     return report
 

@@ -50,10 +50,14 @@ class RunContext:
     def hash_many(self, items) -> list[Digest]:
         return chunked_hash_many(items, self.config.chunk_size, self.algo)
 
-    def boundary_tensors(self, trace) -> tuple[list, list]:
-        """Activation and gradient tensors at every grid boundary."""
+    def boundary_tensors(self, trace, t: int) -> dict[BoundaryKey, np.ndarray]:
+        """Step ``t``'s activation tensors at every grid boundary, then its
+        gradient tensors."""
         idx = [self.grid.boundary_layer(b) for b in range(self.grid.n_boundaries)]
-        return [trace.acts[k] for k in idx], [trace.gacts[k] for k in idx]
+        return {BoundaryKey(kind, b, t): arrs[k]
+                for kind, arrs in (("activation", trace.acts),
+                                   ("gradient", trace.gacts))
+                for b, k in enumerate(idx)}
 
 
 def build_manifest(model_spec: dict, opt_spec: dict, dataset_spec: dict,
@@ -88,6 +92,13 @@ def build_manifest(model_spec: dict, opt_spec: dict, dataset_spec: dict,
 
 def opt_state_bytes(state: ModelState, layer_idx: int) -> bytes:
     return state.opt.state_bytes(layer_idx, state.layers[layer_idx])
+
+
+def state_blob(state: ModelState, key: BoundaryKey) -> bytes:
+    """The blob of ``state`` a parameter or optimizer-state key names."""
+    if key.kind == "parameter":
+        return param_bytes(state.layers[key.index])
+    return opt_state_bytes(state, key.index)
 
 
 def _run_rows(ctx: RunContext, state: ModelState, step, on_params, on_step):
@@ -128,11 +139,9 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
         checkpoint at ``t``."""
         stored = {i for i in range(grid.n_layer_blocks)
                   if t in grid.checkpoint_steps(i)}
-        entries = [
-            (BoundaryKey(kind, l, t), blob, i in stored)
-            for i in range(grid.n_layer_blocks) for l in grid.block_layers(i)
-            for kind, blob in (("parameter", param_bytes(state.layers[l])),
-                               ("optimizer-state", opt_state_bytes(state, l)))]
+        entries = [(key, state_blob(state, key), i in stored)
+                   for i in range(grid.n_layer_blocks)
+                   for key in grid.state_keys(i, t)]
         digests = ctx.hash_many([blob for _, blob, _ in entries])
         for (key, blob, checkpointed), digest in zip(entries, digests):
             table[key] = digest
@@ -144,11 +153,9 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
         ``t`` in one batch, and store them unless the run is
         zero-storage."""
         losses.append(trace.loss)
-        acts, gacts = ctx.boundary_tensors(trace)
-        keys = [BoundaryKey(kind, b, t) for kind in ("activation", "gradient")
-                for b in range(grid.n_boundaries)]
-        tensors = acts + gacts
-        for key, arr, digest in zip(keys, tensors, ctx.hash_many(tensors)):
+        tensors = ctx.boundary_tensors(trace, t)
+        for (key, arr), digest in zip(tensors.items(),
+                                      ctx.hash_many(list(tensors.values()))):
             table[key] = digest
             if not ctx.config.zero_storage:
                 store.put_tensor(key, arr, digest)
@@ -182,21 +189,15 @@ def rerun_rows(manifest: dict, wanted: set[BoundaryKey]):
     row: dict[BoundaryKey, np.ndarray | bytes] = {}
 
     def capture_params(state: ModelState, t: int) -> None:
-        for l in range(ctx.config.n_layers):
-            pk = BoundaryKey("parameter", l, t)
-            ok = BoundaryKey("optimizer-state", l, t)
-            if pk in wanted:
-                row[pk] = param_bytes(state.layers[l])
-            if ok in wanted:
-                row[ok] = opt_state_bytes(state, l)
+        for i in range(grid.n_layer_blocks):
+            for key in grid.state_keys(i, t):
+                if key in wanted:
+                    row[key] = state_blob(state, key)
 
     def capture_boundaries(trace, t: int) -> None:
-        acts, gacts = ctx.boundary_tensors(trace)
-        for k in range(grid.n_boundaries):
-            for key, arr in ((BoundaryKey("activation", k, t), acts[k]),
-                             (BoundaryKey("gradient", k, t), gacts[k])):
-                if key in wanted:
-                    row[key] = arr
+        for key, arr in ctx.boundary_tensors(trace, t).items():
+            if key in wanted:
+                row[key] = arr
 
     for j in _run_rows(ctx, ctx.fresh_state(), train_step, capture_params,
                        capture_boundaries):
@@ -256,21 +257,15 @@ def record_inference(manifest: dict, layers, x: np.ndarray, out_dir) -> RunResul
 
 def reference_closure(grid: BlockGrid, bids: list[BlockId]) -> set[BoundaryKey]:
     """Keys a later verification of ``bids`` may need: their commitment
-    keys, the nearest prior checkpoints of their rows, and the boundary
-    tensors required to replay intervening steps."""
+    keys, the checkpoints their rows' replays start from, and the
+    boundary tensors those replays consume up to each block's entry."""
     keep: set[BoundaryKey] = set()
     for bid in bids:
         keep.update(grid.commitment_keys(bid))
-        ic = grid.checkpoint_interval(bid.i)
-        if ic is None:
-            continue
-        j0 = (bid.j // ic) * ic
-        t0 = grid.step_blocks[j0][0]
-        t1 = grid.step_blocks[bid.j][0]
-        for l in grid.block_layers(bid.i):
-            keep.add(BoundaryKey("parameter", l, t0))
-            keep.add(BoundaryKey("optimizer-state", l, t0))
-        for t in range(t0, t1):
-            keep.add(BoundaryKey("activation", bid.i, t))
-            keep.add(BoundaryKey("gradient", bid.i + 1, t))
+        target = grid.step_blocks[bid.j][0]
+        t0 = grid.replay_origin(bid.i, target)
+        if t0 is not None:
+            keep.update(grid.state_keys(bid.i, t0))
+        for t in range(t0 or 0, target):
+            keep.update(grid.replay_inputs(bid.i, t))
     return keep

@@ -10,6 +10,7 @@ physical deduplication.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -105,6 +106,9 @@ class TensorStore:
         data = self.get_bytes(key)
         if ent["shape"] is None:
             raise StoreError(f"{key} holds raw bytes, not a tensor")
+        if len(data) != 4 * math.prod(ent["shape"]):
+            raise StoreError(f"blob of {key} holds {len(data)} bytes, which "
+                             f"do not fill shape {ent['shape']}")
         return np.frombuffer(data, dtype="<f4").reshape(ent["shape"]).copy()
 
     # -- accounting and maintenance --------------------------------------

@@ -247,23 +247,21 @@ class BlockReplayer:
         return self.opt.state_bytes(li, self.layers[li])
 
 
-def non_finite_key(i: int, t: int, x, upstream) -> str:
+def non_finite_key(grid: BlockGrid, i: int, t: int, x, upstream) -> str:
     """The boundary a NonFiniteError in layer block i's step-t replay is
     charged to: the first consumed tensor holding NaN or Inf, else the
-    block's replayed output."""
-    for key, arr in ((BoundaryKey("activation", i, t), x),
-                     (BoundaryKey("gradient", i + 1, t), upstream)):
+    block's replayed output activation."""
+    for key, arr in zip(grid.replay_inputs(i, t), (x, upstream)):
         if not np.all(np.isfinite(arr)):
             return str(key)
-    return str(BoundaryKey("activation", i + 1, t))
+    return str(grid.replay_outputs(i, t)[0])
 
 
 def _exit_blob_error(kind: str, replayed: bytes, recorded: bytes) -> float:
     """Relative error of a recorded block-exit blob against the replayed
     one. An optimizer state's step counter must match exactly."""
     head = 4 if kind == "optimizer-state" else 0
-    if not isinstance(recorded, bytes) or len(recorded) != len(replayed) \
-            or recorded[:head] != replayed[:head]:
+    if len(recorded) != len(replayed) or recorded[:head] != replayed[:head]:
         return float("inf")
     return rel_l2_error(np.frombuffer(replayed, "<f4", offset=head),
                         np.frombuffer(recorded, "<f4", offset=head))
@@ -338,27 +336,21 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
     layer_ids = list(grid.block_layers(i))
 
     # integrity of everything provided (Step-1 preconditions first)
-    entry_keys = [BoundaryKey(k, l, t_in)
-                  for l in layer_ids for k in ("parameter", "optimizer-state")]
-    boundary_keys = [BoundaryKey(kind, b, t)
-                     for t in steps for b in (i, i + 1)
-                     for kind in ("activation", "gradient")]
-    exit_keys = [BoundaryKey(k, l, t_out)
-                 for l in layer_ids for k in ("parameter", "optimizer-state")]
+    entry_keys = grid.state_keys(i, t_in)
+    exit_keys = grid.state_keys(i, t_out)
     stored_exit = [k for k in exit_keys if str(k) in req.tensors]
     # the loss block's labels are bound to the manifest's label anchors
     label_steps = steps if grid.config.n_layers - 1 in layer_ids else ()
-    if _check_hashes(req, entry_keys + boundary_keys + stored_exit, collector,
-                     label_steps):
+    if _check_hashes(req, entry_keys + grid.boundary_keys(req.block)
+                     + stored_exit, collector, label_steps):
         return
 
-    replayer = BlockReplayer(
-        req.model, req.optimizer, layer_ids,
-        {l: req.tensors[str(BoundaryKey("parameter", l, t_in))] for l in layer_ids},
-        {l: req.tensors[str(BoundaryKey("optimizer-state", l, t_in))]
-         for l in layer_ids},
-        precision=req.precision,
-    )
+    entry = {kind: {k.index: req.tensors[str(k)] for k in entry_keys
+                    if k.kind == kind}
+             for kind in ("parameter", "optimizer-state")}
+    replayer = BlockReplayer(req.model, req.optimizer, layer_ids,
+                             entry["parameter"], entry["optimizer-state"],
+                             precision=req.precision)
     noise_rng = np.random.default_rng(0) if req.replay_noise > 0 else None
 
     def jitter(arr):
@@ -368,17 +360,16 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
         return (arr * scale).astype(arr.dtype)
 
     for t in steps:
-        x = req.tensors[str(BoundaryKey("activation", i, t))]
-        upstream = req.tensors[str(BoundaryKey("gradient", i + 1, t))]
+        x, upstream = (req.tensors[str(k)] for k in grid.replay_inputs(i, t))
         try:
             acts, gacts = replayer.replay_step(x, upstream,
                                                labels=req.labels.get(t))
         except NonFiniteError:
             # replay cannot go on past NaN/Inf, full scan or not
-            collector.fail(NON_FINITE, non_finite_key(i, t, x, upstream))
+            collector.fail(NON_FINITE, non_finite_key(grid, i, t, x, upstream))
             return
-        for replayed, key in ((acts[-1], BoundaryKey("activation", i + 1, t)),
-                              (gacts[0], BoundaryKey("gradient", i, t))):
+        for replayed, key in zip((acts[-1], gacts[0]),
+                                 grid.replay_outputs(i, t)):
             err = rel_l2_error(jitter(replayed), req.tensors[str(key)])
             if collector.compare(key, err, req.tau):
                 return
@@ -461,6 +452,12 @@ def verify_block(req: VerificationRequest) -> VerificationReport:
     i, j = req.block.i, req.block.j
     if not (0 <= i < grid.n_layer_blocks and 0 <= j < grid.n_step_blocks):
         raise VerifierError(f"block {req.block} lies outside the grid")
+    for k, v in req.tensors.items():
+        # boundary tensors are replayed as arrays; state blobs are decoded
+        array = k.startswith(("activation:", "gradient:"))
+        if array != isinstance(v, np.ndarray):
+            raise VerifierError(f"tensor {k} must be "
+                                f"{'an array' if array else 'raw bytes'}")
     check(req, grid, _FailureCollector(report, req.full_scan))
     report.wall_time = time.perf_counter() - t_start
     return report

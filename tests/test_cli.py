@@ -359,3 +359,105 @@ def test_inference_attack_records_what_record_infer_does(tmp_path, runner,
     assert attacked.manifest["hash_algo"] == "sha256"
     assert _invoke(runner, tmp_path, "verify", "honest").exit_code == 0
     _exits_cleanly(_invoke(runner, tmp_path, "verify", "atk"), 1)
+
+
+# -- forged or pruned commitments -----------------------------------------
+
+
+def _forge_block_1_0(run, forge):
+    """Apply ``forge`` to block 1,0's sealed commitment and save it."""
+    from aftune.ledger import RunLedger
+    ledger = RunLedger.load(run / "ledger.bin")
+    forge(ledger.entry_for(BlockId(1, 0)).entries)
+    ledger.save(run / "ledger.bin")
+
+
+def test_conflicting_neighbor_commitment_fails_the_block(sha_run, tmp_path,
+                                                          runner):
+    # block 1,0 commits another activation:1@0 than block 0,0 does
+    from aftune.hashing import Digest
+    run = tmp_path / "conflict"
+    shutil.copytree(sha_run, run)
+    key = BoundaryKey("activation", 1, 0)
+    _forge_block_1_0(run, lambda e: e.update({key: Digest(bytes(32),
+                                                           "sha256")}))
+    result = _invoke(runner, tmp_path, "verify", "conflict")
+    _exits_cleanly(result, 1)
+    assert "block 0,0: pass" in result.output
+    assert f"block 1,0: fail (hash-mismatch at {key})" in result.output
+    assert "trust chain: BROKEN — digest conflict with neighbor 0,0 on " \
+        f"{key}" in result.output
+    for args in (["verify", "conflict", "--isolated"],
+                 ["audit", "conflict", "--strategy", "explicit",
+                  "--block", "1,0"]):
+        _exits_cleanly(_invoke(runner, tmp_path, *args), 1)
+
+
+def test_omitted_commitment_key_is_refused(sha_run, tmp_path, runner):
+    run = tmp_path / "omitted"
+    shutil.copytree(sha_run, run)
+    key = BoundaryKey("activation", 1, 0)
+    _forge_block_1_0(run, lambda e: e.pop(key))
+    result = _invoke(runner, tmp_path, "verify", "omitted")
+    _exits_cleanly(result, 1)
+    assert "block 0,0: pass" in result.output
+    assert "block 1,0: refused" in result.output
+    assert f"trust chain: BROKEN — block 1,0 does not commit {key}" \
+        in result.output
+    report = json.loads((run / "verify_report.json").read_text())
+    assert report["trust_chain"]["bad_blocks"] == ["1,0"]
+    assert f"missing ledger digest for {key}" in report["reports"][1]["note"]
+    _exits_cleanly(_invoke(runner, tmp_path, "audit", "omitted", "--strategy",
+                           "explicit", "--block", "1,0"), 1)
+
+
+def test_short_input_anchors_break_the_chain(sha_run, tmp_path, runner):
+    from aftune.ledger import RunLedger
+    run = tmp_path / "short-anchors"
+    shutil.copytree(sha_run, run)
+    ledger = RunLedger.load(run / "ledger.bin")
+    ledger.manifest["input_anchors"] = ledger.manifest["input_anchors"][:2]
+    ledger.save(run / "ledger.bin")
+    result = _invoke(runner, tmp_path, "verify", "short-anchors")
+    _exits_cleanly(result, 1)
+    assert "trust chain: BROKEN — no input anchor for step 2 backing " \
+        "activation:0@2" in result.output
+    report = json.loads((run / "verify_report.json").read_text())
+    assert report["trust_chain"]["bad_blocks"] == ["0,1"]
+    _exits_cleanly(_invoke(runner, tmp_path, "audit", "short-anchors",
+                           "--strategy", "explicit", "--block", "0,1"), 1)
+
+
+def test_prune_at_infinite_interval_keeps_the_replay_inputs(tmp_path, runner):
+    # with no mid-run checkpoint, block 0,2's row replays from the init
+    assert _invoke(runner, tmp_path, "record-train", "run", "--ic", "inf",
+                   "--algo", "sha256", "--batch-size", "8").exit_code == 0
+    assert _invoke(runner, tmp_path, "prune", "run", "--keep",
+                   "0,2").exit_code == 0
+    result = _invoke(runner, tmp_path, "verify", "run")
+    _exits_cleanly(result, 1)
+    assert "block 0,2: pass" in result.output
+    assert "block 1,2: evidence-released" in result.output
+    assert _invoke(runner, tmp_path, "verify", "run", "--block",
+                   "0,2").exit_code == 0
+
+
+def test_short_boundary_blob_is_evidence_released(sha_run, tmp_path, runner):
+    # a blob file cut on disk, behind the index's back
+    run = tmp_path / "cutblob"
+    shutil.copytree(sha_run, run)
+    key = BoundaryKey("activation", 1, 0)
+    blob = run / "store" / TensorStore(run).index[str(key)]["digest"]
+    blob.write_bytes(blob.read_bytes()[:-3])
+    for args in (["verify", "cutblob"], ["verify", "cutblob", "--isolated"],
+                 ["audit", "cutblob", "--strategy", "explicit",
+                  "--block", "1,0"]):
+        _exits_cleanly(_invoke(runner, tmp_path, *args), 1)
+    reports = json.loads((run / "verify_report.json").read_text())["reports"]
+    released = {r["block"] for r in reports
+                if r["verdict"] == "evidence-released"}
+    assert {"0,0", "1,0"} <= released
+    assert all("do not fill shape" in r["note"] for r in reports
+               if r["block"] in ("0,0", "1,0"))
+    with pytest.raises(ReconstructionError, match="do not fill shape"):
+        Run.open(run).state_at(2)

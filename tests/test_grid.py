@@ -149,6 +149,54 @@ def test_neighbors_and_anchors():
     assert grid.neighbors(BlockId(2, 0))["right"] == LABEL_ANCHOR
 
 
+SCHEDULE_GRIDS = {
+    "ic1": GridConfig(n_layers=5, n_steps=9, bl=2, bs=2, ic=1),
+    "ic2": GridConfig(n_layers=5, n_steps=9, bl=2, bs=2, ic=2),
+    "icinf": GridConfig(n_layers=5, n_steps=9, bl=2, bs=2, ic=None),
+    "isolated": GridConfig(n_layers=5, n_steps=9, bl=2, bs=2, ic=None,
+                           isolate_layers=(2,)),
+    "zero-storage": GridConfig(n_layers=5, n_steps=9, bl=2, bs=2, ic=2,
+                               zero_storage=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_GRIDS))
+def test_commitment_keys_are_the_key_schedule(name):
+    grid = BlockGrid(SCHEDULE_GRIDS[name])
+    for bid in grid.block_ids():
+        entry, exit_ = grid.commitment_boundary_steps(bid.j)
+        assert grid.commitment_keys(bid) == grid.boundary_keys(bid) \
+            + grid.state_keys(bid.i, entry) + grid.state_keys(bid.i, exit_)
+        for t in grid.block_steps(bid.j):
+            assert [str(k) for k in grid.replay_inputs(bid.i, t)] == \
+                [f"activation:{bid.i}@{t}", f"gradient:{bid.i + 1}@{t}"]
+            assert [str(k) for k in grid.replay_outputs(bid.i, t)] == \
+                [f"activation:{bid.i + 1}@{t}", f"gradient:{bid.i}@{t}"]
+            assert set(grid.replay_inputs(bid.i, t)) \
+                | set(grid.replay_outputs(bid.i, t)) \
+                == {k for k in grid.boundary_keys(bid) if k.step == t}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_GRIDS))
+def test_replay_origin_is_the_last_checkpoint_at_or_before(name):
+    config = SCHEDULE_GRIDS[name]
+    grid = BlockGrid(config)
+    for i in range(grid.n_layer_blocks):
+        ic = grid.checkpoint_interval(i)
+        for t in range(config.n_steps + 1):
+            if config.zero_storage:
+                want = None
+            elif t == config.n_steps:
+                want = t  # the delivered final state is stored
+            elif ic is None:
+                want = None  # only the step-0 init, derived from the manifest
+            else:
+                j = next(j for j, (a, b) in enumerate(grid.step_blocks)
+                         if a <= t < b)
+                want = grid.step_blocks[j // ic * ic][0]
+            assert grid.replay_origin(i, t) == want, (i, t)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GridConfig(n_layers=4, n_steps=4, bl=5, bs=2)

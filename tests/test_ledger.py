@@ -152,13 +152,10 @@ def test_all_digests_detects_conflicts():
         ledger.all_digests()
 
 
-def test_lookup_and_entry_for():
+def test_entry_for():
     ledger = RunLedger(_manifest())
     cs = _sealed(0, 0)
     ledger.append(cs)
-    key = next(iter(cs.entries))
-    assert ledger.lookup(key) == cs.entries[key]
-    assert ledger.lookup(BoundaryKey("gradient", 99, 99)) is None
     assert ledger.entry_for(BlockId(0, 0)) is cs
     assert ledger.entry_for(BlockId(5, 5)) is None
 

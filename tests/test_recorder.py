@@ -3,6 +3,8 @@ storage accounting, zero-storage rematerialization, and pruning."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,22 @@ def test_ledger_digest_is_golden(tmp_path, kw, scenario, want):
     else:
         apply_scenario(scenario, manifest, tmp_path / "run")
     assert RunLedger.load(tmp_path / "run" / LEDGER_FILE).digest().hex == want
+
+
+# sha256 over every block's verification request bytes of the fixed
+# 4-step sha256 run: any change to what a request carries, or in which
+# order, shows here
+GOLDEN_REQUESTS_DIGEST = \
+    "0be507421770d33d9f4412ba2ba8411a76a01d79ed54b925ce72b695d402046d"
+
+
+def test_request_bytes_are_golden(tmp_path):
+    record_training(make_manifest(n_steps=4, algo="sha256"), tmp_path / "run")
+    run = Run.open(tmp_path / "run")
+    h = hashlib.sha256()
+    for _, req in run.requests(run.grid.block_ids()):
+        h.update(req.to_bytes())
+    assert h.hexdigest() == GOLDEN_REQUESTS_DIGEST
 
 
 def test_ledger_row_structure(tmp_path):

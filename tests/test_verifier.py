@@ -336,6 +336,10 @@ HOSTILE = {
         req, "model", dict(req.model, layers=[{"kind": "no-such-layer"}])),
     "unstored-exit-digest-missing":
         lambda req: req.ledger_digests.pop("parameter:0@2"),
+    "boundary-tensor-as-bytes": lambda req: req.tensors.update(
+        {"activation:0@0": req.tensors["activation:0@0"].tobytes()}),
+    "state-blob-as-array": lambda req: req.tensors.update(
+        {"parameter:0@0": np.zeros(2, np.float32)}),
 }
 
 
@@ -352,6 +356,26 @@ def test_hostile_request_is_refused_and_worker_lives_on(mlp_run, case):
                          + verifier_worker.frame(honest.to_bytes()))
     assert [r.verdict for r in reports] == [REFUSED, PASS]
     assert _comparable(reports[0]) == _comparable(in_proc)
+
+
+def test_inference_tensor_of_the_wrong_type_is_refused(tmp_path):
+    from click.testing import CliRunner
+
+    from aftune.cli import main
+    assert CliRunner().invoke(main, ["--root", str(tmp_path), "record-infer",
+                                     "inf"]).exit_code == 0
+    honest = Run.open(tmp_path / "inf").request(BlockId(0, 0))
+    frames = []
+    for key, wrong in (("activation:0@0", lambda v: v.tobytes()),
+                       ("parameter:0@0", lambda v: np.zeros(2, np.float32))):
+        req = Run.open(tmp_path / "inf").request(BlockId(0, 0))
+        req.tensors[key] = wrong(req.tensors[key])
+        report = verify_or_refuse(req)
+        assert report.verdict == REFUSED and key in report.note
+        frames.append(verifier_worker.frame(req.to_bytes()))
+    reports, _ = _stream(b"".join(frames)
+                         + verifier_worker.frame(honest.to_bytes()))
+    assert [r.verdict for r in reports] == [REFUSED, REFUSED, PASS]
 
 
 def test_worker_answers_each_frame_in_order(request_bytes):
