@@ -244,7 +244,10 @@ def verify(run_dir, block_id, verify_all, full_scan, precision, tau,
             and len(targets) == len(committed):
         chain = check_trust_chain(ledger, run.store)
 
-    ok = all(r.passed for r in reports) and (chain is None or chain.ok)
+    # a ledger that commits no block, as a recording killed before its
+    # first sealed row leaves, has nothing that could pass
+    ok = bool(reports) and all(r.passed for r in reports) \
+        and (chain is None or chain.ok)
     payload = {"reports": [r.to_json() for r in reports],
                "trust_chain": chain.to_json() if chain else None,
                "ok": ok}
@@ -257,6 +260,8 @@ def verify(run_dir, block_id, verify_all, full_scan, precision, tau,
                 line += f", err {r.measured_error:.3e} vs tau {r.tau:.1e}"
             line += ")"
         click.echo(line)
+    if not reports:
+        click.echo("no block is committed")
     if chain is not None:
         click.echo(f"trust chain: {'ok' if chain.ok else 'BROKEN'}"
                    + (f" — {chain.problems[0]}" if chain.problems else ""))

@@ -161,6 +161,10 @@ class BlockGrid:
         return [BlockId(i, j) for j in range(self.n_step_blocks)
                 for i in range(self.n_layer_blocks)]
 
+    def contains(self, bid: BlockId) -> bool:
+        return (0 <= bid.i < self.n_layer_blocks
+                and 0 <= bid.j < self.n_step_blocks)
+
     def block_layers(self, i: int) -> range:
         a, b = self.layer_blocks[i]
         return range(a, b)

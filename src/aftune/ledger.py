@@ -4,6 +4,12 @@ The ledger binary form is canonical: a magic header, a length-prefixed
 canonical-JSON manifest, then length-prefixed block entries in append
 order. Each entry carries a reserved (currently empty) signature slot.
 A JSON export with hex digests is available for humans.
+
+A recording writes the file in the same order: the header (magic and
+manifest) atomically with ``RunLedger.save`` before its first step, then
+each sealed step-block row appended with ``RunLedger.append_row``, so
+every entry is encoded and written once. ``save`` stays the full atomic
+rewrite, for ledgers loaded and changed after the fact.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from .hashing import ALGORITHMS, Digest, hash_bytes
@@ -26,6 +33,18 @@ _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 class LedgerError(Exception):
     pass
+
+
+def _frame(blob: bytes) -> bytes:
+    """One length-prefixed part of the ledger file: the manifest or an
+    entry."""
+    return struct.pack("<I", len(blob)) + blob
+
+
+def _file_stamp(fd: int) -> tuple[int, int, int, int]:
+    """What identifies a ledger file and where it ends."""
+    st = os.fstat(fd)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 class SealedError(LedgerError):
@@ -120,6 +139,13 @@ class RunLedger:
 
     Appends must respect row completeness: every block of step-block row
     j is present before any block of row j+1.
+
+    On disk the file only grows while a run records: ``save`` writes the
+    header, and ``append_row`` adds one sealed row at a time with one
+    fsync. A recording killed midway leaves the header and its sealed
+    rows, which decode as a ledger of those rows. A write torn inside
+    its last row leaves a truncated entry, which ``decode`` rejects with
+    LedgerError like any other truncation.
     """
 
     def __init__(self, manifest: dict):
@@ -129,24 +155,33 @@ class RunLedger:
         # block -> its (first) commitment set, and sealed blocks per row
         self.by_block: dict[BlockId, CommitmentSet] = {}
         self._row_sizes: dict[int, int] = {}
+        self._last_row = -1
+        self._complete_rows = 0  # rows 0..n-1 known to hold every block
+        self._stamp: tuple | None = None  # the file this ledger last wrote
 
     # -- structure -------------------------------------------------------
 
-    @property
+    @cached_property
     def grid(self) -> BlockGrid:
+        # built on first use: decoding must not depend on a valid grid
         return BlockGrid(GridConfig.from_dict(self.manifest["grid"]))
 
     def append(self, cs: CommitmentSet) -> None:
         if not cs.sealed:
             raise LedgerError("only sealed commitment sets may be appended")
-        n_lb = self.grid.n_layer_blocks
+        if not self.grid.contains(cs.block):
+            raise LedgerError(f"block {cs.block} lies outside the grid")
         if cs.block in self.by_block:
             raise OrderError(f"duplicate entry for block {cs.block}")
-        for j in range(cs.block.j):
-            if self._row_sizes.get(j, 0) != n_lb:
-                raise OrderError(
-                    f"cannot append block {cs.block}: row {j} incomplete")
-        if self._row_sizes and max(self._row_sizes) > cs.block.j:
+        # a row stops growing once a later one starts, so a row found
+        # complete stays complete
+        n_lb = self.grid.n_layer_blocks
+        while self._complete_rows < cs.block.j:
+            if self._row_sizes.get(self._complete_rows, 0) != n_lb:
+                raise OrderError(f"cannot append block {cs.block}: row "
+                                 f"{self._complete_rows} incomplete")
+            self._complete_rows += 1
+        if self._last_row > cs.block.j:
             raise OrderError(
                 f"cannot append block {cs.block}: a later row already sealed")
         self._add(cs)
@@ -156,6 +191,7 @@ class RunLedger:
         if cs.block not in self.by_block:
             self.by_block[cs.block] = cs
             self._row_sizes[cs.block.j] = self._row_sizes.get(cs.block.j, 0) + 1
+            self._last_row = max(self._last_row, cs.block.j)
 
     def entry_for(self, bid: BlockId) -> CommitmentSet | None:
         return self.by_block.get(bid)
@@ -174,12 +210,8 @@ class RunLedger:
     def encode(self) -> bytes:
         manifest_json = json.dumps(self.manifest, sort_keys=True,
                                    separators=(",", ":")).encode()
-        parts = [MAGIC, struct.pack("<I", len(manifest_json)), manifest_json]
-        for e in self.entries:
-            blob = e.encode()
-            parts.append(struct.pack("<I", len(blob)))
-            parts.append(blob)
-        return b"".join(parts)
+        return b"".join([MAGIC, _frame(manifest_json)]
+                        + [_frame(e.encode()) for e in self.entries])
 
     @classmethod
     def decode(cls, data: bytes) -> "RunLedger":
@@ -216,12 +248,40 @@ class RunLedger:
         return ledger
 
     def save(self, path) -> None:
+        """Write the whole ledger to ``path`` atomically: the header of a
+        run about to record, or a full rewrite of a loaded ledger."""
         tmp = str(path) + ".tmp"
         with open(tmp, "wb") as f:
             f.write(self.encode())
             f.flush()
             os.fsync(f.fileno())  # commitment must land before any audit
+            stamp = _file_stamp(f.fileno())
         os.replace(tmp, path)
+        self._stamp = stamp
+
+    def append_row(self, sets: list[CommitmentSet], path) -> None:
+        """Append sealed ``sets`` (a step-block row) through ``append``'s
+        order checks, then write their entries to the end of ``path`` with
+        one fsync. ``path`` must be the file this ledger last saved or
+        appended to, unchanged since; anything else raises LedgerError
+        and the file is left as it is."""
+        try:
+            f = open(path, "r+b")
+        except FileNotFoundError:
+            raise LedgerError(f"no ledger file at {path} to append "
+                              f"to") from None
+        with f:
+            if self._stamp is None or _file_stamp(f.fileno()) != self._stamp:
+                raise LedgerError(f"{path} is not the file this ledger last "
+                                  f"wrote; refusing to append")
+            self._stamp = None  # until the whole row is on disk
+            for cs in sets:
+                self.append(cs)
+            f.seek(0, os.SEEK_END)
+            f.write(b"".join(_frame(cs.encode()) for cs in sets))
+            f.flush()
+            os.fsync(f.fileno())
+            self._stamp = _file_stamp(f.fileno())
 
     @classmethod
     def load(cls, path) -> "RunLedger":

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import (INPUT_ANCHOR, LABEL_ANCHOR, BlockGrid, BlockId, BoundaryKey,
+from .grid import (INPUT_ANCHOR, LABEL_ANCHOR, BlockId, BoundaryKey,
                    GridConfig, label_anchor_key)
 from .hashing import ALGORITHMS, Digest, chunked_hash_many
 from .ledger import SCHEMA_VERSION, LedgerError, RunLedger
@@ -94,8 +94,8 @@ class Run:
         self.ledger = ledger
         self.manifest = ledger.manifest
         self.mode = self.manifest["mode"]
-        self.config = GridConfig.from_dict(self.manifest["grid"])
-        self.grid = BlockGrid(self.config)
+        self.grid = ledger.grid
+        self.config = self.grid.config
         training = self.mode == "training"
         self.ctx = RunContext(self.manifest) if training else None
         self.store = None if training and self.config.zero_storage \
@@ -112,6 +112,10 @@ class Run:
             raise LedgerError(f"ledger schema version {version} != "
                               f"supported {SCHEMA_VERSION}")
         _check_manifest(ledger.manifest)
+        for e in ledger.entries:
+            if not ledger.grid.contains(e.block):
+                raise LedgerError(f"ledger entry for block {e.block} lies "
+                                  f"outside the manifest's grid")
         return cls(run_dir, ledger)
 
     @cached_property

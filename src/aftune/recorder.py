@@ -161,9 +161,9 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
                 store.put_tensor(key, arr, digest)
 
     for j in _run_rows(ctx, state, step, commit_params, commit_boundaries):
-        for i in range(grid.n_layer_blocks):
-            ledger.append(seal_block(grid, BlockId(i, j), table))
-        ledger.save(out_dir / LEDGER_FILE)
+        ledger.append_row([seal_block(grid, BlockId(i, j), table)
+                           for i in range(grid.n_layer_blocks)],
+                          out_dir / LEDGER_FILE)
     store.save_index()
     return RunResult(ledger, store, state, losses, store.logical_bytes())
 

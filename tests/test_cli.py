@@ -372,6 +372,23 @@ def _forge_block_1_0(run, forge):
     ledger.save(run / "ledger.bin")
 
 
+def test_out_of_grid_entry_is_a_usage_error(sha_run, tmp_path, runner):
+    # a sealed copy of the last entry filed as block 9,9 of a 3x2 grid
+    from aftune.ledger import CommitmentSet, RunLedger
+    run = tmp_path / "outside"
+    shutil.copytree(sha_run, run)
+    last = RunLedger.load(run / "ledger.bin").entries[-1]
+    blob = CommitmentSet(BlockId(9, 9), last.entries, sealed=True).encode()
+    with open(run / "ledger.bin", "ab") as f:
+        f.write(struct.pack("<I", len(blob)) + blob)
+    for args in (["verify", "outside"], ["verify", "outside", "--isolated"],
+                 ["audit", "outside", "--m", "3"],
+                 ["audit", "outside", "--m", "3", "--isolated"]):
+        result = _invoke(runner, tmp_path, *args)
+        _exits_cleanly(result, 2)
+        assert "block 9,9 lies outside the manifest's grid" in result.output
+
+
 def test_conflicting_neighbor_commitment_fails_the_block(sha_run, tmp_path,
                                                           runner):
     # block 1,0 commits another activation:1@0 than block 0,0 does

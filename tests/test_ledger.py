@@ -136,6 +136,41 @@ def test_ledger_save_load(tmp_path):
     assert RunLedger.load(path).encode() == ledger.encode()
 
 
+def test_append_row_writes_what_encode_does(tmp_path):
+    path = tmp_path / LEDGER_FILE
+    ledger = RunLedger(_manifest())
+    ledger.save(path)
+    for j in range(2):
+        ledger.append_row([_sealed(0, j), _sealed(1, j)], path)
+        assert path.read_bytes() == ledger.encode()
+    with pytest.raises(LedgerError):
+        ledger.append_row([_sealed(2, 0)], path)  # outside the grid
+    assert path.read_bytes() == ledger.encode()
+
+
+@pytest.mark.parametrize("tamper", ["truncated", "rewritten", "copied-over",
+                                    "never-written"])
+def test_append_row_refuses_a_file_it_did_not_write(tmp_path, tamper):
+    path = tmp_path / LEDGER_FILE
+    ledger = RunLedger(_manifest())
+    ledger.save(path)
+    ledger.append_row([_sealed(0, 0), _sealed(1, 0)], path)
+    data = path.read_bytes()
+    if tamper == "truncated":
+        path.write_bytes(data[:-7])
+    elif tamper == "rewritten":
+        RunLedger(_manifest()).save(path)
+    elif tamper == "copied-over":  # the same bytes in another file
+        (tmp_path / "copy").write_bytes(data)
+        (tmp_path / "copy").replace(path)
+    else:
+        ledger = RunLedger.load(path)
+    before = path.read_bytes()
+    with pytest.raises(LedgerError):
+        ledger.append_row([_sealed(0, 1), _sealed(1, 1)], path)
+    assert path.read_bytes() == before
+
+
 def test_decode_rejects_bad_magic():
     with pytest.raises(LedgerError):
         RunLedger.decode(b"NOTLEDGER")

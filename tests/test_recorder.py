@@ -4,16 +4,19 @@ storage accounting, zero-storage rematerialization, and pruning."""
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from aftune.adversary import apply_scenario
+from aftune.cli import main
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
     storage_estimate
 from aftune.hashing import chunked_hash
-from aftune.ledger import RunLedger
-from aftune.model import build_model, forward_block, param_bytes
+from aftune.ledger import CommitmentSet, RunLedger
+from aftune.model import build_model, forward_block, param_bytes, train_step
 from aftune.presets import dataset_for, default_optimizer, grid_for, model_for
 from aftune.orchestrate import Run
 from aftune.recorder import (LEDGER_FILE, RunContext, build_inference_manifest,
@@ -77,6 +80,68 @@ def test_request_bytes_are_golden(tmp_path):
     for _, req in run.requests(run.grid.block_ids()):
         h.update(req.to_bytes())
     assert h.hexdigest() == GOLDEN_REQUESTS_DIGEST
+
+
+class _Crash(Exception):
+    pass
+
+
+def _raise_crash(*args):
+    raise _Crash
+
+
+def test_crashed_recording_leaves_a_ledger_prefix(tmp_path, monkeypatch):
+    manifest = make_manifest(n_steps=6, algo="sha256")
+    record_training(manifest, tmp_path / "full")
+    full = (tmp_path / "full" / LEDGER_FILE).read_bytes()
+    grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
+    rows, n_lb = grid.n_step_blocks, grid.n_layer_blocks
+    for k in range(rows + 1):
+        run = tmp_path / f"crash-{k}"
+        # killed at the first step of row k; past the last row, just
+        # before the store index is written
+        first = grid.step_blocks[k][0] if k < rows else None
+        calls = []
+
+        def step(state, batch):
+            if len(calls) == first:
+                raise _Crash
+            calls.append(None)
+            return train_step(state, batch)
+
+        with monkeypatch.context() as m, pytest.raises(_Crash):
+            if first is None:
+                m.setattr(TensorStore, "save_index", _raise_crash)
+            record_training(make_manifest(n_steps=6, algo="sha256"), run,
+                            step=step)
+        data = (run / LEDGER_FILE).read_bytes()
+        assert full.startswith(data)
+        assert len(RunLedger.decode(data).entries) == k * n_lb
+        if k == 0:
+            assert data == RunLedger(manifest).encode()
+        assert not (run / "index.json").exists()
+        result = CliRunner().invoke(main, ["--root", str(tmp_path), "verify",
+                                           run.name])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        reports = json.loads((run / "verify_report.json").read_text())
+        assert [r["verdict"] for r in reports["reports"]] == \
+            [EVIDENCE_RELEASED] * (k * n_lb)
+
+
+@pytest.mark.parametrize("n_steps", [16, 64])
+def test_recording_encodes_each_entry_once(tmp_path, monkeypatch, n_steps):
+    encoded = []
+    encode = CommitmentSet.encode
+
+    def counted(self):
+        encoded.append(self.block)
+        return encode(self)
+
+    monkeypatch.setattr(CommitmentSet, "encode", counted)
+    result = record_training(make_manifest(n_steps=n_steps, algo="sha256"),
+                             tmp_path / "run")
+    assert encoded == [e.block for e in result.ledger.entries]
 
 
 def test_ledger_row_structure(tmp_path):
