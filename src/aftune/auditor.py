@@ -20,7 +20,7 @@ from math import comb, exp, sqrt
 from .grid import BlockGrid, BlockId
 from .orchestrate import Run, check_trust_chain
 from .rng import rng_for
-from .verifier import PASS
+from .verifier import FAIL, PASS, VerificationReport
 
 STRATEGIES = ("uniform", "input-row", "per-step-column", "explicit")
 
@@ -100,6 +100,8 @@ class AuditPlan:
             raise AuditError(f"unknown strategy {self.strategy!r}")
         if self.m < 1 and self.strategy != "explicit":
             raise AuditError("m must be >= 1")
+        if self.strategy == "explicit" and not self.blocks:
+            raise AuditError("the explicit strategy needs at least one block")
 
     def commitment(self) -> str:
         """Hash of the plan (seed included): publish before sampling so
@@ -111,14 +113,22 @@ class AuditPlan:
         return hashlib.sha256(payload).hexdigest()
 
 
-def candidate_blocks(plan: AuditPlan, grid: BlockGrid) -> list[BlockId]:
-    if plan.strategy == "uniform":
-        return grid.block_ids()
-    if plan.strategy == "input-row":
-        return [BlockId(0, j) for j in range(grid.n_step_blocks)]
-    if plan.strategy == "per-step-column":
-        return grid.block_ids()
-    return [BlockId.parse(s) for s in plan.blocks]
+def _explicit_blocks(plan: AuditPlan, grid: BlockGrid) -> list[BlockId]:
+    """The explicit plan's blocks, each required to parse and to lie in
+    ``grid``."""
+    out = []
+    for s in plan.blocks:
+        try:
+            bid = BlockId.parse(s)
+        except ValueError:
+            raise AuditError(f"block must look like 'i,j', got {s!r}") \
+                from None
+        if not grid.contains(bid):
+            raise AuditError(f"block {bid} lies outside the "
+                             f"{grid.n_layer_blocks}x{grid.n_step_blocks} "
+                             f"grid")
+        out.append(bid)
+    return out
 
 
 def sample_blocks(plan: AuditPlan, grid: BlockGrid,
@@ -132,19 +142,21 @@ def sample_blocks(plan: AuditPlan, grid: BlockGrid,
     explicit: exactly the listed blocks.
     """
     if plan.strategy == "explicit":
-        return [BlockId.parse(s) for s in plan.blocks]
+        return _explicit_blocks(plan, grid)
     if plan.strategy == "input-row":
         return [BlockId(0, j) for j in range(grid.n_step_blocks)]
     rng = rng_for(plan.seed, "audit-sample", step=trial)
     if plan.strategy == "per-step-column":
         return [BlockId(int(rng.integers(0, grid.n_layer_blocks)), j)
                 for j in range(grid.n_step_blocks)]
-    pool = candidate_blocks(plan, grid)
-    if plan.m > len(pool):
+    # the uniform pool is grid.block_ids(): position k is block
+    # (k mod n_layer_blocks, k div n_layer_blocks)
+    if plan.m > grid.n_blocks:
         raise AuditError(
-            f"m={plan.m} exceeds the {plan.strategy} pool of {len(pool)}")
-    idx = rng.choice(len(pool), size=plan.m, replace=False)
-    return [pool[k] for k in sorted(idx)]
+            f"m={plan.m} exceeds the {plan.strategy} pool of {grid.n_blocks}")
+    idx = rng.choice(grid.n_blocks, size=plan.m, replace=False)
+    n_lb = grid.n_layer_blocks
+    return [BlockId(int(k) % n_lb, int(k) // n_lb) for k in sorted(idx)]
 
 
 # -- running audits ------------------------------------------------------
@@ -171,18 +183,20 @@ def audit_run(run: Run, plan: AuditPlan, isolated: bool = False,
               **verify_kw) -> AuditReport:
     """One audit of an open ``run``: sample per the committed plan,
     verify each sampled block, and (for training runs) check each
-    sampled block's commitment provenance against the trust anchors."""
+    sampled block's commitment provenance against the trust anchors. A
+    sampled block with no sealed commitment, as a recording killed
+    midway leaves, fails."""
     t0 = time.perf_counter()
     chosen = sample_blocks(plan, run.grid)
-    missing = [b for b in chosen if b not in run.ledger.by_block]
-    if missing:
-        raise AuditError(f"sampled blocks lack commitments: "
-                         f"{[str(b) for b in missing]}")
-    chain_bad = _chain_bad_blocks(run)
+    committed = [b for b in chosen if b in run.ledger.by_block]
+    checked = dict(zip(committed, run.verify(committed, isolated=isolated,
+                                             **verify_kw)))
+    chain_bad = _chain_bad_blocks(run, committed)
     verdicts: dict[str, str] = {}
     reports = []
-    for bid, rep in zip(chosen, run.verify(chosen, isolated=isolated,
-                                           **verify_kw)):
+    for bid in chosen:
+        rep = checked.get(bid) or VerificationReport(
+            block=bid, verdict=FAIL, note="no sealed commitment")
         verdict = rep.verdict
         if verdict == PASS and str(bid) in chain_bad:
             verdict = "fail"
@@ -199,10 +213,12 @@ def audit_run(run: Run, plan: AuditPlan, isolated: bool = False,
     )
 
 
-def _chain_bad_blocks(run: Run) -> set[str]:
+def _chain_bad_blocks(run: Run, blocks=None) -> set[str]:
+    """The blocks of ``blocks`` (default: every block) whose commitment
+    provenance is broken."""
     if run.mode != "training":
         return set()
-    return set(check_trust_chain(run.ledger, run.store).bad_blocks)
+    return set(check_trust_chain(run.ledger, run.store, blocks).bad_blocks)
 
 
 @dataclass
@@ -227,13 +243,11 @@ def _exact_campaign_rate(plan: AuditPlan, grid: BlockGrid,
                          failing: set[BlockId]) -> float:
     """Closed-form detection probability of one audit of ``plan``."""
     if plan.strategy == "uniform":
-        pool = candidate_blocks(plan, grid)
+        pool = grid.block_ids()
         k = sum(1 for b in pool if b in failing)
         return p_detect_exact(len(pool), k, min(plan.m, len(pool)))
-    if plan.strategy in ("input-row", "explicit"):
-        fixed = [BlockId(0, j) for j in range(grid.n_step_blocks)] \
-            if plan.strategy == "input-row" \
-            else [BlockId.parse(s) for s in plan.blocks]
+    if plan.strategy in ("input-row", "explicit"):  # no sampling
+        fixed = sample_blocks(plan, grid)
         return 1.0 if any(b in failing for b in fixed) else 0.0
     # per-step-column: independent uniform pick per step-block row
     evade = 1.0
@@ -250,7 +264,7 @@ def run_campaign(run: Run, plan: AuditPlan, trials: int,
     to find the failing set, then resample the plan many times and count
     samples that intersect it."""
     grid = run.grid
-    blocks = [e.block for e in run.ledger.entries]
+    blocks = run.ledger.blocks
     failing = {bid for bid, rep in zip(blocks, run.verify(blocks, **verify_kw))
                if rep.verdict != PASS}
     failing.update(BlockId.parse(s) for s in _chain_bad_blocks(run))

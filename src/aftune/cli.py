@@ -20,18 +20,19 @@ import numpy as np
 from . import __version__
 from .adversary import (SCENARIOS, apply_inference_scenario, apply_scenario,
                         boundary_attack_profile, parameter_poison_attack)
-from .auditor import (STRATEGIES, AuditPlan, audit_run, p_detect_approx,
-                      p_detect_exact, run_campaign)
+from .auditor import (STRATEGIES, AuditError, AuditPlan, audit_run,
+                      p_detect_approx, p_detect_exact, run_campaign,
+                      sample_blocks)
 from .data import make_dataset
 from .grid import BlockId, GridConfig
-from .hashing import ALGORITHMS, chunked_hash
+from .hashing import ALGORITHMS, chunked_hash, hash_bytes
 from .ledger import LedgerError
 from .model import build_model
 from .orchestrate import Run, check_trust_chain
 from .presets import (ATTACK_SAMPLE, PRESETS, dataset_for, default_optimizer,
                       grid_for, model_for, trained_attack_classifier)
-from .recorder import (build_inference_manifest, build_manifest,
-                       record_inference, record_training)
+from .recorder import (LEDGER_FILE, build_inference_manifest,
+                       build_manifest, record_inference, record_training)
 from .store import StoreError
 
 RUN_ROOT_ENV = "AFTUNE_RUN_ROOT"
@@ -147,7 +148,9 @@ def record_train(out_dir, preset, n_steps, bl, bs, ic, ia, chunk_size, algo,
         "blocks": len(result.ledger.entries),
         "bytes_written": result.bytes_written,
         "final_loss": result.losses[-1] if result.losses else None,
-        "ledger_digest": result.ledger.digest().hex,
+        # the digest of the bytes on disk, which equal ``ledger.encode()``
+        "ledger_digest": hash_bytes((out / LEDGER_FILE).read_bytes(),
+                                    algo).hex,
         "seconds": round(elapsed, 3),
     }
     _write_report(out, "record_report.json", summary)
@@ -222,13 +225,13 @@ def verify(run_dir, block_id, verify_all, full_scan, precision, tau,
     """Replay and check one block or the whole grid."""
     run = _open_run(_run_dir(run_dir))
     ledger = run.ledger
-    committed = [e.block for e in ledger.entries]
+    committed = ledger.blocks
     if block_id is not None:
         try:
             bid = BlockId.parse(block_id)
         except (ValueError, IndexError):
             raise click.UsageError(f"--block must look like 'i,j', got {block_id!r}")
-        if bid not in committed:
+        if bid not in ledger.by_block:
             raise click.UsageError(f"block {bid} has no ledger commitment")
         targets = [bid]
     else:
@@ -286,8 +289,14 @@ def audit(run_dir, strategy, m_samples, seed, trials, explicit_blocks,
           isolated):
     """Spot-check randomly sampled blocks of a recorded run."""
     run = _open_run(_run_dir(run_dir))
-    plan = AuditPlan(m=m_samples, strategy=strategy, seed=seed,
-                     blocks=list(explicit_blocks))
+    try:
+        plan = AuditPlan(m=m_samples, strategy=strategy, seed=seed,
+                         blocks=list(explicit_blocks))
+        # a plan the grid cannot serve is a usage error, found before
+        # any block is checked
+        sample_blocks(plan, run.grid)
+    except AuditError as e:
+        raise click.UsageError(str(e))
     click.echo(f"plan commitment {plan.commitment()}")
     if trials > 0:
         result = run_campaign(run, plan, trials)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -115,6 +116,7 @@ class BlockGrid:
             (j * config.bs, min((j + 1) * config.bs, t))
             for j in range(math.ceil(t / config.bs))
         ]
+        self._checkpoints: dict[int, tuple[int, ...]] = {}
 
     @staticmethod
     def _layer_partition(config: GridConfig):
@@ -200,16 +202,21 @@ class BlockGrid:
         """Steps at which layer block i's parameters/optimizer state are
         stored as checkpoint blobs. The delivered final state is always
         checkpointed."""
-        ic = self.checkpoint_interval(i)
-        if self.config.zero_storage:
-            return []
-        steps = set()
-        if ic is not None:
-            for j in range(self.n_step_blocks):
-                if j % ic == 0:
-                    steps.add(self.step_blocks[j][0])
-        steps.add(self.config.n_steps)
-        return sorted(steps)
+        return list(self._checkpoint_schedule(i))
+
+    def _checkpoint_schedule(self, i: int) -> tuple[int, ...]:
+        """``checkpoint_steps(i)``, computed on first use."""
+        steps = self._checkpoints.get(i)
+        if steps is None:
+            ic = self.checkpoint_interval(i)
+            if self.config.zero_storage:
+                steps = ()
+            else:
+                starts = [] if ic is None else \
+                    [a for a, _ in self.step_blocks[::ic]]
+                steps = tuple(sorted({*starts, self.config.n_steps}))
+            self._checkpoints[i] = steps
+        return steps
 
     def commitment_boundary_steps(self, j: int) -> tuple[int, int]:
         """Entry and exit steps of step block j (parameters are committed
@@ -248,8 +255,9 @@ class BlockGrid:
         """The stored checkpoint step a replay of layer block i to step
         ``target`` starts from; None for the step-0 init, which the
         manifest alone derives."""
-        return max((t for t in self.checkpoint_steps(i) if t <= target),
-                   default=None)
+        steps = self._checkpoint_schedule(i)
+        k = bisect.bisect_right(steps, target)
+        return steps[k - 1] if k else None
 
     def boundary_keys(self, bid: BlockId) -> list[BoundaryKey]:
         """Activations and gradients at both edges of block (i, j), step

@@ -10,6 +10,10 @@ manifest) atomically with ``RunLedger.save`` before its first step, then
 each sealed step-block row appended with ``RunLedger.append_row``, so
 every entry is encoded and written once. ``save`` stays the full atomic
 rewrite, for ledgers loaded and changed after the fact.
+
+Loading walks the file's frames once and checks each entry's bytes as
+strictly as decoding it would, but decodes an entry only when it is
+read, so a command pays for the blocks it touches.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -88,31 +93,61 @@ class CommitmentSet:
 
     @classmethod
     def decode(cls, data: bytes) -> "CommitmentSet":
-        if len(data) < 10:
-            raise LedgerError(f"commitment set of {len(data)} bytes is "
-                              f"shorter than its header")
-        i, j, n = struct.unpack_from("<IIH", data, 0)
-        size = 10 + 42 * n + 1 + SIGNATURE_SLOT_BYTES
-        if len(data) != size:
-            raise LedgerError(f"commitment set of {len(data)} bytes; "
-                              f"{n} entries take {size}")
-        off = 10
-        entries = {}
-        for _ in range(n):
-            kind_c, index, step, algo_c = struct.unpack_from("<BIIB", data, off)
-            if kind_c not in _CODE_KIND or algo_c >= len(ALGORITHMS):
-                raise LedgerError(f"unknown kind or algorithm code at "
-                                  f"offset {off} of block {i},{j}")
-            off += 10
-            value = data[off:off + 32]
-            off += 32
-            entries[BoundaryKey(_CODE_KIND[kind_c], index, step)] = \
-                Digest(value, ALGORITHMS[algo_c])
-        has_sig, sig = data[off], data[off + 1:]
-        if has_sig not in (0, 1) or (not has_sig and sig.strip(b"\x00")):
-            raise LedgerError(f"malformed signature slot in block {i},{j}")
+        i, j, n = _entry_header(data)
+        entries = {BoundaryKey(_CODE_KIND[kind_c], index, step):
+                   Digest(value, ALGORITHMS[algo_c])
+                   for kind_c, index, step, algo_c, value
+                   in struct.iter_unpack("<BIIB32s", data[10:10 + 42 * n])}
+        has_sig, sig = data[-SIGNATURE_SLOT_BYTES - 1], \
+            data[-SIGNATURE_SLOT_BYTES:]
         return cls(BlockId(i, j), entries, sealed=True,
                    signature=sig.rstrip(b"\x00") if has_sig else b"")
+
+
+_KIND_CODES = bytes(sorted(_CODE_KIND))
+_ALGO_CODES = bytes(range(len(ALGORITHMS)))
+
+
+def _entry_header(data: bytes) -> tuple[int, int, int]:
+    """Block ``(i, j)`` and key count of one encoded commitment set,
+    after every check its decoding needs: the exact size, each kind and
+    algorithm code, and the signature slot. Raises LedgerError, so bytes
+    that pass decode without error."""
+    if len(data) < 10:
+        raise LedgerError(f"commitment set of {len(data)} bytes is "
+                          f"shorter than its header")
+    i, j, n = struct.unpack_from("<IIH", data, 0)
+    end = 10 + 42 * n  # the keys end, and the signature slot starts
+    if len(data) != end + 1 + SIGNATURE_SLOT_BYTES:
+        raise LedgerError(f"commitment set of {len(data)} bytes; {n} "
+                          f"entries take {end + 1 + SIGNATURE_SLOT_BYTES}")
+    if data[10:end:42].strip(_KIND_CODES) \
+            or data[19:end:42].strip(_ALGO_CODES):
+        raise LedgerError(f"unknown kind or algorithm code in block {i},{j}")
+    has_sig = data[end]
+    if has_sig not in (0, 1) or (not has_sig and data[end + 1:].strip(b"\x00")):
+        raise LedgerError(f"malformed signature slot in block {i},{j}")
+    return i, j, n
+
+
+class _ByBlock(Mapping):
+    """A ledger's blocks, each to its first entry: membership reads the
+    scanned block ids, and an entry decodes when it is looked up."""
+
+    def __init__(self, ledger: "RunLedger"):
+        self._ledger = ledger
+
+    def __getitem__(self, bid: BlockId) -> CommitmentSet:
+        return self._ledger._entry_at(self._ledger._first[bid])
+
+    def __contains__(self, bid) -> bool:
+        return bid in self._ledger._first
+
+    def __iter__(self):
+        return iter(self._ledger._first)
+
+    def __len__(self) -> int:
+        return len(self._ledger._first)
 
 
 def seal_block(grid: BlockGrid, bid: BlockId,
@@ -151,10 +186,14 @@ class RunLedger:
     def __init__(self, manifest: dict):
         manifest.setdefault("schema_version", SCHEMA_VERSION)
         self.manifest = manifest
-        self.entries: list[CommitmentSet] = []
-        # block -> its (first) commitment set, and sealed blocks per row
-        self.by_block: dict[BlockId, CommitmentSet] = {}
-        self._row_sizes: dict[int, int] = {}
+        # per entry in file order: its block, its commitment set once
+        # decoded, and until then its checked bytes
+        self.blocks: list[BlockId] = []
+        self._sets: list[CommitmentSet | None] = []
+        self._raw: list[bytes | None] = []
+        self._undecoded = 0
+        self._first: dict[BlockId, int] = {}  # block -> its first entry
+        self._row_sizes: dict[int, int] = {}  # sealed blocks per row
         self._last_row = -1
         self._complete_rows = 0  # rows 0..n-1 known to hold every block
         self._stamp: tuple | None = None  # the file this ledger last wrote
@@ -171,7 +210,7 @@ class RunLedger:
             raise LedgerError("only sealed commitment sets may be appended")
         if not self.grid.contains(cs.block):
             raise LedgerError(f"block {cs.block} lies outside the grid")
-        if cs.block in self.by_block:
+        if cs.block in self._first:
             raise OrderError(f"duplicate entry for block {cs.block}")
         # a row stops growing once a later one starts, so a row found
         # complete stays complete
@@ -184,17 +223,56 @@ class RunLedger:
         if self._last_row > cs.block.j:
             raise OrderError(
                 f"cannot append block {cs.block}: a later row already sealed")
-        self._add(cs)
+        self._add(cs.block, cs)
 
-    def _add(self, cs: CommitmentSet) -> None:
-        self.entries.append(cs)
-        if cs.block not in self.by_block:
-            self.by_block[cs.block] = cs
-            self._row_sizes[cs.block.j] = self._row_sizes.get(cs.block.j, 0) + 1
-            self._last_row = max(self._last_row, cs.block.j)
+    def _add(self, bid: BlockId, cs: CommitmentSet | None,
+             raw: bytes | None = None) -> None:
+        """File an entry for ``bid``: decoded ``cs``, or checked ``raw``
+        bytes that decode on first read."""
+        if bid not in self._first:
+            self._first[bid] = len(self.blocks)
+            self._row_sizes[bid.j] = self._row_sizes.get(bid.j, 0) + 1
+            self._last_row = max(self._last_row, bid.j)
+        self.blocks.append(bid)
+        self._sets.append(cs)
+        self._raw.append(raw)
+        self._undecoded += cs is None
+
+    def _entry_at(self, p: int) -> CommitmentSet:
+        cs = self._sets[p]
+        if cs is None:
+            cs = self._sets[p] = CommitmentSet.decode(self._raw[p])
+            self._raw[p] = None
+            self._undecoded -= 1
+        return cs
+
+    @property
+    def entries(self) -> list[CommitmentSet]:
+        """Every entry in file order, duplicates included, decoding those
+        not yet read. The list and its sets are the ledger's own: what is
+        changed in them is what ``encode`` and ``save`` write."""
+        if self._undecoded:
+            for p in range(len(self._sets)):
+                self._entry_at(p)
+        return self._sets
+
+    @property
+    def by_block(self) -> "_ByBlock":
+        # a fresh view each time: one kept on the ledger would make a
+        # reference cycle, and every ledger would wait for the cyclic
+        # garbage collector
+        return _ByBlock(self)
 
     def entry_for(self, bid: BlockId) -> CommitmentSet | None:
-        return self.by_block.get(bid)
+        """``bid``'s first entry, decoded on first read; None if none."""
+        p = self._first.get(bid)
+        return None if p is None else self._entry_at(p)
+
+    def entries_in(self, blocks: set[BlockId]) -> list[CommitmentSet]:
+        """Every entry for a block of ``blocks``, in file order, decoding
+        only those."""
+        return [self._entry_at(p) for p, b in enumerate(self.blocks)
+                if b in blocks]
 
     def all_digests(self) -> dict[BoundaryKey, Digest]:
         out: dict[BoundaryKey, Digest] = {}
@@ -226,6 +304,8 @@ class RunLedger:
 
     @classmethod
     def _decode(cls, data: bytes) -> "RunLedger":
+        """One walk over the frames. Each entry's bytes get every check
+        ``CommitmentSet.decode`` relies on, and decode on first read."""
         off = len(MAGIC)
         (mlen,) = struct.unpack_from("<I", data, off)
         off += 4
@@ -243,7 +323,9 @@ class RunLedger:
             if off + elen > len(data):
                 raise LedgerError(f"entry of {elen} bytes at offset {off} "
                                   f"overruns the {len(data)}-byte ledger")
-            ledger._add(CommitmentSet.decode(data[off:off + elen]))
+            raw = data[off:off + elen]
+            i, j, _ = _entry_header(raw)
+            ledger._add(BlockId(i, j), None, raw)
             off += elen
         return ledger
 

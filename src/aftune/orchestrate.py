@@ -112,9 +112,9 @@ class Run:
             raise LedgerError(f"ledger schema version {version} != "
                               f"supported {SCHEMA_VERSION}")
         _check_manifest(ledger.manifest)
-        for e in ledger.entries:
-            if not ledger.grid.contains(e.block):
-                raise LedgerError(f"ledger entry for block {e.block} lies "
+        for bid in ledger.by_block:
+            if not ledger.grid.contains(bid):
+                raise LedgerError(f"ledger entry for block {bid} lies "
                                   f"outside the manifest's grid")
         return cls(run_dir, ledger)
 
@@ -185,7 +185,7 @@ class Run:
         training = self.mode == "training"
         keys = self.grid.commitment_keys(bid) if training \
             else self.grid.inference_commitment_keys(bid)
-        own = self.ledger.by_block.get(bid)
+        own = self.ledger.entry_for(bid)
         committed = own.entries if own is not None else {}
         ledger_digests = {str(k): committed[k] for k in keys if k in committed}
         labels = {}
@@ -381,7 +381,7 @@ class Run:
             if row.broken:
                 raise ReconstructionError(
                     f"layer block {i} at step {step}: {row.broken.note}")
-            own = self.ledger.by_block.get(BlockId(i, j))
+            own = self.ledger.entry_for(BlockId(i, j))
             for k in grid.state_keys(i, step):
                 state[k] = row.blob(k)
                 if own is not None and k in own.entries:
@@ -555,17 +555,29 @@ class ChainReport:
                 "bad_blocks": self.bad_blocks}
 
 
-def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None) -> ChainReport:
+def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None,
+                      blocks=None) -> ChainReport:
     """Confirm every digest a block's verification consumes is vouched
     for: by the sealed commitment of the neighbor ``grid.neighbors``
     names, or, at the grid's edges, by a trust anchor in the manifest
-    (inputs/labels per step, the base model for row 0)."""
+    (inputs/labels per step, the base model for row 0).
+
+    With ``blocks``, walk only the entries of those blocks, which reads
+    the entries of their neighbors. Each walked block gets the problems
+    and bad-block mark the walk of every entry gives it; the base-model
+    anchor is then recomputed when a walked block lies in row 0 and the
+    walked blocks alone show no problem."""
     report = ChainReport(ok=True)
     manifest = ledger.manifest
     grid = ledger.grid
     inputs = manifest.get("input_anchors", [])
     labels = manifest.get("label_anchors", [])
     bad: set[str] = set()
+    if blocks is None:
+        scope, walked = None, ledger.entries
+    else:
+        scope = {b for b in blocks if b in ledger.by_block}
+        walked = ledger.entries_in(scope)
 
     def problem(msg, bid=None):
         report.ok = False
@@ -587,20 +599,21 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None) -> Ch
             return f"row 0 {key} has no base-model anchor"
         return None
 
-    def neighbor_problem(neighbor, key, digest) -> str | None:
-        e = ledger.entry_for(neighbor)
-        if e is None:
+    def neighbor_problem(neighbor, theirs, key, digest) -> str | None:
+        if theirs is None:
             return f"missing neighbor commitment {neighbor} for {key}"
-        if key not in e.entries:
+        if key not in theirs.entries:
             return f"neighbor {neighbor} does not commit {key}"
-        if e.entries[key].value != digest.value:
+        if theirs.entries[key].value != digest.value:
             return f"digest conflict with neighbor {neighbor} on {key}"
         return None
 
-    for e in ledger.entries:
+    for e in walked:
         report.checked += 1
         bid = e.block
         near = grid.neighbors(bid)
+        vouching = {side: ledger.entry_for(by) for side, by in near.items()
+                    if isinstance(by, BlockId)}
         t_in, _ = grid.commitment_boundary_steps(bid.j)
         consumed = [(key, side, t) for t in grid.block_steps(bid.j)
                     for key, side in zip(grid.replay_inputs(bid.i, t),
@@ -611,8 +624,8 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None) -> Ch
             by, digest = near[side], e.entries.get(key)
             if digest is None:
                 why = f"block {bid} does not commit {key}"
-            elif isinstance(by, BlockId):
-                why = neighbor_problem(by, key, digest)
+            elif side in vouching:
+                why = neighbor_problem(by, vouching[side], key, digest)
             else:
                 why = anchor_problem(by, key, digest, t)
                 if why is None:
@@ -622,11 +635,15 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None) -> Ch
                 problem(why, bid)
 
     # when evidence is on hand, tie the row-0 parameters to the anchor value
-    if report.ok and store is not None and "base_model_digest" in manifest \
+    row0 = [BlockId(i, 0) for i in range(grid.n_layer_blocks)]
+    if scope is not None:
+        row0 = [b for b in row0 if b in scope]
+    if report.ok and row0 and store is not None \
+            and "base_model_digest" in manifest \
             and manifest["mode"] == "training" \
             and _base_anchor_broken(manifest, store):
         problem("stored step-0 parameters do not match the base-model anchor")
-        bad.update(str(BlockId(i, 0)) for i in range(grid.n_layer_blocks))
+        bad.update(map(str, row0))
     report.bad_blocks = sorted(bad)
     return report
 

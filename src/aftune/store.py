@@ -95,15 +95,19 @@ class TensorStore:
         return ent is not None and self._blob_path(ent["digest"]).exists()
 
     def get_bytes(self, key: BoundaryKey) -> bytes:
-        ent = self._entry(key)
-        path = self._blob_path(ent["digest"])
-        if not path.exists():
-            raise EvidenceReleasedError(f"evidence released for {key}")
-        return path.read_bytes()
+        return self._read(key, self._entry(key))
+
+    def _read(self, key: BoundaryKey, ent: dict) -> bytes:
+        try:
+            with open(self._blob_path(ent["digest"]), "rb") as f:
+                return f.read()
+        except FileNotFoundError:
+            raise EvidenceReleasedError(f"evidence released for {key}") \
+                from None
 
     def get_tensor(self, key: BoundaryKey) -> np.ndarray:
         ent = self._entry(key)
-        data = self.get_bytes(key)
+        data = self._read(key, ent)
         if ent["shape"] is None:
             raise StoreError(f"{key} holds raw bytes, not a tensor")
         if len(data) != 4 * math.prod(ent["shape"]):
@@ -147,6 +151,9 @@ class TensorStore:
         return removed
 
 
+_DIGEST_HEX = re.compile("[0-9a-f]{64}")
+
+
 def _well_formed(ent) -> bool:
     """Whether ``ent`` is an index entry: a lowercase hex digest of 32
     bytes, a known algorithm, a byte length, and a shape (None for raw
@@ -154,7 +161,7 @@ def _well_formed(ent) -> bool:
     def count(v):
         return type(v) is int and v >= 0
     try:
-        return bool(re.fullmatch("[0-9a-f]{64}", ent["digest"])) \
+        return bool(_DIGEST_HEX.fullmatch(ent["digest"])) \
             and ent["algo"] in ALGORITHMS and count(ent["length"]) \
             and (ent["shape"] is None
                  or isinstance(ent["shape"], list)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aftune.adversary import (AdversaryError, apply_inference_scenario,
+from aftune.adversary import (SCENARIOS, AdversaryError,
+                              apply_inference_scenario,
                               apply_scenario, boundary_attack_profile,
                               parameter_poison_attack, pgd_activation_attack,
                               rewrite_key)
@@ -205,3 +206,80 @@ def test_parameter_poison_attack(attack_subject):
     # stealth: clean behavior mostly preserved, edit far above tolerance
     assert res.clean_accuracy_after >= res.clean_accuracy_before - 0.2
     assert res.rel_delta_norm > 100 * 1e-5
+
+
+BASE_ANCHOR_PROBLEM = \
+    "stored step-0 parameters do not match the base-model anchor"
+
+
+def _assert_scoped_chain_agrees(run_dir):
+    """Walking one block at a time gives each block what the walk of
+    every entry gives it; walking every block gives the whole report."""
+    def load():
+        return RunLedger.load(run_dir / LEDGER_FILE)
+
+    store = TensorStore(run_dir)
+    full = check_trust_chain(load(), store)
+    blocks = list(dict.fromkeys(load().blocks))
+    assert check_trust_chain(load(), store, blocks).to_json() == \
+        full.to_json()
+    walked = []
+    for bid in blocks:
+        scoped = check_trust_chain(load(), store, [bid])
+        assert set(scoped.bad_blocks) <= {str(bid)}
+        walked += [p for p in scoped.problems if p != BASE_ANCHOR_PROBLEM]
+        if str(bid) in full.bad_blocks:
+            assert scoped.bad_blocks == [str(bid)]
+        elif scoped.bad_blocks:  # only ever stricter, on the base anchor
+            assert bid.j == 0 and not full.ok
+            assert scoped.problems == [BASE_ANCHOR_PROBLEM]
+        if BASE_ANCHOR_PROBLEM in full.problems and bid.j == 0:
+            assert scoped.problems == [BASE_ANCHOR_PROBLEM]
+    assert walked == [p for p in full.problems if p != BASE_ANCHOR_PROBLEM]
+    return full
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_scoped_trust_chain_matches_the_full_walk(tmp_path, scenario):
+    from click.testing import CliRunner
+    from aftune.cli import main
+    result = CliRunner().invoke(main, ["--root", str(tmp_path), "attack",
+                                       "run", "--scenario", scenario,
+                                       "--n-steps", "4", "--algo", "sha256"])
+    assert result.exit_code == 0, result.output
+    _assert_scoped_chain_agrees(tmp_path / "run")
+
+
+def test_scoped_trust_chain_on_a_neighbor_conflict(mlp_run, tmp_path):
+    from aftune.hashing import Digest
+    run = copy_run(mlp_run["dir"], tmp_path / "conflict")
+    ledger = RunLedger.load(run / LEDGER_FILE)
+    ledger.entry_for(BlockId(1, 0)).entries[
+        BoundaryKey("activation", 1, 0)] = Digest(bytes(32))
+    ledger.save(run / LEDGER_FILE)
+    full = _assert_scoped_chain_agrees(run)
+    assert full.bad_blocks == ["1,0"]
+
+
+def test_scoped_trust_chain_finds_a_base_anchor_a_full_walk_hides(mlp_run,
+                                                                  tmp_path):
+    # a broken input anchor at step 4 stops the full walk short of the
+    # base-model check; a walk of row-0 blocks alone still makes it
+    run = copy_run(mlp_run["dir"], tmp_path / "base")
+    ledger = RunLedger.load(run / LEDGER_FILE)
+    ledger.manifest["base_model_digest"] = "f" * 64
+    ledger.manifest["input_anchors"][4] = "0" * 64
+    ledger.save(run / LEDGER_FILE)
+    full = _assert_scoped_chain_agrees(run)
+    assert full.bad_blocks == ["0,2"]
+    assert BASE_ANCHOR_PROBLEM not in full.problems
+    store = TensorStore(run)
+
+    def scoped(*bids):
+        return check_trust_chain(RunLedger.load(run / LEDGER_FILE), store,
+                                 list(bids)).bad_blocks
+
+    assert scoped(BlockId(0, 0)) == ["0,0"]
+    assert scoped(BlockId(1, 0), BlockId(1, 1)) == ["1,0"]
+    # as in the full walk, a problem among the walked blocks skips it
+    assert scoped(BlockId(0, 0), BlockId(0, 2)) == ["0,2"]

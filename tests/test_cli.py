@@ -478,3 +478,56 @@ def test_short_boundary_blob_is_evidence_released(sha_run, tmp_path, runner):
                if r["block"] in ("0,0", "1,0"))
     with pytest.raises(ReconstructionError, match="do not fill shape"):
         Run.open(run).state_at(2)
+
+
+@pytest.mark.parametrize("plan", [["--m", "0"], ["--m", "1000"],
+                                  ["--m", "1000", "--trials", "5"],
+                                  ["--strategy", "explicit", "--block", "99,99"],
+                                  ["--strategy", "explicit", "--block", "1"],
+                                  ["--strategy", "explicit"]])
+def test_unservable_audit_plan_is_a_usage_error(sha_run, runner, plan):
+    for extra in ([], ["--isolated"]):
+        result = _invoke(runner, sha_run.parent, "audit", "run", *plan,
+                         *extra)
+        _exits_cleanly(result, 2)
+        assert "Error:" in result.output
+
+
+def _count_decodes(monkeypatch) -> list:
+    from aftune.ledger import CommitmentSet
+    decoded = []
+    decode = CommitmentSet.decode.__func__
+
+    def counted(cls, data):
+        cs = decode(cls, data)
+        decoded.append(cs.block)
+        return cs
+
+    monkeypatch.setattr(CommitmentSet, "decode", classmethod(counted))
+    return decoded
+
+
+def test_spot_checks_decode_only_the_entries_they_read(tmp_path, runner,
+                                                        monkeypatch):
+    assert _invoke(runner, tmp_path, "record-train", "run", "--n-steps",
+                   "384", "--ic", "2", "--algo", "sha256",
+                   "--batch-size", "8").exit_code == 0
+    decoded = _count_decodes(monkeypatch)
+    # a checked block's own entry and its left, right and above neighbors'
+    for args, checked in ((["audit", "run", "--m", "3", "--seed", "1"], 3),
+                          (["audit", "run", "--strategy", "explicit",
+                            "--block", "0,0", "--block", "2,191"], 2),
+                          (["verify", "run", "--block", "1,100"], 1)):
+        decoded.clear()
+        result = _invoke(runner, tmp_path, *args)
+        assert result.exit_code == 0, result.output
+        assert 0 < len(decoded) <= 4 * checked, (args, decoded)
+
+
+def test_full_verify_decodes_each_entry_once(sha_run, runner, monkeypatch):
+    from aftune.ledger import RunLedger
+    blocks = RunLedger.load(sha_run / "ledger.bin").blocks
+    decoded = _count_decodes(monkeypatch)
+    result = _invoke(runner, sha_run.parent, "verify", "run")
+    assert result.exit_code == 0, result.output
+    assert sorted(decoded) == sorted(blocks)

@@ -197,6 +197,21 @@ def test_replay_origin_is_the_last_checkpoint_at_or_before(name):
             assert grid.replay_origin(i, t) == want, (i, t)
 
 
+@pytest.mark.parametrize("name", sorted(SCHEDULE_GRIDS))
+def test_checkpoint_steps_are_the_schedule(name):
+    config = SCHEDULE_GRIDS[name]
+    grid = BlockGrid(config)
+    for i in range(grid.n_layer_blocks):
+        ic = grid.checkpoint_interval(i)
+        want = [] if config.zero_storage else sorted(
+            {a for j, (a, _) in enumerate(grid.step_blocks)
+             if ic is not None and j % ic == 0} | {config.n_steps})
+        got = grid.checkpoint_steps(i)
+        assert got == want
+        got.append(-1)  # each call hands out its own list
+        assert grid.checkpoint_steps(i) == want
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GridConfig(n_layers=4, n_steps=4, bl=5, bs=2)

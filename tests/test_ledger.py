@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig
-from aftune.hashing import Digest
-from aftune.ledger import (MAGIC, SIGNATURE_SLOT_BYTES, CommitmentSet,
-                           LedgerError, OrderError, RunLedger, SealedError,
-                           seal_block)
+from aftune.hashing import ALGORITHMS, Digest
+from aftune.ledger import (MAGIC, SCHEMA_VERSION, SIGNATURE_SLOT_BYTES,
+                           CommitmentSet, LedgerError, OrderError, RunLedger,
+                           SealedError, seal_block)
 from aftune.recorder import LEDGER_FILE
 
 
@@ -250,6 +253,67 @@ def test_commitment_set_sizes_are_exact():
         CommitmentSet.decode(bytes(padded))
 
 
+def _eager_decode(data: bytes):
+    """Oracle: the ledger decoder that parses every entry at load, as
+    ``RunLedger.decode`` did before entries were decoded on first read.
+    Returns the manifest and every entry in file order, or raises
+    LedgerError."""
+    if data[:len(MAGIC)] != MAGIC:
+        raise LedgerError("bad ledger magic")
+    try:
+        off = len(MAGIC)
+        (mlen,) = struct.unpack_from("<I", data, off)
+        off += 4
+        if off + mlen > len(data):
+            raise LedgerError("manifest overruns the ledger")
+        manifest = json.loads(data[off:off + mlen])
+        if not isinstance(manifest, dict):
+            raise LedgerError("ledger manifest is not a JSON object")
+        manifest.setdefault("schema_version", SCHEMA_VERSION)
+        off += mlen
+        sets = []
+        while off < len(data):
+            (elen,) = struct.unpack_from("<I", data, off)
+            off += 4
+            if off + elen > len(data):
+                raise LedgerError("entry overruns the ledger")
+            sets.append(_eager_entry(data[off:off + elen]))
+            off += elen
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise LedgerError(str(e)) from e
+    return manifest, sets
+
+
+def _eager_entry(data: bytes) -> CommitmentSet:
+    if len(data) < 10:
+        raise LedgerError("shorter than its header")
+    i, j, n = struct.unpack_from("<IIH", data, 0)
+    if len(data) != 10 + 42 * n + 1 + SIGNATURE_SLOT_BYTES:
+        raise LedgerError("wrong size")
+    off, entries = 10, {}
+    kinds = ("activation", "gradient", "parameter", "optimizer-state")
+    for _ in range(n):
+        kind_c, index, step, algo_c = struct.unpack_from("<BIIB", data, off)
+        if kind_c >= len(kinds) or algo_c >= len(ALGORITHMS):
+            raise LedgerError("unknown kind or algorithm code")
+        off += 10
+        entries[BoundaryKey(kinds[kind_c], index, step)] = \
+            Digest(data[off:off + 32], ALGORITHMS[algo_c])
+        off += 32
+    has_sig, sig = data[off], data[off + 1:]
+    if has_sig not in (0, 1) or (not has_sig and sig.strip(b"\x00")):
+        raise LedgerError("malformed signature slot")
+    return CommitmentSet(BlockId(i, j), entries, sealed=True,
+                         signature=sig.rstrip(b"\x00") if has_sig else b"")
+
+
+def _oracle_encode(manifest, sets) -> bytes:
+    frames = [json.dumps(manifest, sort_keys=True,
+                         separators=(",", ":")).encode()]
+    frames += [s.encode() for s in sets]
+    return MAGIC + b"".join(struct.pack("<I", len(f)) + f for f in frames)
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
@@ -263,7 +327,69 @@ def test_damaged_ledger_bytes_decode_or_raise_ledger_error(ledger_bytes,
                                       min_size=1, max_size=8), label="bits"):
             raw[bit // 8] ^= 1 << (bit % 8)
     try:
+        want = _eager_decode(bytes(raw))
+    except LedgerError:
+        want = None
+    try:
         ledger = RunLedger.decode(bytes(raw))
     except LedgerError:
+        assert want is None
         return
-    assert isinstance(ledger, RunLedger)
+    assert want is not None, "the scan accepts what the eager decoder rejects"
+    manifest, sets = want
+    assert ledger.manifest == manifest
+    assert ledger.blocks == [s.block for s in sets]
+    # looked up before any full decode: the first entry of a block wins
+    first = {}
+    for s in sets:
+        first.setdefault(s.block, s)
+    for bid, s in first.items():
+        got = ledger.entry_for(bid)
+        assert (got.block, got.entries, got.signature) == \
+            (s.block, s.entries, s.signature)
+        assert ledger.by_block[bid] is got
+    assert [(e.block, e.entries, e.signature) for e in ledger.entries] == \
+        [(s.block, s.entries, s.signature) for s in sets]
+    assert ledger.encode() == _oracle_encode(manifest, sets)
+
+
+def test_repeated_block_resolves_to_its_first_entry():
+    ledger = RunLedger(_manifest())
+    _fill_row(ledger, 0, 2)
+    data = ledger.encode()
+    again = _sealed(0, 0, n_entries=1).encode()
+    back = RunLedger.decode(data + struct.pack("<I", len(again)) + again)
+    assert back.blocks == [BlockId(0, 0), BlockId(1, 0), BlockId(0, 0)]
+    assert len(back.by_block) == 2
+    first, _, later = back.entries
+    assert back.entry_for(BlockId(0, 0)) is first
+    assert back.entries_in({BlockId(0, 0)}) == [first, later]
+    assert len(later.entries) == 1
+
+
+def test_entries_decode_when_read(monkeypatch):
+    ledger = RunLedger(_manifest())
+    _fill_row(ledger, 0, 2)
+    _fill_row(ledger, 1, 2)
+    decoded = []
+    decode = CommitmentSet.decode.__func__
+
+    def counted(cls, data):
+        cs = decode(cls, data)
+        decoded.append(cs.block)
+        return cs
+
+    monkeypatch.setattr(CommitmentSet, "decode", classmethod(counted))
+    back = RunLedger.decode(ledger.encode())
+    assert decoded == []
+    assert BlockId(1, 1) in back.by_block
+    assert back.entry_for(BlockId(1, 1)) is back.entry_for(BlockId(1, 1))
+    assert decoded == [BlockId(1, 1)]
+    back.entries
+    assert decoded == [BlockId(1, 1), BlockId(0, 0), BlockId(1, 0),
+                       BlockId(0, 1)]
+    # a change made to a decoded set is what the ledger writes back
+    key = BoundaryKey("activation", 0, 1)
+    back.entry_for(BlockId(1, 1)).entries[key] = _digest(99)
+    assert RunLedger.decode(back.encode()).entry_for(
+        BlockId(1, 1)).entries[key] == _digest(99)

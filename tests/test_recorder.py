@@ -90,6 +90,27 @@ def _raise_crash(*args):
     raise _Crash
 
 
+def _record_crashed(run, k, monkeypatch):
+    """Record a 6-step sha256 run into ``run``, killed at the first step
+    of row k; past the last row, just before the store index is
+    written."""
+    manifest = make_manifest(n_steps=6, algo="sha256")
+    grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
+    first = grid.step_blocks[k][0] if k < grid.n_step_blocks else None
+    calls = []
+
+    def step(state, batch):
+        if len(calls) == first:
+            raise _Crash
+        calls.append(None)
+        return train_step(state, batch)
+
+    with monkeypatch.context() as m, pytest.raises(_Crash):
+        if first is None:
+            m.setattr(TensorStore, "save_index", _raise_crash)
+        record_training(manifest, run, step=step)
+
+
 def test_crashed_recording_leaves_a_ledger_prefix(tmp_path, monkeypatch):
     manifest = make_manifest(n_steps=6, algo="sha256")
     record_training(manifest, tmp_path / "full")
@@ -98,22 +119,7 @@ def test_crashed_recording_leaves_a_ledger_prefix(tmp_path, monkeypatch):
     rows, n_lb = grid.n_step_blocks, grid.n_layer_blocks
     for k in range(rows + 1):
         run = tmp_path / f"crash-{k}"
-        # killed at the first step of row k; past the last row, just
-        # before the store index is written
-        first = grid.step_blocks[k][0] if k < rows else None
-        calls = []
-
-        def step(state, batch):
-            if len(calls) == first:
-                raise _Crash
-            calls.append(None)
-            return train_step(state, batch)
-
-        with monkeypatch.context() as m, pytest.raises(_Crash):
-            if first is None:
-                m.setattr(TensorStore, "save_index", _raise_crash)
-            record_training(make_manifest(n_steps=6, algo="sha256"), run,
-                            step=step)
+        _record_crashed(run, k, monkeypatch)
         data = (run / LEDGER_FILE).read_bytes()
         assert full.startswith(data)
         assert len(RunLedger.decode(data).entries) == k * n_lb
@@ -129,6 +135,32 @@ def test_crashed_recording_leaves_a_ledger_prefix(tmp_path, monkeypatch):
             [EVIDENCE_RELEASED] * (k * n_lb)
 
 
+@pytest.mark.parametrize("isolated", [False, True])
+def test_audit_of_a_crashed_recording_ends_in_verdicts(tmp_path, monkeypatch,
+                                                        isolated):
+    # rows 0 and 1 sealed, row 2 never was; no store index was written
+    run = tmp_path / "crash"
+    _record_crashed(run, 2, monkeypatch)
+    extra = ["--isolated"] if isolated else []
+    for plan in (["--strategy", "explicit", "--block", "1,1", "--block",
+                  "0,2"], ["--m", "9"]):
+        result = CliRunner().invoke(main, ["--root", str(tmp_path), "audit",
+                                           "crash", *plan, *extra])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "AUDIT FAIL" in result.output
+        report = json.loads((run / "audit_report.json").read_text())
+        for rep in report["reports"]:
+            if BlockId.parse(rep["block"]).j == 2:
+                assert rep["verdict"] == "fail"
+                assert rep["note"] == "no sealed commitment"
+            else:
+                assert rep["verdict"] == EVIDENCE_RELEASED
+        assert report["verdicts"] == {r["block"]: r["verdict"]
+                                      for r in report["reports"]}
+    assert report["verdicts"]["0,2"] == "fail"
+
+
 @pytest.mark.parametrize("n_steps", [16, 64])
 def test_recording_encodes_each_entry_once(tmp_path, monkeypatch, n_steps):
     encoded = []
@@ -142,6 +174,26 @@ def test_recording_encodes_each_entry_once(tmp_path, monkeypatch, n_steps):
     result = record_training(make_manifest(n_steps=n_steps, algo="sha256"),
                              tmp_path / "run")
     assert encoded == [e.block for e in result.ledger.entries]
+
+
+def test_record_train_command_encodes_each_entry_once(tmp_path, monkeypatch):
+    encoded = []
+    encode = CommitmentSet.encode
+
+    def counted(self):
+        encoded.append(self.block)
+        return encode(self)
+
+    monkeypatch.setattr(CommitmentSet, "encode", counted)
+    result = CliRunner().invoke(main, ["--root", str(tmp_path), "record-train",
+                                       "run", "--n-steps", "16", "--algo",
+                                       "sha256", "--batch-size", "8"])
+    assert result.exit_code == 0, result.output
+    ledger = RunLedger.load(tmp_path / "run" / LEDGER_FILE)
+    assert encoded == ledger.blocks
+    # the report's digest is that of the ledger the run wrote
+    report = json.loads((tmp_path / "run" / "record_report.json").read_text())
+    assert report["ledger_digest"] == ledger.digest().hex
 
 
 def test_ledger_row_structure(tmp_path):
