@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
-from .hashing import chunked_hash
+from .hashing import chunked_hash_many
 from .ledger import RunLedger
 from .model import (StepTrace, backward_block, build_model, forward_block,
                     train_step)
@@ -42,21 +42,17 @@ class AdversaryError(Exception):
 # -- evidence rewriting --------------------------------------------------
 
 
-def rewrite_key(run_dir, key: BoundaryKey, data, shape=None) -> None:
+def rewrite_key(run_dir, key: BoundaryKey, data) -> None:
     """Replace one recorded tensor with adversary-chosen content and make
     all evidence self-consistent: new blob, updated index entry, updated
     digest in every ledger commitment that covers the key."""
     run_dir = Path(run_dir)
     ledger = RunLedger.load(run_dir / LEDGER_FILE)
     store = TensorStore(run_dir)
-    config = GridConfig.from_dict(ledger.manifest["grid"])
-    algo = ledger.manifest["hash_algo"]
-    if isinstance(data, np.ndarray):
-        digest = chunked_hash(data, config.chunk_size, algo)
-        store.put_tensor(key, data, digest)
-    else:
-        digest = chunked_hash(data, config.chunk_size, algo)
-        store.put_bytes(key, data, digest)
+    [digest] = chunked_hash_many([data], ledger.manifest["grid"]["chunk_size"],
+                                 ledger.manifest["hash_algo"])
+    put = store.put_tensor if isinstance(data, np.ndarray) else store.put_bytes
+    put(key, data, digest)
     store.save_index()
     found = False
     for e in ledger.entries:

@@ -188,7 +188,7 @@ def audit_run(run: Run, plan: AuditPlan, isolated: bool = False,
     midway leaves, fails."""
     t0 = time.perf_counter()
     chosen = sample_blocks(plan, run.grid)
-    committed = [b for b in chosen if b in run.ledger.by_block]
+    committed = [b for b in chosen if b in run.ledger]
     checked = dict(zip(committed, run.verify(committed, isolated=isolated,
                                              **verify_kw)))
     chain_bad = _chain_bad_blocks(run, committed)

@@ -12,10 +12,10 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .adversary import (SCENARIOS, apply_inference_scenario, apply_scenario,
@@ -25,7 +25,7 @@ from .auditor import (STRATEGIES, AuditError, AuditPlan, audit_run,
                       sample_blocks)
 from .data import make_dataset
 from .grid import BlockId, GridConfig
-from .hashing import ALGORITHMS, chunked_hash, hash_bytes
+from .hashing import ALGORITHMS, hash_bytes
 from .ledger import LedgerError
 from .model import build_model
 from .orchestrate import Run, check_trust_chain
@@ -49,6 +49,16 @@ def _open_run(run_dir: Path) -> Run:
         return Run.open(run_dir)
     except (FileNotFoundError, LedgerError, StoreError) as e:
         raise click.UsageError(str(e))
+
+
+@contextmanager
+def _usage_errors():
+    """Report a ValueError from checking option values (a grid config
+    or the detection-odds inputs) as a usage error."""
+    try:
+        yield
+    except ValueError as e:
+        raise click.UsageError(str(e)) from None
 
 
 def _finite(obj):
@@ -81,27 +91,34 @@ def main(ctx, root):
 # -- recording -----------------------------------------------------------
 
 
-def _grid_options(f):
-    for opt in reversed([
-        click.option("--n-steps", default=8, show_default=True),
-        click.option("--bl", default=2, show_default=True,
-                     help="Layer-block size."),
-        click.option("--bs", default=2, show_default=True,
-                     help="Step-block size."),
-        click.option("--ic", default="2", show_default=True,
-                     help="Checkpoint interval in step blocks; 'inf' for the "
-                          "zero-storage strategy."),
-        click.option("--ia", default=1, show_default=True,
-                     help="Recorded-boundary interval (inference)."),
-        click.option("--chunk-size", default=4096, show_default=True,
-                     help="Hash chunk size in elements."),
-        click.option("--algo", type=click.Choice(ALGORITHMS),
-                     default="blake3", show_default=True),
-        click.option("--tau", default=1e-5, show_default=True,
-                     help="Verification tolerance (relative L2)."),
-    ]):
-        f = opt(f)
-    return f
+def _grid_options(*names):
+    """Add the grid options ``names`` to a command, every one when none
+    is named."""
+    options = {
+        "n_steps": click.option("--n-steps", default=8, show_default=True),
+        "bl": click.option("--bl", default=2, show_default=True,
+                           help="Layer-block size."),
+        "bs": click.option("--bs", default=2, show_default=True,
+                           help="Step-block size."),
+        "ic": click.option("--ic", default="2", show_default=True,
+                           help="Checkpoint interval in step blocks; 'inf' "
+                                "for the zero-storage strategy."),
+        "ia": click.option("--ia", default=1, show_default=True,
+                           help="Recorded-boundary interval (inference)."),
+        "chunk_size": click.option("--chunk-size", default=4096,
+                                   show_default=True,
+                                   help="Hash chunk size in elements."),
+        "algo": click.option("--algo", type=click.Choice(ALGORITHMS),
+                             default="blake3", show_default=True),
+        "tau": click.option("--tau", default=1e-5, show_default=True,
+                            help="Verification tolerance (relative L2)."),
+    }
+
+    def add(f):
+        for name in reversed(names or list(options)):
+            f = options[name](f)
+        return f
+    return add
 
 
 def _parse_ic(ic: str):
@@ -117,24 +134,25 @@ def _parse_ic(ic: str):
 @click.argument("out_dir")
 @click.option("--preset", type=click.Choice(PRESETS), default="mlp",
               show_default=True)
-@_grid_options
+@_grid_options("n_steps", "bl", "bs", "ic", "chunk_size", "algo", "tau")
 @click.option("--optimizer", type=click.Choice(("adamw", "sgd-momentum")),
               default="adamw", show_default=True)
 @click.option("--lr", default=0.01, show_default=True)
 @click.option("--seed", default=11, show_default=True,
               help="Run seed (batch order).")
 @click.option("--model-seed", default=7, show_default=True)
-@click.option("--batch-size", default=16, show_default=True)
+@click.option("--batch-size", default=16, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--zero-storage", is_flag=True,
               help="Commit hashes only; store no blobs (implies --ic inf).")
-def record_train(out_dir, preset, n_steps, bl, bs, ic, ia, chunk_size, algo,
-                 tau, optimizer, lr, seed, model_seed, batch_size,
-                 zero_storage):
+def record_train(out_dir, preset, n_steps, bl, bs, ic, chunk_size, algo, tau,
+                 optimizer, lr, seed, model_seed, batch_size, zero_storage):
     """Run instrumented training into OUT_DIR."""
     ic_val = None if zero_storage else _parse_ic(ic)
-    config = grid_for(preset, n_steps=n_steps, bl=bl, bs=bs, ic=ic_val,
-                      ia=ia, chunk_size=chunk_size, tau=tau,
-                      zero_storage=zero_storage)
+    with _usage_errors():
+        config = grid_for(preset, n_steps=n_steps, bl=bl, bs=bs, ic=ic_val,
+                          chunk_size=chunk_size, tau=tau,
+                          zero_storage=zero_storage)
     manifest = build_manifest(model_for(preset, model_seed),
                               default_optimizer(optimizer, lr),
                               dataset_for(preset), config, seed,
@@ -166,8 +184,10 @@ def _served_pass(preset, bl, ia, chunk_size, algo, tau, model_seed=7,
     ``preset``'s model without its loss head."""
     spec = model_for(preset, model_seed)
     model_spec = {"seed": spec["seed"], "layers": spec["layers"][:-1]}
-    config = GridConfig(n_layers=len(model_spec["layers"]), n_steps=1,
-                        bl=bl, bs=1, ia=ia, chunk_size=chunk_size, tau=tau)
+    with _usage_errors():
+        config = GridConfig(n_layers=len(model_spec["layers"]), n_steps=1,
+                            bl=bl, bs=1, ia=ia, chunk_size=chunk_size,
+                            tau=tau)
     layers = build_model(model_spec)
     ds = make_dataset(dataset_for(preset))
     x = ds.inputs[input_seed % ds.n][None, ...]
@@ -178,12 +198,12 @@ def _served_pass(preset, bl, ia, chunk_size, algo, tau, model_seed=7,
 @click.argument("out_dir")
 @click.option("--preset", type=click.Choice(PRESETS), default="mlp",
               show_default=True)
-@_grid_options
+@_grid_options("bl", "ia", "chunk_size", "algo", "tau")
 @click.option("--model-seed", default=7, show_default=True)
 @click.option("--input-seed", default=0, show_default=True,
               help="Which dataset sample to run.")
-def record_infer(out_dir, preset, n_steps, bl, bs, ic, ia, chunk_size, algo,
-                 tau, model_seed, input_seed):
+def record_infer(out_dir, preset, bl, ia, chunk_size, algo, tau, model_seed,
+                 input_seed):
     """Record one verified forward pass into OUT_DIR."""
     manifest, layers, x = _served_pass(preset, bl, ia, chunk_size, algo, tau,
                                        model_seed, input_seed)
@@ -205,8 +225,6 @@ def record_infer(out_dir, preset, n_steps, bl, bs, ic, ia, chunk_size, algo,
 @click.argument("run_dir")
 @click.option("--block", "block_id", default=None,
               help="Block to verify as 'i,j'; default verifies all.")
-@click.option("--all", "verify_all", is_flag=True,
-              help="Verify every committed block.")
 @click.option("--full-scan", is_flag=True,
               help="Report all failures instead of stopping at the first.")
 @click.option("--precision", type=click.Choice(("f32", "f64")), default=None)
@@ -218,10 +236,7 @@ def record_infer(out_dir, preset, n_steps, bl, bs, ic, ia, chunk_size, algo,
 @click.option("--jobs", default=1, show_default=True,
               help="Number of isolated verifier processes checking blocks "
                    "at once (implies --isolated when above 1).")
-@click.option("--trust-chain/--no-trust-chain", default=True,
-              show_default=True, help="Also walk commitment provenance.")
-def verify(run_dir, block_id, verify_all, full_scan, precision, tau,
-           isolated, jobs, trust_chain):
+def verify(run_dir, block_id, full_scan, precision, tau, isolated, jobs):
     """Replay and check one block or the whole grid."""
     run = _open_run(_run_dir(run_dir))
     ledger = run.ledger
@@ -231,20 +246,17 @@ def verify(run_dir, block_id, verify_all, full_scan, precision, tau,
             bid = BlockId.parse(block_id)
         except (ValueError, IndexError):
             raise click.UsageError(f"--block must look like 'i,j', got {block_id!r}")
-        if bid not in ledger.by_block:
+        if bid not in ledger:
             raise click.UsageError(f"block {bid} has no ledger commitment")
         targets = [bid]
     else:
         targets = committed
 
-    parallel = jobs > 1 and len(targets) > 1
-    reports = run.verify(targets, isolated=isolated or parallel,
-                         jobs=jobs if parallel else 1, full_scan=full_scan,
-                         precision=precision, tau=tau)
+    reports = run.verify(targets, isolated=isolated, jobs=jobs,
+                         full_scan=full_scan, precision=precision, tau=tau)
 
     chain = None
-    if trust_chain and run.mode == "training" \
-            and len(targets) == len(committed):
+    if run.mode == "training" and len(targets) == len(committed):
         chain = check_trust_chain(ledger, run.store)
 
     # a ledger that commits no block, as a recording killed before its
@@ -322,7 +334,7 @@ def audit(run_dir, strategy, m_samples, seed, trials, explicit_blocks,
 @click.option("--scenario", type=click.Choice(SCENARIOS), required=True)
 @click.option("--preset", type=click.Choice(PRESETS), default="mlp",
               show_default=True)
-@_grid_options
+@_grid_options()
 @click.option("--seed", default=0, show_default=True)
 def attack(out_dir, scenario, preset, n_steps, bl, bs, ic, ia, chunk_size,
            algo, tau, seed):
@@ -334,9 +346,10 @@ def attack(out_dir, scenario, preset, n_steps, bl, bs, ic, ia, chunk_size,
         result = apply_inference_scenario(scenario, manifest, layers, x, out,
                                           seed=seed)
     else:
-        config = grid_for(preset, n_steps=n_steps, bl=bl, bs=bs,
-                          ic=_parse_ic(ic), ia=ia, chunk_size=chunk_size,
-                          tau=tau)
+        with _usage_errors():
+            config = grid_for(preset, n_steps=n_steps, bl=bl, bs=bs,
+                              ic=_parse_ic(ic), ia=ia, chunk_size=chunk_size,
+                              tau=tau)
         manifest = build_manifest(model_for(preset), default_optimizer(),
                                   dataset_for(preset), config, 11, 16, algo)
         result = apply_scenario(scenario, manifest, out, seed=seed)
@@ -365,7 +378,8 @@ def attack_stats(bl_values, steps, seed, out_file):
     rows = []
     click.echo(f"{'B_L':>4} {'boundaries':>11} {'min rel':>12} {'max rel':>12}")
     for bl in (int(v) for v in bl_values.split(",")):
-        config = GridConfig(n_layers=len(layers), n_steps=1, bl=bl, bs=1)
+        with _usage_errors():
+            config = GridConfig(n_layers=len(layers), n_steps=1, bl=bl, bs=1)
         profile = boundary_attack_profile(layers, config, x, steps=steps,
                                           seed=seed)
         rows.append({"bl": bl,
@@ -388,7 +402,7 @@ def attack_stats(bl_values, steps, seed, out_file):
         Path(out_file).write_text(json.dumps(table, indent=2))
 
 
-# -- maintenance and benchmarks -----------------------------------------
+# -- maintenance and odds -----------------------------------------------
 
 
 @main.command()
@@ -410,54 +424,16 @@ def prune(run_dir, keep_blocks):
     click.echo(f"released {removed} blobs; ledger unchanged")
 
 
-@main.command("bench-hash")
-@click.option("--sizes", default="4096,65536,1048576", show_default=True,
-              help="Tensor sizes (elements) to benchmark.")
-@click.option("--chunk-sizes", default="1024,2048,4096,6144,8192,10240",
-              show_default=True)
-@click.option("--algos", default="blake3,sha256", show_default=True)
-@click.option("--workers", default="1,2,4,8", show_default=True)
-@click.option("--out", "out_file", default=None)
-def bench_hash(sizes, chunk_sizes, algos, workers, out_file):
-    """Hash throughput across chunk sizes, algorithms, worker counts.
-
-    Also cross-checks that every cell's digest equals the single-worker
-    digest (schedule independence)."""
-    rng = np.random.default_rng(0)
-    rows = []
-    click.echo(f"{'elements':>10} {'chunk':>7} {'algo':>7} {'workers':>7} "
-               f"{'ms':>9} {'MB/s':>8}")
-    for n in (int(s) for s in sizes.split(",")):
-        arr = rng.normal(size=n).astype(np.float32)
-        for c in (int(s) for s in chunk_sizes.split(",")):
-            for algo in algos.split(","):
-                reference = None
-                for w in (int(s) for s in workers.split(",")):
-                    t0 = time.perf_counter()
-                    d = chunked_hash(arr, c, algo, workers=w)
-                    dt = time.perf_counter() - t0
-                    if reference is None:
-                        reference = d
-                    elif d.value != reference.value:
-                        click.echo("DIGEST MISMATCH ACROSS WORKERS", err=True)
-                        sys.exit(1)
-                    mbs = 4 * n / dt / 1e6
-                    rows.append({"elements": n, "chunk": c, "algo": algo,
-                                 "workers": w, "ms": dt * 1e3, "mbps": mbs})
-                    click.echo(f"{n:>10} {c:>7} {algo:>7} {w:>7} "
-                               f"{dt*1e3:>9.2f} {mbs:>8.1f}")
-    if out_file:
-        Path(out_file).write_text(json.dumps(rows, indent=2))
-
-
 @main.command("detection-odds")
-@click.option("--n", "n_blocks", default=1000, show_default=True)
+@click.option("--n", "n_blocks", default=1000, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--k", "k_tampered", default=100, show_default=True)
 @click.option("--m", "m_samples", default=10, show_default=True)
 def detection_odds(n_blocks, k_tampered, m_samples):
     """Closed-form detection probabilities for a sampling plan."""
-    exact = p_detect_exact(n_blocks, k_tampered, m_samples)
-    approx = p_detect_approx(k_tampered / n_blocks, m_samples)
+    with _usage_errors():
+        exact = p_detect_exact(n_blocks, k_tampered, m_samples)
+        approx = p_detect_approx(k_tampered / n_blocks, m_samples)
     click.echo(f"exact P_detect      {exact:.6f}")
     click.echo(f"binomial approx     {approx['binomial']:.6f}")
     click.echo(f"exponential approx  {approx['poisson']:.6f}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 # trust anchor markers returned by ``neighbors`` at grid edges
 INPUT_ANCHOR = "input-anchor"
@@ -100,9 +100,6 @@ class GridConfig:
         d = dict(d)
         d["isolate_layers"] = tuple(d.get("isolate_layers", ()))
         return cls(**d)
-
-    def with_(self, **kw) -> "GridConfig":
-        return replace(self, **kw)
 
 
 class BlockGrid:

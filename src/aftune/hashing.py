@@ -4,8 +4,8 @@ Tensors are flattened row-major and serialized as 4-byte little-endian
 IEEE-754 bit patterns, partitioned into fixed-size chunks (the final
 chunk may be short and is hashed as-is, unpadded), every chunk hashed
 independently, and the concatenation of the chunk digests hashed once
-more into the commitment. The result is independent of how chunk work
-is scheduled across workers.
+more into the commitment. A tensor's digest does not depend on which
+other tensors it is hashed with.
 
 ``chunked_hash_many`` commits several tensors at once: the map pieces
 of all of them go to the hash in one batch, then all their reduce
@@ -17,7 +17,6 @@ hashes each piece with hashlib.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,13 +83,6 @@ def _pieces(data: bytes | np.ndarray, chunk_size: int) -> list[bytes]:
     return [data[k:k + chunk_bytes] for k in range(0, len(data), chunk_bytes)]
 
 
-def _check_args(chunk_size: int, algo: str) -> None:
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if algo not in _HASHERS:
-        raise ValueError(f"unknown hash algorithm {algo!r}")
-
-
 def chunked_hash_many(
     items,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -99,7 +91,10 @@ def chunked_hash_many(
     """``[chunked_hash(x, chunk_size, algo) for x in items]``, with the
     map pieces of all items hashed in one call and the reduce inputs in
     a second."""
-    _check_args(chunk_size, algo)
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    if algo not in _HASHERS:
+        raise ValueError(f"unknown hash algorithm {algo!r}")
     many = _HASHERS[algo]
     pieces, ends = [], []
     for x in items:
@@ -114,22 +109,10 @@ def chunked_hash(
     data: bytes | np.ndarray,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     algo: str = DEFAULT_ALGO,
-    workers: int = 1,
 ) -> Digest:
     """Hash a tensor (or raw byte string) with the map-reduce scheme.
-
-    ``chunk_size`` is in elements (4 bytes each). ``workers`` only affects
-    wall time; the digest is identical for any worker count.
-    """
-    if workers <= 1:
-        return chunked_hash_many([data], chunk_size, algo)[0]
-    _check_args(chunk_size, algo)
-    many = _HASHERS[algo]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunk_digests = pool.map(lambda piece: many([piece])[0],
-                                 _pieces(data, chunk_size))
-        (reduced,) = many([b"".join(chunk_digests)])
-    return Digest(reduced, algo)
+    ``chunk_size`` is in elements (4 bytes each)."""
+    return chunked_hash_many([data], chunk_size, algo)[0]
 
 
 def hash_bytes(data: bytes, algo: str = DEFAULT_ALGO) -> Digest:

@@ -3,7 +3,6 @@
 The ledger binary form is canonical: a magic header, a length-prefixed
 canonical-JSON manifest, then length-prefixed block entries in append
 order. Each entry carries a reserved (currently empty) signature slot.
-A JSON export with hex digests is available for humans.
 
 A recording writes the file in the same order: the header (magic and
 manifest) atomically with ``RunLedger.save`` before its first step, then
@@ -21,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -130,26 +128,6 @@ def _entry_header(data: bytes) -> tuple[int, int, int]:
     return i, j, n
 
 
-class _ByBlock(Mapping):
-    """A ledger's blocks, each to its first entry: membership reads the
-    scanned block ids, and an entry decodes when it is looked up."""
-
-    def __init__(self, ledger: "RunLedger"):
-        self._ledger = ledger
-
-    def __getitem__(self, bid: BlockId) -> CommitmentSet:
-        return self._ledger._entry_at(self._ledger._first[bid])
-
-    def __contains__(self, bid) -> bool:
-        return bid in self._ledger._first
-
-    def __iter__(self):
-        return iter(self._ledger._first)
-
-    def __len__(self) -> int:
-        return len(self._ledger._first)
-
-
 def seal_block(grid: BlockGrid, bid: BlockId,
                digests: dict[BoundaryKey, Digest],
                mode: str = "training") -> CommitmentSet:
@@ -256,12 +234,9 @@ class RunLedger:
                 self._entry_at(p)
         return self._sets
 
-    @property
-    def by_block(self) -> "_ByBlock":
-        # a fresh view each time: one kept on the ledger would make a
-        # reference cycle, and every ledger would wait for the cyclic
-        # garbage collector
-        return _ByBlock(self)
+    def __contains__(self, bid) -> bool:
+        """Whether some entry commits ``bid``; decodes nothing."""
+        return bid in self._first
 
     def entry_for(self, bid: BlockId) -> CommitmentSet | None:
         """``bid``'s first entry, decoded on first read; None if none."""
@@ -373,17 +348,3 @@ class RunLedger:
     def digest(self) -> Digest:
         algo = self.manifest.get("hash_algo", "blake3")
         return hash_bytes(self.encode(), algo)
-
-    def export_json(self) -> dict:
-        return {
-            "manifest": self.manifest,
-            "entries": [
-                {
-                    "block": str(e.block),
-                    "digests": {str(k): f"{d.algo}:{d.hex}"
-                                for k, d in sorted(e.entries.items())},
-                }
-                for e in self.entries
-            ],
-            "ledger_digest": self.digest().hex,
-        }

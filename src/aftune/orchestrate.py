@@ -18,9 +18,7 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -112,7 +110,7 @@ class Run:
             raise LedgerError(f"ledger schema version {version} != "
                               f"supported {SCHEMA_VERSION}")
         _check_manifest(ledger.manifest)
-        for bid in ledger.by_block:
+        for bid in ledger.blocks:
             if not ledger.grid.contains(bid):
                 raise LedgerError(f"ledger entry for block {bid} lies "
                                   f"outside the manifest's grid")
@@ -126,30 +124,22 @@ class Run:
 
     def verify(self, bids, isolated: bool = False, jobs: int = 1,
                **kw) -> list[VerificationReport]:
-        """Verify ``bids``, one report per entry in the order given. With
-        ``jobs > 1`` up to that many checks run at once; ``isolated``
-        checks run in at most that many worker processes."""
+        """Verify ``bids``, one report per entry in the order given.
+        ``isolated``, or ``jobs`` above 1, checks in isolated worker
+        processes, up to ``jobs`` of them at once."""
         done: dict[BlockId, VerificationReport] = {}
-        pending: deque = deque()
-        workers = _Workers() if isolated else None
-        check = workers.check if workers else verify_or_refuse
-        pool = ThreadPoolExecutor(jobs) if jobs > 1 else None
+        workers = _Workers(jobs) if isolated or jobs > 1 else None
         try:
             for bid, req in self.requests(bids, **kw):
                 if isinstance(req, VerificationReport):
                     done[bid] = req
-                elif pool is None:
-                    done[bid] = check(req)
+                elif workers is None:
+                    done[bid] = verify_or_refuse(req)
                 else:
-                    pending.append((bid, pool.submit(check, req)))
-                    if len(pending) >= jobs:
-                        b, fut = pending.popleft()
-                        done[b] = fut.result()
-            for b, fut in pending:
-                done[b] = fut.result()
+                    done.update(workers.submit(req))
+            if workers is not None:
+                done.update(workers.drain())
         finally:
-            if pool is not None:
-                pool.shutdown()
             if workers is not None:
                 workers.close()
         return [done[b] for b in bids]
@@ -410,7 +400,7 @@ class Run:
         ledger is untouched; pruned keys later report 'evidence
         released'."""
         for bid in requested:
-            if bid not in self.ledger.by_block:
+            if bid not in self.ledger:
                 raise ValueError(
                     f"block {bid} has no sealed commitment; cannot prune")
         if self.store is None:
@@ -474,13 +464,18 @@ class _Worker:
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=self.stderr, env=env)
 
-    def check(self, req: VerificationRequest) -> VerificationReport | None:
-        """The worker's report on ``req``; None when it died instead."""
+    def send(self, req: VerificationRequest) -> None:
+        """Write ``req`` to the worker. A worker that died cannot take it,
+        and its ``reply`` is then None."""
         try:
             self.proc.stdin.write(frame(req.to_bytes()))
             self.proc.stdin.flush()
         except BrokenPipeError:
-            return None
+            pass
+
+    def reply(self, req: VerificationRequest) -> VerificationReport | None:
+        """The worker's report on ``req``, sent last; None when it died
+        instead."""
         line = self.proc.stdout.readline()
         if not line.endswith(b"\n"):
             return None
@@ -495,6 +490,7 @@ class _Worker:
             self.proc.stdin.close()
         except BrokenPipeError:
             pass
+        self.proc.stdout.read()  # a reply still in flight, unread
         code = self.proc.wait()
         self.proc.stdout.close()
         self.stderr.seek(0)
@@ -504,38 +500,47 @@ class _Worker:
 
 
 class _Workers:
-    """The isolated verifier processes of one command: a worker starts
-    the first time a check finds none idle and is reused after its
-    reply, so at most as many run as checks run at once."""
+    """The isolated verifier processes of one command, at most ``jobs``.
+    A request goes to an idle worker, or to a new one while fewer than
+    ``jobs`` run, or else to the worker of the oldest check in flight
+    once it replies. Workers check while the next request is built."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
+    def __init__(self, jobs: int):
+        self.jobs = max(1, jobs)
         self._idle: list[_Worker] = []
-        self._live: list[_Worker] = []  # started, not yet closed
+        self._busy: deque = deque()  # (worker, request), oldest first
 
-    def check(self, req: VerificationRequest) -> VerificationReport:
-        with self._lock:
-            worker = self._idle.pop() if self._idle else None
-        if worker is None:
-            worker = _Worker()
-            with self._lock:
-                self._live.append(worker)
-        report = worker.check(req)
+    def submit(self, req: VerificationRequest) -> list:
+        """Send ``req`` to a worker. Returns ``(block, report)`` for the
+        check that had to finish first, if one did."""
+        done = []
+        if not self._idle and len(self._busy) >= self.jobs:
+            done.append(self._collect())
+        worker = self._idle.pop() if self._idle else _Worker()
+        worker.send(req)
+        self._busy.append((worker, req))
+        return done
+
+    def drain(self) -> list:
+        """``(block, report)`` for every check in flight."""
+        return [self._collect() for _ in range(len(self._busy))]
+
+    def _collect(self) -> tuple:
+        """The oldest check in flight; a worker that died on it is closed
+        and its block ``refused``."""
+        worker, req = self._busy.popleft()
+        report = worker.reply(req)
         if report is None:
-            with self._lock:
-                self._live.remove(worker)
-            return VerificationReport(block=req.block, verdict=REFUSED,
-                                      note=worker.close())
-        with self._lock:
+            report = VerificationReport(block=req.block, verdict=REFUSED,
+                                        note=worker.close())
+        else:
             self._idle.append(worker)
-        return report
+        return req.block, report
 
     def close(self) -> None:
-        """Close and reap every worker; call once no check is running."""
-        for worker in self._live:
+        """Close and reap every worker."""
+        for worker in self._idle + [w for w, _ in self._busy]:
             worker.close()
-        self._idle.clear()
-        self._live.clear()
 
 
 # -- trust chain ---------------------------------------------------------
@@ -576,7 +581,7 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None,
     if blocks is None:
         scope, walked = None, ledger.entries
     else:
-        scope = {b for b in blocks if b in ledger.by_block}
+        scope = {b for b in blocks if b in ledger}
         walked = ledger.entries_in(scope)
 
     def problem(msg, bid=None):

@@ -87,9 +87,6 @@ class TensorStore:
             raise StoreError(f"no index entry for {key}")
         return ent
 
-    def has_key(self, key: BoundaryKey) -> bool:
-        return str(key) in self.index
-
     def has_blob(self, key: BoundaryKey) -> bool:
         ent = self.index.get(str(key))
         return ent is not None and self._blob_path(ent["digest"]).exists()
@@ -119,9 +116,6 @@ class TensorStore:
 
     def logical_bytes(self) -> int:
         return sum(ent["length"] for ent in self.index.values())
-
-    def physical_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.blob_dir.iterdir())
 
     def verify_integrity(self, chunk_size: int) -> list[str]:
         """Re-hash every reachable blob, each distinct blob once and all

@@ -23,7 +23,7 @@ from aftune.auditor import AuditPlan, p_detect_exact, run_campaign
 from aftune.data import make_dataset
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
     label_anchor_key, storage_estimate
-from aftune.hashing import chunked_hash
+from aftune.hashing import chunked_hash, chunked_hash_many
 from aftune.ledger import RunLedger
 from aftune.model import build_model, forward_block, param_bytes
 from aftune.orchestrate import Run, check_trust_chain
@@ -246,17 +246,25 @@ def test_acceptance_bytes_written_equal_storage_estimate(random_runs):
 
 
 def test_acceptance_chunked_hash_is_schedule_independent():
+    """Each tensor hashed alone, all 500 in one batch, or the batch split
+    at random into 2, 4 or 8 sub-batches: the digests agree."""
     rng = np.random.default_rng(5)
     chunk = 64  # elements
     edge_sizes = [1, chunk - 1, chunk, chunk + 1, 3 * chunk, 3 * chunk + 1]
+    arrays = []
     for n in range(500):
         size = edge_sizes[n % len(edge_sizes)] if n < 120 \
             else int(rng.integers(1, 8 * chunk))
-        arr = rng.normal(size=size).astype(np.float32)
-        algo = ("blake3", "sha256")[n % 2]
-        digests = {chunked_hash(arr, chunk, algo, workers=w).value
-                   for w in (1, 2, 4, 8)}
-        assert len(digests) == 1, (size, algo)
+        arrays.append(rng.normal(size=size).astype(np.float32))
+    for algo in ("blake3", "sha256"):
+        alone = [chunked_hash(arr, chunk, algo) for arr in arrays]
+        assert chunked_hash_many(arrays, chunk, algo) == alone, algo
+        for parts in (2, 4, 8):
+            ends = [0, *sorted(rng.integers(0, len(arrays) + 1, parts - 1)),
+                    len(arrays)]
+            got = [d for a, b in zip(ends, ends[1:])
+                   for d in chunked_hash_many(arrays[a:b], chunk, algo)]
+            assert got == alone, (algo, ends)
 
 
 # -- 8. gradient correctness -------------------------------------------------

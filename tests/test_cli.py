@@ -153,12 +153,70 @@ def test_detection_odds_output(runner, tmp_path):
     assert "0.653072" in result.output
 
 
-def test_bench_hash_schedule_check(runner, tmp_path):
-    result = _invoke(runner, tmp_path, "bench-hash", "--sizes", "4096",
-                     "--chunk-sizes", "1024,4096", "--workers", "1,4",
-                     "--algos", "sha256")
-    assert result.exit_code == 0, result.output
-    assert "MB/s" in result.output
+# every command and its options; a knob added or removed shows up here
+CLI_SURFACE = {
+    "attack": ["--algo", "--bl", "--bs", "--chunk-size", "--ia", "--ic",
+               "--n-steps", "--preset", "--scenario", "--seed", "--tau",
+               "out_dir"],
+    "attack-stats": ["--bl-values", "--out", "--seed", "--steps"],
+    "audit": ["--block", "--isolated", "--m", "--seed", "--strategy",
+              "--trials", "run_dir"],
+    "detection-odds": ["--k", "--m", "--n"],
+    "prune": ["--keep", "run_dir"],
+    "record-infer": ["--algo", "--bl", "--chunk-size", "--ia",
+                     "--input-seed", "--model-seed", "--preset", "--tau",
+                     "out_dir"],
+    "record-train": ["--algo", "--batch-size", "--bl", "--bs",
+                     "--chunk-size", "--ic", "--lr", "--model-seed",
+                     "--n-steps", "--optimizer", "--preset", "--seed",
+                     "--tau", "--zero-storage", "out_dir"],
+    "verify": ["--block", "--full-scan", "--isolated", "--jobs",
+               "--precision", "--tau", "run_dir"],
+}
+
+
+def _names(command) -> list[str]:
+    return sorted(o for p in command.params for o in p.opts + p.secondary_opts)
+
+
+def test_cli_surface_is_pinned():
+    assert _names(main) == ["--root", "--version"]
+    assert {name: _names(c) for name, c in main.commands.items()} \
+        == CLI_SURFACE
+
+
+@pytest.mark.parametrize("args", [
+    ["bench-hash"],
+    ["verify", "run", "--all"],
+    ["verify", "run", "--no-trust-chain"],
+    ["verify", "run", "--trust-chain"],
+    ["record-train", "out", "--ia", "2"],
+    ["record-infer", "out", "--ic", "2"],
+])
+def test_removed_knobs_are_usage_errors(cli_run, runner, args):
+    _exits_cleanly(_invoke(runner, cli_run, *args), 2)
+
+
+@pytest.mark.parametrize("args", [
+    ["record-train", "out", "--bl", "0"],
+    ["record-train", "out", "--ic", "0"],
+    ["record-train", "out", "--tau", "0"],
+    ["record-train", "out", "--chunk-size", "0"],
+    ["record-train", "out", "--batch-size", "0"],
+    ["record-infer", "out", "--bl", "99"],
+    ["record-infer", "out", "--ia", "0"],
+    ["attack", "out", "--scenario", "under-train", "--bs", "0"],
+    ["attack", "out", "--scenario", "fabricate-output", "--ia", "0"],
+    ["detection-odds", "--k", "2000"],
+    ["detection-odds", "--m", "-1"],
+    ["detection-odds", "--n", "0", "--k", "0"],
+    ["attack-stats", "--bl-values", "2,0", "--steps", "1"],
+])
+def test_bad_option_value_is_a_usage_error(tmp_path, runner, args):
+    result = _invoke(runner, tmp_path, *args)
+    _exits_cleanly(result, 2)
+    assert "Error:" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_isolated_jobs(cli_run, runner):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -97,10 +98,11 @@ def test_checkpoint_steps_schedule():
     grid = BlockGrid(config)
     # step blocks start at 0,2,4,6,8,10; every 3rd start plus the final step
     assert grid.checkpoint_steps(0) == [0, 6, 12]
-    assert BlockGrid(config.with_(ic=None)).checkpoint_steps(0) == [12]
-    assert BlockGrid(config.with_(ic=1)).checkpoint_steps(0) \
+    assert BlockGrid(replace(config, ic=None)).checkpoint_steps(0) == [12]
+    assert BlockGrid(replace(config, ic=1)).checkpoint_steps(0) \
         == [0, 2, 4, 6, 8, 10, 12]
-    assert BlockGrid(config.with_(zero_storage=True)).checkpoint_steps(0) == []
+    assert BlockGrid(replace(config, zero_storage=True)) \
+        .checkpoint_steps(0) == []
 
 
 def test_isolated_layers_become_singleton_blocks():
@@ -259,8 +261,8 @@ def test_storage_estimate_zero_storage_and_errors():
     assert est == {"checkpoint_bytes": 0, "boundary_bytes": 0,
                    "total_bytes": 0}
     with pytest.raises(ValueError):
-        storage_estimate(config.with_(zero_storage=False, isolate_layers=(1,)),
-                         1000, 2000, 100)
+        storage_estimate(replace(config, zero_storage=False,
+                                 isolate_layers=(1,)), 1000, 2000, 100)
     with pytest.raises(ValueError):
-        storage_estimate(config.with_(zero_storage=False), 1000, 2000,
+        storage_estimate(replace(config, zero_storage=False), 1000, 2000,
                          [1, 2])  # wrong per-boundary count

@@ -227,13 +227,31 @@ def test_array_and_bytes_inputs_agree():
     assert chunked_hash(arr).value == chunked_hash(tensor_bytes(arr)).value
 
 
+def hashed_in_parts(items, cuts, chunk_size, algo):
+    """``chunked_hash_many`` of ``items`` split into sub-batches at the
+    sorted positions ``cuts`` (empty sub-batches included)."""
+    ends = [0, *cuts, len(items)]
+    return [d for a, b in zip(ends, ends[1:])
+            for d in chunked_hash_many(items[a:b], chunk_size, algo)]
+
+
 @pytest.mark.parametrize("workers", [2, 4, 8])
 @pytest.mark.parametrize("n_elems", [1, 4095, 4096, 4097, 3 * 4096, 3 * 4096 + 1])
 def test_worker_count_never_changes_digest(workers, n_elems):
-    arr = np.random.default_rng(n_elems).normal(size=n_elems) \
-        .astype(np.float32)
-    base = chunked_hash(arr, workers=1)
-    assert chunked_hash(arr, workers=workers).value == base.value
+    """However hashing work is shared out (each tensor alone, all in one
+    batch, or ``workers`` random sub-batches), every digest is the
+    same."""
+    rng = np.random.default_rng(n_elems)
+    items = [rng.normal(size=n).astype(np.float32)
+             for n in (n_elems, 1, 4095, 4096, 4097, n_elems + 1)]
+    for algo in ALGORITHMS:
+        alone = [chunked_hash(x, algo=algo) for x in items]
+        assert alone[0].value == \
+            reference_chunked(tensor_bytes(items[0]), 4096, algo)
+        assert chunked_hash_many(items, algo=algo) == alone
+        for _ in range(3):
+            cuts = sorted(rng.integers(0, len(items) + 1, workers - 1))
+            assert hashed_in_parts(items, cuts, 4096, algo) == alone
 
 
 @settings(max_examples=60, deadline=None)

@@ -211,16 +211,6 @@ def test_decoded_ledger_keeps_its_block_index():
     assert back.entry_for(BlockId(0, 1)) is back.entries[-1]
 
 
-def test_export_json_shape():
-    ledger = RunLedger(_manifest())
-    _fill_row(ledger, 0, 2)
-    out = ledger.export_json()
-    assert out["manifest"]["mode"] == "training"
-    assert len(out["entries"]) == 2
-    assert all(":" in d for e in out["entries"] for d in e["digests"].values())
-    assert len(out["ledger_digest"]) == 64
-
-
 # -- malformed ledgers -------------------------------------------------------
 
 
@@ -347,7 +337,7 @@ def test_damaged_ledger_bytes_decode_or_raise_ledger_error(ledger_bytes,
         got = ledger.entry_for(bid)
         assert (got.block, got.entries, got.signature) == \
             (s.block, s.entries, s.signature)
-        assert ledger.by_block[bid] is got
+        assert bid in ledger and ledger.entry_for(bid) is got
     assert [(e.block, e.entries, e.signature) for e in ledger.entries] == \
         [(s.block, s.entries, s.signature) for s in sets]
     assert ledger.encode() == _oracle_encode(manifest, sets)
@@ -360,7 +350,8 @@ def test_repeated_block_resolves_to_its_first_entry():
     again = _sealed(0, 0, n_entries=1).encode()
     back = RunLedger.decode(data + struct.pack("<I", len(again)) + again)
     assert back.blocks == [BlockId(0, 0), BlockId(1, 0), BlockId(0, 0)]
-    assert len(back.by_block) == 2
+    assert BlockId(0, 0) in back and BlockId(1, 0) in back
+    assert BlockId(0, 1) not in back
     first, _, later = back.entries
     assert back.entry_for(BlockId(0, 0)) is first
     assert back.entries_in({BlockId(0, 0)}) == [first, later]
@@ -382,7 +373,7 @@ def test_entries_decode_when_read(monkeypatch):
     monkeypatch.setattr(CommitmentSet, "decode", classmethod(counted))
     back = RunLedger.decode(ledger.encode())
     assert decoded == []
-    assert BlockId(1, 1) in back.by_block
+    assert BlockId(1, 1) in back
     assert back.entry_for(BlockId(1, 1)) is back.entry_for(BlockId(1, 1))
     assert decoded == [BlockId(1, 1)]
     back.entries

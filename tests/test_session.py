@@ -182,7 +182,9 @@ def spawned(monkeypatch):
     (["verify", "--isolated"], 1),
     (["verify", "--jobs", "2"], 2),
     (["verify", "--jobs", "3"], 3),
-], ids=["audit-isolated", "verify-isolated", "jobs-2", "jobs-3"])
+    (["verify", "--block", "1,1", "--jobs", "2"], 1),
+], ids=["audit-isolated", "verify-isolated", "jobs-2", "jobs-3",
+        "block-jobs-2"])
 def test_one_worker_per_concurrent_check(tmp_path, spawned, args, most):
     record_run(tmp_path / "run", n_steps=4, algo="sha256")
     result = CliRunner().invoke(main, [args[0], str(tmp_path / "run"),

@@ -289,15 +289,15 @@ def test_truncated_request_is_refused_by_worker(request_bytes, cut):
 
 def _kill_worker_on(monkeypatch, crash: BlockId) -> None:
     """Make the isolated worker die just before it is sent ``crash``."""
-    check = orchestrate._Worker.check
+    send = orchestrate._Worker.send
 
     def dying(self, req):
         if req.block == crash:
             self.proc.kill()
             self.proc.wait()
-        return check(self, req)
+        return send(self, req)
 
-    monkeypatch.setattr(orchestrate._Worker, "check", dying)
+    monkeypatch.setattr(orchestrate._Worker, "send", dying)
 
 
 def test_crashed_worker_becomes_a_refused_report(mlp_run, monkeypatch):
