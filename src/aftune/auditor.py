@@ -1,6 +1,6 @@
 """Randomized spot-check audits over the block grid.
 
-An audit samples m of the N committed blocks (without replacement),
+An audit samples m of the N grid blocks (without replacement),
 verifies each, and fails the run on any non-pass verdict. The sampling
 seed is committed (hashed) before block choice is revealed, so a
 provider cannot steer the auditor away from tampered cells. Closed
@@ -18,9 +18,9 @@ from fractions import Fraction
 from math import comb, exp, sqrt
 
 from .grid import BlockGrid, BlockId
-from .orchestrate import Run, check_trust_chain
+from .orchestrate import Run
 from .rng import rng_for
-from .verifier import FAIL, PASS, VerificationReport
+from .verifier import PASS
 
 STRATEGIES = ("uniform", "input-row", "per-step-column", "explicit")
 
@@ -179,46 +179,21 @@ class AuditReport:
         }
 
 
-def audit_run(run: Run, plan: AuditPlan, isolated: bool = False,
-              **verify_kw) -> AuditReport:
-    """One audit of an open ``run``: sample per the committed plan,
-    verify each sampled block, and (for training runs) check each
-    sampled block's commitment provenance against the trust anchors. A
-    sampled block with no sealed commitment, as a recording killed
-    midway leaves, fails."""
+def audit_run(run: Run, plan: AuditPlan, **verify_kw) -> AuditReport:
+    """One audit of an open ``run``: sample per the committed plan and
+    take each sampled block's verdict from ``Run.verify``."""
     t0 = time.perf_counter()
     chosen = sample_blocks(plan, run.grid)
-    committed = [b for b in chosen if b in run.ledger]
-    checked = dict(zip(committed, run.verify(committed, isolated=isolated,
-                                             **verify_kw)))
-    chain_bad = _chain_bad_blocks(run, committed)
-    verdicts: dict[str, str] = {}
-    reports = []
-    for bid in chosen:
-        rep = checked.get(bid) or VerificationReport(
-            block=bid, verdict=FAIL, note="no sealed commitment")
-        verdict = rep.verdict
-        if verdict == PASS and str(bid) in chain_bad:
-            verdict = "fail"
-            rep.note = "commitment provenance broken (trust chain)"
-        verdicts[str(bid)] = verdict
-        reports.append(rep.to_json())
+    reports = run.verify(chosen, **verify_kw)
+    verdicts = {str(r.block): r.verdict for r in reports}
     return AuditReport(
         plan_commitment=plan.commitment(),
         sampled=[str(b) for b in chosen],
         verdicts=verdicts,
         ok=all(v == PASS for v in verdicts.values()),
-        reports=reports,
+        reports=[r.to_json() for r in reports],
         wall_time=time.perf_counter() - t0,
     )
-
-
-def _chain_bad_blocks(run: Run, blocks=None) -> set[str]:
-    """The blocks of ``blocks`` (default: every block) whose commitment
-    provenance is broken."""
-    if run.mode != "training":
-        return set()
-    return set(check_trust_chain(run.ledger, run.store, blocks).bad_blocks)
 
 
 @dataclass
@@ -260,14 +235,13 @@ def _exact_campaign_rate(plan: AuditPlan, grid: BlockGrid,
 def run_campaign(run: Run, plan: AuditPlan, trials: int,
                  **verify_kw) -> CampaignResult:
     """Estimate the detection rate of ``plan`` against an open, possibly
-    tampered ``run``: verify every block once (and walk the trust chain)
-    to find the failing set, then resample the plan many times and count
-    samples that intersect it."""
+    tampered ``run``: verify every grid block once to find the failing
+    set, then resample the plan many times and count samples that
+    intersect it."""
     grid = run.grid
-    blocks = run.ledger.blocks
+    blocks = grid.block_ids()
     failing = {bid for bid, rep in zip(blocks, run.verify(blocks, **verify_kw))
-               if rep.verdict != PASS}
-    failing.update(BlockId.parse(s) for s in _chain_bad_blocks(run))
+               if not rep.passed}
     per_trial = []
     for r in range(trials):
         sampled = sample_blocks(plan, grid, trial=r)

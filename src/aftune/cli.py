@@ -28,7 +28,7 @@ from .grid import BlockId, GridConfig
 from .hashing import ALGORITHMS, hash_bytes
 from .ledger import LedgerError
 from .model import build_model
-from .orchestrate import Run, check_trust_chain
+from .orchestrate import Run
 from .presets import (ATTACK_SAMPLE, PRESETS, dataset_for, default_optimizer,
                       grid_for, model_for, trained_attack_classifier)
 from .recorder import (LEDGER_FILE, build_inference_manifest,
@@ -239,30 +239,21 @@ def record_infer(out_dir, preset, bl, ia, chunk_size, algo, tau, model_seed,
 def verify(run_dir, block_id, full_scan, precision, tau, isolated, jobs):
     """Replay and check one block or the whole grid."""
     run = _open_run(_run_dir(run_dir))
-    ledger = run.ledger
-    committed = ledger.blocks
     if block_id is not None:
         try:
             bid = BlockId.parse(block_id)
         except (ValueError, IndexError):
             raise click.UsageError(f"--block must look like 'i,j', got {block_id!r}")
-        if bid not in ledger:
-            raise click.UsageError(f"block {bid} has no ledger commitment")
+        if not run.grid.contains(bid):
+            raise click.UsageError(f"block {bid} lies outside the grid")
         targets = [bid]
     else:
-        targets = committed
+        targets = run.grid.block_ids()
 
     reports = run.verify(targets, isolated=isolated, jobs=jobs,
                          full_scan=full_scan, precision=precision, tau=tau)
-
-    chain = None
-    if run.mode == "training" and len(targets) == len(committed):
-        chain = check_trust_chain(ledger, run.store)
-
-    # a ledger that commits no block, as a recording killed before its
-    # first sealed row leaves, has nothing that could pass
-    ok = bool(reports) and all(r.passed for r in reports) \
-        and (chain is None or chain.ok)
+    chain = run.chain
+    ok = all(r.passed for r in reports)
     payload = {"reports": [r.to_json() for r in reports],
                "trust_chain": chain.to_json() if chain else None,
                "ok": ok}
@@ -275,8 +266,6 @@ def verify(run_dir, block_id, full_scan, precision, tau, isolated, jobs):
                 line += f", err {r.measured_error:.3e} vs tau {r.tau:.1e}"
             line += ")"
         click.echo(line)
-    if not reports:
-        click.echo("no block is committed")
     if chain is not None:
         click.echo(f"trust chain: {'ok' if chain.ok else 'BROKEN'}"
                    + (f" — {chain.problems[0]}" if chain.problems else ""))
@@ -311,7 +300,7 @@ def audit(run_dir, strategy, m_samples, seed, trials, explicit_blocks,
         raise click.UsageError(str(e))
     click.echo(f"plan commitment {plan.commitment()}")
     if trials > 0:
-        result = run_campaign(run, plan, trials)
+        result = run_campaign(run, plan, trials, isolated=isolated)
         _write_report(run.dir, "audit_report.json", result.to_json())
         click.echo(f"tampered blocks found: {result.failing_blocks or 'none'}")
         click.echo(f"empirical detection {result.empirical_rate:.4f} "

@@ -71,9 +71,11 @@ class GridConfig:
     isolate_layers: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
         if not (1 <= self.bl <= self.n_layers):
             raise ValueError(f"bl must be in [1, {self.n_layers}]")
-        if not (1 <= self.bs <= max(1, self.n_steps)):
+        if not (1 <= self.bs <= self.n_steps):
             raise ValueError(f"bs must be in [1, {self.n_steps}]")
         if self.ic is not None and self.ic < 1:
             raise ValueError("ic must be >= 1 (or None for infinity)")

@@ -40,10 +40,6 @@ def build_model(spec: dict) -> list[Layer]:
     return layers
 
 
-def model_spec(seed: int, layers: list[Layer]) -> dict:
-    return {"seed": seed, "layers": [l.spec() for l in layers]}
-
-
 def param_items(layers: list[Layer]):
     """Canonical traversal order of all parameters."""
     for li, layer in enumerate(layers):

@@ -42,8 +42,6 @@ from .verifier import (DEFAULT_MEMORY_BUDGET, EVIDENCE_RELEASED, FAIL,
                        verify_or_refuse)
 from .verifier_worker import frame
 
-DEFAULT_TAU = {"f32": 1e-5, "f64": 1e-12}
-
 # the directory holding the imported package, for isolated workers
 _PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)
 
@@ -98,6 +96,7 @@ class Run:
         self.ctx = RunContext(self.manifest) if training else None
         self.store = None if training and self.config.zero_storage \
             else TensorStore(self.dir)
+        self.chain: ChainReport | None = None  # the last verify's walk
 
     @classmethod
     def open(cls, run_dir) -> "Run":
@@ -124,13 +123,21 @@ class Run:
 
     def verify(self, bids, isolated: bool = False, jobs: int = 1,
                **kw) -> list[VerificationReport]:
-        """Verify ``bids``, one report per entry in the order given.
-        ``isolated``, or ``jobs`` above 1, checks in isolated worker
-        processes, up to ``jobs`` of them at once."""
-        done: dict[BlockId, VerificationReport] = {}
+        """Verify ``bids``, one report per entry in the order given: the
+        one rule every command decides a block's verdict by. A block
+        with no sealed commitment fails before anything is read; every
+        other block is replayed. For a training run, one trust-chain
+        walk over ``bids`` then fails each block that replayed ``pass``
+        but whose commitment provenance is broken; ``self.chain`` keeps
+        that walk's report. ``isolated``, or ``jobs`` above 1, checks
+        in isolated worker processes, up to ``jobs`` of them at once."""
+        done = {b: VerificationReport(block=b, verdict=FAIL,
+                                      note="no sealed commitment")
+                for b in bids if b not in self.ledger}
+        sealed = [b for b in bids if b not in done]
         workers = _Workers(jobs) if isolated or jobs > 1 else None
         try:
-            for bid, req in self.requests(bids, **kw):
+            for bid, req in self.requests(sealed, **kw):
                 if isinstance(req, VerificationReport):
                     done[bid] = req
                 elif workers is None:
@@ -142,6 +149,14 @@ class Run:
         finally:
             if workers is not None:
                 workers.close()
+        self.chain = None
+        if self.mode == "training":
+            self.chain = check_trust_chain(self.ledger, self.store, sealed)
+            for bid in map(BlockId.parse, self.chain.bad_blocks):
+                if done[bid].passed:
+                    done[bid] = replace(
+                        done[bid], verdict=FAIL,
+                        note="commitment provenance broken (trust chain)")
         return [done[b] for b in bids]
 
     def request(self, bid: BlockId, **kw):
@@ -560,29 +575,25 @@ class ChainReport:
                 "bad_blocks": self.bad_blocks}
 
 
-def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None,
-                      blocks=None) -> ChainReport:
-    """Confirm every digest a block's verification consumes is vouched
-    for: by the sealed commitment of the neighbor ``grid.neighbors``
-    names, or, at the grid's edges, by a trust anchor in the manifest
-    (inputs/labels per step, the base model for row 0).
+def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
+                      blocks) -> ChainReport:
+    """Confirm every digest a verification of ``blocks`` consumes is
+    vouched for: by the sealed commitment of the neighbor
+    ``grid.neighbors`` names, or, at the grid's edges, by a trust anchor
+    in the manifest (inputs/labels per step, the base model for row 0).
 
-    With ``blocks``, walk only the entries of those blocks, which reads
-    the entries of their neighbors. Each walked block gets the problems
-    and bad-block mark the walk of every entry gives it; the base-model
-    anchor is then recomputed when a walked block lies in row 0 and the
-    walked blocks alone show no problem."""
+    Only the entries of ``blocks`` are walked, which reads the entries
+    of their neighbors; a block with no entry is skipped. A walked block
+    gets the same problems and bad-block mark whatever else is walked:
+    the base-model anchor is recomputed whenever a walked block lies in
+    row 0."""
     report = ChainReport(ok=True)
     manifest = ledger.manifest
     grid = ledger.grid
     inputs = manifest.get("input_anchors", [])
     labels = manifest.get("label_anchors", [])
     bad: set[str] = set()
-    if blocks is None:
-        scope, walked = None, ledger.entries
-    else:
-        scope = {b for b in blocks if b in ledger}
-        walked = ledger.entries_in(scope)
+    scope = {b for b in blocks if b in ledger}
 
     def problem(msg, bid=None):
         report.ok = False
@@ -613,7 +624,7 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None,
             return f"digest conflict with neighbor {neighbor} on {key}"
         return None
 
-    for e in walked:
+    for e in ledger.entries_in(scope):
         report.checked += 1
         bid = e.block
         near = grid.neighbors(bid)
@@ -640,10 +651,8 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None = None,
                 problem(why, bid)
 
     # when evidence is on hand, tie the row-0 parameters to the anchor value
-    row0 = [BlockId(i, 0) for i in range(grid.n_layer_blocks)]
-    if scope is not None:
-        row0 = [b for b in row0 if b in scope]
-    if report.ok and row0 and store is not None \
+    row0 = [b for b in scope if b.j == 0]
+    if row0 and store is not None \
             and "base_model_digest" in manifest \
             and manifest["mode"] == "training" \
             and _base_anchor_broken(manifest, store):

@@ -353,8 +353,9 @@ def test_acceptance_scenarios_detected_by_documented_strategy(tmp_path,
         run = tmp_path / scenario
         result = apply_scenario(scenario, make_manifest(), run)
         assert result.detectable_by == "trust-chain"
-        chain = check_trust_chain(RunLedger.load(run / LEDGER_FILE),
-                                  TensorStore(run))
+        ledger = RunLedger.load(run / LEDGER_FILE)
+        chain = check_trust_chain(ledger, TensorStore(run),
+                                  ledger.grid.block_ids())
         assert not chain.ok, scenario
         assert set(result.tampered_blocks) <= set(chain.bad_blocks)
 

@@ -78,35 +78,53 @@ def test_under_train_detected_by_replay(tmp_path):
             assert report.verdict == PASS, bid
 
 
+CHAIN_NOTE = "commitment provenance broken (trust chain)"
+
+
+def _full_chain(run_dir):
+    ledger = RunLedger.load(run_dir / LEDGER_FILE)
+    return check_trust_chain(ledger, TensorStore(run_dir),
+                             ledger.grid.block_ids())
+
+
 def test_model_substitution_detected_by_trust_chain(tmp_path):
     manifest = make_manifest()
     result = apply_scenario("model-substitution", manifest, tmp_path / "ms")
     assert result.detectable_by == "trust-chain"
-    # block replay is self-consistent, so plain verification passes
-    assert all(r.verdict == PASS for r in _verdicts(tmp_path / "ms").values())
-    ledger = RunLedger.load(tmp_path / "ms" / LEDGER_FILE)
-    chain = check_trust_chain(ledger, TensorStore(tmp_path / "ms"))
+    chain = _full_chain(tmp_path / "ms")
     assert not chain.ok
     assert set(result.tampered_blocks) <= set(chain.bad_blocks)
+    # block replay is self-consistent, so replay finds no fault; the
+    # trust chain fails exactly the blocks it marks
+    for bid, report in _verdicts(tmp_path / "ms").items():
+        assert report.cause is None, bid
+        if bid in chain.bad_blocks:
+            assert (report.verdict, report.note) == (FAIL, CHAIN_NOTE), bid
+        else:
+            assert report.verdict == PASS, bid
 
 
 def test_backdoor_poison_detected_by_input_anchors(tmp_path):
     manifest = make_manifest()
     result = apply_scenario("backdoor-poison", manifest, tmp_path / "bp")
     assert result.detectable_by == "trust-chain"
-    # interior rows replay cleanly; the loss-head row can fail replay too
-    # because verification feeds it the committed (clean) labels
+    chain = _full_chain(tmp_path / "bp")
+    assert not chain.ok
+    assert set(result.tampered_blocks) <= set(chain.bad_blocks)
+    # interior rows replay cleanly, so the trust chain fails the blocks it
+    # marks; the loss-head row fails replay too because verification
+    # feeds it the committed (clean) labels
     verdicts = _verdicts(tmp_path / "bp")
     grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
     head_row = grid.n_layer_blocks - 1
-    assert all(r.verdict == PASS for b, r in verdicts.items()
-               if BlockId.parse(b).i < head_row)
-    assert all(r.verdict == FAIL for b, r in verdicts.items()
-               if BlockId.parse(b).i == head_row)
-    ledger = RunLedger.load(tmp_path / "bp" / LEDGER_FILE)
-    chain = check_trust_chain(ledger, TensorStore(tmp_path / "bp"))
-    assert not chain.ok
-    assert set(result.tampered_blocks) <= set(chain.bad_blocks)
+    for bid, report in verdicts.items():
+        if BlockId.parse(bid).i == head_row:
+            assert report.verdict == FAIL, bid
+        elif bid in chain.bad_blocks:
+            assert (report.verdict, report.cause, report.note) == \
+                (FAIL, None, CHAIN_NOTE), bid
+        else:
+            assert (report.verdict, report.cause) == (PASS, None), bid
 
 
 @pytest.mark.parametrize("scenario", ["activation-perturbation",
@@ -213,28 +231,25 @@ BASE_ANCHOR_PROBLEM = \
 
 
 def _assert_scoped_chain_agrees(run_dir):
-    """Walking one block at a time gives each block what the walk of
-    every entry gives it; walking every block gives the whole report."""
+    """Walking one block gives it exactly the problems and bad-block mark
+    that the walk of every grid block gives it; returns the full walk."""
     def load():
         return RunLedger.load(run_dir / LEDGER_FILE)
 
     store = TensorStore(run_dir)
-    full = check_trust_chain(load(), store)
-    blocks = list(dict.fromkeys(load().blocks))
-    assert check_trust_chain(load(), store, blocks).to_json() == \
-        full.to_json()
+    ledger = load()
+    full = check_trust_chain(ledger, store, ledger.grid.block_ids())
+    base_broken = BASE_ANCHOR_PROBLEM in full.problems
     walked = []
-    for bid in blocks:
+    # the full walk lists each entry's problems in file order, then the
+    # base-model anchor's
+    for bid in dict.fromkeys(ledger.blocks):
         scoped = check_trust_chain(load(), store, [bid])
-        assert set(scoped.bad_blocks) <= {str(bid)}
+        assert scoped.bad_blocks == \
+            ([str(bid)] if str(bid) in full.bad_blocks else []), bid
+        assert (BASE_ANCHOR_PROBLEM in scoped.problems) == \
+            (base_broken and bid.j == 0), bid
         walked += [p for p in scoped.problems if p != BASE_ANCHOR_PROBLEM]
-        if str(bid) in full.bad_blocks:
-            assert scoped.bad_blocks == [str(bid)]
-        elif scoped.bad_blocks:  # only ever stricter, on the base anchor
-            assert bid.j == 0 and not full.ok
-            assert scoped.problems == [BASE_ANCHOR_PROBLEM]
-        if BASE_ANCHOR_PROBLEM in full.problems and bid.j == 0:
-            assert scoped.problems == [BASE_ANCHOR_PROBLEM]
     assert walked == [p for p in full.problems if p != BASE_ANCHOR_PROBLEM]
     return full
 
@@ -261,18 +276,19 @@ def test_scoped_trust_chain_on_a_neighbor_conflict(mlp_run, tmp_path):
     assert full.bad_blocks == ["1,0"]
 
 
-def test_scoped_trust_chain_finds_a_base_anchor_a_full_walk_hides(mlp_run,
-                                                                  tmp_path):
-    # a broken input anchor at step 4 stops the full walk short of the
-    # base-model check; a walk of row-0 blocks alone still makes it
+def test_trust_chain_finds_a_base_anchor_beside_another_break(mlp_run,
+                                                             tmp_path):
+    # a broken input anchor at step 4 does not hide the base-model check:
+    # every walk over a row-0 block recomputes it
     run = copy_run(mlp_run["dir"], tmp_path / "base")
     ledger = RunLedger.load(run / LEDGER_FILE)
     ledger.manifest["base_model_digest"] = "f" * 64
     ledger.manifest["input_anchors"][4] = "0" * 64
     ledger.save(run / LEDGER_FILE)
     full = _assert_scoped_chain_agrees(run)
-    assert full.bad_blocks == ["0,2"]
-    assert BASE_ANCHOR_PROBLEM not in full.problems
+    row0 = [str(BlockId(i, 0)) for i in range(ledger.grid.n_layer_blocks)]
+    assert full.bad_blocks == sorted(row0 + ["0,2"])
+    assert full.problems[-1] == BASE_ANCHOR_PROBLEM
     store = TensorStore(run)
 
     def scoped(*bids):
@@ -281,5 +297,45 @@ def test_scoped_trust_chain_finds_a_base_anchor_a_full_walk_hides(mlp_run,
 
     assert scoped(BlockId(0, 0)) == ["0,0"]
     assert scoped(BlockId(1, 0), BlockId(1, 1)) == ["1,0"]
-    # as in the full walk, a problem among the walked blocks skips it
-    assert scoped(BlockId(0, 0), BlockId(0, 2)) == ["0,2"]
+    assert scoped(BlockId(0, 0), BlockId(0, 2)) == ["0,0", "0,2"]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_command_gives_a_block_the_same_verdict(tmp_path, scenario):
+    # one block alone, every block, an explicit audit of the block, and
+    # the campaign's failing set all agree on each grid block
+    import json
+    from click.testing import CliRunner
+    from aftune.cli import main
+
+    def invoke(*args):
+        result = CliRunner().invoke(main, ["--root", str(tmp_path), *args])
+        assert result.exception is None or \
+            isinstance(result.exception, SystemExit), result.output
+        return result
+
+    invoke("attack", "run", "--scenario", scenario, "--n-steps", "4",
+           "--algo", "sha256")
+    run = tmp_path / "run"
+
+    def report(name):
+        return json.loads((run / name).read_text())
+
+    invoke("verify", "run")
+    full = {r["block"]: r["verdict"]
+            for r in report("verify_report.json")["reports"]}
+    grid = Run.open(run).grid
+    assert list(full) == [str(b) for b in grid.block_ids()]
+    invoke("audit", "run", "--trials", "3")
+    failing = set(report("audit_report.json")["failing_blocks"])
+    assert failing == {b for b, v in full.items() if v != PASS}
+    assert failing  # every scenario is caught
+    for b, verdict in full.items():
+        alone = invoke("verify", "run", "--block", b)
+        assert alone.exit_code == (verdict != PASS), (b, alone.output)
+        assert report("verify_report.json")["reports"][0]["verdict"] \
+            == verdict, b
+        audited = invoke("audit", "run", "--strategy", "explicit",
+                         "--block", b)
+        assert audited.exit_code == (verdict != PASS), (b, audited.output)
+        assert report("audit_report.json")["verdicts"] == {b: verdict}

@@ -203,6 +203,7 @@ def test_removed_knobs_are_usage_errors(cli_run, runner, args):
     ["record-train", "out", "--tau", "0"],
     ["record-train", "out", "--chunk-size", "0"],
     ["record-train", "out", "--batch-size", "0"],
+    ["record-train", "out", "--n-steps", "0", "--bs", "1"],
     ["record-infer", "out", "--bl", "99"],
     ["record-infer", "out", "--ia", "0"],
     ["attack", "out", "--scenario", "under-train", "--bs", "0"],
@@ -589,3 +590,78 @@ def test_full_verify_decodes_each_entry_once(sha_run, runner, monkeypatch):
     result = _invoke(runner, sha_run.parent, "verify", "run")
     assert result.exit_code == 0, result.output
     assert sorted(decoded) == sorted(blocks)
+
+
+@pytest.mark.parametrize("scenario, block", [("model-substitution", "0,0"),
+                                             ("backdoor-poison", "0,1")])
+def test_one_block_verify_walks_the_trust_chain(tmp_path, runner, scenario,
+                                                block):
+    # the block replays cleanly; only its commitment provenance is broken
+    assert _invoke(runner, tmp_path, "attack", "run", "--scenario", scenario,
+                   "--algo", "sha256").exit_code == 0
+    result = _invoke(runner, tmp_path, "verify", "run", "--block", block)
+    _exits_cleanly(result, 1)
+    assert f"block {block}: fail" in result.output
+    assert "trust chain: BROKEN" in result.output
+    report = json.loads((tmp_path / "run" / "verify_report.json").read_text())
+    assert report["trust_chain"]["bad_blocks"] == [block]
+    assert report["reports"][0]["note"] == \
+        "commitment provenance broken (trust chain)"
+    _exits_cleanly(_invoke(runner, tmp_path, "audit", "run", "--strategy",
+                           "explicit", "--block", block), 1)
+
+
+@pytest.mark.parametrize("storage", [["--ic", "2"], ["--zero-storage"]])
+def test_ledger_cut_short_fails_its_unsealed_blocks(tmp_path, runner,
+                                                    storage):
+    # an 8-step run whose ledger holds only its first 2 of 4 rows, as a
+    # provider that billed 8 steps but ran 4 would leave it
+    from aftune.ledger import RunLedger
+    assert _invoke(runner, tmp_path, "record-train", "run", "--n-steps", "8",
+                   "--algo", "sha256", "--batch-size", "8",
+                   *storage).exit_code == 0
+    path = tmp_path / "run" / "ledger.bin"
+    ledger = RunLedger.load(path)
+    cut = RunLedger(ledger.manifest)
+    for e in ledger.entries:
+        if e.block.j < 2:
+            cut.append(e)
+    data = cut.encode()
+    assert path.read_bytes().startswith(data)  # cut at a frame boundary
+    path.write_bytes(data)
+    unsealed = [str(b) for b in ledger.grid.block_ids() if b.j >= 2]
+
+    result = _invoke(runner, tmp_path, "verify", "run")
+    _exits_cleanly(result, 1)
+    for b in ledger.grid.block_ids():
+        verdict = "fail" if str(b) in unsealed else "pass"
+        assert f"block {b}: {verdict}\n" in result.output
+    assert result.output.endswith("FAIL\n")
+    report = json.loads((tmp_path / "run" / "verify_report.json").read_text())
+    assert {r["block"]: r["note"] for r in report["reports"]
+            if r["verdict"] != "pass"} == \
+        dict.fromkeys(unsealed, "no sealed commitment")
+    assert report["trust_chain"]["ok"]
+
+    result = _invoke(runner, tmp_path, "audit", "run", "--trials", "50")
+    assert result.exit_code == 0, result.output
+    campaign = json.loads((tmp_path / "run" / "audit_report.json").read_text())
+    assert campaign["failing_blocks"] == sorted(unsealed)
+    assert campaign["exact_rate"] > 0 and campaign["detections"] > 0
+
+
+def test_isolated_campaign_checks_in_workers(sha_run, runner, monkeypatch):
+    from aftune import orchestrate
+    started = []
+    init = orchestrate._Worker.__init__
+
+    def counted(self):
+        started.append(self)
+        init(self)
+
+    monkeypatch.setattr(orchestrate._Worker, "__init__", counted)
+    result = _invoke(runner, sha_run.parent, "audit", "run", "--trials", "5",
+                     "--isolated")
+    assert result.exit_code == 0, result.output
+    assert "tampered blocks found: none" in result.output
+    assert len(started) >= 1

@@ -81,7 +81,8 @@ def test_isolated_unstable_preset_verifies(tmp_path):
 
 def test_trust_chain_ok_on_honest_run(mlp_run):
     ledger = RunLedger.load(mlp_run["dir"] / LEDGER_FILE)
-    report = check_trust_chain(ledger, TensorStore(mlp_run["dir"]))
+    report = check_trust_chain(ledger, TensorStore(mlp_run["dir"]),
+                               ledger.grid.block_ids())
     assert report.ok
     assert report.problems == []
     assert report.checked == len(ledger.entries)
@@ -99,7 +100,7 @@ def test_trust_chain_catches_input_anchor_mismatch(mlp_run, tmp_path):
     ledger.manifest["input_anchors"][0] = "0" * 64
     ledger.save(run / LEDGER_FILE)
     report = check_trust_chain(RunLedger.load(run / LEDGER_FILE),
-                               TensorStore(run))
+                               TensorStore(run), ledger.grid.block_ids())
     assert not report.ok
     assert "0,0" in report.bad_blocks
 
@@ -113,7 +114,8 @@ def test_trust_chain_catches_neighbor_digest_conflict(mlp_run, tmp_path):
     key = BoundaryKey("activation", 1, 0)
     entry.entries[key] = Digest(bytes(32))
     ledger.save(run / LEDGER_FILE)
-    report = check_trust_chain(RunLedger.load(run / LEDGER_FILE))
+    report = check_trust_chain(RunLedger.load(run / LEDGER_FILE), None,
+                               ledger.grid.block_ids())
     assert not report.ok
     assert any("conflict" in p for p in report.problems)
 
@@ -123,9 +125,9 @@ def test_trust_chain_recomputes_base_model_anchor(mlp_run, tmp_path):
     ledger = RunLedger.load(run / LEDGER_FILE)
     ledger.manifest["base_model_digest"] = "f" * 64
     ledger.save(run / LEDGER_FILE)
-    report = check_trust_chain(RunLedger.load(run / LEDGER_FILE),
-                               TensorStore(run))
-    assert not report.ok
     grid = ledger.grid
+    report = check_trust_chain(RunLedger.load(run / LEDGER_FILE),
+                               TensorStore(run), grid.block_ids())
+    assert not report.ok
     assert report.bad_blocks == sorted(str(BlockId(i, 0))
                                        for i in range(grid.n_layer_blocks))

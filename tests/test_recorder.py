@@ -131,9 +131,16 @@ def test_crashed_recording_leaves_a_ledger_prefix(tmp_path, monkeypatch):
                                            run.name])
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
+        # every grid block gets a verdict: a sealed one has no store
+        # index to read, an unsealed one has nothing to check
         reports = json.loads((run / "verify_report.json").read_text())
-        assert [r["verdict"] for r in reports["reports"]] == \
-            [EVIDENCE_RELEASED] * (k * n_lb)
+        assert [r["block"] for r in reports["reports"]] == \
+            [str(b) for b in grid.block_ids()]
+        for r in reports["reports"]:
+            sealed = BlockId.parse(r["block"]).j < k
+            assert r["verdict"] == (EVIDENCE_RELEASED if sealed else "fail")
+            if not sealed:
+                assert r["note"] == "no sealed commitment"
 
 
 @pytest.mark.parametrize("isolated", [False, True])
