@@ -24,7 +24,7 @@ from .auditor import (STRATEGIES, AuditError, AuditPlan, audit_run,
                       p_detect_approx, p_detect_exact, run_campaign,
                       sample_blocks)
 from .data import make_dataset
-from .grid import BlockId, GridConfig
+from .grid import BlockId, GridConfig, check_tau
 from .hashing import ALGORITHMS, hash_bytes
 from .ledger import LedgerError
 from .model import build_model
@@ -121,6 +121,22 @@ def _grid_options(*names):
     return add
 
 
+def _tau_option(ctx, param, tau):
+    """``--tau`` unless it breaks the tolerance rule GridConfig applies."""
+    if tau is not None:
+        try:
+            check_tau(tau)
+        except ValueError as e:
+            raise click.BadParameter(str(e))
+    return tau
+
+
+def _ledger_digest(run_dir: Path, algo: str) -> str:
+    """The digest of the recorded ledger's bytes on disk, which equal
+    ``ledger.encode()``, so no entry is encoded again."""
+    return hash_bytes((run_dir / LEDGER_FILE).read_bytes(), algo).hex
+
+
 def _parse_ic(ic: str):
     if ic in ("inf", "none", "zero-storage"):
         return None
@@ -166,9 +182,7 @@ def record_train(out_dir, preset, n_steps, bl, bs, ic, chunk_size, algo, tau,
         "blocks": len(result.ledger.entries),
         "bytes_written": result.bytes_written,
         "final_loss": result.losses[-1] if result.losses else None,
-        # the digest of the bytes on disk, which equal ``ledger.encode()``
-        "ledger_digest": hash_bytes((out / LEDGER_FILE).read_bytes(),
-                                    algo).hex,
+        "ledger_digest": _ledger_digest(out, algo),
         "seconds": round(elapsed, 3),
     }
     _write_report(out, "record_report.json", summary)
@@ -212,7 +226,7 @@ def record_infer(out_dir, preset, bl, ia, chunk_size, algo, tau, model_seed,
     summary = {"run_dir": str(out), "mode": "inference",
                "blocks": len(result.ledger.entries),
                "bytes_written": result.bytes_written,
-               "ledger_digest": result.ledger.digest().hex}
+               "ledger_digest": _ledger_digest(out, algo)}
     _write_report(out, "record_report.json", summary)
     click.echo(f"recorded inference: {summary['blocks']} blocks, "
                f"{summary['bytes_written']} bytes")
@@ -228,12 +242,13 @@ def record_infer(out_dir, preset, bl, ia, chunk_size, algo, tau, model_seed,
 @click.option("--full-scan", is_flag=True,
               help="Report all failures instead of stopping at the first.")
 @click.option("--precision", type=click.Choice(("f32", "f64")), default=None)
-@click.option("--tau", type=float, default=None,
+@click.option("--tau", type=float, default=None, callback=_tau_option,
               help="Override the run's verification tolerance.")
 @click.option("--isolated", is_flag=True,
               help="Check in a separate verifier process that serves the "
                    "whole command and receives only request bytes.")
 @click.option("--jobs", default=1, show_default=True,
+              type=click.IntRange(min=1),
               help="Number of isolated verifier processes checking blocks "
                    "at once (implies --isolated when above 1).")
 def verify(run_dir, block_id, full_scan, precision, tau, isolated, jobs):
@@ -281,6 +296,7 @@ def verify(run_dir, block_id, full_scan, precision, tau, isolated, jobs):
               help="Blocks sampled per audit.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--trials", default=0, show_default=True,
+              type=click.IntRange(min=0),
               help="If > 0, run a Monte-Carlo detection campaign instead "
                    "of a single audit.")
 @click.option("--block", "explicit_blocks", multiple=True,

@@ -18,6 +18,14 @@ def label_anchor_key(step: int) -> str:
     return f"{LABEL_ANCHOR}@{step}"
 
 
+def check_tau(tau) -> None:
+    """Raise ValueError unless ``tau`` is a verification tolerance: a
+    positive, finite number. NaN, which no error is within, and Inf,
+    which every finite error is within, are not."""
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+
+
 @dataclass(frozen=True, order=True)
 class BlockId:
     i: int  # layer-block index
@@ -83,8 +91,7 @@ class GridConfig:
             raise ValueError("ia must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        check_tau(self.tau)
         if self.precision not in ("f32", "f64"):
             raise ValueError("precision must be f32 or f64")
 

@@ -22,6 +22,9 @@ LAYER_KINDS = (
     "unstable-scale",
 )
 
+# kinds whose initial parameters are a random draw; the rest start constant
+SEEDED_KINDS = ("linear", "attention-head")
+
 
 class Layer:
     kind: str = "?"

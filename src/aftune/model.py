@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hashing import Digest, chunked_hash, chunked_hash_many, tensor_bytes
-from .layers import Layer, build_layer
+from .layers import SEEDED_KINDS, Layer, build_layer
 from .optim import Optimizer, build_optimizer
 from .rng import rng_for
 from .tensors import BlobError, ShapeError, check_finite
@@ -31,12 +31,26 @@ class ModelState:
         return len(self.layers)
 
 
-def build_model(spec: dict) -> list[Layer]:
-    """Instantiate layers with parameters derived from the model seed."""
+def build_model(spec: dict, blobs: dict[int, bytes] | None = None) -> list[Layer]:
+    """Instantiate layers. A layer with a parameter blob in ``blobs`` (by
+    layer index) takes its parameters from it; every other layer takes
+    the init derived from the model seed, drawn only for a seeded kind.
+    Raises BlobError for a blob that names no layer or does not have its
+    layer's exact length."""
     seed = spec["seed"]
+    blobs = blobs or {}
+    stray = set(blobs) - set(range(len(spec["layers"])))
+    if stray:
+        raise BlobError(f"parameter blobs for layers {sorted(stray)} the "
+                        f"model does not have")
     layers = []
     for i, lspec in enumerate(spec["layers"]):
-        layers.append(build_layer(lspec, rng=rng_for(seed, "init", index=i)))
+        draws = i not in blobs and lspec["kind"] in SEEDED_KINDS
+        layer = build_layer(
+            lspec, rng=rng_for(seed, "init", index=i) if draws else None)
+        if i in blobs:
+            load_param_bytes(layer, blobs[i])
+        layers.append(layer)
     return layers
 
 

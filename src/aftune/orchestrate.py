@@ -29,17 +29,16 @@ from .grid import (INPUT_ANCHOR, LABEL_ANCHOR, BlockId, BoundaryKey,
                    GridConfig, label_anchor_key)
 from .hashing import ALGORITHMS, Digest, chunked_hash_many
 from .ledger import SCHEMA_VERSION, LedgerError, RunLedger
-from .model import (ModelState, build_model, load_param_bytes, param_bytes,
-                    params_digest)
+from .model import ModelState, build_model, param_bytes, params_digest
 from .optim import build_optimizer
 from .recorder import (LEDGER_FILE, PARAMS_DIR, RunContext,
                        reference_closure, rerun_rows)
 from .store import StoreError, TensorStore
 from .tensors import BlobError, NonFiniteError
 from .verifier import (DEFAULT_MEMORY_BUDGET, EVIDENCE_RELEASED, FAIL,
-                       NON_FINITE, REFUSED, BlockReplayer, VerificationReport,
-                       VerificationRequest, VerifierError, non_finite_key,
-                       verify_or_refuse)
+                       NON_FINITE, REFUSED, BindingMemo, BlockReplayer,
+                       VerificationReport, VerificationRequest, VerifierError,
+                       non_finite_key, verify_or_refuse)
 from .verifier_worker import frame
 
 # the directory holding the imported package, for isolated workers
@@ -136,12 +135,13 @@ class Run:
                 for b in bids if b not in self.ledger}
         sealed = [b for b in bids if b not in done]
         workers = _Workers(jobs) if isolated or jobs > 1 else None
+        memo = BindingMemo()  # this call is one in-process session
         try:
             for bid, req in self.requests(sealed, **kw):
                 if isinstance(req, VerificationReport):
                     done[bid] = req
                 elif workers is None:
-                    done[bid] = verify_or_refuse(req)
+                    done[bid] = verify_or_refuse(req, memo)
                 else:
                     done.update(workers.submit(req))
             if workers is not None:
@@ -664,17 +664,19 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
 
 def _base_anchor_broken(manifest, store: TensorStore) -> bool:
     """Whether the stored step-0 parameters contradict the base-model
-    anchor: a blob that does not decode does. False when any was pruned,
-    as there is nothing to recompute against."""
-    layers = build_model(manifest["model"])
-    for l, layer in enumerate(layers):
+    anchor: a blob before the first pruned layer that does not decode
+    does. Otherwise False when any was pruned, as there is nothing to
+    recompute against."""
+    blobs = {}
+    for l in range(len(manifest["model"]["layers"])):
         key = BoundaryKey("parameter", l, 0)
         if not store.has_blob(key):
-            return False
-        try:
-            load_param_bytes(layer, store.get_bytes(key))
-        except BlobError:
-            return True
-    return params_digest(layers, manifest["grid"]["chunk_size"],
-                         manifest["hash_algo"]).hex \
-        != manifest["base_model_digest"]
+            break
+        blobs[l] = store.get_bytes(key)
+    try:
+        layers = build_model(manifest["model"], blobs)
+    except BlobError:
+        return True
+    return len(blobs) == len(layers) and params_digest(
+        layers, manifest["grid"]["chunk_size"],
+        manifest["hash_algo"]).hex != manifest["base_model_digest"]

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig, label_anchor_key
-from .hashing import Digest, chunked_hash_many, label_bytes
-from .model import (backward_block, build_model, forward_block,
-                    load_param_bytes, param_bytes, params_digest)
+from .grid import (BlockGrid, BlockId, BoundaryKey, GridConfig, check_tau,
+                   label_anchor_key)
+from .hashing import Digest, chunked_hash_many, label_bytes, tensor_bytes
+from .model import (backward_block, build_model, forward_block, param_bytes,
+                    param_items, params_digest)
 from .optim import build_optimizer
 from .tensors import NonFiniteError, rel_l2_error
 
@@ -205,10 +206,8 @@ class BlockReplayer:
         self.layer_indices = list(layer_indices)
         self.precision = precision
         try:
-            self.model = build_model(model_spec)
+            self.model = build_model(model_spec, param_blobs)
             self.layers = [self.model[l] for l in self.layer_indices]
-            for l, blob in param_blobs.items():
-                load_param_bytes(self.model[l], blob)
             self.opt = None
             if opt_spec is not None:
                 self.opt = build_optimizer(opt_spec, self.layers)
@@ -394,8 +393,29 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
             return
 
 
+class BindingMemo:
+    """The last model binding one verifier session computed: the exact
+    bytes ``params_digest`` hashed (every parameter tensor in
+    ``param_items`` order, with the algorithm and chunk size) and the
+    digest they gave. Other bytes are hashed afresh and replace it, so
+    a lookup answers what hashing its own bytes would."""
+
+    def __init__(self):
+        self._key: tuple | None = None
+        self._hex: str | None = None
+
+    def digest(self, layers, chunk_size: int, algo: str) -> str:
+        key = (algo, chunk_size,
+               tuple(tensor_bytes(p) for _, _, p in param_items(layers)))
+        if key != self._key:
+            self._hex = params_digest(layers, chunk_size, algo).hex
+            self._key = key
+        return self._hex
+
+
 def _verify_inference(req: VerificationRequest, grid: BlockGrid,
-                      collector: _FailureCollector) -> None:
+                      collector: _FailureCollector,
+                      memo: BindingMemo) -> None:
     """Forward-only verification between two recorded boundaries (with
     ia > 1 the replay spans the unrecorded blocks in between)."""
     keys = grid.inference_commitment_keys(req.block)
@@ -413,8 +433,8 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
         raise VerifierError(f"request is missing parameters of layers {missing}")
     replayer = BlockReplayer(req.model, None, span, blobs, {},
                              precision=req.precision)
-    if req.model_digest is not None and req.model_digest != params_digest(
-            replayer.model, req.chunk_size, req.algo).hex:
+    if req.model_digest is not None and req.model_digest != memo.digest(
+            replayer.model, req.chunk_size, req.algo):
         collector.fail(HASH_MISMATCH, "model-parameters")
         return
     x = req.tensors[str(keys[0])]
@@ -428,16 +448,19 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
                       req.tau)
 
 
-_VERIFY = {"training": _verify_training, "inference": _verify_inference}
-
-
-def verify_block(req: VerificationRequest) -> VerificationReport:
+def verify_block(req: VerificationRequest,
+                 memo: BindingMemo | None = None) -> VerificationReport:
     """Check one block request: refuse it when its payload exceeds its
     memory budget, else hash-check, replay and compare it by its mode.
-    A request that cannot be checked raises VerifierError."""
-    check = _VERIFY.get(req.mode)
-    if check is None:
+    An inference request's model binding is looked up in ``memo``, the
+    session's (a fresh one by default). A request that cannot be
+    checked raises VerifierError."""
+    if req.mode not in ("training", "inference"):
         raise VerifierError(f"unknown mode {req.mode!r}")
+    try:
+        check_tau(req.tau)
+    except (TypeError, ValueError) as e:
+        raise VerifierError(f"request {e}") from None
     t_start = time.perf_counter()
     report = VerificationReport(block=req.block, verdict=PASS, tau=req.tau)
     if req.payload_bytes() > req.memory_budget:
@@ -458,21 +481,27 @@ def verify_block(req: VerificationRequest) -> VerificationReport:
         if array != isinstance(v, np.ndarray):
             raise VerifierError(f"tensor {k} must be "
                                 f"{'an array' if array else 'raw bytes'}")
-    check(req, grid, _FailureCollector(report, req.full_scan))
+    collector = _FailureCollector(report, req.full_scan)
+    if req.mode == "training":
+        _verify_training(req, grid, collector)
+    else:
+        _verify_inference(req, grid, collector, memo or BindingMemo())
     report.wall_time = time.perf_counter() - t_start
     return report
 
 
-def verify_or_refuse(req: VerificationRequest | bytes) -> VerificationReport:
+def verify_or_refuse(req: VerificationRequest | bytes,
+                     memo: BindingMemo | None = None) -> VerificationReport:
     """``verify_block``'s report on ``req``, parsed first when it is
-    request bytes. A request that cannot be parsed or checked
-    (VerifierError) is answered 'refused': the rule of both the
-    in-process and the isolated verifier."""
+    request bytes, with ``memo`` the session's model binding. A request
+    that cannot be parsed or checked (VerifierError) is answered
+    'refused': the rule of both the in-process and the isolated
+    verifier."""
     block = None
     try:
         if isinstance(req, bytes):
             req = VerificationRequest.from_bytes(req)
         block = req.block
-        return verify_block(req)
+        return verify_block(req, memo)
     except VerifierError as e:
         return VerificationReport(block=block, verdict=REFUSED, note=str(e))

@@ -7,13 +7,16 @@ JSON report on its own line of stdout, flushed before the next frame is
 read, and exits 0 at end of input on a frame boundary.
 
 The process sees nothing but request bytes, so verification cannot
-depend on ambient run state; ``verify_block`` keeps no state between
-requests. A request that cannot be parsed or checked is answered with a
-'refused' report, by the rule the in-process path applies too
-(``verify_or_refuse``). A frame that declares more bytes than stdin delivers
-is answered with 'refused' and ends the loop; frame bodies are read in
-bounded pieces, so a bogus length costs no more memory than the bytes
-actually sent. Any other exception kills the worker with a traceback.
+depend on ambient run state. The only state kept between requests is
+the session's last model binding (a ``BindingMemo``), keyed by the
+exact parameter bytes it digested; a request with other bytes is hashed
+afresh, so the memo cannot change a verdict. A request that cannot be
+parsed or checked is answered with a 'refused' report, by the rule the
+in-process path applies too (``verify_or_refuse``). A frame that
+declares more bytes than stdin delivers is answered with 'refused' and
+ends the loop; frame bodies are read in bounded pieces, so a bogus
+length costs no more memory than the bytes actually sent. Any other
+exception kills the worker with a traceback.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import json
 import struct
 import sys
 
-from .verifier import (REFUSED, VerificationReport, VerifierError,
-                       verify_or_refuse)
+from .verifier import (REFUSED, BindingMemo, VerificationReport,
+                       VerifierError, verify_or_refuse)
 
 _LENGTH = struct.Struct("<Q")
 _PIECE = 1 << 20  # largest single read of a frame body
@@ -74,6 +77,7 @@ def _answer(report: VerificationReport) -> None:
 
 
 def main() -> int:
+    memo = BindingMemo()  # this process is one verifier session
     while True:
         try:
             data = read_frame(sys.stdin.buffer)
@@ -83,7 +87,7 @@ def main() -> int:
             return 0
         if data is None:
             return 0
-        _answer(verify_or_refuse(data))
+        _answer(verify_or_refuse(data, memo))
 
 
 if __name__ == "__main__":

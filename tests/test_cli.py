@@ -18,7 +18,9 @@ import aftune
 from aftune.adversary import rewrite_key
 from aftune.cli import main
 from aftune.grid import BlockId, BoundaryKey
+from aftune.ledger import RunLedger
 from aftune.orchestrate import ReconstructionError, Run
+from aftune.recorder import LEDGER_FILE
 from aftune.store import TensorStore
 from aftune.verifier import REFUSED
 
@@ -120,6 +122,9 @@ def test_record_infer_and_verify(tmp_path, runner):
     assert result.exit_code == 0, result.output
     verify = _invoke(runner, tmp_path, "verify", "inf")
     assert verify.exit_code == 0, verify.output
+    report = json.loads((tmp_path / "inf" / "record_report.json").read_text())
+    assert report["ledger_digest"] == \
+        RunLedger.load(tmp_path / "inf" / LEDGER_FILE).digest().hex
 
 
 def test_prune_command(tmp_path, runner):
@@ -197,10 +202,26 @@ def test_removed_knobs_are_usage_errors(cli_run, runner, args):
     _exits_cleanly(_invoke(runner, cli_run, *args), 2)
 
 
+# a tolerance must be positive and finite; a count of workers or trials
+# must mean something
+VERIFY_AND_AUDIT_BAD_VALUES = [
+    ["verify", "out", "--tau", "nan"],
+    ["verify", "out", "--tau", "-1"],
+    ["verify", "out", "--tau", "inf"],
+    ["verify", "out", "--jobs", "0"],
+    ["verify", "out", "--jobs", "-3"],
+    ["audit", "out", "--trials", "-4"],
+]
+
+
 @pytest.mark.parametrize("args", [
     ["record-train", "out", "--bl", "0"],
     ["record-train", "out", "--ic", "0"],
     ["record-train", "out", "--tau", "0"],
+    ["record-train", "out", "--tau", "-1"],
+    ["record-train", "out", "--tau", "nan"],
+    ["record-train", "out", "--tau", "inf"],
+    ["record-infer", "out", "--tau", "nan"],
     ["record-train", "out", "--chunk-size", "0"],
     ["record-train", "out", "--batch-size", "0"],
     ["record-train", "out", "--n-steps", "0", "--bs", "1"],
@@ -212,12 +233,25 @@ def test_removed_knobs_are_usage_errors(cli_run, runner, args):
     ["detection-odds", "--m", "-1"],
     ["detection-odds", "--n", "0", "--k", "0"],
     ["attack-stats", "--bl-values", "2,0", "--steps", "1"],
+    *VERIFY_AND_AUDIT_BAD_VALUES,
 ])
 def test_bad_option_value_is_a_usage_error(tmp_path, runner, args):
     result = _invoke(runner, tmp_path, *args)
     _exits_cleanly(result, 2)
     assert "Error:" in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", VERIFY_AND_AUDIT_BAD_VALUES)
+def test_bad_value_is_refused_before_the_run_is_opened(tmp_path, runner,
+                                                       args):
+    assert _invoke(runner, tmp_path, "record-train", "out", "--n-steps", "2",
+                   "--batch-size", "4").exit_code == 0
+    before = sorted(p.name for p in (tmp_path / "out").iterdir())
+    result = _invoke(runner, tmp_path, *args)
+    _exits_cleanly(result, 2)
+    assert "Invalid value for" in result.output
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == before
 
 
 def test_verify_isolated_jobs(cli_run, runner):

@@ -11,12 +11,13 @@ import pytest
 from aftune.layers import (AttentionHead, LayerNorm, Linear, ReLU,
                            SoftmaxCrossEntropyHead, UnstableScale, build_layer)
 from aftune.model import (backward_block, build_model, build_state,
-                          forward_block, param_bytes, train_step)
+                          forward_block, load_param_bytes, param_bytes,
+                          train_step)
 from aftune.optim import AdamW, SGDMomentum, build_optimizer
-from aftune.presets import dataset_for, mlp_model
+from aftune.presets import dataset_for, mlp_model, model_for
 from aftune.data import make_dataset
 from aftune.rng import rng_for
-from aftune.tensors import NonFiniteError
+from aftune.tensors import BlobError, NonFiniteError
 
 # -- hand-unrolled scalar oracles -----------------------------------------
 
@@ -267,6 +268,34 @@ def test_model_init_is_reproducible():
     a, b = build_model(spec), build_model(spec)
     for la, lb in zip(a, b):
         assert param_bytes(la) == param_bytes(lb)
+
+
+@pytest.mark.parametrize("preset", ["mlp", "attention", "unstable"])
+@pytest.mark.parametrize("which", ["none", "some", "all"])
+def test_model_built_from_blobs_is_bitwise_build_then_load(preset, which):
+    spec = model_for(preset)
+    # blobs of another seed, so a loaded layer differs from its init
+    other = build_model(dict(spec, seed=spec["seed"] + 1))
+    n = len(spec["layers"])
+    chosen = {"none": [], "some": range(0, n, 2), "all": range(n)}[which]
+    blobs = {l: param_bytes(other[l]) for l in chosen}
+    reference = build_model(spec)
+    for l, blob in blobs.items():
+        load_param_bytes(reference[l], blob)
+    built = build_model(spec, blobs)
+    assert [l.kind for l in built] == [l.kind for l in reference]
+    for got, want in zip(built, reference):
+        assert list(got.params) == list(want.params)
+        for name, p in want.params.items():
+            q = got.params[name]
+            assert (q.dtype, q.shape) == (p.dtype, p.shape)
+            assert q.tobytes() == p.tobytes()
+
+
+@pytest.mark.parametrize("blobs", [{9: b""}, {-1: b""}, {0: b"\0" * 4}])
+def test_model_built_from_a_stray_or_short_blob_is_refused(blobs):
+    with pytest.raises(BlobError):
+        build_model(model_for("mlp"), blobs)
 
 
 def test_rng_is_call_order_independent():

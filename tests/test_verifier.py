@@ -7,20 +7,23 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aftune import orchestrate, verifier_worker
+from aftune import orchestrate, verifier, verifier_worker
 from aftune.grid import BlockId, BoundaryKey, label_anchor_key
 from aftune.hashing import Digest
 from aftune.orchestrate import Run
+from aftune.model import params_digest
 from aftune.verifier import (EVIDENCE_RELEASED, FAIL, HASH_MISMATCH,
-                             NUMERICAL_MISMATCH, PASS, REFUSED,
-                             VerificationReport, VerificationRequest,
-                             VerifierError, verify_block, verify_or_refuse)
+                             NUMERICAL_MISMATCH, PASS, REFUSED, BindingMemo,
+                             BlockReplayer, VerificationReport,
+                             VerificationRequest, VerifierError, verify_block,
+                             verify_or_refuse)
 
 from conftest import copy_run
 
@@ -340,6 +343,9 @@ HOSTILE = {
         {"activation:0@0": req.tensors["activation:0@0"].tobytes()}),
     "state-blob-as-array": lambda req: req.tensors.update(
         {"parameter:0@0": np.zeros(2, np.float32)}),
+    "tau-nan": lambda req: setattr(req, "tau", float("nan")),
+    "tau-negative": lambda req: setattr(req, "tau", -1.0),
+    "tau-infinite": lambda req: setattr(req, "tau", float("inf")),
 }
 
 
@@ -427,3 +433,89 @@ def test_crash_mid_command_refuses_only_that_block(mlp_run, monkeypatch):
     later = [b for b in bids if (b.j, b.i) > (crash.j, crash.i)]
     assert later and all(verdicts[b].verdict == PASS for b in later)
     assert all(r.verdict == PASS for b, r in verdicts.items() if b != crash)
+
+
+# -- the model binding, once per verifier session ---------------------------
+
+
+@pytest.fixture(scope="module")
+def infer_run(tmp_path_factory):
+    from click.testing import CliRunner
+
+    from aftune.cli import main
+    root = tmp_path_factory.mktemp("infer")
+    result = CliRunner().invoke(main, ["--root", str(root), "record-infer",
+                                       "inf", "--ia", "1"])
+    assert result.exit_code == 0, result.output
+    return root / "inf"
+
+
+def _count_bindings(monkeypatch) -> list:
+    """Each model-binding digest the verifier computes, as it happens."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return params_digest(*args)
+    monkeypatch.setattr(verifier, "params_digest", counted)
+    return calls
+
+
+def _worker_session(monkeypatch, capsys, requests) -> list:
+    """One worker session, run in this process, fed ``requests`` as
+    frames; its reports in order."""
+    data = b"".join(verifier_worker.frame(r.to_bytes()) for r in requests)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    capsys.readouterr()
+    assert verifier_worker.main() == 0
+    return [VerificationReport.from_json(json.loads(line))
+            for line in capsys.readouterr().out.splitlines()]
+
+
+def test_binding_is_computed_once_per_session(infer_run, monkeypatch,
+                                              capsys):
+    calls = _count_bindings(monkeypatch)
+    run = Run.open(infer_run)
+    bids = run.grid.block_ids()
+    assert len(bids) == 3
+    assert [r.verdict for r in run.verify(bids)] == [PASS] * 3
+    assert len(calls) == 1
+    run.verify(bids)  # each call is a session of its own
+    assert len(calls) == 2
+    requests = [req for _, req in Run.open(infer_run).requests(bids)]
+    reports = _worker_session(monkeypatch, capsys, requests)
+    assert [r.verdict for r in reports] == [PASS] * 3
+    assert len(calls) == 3
+
+
+def test_binding_memo_answers_only_its_own_bytes(infer_run, monkeypatch,
+                                                 capsys):
+    honest = Run.open(infer_run).request(BlockId(0, 0))
+    key = str(BoundaryKey("parameter", 0, 0))
+    raw = bytearray(honest.tensors[key])
+    raw[0] ^= 1  # the lowest mantissa bit of layer 0's first weight
+    flipped = replace(honest, tensors={**honest.tensors, key: bytes(raw)})
+    relabeled = replace(honest, model_digest="0" * 64)
+    sequence = [honest, flipped, honest, relabeled]
+    calls = _count_bindings(monkeypatch)
+    memo = BindingMemo()
+    in_process = [verify_or_refuse(req, memo) for req in sequence]
+    # the relabeled request hits the memo and is still compared
+    assert len(calls) == 3
+    for reports in (in_process,
+                    _worker_session(monkeypatch, capsys, sequence)):
+        assert [r.verdict for r in reports] == [PASS, FAIL, PASS, FAIL]
+        for r in (reports[1], reports[3]):
+            assert (r.cause, r.failed_key) == (HASH_MISMATCH,
+                                               "model-parameters")
+
+
+def test_stray_or_short_parameter_blob_is_refused(infer_run):
+    req = Run.open(infer_run).request(BlockId(0, 0))
+    key = str(BoundaryKey("parameter", 0, 0))
+    req.tensors[key] = req.tensors[key][:-4]
+    report = verify_or_refuse(req)
+    assert report.verdict == REFUSED and "bytes, not" in report.note
+    n = len(req.model["layers"])
+    with pytest.raises(VerifierError, match="does not have"):
+        BlockReplayer(req.model, None, [0], {n: b""}, {})
