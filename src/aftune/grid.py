@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 # trust anchor markers returned by ``neighbors`` at grid edges
 INPUT_ANCHOR = "input-anchor"
@@ -79,6 +80,10 @@ class GridConfig:
     isolate_layers: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not all(type(v) is int for v in (
+                self.n_layers, self.n_steps, self.bl, self.bs, self.ia,
+                self.chunk_size, self.ic or 1, *self.isolate_layers)):
+            raise TypeError("grid sizes and layer indices must be integers")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not (1 <= self.bl <= self.n_layers):
@@ -117,12 +122,13 @@ class BlockGrid:
     def __init__(self, config: GridConfig):
         self.config = config
         self.layer_blocks = self._layer_partition(config)
-        t = config.n_steps
-        self.step_blocks = [
-            (j * config.bs, min((j + 1) * config.bs, t))
-            for j in range(math.ceil(t / config.bs))
-        ]
         self._checkpoints: dict[int, tuple[int, ...]] = {}
+
+    @cached_property
+    def step_blocks(self) -> list[tuple[int, int]]:
+        """Every step block's (entry, exit) steps, listed on first use."""
+        return [self.commitment_boundary_steps(j)
+                for j in range(self.n_step_blocks)]
 
     @staticmethod
     def _layer_partition(config: GridConfig):
@@ -153,7 +159,7 @@ class BlockGrid:
 
     @property
     def n_step_blocks(self) -> int:
-        return len(self.step_blocks)
+        return -(-self.config.n_steps // self.config.bs)
 
     @property
     def n_blocks(self) -> int:
@@ -178,8 +184,7 @@ class BlockGrid:
         return range(a, b)
 
     def block_steps(self, j: int) -> range:
-        a, b = self.step_blocks[j]
-        return range(a, b)
+        return range(*self.commitment_boundary_steps(j))
 
     def boundary_layer(self, b: int) -> int:
         """Activation index (position in the per-step activation list)
@@ -227,8 +232,8 @@ class BlockGrid:
     def commitment_boundary_steps(self, j: int) -> tuple[int, int]:
         """Entry and exit steps of step block j (parameters are committed
         at both, whether or not a checkpoint blob is stored)."""
-        a, b = self.step_blocks[j]
-        return a, b
+        bs = self.config.bs
+        return j * bs, min((j + 1) * bs, self.config.n_steps)
 
     def inference_boundaries(self) -> list[int]:
         """Recorded boundaries for forward-only runs: every ia-th block

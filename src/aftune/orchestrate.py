@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .grid import (INPUT_ANCHOR, LABEL_ANCHOR, BlockId, BoundaryKey,
-                   GridConfig, label_anchor_key)
-from .hashing import ALGORITHMS, Digest, chunked_hash_many
+                   label_anchor_key)
+from .hashing import Digest, chunked_hash_many
 from .ledger import SCHEMA_VERSION, LedgerError, RunLedger
 from .model import ModelState, build_model, param_bytes, params_digest
 from .optim import build_optimizer
@@ -35,9 +35,9 @@ from .recorder import (LEDGER_FILE, PARAMS_DIR, RunContext,
                        reference_closure, rerun_rows)
 from .store import StoreError, TensorStore
 from .tensors import BlobError, NonFiniteError
-from .verifier import (DEFAULT_MEMORY_BUDGET, EVIDENCE_RELEASED, FAIL,
-                       NON_FINITE, REFUSED, BindingMemo, BlockReplayer,
-                       VerificationReport, VerificationRequest, VerifierError,
+from .verifier import (EVIDENCE_RELEASED, FAIL, NON_FINITE, REFUSED,
+                       BindingMemo, BlockReplayer, VerificationReport,
+                       VerificationRequest, VerifierError, check_run_spec,
                        non_finite_key, verify_or_refuse)
 from .verifier_worker import frame
 
@@ -112,7 +112,13 @@ class Run:
             if not ledger.grid.contains(bid):
                 raise LedgerError(f"ledger entry for block {bid} lies "
                                   f"outside the manifest's grid")
-        return cls(run_dir, ledger)
+        try:
+            run = cls(run_dir, ledger)
+            run._fresh_layers  # built now: an unbuildable model is exit 2
+        except (KeyError, TypeError, ValueError) as e:
+            raise LedgerError(f"manifest model or dataset cannot be built: "
+                              f"{e!r}") from None
+        return run
 
     @cached_property
     def _fresh_layers(self):
@@ -163,15 +169,17 @@ class Run:
         return next(self.requests([bid], **kw))[1]
 
     def requests(self, bids, tau: float | None = None,
-                 precision: str | None = None, full_scan: bool = False,
-                 memory_budget: int = DEFAULT_MEMORY_BUDGET):
+                 precision: str | None = None, full_scan: bool = False):
         """Yield ``(bid, request)`` for each distinct block of ``bids`` in
         grid order (row j ascending). ``request`` is a VerificationReport
         instead when the block cannot reach the verifier: its evidence was
-        released, or the replay to its entry state went non-finite."""
+        released, or the replay to its entry state went non-finite.
+        ``tau`` and ``precision``, when given, replace the manifest's in
+        every request's grid."""
         order = sorted(set(bids), key=lambda b: (b.j, b.i))
-        opts = dict(tau=tau, precision=precision, full_scan=full_scan,
-                    memory_budget=memory_budget)
+        grid = replace(self.config, tau=self.config.tau if tau is None
+                       else tau, precision=precision or self.config.precision)
+        opts = dict(grid=grid.to_dict(), full_scan=full_scan)
         if self.mode == "inference":
             yield from self._inference_requests(order, opts)
         elif self.store is None:
@@ -179,14 +187,14 @@ class Run:
         else:
             yield from self._stored_requests(order, opts)
 
-    def _request(self, bid: BlockId, tensors: dict, tau, precision,
-                 full_scan, memory_budget) -> VerificationRequest:
-        """The request for ``bid`` carrying ``tensors`` and the digests of
-        its commitment keys as the block's own sealed commitment holds
-        them (a key it omits goes without, and the verifier refuses); for
-        a training loss block also its labels and their anchors, for
-        inference the served parameters."""
-        config, manifest = self.config, self.manifest
+    def _request(self, bid: BlockId, tensors: dict, grid: dict,
+                 full_scan: bool) -> VerificationRequest:
+        """The request for ``bid`` checked on ``grid`` carrying ``tensors``
+        and the digests of its commitment keys as the block's own sealed
+        commitment holds them (a key it omits goes without, and the
+        verifier refuses); for a training loss block also its labels and
+        their anchors, for inference the served parameters."""
+        manifest = self.manifest
         training = self.mode == "training"
         keys = self.grid.commitment_keys(bid) if training \
             else self.grid.inference_commitment_keys(bid)
@@ -204,14 +212,11 @@ class Run:
         if not training:
             tensors.update(self._served_params)
         return VerificationRequest(
-            block=bid, mode=self.mode,
-            tau=config.tau if tau is None else tau,
-            precision=precision or config.precision, grid=config.to_dict(),
-            model=manifest["model"], optimizer=manifest.get("optimizer"),
-            tensors=tensors, ledger_digests=ledger_digests, labels=labels,
-            model_digest=manifest.get("model_digest"),
-            chunk_size=config.chunk_size, algo=manifest["hash_algo"],
-            memory_budget=memory_budget, full_scan=full_scan,
+            block=bid, mode=self.mode, grid=grid, model=manifest["model"],
+            optimizer=manifest.get("optimizer"),
+            hash_algo=manifest["hash_algo"], tensors=tensors,
+            ledger_digests=ledger_digests, labels=labels,
+            model_digest=manifest.get("model_digest"), full_scan=full_scan,
         )
 
     def _rerun_requests(self, order, opts):
@@ -427,34 +432,23 @@ class Run:
 
 
 def _check_manifest(manifest: dict) -> None:
-    """Raise LedgerError unless ``manifest`` holds, with the right types,
-    every field a Run and its RunContext read."""
-    def need(key, types, within=manifest, where="manifest"):
-        if not isinstance(within.get(key), types):
-            raise LedgerError(f"{where} field {key!r} is missing or malformed")
-        return within[key]
-
-    mode = need("mode", str)
-    if mode not in ("training", "inference"):
-        raise LedgerError(f"unknown run mode {mode!r} in the manifest")
-    need("model", dict)
-    if need("hash_algo", str) not in ALGORITHMS:
-        raise LedgerError(f"unknown hash algorithm {manifest['hash_algo']!r} "
-                          f"in the manifest")
+    """Raise LedgerError unless ``manifest`` obeys ``check_run_spec``, the
+    rules a request header obeys too, and a training manifest also holds
+    the run seed, batch size and anchors its RunContext and Run read."""
     try:
-        GridConfig.from_dict(need("grid", dict))
-    except (KeyError, TypeError, ValueError) as e:
-        raise LedgerError(f"manifest grid is malformed: {e!r}") from None
-    if mode == "inference":
-        need("model_digest", str)
+        check_run_spec(manifest)
+    except ValueError as e:
+        raise LedgerError(f"manifest {e}") from None
+    if manifest["mode"] == "inference":
         return
-    need("optimizer", dict)
-    need("spec", dict, need("dataset", dict), "manifest dataset")
-    need("run_seed", int)
-    need("batch_size", int)
+    for key in ("run_seed", "batch_size"):
+        if not isinstance(manifest.get(key), int):
+            raise LedgerError(f"manifest field {key!r} is malformed")
     for key in ("input_anchors", "label_anchors"):
-        if not all(_is_digest_hex(a) for a in need(key, list)):
-            raise LedgerError(f"manifest field {key!r} holds a malformed digest")
+        anchors = manifest.get(key)
+        if not (isinstance(anchors, list)
+                and all(map(_is_digest_hex, anchors))):
+            raise LedgerError(f"manifest field {key!r} is malformed")
 
 
 def _is_digest_hex(s) -> bool:

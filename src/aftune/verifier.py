@@ -15,19 +15,19 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import (BlockGrid, BlockId, BoundaryKey, GridConfig, check_tau,
-                   label_anchor_key)
-from .hashing import Digest, chunked_hash_many, label_bytes, tensor_bytes
+from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig, label_anchor_key
+from .hashing import (ALGORITHMS, Digest, chunked_hash_many, label_bytes,
+                      tensor_bytes)
 from .model import (backward_block, build_model, forward_block, param_bytes,
                     param_items, params_digest)
 from .optim import build_optimizer
 from .tensors import NonFiniteError, rel_l2_error
 
-DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024  # bytes of payload a verifier accepts
+MEMORY_BUDGET = 64 * 1024 * 1024  # bytes of payload this verifier accepts
 
 PASS = "pass"
 FAIL = "fail"
@@ -43,28 +43,54 @@ class VerifierError(Exception):
     pass
 
 
+def check_run_spec(spec: dict) -> GridConfig:
+    """The grid of ``spec``, a manifest or a request header. Its run facts
+    must be a known mode and hash algorithm, a grid GridConfig accepts, a
+    model of a signed 64-bit integer seed and one layer per grid layer,
+    and an optimizer for training or a model digest for inference; the
+    first that is not raises ValueError. Builds and hashes nothing."""
+    mode, algo = spec.get("mode"), spec.get("hash_algo")
+    if mode not in ("training", "inference"):
+        raise ValueError(f"has unknown run mode {mode!r}")
+    if algo not in ALGORITHMS:
+        raise ValueError(f"has unknown hash algorithm {algo!r}")
+    try:
+        config = GridConfig.from_dict(spec["grid"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"grid is malformed: {e!r}") from None
+    model = spec.get("model")
+    if not (isinstance(model, dict) and type(model.get("seed")) is int
+            and -2**63 <= model["seed"] < 2**63
+            and isinstance(model.get("layers"), list)
+            and len(model["layers"]) == config.n_layers):
+        raise ValueError("model must hold a signed 64-bit integer seed and "
+                         "a list of the grid's n_layers layers")
+    if mode == "training" and not isinstance(spec.get("optimizer"), dict):
+        raise ValueError("optimizer is missing or malformed")
+    if mode == "inference" and not isinstance(spec.get("model_digest"), str):
+        raise ValueError("model_digest is missing or malformed")
+    return config
+
+
 @dataclass
 class VerificationRequest:
     block: BlockId
     mode: str                    # training | inference
-    tau: float
-    precision: str               # f32 | f64
-    grid: dict
+    grid: dict                   # GridConfig.to_dict(), tau and all
     model: dict
     optimizer: dict | None
+    hash_algo: str
     tensors: dict[str, np.ndarray | bytes]
     ledger_digests: dict[str, Digest]
     labels: dict[int, np.ndarray] = field(default_factory=dict)
     model_digest: str | None = None   # inference: manifest binding
-    chunk_size: int = 4096
-    algo: str = "blake3"
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
     full_scan: bool = False
-    # simulated cross-device divergence: bounded relative rounding noise
-    # injected into replayed tensors (0 disables; same-machine default)
-    replay_noise: float = 0.0
 
-    # -- wire format: json header + concatenated raw payload -------------
+    # -- wire format: header length (<I), JSON header, raw payload ---------
+    # The header's keys are exactly the fields above, so each run fact is
+    # carried once, under its manifest name (tau, precision and chunk_size
+    # only in ``grid``); "tensors" maps each key to its payload offset,
+    # length and shape (None for raw bytes, else little-endian float32).
 
     def to_bytes(self) -> bytes:
         blobs: list[bytes] = []
@@ -80,18 +106,14 @@ class VerificationRequest:
             blobs.append(data)
             off += len(data)
         header = json.dumps({
-            "block": str(self.block), "mode": self.mode, "tau": self.tau,
-            "precision": self.precision, "grid": self.grid,
+            "block": str(self.block), "mode": self.mode, "grid": self.grid,
             "model": self.model, "optimizer": self.optimizer,
+            "hash_algo": self.hash_algo, "model_digest": self.model_digest,
             "labels": {str(t): np.asarray(v).tolist()
                        for t, v in self.labels.items()},
             "ledger_digests": {k: [d.algo, d.hex]
                                for k, d in self.ledger_digests.items()},
-            "model_digest": self.model_digest,
-            "chunk_size": self.chunk_size, "algo": self.algo,
-            "memory_budget": self.memory_budget, "full_scan": self.full_scan,
-            "replay_noise": self.replay_noise,
-            "tensors": meta,
+            "full_scan": self.full_scan, "tensors": meta,
         }).encode()
         return struct.pack("<I", len(header)) + header + b"".join(blobs)
 
@@ -114,6 +136,9 @@ class VerificationRequest:
         if hlen > len(data) - 4:
             raise VerifierError(f"header length {hlen} exceeds the request")
         h = json.loads(data[4:4 + hlen])
+        names = {f.name for f in fields(cls)}
+        if not isinstance(h, dict) or h.keys() != names:
+            raise VerifierError(f"request header keys are not {sorted(names)}")
         payload = memoryview(data)[4 + hlen:]
         tensors: dict[str, np.ndarray | bytes] = {}
         for k, m in h["tensors"].items():
@@ -132,17 +157,14 @@ class VerificationRequest:
                     f"tensor {k}: {length} bytes do not fill shape {shape}")
             tensors[k] = np.frombuffer(raw, "<f4").reshape(shape).copy()
         return cls(
-            block=BlockId.parse(h["block"]), mode=h["mode"],
-            tau=float(h["tau"]), precision=h["precision"], grid=h["grid"],
-            model=h["model"], optimizer=h["optimizer"], tensors=tensors,
+            block=BlockId.parse(h["block"]), mode=h["mode"], grid=h["grid"],
+            model=h["model"], optimizer=h["optimizer"],
+            hash_algo=h["hash_algo"], tensors=tensors,
             ledger_digests={k: Digest.from_hex(v[1], v[0])
                             for k, v in h["ledger_digests"].items()},
             labels={int(t): np.asarray(v, dtype=np.int64)
                     for t, v in h["labels"].items()},
-            model_digest=h["model_digest"], chunk_size=int(h["chunk_size"]),
-            algo=h["algo"], memory_budget=int(h["memory_budget"]),
-            full_scan=bool(h["full_scan"]),
-            replay_noise=float(h.get("replay_noise", 0.0)),
+            model_digest=h["model_digest"], full_scan=bool(h["full_scan"]),
         )
 
     def payload_bytes(self) -> int:
@@ -294,7 +316,7 @@ class _FailureCollector:
         return not err <= tau and self.fail(NUMERICAL_MISMATCH, key, err, tau)
 
 
-def _check_hashes(req: VerificationRequest, keys, collector,
+def _check_hashes(req: VerificationRequest, grid: BlockGrid, keys, collector,
                   label_steps=()) -> bool:
     """Stored tensors, then the labels of ``label_steps``, against their
     ledger digests, in that order. Returns True when verification should
@@ -314,7 +336,7 @@ def _check_hashes(req: VerificationRequest, keys, collector,
             break
         names.append(name)
         data.append(label_bytes(value) if what == "labels" else value)
-    digests = chunked_hash_many(data, req.chunk_size, req.algo) if data else []
+    digests = chunked_hash_many(data, grid.config.chunk_size, req.hash_algo)
     for name, got in zip(names, digests):
         if got.value != req.ledger_digests[name].value \
                 and collector.fail(HASH_MISMATCH, name):
@@ -330,8 +352,11 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
     commitments (hash integrity first, then numerical correctness of the
     forward, backward, and parameter-update recomputation)."""
     i, j = req.block.i, req.block.j
-    steps = list(grid.block_steps(j))
     t_in, t_out = grid.commitment_boundary_steps(j)
+    if t_out - t_in > len(req.tensors):  # a step replays four tensors
+        raise VerifierError(f"block {req.block} spans more steps than the "
+                            f"request carries tensors")
+    steps = range(t_in, t_out)
     layer_ids = list(grid.block_layers(i))
 
     # integrity of everything provided (Step-1 preconditions first)
@@ -340,24 +365,17 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
     stored_exit = [k for k in exit_keys if str(k) in req.tensors]
     # the loss block's labels are bound to the manifest's label anchors
     label_steps = steps if grid.config.n_layers - 1 in layer_ids else ()
-    if _check_hashes(req, entry_keys + grid.boundary_keys(req.block)
+    if _check_hashes(req, grid, entry_keys + grid.boundary_keys(req.block)
                      + stored_exit, collector, label_steps):
         return
 
     entry = {kind: {k.index: req.tensors[str(k)] for k in entry_keys
                     if k.kind == kind}
              for kind in ("parameter", "optimizer-state")}
+    config = grid.config
     replayer = BlockReplayer(req.model, req.optimizer, layer_ids,
                              entry["parameter"], entry["optimizer-state"],
-                             precision=req.precision)
-    noise_rng = np.random.default_rng(0) if req.replay_noise > 0 else None
-
-    def jitter(arr):
-        if noise_rng is None:
-            return arr
-        scale = 1.0 + req.replay_noise * noise_rng.uniform(-1, 1, arr.shape)
-        return (arr * scale).astype(arr.dtype)
-
+                             precision=config.precision)
     for t in steps:
         x, upstream = (req.tensors[str(k)] for k in grid.replay_inputs(i, t))
         try:
@@ -369,8 +387,8 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
             return
         for replayed, key in zip((acts[-1], gacts[0]),
                                  grid.replay_outputs(i, t)):
-            err = rel_l2_error(jitter(replayed), req.tensors[str(key)])
-            if collector.compare(key, err, req.tau):
+            err = rel_l2_error(replayed, req.tensors[str(key)])
+            if collector.compare(key, err, config.tau):
                 return
 
     # block-exit parameter/optimizer check; where no blob is stored at
@@ -382,14 +400,14 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
         if str(k) not in req.ledger_digests:
             raise VerifierError(f"request is missing ledger digest for {k}")
     hashed = dict(zip(unstored, chunked_hash_many(
-        [replayed[k] for k in unstored], req.chunk_size, req.algo)))
+        [replayed[k] for k in unstored], config.chunk_size, req.hash_algo)))
     for k in exit_keys:
         if k in hashed:
             err = 0.0 if hashed[k].value == req.ledger_digests[str(k)].value \
                 else float("inf")
         else:
             err = _exit_blob_error(k.kind, replayed[k], req.tensors[str(k)])
-        if collector.compare(k, err, req.tau):
+        if collector.compare(k, err, config.tau):
             return
 
 
@@ -418,23 +436,24 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
                       memo: BindingMemo) -> None:
     """Forward-only verification between two recorded boundaries (with
     ia > 1 the replay spans the unrecorded blocks in between)."""
+    config = grid.config
     keys = grid.inference_commitment_keys(req.block)
-    if _check_hashes(req, keys, collector):
+    if _check_hashes(req, grid, keys, collector):
         return
     # the full served parameter set is loaded and bound to the manifest's
     # model digest; the replay runs on the span between the boundaries
     lo, hi = (grid.boundary_layer(k.index) for k in keys)
     span = range(lo, hi)
     blobs = {l: req.tensors[str(BoundaryKey("parameter", l, 0))]
-             for l in range(grid.config.n_layers)
+             for l in range(config.n_layers)
              if str(BoundaryKey("parameter", l, 0)) in req.tensors}
     missing = [l for l in span if l not in blobs]
     if missing:
         raise VerifierError(f"request is missing parameters of layers {missing}")
     replayer = BlockReplayer(req.model, None, span, blobs, {},
-                             precision=req.precision)
-    if req.model_digest is not None and req.model_digest != memo.digest(
-            replayer.model, req.chunk_size, req.algo):
+                             precision=config.precision)
+    if req.model_digest != memo.digest(replayer.model, config.chunk_size,
+                                       req.hash_algo):
         collector.fail(HASH_MISMATCH, "model-parameters")
         return
     x = req.tensors[str(keys[0])]
@@ -445,33 +464,29 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
                        keys[0] if not np.all(np.isfinite(x)) else keys[1])
         return
     collector.compare(keys[1], rel_l2_error(acts[-1], req.tensors[str(keys[1])]),
-                      req.tau)
+                      config.tau)
 
 
 def verify_block(req: VerificationRequest,
                  memo: BindingMemo | None = None) -> VerificationReport:
-    """Check one block request: refuse it when its payload exceeds its
-    memory budget, else hash-check, replay and compare it by its mode.
-    An inference request's model binding is looked up in ``memo``, the
-    session's (a fresh one by default). A request that cannot be
-    checked raises VerifierError."""
-    if req.mode not in ("training", "inference"):
-        raise VerifierError(f"unknown mode {req.mode!r}")
+    """Check one block request: refuse it when its payload exceeds this
+    verifier's memory budget, else hash-check, replay and compare it by
+    its mode and grid. An inference request's model binding is looked up
+    in ``memo``, the session's (a fresh one by default). A request that
+    cannot be checked, its run facts breaking ``check_run_spec`` among
+    them, raises VerifierError."""
     try:
-        check_tau(req.tau)
-    except (TypeError, ValueError) as e:
+        config = check_run_spec(vars(req))
+    except ValueError as e:
         raise VerifierError(f"request {e}") from None
     t_start = time.perf_counter()
-    report = VerificationReport(block=req.block, verdict=PASS, tau=req.tau)
-    if req.payload_bytes() > req.memory_budget:
+    report = VerificationReport(block=req.block, verdict=PASS, tau=config.tau)
+    if req.payload_bytes() > MEMORY_BUDGET:
         report.verdict = REFUSED
         report.note = (f"payload {req.payload_bytes()} bytes exceeds memory "
-                       f"budget {req.memory_budget}")
+                       f"budget {MEMORY_BUDGET}")
         return report
-    try:
-        grid = BlockGrid(GridConfig.from_dict(req.grid))
-    except (KeyError, TypeError, ValueError) as e:
-        raise VerifierError(f"request grid is malformed: {e!r}") from None
+    grid = BlockGrid(config)
     i, j = req.block.i, req.block.j
     if not (0 <= i < grid.n_layer_blocks and 0 <= j < grid.n_step_blocks):
         raise VerifierError(f"block {req.block} lies outside the grid")

@@ -43,7 +43,6 @@ def test_rewrite_key_is_self_consistent(mlp_run, tmp_path):
     # the forgery passes every static integrity check
     ledger = RunLedger.load(run / LEDGER_FILE)
     store = TensorStore(run)
-    assert store.verify_integrity(ledger.grid.config.chunk_size) == []
     assert store.get_tensor(key).tobytes() == forged.tobytes()
     assert ledger.all_digests()[key].hex == store.index[str(key)]["digest"]
     # only recomputation exposes it

@@ -339,6 +339,29 @@ def test_garbled_manifest_field_is_a_usage_error(sha_run, tmp_path, runner,
         assert "Traceback" not in result.output
 
 
+# model specs a manifest may not carry; every one is a usage error
+MALFORMED_MODELS = {
+    "seed-2**70": lambda model: model.update(seed=2**70),
+    "string-seed": lambda model: model.update(seed="7"),
+    "no-layers": lambda model: model.pop("layers"),
+    "unknown-layer-kind":
+        lambda model: model["layers"][0].update(kind="no-such-layer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_manifest_model_is_a_usage_error(sha_run, tmp_path, runner,
+                                                   case):
+    run = tmp_path / "bad-model"
+    shutil.copytree(sha_run, run)
+    ledger = RunLedger.load(run / LEDGER_FILE)
+    MALFORMED_MODELS[case](ledger.manifest["model"])
+    ledger.save(run / LEDGER_FILE)
+    for args in (["verify", "bad-model"], ["audit", "bad-model", "--m", "1"],
+                 ["verify", "bad-model", "--isolated"]):
+        _exits_cleanly(_invoke(runner, tmp_path, *args), 2)
+
+
 def test_zeroed_label_anchors_fail_verify(sha_run, tmp_path, runner):
     from aftune.ledger import RunLedger
     run = tmp_path / "zeroed"

@@ -49,18 +49,6 @@ def test_bytes_blob_and_type_guard(tmp_path):
         store.get_bytes(_key(9))  # never written
 
 
-def test_verify_integrity_flags_corrupt_blob(tmp_path):
-    store = TensorStore(tmp_path)
-    arr = np.arange(64, dtype=np.float32)
-    _put(store, _key(0), arr)
-    assert store.verify_integrity(chunk_size=4096) == []
-    blob = store.blob_dir / store.index[str(_key(0))]["digest"]
-    raw = bytearray(blob.read_bytes())
-    raw[0] ^= 0x01
-    blob.write_bytes(bytes(raw))
-    assert store.verify_integrity(chunk_size=4096) == [str(_key(0))]
-
-
 def test_prune_releases_evidence(tmp_path):
     store = TensorStore(tmp_path)
     keep = np.ones(8, np.float32)

@@ -5,18 +5,19 @@ from __future__ import annotations
 
 import io
 import json
+import struct
 import subprocess
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from aftune import orchestrate, verifier, verifier_worker
 from aftune.grid import BlockId, BoundaryKey, label_anchor_key
-from aftune.hashing import Digest
+from aftune.hashing import Digest, chunked_hash
 from aftune.orchestrate import Run
 from aftune.model import params_digest
 from aftune.verifier import (EVIDENCE_RELEASED, FAIL, HASH_MISMATCH,
@@ -38,7 +39,10 @@ def test_request_wire_roundtrip(mlp_run):
     req = _request(mlp_run, BlockId(1, 1))
     back = VerificationRequest.from_bytes(req.to_bytes())
     assert back.block == req.block
-    assert back.tau == req.tau
+    assert (back.mode, back.grid, back.model, back.optimizer, back.hash_algo,
+            back.model_digest) == (req.mode, req.grid, req.model,
+                                   req.optimizer, req.hash_algo,
+                                   req.model_digest)
     assert set(back.tensors) == set(req.tensors)
     for k, v in req.tensors.items():
         got = back.tensors[k]
@@ -70,25 +74,33 @@ def test_report_json_roundtrip(mlp_run):
     assert back.errors == report.errors
 
 
-def test_memory_budget_refusal(mlp_run):
-    report = Run.open(mlp_run["dir"]).verify([BlockId(0, 0)],
-                                             memory_budget=64)[0]
+def test_memory_budget_refusal(mlp_run, monkeypatch):
+    monkeypatch.setattr(verifier, "MEMORY_BUDGET", 64)
+    report = Run.open(mlp_run["dir"]).verify([BlockId(0, 0)])[0]
     assert report.verdict == REFUSED
     assert "budget" in report.note
 
 
-def test_replay_noise_within_tolerance_passes(mlp_run):
+def _scaled_output(mlp_run, rel: float) -> VerificationRequest:
+    """Block 1,1's request with one replayed output tensor scaled by
+    1 + ``rel`` and its new digest in ``ledger_digests``, so the hash
+    check passes and only the numerical check can see the change."""
     req = _request(mlp_run, BlockId(1, 1))
-    req.replay_noise = 1e-6  # visible in f32, but under tau = 1e-5
-    report = verify_block(req)
+    key = str(Run.open(mlp_run["dir"]).grid.replay_outputs(1, 2)[0])
+    req.tensors[key] = req.tensors[key] * np.float32(1 + rel)
+    req.ledger_digests[key] = chunked_hash(
+        req.tensors[key], req.grid["chunk_size"], req.hash_algo)
+    return req
+
+
+def test_tampered_output_within_tolerance_passes(mlp_run):
+    report = verify_block(_scaled_output(mlp_run, 1e-6))  # under tau = 1e-5
     assert report.verdict == PASS
     assert any(v > 0 for v in report.errors.values())
 
 
-def test_replay_noise_beyond_tolerance_fails(mlp_run):
-    req = _request(mlp_run, BlockId(1, 1))
-    req.replay_noise = 1e-3
-    report = verify_block(req)
+def test_tampered_output_beyond_tolerance_fails(mlp_run):
+    report = verify_block(_scaled_output(mlp_run, 1e-3))
     assert report.verdict == FAIL
     assert report.cause == NUMERICAL_MISMATCH
     assert report.measured_error > report.tau
@@ -280,6 +292,60 @@ def test_damaged_request_bytes_parse_or_raise_verifier_error(request_bytes,
     assert isinstance(req, VerificationRequest)
 
 
+# what one header field is replaced by: a value of the wrong type, out of
+# range, NaN, or nothing (the field deleted)
+_MISSING = object()
+_BAD_VALUES = ["x", [], {}, None, True, 2.5, -1, 0, 2**70, float("nan"),
+               _MISSING]
+
+
+def _field_paths(raw: bytes) -> list[tuple]:
+    """Every top-level field of ``raw``'s header, every grid field, and
+    the model's seed and layers."""
+    (n,) = struct.unpack_from("<I", raw)
+    header = json.loads(raw[4:4 + n])
+    return ([(k,) for k in sorted(header)]
+            + [("grid", k) for k in sorted(header["grid"])]
+            + [("model", "seed"), ("model", "layers")])
+
+
+def _replace_field(path: tuple, value):
+    def edit(header):
+        *outer, last = path
+        for k in outer:
+            header = header[k]
+        if value is _MISSING:
+            del header[last]
+        else:
+            header[last] = value
+    return edit
+
+
+def test_bad_header_field_ends_in_a_verdict(request_bytes, infer_run):
+    bases = [request_bytes,
+             Run.open(infer_run).request(BlockId(0, 0)).to_bytes()]
+    frames, in_process = [], []
+
+    # a grid of 2**70 layers or steps must not be walked
+    @example(0, ("grid", "n_layers"), 2**70)
+    @example(0, ("grid", "n_steps"), 2**70)
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(range(len(bases))),
+           st.sampled_from(_field_paths(request_bytes)),
+           st.sampled_from(_BAD_VALUES))
+    def check(base, path, value):
+        raw = _edit_header(bases[base], _replace_field(path, value))
+        report = verify_or_refuse(raw)
+        assert report.verdict in (PASS, FAIL, REFUSED)
+        frames.append(verifier_worker.frame(raw))
+        in_process.append(_comparable(report))
+
+    check()
+    # one long-lived worker answers every example as this process did
+    reports, _ = _stream(b"".join(frames))
+    assert [_comparable(r) for r in reports] == in_process
+
+
 @pytest.mark.parametrize("cut", [0, 3, 40, -1])
 def test_truncated_request_is_refused_by_worker(request_bytes, cut):
     proc = subprocess.run([sys.executable, "-m", "aftune.verifier_worker"],
@@ -330,36 +396,63 @@ def _comparable(report: VerificationReport) -> dict:
     return out
 
 
-# parseable requests that cannot be checked; block 0,0 of the mlp run
-# exits at step 2, where no parameter blob is stored
+def _edit_header(raw: bytes, edit) -> bytes:
+    """Request bytes ``raw`` with their JSON header passed through
+    ``edit``, which changes it in place."""
+    (n,) = struct.unpack_from("<I", raw)
+    header = json.loads(raw[4:4 + n])
+    edit(header)
+    head = json.dumps(header).encode()
+    return struct.pack("<I", len(head)) + head + raw[4 + n:]
+
+
+def _parameter_blob_as_array(h):
+    blob = h["tensors"]["parameter:0@0"]
+    blob["shape"] = [blob["length"] // 4]
+
+
+# header edits that leave a request parseable but uncheckable, on block
+# 0,0 of the mlp run (which exits at step 2, where no parameter blob is
+# stored) or, for those in INFERENCE_HOSTILE, of an inference run
 HOSTILE = {
-    "grid-rejected": lambda req: req.grid.update(bl=99),
-    "block-outside-grid": lambda req: setattr(req, "block", BlockId(7, 7)),
-    "unknown-layer-kind": lambda req: setattr(
-        req, "model", dict(req.model, layers=[{"kind": "no-such-layer"}])),
+    "grid-rejected": lambda h: h["grid"].update(bl=99),
+    "block-outside-grid": lambda h: h.update(block="7,7"),
+    "unknown-layer-kind":
+        lambda h: h["model"]["layers"][0].update(kind="no-such-layer"),
     "unstored-exit-digest-missing":
-        lambda req: req.ledger_digests.pop("parameter:0@2"),
-    "boundary-tensor-as-bytes": lambda req: req.tensors.update(
-        {"activation:0@0": req.tensors["activation:0@0"].tobytes()}),
-    "state-blob-as-array": lambda req: req.tensors.update(
-        {"parameter:0@0": np.zeros(2, np.float32)}),
-    "tau-nan": lambda req: setattr(req, "tau", float("nan")),
-    "tau-negative": lambda req: setattr(req, "tau", -1.0),
-    "tau-infinite": lambda req: setattr(req, "tau", float("inf")),
+        lambda h: h["ledger_digests"].pop("parameter:0@2"),
+    "boundary-tensor-as-bytes":
+        lambda h: h["tensors"]["activation:0@0"].update(shape=None),
+    "state-blob-as-array": _parameter_blob_as_array,
+    "tau-nan": lambda h: h["grid"].update(tau=float("nan")),
+    "tau-negative": lambda h: h["grid"].update(tau=-1.0),
+    "tau-infinite": lambda h: h["grid"].update(tau=float("inf")),
+    "hash-algo-md5": lambda h: h.update(hash_algo="md5"),
+    "chunk-size-zero": lambda h: h["grid"].update(chunk_size=0),
+    "chunk-size-negative": lambda h: h["grid"].update(chunk_size=-5),
+    "model-seed-2**70": lambda h: h["model"].update(seed=2**70),
+    "grid-of-2**70-layers": lambda h: h["grid"].update(n_layers=2**70),
+    "block-of-2**70-steps":
+        lambda h: h["grid"].update(n_steps=2**70, bs=2**70),
+    "model-digest-missing": lambda h: h.update(model_digest=None),
+    "header-key-unknown": lambda h: h.update(tau=1e-5),
+    "header-key-missing": lambda h: h.pop("hash_algo"),
 }
+INFERENCE_HOSTILE = {"model-digest-missing"}
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
-def test_hostile_request_is_refused_and_worker_lives_on(mlp_run, case):
-    honest = _request(mlp_run, BlockId(0, 0))
-    req = _request(mlp_run, BlockId(0, 0))
-    HOSTILE[case](req)
+def test_hostile_request_is_refused_and_worker_lives_on(mlp_run, infer_run,
+                                                        case):
+    run = infer_run if case in INFERENCE_HOSTILE else mlp_run["dir"]
+    honest = Run.open(run).request(BlockId(0, 0)).to_bytes()
+    raw = _edit_header(honest, HOSTILE[case])
     with pytest.raises(VerifierError):
-        verify_block(req)
-    in_proc = verify_or_refuse(req)
+        verify_block(VerificationRequest.from_bytes(raw))
+    in_proc = verify_or_refuse(raw)
     assert in_proc.verdict == REFUSED and in_proc.note
-    reports, _ = _stream(verifier_worker.frame(req.to_bytes())
-                         + verifier_worker.frame(honest.to_bytes()))
+    reports, _ = _stream(verifier_worker.frame(raw)
+                         + verifier_worker.frame(honest))
     assert [r.verdict for r in reports] == [REFUSED, PASS]
     assert _comparable(reports[0]) == _comparable(in_proc)
 
