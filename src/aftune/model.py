@@ -31,20 +31,24 @@ class ModelState:
         return len(self.layers)
 
 
-def build_model(spec: dict, blobs: dict[int, bytes] | None = None) -> list[Layer]:
-    """Instantiate layers. A layer with a parameter blob in ``blobs`` (by
-    layer index) takes its parameters from it; every other layer takes
-    the init derived from the model seed, drawn only for a seeded kind.
-    Raises BlobError for a blob that names no layer or does not have its
-    layer's exact length."""
+def build_model(spec: dict, blobs: dict[int, bytes] | None = None,
+                indices=None) -> list[Layer]:
+    """Instantiate the layers of ``indices`` in that order, by default
+    all of them. A layer with a parameter blob in ``blobs`` (by layer
+    index) takes its parameters from it; every other layer takes the init
+    derived from the model seed, drawn only for a seeded kind. Raises
+    BlobError for a blob that names no layer of the model or does not
+    have its layer's exact length."""
     seed = spec["seed"]
     blobs = blobs or {}
-    stray = set(blobs) - set(range(len(spec["layers"])))
+    n = len(spec["layers"])
+    stray = set(blobs) - set(range(n))
     if stray:
         raise BlobError(f"parameter blobs for layers {sorted(stray)} the "
                         f"model does not have")
     layers = []
-    for i, lspec in enumerate(spec["layers"]):
+    for i in range(n) if indices is None else indices:
+        lspec = spec["layers"][i]
         draws = i not in blobs and lspec["kind"] in SEEDED_KINDS
         layer = build_layer(
             lspec, rng=rng_for(seed, "init", index=i) if draws else None)

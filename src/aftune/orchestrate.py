@@ -7,7 +7,10 @@ carrying each layer-block row's replayed state from block to block (or,
 in zero-storage mode, taking tensors from a single deterministic rerun);
 each request carries the digests of its block's own sealed commitment.
 It hands them to the verifier in process or to isolated worker
-processes that serve the whole command. It also reconstructs model
+processes that serve the whole command. In process, a block the
+verifier passed at f32 hands its replay, at the block's exit step, on
+to the row; after any other verdict, at f64, in workers, and between
+blocks the walk replays the row itself. It also reconstructs model
 state from sparse checkpoints and walks the cross-block trust chain.
 """
 
@@ -33,6 +36,7 @@ from .model import ModelState, build_model, param_bytes, params_digest
 from .optim import build_optimizer
 from .recorder import (LEDGER_FILE, PARAMS_DIR, RunContext,
                        reference_closure, rerun_rows)
+from .rng import is_seed
 from .store import StoreError, TensorStore
 from .tensors import BlobError, NonFiniteError
 from .verifier import (EVIDENCE_RELEASED, FAIL, NON_FINITE, REFUSED,
@@ -58,11 +62,13 @@ class NonDeterministicBlockError(ReconstructionError):
 class _Row:
     """Replayed state of one layer-block row: restored from the stored
     checkpoint at step ``origin`` (None: the step-0 init) and carried
-    forward to step ``t``. ``pending`` holds the replay inputs, by step,
-    of the last block requested on the row, so the walk on past it need
-    not read them again. ``broken`` is the report, block unset, for the
-    blocks past a replay that stopped: on NaN/Inf, or on a checkpoint
-    the replayer cannot load."""
+    forward to step ``t``, by the walk's own replay or, where the
+    in-process verifier passed the row's last block at f32, by adopting
+    the verifier's replayer at that block's exit. ``pending`` holds the
+    replay inputs, by step, of the last block requested on the row, so
+    the walk on past it need not read them again. ``broken`` is the
+    report, block unset, for the blocks past a replay that stopped: on
+    NaN/Inf, or on a checkpoint the replayer cannot load."""
 
     def __init__(self, origin: int | None, params: dict, opts: dict):
         self.origin = origin
@@ -143,7 +149,7 @@ class Run:
         workers = _Workers(jobs) if isolated or jobs > 1 else None
         memo = BindingMemo()  # this call is one in-process session
         try:
-            for bid, req in self.requests(sealed, **kw):
+            for bid, req in self.requests(sealed, session=memo, **kw):
                 if isinstance(req, VerificationReport):
                     done[bid] = req
                 elif workers is None:
@@ -169,13 +175,16 @@ class Run:
         return next(self.requests([bid], **kw))[1]
 
     def requests(self, bids, tau: float | None = None,
-                 precision: str | None = None, full_scan: bool = False):
+                 precision: str | None = None, full_scan: bool = False,
+                 session: BindingMemo | None = None):
         """Yield ``(bid, request)`` for each distinct block of ``bids`` in
         grid order (row j ascending). ``request`` is a VerificationReport
         instead when the block cannot reach the verifier: its evidence was
         released, or the replay to its entry state went non-finite.
         ``tau`` and ``precision``, when given, replace the manifest's in
-        every request's grid."""
+        every request's grid. ``session`` is the verifier session that
+        checks each request before the next is asked for: a block it
+        passed hands its replay on to the block's row."""
         order = sorted(set(bids), key=lambda b: (b.j, b.i))
         grid = replace(self.config, tau=self.config.tau if tau is None
                        else tau, precision=precision or self.config.precision)
@@ -185,7 +194,7 @@ class Run:
         elif self.store is None:
             yield from self._rerun_requests(order, opts)
         else:
-            yield from self._stored_requests(order, opts)
+            yield from self._stored_requests(order, opts, session)
 
     def _request(self, bid: BlockId, tensors: dict, grid: dict,
                  full_scan: bool) -> VerificationRequest:
@@ -237,10 +246,12 @@ class Run:
             if j == order[-1].j:
                 return
 
-    def _stored_requests(self, order, opts):
+    def _stored_requests(self, order, opts, session=None):
         """Stored evidence: each row's entry state is carried forward from
         the previous requested block of that row, and restarted from a
-        stored checkpoint only where a fresh replay would restart."""
+        stored checkpoint only where a fresh replay would restart. Where
+        ``session`` passed that block replaying at f32, as the row does,
+        its replayer is the row's state at the block's exit."""
         grid, store = self.grid, self.store
         rows: dict[int, _Row] = {}
         for bid in order:
@@ -269,6 +280,9 @@ class Run:
                                     for k in grid.replay_inputs(i, t))
                            for t in grid.block_steps(bid.j)}
             yield bid, self._request(bid, tensors, **opts)
+            passed = session and session.passed
+            if passed and passed[0] == bid and passed[1].precision == "f32":
+                row.replayer, row.t, row.pending = passed[1], t_out, {}
 
     def _row_at(self, i: int, target: int, row: _Row | None = None) -> _Row:
         """Layer block i's replayed state at step ``target``. ``row`` is
@@ -434,16 +448,25 @@ class Run:
 def _check_manifest(manifest: dict) -> None:
     """Raise LedgerError unless ``manifest`` obeys ``check_run_spec``, the
     rules a request header obeys too, and a training manifest also holds
-    the run seed, batch size and anchors its RunContext and Run read."""
+    the run and dataset seeds, batch size and anchors its RunContext and
+    Run read."""
     try:
         check_run_spec(manifest)
     except ValueError as e:
         raise LedgerError(f"manifest {e}") from None
     if manifest["mode"] == "inference":
         return
-    for key in ("run_seed", "batch_size"):
-        if not isinstance(manifest.get(key), int):
-            raise LedgerError(f"manifest field {key!r} is malformed")
+    try:
+        data_seed = manifest["dataset"]["spec"]["seed"]
+    except (KeyError, TypeError):
+        data_seed = None
+    for key, seed in (("run_seed", manifest.get("run_seed")),
+                      ("dataset.spec.seed", data_seed)):
+        if not is_seed(seed):
+            raise LedgerError(f"manifest field {key!r} is not a signed "
+                              f"64-bit integer")
+    if not isinstance(manifest.get("batch_size"), int):
+        raise LedgerError("manifest field 'batch_size' is malformed")
     for key in ("input_anchors", "label_anchors"):
         anchors = manifest.get(key)
         if not (isinstance(anchors, list)

@@ -13,6 +13,11 @@ import struct
 import numpy as np
 
 
+def is_seed(v) -> bool:
+    """Whether ``v`` is a seed ``derive_key`` takes: a signed 64-bit int."""
+    return type(v) is int and -2**63 <= v < 2**63
+
+
 def derive_key(seed: int, purpose: str, step: int = 0, index: int = 0) -> tuple[int, ...]:
     raw = struct.pack("<qqq", seed, step, index) + purpose.encode()
     d = hashlib.sha256(raw).digest()

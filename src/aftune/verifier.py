@@ -25,6 +25,7 @@ from .hashing import (ALGORITHMS, Digest, chunked_hash_many, label_bytes,
 from .model import (backward_block, build_model, forward_block, param_bytes,
                     param_items, params_digest)
 from .optim import build_optimizer
+from .rng import is_seed
 from .tensors import NonFiniteError, rel_l2_error
 
 MEMORY_BUDGET = 64 * 1024 * 1024  # bytes of payload this verifier accepts
@@ -59,8 +60,7 @@ def check_run_spec(spec: dict) -> GridConfig:
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"grid is malformed: {e!r}") from None
     model = spec.get("model")
-    if not (isinstance(model, dict) and type(model.get("seed")) is int
-            and -2**63 <= model["seed"] < 2**63
+    if not (isinstance(model, dict) and is_seed(model.get("seed"))
             and isinstance(model.get("layers"), list)
             and len(model["layers"]) == config.n_layers):
         raise ValueError("model must hold a signed 64-bit integer seed and "
@@ -217,10 +217,12 @@ class VerificationReport:
 
 class BlockReplayer:
     """A contiguous layer slice with parameters and optimizer state loaded
-    from serialized checkpoint bytes, ready for step-by-step replay.
-    ``model`` is the whole model, with every blob of ``param_blobs``
-    loaded; a model spec, optimizer spec or blob that cannot be loaded
-    raises VerifierError."""
+    from serialized checkpoint bytes, ready for step-by-step replay. A
+    forward-only replayer (no ``opt_spec``) also holds ``model``, the
+    whole model with every blob of ``param_blobs`` loaded, which an
+    inference binding hashes; a training one builds its own layers only.
+    A model spec, optimizer spec or blob that cannot be loaded raises
+    VerifierError."""
 
     def __init__(self, model_spec, opt_spec, layer_indices,
                  param_blobs: dict[int, bytes], opt_blobs: dict[int, bytes],
@@ -228,10 +230,13 @@ class BlockReplayer:
         self.layer_indices = list(layer_indices)
         self.precision = precision
         try:
-            self.model = build_model(model_spec, param_blobs)
-            self.layers = [self.model[l] for l in self.layer_indices]
             self.opt = None
-            if opt_spec is not None:
+            if opt_spec is None:
+                self.model = build_model(model_spec, param_blobs)
+                self.layers = [self.model[l] for l in self.layer_indices]
+            else:
+                self.layers = build_model(model_spec, param_blobs,
+                                          self.layer_indices)
                 self.opt = build_optimizer(opt_spec, self.layers)
                 counters = {self.opt.load_state_bytes(li, layer, opt_blobs[l])
                             for li, (l, layer) in enumerate(
@@ -261,7 +266,7 @@ class BlockReplayer:
         return acts, gacts
 
     def param_blob(self, l: int) -> bytes:
-        return param_bytes(self.model[l])
+        return param_bytes(self.layers[self.layer_indices.index(l)])
 
     def opt_blob(self, l: int) -> bytes:
         li = self.layer_indices.index(l)
@@ -347,10 +352,11 @@ def _check_hashes(req: VerificationRequest, grid: BlockGrid, keys, collector,
 
 
 def _verify_training(req: VerificationRequest, grid: BlockGrid,
-                     collector: _FailureCollector) -> None:
+                     collector: _FailureCollector) -> BlockReplayer | None:
     """Replay one training block cell and check it against its
     commitments (hash integrity first, then numerical correctness of the
-    forward, backward, and parameter-update recomputation)."""
+    forward, backward, and parameter-update recomputation). Returns the
+    replayer at the block's exit step once every check ran, else None."""
     i, j = req.block.i, req.block.j
     t_in, t_out = grid.commitment_boundary_steps(j)
     if t_out - t_in > len(req.tensors):  # a step replays four tensors
@@ -409,18 +415,23 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
             err = _exit_blob_error(k.kind, replayed[k], req.tensors[str(k)])
         if collector.compare(k, err, config.tau):
             return
+    return replayer
 
 
 class BindingMemo:
-    """The last model binding one verifier session computed: the exact
-    bytes ``params_digest`` hashed (every parameter tensor in
-    ``param_items`` order, with the algorithm and chunk size) and the
-    digest they gave. Other bytes are hashed afresh and replace it, so
-    a lookup answers what hashing its own bytes would."""
+    """What one verifier session keeps between requests. The last model
+    binding it computed: the exact bytes ``params_digest`` hashed (every
+    parameter tensor in ``param_items`` order, with the algorithm and
+    chunk size) and the digest they gave. Other bytes are hashed afresh
+    and replace it, so a lookup answers what hashing its own bytes
+    would. And ``passed``: the last training block that verified
+    ``pass``, with its replayer at the block's exit step, for an
+    in-process caller to carry on; no verdict reads it."""
 
     def __init__(self):
         self._key: tuple | None = None
         self._hex: str | None = None
+        self.passed: tuple[BlockId, BlockReplayer] | None = None
 
     def digest(self, layers, chunk_size: int, algo: str) -> str:
         key = (algo, chunk_size,
@@ -472,7 +483,8 @@ def verify_block(req: VerificationRequest,
     """Check one block request: refuse it when its payload exceeds this
     verifier's memory budget, else hash-check, replay and compare it by
     its mode and grid. An inference request's model binding is looked up
-    in ``memo``, the session's (a fresh one by default). A request that
+    in ``memo``, the session's (a fresh one by default), and a training
+    block that passes is left in ``memo.passed``. A request that
     cannot be checked, its run facts breaking ``check_run_spec`` among
     them, raises VerifierError."""
     try:
@@ -498,7 +510,9 @@ def verify_block(req: VerificationRequest,
                                 f"{'an array' if array else 'raw bytes'}")
     collector = _FailureCollector(report, req.full_scan)
     if req.mode == "training":
-        _verify_training(req, grid, collector)
+        replayer = _verify_training(req, grid, collector)
+        if memo is not None and report.passed:
+            memo.passed = (req.block, replayer)
     else:
         _verify_inference(req, grid, collector, memo or BindingMemo())
     report.wall_time = time.perf_counter() - t_start

@@ -8,11 +8,12 @@ read, and exits 0 at end of input on a frame boundary.
 
 The process sees nothing but request bytes, so verification cannot
 depend on ambient run state. The only state kept between requests is
-the session's last model binding (a ``BindingMemo``), keyed by the
-exact parameter bytes it digested; a request with other bytes is hashed
-afresh, so the memo cannot change a verdict. A request that cannot be
-parsed or checked is answered with a 'refused' report, by the rule the
-in-process path applies too (``verify_or_refuse``). A frame that
+the session's ``BindingMemo``: the last model binding, keyed by the
+exact parameter bytes it digested, and the last passed training block's
+replayer, which nothing here reads; a request with other bytes is
+hashed afresh, so the memo cannot change a verdict. A request that
+cannot be parsed or checked is answered with a 'refused' report, by the
+rule the in-process path applies too (``verify_or_refuse``). A frame that
 declares more bytes than stdin delivers is answered with 'refused' and
 ends the loop; frame bodies are read in bounded pieces, so a bogus
 length costs no more memory than the bytes actually sent. Any other

@@ -362,6 +362,27 @@ def test_malformed_manifest_model_is_a_usage_error(sha_run, tmp_path, runner,
         _exits_cleanly(_invoke(runner, tmp_path, *args), 2)
 
 
+# training seeds a manifest may not carry: RunContext derives from both
+MALFORMED_SEEDS = {
+    "run-seed-2**70": lambda manifest: manifest.update(run_seed=2**70),
+    "dataset-seed-2**70":
+        lambda manifest: manifest["dataset"]["spec"].update(seed=2**70),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SEEDS))
+def test_malformed_manifest_seed_is_a_usage_error(sha_run, tmp_path, runner,
+                                                  case):
+    run = tmp_path / "bad-seed"
+    shutil.copytree(sha_run, run)
+    ledger = RunLedger.load(run / LEDGER_FILE)
+    MALFORMED_SEEDS[case](ledger.manifest)
+    ledger.save(run / LEDGER_FILE)
+    for args in (["verify", "bad-seed"], ["audit", "bad-seed", "--m", "1"],
+                 ["verify", "bad-seed", "--isolated"]):
+        _exits_cleanly(_invoke(runner, tmp_path, *args), 2)
+
+
 def test_zeroed_label_anchors_fail_verify(sha_run, tmp_path, runner):
     from aftune.ledger import RunLedger
     run = tmp_path / "zeroed"

@@ -1,9 +1,10 @@
 """The Run session: one open per command, one forward walk per row.
 
 Requests built by one walk over many blocks must be byte-identical to
-requests built one block at a time; a command must load the ledger and
-the store once; and a verify-all must replay each layer-block row at
-most once over the run's steps.
+requests built one block at a time, also when the walk takes entry
+states from the verifier's own replays; a command must load the ledger
+and the store once; and a verify-all must replay each layer-block row
+at most once over the run's steps, in process not at all.
 """
 
 from __future__ import annotations
@@ -129,11 +130,10 @@ def test_one_ledger_load_and_one_store_per_command(tmp_path, counted, kw,
     assert counted["store"] <= 1
 
 
-@pytest.mark.parametrize("ic", [None, 2])
-def test_verify_all_replays_each_row_at_most_once(tmp_path, monkeypatch, ic):
-    _, result = record_run(tmp_path / "run", n_steps=16, ic=ic,
-                           algo="sha256")
-    grid = result.ledger.grid
+@pytest.fixture
+def orchestrator_replays(monkeypatch):
+    """Training steps the orchestrator (not the verifier) replays, by the
+    replayed row's layers."""
     calls: dict[tuple, int] = {}
     replay = BlockReplayer.replay_step
 
@@ -144,12 +144,81 @@ def test_verify_all_replays_each_row_at_most_once(tmp_path, monkeypatch, ic):
         return replay(self, x, upstream, labels=labels)
 
     monkeypatch.setattr(BlockReplayer, "replay_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ic", [None, 2])
+def test_verify_all_replays_each_row_at_most_once(tmp_path,
+                                                  orchestrator_replays, ic):
+    # isolated workers hand nothing back: the walk replays entry states
+    _, result = record_run(tmp_path / "run", n_steps=16, ic=ic,
+                           algo="sha256")
+    grid = result.ledger.grid
     run = Run.open(tmp_path / "run")
-    reports = run.verify([e.block for e in run.ledger.entries])
+    reports = run.verify([e.block for e in run.ledger.entries],
+                         isolated=True)
     assert all(r.passed for r in reports)
+    calls = orchestrator_replays
     assert calls  # the walk does replay entry states
     assert len(calls) <= grid.n_layer_blocks
     assert all(n <= grid.config.n_steps for n in calls.values())
+
+
+@pytest.mark.parametrize("ic", [None, 2])
+def test_in_process_verify_all_replays_each_step_once(tmp_path,
+                                                      orchestrator_replays,
+                                                      ic):
+    # every next entry state comes from the verifier's passed replay
+    record_run(tmp_path / "run", n_steps=16, ic=ic, algo="sha256")
+    run = Run.open(tmp_path / "run")
+    reports = run.verify([e.block for e in run.ledger.entries])
+    assert all(r.passed for r in reports)
+    assert orchestrator_replays == {}
+
+
+def _assert_verified_bytes_match_per_block(monkeypatch, run_dir, **kw):
+    """The request bytes ``Run.verify`` of every block hands the verifier
+    equal those of requests built one block at a time; the verdicts are
+    therefore those of per-block checks."""
+    seen: dict[BlockId, bytes] = {}
+    check = orchestrate.verify_or_refuse
+
+    def spying(req, memo=None):
+        seen[req.block] = req.to_bytes()
+        return check(req, memo)
+
+    monkeypatch.setattr(orchestrate, "verify_or_refuse", spying)
+    run = Run.open(run_dir)
+    run.verify([e.block for e in run.ledger.entries], **kw)
+    assert seen
+    for bid, data in seen.items():
+        assert data == Run.open(run_dir).request(bid, **kw).to_bytes(), \
+            (str(run_dir), str(bid), kw)
+
+
+@pytest.mark.parametrize("ic", [None, 2], ids=["ic-inf", "ic2"])
+def test_verified_request_bytes_equal_per_block_requests(tmp_path,
+                                                         monkeypatch, ic):
+    record_run(tmp_path / "run", n_steps=8, ic=ic, algo="sha256")
+    _assert_verified_bytes_match_per_block(monkeypatch, tmp_path / "run")
+
+
+TRAINING_SCENARIOS = [s for s in SCENARIOS
+                      if s not in ("serve-wrong-model", "fabricate-output")]
+
+
+@pytest.mark.parametrize("full_scan", [False, True],
+                         ids=["quick", "full-scan"])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("scenario", TRAINING_SCENARIOS)
+def test_verified_request_bytes_equal_per_block_requests_under_attack(
+        tmp_path, monkeypatch, scenario, precision, full_scan):
+    # failed, non-finite and f64 blocks hand nothing on: the walk replays
+    apply_scenario(scenario, make_manifest(ic=None, algo="sha256"),
+                   tmp_path / scenario)
+    _assert_verified_bytes_match_per_block(
+        monkeypatch, tmp_path / scenario, precision=precision,
+        full_scan=full_scan)
 
 
 def test_index_does_not_change_ledger_bytes(tmp_path):

@@ -612,3 +612,26 @@ def test_stray_or_short_parameter_blob_is_refused(infer_run):
     n = len(req.model["layers"])
     with pytest.raises(VerifierError, match="does not have"):
         BlockReplayer(req.model, None, [0], {n: b""}, {})
+
+
+def test_training_replayer_draws_no_other_layer_init(mlp_run, monkeypatch):
+    # a training block loads its own layers from their blobs: no seeded
+    # init of a layer outside the block is drawn
+    from aftune import model
+    req = _request(mlp_run, BlockId(1, 1))
+    draws = []
+    rng_for = model.rng_for
+
+    def counting(*args, **kw):
+        draws.append(kw.get("index"))
+        return rng_for(*args, **kw)
+
+    monkeypatch.setattr(model, "rng_for", counting)
+    memo = BindingMemo()
+    report = verify_or_refuse(req, memo)
+    assert report.verdict == PASS
+    assert draws == []
+    block, replayer = memo.passed
+    assert block == BlockId(1, 1)
+    assert replayer.layer_indices == [2, 3]
+    assert not hasattr(replayer, "model")

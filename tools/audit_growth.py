@@ -1,12 +1,16 @@
-"""How spot checks grow with run length.
+"""How spot checks and full verification grow with run length.
 
 Records one sha256 run per length (``--bl 2 --bs 2 --ic 2``, mlp) and
 prints, per length, the user CPU time of ``aftune audit --m 3`` and of
 ``aftune verify --block 1,1`` run in this process through the CLI, the
 number of ledger entries each decodes, and the user CPU time of loading
-the store's ``index.json`` alone. Times are the minimum over ``--repeat``
-runs (audits use seeds 0, 1, ...). The aftune on ``sys.path`` is the one
-measured, so the same script times any checkout:
+the store's ``index.json`` alone. It also records the same run at
+``--ic inf`` and prints the user CPU time per block of a full ``aftune
+verify`` of it, and the training steps the orchestrator replayed for it
+(``Run._replay_step``, not the verifier's replays). Times are the
+minimum over ``--repeat`` runs (audits use seeds 0, 1, ...). The aftune
+on ``sys.path`` is the one measured, so the same script times any
+checkout:
 
     PYTHONPATH=src python tools/audit_growth.py --steps 96,384,1536
 """
@@ -24,6 +28,7 @@ from pathlib import Path
 import aftune
 from aftune.cli import main
 from aftune.ledger import CommitmentSet
+from aftune.orchestrate import Run
 from aftune.store import TensorStore
 
 
@@ -52,6 +57,28 @@ class _DecodeCounter:
         CommitmentSet.decode = self._decode
 
 
+class _ReplayCounter:
+    """Counts the training steps the orchestrator replays itself
+    (``Run._replay_step`` calls) while installed."""
+
+    def __init__(self):
+        self.calls = 0
+        self._replay = Run._replay_step
+
+    def __enter__(self):
+        original = self._replay
+
+        def counted(run, *args):
+            self.calls += 1
+            return original(run, *args)
+
+        Run._replay_step = counted
+        return self
+
+    def __exit__(self, *exc):
+        Run._replay_step = self._replay
+
+
 def _cli(args: list[str]) -> int:
     """Exit code of one aftune command, its output discarded."""
     try:
@@ -62,41 +89,52 @@ def _cli(args: list[str]) -> int:
     return 0
 
 
-def _timed(args: list[str]) -> tuple[float, int, int]:
-    """User CPU ms, entries decoded and exit code of one CLI command."""
-    with _DecodeCounter() as counter:
+def _timed(args: list[str]) -> tuple[float, int, int, int]:
+    """User CPU ms, entries decoded, steps the orchestrator replayed and
+    exit code of one CLI command."""
+    with _DecodeCounter() as decoded, _ReplayCounter() as replayed:
         t0 = _user_cpu()
         code = _cli(args)
         ms = (_user_cpu() - t0) * 1e3
-    return ms, counter.calls, code
+    return ms, decoded.calls, replayed.calls, code
 
 
-def measure(root: Path, steps: int, repeat: int) -> dict:
-    run = str(root / f"run{steps}")
+def _record(run: str, steps: int, ic: str) -> None:
     code = _cli(["record-train", run, "--n-steps", str(steps), "--bl", "2",
-                 "--bs", "2", "--ic", "2", "--algo", "sha256",
+                 "--bs", "2", "--ic", ic, "--algo", "sha256",
                  "--batch-size", "8"])
     if code != 0:
         raise SystemExit(f"record-train of {steps} steps exited {code}")
+
+
+def measure(root: Path, steps: int, repeat: int) -> dict:
+    run, full = str(root / f"run{steps}"), str(root / f"inf{steps}")
+    _record(run, steps, "2")
+    _record(full, steps, "inf")
     audits = [_timed(["audit", run, "--m", "3", "--seed", str(s)])
               for s in range(repeat)]
     verifies = [_timed(["verify", run, "--block", "1,1"])
                 for _ in range(repeat)]
+    verify_alls = [_timed(["verify", full]) for _ in range(repeat)]
     index = []
     for _ in range(repeat):
         t0 = _user_cpu()
         TensorStore(run)
         index.append((_user_cpu() - t0) * 1e3)
-    bad = [c for _, _, c in audits + verifies if c != 0]
+    bad = [c for *_, c in audits + verifies + verify_alls if c != 0]
     if bad:
         raise SystemExit(f"{steps} steps: a check exited {bad[0]}")
+    blocks = len(Run.open(full).grid.block_ids())
     return {
         "steps": steps,
-        "audit_ms": round(min(ms for ms, _, _ in audits), 1),
-        "audit_decoded": max(n for _, n, _ in audits),
-        "verify_block_ms": round(min(ms for ms, _, _ in verifies), 1),
-        "verify_block_decoded": max(n for _, n, _ in verifies),
+        "audit_ms": round(min(ms for ms, *_ in audits), 1),
+        "audit_decoded": max(n for _, n, _, _ in audits),
+        "verify_block_ms": round(min(ms for ms, *_ in verifies), 1),
+        "verify_block_decoded": max(n for _, n, _, _ in verifies),
         "index_load_ms": round(min(index), 1),
+        "verify_all_ms_per_block":
+            round(min(ms for ms, *_ in verify_alls) / blocks, 2),
+        "verify_all_replayed": max(n for _, _, n, _ in verify_alls),
     }
 
 
@@ -117,10 +155,10 @@ def report() -> None:
                           "rows": rows}, indent=2))
         return
     print(f"aftune from {Path(aftune.__file__).parent}")
-    cols = list(rows[0])
-    print(" ".join(f"{c:>20}" for c in cols))
+    widths = {c: max(20, len(c)) for c in rows[0]}
+    print(" ".join(f"{c:>{w}}" for c, w in widths.items()))
     for r in rows:
-        print(" ".join(f"{r[c]:>20}" for c in cols))
+        print(" ".join(f"{r[c]:>{w}}" for c, w in widths.items()))
 
 
 if __name__ == "__main__":
