@@ -28,6 +28,7 @@ from .grid import BlockId, GridConfig, check_tau
 from .hashing import ALGORITHMS, hash_bytes
 from .ledger import LedgerError
 from .model import build_model
+from .optim import check_optimizer_spec
 from .orchestrate import Run
 from .presets import (ATTACK_SAMPLE, PRESETS, dataset_for, default_optimizer,
                       grid_for, model_for, trained_attack_classifier)
@@ -53,8 +54,8 @@ def _open_run(run_dir: Path) -> Run:
 
 @contextmanager
 def _usage_errors():
-    """Report a ValueError from checking option values (a grid config
-    or the detection-odds inputs) as a usage error."""
+    """Report a ValueError from checking option values (a grid config,
+    an optimizer spec or the detection-odds inputs) as a usage error."""
     try:
         yield
     except ValueError as e:
@@ -165,12 +166,13 @@ def record_train(out_dir, preset, n_steps, bl, bs, ic, chunk_size, algo, tau,
                  optimizer, lr, seed, model_seed, batch_size, zero_storage):
     """Run instrumented training into OUT_DIR."""
     ic_val = None if zero_storage else _parse_ic(ic)
+    opt_spec = default_optimizer(optimizer, lr)
     with _usage_errors():
         config = grid_for(preset, n_steps=n_steps, bl=bl, bs=bs, ic=ic_val,
                           chunk_size=chunk_size, tau=tau,
                           zero_storage=zero_storage)
-    manifest = build_manifest(model_for(preset, model_seed),
-                              default_optimizer(optimizer, lr),
+        check_optimizer_spec(opt_spec)
+    manifest = build_manifest(model_for(preset, model_seed), opt_spec,
                               dataset_for(preset), config, seed,
                               batch_size, algo)
     out = _run_dir(out_dir)

@@ -92,6 +92,14 @@ class ReLU(Layer):
         return dy * cache["mask"], {}
 
 
+def _mean_last(x):
+    """``x.mean(axis=-1, keepdims=True)`` by numpy's own steps (a sum, then
+    a division by the item count as an intp), so its bits are the same,
+    without the Python wrapper around them."""
+    s = np.add.reduce(x, -1, keepdims=True)
+    return np.true_divide(s, np.intp(x.shape[-1]), out=s, casting="unsafe")
+
+
 class LayerNorm(Layer):
     kind = "layer-norm"
     EPS = 1e-5
@@ -111,8 +119,8 @@ class LayerNorm(Layer):
         if x.shape[-1] != self.dim:
             raise ShapeError(f"layer-norm expects last dim {self.dim}, got {x.shape}")
         g, b = self._p("gain", x.dtype), self._p("bias", x.dtype)
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        mu = _mean_last(x)
+        var = _mean_last((x - mu) ** 2)
         inv = 1.0 / np.sqrt(var + x.dtype.type(self.EPS))
         xhat = (x - mu) * inv
         return g * xhat + b, {"xhat": xhat, "inv": inv}
@@ -120,10 +128,9 @@ class LayerNorm(Layer):
     def backward(self, cache, dy, labels=None):
         xhat, inv = cache["xhat"], cache["inv"]
         g = self._p("gain", dy.dtype)
-        d = dy.dtype.type(self.dim)
         dxhat = dy * g
-        dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
-              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+        dx = (dxhat - _mean_last(dxhat)
+              - xhat * _mean_last(dxhat * xhat)) * inv
         lead = tuple(range(dy.ndim - 1))
         return dx, {"gain": (dy * xhat).sum(axis=lead), "bias": dy.sum(axis=lead)}
 
@@ -206,16 +213,26 @@ class SoftmaxCrossEntropyHead(Layer):
             raise ShapeError(f"head expects {self.n_classes} logits, got {x.shape}")
         labels = np.asarray(labels)
         shifted = x - x.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=-1))
-        picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
+        e = np.exp(shifted)
+        total = e.sum(axis=-1, keepdims=True)
+        lse = np.log(total[..., 0])
+        picked = shifted[_label_index(labels)]
         loss = lse - picked
-        return loss.astype(x.dtype), {"probs": _softmax(x), "n": loss.size}
+        return loss.astype(x.dtype), {"probs": e / total, "n": loss.size}
 
     def backward(self, cache, dy, labels=None):
-        probs = cache["probs"]
-        onehot = np.zeros_like(probs)
-        np.put_along_axis(onehot, np.asarray(labels)[..., None], 1.0, axis=-1)
-        return (probs - onehot) * dy[..., None], {}
+        # probs minus the one-hot labels, scaled by the upstream gradient
+        d = cache["probs"].copy()
+        d[_label_index(np.asarray(labels))] -= 1
+        d *= dy[..., None]
+        return d, {}
+
+
+def _label_index(labels):
+    """Index of the logit of each label in an array of logits of shape
+    ``labels.shape + (n_classes,)``: ``x[_label_index(labels)]`` is
+    ``np.take_along_axis(x, labels[..., None], axis=-1)[..., 0]``."""
+    return (*np.indices(labels.shape, sparse=True), labels)
 
 
 class UnstableScale(Layer):

@@ -19,7 +19,7 @@ class BlobError(ValueError):
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
     return arr
 

@@ -24,7 +24,7 @@ from .hashing import (ALGORITHMS, Digest, chunked_hash_many, label_bytes,
                       tensor_bytes)
 from .model import (backward_block, build_model, forward_block, param_bytes,
                     param_items, params_digest)
-from .optim import build_optimizer
+from .optim import build_optimizer, check_optimizer_spec
 from .rng import is_seed
 from .tensors import NonFiniteError, rel_l2_error
 
@@ -48,8 +48,9 @@ def check_run_spec(spec: dict) -> GridConfig:
     """The grid of ``spec``, a manifest or a request header. Its run facts
     must be a known mode and hash algorithm, a grid GridConfig accepts, a
     model of a signed 64-bit integer seed and one layer per grid layer,
-    and an optimizer for training or a model digest for inference; the
-    first that is not raises ValueError. Builds and hashes nothing."""
+    and an optimizer ``check_optimizer_spec`` accepts for training or a
+    model digest for inference; the first that is not raises ValueError.
+    Builds and hashes nothing."""
     mode, algo = spec.get("mode"), spec.get("hash_algo")
     if mode not in ("training", "inference"):
         raise ValueError(f"has unknown run mode {mode!r}")
@@ -65,8 +66,8 @@ def check_run_spec(spec: dict) -> GridConfig:
             and len(model["layers"]) == config.n_layers):
         raise ValueError("model must hold a signed 64-bit integer seed and "
                          "a list of the grid's n_layers layers")
-    if mode == "training" and not isinstance(spec.get("optimizer"), dict):
-        raise ValueError("optimizer is missing or malformed")
+    if mode == "training":
+        check_optimizer_spec(spec.get("optimizer"))
     if mode == "inference" and not isinstance(spec.get("model_digest"), str):
         raise ValueError("model_digest is missing or malformed")
     return config
@@ -260,9 +261,7 @@ class BlockReplayer:
         gacts, pgrads = backward_block(self.layers, caches,
                                        self._cast(upstream), labels=labels)
         if self.opt is not None:
-            f32_grads = [{n: np.asarray(g, np.float32) for n, g in pg.items()}
-                         for pg in pgrads]
-            self.opt.step(self.layers, f32_grads)
+            self.opt.step(self.layers, pgrads)
         return acts, gacts
 
     def param_blob(self, l: int) -> bytes:
@@ -278,7 +277,7 @@ def non_finite_key(grid: BlockGrid, i: int, t: int, x, upstream) -> str:
     charged to: the first consumed tensor holding NaN or Inf, else the
     block's replayed output activation."""
     for key, arr in zip(grid.replay_inputs(i, t), (x, upstream)):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             return str(key)
     return str(grid.replay_outputs(i, t)[0])
 
@@ -472,7 +471,7 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
         acts, _ = replayer.forward(x, labels=req.labels.get(0))
     except NonFiniteError:
         collector.fail(NON_FINITE,
-                       keys[0] if not np.all(np.isfinite(x)) else keys[1])
+                       keys[0] if not np.isfinite(x).all() else keys[1])
         return
     collector.compare(keys[1], rel_l2_error(acts[-1], req.tensors[str(keys[1])]),
                       config.tau)

@@ -221,6 +221,9 @@ VERIFY_AND_AUDIT_BAD_VALUES = [
     ["record-train", "out", "--tau", "-1"],
     ["record-train", "out", "--tau", "nan"],
     ["record-train", "out", "--tau", "inf"],
+    ["record-train", "out", "--lr", "nan"],
+    ["record-train", "out", "--lr", "inf"],
+    ["record-train", "out", "--lr", "-inf"],
     ["record-infer", "out", "--tau", "nan"],
     ["record-train", "out", "--chunk-size", "0"],
     ["record-train", "out", "--batch-size", "0"],
@@ -381,6 +384,47 @@ def test_malformed_manifest_seed_is_a_usage_error(sha_run, tmp_path, runner,
     for args in (["verify", "bad-seed"], ["audit", "bad-seed", "--m", "1"],
                  ["verify", "bad-seed", "--isolated"]):
         _exits_cleanly(_invoke(runner, tmp_path, *args), 2)
+
+
+@pytest.fixture(scope="module")
+def sha_inf_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sha-inf")
+    result = CliRunner().invoke(main, [
+        "--root", str(root), "record-train", "run", "--n-steps", "4",
+        "--algo", "sha256", "--batch-size", "8", "--ic", "inf"])
+    assert result.exit_code == 0, result.output
+    return root / "run"
+
+
+# optimizer specs a manifest may not carry: a kind outside OPTIMIZER_KINDS,
+# a hyperparameter its constructor does not take, or a value that is not
+# a finite number
+MALFORMED_OPTIMIZERS = {
+    "lr-string": lambda opt: opt.update(lr="abc"),
+    "beta1-null": lambda opt: opt.update(beta1=None),
+    "unknown-kind": lambda opt: opt.update(kind="lion"),
+    "extra-key": lambda opt: opt.update(foo=1),
+    "lr-list": lambda opt: opt.update(lr=[1]),
+    "lr-nan": lambda opt: opt.update(lr=float("nan")),
+    "lr-bool": lambda opt: opt.update(lr=True),
+    "no-kind": lambda opt: opt.pop("kind"),
+}
+
+
+@pytest.mark.parametrize("ic", ["2", "inf"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_OPTIMIZERS))
+def test_malformed_manifest_optimizer_is_a_usage_error(
+        sha_run, sha_inf_run, tmp_path, runner, case, ic):
+    run = tmp_path / "bad-opt"
+    shutil.copytree(sha_run if ic == "2" else sha_inf_run, run)
+    ledger = RunLedger.load(run / LEDGER_FILE)
+    MALFORMED_OPTIMIZERS[case](ledger.manifest["optimizer"])
+    ledger.save(run / LEDGER_FILE)
+    for args in (["verify", "bad-opt"], ["audit", "bad-opt", "--m", "2"],
+                 ["verify", "bad-opt", "--isolated"]):
+        result = _invoke(runner, tmp_path, *args)
+        _exits_cleanly(result, 2)
+        assert "optimizer" in result.output
 
 
 def test_zeroed_label_anchors_fail_verify(sha_run, tmp_path, runner):

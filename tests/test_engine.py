@@ -4,12 +4,14 @@ gradient oracles, optimizer update oracles, and bitwise determinism."""
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from aftune.layers import (AttentionHead, LayerNorm, Linear, ReLU,
                            SoftmaxCrossEntropyHead, UnstableScale, build_layer)
+from aftune.verifier import BlockReplayer
 from aftune.model import (backward_block, build_model, build_state,
                           forward_block, load_param_bytes, param_bytes,
                           train_step)
@@ -250,6 +252,52 @@ def test_non_finite_gradient_rejected():
                             "b": np.zeros(1, np.float32)}])
 
 
+def _two_linear_layers():
+    layers = [Linear(2, 3, rng=np.random.default_rng(0)),
+              Linear(3, 2, rng=np.random.default_rng(1))]
+    opt = AdamW(layers, lr=0.01, weight_decay=0.01)
+    opt.step(layers, [{n: np.ones_like(p) for n, p in l.params.items()}
+                      for l in layers])
+    return layers, opt
+
+
+def _optimizer_snapshot(layers, opt):
+    return ([param_bytes(l) for l in layers],
+            [opt.state_bytes(li, l) for li, l in enumerate(layers)],
+            opt.step_count)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+def test_non_finite_gradient_changes_nothing_and_names_the_first():
+    layers, opt = _two_linear_layers()
+    before = _optimizer_snapshot(layers, opt)
+    grads = [{n: np.ones_like(p) for n, p in l.params.items()}
+             for l in layers]
+    grads[1]["w"][0, 0] = np.nan
+    grads[1]["b"][0] = np.inf
+    with pytest.raises(NonFiniteError, match="layer 1 param 'w'"):
+        opt.step(layers, grads)
+    assert _optimizer_snapshot(layers, opt) == before
+    # a float64 gradient that overflows float32 is non-finite too
+    grads = [{n: np.ones(p.shape) for n, p in l.params.items()}
+             for l in layers]
+    grads[0]["b"][1] = 1e300
+    with pytest.raises(NonFiniteError, match="layer 0 param 'b'"):
+        opt.step(layers, grads)
+    assert _optimizer_snapshot(layers, opt) == before
+
+
+def test_gradient_of_another_shape_is_rejected_before_any_change():
+    layers, opt = _two_linear_layers()
+    before = _optimizer_snapshot(layers, opt)
+    grads = [{n: np.ones_like(p) for n, p in l.params.items()}
+             for l in layers]
+    grads[1]["w"] = grads[1]["w"].T.copy()  # same size, transposed
+    with pytest.raises(ValueError, match="layer 1 param 'w'"):
+        opt.step(layers, grads)
+    assert _optimizer_snapshot(layers, opt) == before
+
+
 def test_optimizer_state_bytes_roundtrip_counter():
     layer = Linear(2, 2)
     opt = AdamW([layer], lr=0.01)
@@ -347,3 +395,153 @@ def test_loss_decreases_on_toy_problem():
     state = build_state(mlp_model(), {"kind": "adamw", "lr": 0.01})
     losses = [train_step(state, ds.batch(11, t, 32)).loss for t in range(60)]
     assert np.mean(losses[-10:]) < 0.5 * np.mean(losses[:10])
+
+
+# -- the flat update against the per-tensor update rule --------------------
+
+
+class _PerTensorOptimizer:
+    """Reference for the optimizer step: the same update rule applied one
+    parameter tensor at a time, with its own per-tensor state, as the
+    optimizers ran before their state moved to flat buffers. Its
+    ``_update`` methods are kept verbatim here as the oracle."""
+
+    def __init__(self, spec: dict, layers):
+        self.kind = spec["kind"]
+        opt = build_optimizer(spec, layers)
+        self.hyper, self.state_names = opt.hyper, opt.state_names
+        self.step_count = 0
+        self.slots = {(li, pname): {s: np.zeros_like(p)
+                                    for s in self.state_names}
+                      for li, layer in enumerate(layers)
+                      for pname, p in layer.params.items()}
+
+    def step(self, layers, param_grads: list[dict]) -> None:
+        self.step_count += 1
+        update = (self._sgd_update if self.kind == "sgd-momentum"
+                  else self._adamw_update)
+        for li, layer in enumerate(layers):
+            for pname in layer.params:
+                g = np.asarray(param_grads[li][pname], dtype=np.float32)
+                if not np.all(np.isfinite(g)):
+                    raise NonFiniteError(
+                        f"non-finite gradient for layer {li} param {pname!r}")
+                update(layer.params[pname], g, self.slots[(li, pname)])
+
+    def _sgd_update(self, p, g, slot):
+        lr = np.float32(self.hyper["lr"])
+        mu = np.float32(self.hyper["momentum"])
+        wd = np.float32(self.hyper["weight_decay"])
+        if wd != 0:
+            g = g + wd * p
+        v = slot["velocity"]
+        v *= mu
+        v += g
+        p -= lr * v
+
+    def _adamw_update(self, p, g, slot):
+        h = self.hyper
+        lr, b1, b2 = np.float32(h["lr"]), np.float32(h["beta1"]), np.float32(h["beta2"])
+        eps, wd = np.float32(h["eps"]), np.float32(h["weight_decay"])
+        t = self.step_count
+        m, v = slot["m"], slot["v"]
+        m *= b1
+        m += (np.float32(1) - b1) * g
+        v *= b2
+        v += (np.float32(1) - b2) * g * g
+        mhat = m / np.float32(1.0 - float(h["beta1"]) ** t)
+        vhat = v / np.float32(1.0 - float(h["beta2"]) ** t)
+        if wd != 0:
+            p -= lr * wd * p
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+    def state_bytes(self, layer_idx: int, layer) -> bytes:
+        parts = [struct.pack("<I", self.step_count)]
+        for pname in layer.params:
+            for sname in self.state_names:
+                parts.append(self.slots[(layer_idx, pname)][sname]
+                             .astype("<f4").tobytes())
+        return b"".join(parts)
+
+
+ORACLE_OPTIMIZERS = {
+    "adamw": {"kind": "adamw", "lr": 0.01},
+    "adamw-wd": {"kind": "adamw", "lr": 0.01, "weight_decay": 0.01},
+    "sgd-momentum-wd": {"kind": "sgd-momentum", "lr": 0.01, "momentum": 0.9,
+                        "weight_decay": 0.1},
+}
+ORACLE_STEPS = 200
+
+
+def _trajectory(preset, opt_spec, reference, monkeypatch, keep=()):
+    """Every step's parameter and optimizer-state blobs of a 200-step run
+    of ``preset``, by the flat optimizer or the per-tensor ``reference``,
+    and the step traces of the steps in ``keep``. The unstable layer's
+    call counter starts from 0, so both runs see the same jitter."""
+    monkeypatch.setattr(UnstableScale, "_calls", 0)
+    ds = make_dataset(dataset_for(preset))
+    state = build_state(model_for(preset), opt_spec)
+    if reference:
+        state.opt = _PerTensorOptimizer(opt_spec, state.layers)
+    blobs, traces = [], {}
+    for t in range(ORACLE_STEPS):
+        batch = ds.batch(11, t, 16)
+        trace = train_step(state, batch)
+        if t in keep:
+            traces[t] = (batch, trace)
+        blobs.append(([param_bytes(l) for l in state.layers],
+                      [state.opt.state_bytes(li, l)
+                       for li, l in enumerate(state.layers)]))
+    return blobs, traces
+
+
+@pytest.mark.parametrize("opt", sorted(ORACLE_OPTIMIZERS))
+@pytest.mark.parametrize("preset", ["mlp", "attention", "unstable"])
+def test_flat_update_is_bitwise_the_per_tensor_rule(preset, opt,
+                                                    monkeypatch):
+    spec = ORACLE_OPTIMIZERS[opt]
+    flat, _ = _trajectory(preset, spec, False, monkeypatch)
+    reference, _ = _trajectory(preset, spec, True, monkeypatch)
+    for t, (got, want) in enumerate(zip(flat, reference)):
+        assert got == want, f"step {t} differs"
+    assert len(flat) == ORACLE_STEPS
+
+
+@pytest.mark.parametrize("layer", [ReLU(), SoftmaxCrossEntropyHead(3)],
+                         ids=["relu", "loss-head"])
+@pytest.mark.parametrize("opt", sorted(ORACLE_OPTIMIZERS))
+def test_step_of_a_slice_without_parameters_only_counts(layer, opt):
+    spec = ORACLE_OPTIMIZERS[opt]
+    flat = build_optimizer(spec, [layer])
+    reference = _PerTensorOptimizer(spec, [layer])
+    for _ in range(3):
+        flat.step([layer], [{}])
+        reference.step([layer], [{}])
+    assert flat.state_bytes(0, layer) == reference.state_bytes(0, layer) \
+        == struct.pack("<I", 3)
+
+
+@pytest.mark.parametrize("opt", sorted(ORACLE_OPTIMIZERS))
+@pytest.mark.parametrize("layer_ids", [[0, 1], [2, 3, 4, 5]],
+                         ids=["first-layers", "with-loss-head"])
+def test_replayer_from_mid_run_blobs_continues_bitwise(layer_ids, opt,
+                                                        monkeypatch):
+    # the reference trajectory's state at step k, loaded into a block
+    # replayer, replays steps k.. into the reference's own blobs
+    spec, k = ORACLE_OPTIMIZERS[opt], 120
+    replayed = range(k, k + 6)
+    reference, traces = _trajectory("mlp", spec, True, monkeypatch,
+                                    keep=replayed)
+    params, states = reference[k - 1]
+    replayer = BlockReplayer(model_for("mlp"), spec, layer_ids,
+                             {l: params[l] for l in layer_ids},
+                             {l: states[l] for l in layer_ids})
+    for t in replayed:
+        batch, trace = traces[t]
+        replayer.replay_step(trace.acts[layer_ids[0]],
+                             trace.gacts[layer_ids[-1] + 1],
+                             labels=batch.labels)
+        params, states = reference[t]
+        for l in layer_ids:
+            assert replayer.param_blob(l) == params[l]
+            assert replayer.opt_blob(l) == states[l]

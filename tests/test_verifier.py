@@ -435,6 +435,10 @@ HOSTILE = {
     "block-of-2**70-steps":
         lambda h: h["grid"].update(n_steps=2**70, bs=2**70),
     "model-digest-missing": lambda h: h.update(model_digest=None),
+    "optimizer-kind-unknown": lambda h: h["optimizer"].update(kind="lion"),
+    "optimizer-key-unknown": lambda h: h["optimizer"].update(foo=1),
+    "optimizer-lr-string": lambda h: h["optimizer"].update(lr="abc"),
+    "optimizer-lr-nan": lambda h: h["optimizer"].update(lr=float("nan")),
     "header-key-unknown": lambda h: h.update(tau=1e-5),
     "header-key-missing": lambda h: h.pop("hash_algo"),
 }
