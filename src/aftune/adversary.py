@@ -10,7 +10,7 @@ to change model behavior, versus the tolerance the verifier enforces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +78,7 @@ def _frozen_from(freeze: int):
                            dtype=acts[-1].dtype)
         gacts, _ = backward_block(state.layers, caches, upstream,
                                   labels=batch.labels)
-        return StepTrace(step=batch.step, acts=acts, gacts=gacts,
-                         param_grads=[], loss=0.0)
+        return StepTrace(acts, gacts)
     return step
 
 
@@ -93,11 +92,6 @@ class ScenarioResult:
     tampered_blocks: list[str] = field(default_factory=list)
     detectable_by: str = "verify"     # verify | trust-chain
     details: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"scenario": self.scenario, "run_dir": self.run_dir,
-                "tampered_blocks": self.tampered_blocks,
-                "detectable_by": self.detectable_by, "details": self.details}
 
 
 def apply_scenario(scenario: str, manifest: dict, out_dir,
@@ -253,12 +247,9 @@ class PerturbationResult:
         return max(self.boundary_rel_norms.values(), default=0.0)
 
     def to_json(self) -> dict:
-        return {"success": self.success, "target": self.target,
-                "original_class": self.original_class,
-                "final_class": self.final_class, "eps": self.eps,
+        return {**asdict(self),
                 "boundary_rel_norms": {str(k): v for k, v
                                        in self.boundary_rel_norms.items()},
-                "iterations": self.iterations,
                 "min_rel_norm": self.min_rel_norm,
                 "max_rel_norm": self.max_rel_norm}
 
@@ -424,14 +415,6 @@ class PoisonResult:
     clean_accuracy_before: float
     clean_accuracy_after: float
     iterations: int
-
-    def to_json(self) -> dict:
-        return {"success": self.success,
-                "rel_delta_norm": self.rel_delta_norm, "target": self.target,
-                "trigger_class": self.trigger_class,
-                "clean_accuracy_before": self.clean_accuracy_before,
-                "clean_accuracy_after": self.clean_accuracy_after,
-                "iterations": self.iterations}
 
 
 def _logits(layers, x):

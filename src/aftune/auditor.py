@@ -171,13 +171,6 @@ class AuditReport:
     reports: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
 
-    def to_json(self) -> dict:
-        return {
-            "plan_commitment": self.plan_commitment, "sampled": self.sampled,
-            "verdicts": self.verdicts, "ok": self.ok,
-            "reports": self.reports, "wall_time": self.wall_time,
-        }
-
 
 def audit_run(run: Run, plan: AuditPlan, **verify_kw) -> AuditReport:
     """One audit of an open ``run``: sample per the committed plan and
@@ -205,13 +198,6 @@ class CampaignResult:
     exact_rate: float
     failing_blocks: list[str]
     per_trial: list[bool] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"trials": self.trials, "detections": self.detections,
-                "empirical_rate": self.empirical_rate,
-                "ci95": list(self.ci95), "exact_rate": self.exact_rate,
-                "failing_blocks": self.failing_blocks,
-                "per_trial": self.per_trial}
 
 
 def _exact_campaign_rate(plan: AuditPlan, grid: BlockGrid,

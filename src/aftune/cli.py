@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -35,6 +36,7 @@ from .presets import (ATTACK_SAMPLE, PRESETS, dataset_for, default_optimizer,
 from .recorder import (LEDGER_FILE, build_inference_manifest,
                        build_manifest, record_inference, record_training)
 from .store import StoreError
+from .tensors import NonFiniteError
 
 RUN_ROOT_ENV = "AFTUNE_RUN_ROOT"
 
@@ -177,7 +179,11 @@ def record_train(out_dir, preset, n_steps, bl, bs, ic, chunk_size, algo, tau,
                               batch_size, algo)
     out = _run_dir(out_dir)
     t0 = time.perf_counter()
-    result = record_training(manifest, out)
+    try:
+        result = record_training(manifest, out)
+    except NonFiniteError as e:
+        raise click.UsageError(f"training diverged at {e}; the rows sealed "
+                               f"before it stay verifiable") from None
     elapsed = time.perf_counter() - t0
     summary = {
         "run_dir": str(out), "mode": "training", "preset": preset,
@@ -272,7 +278,7 @@ def verify(run_dir, block_id, full_scan, precision, tau, isolated, jobs):
     chain = run.chain
     ok = all(r.passed for r in reports)
     payload = {"reports": [r.to_json() for r in reports],
-               "trust_chain": chain.to_json() if chain else None,
+               "trust_chain": asdict(chain) if chain else None,
                "ok": ok}
     _write_report(run.dir, "verify_report.json", payload)
     for r in reports:
@@ -319,14 +325,14 @@ def audit(run_dir, strategy, m_samples, seed, trials, explicit_blocks,
     click.echo(f"plan commitment {plan.commitment()}")
     if trials > 0:
         result = run_campaign(run, plan, trials, isolated=isolated)
-        _write_report(run.dir, "audit_report.json", result.to_json())
+        _write_report(run.dir, "audit_report.json", asdict(result))
         click.echo(f"tampered blocks found: {result.failing_blocks or 'none'}")
         click.echo(f"empirical detection {result.empirical_rate:.4f} "
                    f"(95% CI {result.ci95[0]:.4f}-{result.ci95[1]:.4f}) "
                    f"vs exact {result.exact_rate:.4f} over {trials} trials")
         sys.exit(0)
     report = audit_run(run, plan, isolated=isolated)
-    _write_report(run.dir, "audit_report.json", report.to_json())
+    _write_report(run.dir, "audit_report.json", asdict(report))
     for b, v in report.verdicts.items():
         click.echo(f"block {b}: {v}")
     click.echo("AUDIT PASS" if report.ok else "AUDIT FAIL")
@@ -360,7 +366,7 @@ def attack(out_dir, scenario, preset, n_steps, bl, bs, ic, ia, chunk_size,
         manifest = build_manifest(model_for(preset), default_optimizer(),
                                   dataset_for(preset), config, 11, 16, algo)
         result = apply_scenario(scenario, manifest, out, seed=seed)
-    _write_report(out, "scenario.json", result.to_json())
+    _write_report(out, "scenario.json", asdict(result))
     click.echo(f"applied {scenario}; tampered blocks "
                f"{result.tampered_blocks} (detectable by "
                f"{result.detectable_by})")
@@ -404,7 +410,7 @@ def attack_stats(bl_values, steps, seed, out_file):
                f"rel |dTheta| {poison.rel_delta_norm:.3e} "
                f"(clean acc {poison.clean_accuracy_before:.2f} -> "
                f"{poison.clean_accuracy_after:.2f})")
-    table = {"pgd": rows, "parameter_poison": poison.to_json()}
+    table = {"pgd": rows, "parameter_poison": asdict(poison)}
     if out_file:
         Path(out_file).write_text(json.dumps(table, indent=2))
 

@@ -13,15 +13,6 @@ import numpy as np
 
 from .tensors import ShapeError
 
-LAYER_KINDS = (
-    "linear",
-    "relu",
-    "layer-norm",
-    "attention-head",
-    "softmax-cross-entropy-head",
-    "unstable-scale",
-)
-
 # kinds whose initial parameters are a random draw; the rest start constant
 SEEDED_KINDS = ("linear", "attention-head")
 
@@ -37,9 +28,6 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, cache, dy: np.ndarray, labels=None):
-        raise NotImplementedError
-
-    def spec(self) -> dict:
         raise NotImplementedError
 
     def _p(self, name: str, dtype) -> np.ndarray:
@@ -61,9 +49,6 @@ class Linear(Layer):
             b = np.zeros(d_out)
         self.params = {"w": w.astype(np.float32), "b": b.astype(np.float32)}
 
-    def spec(self):
-        return {"kind": self.kind, "d_in": self.d_in, "d_out": self.d_out}
-
     def forward(self, x, labels=None):
         if x.shape[-1] != self.d_in:
             raise ShapeError(f"linear expects last dim {self.d_in}, got {x.shape}")
@@ -81,9 +66,6 @@ class Linear(Layer):
 
 class ReLU(Layer):
     kind = "relu"
-
-    def spec(self):
-        return {"kind": self.kind}
 
     def forward(self, x, labels=None):
         return np.maximum(x, 0), {"mask": x > 0}
@@ -111,9 +93,6 @@ class LayerNorm(Layer):
             "gain": np.ones(dim, dtype=np.float32),
             "bias": np.zeros(dim, dtype=np.float32),
         }
-
-    def spec(self):
-        return {"kind": self.kind, "dim": self.dim}
 
     def forward(self, x, labels=None):
         if x.shape[-1] != self.dim:
@@ -154,9 +133,6 @@ class AttentionHead(Layer):
             else (lambda: np.eye(dim))
         self.params = {name: init().astype(np.float32)
                        for name in ("wq", "wk", "wv", "wo")}
-
-    def spec(self):
-        return {"kind": self.kind, "dim": self.dim}
 
     def forward(self, x, labels=None):
         if x.ndim != 3 or x.shape[-1] != self.dim:
@@ -202,9 +178,6 @@ class SoftmaxCrossEntropyHead(Layer):
     def __init__(self, n_classes: int):
         super().__init__()
         self.n_classes = n_classes
-
-    def spec(self):
-        return {"kind": self.kind, "n_classes": self.n_classes}
 
     def forward(self, x, labels=None):
         if labels is None:
@@ -255,10 +228,6 @@ class UnstableScale(Layer):
         self.dim = dim
         self.force_deterministic = force_deterministic
         self.params = {"scale": np.ones(dim, dtype=np.float32)}
-
-    def spec(self):
-        return {"kind": self.kind, "dim": self.dim,
-                "force_deterministic": self.force_deterministic}
 
     def forward(self, x, labels=None):
         s = self._p("scale", x.dtype)

@@ -20,17 +20,6 @@ class Batch:
     step: int
 
 
-@dataclass
-class ModelState:
-    layers: list[Layer]
-    opt: Optimizer
-    t: int = 0
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-
 def build_model(spec: dict, blobs: dict[int, bytes] | None = None,
                 indices=None) -> list[Layer]:
     """Instantiate the layers of ``indices`` in that order, by default
@@ -124,20 +113,90 @@ def backward_block(layers: list[Layer], caches, upstream: np.ndarray, labels=Non
     return gacts, pgrads
 
 
+class ModelState:
+    """The engine's one state: layers ``indices`` of a model (default:
+    all of them), in that order, with their optimizer. It is the
+    recorder's training state, the verifier's block replayer and the
+    orchestrator's row state.
+
+    Each layer takes its parameters from its parameter blob in
+    ``blobs``, keyed by BoundaryKey, or else the seeded init. The
+    optimizer takes every layer's state from its optimizer-state blob,
+    all of which must hold one step counter; with no optimizer-state
+    blob at all it starts at zero. Without ``opt_spec`` the state is
+    forward-only and also keeps ``model``, the whole model with every
+    parameter blob loaded. A blob that cannot be decoded raises
+    BlobError; a bad spec a KeyError, TypeError or ValueError."""
+
+    def __init__(self, model_spec: dict, opt_spec: dict | None = None,
+                 indices=None, blobs: dict | None = None,
+                 precision: str = "f32"):
+        split: dict[str, dict[int, bytes]] = {"parameter": {},
+                                              "optimizer-state": {}}
+        for key, blob in (blobs or {}).items():
+            split[key.kind][key.index] = blob
+        params, states = split.values()
+        self.indices = list(range(len(model_spec["layers"]))
+                            if indices is None else indices)
+        self.precision = precision
+        self.opt: Optimizer | None = None
+        if opt_spec is None:
+            self.model = build_model(model_spec, params)
+            self.layers = [self.model[l] for l in self.indices]
+            return
+        self.layers = build_model(model_spec, params, self.indices)
+        self.opt = build_optimizer(opt_spec, self.layers)
+        if not states:
+            return
+        if set(states) != set(self.indices):
+            raise BlobError(f"optimizer-state blobs for layers "
+                            f"{sorted(states)}, not {self.indices}")
+        counters = {self.opt.load_state_bytes(li, layer, states[l])
+                    for li, (l, layer) in enumerate(zip(self.indices,
+                                                        self.layers))}
+        if len(counters) != 1:
+            raise BlobError(f"inconsistent optimizer counters {counters}")
+        self.opt.step_count = counters.pop()
+
+    def _cast(self, x):
+        return x.astype(np.float64) if self.precision == "f64" else x
+
+    def forward(self, x, labels=None):
+        return forward_block(self.layers, self._cast(x), labels=labels)
+
+    def replay_step(self, x, upstream=None, labels=None):
+        """One training step of the layers: forward, backward from
+        ``upstream`` (None: the gradient of the mean of the last layer's
+        output, the loss) and, with an optimizer, the update. Returns
+        every activation and activation gradient."""
+        acts, caches = self.forward(x, labels=labels)
+        if upstream is None:
+            out = acts[-1]
+            upstream = np.full(out.shape, 1.0 / out.size, dtype=out.dtype)
+        else:
+            upstream = self._cast(upstream)
+        gacts, pgrads = backward_block(self.layers, caches, upstream,
+                                       labels=labels)
+        if self.opt is not None:
+            self.opt.step(self.layers, pgrads)
+        return acts, gacts
+
+    def blob(self, key) -> bytes:
+        """The checkpoint blob of the parameter or optimizer-state
+        BoundaryKey ``key``."""
+        li = self.indices.index(key.index)
+        if key.kind == "parameter":
+            return param_bytes(self.layers[li])
+        return self.opt.state_bytes(li, self.layers[li])
+
+
 @dataclass
 class StepTrace:
     """Everything the recorder needs from one training step."""
 
-    step: int
     acts: list = field(repr=False)
     gacts: list = field(repr=False)
-    param_grads: list = field(repr=False)
     loss: float = 0.0
-
-
-def optimizer_step(state: ModelState, param_grads: list[dict]) -> None:
-    state.opt.step(state.layers, param_grads)
-    state.t += 1
 
 
 def train_step(state: ModelState, batch: Batch) -> StepTrace:
@@ -147,17 +206,5 @@ def train_step(state: ModelState, batch: Batch) -> StepTrace:
     The final layer is expected to be a loss head emitting per-sample
     losses; the scalar loss is their mean.
     """
-    acts, caches = forward_block(state.layers, batch.inputs, labels=batch.labels)
-    loss_vec = acts[-1]
-    loss = float(loss_vec.astype(np.float64).mean())
-    upstream = np.full(loss_vec.shape, 1.0 / loss_vec.size, dtype=loss_vec.dtype)
-    gacts, pgrads = backward_block(state.layers, caches, upstream, labels=batch.labels)
-    t = state.t
-    optimizer_step(state, pgrads)
-    return StepTrace(step=t, acts=acts, gacts=gacts, param_grads=pgrads, loss=loss)
-
-
-def build_state(mspec: dict, ospec: dict) -> ModelState:
-    layers = build_model(mspec)
-    opt = build_optimizer(ospec, layers)
-    return ModelState(layers=layers, opt=opt, t=0)
+    acts, gacts = state.replay_step(batch.inputs, labels=batch.labels)
+    return StepTrace(acts, gacts, float(acts[-1].astype(np.float64).mean()))

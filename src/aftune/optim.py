@@ -80,9 +80,6 @@ class Optimizer:
         with ``g`` their flat gradients and ``self.flat`` their state."""
         raise NotImplementedError
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, **self.hyper}
-
     # -- serialization ----------------------------------------------------
 
     def state_bytes(self, layer_idx: int, layer) -> bytes:

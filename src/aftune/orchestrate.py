@@ -26,22 +26,19 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from .grid import (INPUT_ANCHOR, LABEL_ANCHOR, BlockId, BoundaryKey,
                    label_anchor_key)
 from .hashing import Digest, chunked_hash_many
 from .ledger import SCHEMA_VERSION, LedgerError, RunLedger
 from .model import ModelState, build_model, param_bytes, params_digest
-from .optim import build_optimizer
 from .recorder import (LEDGER_FILE, PARAMS_DIR, RunContext,
                        reference_closure, rerun_rows)
 from .rng import is_seed
 from .store import StoreError, TensorStore
 from .tensors import BlobError, NonFiniteError
 from .verifier import (EVIDENCE_RELEASED, FAIL, NON_FINITE, REFUSED,
-                       BindingMemo, BlockReplayer, VerificationReport,
-                       VerificationRequest, VerifierError, check_run_spec,
+                       BindingMemo, VerificationReport, VerificationRequest,
+                       VerifierError, check_run_spec, load_state,
                        non_finite_key, verify_or_refuse)
 from .verifier_worker import frame
 
@@ -60,31 +57,29 @@ class NonDeterministicBlockError(ReconstructionError):
 
 
 class _Row:
-    """Replayed state of one layer-block row: restored from the stored
-    checkpoint at step ``origin`` (None: the step-0 init) and carried
-    forward to step ``t``, by the walk's own replay or, where the
+    """Replayed state of one layer-block row: restored from the
+    checkpoint ``blobs`` at step ``origin`` (None: the step-0 init) and
+    carried forward to step ``t``, by the walk's own replay or, where the
     in-process verifier passed the row's last block at f32, by adopting
-    the verifier's replayer at that block's exit. ``pending`` holds the
-    replay inputs, by step, of the last block requested on the row, so
-    the walk on past it need not read them again. ``broken`` is the
-    report, block unset, for the blocks past a replay that stopped: on
-    NaN/Inf, or on a checkpoint the replayer cannot load."""
+    the verifier's state at that block's exit. ``state`` is built from
+    ``blobs`` at the first replay. ``pending`` holds the replay inputs,
+    by step, of the last block requested on the row, so the walk on past
+    it need not read them again. ``broken`` is the report, block unset,
+    for the blocks past a replay that stopped: on NaN/Inf, or on a
+    checkpoint the state cannot be loaded from."""
 
-    def __init__(self, origin: int | None, params: dict, opts: dict):
+    def __init__(self, origin: int | None, blobs: dict[BoundaryKey, bytes]):
         self.origin = origin
         self.t = origin or 0
-        self.params, self.opts = params, opts
-        self.replayer: BlockReplayer | None = None
+        self.blobs = blobs
+        self.state: ModelState | None = None
         self.pending: dict[int, tuple] = {}
         self.broken: VerificationReport | None = None
 
     def blob(self, key: BoundaryKey) -> bytes:
         """The row's current blob of the parameter or optimizer state
         ``key`` names."""
-        rep, l = self.replayer, key.index
-        if key.kind == "parameter":
-            return rep.param_blob(l) if rep else self.params[l]
-        return rep.opt_blob(l) if rep else self.opts[l]
+        return self.state.blob(key) if self.state else self.blobs[key]
 
 
 class Run:
@@ -251,7 +246,7 @@ class Run:
         the previous requested block of that row, and restarted from a
         stored checkpoint only where a fresh replay would restart. Where
         ``session`` passed that block replaying at f32, as the row does,
-        its replayer is the row's state at the block's exit."""
+        its state at the block's exit is the row's."""
         grid, store = self.grid, self.store
         rows: dict[int, _Row] = {}
         for bid in order:
@@ -282,7 +277,7 @@ class Run:
             yield bid, self._request(bid, tensors, **opts)
             passed = session and session.passed
             if passed and passed[0] == bid and passed[1].precision == "f32":
-                row.replayer, row.t, row.pending = passed[1], t_out, {}
+                row.state, row.t, row.pending = passed[1], t_out, {}
 
     def _row_at(self, i: int, target: int, row: _Row | None = None) -> _Row:
         """Layer block i's replayed state at step ``target``. ``row`` is
@@ -297,7 +292,7 @@ class Run:
                 f"Isolate the layer (isolate_layers) so it checkpoints at "
                 f"every step block.")
         if row is None or row.origin != t0 or row.t > target:
-            row = _Row(t0, *self._checkpoint(i, t0))
+            row = _Row(t0, self._checkpoint(i, t0))
         for t in range(row.t, target):
             if row.broken:
                 break
@@ -307,27 +302,24 @@ class Run:
         row.pending = {}
         return row
 
-    def _checkpoint(self, i: int, t0: int | None) -> tuple[dict, dict]:
-        layer_ids = self.grid.block_layers(i)
+    def _checkpoint(self, i: int, t0: int | None) -> dict[BoundaryKey, bytes]:
         if t0 is not None:
-            keys, get = self.grid.state_keys(i, t0), self.store.get_bytes
-            return ({k.index: get(k) for k in keys if k.kind == "parameter"},
-                    {k.index: get(k) for k in keys if k.kind != "parameter"})
+            return {k: self.store.get_bytes(k)
+                    for k in self.grid.state_keys(i, t0)}
         # no stored checkpoint covers the target, but the step-0 state is
         # derivable from the manifest alone: base init, zeroed optimizer
-        fresh = self._fresh_layers
-        opt = build_optimizer(self.manifest["optimizer"], fresh)
-        return ({l: param_bytes(fresh[l]) for l in layer_ids},
-                {l: opt.state_bytes(l, fresh[l]) for l in layer_ids})
+        fresh = ModelState(self.manifest["model"], self.manifest["optimizer"],
+                           self.grid.block_layers(i))
+        return {k: fresh.blob(k) for k in self.grid.state_keys(i, 0)}
 
     def _replay_step(self, i: int, row: _Row, t: int, x, upstream) -> None:
         labels = self.ctx.batch(t).labels if self._needs_labels(i) else None
         try:
-            if row.replayer is None:
-                row.replayer = BlockReplayer(
+            if row.state is None:
+                row.state = load_state(
                     self.manifest["model"], self.manifest["optimizer"],
-                    self.grid.block_layers(i), row.params, row.opts)
-            row.replayer.replay_step(x, upstream, labels=labels)
+                    self.grid.block_layers(i), row.blobs)
+            row.state.replay_step(x, upstream, labels=labels)
         except NonFiniteError as e:
             key = non_finite_key(self.grid, i, t, x, upstream)
             row.broken = VerificationReport(
@@ -394,7 +386,7 @@ class Run:
         # row j's blocks commit the state at ``step``: as their entry, or
         # at the run's end as their exit
         j = min(sorted(starts).index(step), grid.n_step_blocks - 1)
-        state: dict[BoundaryKey, bytes] = {}
+        blobs: dict[BoundaryKey, bytes] = {}
         committed: dict[BoundaryKey, Digest] = {}
         for i in range(grid.n_layer_blocks):
             try:
@@ -407,27 +399,23 @@ class Run:
                     f"layer block {i} at step {step}: {row.broken.note}")
             own = self.ledger.entry_for(BlockId(i, j))
             for k in grid.state_keys(i, step):
-                state[k] = row.blob(k)
+                blobs[k] = row.blob(k)
                 if own is not None and k in own.entries:
                     committed[k] = own.entries[k]
 
-        got = chunked_hash_many(list(state.values()), config.chunk_size,
+        got = chunked_hash_many(list(blobs.values()), config.chunk_size,
                                 self.ctx.algo)
-        mismatched = [str(k) for k, d in zip(state, got)
+        mismatched = [str(k) for k, d in zip(blobs, got)
                       if k not in committed or committed[k].value != d.value]
         if mismatched:
             raise ReconstructionError(
                 f"reconstructed state disagrees with ledger at: {mismatched}")
 
         try:
-            rep = BlockReplayer(
-                self.manifest["model"], self.manifest["optimizer"],
-                range(config.n_layers),
-                {k.index: b for k, b in state.items() if k.kind == "parameter"},
-                {k.index: b for k, b in state.items() if k.kind != "parameter"})
+            return load_state(self.manifest["model"],
+                              self.manifest["optimizer"], None, blobs)
         except VerifierError as e:
             raise ReconstructionError(f"state at step {step}: {e}") from None
-        return ModelState(layers=rep.layers, opt=rep.opt, t=step)
 
     def prune(self, requested: list[BlockId]) -> int:
         """Delete blobs not needed to verify the requested blocks. The
@@ -585,11 +573,6 @@ class ChainReport:
     anchored: dict[str, int] = field(default_factory=dict)
     checked: int = 0
     bad_blocks: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "problems": self.problems,
-                "anchored": self.anchored, "checked": self.checked,
-                "bad_blocks": self.bad_blocks}
 
 
 def check_trust_chain(ledger: RunLedger, store: TensorStore | None,

@@ -96,13 +96,13 @@ def trained_attack_classifier(train_steps: int = 300):
     """The shipped attack subject: the deep MLP trained to convergence
     on the circles data. Returns (logit layers, dataset)."""
     from .data import make_dataset
-    from .model import build_state, train_step
+    from .model import ModelState, train_step
     spec = attack_mlp_model()
     full = {"seed": spec["seed"],
             "layers": spec["layers"] + [{"kind": "softmax-cross-entropy-head",
                                          "n_classes": 3}]}
     ds = make_dataset(dataset_for("mlp", n=256))
-    state = build_state(full, {"kind": "adamw", "lr": 0.01})
+    state = ModelState(full, {"kind": "adamw", "lr": 0.01})
     for t in range(train_steps):
         train_step(state, ds.batch(11, t, 32))
     return state.layers[:-1], ds

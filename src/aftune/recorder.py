@@ -12,9 +12,10 @@ from .data import make_dataset
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from .hashing import Digest, chunked_hash_many, label_bytes
 from .ledger import RunLedger, seal_block
-from .model import (ModelState, build_model, build_state, forward_block,
-                    param_bytes, params_digest, train_step)
+from .model import (ModelState, build_model, forward_block, param_bytes,
+                    params_digest, train_step)
 from .store import TensorStore
+from .tensors import NonFiniteError
 
 LEDGER_FILE = "ledger.bin"
 PARAMS_DIR = "params"  # an inference run's served parameters, one blob a layer
@@ -42,7 +43,7 @@ class RunContext:
         self.algo = manifest["hash_algo"]
 
     def fresh_state(self) -> ModelState:
-        return build_state(self.manifest["model"], self.manifest["optimizer"])
+        return ModelState(self.manifest["model"], self.manifest["optimizer"])
 
     def batch(self, t: int):
         return self.dataset.batch(self.run_seed, t, self.batch_size)
@@ -90,27 +91,21 @@ def build_manifest(model_spec: dict, opt_spec: dict, dataset_spec: dict,
     }
 
 
-def opt_state_bytes(state: ModelState, layer_idx: int) -> bytes:
-    return state.opt.state_bytes(layer_idx, state.layers[layer_idx])
-
-
-def state_blob(state: ModelState, key: BoundaryKey) -> bytes:
-    """The blob of ``state`` a parameter or optimizer-state key names."""
-    if key.kind == "parameter":
-        return param_bytes(state.layers[key.index])
-    return opt_state_bytes(state, key.index)
-
-
 def _run_rows(ctx: RunContext, state: ModelState, step, on_params, on_step):
     """The one training loop: run the schedule from ``state``, the fresh
     state, with ``step(state, batch)``. Calls ``on_params(state, t)`` at
     step 0 and at each step-block row's exit step, ``on_step(trace, t)``
     after each step, and yields row j once its exit parameters have been
-    passed."""
+    passed. A step that goes non-finite raises NonFiniteError naming
+    it."""
     on_params(state, 0)
     for j, (a, b) in enumerate(ctx.grid.step_blocks):
         for t in range(a, b):
-            on_step(step(state, ctx.batch(t)), t)
+            try:
+                trace = step(state, ctx.batch(t))
+            except NonFiniteError as e:
+                raise NonFiniteError(f"step {t}: {e}") from None
+            on_step(trace, t)
         on_params(state, b)
         yield j
 
@@ -120,7 +115,9 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
 
     Training results are bitwise identical to an uninstrumented run of
     the same manifest: instrumentation only reads state. ``step`` runs
-    one training step (default: the honest ``train_step``).
+    one training step (default: the honest ``train_step``). A step that
+    goes non-finite ends the run with NonFiniteError after the store's
+    index is saved, so the rows sealed before it stay verifiable.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -139,7 +136,7 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
         checkpoint at ``t``."""
         stored = {i for i in range(grid.n_layer_blocks)
                   if t in grid.checkpoint_steps(i)}
-        entries = [(key, state_blob(state, key), i in stored)
+        entries = [(key, state.blob(key), i in stored)
                    for i in range(grid.n_layer_blocks)
                    for key in grid.state_keys(i, t)]
         digests = ctx.hash_many([blob for _, blob, _ in entries])
@@ -160,10 +157,15 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
             if not ctx.config.zero_storage:
                 store.put_tensor(key, arr, digest)
 
-    for j in _run_rows(ctx, state, step, commit_params, commit_boundaries):
-        ledger.append_row([seal_block(grid, BlockId(i, j), table)
-                           for i in range(grid.n_layer_blocks)],
-                          out_dir / LEDGER_FILE)
+    try:
+        for j in _run_rows(ctx, state, step, commit_params,
+                           commit_boundaries):
+            ledger.append_row([seal_block(grid, BlockId(i, j), table)
+                               for i in range(grid.n_layer_blocks)],
+                              out_dir / LEDGER_FILE)
+    except NonFiniteError:
+        store.save_index()  # the rows sealed before it stay verifiable
+        raise
     store.save_index()
     return RunResult(ledger, store, state, losses, store.logical_bytes())
 
@@ -192,7 +194,7 @@ def rerun_rows(manifest: dict, wanted: set[BoundaryKey]):
         for i in range(grid.n_layer_blocks):
             for key in grid.state_keys(i, t):
                 if key in wanted:
-                    row[key] = state_blob(state, key)
+                    row[key] = state.blob(key)
 
     def capture_boundaries(trace, t: int) -> None:
         for key, arr in ctx.boundary_tensors(trace, t).items():

@@ -22,9 +22,8 @@ import numpy as np
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig, label_anchor_key
 from .hashing import (ALGORITHMS, Digest, chunked_hash_many, label_bytes,
                       tensor_bytes)
-from .model import (backward_block, build_model, forward_block, param_bytes,
-                    param_items, params_digest)
-from .optim import build_optimizer, check_optimizer_spec
+from .model import ModelState, param_items, params_digest
+from .optim import check_optimizer_spec
 from .rng import is_seed
 from .tensors import NonFiniteError, rel_l2_error
 
@@ -193,83 +192,30 @@ class VerificationReport:
         return self.verdict == PASS
 
     def to_json(self) -> dict:
-        return {
-            "block": None if self.block is None else str(self.block),
-            "verdict": self.verdict,
-            "cause": self.cause, "failed_key": self.failed_key,
-            "measured_error": self.measured_error, "tau": self.tau,
-            "errors": self.errors, "failures": self.failures,
-            "wall_time": self.wall_time, "note": self.note,
-        }
+        # the fields as they are, not ``asdict``'s deep copy: a report is
+        # encoded per block, and the copy costs over 30 times as much
+        return {**vars(self),
+                "block": None if self.block is None else str(self.block)}
 
     @classmethod
     def from_json(cls, d: dict) -> "VerificationReport":
         block = d["block"]
-        return cls(block=None if block is None else BlockId.parse(block),
-                   verdict=d["verdict"],
-                   cause=d["cause"], failed_key=d["failed_key"],
-                   measured_error=d["measured_error"], tau=d["tau"],
-                   errors=d.get("errors", {}), failures=d.get("failures", []),
-                   wall_time=d.get("wall_time", 0.0), note=d.get("note"))
+        return cls(**{**d, "block": None if block is None
+                      else BlockId.parse(block)})
 
 
 # -- replay machinery ----------------------------------------------------
 
 
-class BlockReplayer:
-    """A contiguous layer slice with parameters and optimizer state loaded
-    from serialized checkpoint bytes, ready for step-by-step replay. A
-    forward-only replayer (no ``opt_spec``) also holds ``model``, the
-    whole model with every blob of ``param_blobs`` loaded, which an
-    inference binding hashes; a training one builds its own layers only.
-    A model spec, optimizer spec or blob that cannot be loaded raises
+def load_state(model_spec, opt_spec, indices, blobs,
+               precision: str = "f32") -> ModelState:
+    """``ModelState(model_spec, opt_spec, indices, blobs, precision)``; a
+    model spec, optimizer spec or blob it cannot load raises
     VerifierError."""
-
-    def __init__(self, model_spec, opt_spec, layer_indices,
-                 param_blobs: dict[int, bytes], opt_blobs: dict[int, bytes],
-                 precision: str = "f32"):
-        self.layer_indices = list(layer_indices)
-        self.precision = precision
-        try:
-            self.opt = None
-            if opt_spec is None:
-                self.model = build_model(model_spec, param_blobs)
-                self.layers = [self.model[l] for l in self.layer_indices]
-            else:
-                self.layers = build_model(model_spec, param_blobs,
-                                          self.layer_indices)
-                self.opt = build_optimizer(opt_spec, self.layers)
-                counters = {self.opt.load_state_bytes(li, layer, opt_blobs[l])
-                            for li, (l, layer) in enumerate(
-                                zip(self.layer_indices, self.layers))}
-                if len(counters) != 1:
-                    raise VerifierError(
-                        f"inconsistent optimizer counters {counters}")
-                self.opt.step_count = counters.pop()
-        except (IndexError, KeyError, TypeError, ValueError) as e:
-            raise VerifierError(f"cannot load the block: {e}") from None
-
-    def _cast(self, x):
-        return x.astype(np.float64) if self.precision == "f64" else x
-
-    def forward(self, x, labels=None):
-        return forward_block(self.layers, self._cast(x), labels=labels)
-
-    def replay_step(self, x, upstream, labels=None):
-        """Forward + backward + optimizer update for one training step."""
-        acts, caches = self.forward(x, labels=labels)
-        gacts, pgrads = backward_block(self.layers, caches,
-                                       self._cast(upstream), labels=labels)
-        if self.opt is not None:
-            self.opt.step(self.layers, pgrads)
-        return acts, gacts
-
-    def param_blob(self, l: int) -> bytes:
-        return param_bytes(self.layers[self.layer_indices.index(l)])
-
-    def opt_blob(self, l: int) -> bytes:
-        li = self.layer_indices.index(l)
-        return self.opt.state_bytes(li, self.layers[li])
+    try:
+        return ModelState(model_spec, opt_spec, indices, blobs, precision)
+    except (IndexError, KeyError, TypeError, ValueError) as e:
+        raise VerifierError(f"cannot load the block: {e}") from None
 
 
 def non_finite_key(grid: BlockGrid, i: int, t: int, x, upstream) -> str:
@@ -351,7 +297,7 @@ def _check_hashes(req: VerificationRequest, grid: BlockGrid, keys, collector,
 
 
 def _verify_training(req: VerificationRequest, grid: BlockGrid,
-                     collector: _FailureCollector) -> BlockReplayer | None:
+                     collector: _FailureCollector) -> ModelState | None:
     """Replay one training block cell and check it against its
     commitments (hash integrity first, then numerical correctness of the
     forward, backward, and parameter-update recomputation). Returns the
@@ -374,13 +320,10 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
                      + stored_exit, collector, label_steps):
         return
 
-    entry = {kind: {k.index: req.tensors[str(k)] for k in entry_keys
-                    if k.kind == kind}
-             for kind in ("parameter", "optimizer-state")}
     config = grid.config
-    replayer = BlockReplayer(req.model, req.optimizer, layer_ids,
-                             entry["parameter"], entry["optimizer-state"],
-                             precision=config.precision)
+    replayer = load_state(req.model, req.optimizer, layer_ids,
+                          {k: req.tensors[str(k)] for k in entry_keys},
+                          config.precision)
     for t in steps:
         x, upstream = (req.tensors[str(k)] for k in grid.replay_inputs(i, t))
         try:
@@ -398,8 +341,7 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
 
     # block-exit parameter/optimizer check; where no blob is stored at
     # this step, fall back to a bitwise hash check of the replayed one
-    replayed = {k: (replayer.param_blob if k.kind == "parameter"
-                    else replayer.opt_blob)(k.index) for k in exit_keys}
+    replayed = {k: replayer.blob(k) for k in exit_keys}
     unstored = [k for k in exit_keys if k not in stored_exit]
     for k in unstored:
         if str(k) not in req.ledger_digests:
@@ -430,7 +372,7 @@ class BindingMemo:
     def __init__(self):
         self._key: tuple | None = None
         self._hex: str | None = None
-        self.passed: tuple[BlockId, BlockReplayer] | None = None
+        self.passed: tuple[BlockId, ModelState] | None = None
 
     def digest(self, layers, chunk_size: int, algo: str) -> str:
         key = (algo, chunk_size,
@@ -454,14 +396,13 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
     # model digest; the replay runs on the span between the boundaries
     lo, hi = (grid.boundary_layer(k.index) for k in keys)
     span = range(lo, hi)
-    blobs = {l: req.tensors[str(BoundaryKey("parameter", l, 0))]
-             for l in range(config.n_layers)
-             if str(BoundaryKey("parameter", l, 0)) in req.tensors}
-    missing = [l for l in span if l not in blobs]
+    params = {l: BoundaryKey("parameter", l, 0) for l in range(config.n_layers)}
+    blobs = {k: req.tensors[str(k)] for k in params.values()
+             if str(k) in req.tensors}
+    missing = [l for l in span if params[l] not in blobs]
     if missing:
         raise VerifierError(f"request is missing parameters of layers {missing}")
-    replayer = BlockReplayer(req.model, None, span, blobs, {},
-                             precision=config.precision)
+    replayer = load_state(req.model, None, span, blobs, config.precision)
     if req.model_digest != memo.digest(replayer.model, config.chunk_size,
                                        req.hash_algo):
         collector.fail(HASH_MISMATCH, "model-parameters")

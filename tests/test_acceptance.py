@@ -31,7 +31,7 @@ from aftune.presets import attack_mlp_model, dataset_for, default_optimizer, \
     trained_attack_classifier
 from aftune.recorder import (LEDGER_FILE, RunContext,
                              build_inference_manifest, build_manifest,
-                             opt_state_bytes, record_inference,
+                             record_inference,
                              record_training, run_uninstrumented)
 from aftune.store import TensorStore
 from aftune.verifier import (FAIL, HASH_MISMATCH, NON_FINITE,
@@ -220,7 +220,8 @@ def test_acceptance_sparse_reconstruction_is_bitwise(tmp_path, ic):
         for a, b in zip(sparse.layers, dense.layers):
             assert param_bytes(a) == param_bytes(b)
         for l in range(len(dense.layers)):
-            assert opt_state_bytes(sparse, l) == opt_state_bytes(dense, l)
+            key = BoundaryKey("optimizer-state", l, step)
+            assert sparse.blob(key) == dense.blob(key)
 
 
 # -- 6. storage formula ------------------------------------------------------
@@ -231,7 +232,7 @@ def test_acceptance_bytes_written_equal_storage_estimate(random_runs):
         ctx = RunContext(manifest)
         state, _ = run_uninstrumented(manifest)
         p_total = sum(len(param_bytes(l)) for l in state.layers)
-        o_total = sum(len(opt_state_bytes(state, l))
+        o_total = sum(len(state.blob(BoundaryKey("optimizer-state", l, 0)))
                       for l in range(len(state.layers)))
         batch = ctx.batch(0)
         acts, _ = forward_block(state.layers, batch.inputs,

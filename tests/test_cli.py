@@ -245,6 +245,18 @@ def test_bad_option_value_is_a_usage_error(tmp_path, runner, args):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_diverging_record_train_is_a_usage_error(tmp_path, runner):
+    # --lr 1e30 is finite in float32, so the run starts; step 0's update
+    # makes the parameters huge and step 1's forward overflows
+    result = _invoke(runner, tmp_path, "record-train", "r", "--lr", "1e30",
+                     "--n-steps", "4")
+    _exits_cleanly(result, 2)
+    assert "Error: training diverged at step 1: non-finite values" \
+        in result.output
+    assert not (tmp_path / "r" / "record_report.json").exists()
+
+
 @pytest.mark.parametrize("args", VERIFY_AND_AUDIT_BAD_VALUES)
 def test_bad_value_is_refused_before_the_run_is_opened(tmp_path, runner,
                                                        args):

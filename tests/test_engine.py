@@ -11,8 +11,8 @@ import pytest
 
 from aftune.layers import (AttentionHead, LayerNorm, Linear, ReLU,
                            SoftmaxCrossEntropyHead, UnstableScale, build_layer)
-from aftune.verifier import BlockReplayer
-from aftune.model import (backward_block, build_model, build_state,
+from aftune.grid import BoundaryKey
+from aftune.model import (ModelState, backward_block, build_model,
                           forward_block, load_param_bytes, param_bytes,
                           train_step)
 from aftune.optim import AdamW, SGDMomentum, build_optimizer
@@ -20,6 +20,7 @@ from aftune.presets import dataset_for, mlp_model, model_for
 from aftune.data import make_dataset
 from aftune.rng import rng_for
 from aftune.tensors import BlobError, NonFiniteError
+from aftune.verifier import VerifierError, load_state
 
 # -- hand-unrolled scalar oracles -----------------------------------------
 
@@ -346,6 +347,55 @@ def test_model_built_from_a_stray_or_short_blob_is_refused(blobs):
         build_model(model_for("mlp"), blobs)
 
 
+STATE_OPTIMIZER = {"kind": "adamw", "lr": 0.01}
+
+
+def _trained_state(preset, steps=5):
+    ds = make_dataset(dataset_for(preset))
+    state = ModelState(model_for(preset), STATE_OPTIMIZER)
+    for t in range(steps):
+        train_step(state, ds.batch(11, t, 16))
+    return state
+
+
+@pytest.mark.parametrize("preset", ["mlp", "attention", "unstable"])
+def test_state_built_from_its_blobs_gives_them_back(preset):
+    spec, state = model_for(preset), _trained_state(preset)
+    n = len(spec["layers"])
+    for lo in range(n):
+        for hi in range(lo + 1, n + 1):
+            idx = range(lo, hi)
+            keys = [BoundaryKey(kind, l, 5) for l in idx
+                    for kind in ("parameter", "optimizer-state")]
+            built = ModelState(spec, STATE_OPTIMIZER, idx,
+                               {k: state.blob(k) for k in keys})
+            assert built.indices == list(idx)
+            assert built.opt.step_count == 5
+            for k in keys:
+                assert built.blob(k) == state.blob(k), (lo, hi, str(k))
+
+
+def test_optimizer_blobs_of_some_layers_or_counters_are_refused():
+    spec, state = model_for("mlp"), _trained_state("mlp")
+    keys = [BoundaryKey(kind, l, 5) for l in (2, 3)
+            for kind in ("parameter", "optimizer-state")]
+    blobs = {k: state.blob(k) for k in keys}
+    assert load_state(spec, STATE_OPTIMIZER, [2, 3], blobs).opt.step_count \
+        == 5
+    last = BoundaryKey("optimizer-state", 3, 5)
+    some = {k: b for k, b in blobs.items() if k != last}
+    stray = {**blobs, BoundaryKey("optimizer-state", 4, 5):
+             state.blob(BoundaryKey("optimizer-state", 4, 5))}
+    for partial in (some, stray):
+        with pytest.raises(VerifierError, match="^cannot load the block: "
+                           "optimizer-state blobs for layers"):
+            load_state(spec, STATE_OPTIMIZER, [2, 3], partial)
+    forged = {**blobs, last: struct.pack("<I", 6) + blobs[last][4:]}
+    with pytest.raises(VerifierError, match="^cannot load the block: "
+                       "inconsistent optimizer counters"):
+        load_state(spec, STATE_OPTIMIZER, [2, 3], forged)
+
+
 def test_rng_is_call_order_independent():
     a = rng_for(3, "init", step=1, index=2).normal(size=4)
     _ = rng_for(3, "other").normal(size=100)  # unrelated draws in between
@@ -359,7 +409,7 @@ def test_training_is_bitwise_repeatable():
     ds = make_dataset(dataset_for("mlp"))
 
     def run():
-        state = build_state(mlp_model(), {"kind": "adamw", "lr": 0.01})
+        state = ModelState(mlp_model(), {"kind": "adamw", "lr": 0.01})
         losses = [train_step(state, ds.batch(11, t, 8)).loss for t in range(5)]
         return losses, [param_bytes(l) for l in state.layers]
 
@@ -392,7 +442,7 @@ def test_build_layer_rejects_unknown_kind():
 
 def test_loss_decreases_on_toy_problem():
     ds = make_dataset(dataset_for("mlp"))
-    state = build_state(mlp_model(), {"kind": "adamw", "lr": 0.01})
+    state = ModelState(mlp_model(), {"kind": "adamw", "lr": 0.01})
     losses = [train_step(state, ds.batch(11, t, 32)).loss for t in range(60)]
     assert np.mean(losses[-10:]) < 0.5 * np.mean(losses[:10])
 
@@ -480,7 +530,7 @@ def _trajectory(preset, opt_spec, reference, monkeypatch, keep=()):
     call counter starts from 0, so both runs see the same jitter."""
     monkeypatch.setattr(UnstableScale, "_calls", 0)
     ds = make_dataset(dataset_for(preset))
-    state = build_state(model_for(preset), opt_spec)
+    state = ModelState(model_for(preset), opt_spec)
     if reference:
         state.opt = _PerTensorOptimizer(opt_spec, state.layers)
     blobs, traces = [], {}
@@ -533,9 +583,10 @@ def test_replayer_from_mid_run_blobs_continues_bitwise(layer_ids, opt,
     reference, traces = _trajectory("mlp", spec, True, monkeypatch,
                                     keep=replayed)
     params, states = reference[k - 1]
-    replayer = BlockReplayer(model_for("mlp"), spec, layer_ids,
-                             {l: params[l] for l in layer_ids},
-                             {l: states[l] for l in layer_ids})
+    blobs = {BoundaryKey(kind, l, k): blob[l] for l in layer_ids
+             for kind, blob in (("parameter", params),
+                                ("optimizer-state", states))}
+    replayer = ModelState(model_for("mlp"), spec, layer_ids, blobs)
     for t in replayed:
         batch, trace = traces[t]
         replayer.replay_step(trace.acts[layer_ids[0]],
@@ -543,5 +594,6 @@ def test_replayer_from_mid_run_blobs_continues_bitwise(layer_ids, opt,
                              labels=batch.labels)
         params, states = reference[t]
         for l in layer_ids:
-            assert replayer.param_blob(l) == params[l]
-            assert replayer.opt_blob(l) == states[l]
+            assert replayer.blob(BoundaryKey("parameter", l, t)) == params[l]
+            assert replayer.blob(BoundaryKey("optimizer-state", l, t)) \
+                == states[l]

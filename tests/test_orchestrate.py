@@ -9,7 +9,7 @@ from aftune.ledger import RunLedger
 from aftune.model import param_bytes
 from aftune.orchestrate import (NonDeterministicBlockError,
                                 ReconstructionError, Run, check_trust_chain)
-from aftune.recorder import LEDGER_FILE, opt_state_bytes
+from aftune.recorder import LEDGER_FILE
 from aftune.store import TensorStore
 from aftune.verifier import PASS
 
@@ -24,11 +24,12 @@ def test_sparse_reconstruction_is_bitwise(tmp_path, ic):
     for step in (0, 2, 4, 6, 8):
         sparse = Run.open(tmp_path / "sparse").state_at(step)
         dense = Run.open(tmp_path / "dense").state_at(step)
-        assert sparse.t == step
+        assert sparse.opt.step_count == step
         for a, b in zip(sparse.layers, dense.layers):
             assert param_bytes(a) == param_bytes(b)
         for l in range(len(dense.layers)):
-            assert opt_state_bytes(sparse, l) == opt_state_bytes(dense, l)
+            key = BoundaryKey("optimizer-state", l, step)
+            assert sparse.blob(key) == dense.blob(key)
 
 
 def test_reconstruction_requires_step_block_boundary(mlp_run):

@@ -21,9 +21,10 @@ from aftune.model import build_model, forward_block, param_bytes, train_step
 from aftune.presets import dataset_for, default_optimizer, grid_for, model_for
 from aftune.orchestrate import Run
 from aftune.recorder import (LEDGER_FILE, RunContext, build_inference_manifest,
-                             build_manifest, opt_state_bytes, record_inference,
+                             build_manifest, record_inference,
                              record_training, rerun_rows, run_uninstrumented)
 from aftune.store import TensorStore
+from aftune.tensors import NonFiniteError
 from aftune.verifier import EVIDENCE_RELEASED
 
 from conftest import make_manifest, record_run
@@ -36,7 +37,8 @@ def test_recording_does_not_perturb_training(tmp_path):
     for rec, bare in zip(result.state.layers, bare_state.layers):
         assert param_bytes(rec) == param_bytes(bare)
     for l in range(len(bare_state.layers)):
-        assert opt_state_bytes(result.state, l) == opt_state_bytes(bare_state, l)
+        key = BoundaryKey("optimizer-state", l, 0)
+        assert result.state.blob(key) == bare_state.blob(key)
 
 
 # ledger digests of fixed 4-step runs: any change to what the recorder
@@ -169,6 +171,34 @@ def test_audit_of_a_crashed_recording_ends_in_verdicts(tmp_path, monkeypatch,
     assert report["verdicts"]["0,2"] == "fail"
 
 
+def test_diverging_recording_keeps_its_sealed_rows_verifiable(tmp_path):
+    # step 4 opens row 2 of 4: rows 0 and 1 are sealed, and their blocks
+    # pass; the store index is written although the run stopped
+    manifest = make_manifest(n_steps=8, algo="sha256")
+
+    def step(state, batch):
+        if batch.step == 4:
+            raise NonFiniteError("non-finite values in a diverging step")
+        return train_step(state, batch)
+
+    with pytest.raises(NonFiniteError, match="^step 4: non-finite"):
+        record_training(manifest, tmp_path / "run", step=step)
+    assert (tmp_path / "run" / "index.json").exists()
+    result = CliRunner().invoke(main, ["--root", str(tmp_path), "verify",
+                                       "run"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
+    reports = json.loads((tmp_path / "run" / "verify_report.json")
+                         .read_text())["reports"]
+    assert [r["block"] for r in reports] == [str(b) for b in grid.block_ids()]
+    for r in reports:
+        if BlockId.parse(r["block"]).j < 2:
+            assert r["verdict"] == "pass", r
+        else:
+            assert (r["verdict"], r["note"]) == ("fail", "no sealed commitment")
+
+
 @pytest.mark.parametrize("n_steps", [16, 64])
 def test_recording_encodes_each_entry_once(tmp_path, monkeypatch, n_steps):
     encoded = []
@@ -262,7 +292,7 @@ def test_bytes_written_match_storage_estimate(tmp_path, kw):
     ctx = RunContext(manifest)
     state, _ = run_uninstrumented(manifest)
     p_total = sum(len(param_bytes(l)) for l in state.layers)
-    o_total = sum(len(opt_state_bytes(state, l))
+    o_total = sum(len(state.blob(BoundaryKey("optimizer-state", l, 0)))
                   for l in range(len(state.layers)))
     batch = ctx.batch(0)
     acts, _ = forward_block(state.layers, batch.inputs, labels=batch.labels)

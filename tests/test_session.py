@@ -22,12 +22,12 @@ from aftune.cli import main
 from aftune.data import make_dataset
 from aftune.grid import BlockId, GridConfig
 from aftune.ledger import RunLedger
-from aftune.model import build_model
+from aftune.model import ModelState, build_model
 from aftune.orchestrate import Run
 from aftune.presets import attack_mlp_model, dataset_for
 from aftune.recorder import LEDGER_FILE, build_inference_manifest
 from aftune.store import TensorStore
-from aftune.verifier import BlockReplayer, VerificationRequest
+from aftune.verifier import VerificationRequest
 
 from conftest import make_manifest, record_run
 
@@ -135,15 +135,15 @@ def orchestrator_replays(monkeypatch):
     """Training steps the orchestrator (not the verifier) replays, by the
     replayed row's layers."""
     calls: dict[tuple, int] = {}
-    replay = BlockReplayer.replay_step
+    replay = ModelState.replay_step
 
-    def counting(self, x, upstream, labels=None):
+    def counting(self, x, upstream=None, labels=None):
         if sys._getframe(1).f_globals["__name__"] == orchestrate.__name__:
-            row = tuple(self.layer_indices)
+            row = tuple(self.indices)
             calls[row] = calls.get(row, 0) + 1
         return replay(self, x, upstream, labels=labels)
 
-    monkeypatch.setattr(BlockReplayer, "replay_step", counting)
+    monkeypatch.setattr(ModelState, "replay_step", counting)
     return calls
 
 

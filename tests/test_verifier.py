@@ -22,8 +22,8 @@ from aftune.orchestrate import Run
 from aftune.model import params_digest
 from aftune.verifier import (EVIDENCE_RELEASED, FAIL, HASH_MISMATCH,
                              NUMERICAL_MISMATCH, PASS, REFUSED, BindingMemo,
-                             BlockReplayer, VerificationReport,
-                             VerificationRequest, VerifierError, verify_block,
+                             VerificationReport, VerificationRequest,
+                             VerifierError, load_state, verify_block,
                              verify_or_refuse)
 
 from conftest import copy_run
@@ -615,7 +615,7 @@ def test_stray_or_short_parameter_blob_is_refused(infer_run):
     assert report.verdict == REFUSED and "bytes, not" in report.note
     n = len(req.model["layers"])
     with pytest.raises(VerifierError, match="does not have"):
-        BlockReplayer(req.model, None, [0], {n: b""}, {})
+        load_state(req.model, None, [0], {BoundaryKey("parameter", n, 0): b""})
 
 
 def test_training_replayer_draws_no_other_layer_init(mlp_run, monkeypatch):
@@ -637,5 +637,5 @@ def test_training_replayer_draws_no_other_layer_init(mlp_run, monkeypatch):
     assert draws == []
     block, replayer = memo.passed
     assert block == BlockId(1, 1)
-    assert replayer.layer_indices == [2, 3]
+    assert replayer.indices == [2, 3]
     assert not hasattr(replayer, "model")

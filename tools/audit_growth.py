@@ -33,7 +33,7 @@ import aftune
 from aftune.cli import main
 from aftune.data import make_dataset
 from aftune.ledger import CommitmentSet
-from aftune.model import build_state, train_step
+from aftune.model import ModelState, train_step
 from aftune.orchestrate import Run
 from aftune.presets import dataset_for, default_optimizer, model_for
 from aftune.store import TensorStore
@@ -123,7 +123,7 @@ def train_step_us(repeat: int) -> float:
     batches = [ds.batch(11, t, 16) for t in range(TRAIN_STEPS)]
     runs = []
     for _ in range(repeat):
-        state = build_state(model_for("mlp"), default_optimizer())
+        state = ModelState(model_for("mlp"), default_optimizer())
         t0 = _user_cpu()
         for batch in batches:
             train_step(state, batch)
