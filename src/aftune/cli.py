@@ -284,7 +284,8 @@ def verify(run_dir, block_id, full_scan, precision, tau, isolated, jobs):
     for r in reports:
         line = f"block {r.block}: {r.verdict}"
         if r.cause:
-            line += f" ({r.cause} at {r.failed_key}"
+            at = f" at {r.failed_key}" if r.failed_key else ""
+            line += f" ({r.cause}{at}"
             if r.measured_error is not None:
                 line += f", err {r.measured_error:.3e} vs tau {r.tau:.1e}"
             line += ")"

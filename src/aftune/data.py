@@ -45,13 +45,6 @@ def make_dataset(spec: dict) -> Dataset:
         angle = rng.uniform(0, 2 * np.pi, size=n)
         pts = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
         return Dataset(spec, pts.astype(np.float32), labels.astype(np.int64))
-    if kind == "blobs":
-        k = spec.get("n_classes", 2)
-        d = spec.get("dim", 4)
-        labels = rng.integers(0, k, size=n)
-        centers = rng.normal(0.0, 2.0, size=(k, d))
-        pts = centers[labels] + rng.normal(0.0, 0.5, size=(n, d))
-        return Dataset(spec, pts.astype(np.float32), labels.astype(np.int64))
     if kind == "tokens":
         # sequence data for attention models: per-position class labels
         k = spec.get("n_classes", 2)

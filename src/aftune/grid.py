@@ -99,6 +99,9 @@ class GridConfig:
         check_tau(self.tau)
         if self.precision not in ("f32", "f64"):
             raise ValueError("precision must be f32 or f64")
+        if len({l for l in self.isolate_layers if 0 <= l < self.n_layers}) \
+                < len(self.isolate_layers):
+            raise ValueError("isolate_layers must be distinct layer indices")
 
     def to_dict(self) -> dict:
         return {

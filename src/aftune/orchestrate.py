@@ -10,8 +10,9 @@ It hands them to the verifier in process or to isolated worker
 processes that serve the whole command. In process, a block the
 verifier passed at f32 hands its replay, at the block's exit step, on
 to the row; after any other verdict, at f64, in workers, and between
-blocks the walk replays the row itself. It also reconstructs model
-state from sparse checkpoints and walks the cross-block trust chain.
+blocks the walk replays the row itself (``_stopped`` gives the verdict
+where it raises). It also reconstructs model state from sparse
+checkpoints and walks the cross-block trust chain.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .store import StoreError, TensorStore
 from .tensors import BlobError, NonFiniteError
 from .verifier import (EVIDENCE_RELEASED, FAIL, NON_FINITE, REFUSED,
                        BindingMemo, VerificationReport, VerificationRequest,
-                       VerifierError, check_run_spec, load_state,
-                       non_finite_key, verify_or_refuse)
+                       check_run_spec, non_finite_key, refusal,
+                       verify_or_refuse)
 from .verifier_worker import frame
 
 # the directory holding the imported package, for isolated workers
@@ -48,12 +49,6 @@ _PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)
 
 class ReconstructionError(Exception):
     pass
-
-
-class NonDeterministicBlockError(ReconstructionError):
-    """Replay through a non-deterministic layer cannot be bit-exact; the
-    layer must be isolated into its own singleton block (which then
-    checkpoints at every step block)."""
 
 
 class _Row:
@@ -65,8 +60,8 @@ class _Row:
     ``blobs`` at the first replay. ``pending`` holds the replay inputs,
     by step, of the last block requested on the row, so the walk on past
     it need not read them again. ``broken`` is the report, block unset,
-    for the blocks past a replay that stopped: on NaN/Inf, or on a
-    checkpoint the state cannot be loaded from."""
+    for the blocks past a replay that raised (``_stopped``) or that would
+    run a non-deterministic layer."""
 
     def __init__(self, origin: int | None, blobs: dict[BoundaryKey, bytes]):
         self.origin = origin
@@ -225,21 +220,28 @@ class Run:
 
     def _rerun_requests(self, order, opts):
         """Zero-storage: one deterministic rerun, building each row's
-        requests as the rerun passes it and stopping after the last."""
-        if not order:
-            return
+        requests as the rerun passes it and stopping after the last (or
+        where it raises: the rest get their ``_stopped`` report)."""
         by_row: dict[int, list[BlockId]] = {}
         for bid in order:
             by_row.setdefault(bid.j, []).append(bid)
         wanted = {k for bid in order for k in self.grid.commitment_keys(bid)}
-        for j, captured in rerun_rows(self.manifest, wanted):
+        rerun = rerun_rows(self.manifest, wanted)
+        done = 0
+        while done < len(order):
+            try:
+                j, captured = next(rerun)
+            except Exception as e:
+                stopped = _stopped(e, "zero-storage rerun")
+                for bid in order[done:]:
+                    yield bid, replace(stopped, block=bid)
+                return
             for bid in by_row.get(j, ()):
                 tensors = {str(k): captured[k]
                            for k in self.grid.commitment_keys(bid)
                            if k in captured}
                 yield bid, self._request(bid, tensors, **opts)
-            if j == order[-1].j:
-                return
+                done += 1
 
     def _stored_requests(self, order, opts, session=None):
         """Stored evidence: each row's entry state is carried forward from
@@ -267,9 +269,7 @@ class Run:
                         tensors[str(k)] = store.get_bytes(k)
             except StoreError as e:
                 rows.pop(i, None)
-                yield bid, VerificationReport(block=bid,
-                                              verdict=EVIDENCE_RELEASED,
-                                              note=str(e))
+                yield bid, replace(_stopped(e), block=bid)
                 continue
             row.pending = {t: tuple(tensors[str(k)]
                                     for k in grid.replay_inputs(i, t))
@@ -285,14 +285,15 @@ class Run:
         would, so the state is bitwise that of a fresh replay; its
         pending replay inputs are used before the store's."""
         t0 = self.grid.replay_origin(i, target)
-        if (t0 or 0) < target and not self._deterministic(i):
-            raise NonDeterministicBlockError(
-                f"layer block {i} contains a non-deterministic layer; "
-                f"replaying steps {t0 or 0}..{target} cannot be bit-exact. "
-                f"Isolate the layer (isolate_layers) so it checkpoints at "
-                f"every step block.")
         if row is None or row.origin != t0 or row.t > target:
             row = _Row(t0, self._checkpoint(i, t0))
+        unstable = [l for l in self.grid.block_layers(i)
+                    if not self._fresh_layers[l].deterministic]
+        if unstable and (t0 or 0) < target and not row.broken:
+            row.broken = VerificationReport(block=None, verdict=REFUSED, note=(
+                f"layer {unstable[0]} is non-deterministic: replaying steps "
+                f"{t0 or 0}..{target} cannot be bit-exact; isolate it "
+                f"(isolate_layers) to checkpoint it at every step block"))
         for t in range(row.t, target):
             if row.broken:
                 break
@@ -316,28 +317,15 @@ class Run:
         labels = self.ctx.batch(t).labels if self._needs_labels(i) else None
         try:
             if row.state is None:
-                row.state = load_state(
+                row.state = ModelState(
                     self.manifest["model"], self.manifest["optimizer"],
                     self.grid.block_layers(i), row.blobs)
             row.state.replay_step(x, upstream, labels=labels)
-        except NonFiniteError as e:
-            key = non_finite_key(self.grid, i, t, x, upstream)
-            row.broken = VerificationReport(
-                block=None, verdict=FAIL, cause=NON_FINITE, failed_key=key,
-                failures=[{"cause": NON_FINITE, "key": key, "error": None,
-                           "tau": None}],
-                note=f"replay to the block's entry state: {e}")
-            return
-        except VerifierError as e:
-            row.broken = VerificationReport(
-                block=None, verdict=REFUSED,
-                note=f"replay to the block's entry state: {e}")
+        except Exception as e:
+            row.broken = _stopped(e, "replay to the block's entry state",
+                                  non_finite_key(self.grid, i, t, x, upstream))
             return
         row.t = t + 1
-
-    def _deterministic(self, i: int) -> bool:
-        return all(getattr(self._fresh_layers[l], "deterministic", True)
-                   for l in self.grid.block_layers(i))
 
     def _needs_labels(self, i: int) -> bool:
         return self.config.n_layers - 1 in self.grid.block_layers(i)
@@ -348,9 +336,7 @@ class Run:
                 tensors = {str(k): self.store.get_tensor(k)
                            for k in self.grid.inference_commitment_keys(bid)}
             except StoreError as e:
-                yield bid, VerificationReport(block=bid,
-                                              verdict=EVIDENCE_RELEASED,
-                                              note=str(e))
+                yield bid, replace(_stopped(e), block=bid)
                 continue
             yield bid, self._request(bid, tensors, **opts)
 
@@ -412,9 +398,9 @@ class Run:
                 f"reconstructed state disagrees with ledger at: {mismatched}")
 
         try:
-            return load_state(self.manifest["model"],
+            return ModelState(self.manifest["model"],
                               self.manifest["optimizer"], None, blobs)
-        except VerifierError as e:
+        except BlobError as e:
             raise ReconstructionError(f"state at step {step}: {e}") from None
 
     def prune(self, requested: list[BlockId]) -> int:
@@ -431,6 +417,27 @@ class Run:
         index = self.store.index
         return self.store.prune({index[str(k)]["digest"]
                                  for k in keep if str(k) in index})
+
+
+def _stopped(e: Exception, where: str = "",
+             key: str | None = None) -> VerificationReport:
+    """The report, block unset, on a block the orchestrator could not
+    bring to the verifier because its store read or ``where`` replay
+    raised ``e``: 'evidence-released' on a StoreError, 'fail' non-finite
+    at ``key`` on NaN or Inf, else ``verify_or_refuse``'s refusal."""
+    if isinstance(e, StoreError):
+        report = VerificationReport(block=None, verdict=EVIDENCE_RELEASED,
+                                    note=str(e))
+    elif isinstance(e, NonFiniteError):
+        report = VerificationReport(
+            block=None, verdict=FAIL, cause=NON_FINITE, failed_key=key,
+            failures=[{"cause": NON_FINITE, "key": key, "error": None,
+                       "tau": None}], note=str(e))
+    else:
+        report = refusal(None, e)
+    if where:
+        report.note = f"{where}: {report.note}"
+    return report
 
 
 def _check_manifest(manifest: dict) -> None:
@@ -453,8 +460,10 @@ def _check_manifest(manifest: dict) -> None:
         if not is_seed(seed):
             raise LedgerError(f"manifest field {key!r} is not a signed "
                               f"64-bit integer")
-    if not isinstance(manifest.get("batch_size"), int):
-        raise LedgerError("manifest field 'batch_size' is malformed")
+    batch_size = manifest.get("batch_size")
+    if type(batch_size) is not int or batch_size < 1:
+        raise LedgerError("manifest field 'batch_size' is not an integer "
+                          "of at least 1")
     for key in ("input_anchors", "label_anchors"):
         anchors = manifest.get(key)
         if not (isinstance(anchors, list)

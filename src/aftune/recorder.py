@@ -41,6 +41,7 @@ class RunContext:
         self.run_seed = manifest["run_seed"]
         self.batch_size = manifest["batch_size"]
         self.algo = manifest["hash_algo"]
+        self.batch(0)  # a dataset that yields no batch raises here
 
     def fresh_state(self) -> ModelState:
         return ModelState(self.manifest["model"], self.manifest["optimizer"])

@@ -124,8 +124,7 @@ class VerificationRequest:
             return cls._parse(data)
         except VerifierError:
             raise
-        except (ValueError, TypeError, KeyError, IndexError, AttributeError,
-                OverflowError, struct.error) as e:
+        except Exception as e:
             raise VerifierError(f"malformed request: {e!r}") from None
 
     @classmethod
@@ -205,17 +204,6 @@ class VerificationReport:
 
 
 # -- replay machinery ----------------------------------------------------
-
-
-def load_state(model_spec, opt_spec, indices, blobs,
-               precision: str = "f32") -> ModelState:
-    """``ModelState(model_spec, opt_spec, indices, blobs, precision)``; a
-    model spec, optimizer spec or blob it cannot load raises
-    VerifierError."""
-    try:
-        return ModelState(model_spec, opt_spec, indices, blobs, precision)
-    except (IndexError, KeyError, TypeError, ValueError) as e:
-        raise VerifierError(f"cannot load the block: {e}") from None
 
 
 def non_finite_key(grid: BlockGrid, i: int, t: int, x, upstream) -> str:
@@ -321,7 +309,7 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
         return
 
     config = grid.config
-    replayer = load_state(req.model, req.optimizer, layer_ids,
+    replayer = ModelState(req.model, req.optimizer, layer_ids,
                           {k: req.tensors[str(k)] for k in entry_keys},
                           config.precision)
     for t in steps:
@@ -402,7 +390,7 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
     missing = [l for l in span if params[l] not in blobs]
     if missing:
         raise VerifierError(f"request is missing parameters of layers {missing}")
-    replayer = load_state(req.model, None, span, blobs, config.precision)
+    replayer = ModelState(req.model, None, span, blobs, config.precision)
     if req.model_digest != memo.digest(replayer.model, config.chunk_size,
                                        req.hash_algo):
         collector.fail(HASH_MISMATCH, "model-parameters")
@@ -425,8 +413,8 @@ def verify_block(req: VerificationRequest,
     its mode and grid. An inference request's model binding is looked up
     in ``memo``, the session's (a fresh one by default), and a training
     block that passes is left in ``memo.passed``. A request that
-    cannot be checked, its run facts breaking ``check_run_spec`` among
-    them, raises VerifierError."""
+    cannot be checked raises: VerifierError from a check of its own
+    (``check_run_spec`` among them), else what its load or replay did."""
     try:
         config = check_run_spec(vars(req))
     except ValueError as e:
@@ -459,18 +447,25 @@ def verify_block(req: VerificationRequest,
     return report
 
 
+def refusal(block: BlockId | None, e: Exception) -> VerificationReport:
+    """The 'refused' report on ``block``, whose check raised ``e``, noted
+    with a VerifierError's message or else ``e``'s repr."""
+    note = str(e) if isinstance(e, VerifierError) \
+        else f"cannot check the block: {e!r}"
+    return VerificationReport(block=block, verdict=REFUSED, note=note)
+
+
 def verify_or_refuse(req: VerificationRequest | bytes,
                      memo: BindingMemo | None = None) -> VerificationReport:
     """``verify_block``'s report on ``req``, parsed first when it is
     request bytes, with ``memo`` the session's model binding. A request
-    that cannot be parsed or checked (VerifierError) is answered
-    'refused': the rule of both the in-process and the isolated
-    verifier."""
+    whose parse, load or replay raises is answered with its ``refusal``:
+    the one rule of the in-process and the isolated verifier."""
     block = None
     try:
         if isinstance(req, bytes):
             req = VerificationRequest.from_bytes(req)
         block = req.block
         return verify_block(req, memo)
-    except VerifierError as e:
-        return VerificationReport(block=block, verdict=REFUSED, note=str(e))
+    except Exception as e:
+        return refusal(block, e)

@@ -11,13 +11,13 @@ depend on ambient run state. The only state kept between requests is
 the session's ``BindingMemo``: the last model binding, keyed by the
 exact parameter bytes it digested, and the last passed training block's
 replayer, which nothing here reads; a request with other bytes is
-hashed afresh, so the memo cannot change a verdict. A request that
-cannot be parsed or checked is answered with a 'refused' report, by the
-rule the in-process path applies too (``verify_or_refuse``). A frame that
-declares more bytes than stdin delivers is answered with 'refused' and
-ends the loop; frame bodies are read in bounded pieces, so a bogus
-length costs no more memory than the bytes actually sent. Any other
-exception kills the worker with a traceback.
+hashed afresh, so the memo cannot change a verdict. Each frame is
+answered by ``verify_or_refuse``, as in process, so a request whose
+parse, load or replay raises gets the same 'refused' report. A frame
+that declares more bytes than stdin delivers is answered with 'refused'
+and ends the loop; frame bodies are read in bounded pieces, so a bogus
+length costs no more memory than the bytes actually sent. Only a
+process-level death (out of memory, a kill) ends it unanswered.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 from pathlib import Path
 
@@ -10,6 +11,12 @@ import pytest
 from aftune.presets import (dataset_for, default_optimizer, grid_for,
                             model_for)
 from aftune.recorder import build_manifest, record_training
+
+# worker processes the tests start themselves import aftune from this
+# checkout, as pytest's own ``pythonpath`` setting does for the tests
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 RUN_SEED = 11
 BATCH_SIZE = 8

@@ -289,14 +289,19 @@ def test_isolated_verify_from_a_source_checkout(cli_run, tmp_path):
     assert [r["verdict"] for r in report["reports"]] == ["pass"]
 
 
-@pytest.fixture(scope="module")
-def sha_run(tmp_path_factory):
+def _record_sha_run(tmp_path_factory, *storage) -> Path:
+    """A 4-step sha256 training run recorded with ``storage`` options."""
     root = tmp_path_factory.mktemp("sha")
     result = CliRunner().invoke(main, [
         "--root", str(root), "record-train", "run", "--n-steps", "4",
-        "--algo", "sha256", "--batch-size", "8"])
+        "--algo", "sha256", "--batch-size", "8", *storage])
     assert result.exit_code == 0, result.output
     return root / "run"
+
+
+@pytest.fixture(scope="module")
+def sha_run(tmp_path_factory):
+    return _record_sha_run(tmp_path_factory)
 
 
 @pytest.mark.parametrize("cut", [7, 100, 5000])
@@ -400,12 +405,7 @@ def test_malformed_manifest_seed_is_a_usage_error(sha_run, tmp_path, runner,
 
 @pytest.fixture(scope="module")
 def sha_inf_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("sha-inf")
-    result = CliRunner().invoke(main, [
-        "--root", str(root), "record-train", "run", "--n-steps", "4",
-        "--algo", "sha256", "--batch-size", "8", "--ic", "inf"])
-    assert result.exit_code == 0, result.output
-    return root / "run"
+    return _record_sha_run(tmp_path_factory, "--ic", "inf")
 
 
 # optimizer specs a manifest may not carry: a kind outside OPTIMIZER_KINDS,
@@ -799,3 +799,140 @@ def test_isolated_campaign_checks_in_workers(sha_run, runner, monkeypatch):
     assert result.exit_code == 0, result.output
     assert "tampered blocks found: none" in result.output
     assert len(started) >= 1
+
+
+@pytest.fixture(scope="module")
+def sha_zs_run(tmp_path_factory):
+    return _record_sha_run(tmp_path_factory, "--zero-storage")
+
+
+def _edited_copy(run, tmp_path, edit) -> Path:
+    """A copy of ``run`` at ``tmp_path / 'edited'`` whose manifest went
+    through ``edit``, which changes it in place."""
+    out = tmp_path / "edited"
+    shutil.copytree(run, out)
+    ledger = RunLedger.load(out / LEDGER_FILE)
+    edit(ledger.manifest)
+    ledger.save(out / LEDGER_FILE)
+    return out
+
+
+def _verify_report(run) -> dict:
+    """``verify_report.json`` of ``run`` without its wall times."""
+    report = json.loads((run / "verify_report.json").read_text())
+    for r in report["reports"]:
+        del r["wall_time"]
+    return report
+
+
+def _verify_both_ways(runner, run) -> dict:
+    """Run ``verify`` in process and ``--isolated`` on ``run``; each must
+    exit 1 with no traceback, and both must write the same report,
+    which is returned."""
+    reports = []
+    for extra in ([], ["--isolated"]):
+        _exits_cleanly(_invoke(runner, run.parent, "verify", run.name,
+                               *extra), 1)
+        reports.append(_verify_report(run))
+    assert reports[0] == reports[1]
+    return reports[0]
+
+
+# manifest fields a provider may rewrite; each edit must end in exit 0, 1
+# or 2 with no traceback, in process as under --isolated
+MANIFEST_EDITS = {
+    "batch-size-0": lambda m: m.update(batch_size=0),
+    "batch-size-negative": lambda m: m.update(batch_size=-1),
+    "batch-size-true": lambda m: m.update(batch_size=True),
+    "dataset-n-0": lambda m: m["dataset"]["spec"].update(n=0),
+    "dataset-kind-blobs": lambda m: m["dataset"]["spec"].update(kind="blobs"),
+    "dataset-n-classes-99":
+        lambda m: m["dataset"]["spec"].update(n_classes=99),
+    "layer-0-d-in-3": lambda m: m["model"]["layers"][0].update(d_in=3),
+    "layer-3-dim-5": lambda m: m["model"]["layers"][3].update(dim=5),
+    "head-n-classes-2":
+        lambda m: m["model"]["layers"][-1].update(n_classes=2),
+    "grid-bl-1": lambda m: m["grid"].update(bl=1),
+    "grid-isolate-layers-1": lambda m: m["grid"].update(isolate_layers=[1]),
+    "optimizer-lr-1e30": lambda m: m["optimizer"].update(lr=1e30),
+    "grid-ic-null": lambda m: m["grid"].update(ic=None),
+    "grid-zero-storage-on": lambda m: m["grid"].update(zero_storage=True),
+}
+# facts Run.open checks: a usage error before any block is read
+EDITS_REFUSED_AT_OPEN = {"batch-size-0", "batch-size-negative",
+                         "batch-size-true", "dataset-n-0",
+                         "dataset-kind-blobs"}
+# edits that describe the same run: it must still verify
+EDITS_KEEPING_PASS = {"grid-ic-null", "grid-zero-storage-on"}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("storage", ["ic-2", "ic-inf", "zero-storage"])
+@pytest.mark.parametrize("case", sorted(MANIFEST_EDITS))
+def test_edited_manifest_field_ends_in_a_verdict(
+        sha_run, sha_inf_run, sha_zs_run, tmp_path, runner, case, storage):
+    source = {"ic-2": sha_run, "ic-inf": sha_inf_run,
+              "zero-storage": sha_zs_run}[storage]
+    run = _edited_copy(source, tmp_path, MANIFEST_EDITS[case])
+    want = 2 if case in EDITS_REFUSED_AT_OPEN \
+        else 0 if case in EDITS_KEEPING_PASS else None
+    reports = []
+    for args in (["verify"], ["verify", "--isolated"], ["audit", "--m", "2"]):
+        result = _invoke(runner, tmp_path, args[0], "edited", *args[1:])
+        assert result.exit_code in (0, 1, 2), result.output
+        assert result.exception is None \
+            or isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert want is None or result.exit_code == want, result.output
+        if args[0] == "verify" and result.exit_code != 2:
+            reports.append(_verify_report(run))
+    assert len(reports) in (0, 2)
+    assert reports[:1] == reports[1:]
+
+
+def test_unisolated_unstable_layer_is_refused_by_name(tmp_path, runner):
+    assert _invoke(runner, tmp_path, "record-train", "edited", "--preset",
+                   "unstable", "--n-steps", "4", "--algo", "sha256",
+                   "--batch-size", "8").exit_code == 0
+    run = _edited_copy(tmp_path / "edited", tmp_path / "copy",
+                       lambda m: m["grid"].update(isolate_layers=[]))
+    report = _verify_both_ways(runner, run)
+    notes = {r["block"]: r["note"] for r in report["reports"]
+             if r["verdict"] == REFUSED}
+    assert "layer 2 is non-deterministic" in notes["1,1"]
+    _exits_cleanly(_invoke(runner, run.parent, "audit", run.name, "--m", "2"),
+                   1)
+
+
+def test_index_shape_that_refits_the_bytes_is_refused(sha_run, tmp_path,
+                                                      runner):
+    # the blob's bytes still hash right, but reshaped to a flat vector
+    # the replay cannot consume them
+    run = tmp_path / "reshaped"
+    shutil.copytree(sha_run, run)
+    index = json.loads((run / "index.json").read_text())
+    entry = index["activation:1@2"]
+    entry["shape"] = [int(np.prod(entry["shape"]))]
+    (run / "index.json").write_text(json.dumps(index))
+    report = _verify_both_ways(runner, run)
+    [refused] = [r for r in report["reports"] if r["verdict"] != "pass"]
+    assert refused["block"] == "1,1" and refused["verdict"] == REFUSED
+    assert "ShapeError" in refused["note"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_diverging_zero_storage_rerun_fails_every_block(sha_zs_run, tmp_path,
+                                                        runner):
+    # lr 1e30 is finite in float32, so the manifest opens; the rerun's
+    # first update makes the parameters non-finite and step 1 stops it
+    run = _edited_copy(sha_zs_run, tmp_path,
+                       lambda m: m["optimizer"].update(lr=1e30))
+    report = _verify_both_ways(runner, run)
+    assert len(report["reports"]) == 6
+    for r in report["reports"]:
+        assert (r["verdict"], r["cause"]) == ("fail", "non-finite")
+        assert r["note"].startswith("zero-storage rerun: step 1: ")
+    result = _invoke(runner, tmp_path, "verify", "edited")
+    assert "block 0,0: fail (non-finite)\n" in result.output
+    assert "None" not in result.output
+    _exits_cleanly(_invoke(runner, tmp_path, "audit", "edited", "--m", "2"), 1)

@@ -20,7 +20,8 @@ from aftune.presets import dataset_for, mlp_model, model_for
 from aftune.data import make_dataset
 from aftune.rng import rng_for
 from aftune.tensors import BlobError, NonFiniteError
-from aftune.verifier import VerifierError, load_state
+from aftune.grid import BlockId
+from aftune.verifier import REFUSED, refusal
 
 # -- hand-unrolled scalar oracles -----------------------------------------
 
@@ -380,20 +381,22 @@ def test_optimizer_blobs_of_some_layers_or_counters_are_refused():
     keys = [BoundaryKey(kind, l, 5) for l in (2, 3)
             for kind in ("parameter", "optimizer-state")]
     blobs = {k: state.blob(k) for k in keys}
-    assert load_state(spec, STATE_OPTIMIZER, [2, 3], blobs).opt.step_count \
+    assert ModelState(spec, STATE_OPTIMIZER, [2, 3], blobs).opt.step_count \
         == 5
     last = BoundaryKey("optimizer-state", 3, 5)
     some = {k: b for k, b in blobs.items() if k != last}
     stray = {**blobs, BoundaryKey("optimizer-state", 4, 5):
              state.blob(BoundaryKey("optimizer-state", 4, 5))}
-    for partial in (some, stray):
-        with pytest.raises(VerifierError, match="^cannot load the block: "
-                           "optimizer-state blobs for layers"):
-            load_state(spec, STATE_OPTIMIZER, [2, 3], partial)
     forged = {**blobs, last: struct.pack("<I", 6) + blobs[last][4:]}
-    with pytest.raises(VerifierError, match="^cannot load the block: "
-                       "inconsistent optimizer counters"):
-        load_state(spec, STATE_OPTIMIZER, [2, 3], forged)
+    for partial, why in ((some, "optimizer-state blobs for layers"),
+                         (stray, "optimizer-state blobs for layers"),
+                         (forged, "inconsistent optimizer counters")):
+        with pytest.raises(BlobError, match=f"^{why}") as e:
+            ModelState(spec, STATE_OPTIMIZER, [2, 3], partial)
+        report = refusal(BlockId(1, 2), e.value)
+        assert report.verdict == REFUSED
+        assert report.note.startswith(f"cannot check the block: "
+                                      f"BlobError('{why}")
 
 
 def test_rng_is_call_order_independent():

@@ -225,6 +225,10 @@ def test_config_validation():
         GridConfig(n_layers=4, n_steps=4, bl=2, bs=2, tau=0)
     with pytest.raises(ValueError):
         GridConfig(n_layers=4, n_steps=4, bl=2, bs=2, precision="f16")
+    for isolated in ((4,), (-1,), (1, 1)):  # outside [0, n_layers), repeated
+        with pytest.raises(ValueError, match="isolate_layers"):
+            GridConfig(n_layers=4, n_steps=4, bl=2, bs=2,
+                       isolate_layers=isolated)
 
 
 def test_config_dict_roundtrip():

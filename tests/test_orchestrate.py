@@ -7,11 +7,10 @@ import pytest
 from aftune.grid import BlockId, BoundaryKey
 from aftune.ledger import RunLedger
 from aftune.model import param_bytes
-from aftune.orchestrate import (NonDeterministicBlockError,
-                                ReconstructionError, Run, check_trust_chain)
+from aftune.orchestrate import ReconstructionError, Run, check_trust_chain
 from aftune.recorder import LEDGER_FILE
 from aftune.store import TensorStore
-from aftune.verifier import PASS
+from aftune.verifier import PASS, REFUSED
 
 from conftest import copy_run, record_run
 
@@ -57,8 +56,9 @@ def test_reconstruction_detects_tampered_checkpoint(mlp_run, tmp_path):
 
 def test_non_deterministic_layer_needs_isolation(tmp_path):
     # same unstable model, but without a singleton block for the
-    # non-deterministic layer: replaying to an uncheckpointed block
-    # entry must be refused rather than produce unverifiable bits
+    # non-deterministic layer: a block whose entry is reached by replay
+    # rather than a checkpoint must be refused, naming the layer, rather
+    # than checked on unverifiable bits
     from aftune.grid import GridConfig
     from aftune.presets import dataset_for, default_optimizer, model_for
     from aftune.recorder import build_manifest, record_training
@@ -68,8 +68,11 @@ def test_non_deterministic_layer_needs_isolation(tmp_path):
     manifest = build_manifest(spec, default_optimizer(),
                               dataset_for("unstable"), config, 11, 8)
     record_training(manifest, tmp_path / "bad")
-    with pytest.raises(NonDeterministicBlockError):
-        Run.open(tmp_path / "bad").request(BlockId(1, 1))
+    report = Run.open(tmp_path / "bad").request(BlockId(1, 1))
+    assert report.verdict == REFUSED and report.block == BlockId(1, 1)
+    assert "layer 2 is non-deterministic" in report.note
+    with pytest.raises(ReconstructionError, match="non-deterministic"):
+        Run.open(tmp_path / "bad").state_at(2)
 
 
 def test_isolated_unstable_preset_verifies(tmp_path):

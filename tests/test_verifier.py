@@ -19,11 +19,12 @@ from aftune import orchestrate, verifier, verifier_worker
 from aftune.grid import BlockId, BoundaryKey, label_anchor_key
 from aftune.hashing import Digest, chunked_hash
 from aftune.orchestrate import Run
-from aftune.model import params_digest
+from aftune.model import ModelState, params_digest
+from aftune.tensors import BlobError
 from aftune.verifier import (EVIDENCE_RELEASED, FAIL, HASH_MISMATCH,
                              NUMERICAL_MISMATCH, PASS, REFUSED, BindingMemo,
                              VerificationReport, VerificationRequest,
-                             VerifierError, load_state, verify_block,
+                             VerifierError, refusal, verify_block,
                              verify_or_refuse)
 
 from conftest import copy_run
@@ -443,6 +444,8 @@ HOSTILE = {
     "header-key-missing": lambda h: h.pop("hash_algo"),
 }
 INFERENCE_HOSTILE = {"model-digest-missing"}
+# what verify_block raises where no check of its own names the fault
+UNCHECKED_HOSTILE = {"unknown-layer-kind": "unknown layer kind"}
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
@@ -451,10 +454,12 @@ def test_hostile_request_is_refused_and_worker_lives_on(mlp_run, infer_run,
     run = infer_run if case in INFERENCE_HOSTILE else mlp_run["dir"]
     honest = Run.open(run).request(BlockId(0, 0)).to_bytes()
     raw = _edit_header(honest, HOSTILE[case])
-    with pytest.raises(VerifierError):
+    raised = ValueError if case in UNCHECKED_HOSTILE else VerifierError
+    with pytest.raises(raised):
         verify_block(VerificationRequest.from_bytes(raw))
     in_proc = verify_or_refuse(raw)
     assert in_proc.verdict == REFUSED and in_proc.note
+    assert UNCHECKED_HOSTILE.get(case, "") in in_proc.note
     reports, _ = _stream(verifier_worker.frame(raw)
                          + verifier_worker.frame(honest))
     assert [r.verdict for r in reports] == [REFUSED, PASS]
@@ -614,8 +619,10 @@ def test_stray_or_short_parameter_blob_is_refused(infer_run):
     report = verify_or_refuse(req)
     assert report.verdict == REFUSED and "bytes, not" in report.note
     n = len(req.model["layers"])
-    with pytest.raises(VerifierError, match="does not have"):
-        load_state(req.model, None, [0], {BoundaryKey("parameter", n, 0): b""})
+    with pytest.raises(BlobError, match="does not have") as e:
+        ModelState(req.model, None, [0], {BoundaryKey("parameter", n, 0): b""})
+    stray = refusal(req.block, e.value)
+    assert stray.verdict == REFUSED and "does not have" in stray.note
 
 
 def test_training_replayer_draws_no_other_layer_init(mlp_run, monkeypatch):
