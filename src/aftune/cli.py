@@ -26,8 +26,8 @@ from .auditor import (STRATEGIES, AuditError, AuditPlan, audit_run,
                       sample_blocks)
 from .data import make_dataset
 from .grid import BlockId, GridConfig, check_tau
-from .hashing import ALGORITHMS, hash_bytes
-from .ledger import LedgerError
+from .hashing import ALGORITHMS
+from .ledger import LedgerError, ledger_digest
 from .model import build_model
 from .optim import check_optimizer_spec
 from .orchestrate import Run
@@ -134,12 +134,6 @@ def _tau_option(ctx, param, tau):
     return tau
 
 
-def _ledger_digest(run_dir: Path, algo: str) -> str:
-    """The digest of the recorded ledger's bytes on disk, which equal
-    ``ledger.encode()``, so no entry is encoded again."""
-    return hash_bytes((run_dir / LEDGER_FILE).read_bytes(), algo).hex
-
-
 def _parse_ic(ic: str):
     if ic in ("inf", "none", "zero-storage"):
         return None
@@ -190,7 +184,7 @@ def record_train(out_dir, preset, n_steps, bl, bs, ic, chunk_size, algo, tau,
         "blocks": len(result.ledger.entries),
         "bytes_written": result.bytes_written,
         "final_loss": result.losses[-1] if result.losses else None,
-        "ledger_digest": _ledger_digest(out, algo),
+        "ledger_digest": ledger_digest(out / LEDGER_FILE, algo),
         "seconds": round(elapsed, 3),
     }
     _write_report(out, "record_report.json", summary)
@@ -234,7 +228,7 @@ def record_infer(out_dir, preset, bl, ia, chunk_size, algo, tau, model_seed,
     summary = {"run_dir": str(out), "mode": "inference",
                "blocks": len(result.ledger.entries),
                "bytes_written": result.bytes_written,
-               "ledger_digest": _ledger_digest(out, algo)}
+               "ledger_digest": ledger_digest(out / LEDGER_FILE, algo)}
     _write_report(out, "record_report.json", summary)
     click.echo(f"recorded inference: {summary['blocks']} blocks, "
                f"{summary['bytes_written']} bytes")
@@ -249,7 +243,6 @@ def record_infer(out_dir, preset, bl, ia, chunk_size, algo, tau, model_seed,
               help="Block to verify as 'i,j'; default verifies all.")
 @click.option("--full-scan", is_flag=True,
               help="Report all failures instead of stopping at the first.")
-@click.option("--precision", type=click.Choice(("f32", "f64")), default=None)
 @click.option("--tau", type=float, default=None, callback=_tau_option,
               help="Override the run's verification tolerance.")
 @click.option("--isolated", is_flag=True,
@@ -259,7 +252,7 @@ def record_infer(out_dir, preset, bl, ia, chunk_size, algo, tau, model_seed,
               type=click.IntRange(min=1),
               help="Number of isolated verifier processes checking blocks "
                    "at once (implies --isolated when above 1).")
-def verify(run_dir, block_id, full_scan, precision, tau, isolated, jobs):
+def verify(run_dir, block_id, full_scan, tau, isolated, jobs):
     """Replay and check one block or the whole grid."""
     run = _open_run(_run_dir(run_dir))
     if block_id is not None:
@@ -274,7 +267,7 @@ def verify(run_dir, block_id, full_scan, precision, tau, isolated, jobs):
         targets = run.grid.block_ids()
 
     reports = run.verify(targets, isolated=isolated, jobs=jobs,
-                         full_scan=full_scan, precision=precision, tau=tau)
+                         full_scan=full_scan, tau=tau)
     chain = run.chain
     ok = all(r.passed for r in reports)
     payload = {"reports": [r.to_json() for r in reports],

@@ -75,7 +75,7 @@ class GridConfig:
     ia: int = 1                  # activation interval (inference only)
     chunk_size: int = 4096
     tau: float = 1e-5
-    precision: str = "f32"
+    precision: str = "f32"       # the arithmetic recorded and replayed
     zero_storage: bool = False   # ledger-only: no blobs at all
     isolate_layers: tuple[int, ...] = field(default_factory=tuple)
 
@@ -97,8 +97,8 @@ class GridConfig:
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         check_tau(self.tau)
-        if self.precision not in ("f32", "f64"):
-            raise ValueError("precision must be f32 or f64")
+        if self.precision != "f32":
+            raise ValueError("precision must be f32")
         if len({l for l in self.isolate_layers if 0 <= l < self.n_layers}) \
                 < len(self.isolate_layers):
             raise ValueError("isolate_layers must be distinct layer indices")

@@ -345,6 +345,10 @@ class RunLedger:
         with open(path, "rb") as f:
             return cls.decode(f.read())
 
-    def digest(self) -> Digest:
-        algo = self.manifest.get("hash_algo", "blake3")
-        return hash_bytes(self.encode(), algo)
+
+def ledger_digest(path, algo: str) -> str:
+    """The ledger digest: the hex digest, in the run's algorithm
+    ``algo``, of the ledger file's bytes, which equal ``encode()`` for a
+    recorded run, so no entry is encoded again."""
+    with open(path, "rb") as f:
+        return hash_bytes(f.read(), algo).hex

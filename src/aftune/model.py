@@ -129,8 +129,7 @@ class ModelState:
     BlobError; a bad spec a KeyError, TypeError or ValueError."""
 
     def __init__(self, model_spec: dict, opt_spec: dict | None = None,
-                 indices=None, blobs: dict | None = None,
-                 precision: str = "f32"):
+                 indices=None, blobs: dict | None = None):
         split: dict[str, dict[int, bytes]] = {"parameter": {},
                                               "optimizer-state": {}}
         for key, blob in (blobs or {}).items():
@@ -138,7 +137,6 @@ class ModelState:
         params, states = split.values()
         self.indices = list(range(len(model_spec["layers"]))
                             if indices is None else indices)
-        self.precision = precision
         self.opt: Optimizer | None = None
         if opt_spec is None:
             self.model = build_model(model_spec, params)
@@ -158,11 +156,8 @@ class ModelState:
             raise BlobError(f"inconsistent optimizer counters {counters}")
         self.opt.step_count = counters.pop()
 
-    def _cast(self, x):
-        return x.astype(np.float64) if self.precision == "f64" else x
-
     def forward(self, x, labels=None):
-        return forward_block(self.layers, self._cast(x), labels=labels)
+        return forward_block(self.layers, x, labels=labels)
 
     def replay_step(self, x, upstream=None, labels=None):
         """One training step of the layers: forward, backward from
@@ -173,8 +168,6 @@ class ModelState:
         if upstream is None:
             out = acts[-1]
             upstream = np.full(out.shape, 1.0 / out.size, dtype=out.dtype)
-        else:
-            upstream = self._cast(upstream)
         gacts, pgrads = backward_block(self.layers, caches, upstream,
                                        labels=labels)
         if self.opt is not None:

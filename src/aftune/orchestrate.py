@@ -8,11 +8,11 @@ in zero-storage mode, taking tensors from a single deterministic rerun);
 each request carries the digests of its block's own sealed commitment.
 It hands them to the verifier in process or to isolated worker
 processes that serve the whole command. In process, a block the
-verifier passed at f32 hands its replay, at the block's exit step, on
-to the row; after any other verdict, at f64, in workers, and between
-blocks the walk replays the row itself (``_stopped`` gives the verdict
-where it raises). It also reconstructs model state from sparse
-checkpoints and walks the cross-block trust chain.
+verifier passed hands its replay, at the block's exit step, on to the
+row; after any other verdict, in workers, and between blocks the walk
+replays the row itself (``_stopped`` gives the verdict where it raises).
+It also reconstructs model state from sparse checkpoints and walks the
+cross-block trust chain.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class _Row:
     """Replayed state of one layer-block row: restored from the
     checkpoint ``blobs`` at step ``origin`` (None: the step-0 init) and
     carried forward to step ``t``, by the walk's own replay or, where the
-    in-process verifier passed the row's last block at f32, by adopting
-    the verifier's state at that block's exit. ``state`` is built from
+    in-process verifier passed the row's last block, by adopting the
+    verifier's state at that block's exit. ``state`` is built from
     ``blobs`` at the first replay. ``pending`` holds the replay inputs,
     by step, of the last block requested on the row, so the walk on past
     it need not read them again. ``broken`` is the report, block unset,
@@ -164,20 +164,18 @@ class Run:
     def request(self, bid: BlockId, **kw):
         return next(self.requests([bid], **kw))[1]
 
-    def requests(self, bids, tau: float | None = None,
-                 precision: str | None = None, full_scan: bool = False,
+    def requests(self, bids, tau: float | None = None, full_scan: bool = False,
                  session: BindingMemo | None = None):
         """Yield ``(bid, request)`` for each distinct block of ``bids`` in
         grid order (row j ascending). ``request`` is a VerificationReport
         instead when the block cannot reach the verifier: its evidence was
         released, or the replay to its entry state went non-finite.
-        ``tau`` and ``precision``, when given, replace the manifest's in
-        every request's grid. ``session`` is the verifier session that
-        checks each request before the next is asked for: a block it
-        passed hands its replay on to the block's row."""
+        ``tau``, when given, replaces the manifest's in every request's
+        grid. ``session`` is the verifier session that checks each
+        request before the next is asked for: a block it passed hands its
+        replay on to the block's row."""
         order = sorted(set(bids), key=lambda b: (b.j, b.i))
-        grid = replace(self.config, tau=self.config.tau if tau is None
-                       else tau, precision=precision or self.config.precision)
+        grid = self.config if tau is None else replace(self.config, tau=tau)
         opts = dict(grid=grid.to_dict(), full_scan=full_scan)
         if self.mode == "inference":
             yield from self._inference_requests(order, opts)
@@ -247,8 +245,8 @@ class Run:
         """Stored evidence: each row's entry state is carried forward from
         the previous requested block of that row, and restarted from a
         stored checkpoint only where a fresh replay would restart. Where
-        ``session`` passed that block replaying at f32, as the row does,
-        its state at the block's exit is the row's."""
+        ``session`` passed that block, its state at the block's exit is
+        the row's."""
         grid, store = self.grid, self.store
         rows: dict[int, _Row] = {}
         for bid in order:
@@ -276,7 +274,7 @@ class Run:
                            for t in grid.block_steps(bid.j)}
             yield bid, self._request(bid, tensors, **opts)
             passed = session and session.passed
-            if passed and passed[0] == bid and passed[1].precision == "f32":
+            if passed and passed[0] == bid:
                 row.state, row.t, row.pending = passed[1], t_out, {}
 
     def _row_at(self, i: int, target: int, row: _Row | None = None) -> _Row:

@@ -88,9 +88,9 @@ class VerificationRequest:
 
     # -- wire format: header length (<I), JSON header, raw payload ---------
     # The header's keys are exactly the fields above, so each run fact is
-    # carried once, under its manifest name (tau, precision and chunk_size
-    # only in ``grid``); "tensors" maps each key to its payload offset,
-    # length and shape (None for raw bytes, else little-endian float32).
+    # carried once, under its manifest name (tau and chunk_size only in
+    # ``grid``); "tensors" maps each key to its payload offset, length
+    # and shape (None for raw bytes, else little-endian float32).
 
     def to_bytes(self) -> bytes:
         blobs: list[bytes] = []
@@ -310,8 +310,7 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
 
     config = grid.config
     replayer = ModelState(req.model, req.optimizer, layer_ids,
-                          {k: req.tensors[str(k)] for k in entry_keys},
-                          config.precision)
+                          {k: req.tensors[str(k)] for k in entry_keys})
     for t in steps:
         x, upstream = (req.tensors[str(k)] for k in grid.replay_inputs(i, t))
         try:
@@ -390,7 +389,7 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
     missing = [l for l in span if params[l] not in blobs]
     if missing:
         raise VerifierError(f"request is missing parameters of layers {missing}")
-    replayer = ModelState(req.model, None, span, blobs, config.precision)
+    replayer = ModelState(req.model, None, span, blobs)
     if req.model_digest != memo.digest(replayer.model, config.chunk_size,
                                        req.hash_algo):
         collector.fail(HASH_MISMATCH, "model-parameters")

@@ -18,7 +18,7 @@ import aftune
 from aftune.adversary import rewrite_key
 from aftune.cli import main
 from aftune.grid import BlockId, BoundaryKey
-from aftune.ledger import RunLedger
+from aftune.ledger import RunLedger, ledger_digest
 from aftune.orchestrate import ReconstructionError, Run
 from aftune.recorder import LEDGER_FILE
 from aftune.store import TensorStore
@@ -124,7 +124,7 @@ def test_record_infer_and_verify(tmp_path, runner):
     assert verify.exit_code == 0, verify.output
     report = json.loads((tmp_path / "inf" / "record_report.json").read_text())
     assert report["ledger_digest"] == \
-        RunLedger.load(tmp_path / "inf" / LEDGER_FILE).digest().hex
+        ledger_digest(tmp_path / "inf" / LEDGER_FILE, "blake3")
 
 
 def test_prune_command(tmp_path, runner):
@@ -175,8 +175,8 @@ CLI_SURFACE = {
                      "--chunk-size", "--ic", "--lr", "--model-seed",
                      "--n-steps", "--optimizer", "--preset", "--seed",
                      "--tau", "--zero-storage", "out_dir"],
-    "verify": ["--block", "--full-scan", "--isolated", "--jobs",
-               "--precision", "--tau", "run_dir"],
+    "verify": ["--block", "--full-scan", "--isolated", "--jobs", "--tau",
+               "run_dir"],
 }
 
 
@@ -195,6 +195,7 @@ def test_cli_surface_is_pinned():
     ["verify", "run", "--all"],
     ["verify", "run", "--no-trust-chain"],
     ["verify", "run", "--trust-chain"],
+    ["verify", "run", "--precision", "f64"],
     ["record-train", "out", "--ia", "2"],
     ["record-infer", "out", "--ic", "2"],
 ])
@@ -854,6 +855,7 @@ MANIFEST_EDITS = {
         lambda m: m["model"]["layers"][-1].update(n_classes=2),
     "grid-bl-1": lambda m: m["grid"].update(bl=1),
     "grid-isolate-layers-1": lambda m: m["grid"].update(isolate_layers=[1]),
+    "grid-precision-f64": lambda m: m["grid"].update(precision="f64"),
     "optimizer-lr-1e30": lambda m: m["optimizer"].update(lr=1e30),
     "grid-ic-null": lambda m: m["grid"].update(ic=None),
     "grid-zero-storage-on": lambda m: m["grid"].update(zero_storage=True),
@@ -861,7 +863,7 @@ MANIFEST_EDITS = {
 # facts Run.open checks: a usage error before any block is read
 EDITS_REFUSED_AT_OPEN = {"batch-size-0", "batch-size-negative",
                          "batch-size-true", "dataset-n-0",
-                         "dataset-kind-blobs"}
+                         "dataset-kind-blobs", "grid-precision-f64"}
 # edits that describe the same run: it must still verify
 EDITS_KEEPING_PASS = {"grid-ic-null", "grid-zero-storage-on"}
 

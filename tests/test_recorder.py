@@ -16,7 +16,7 @@ from aftune.cli import main
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
     storage_estimate
 from aftune.hashing import chunked_hash
-from aftune.ledger import CommitmentSet, RunLedger
+from aftune.ledger import CommitmentSet, RunLedger, ledger_digest
 from aftune.model import build_model, forward_block, param_bytes, train_step
 from aftune.presets import dataset_for, default_optimizer, grid_for, model_for
 from aftune.orchestrate import Run
@@ -66,7 +66,8 @@ def test_ledger_digest_is_golden(tmp_path, kw, scenario, want):
         record_training(manifest, tmp_path / "run")
     else:
         apply_scenario(scenario, manifest, tmp_path / "run")
-    assert RunLedger.load(tmp_path / "run" / LEDGER_FILE).digest().hex == want
+    assert ledger_digest(tmp_path / "run" / LEDGER_FILE,
+                         manifest["hash_algo"]) == want
 
 
 # sha256 over every block's verification request bytes of the fixed
@@ -231,7 +232,8 @@ def test_record_train_command_encodes_each_entry_once(tmp_path, monkeypatch):
     assert encoded == ledger.blocks
     # the report's digest is that of the ledger the run wrote
     report = json.loads((tmp_path / "run" / "record_report.json").read_text())
-    assert report["ledger_digest"] == ledger.digest().hex
+    assert report["ledger_digest"] == ledger_digest(
+        tmp_path / "run" / LEDGER_FILE, "sha256")
 
 
 def test_ledger_row_structure(tmp_path):

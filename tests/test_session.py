@@ -21,7 +21,8 @@ from aftune.adversary import (SCENARIOS, apply_inference_scenario,
 from aftune.cli import main
 from aftune.data import make_dataset
 from aftune.grid import BlockId, GridConfig
-from aftune.ledger import RunLedger
+from aftune.hashing import hash_bytes
+from aftune.ledger import RunLedger, ledger_digest
 from aftune.model import ModelState, build_model
 from aftune.orchestrate import Run
 from aftune.presets import attack_mlp_model, dataset_for
@@ -209,16 +210,14 @@ TRAINING_SCENARIOS = [s for s in SCENARIOS
 
 @pytest.mark.parametrize("full_scan", [False, True],
                          ids=["quick", "full-scan"])
-@pytest.mark.parametrize("precision", ["f32", "f64"])
 @pytest.mark.parametrize("scenario", TRAINING_SCENARIOS)
 def test_verified_request_bytes_equal_per_block_requests_under_attack(
-        tmp_path, monkeypatch, scenario, precision, full_scan):
-    # failed, non-finite and f64 blocks hand nothing on: the walk replays
+        tmp_path, monkeypatch, scenario, full_scan):
+    # failed and non-finite blocks hand nothing on: the walk replays
     apply_scenario(scenario, make_manifest(ic=None, algo="sha256"),
                    tmp_path / scenario)
     _assert_verified_bytes_match_per_block(
-        monkeypatch, tmp_path / scenario, precision=precision,
-        full_scan=full_scan)
+        monkeypatch, tmp_path / scenario, full_scan=full_scan)
 
 
 def test_index_does_not_change_ledger_bytes(tmp_path):
@@ -228,8 +227,18 @@ def test_index_does_not_change_ledger_bytes(tmp_path):
     for e in loaded.entries:
         rebuilt.append(e)
     assert rebuilt.encode() == loaded.encode() == result.ledger.encode()
-    assert rebuilt.digest().hex == result.ledger.digest().hex
     assert all(rebuilt.entry_for(e.block) is e for e in loaded.entries)
+
+
+@pytest.mark.parametrize("scenario", TRAINING_SCENARIOS)
+def test_ledger_digest_hashes_the_encoded_ledger_under_attack(tmp_path,
+                                                              scenario):
+    # the digest hashes the file's bytes; an attacked run's file must still
+    # be what encode() gives, or the digest would name another ledger
+    apply_scenario(scenario, make_manifest(algo="sha256"), tmp_path / scenario)
+    path = tmp_path / scenario / LEDGER_FILE
+    assert ledger_digest(path, "sha256") == \
+        hash_bytes(RunLedger.load(path).encode(), "sha256").hex
 
 
 @pytest.fixture

@@ -16,11 +16,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from aftune import orchestrate, verifier, verifier_worker
-from aftune.grid import BlockId, BoundaryKey, label_anchor_key
+from aftune.grid import (BlockGrid, BlockId, BoundaryKey, GridConfig,
+                         label_anchor_key)
 from aftune.hashing import Digest, chunked_hash
 from aftune.orchestrate import Run
 from aftune.model import ModelState, params_digest
-from aftune.tensors import BlobError
+from aftune.tensors import BlobError, rel_l2_error
 from aftune.verifier import (EVIDENCE_RELEASED, FAIL, HASH_MISMATCH,
                              NUMERICAL_MISMATCH, PASS, REFUSED, BindingMemo,
                              VerificationReport, VerificationRequest,
@@ -108,11 +109,23 @@ def test_tampered_output_beyond_tolerance_fails(mlp_run):
 
 
 def test_f64_shadow_replay_stays_close_to_f32_recording(mlp_run):
-    report = Run.open(mlp_run["dir"]).verify([BlockId(1, 1)], precision="f64",
-                                             tau=1e-5)[0]
-    assert report.verdict == PASS
-    # replaying in f64 against f32 recordings leaves rounding-level drift
-    assert 0 < max(report.errors.values()) < 1e-5
+    # the rounding drift tau must cover: block 1,1 replayed from its
+    # request's entry blobs on float64 inputs, against the f32 recording
+    req = _request(mlp_run, BlockId(1, 1))
+    grid = BlockGrid(GridConfig.from_dict(req.grid))
+    t_in, t_out = grid.commitment_boundary_steps(1)
+    state = ModelState(req.model, req.optimizer, grid.block_layers(1),
+                       {k: req.tensors[str(k)]
+                        for k in grid.state_keys(1, t_in)})
+    errors = []
+    for t in range(t_in, t_out):
+        x, upstream = (req.tensors[str(k)].astype(np.float64)
+                       for k in grid.replay_inputs(1, t))
+        acts, gacts = state.replay_step(x, upstream, labels=req.labels.get(t))
+        errors += [rel_l2_error(replayed, req.tensors[str(key)])
+                   for replayed, key in zip((acts[-1], gacts[0]),
+                                            grid.replay_outputs(1, t))]
+    assert 0 < max(errors) < 1e-5
 
 
 def test_tampered_digest_is_hash_mismatch(mlp_run):
@@ -238,7 +251,6 @@ def test_zero_storage_blocks_verify_by_rematerialization(tmp_path):
 def test_inference_run_verifies_and_binds_model_digest(tmp_path):
     import shutil
 
-    from aftune.grid import BlockGrid, GridConfig
     from aftune.model import build_model
     from aftune.presets import model_for
     from aftune.recorder import build_inference_manifest, record_inference
@@ -428,6 +440,7 @@ HOSTILE = {
     "tau-nan": lambda h: h["grid"].update(tau=float("nan")),
     "tau-negative": lambda h: h["grid"].update(tau=-1.0),
     "tau-infinite": lambda h: h["grid"].update(tau=float("inf")),
+    "precision-f64": lambda h: h["grid"].update(precision="f64"),
     "hash-algo-md5": lambda h: h.update(hash_algo="md5"),
     "chunk-size-zero": lambda h: h["grid"].update(chunk_size=0),
     "chunk-size-negative": lambda h: h["grid"].update(chunk_size=-5),
