@@ -35,6 +35,7 @@ from .presets import (ATTACK_SAMPLE, PRESETS, dataset_for, default_optimizer,
                       grid_for, model_for, trained_attack_classifier)
 from .recorder import (LEDGER_FILE, build_inference_manifest,
                        build_manifest, record_inference, record_training)
+from .rng import is_seed
 from .store import StoreError
 from .tensors import NonFiniteError
 
@@ -55,12 +56,14 @@ def _open_run(run_dir: Path) -> Run:
 
 
 @contextmanager
-def _usage_errors():
-    """Report a ValueError from checking option values (a grid config,
-    an optimizer spec or the detection-odds inputs) as a usage error."""
+def _usage_errors(errors=ValueError):
+    """Report ``errors`` as a usage error: by default a ValueError from
+    checking option values (a grid config, an optimizer spec or the
+    detection-odds inputs); a FileExistsError from recording into a
+    directory that holds a run."""
     try:
         yield
-    except ValueError as e:
+    except errors as e:
         raise click.UsageError(str(e)) from None
 
 
@@ -134,6 +137,13 @@ def _tau_option(ctx, param, tau):
     return tau
 
 
+def _seed_option(ctx, param, seed):
+    """``seed`` unless it breaks the seed rule (``rng.is_seed``)."""
+    if not is_seed(seed):
+        raise click.BadParameter("must be a signed 64-bit integer")
+    return seed
+
+
 def _parse_ic(ic: str):
     if ic in ("inf", "none", "zero-storage"):
         return None
@@ -151,9 +161,10 @@ def _parse_ic(ic: str):
 @click.option("--optimizer", type=click.Choice(("adamw", "sgd-momentum")),
               default="adamw", show_default=True)
 @click.option("--lr", default=0.01, show_default=True)
-@click.option("--seed", default=11, show_default=True,
+@click.option("--seed", default=11, show_default=True, callback=_seed_option,
               help="Run seed (batch order).")
-@click.option("--model-seed", default=7, show_default=True)
+@click.option("--model-seed", default=7, show_default=True,
+              callback=_seed_option)
 @click.option("--batch-size", default=16, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--zero-storage", is_flag=True,
@@ -174,7 +185,8 @@ def record_train(out_dir, preset, n_steps, bl, bs, ic, chunk_size, algo, tau,
     out = _run_dir(out_dir)
     t0 = time.perf_counter()
     try:
-        result = record_training(manifest, out)
+        with _usage_errors(FileExistsError):
+            result = record_training(manifest, out)
     except NonFiniteError as e:
         raise click.UsageError(f"training diverged at {e}; the rows sealed "
                                f"before it stay verifiable") from None
@@ -215,7 +227,8 @@ def _served_pass(preset, bl, ia, chunk_size, algo, tau, model_seed=7,
 @click.option("--preset", type=click.Choice(PRESETS), default="mlp",
               show_default=True)
 @_grid_options("bl", "ia", "chunk_size", "algo", "tau")
-@click.option("--model-seed", default=7, show_default=True)
+@click.option("--model-seed", default=7, show_default=True,
+              callback=_seed_option)
 @click.option("--input-seed", default=0, show_default=True,
               help="Which dataset sample to run.")
 def record_infer(out_dir, preset, bl, ia, chunk_size, algo, tau, model_seed,
@@ -224,7 +237,8 @@ def record_infer(out_dir, preset, bl, ia, chunk_size, algo, tau, model_seed,
     manifest, layers, x = _served_pass(preset, bl, ia, chunk_size, algo, tau,
                                        model_seed, input_seed)
     out = _run_dir(out_dir)
-    result = record_inference(manifest, layers, x, out)
+    with _usage_errors(FileExistsError):
+        result = record_inference(manifest, layers, x, out)
     summary = {"run_dir": str(out), "mode": "inference",
                "blocks": len(result.ledger.entries),
                "bytes_written": result.bytes_written,
@@ -296,7 +310,7 @@ def verify(run_dir, block_id, full_scan, tau, isolated, jobs):
               show_default=True)
 @click.option("--m", "m_samples", default=3, show_default=True,
               help="Blocks sampled per audit.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, callback=_seed_option)
 @click.option("--trials", default=0, show_default=True,
               type=click.IntRange(min=0),
               help="If > 0, run a Monte-Carlo detection campaign instead "
@@ -350,8 +364,9 @@ def attack(out_dir, scenario, preset, n_steps, bl, bs, ic, ia, chunk_size,
     if scenario in ("serve-wrong-model", "fabricate-output"):
         manifest, layers, x = _served_pass(preset, bl, ia, chunk_size, algo,
                                            tau)
-        result = apply_inference_scenario(scenario, manifest, layers, x, out,
-                                          seed=seed)
+        with _usage_errors(FileExistsError):
+            result = apply_inference_scenario(scenario, manifest, layers, x,
+                                              out, seed=seed)
     else:
         with _usage_errors():
             config = grid_for(preset, n_steps=n_steps, bl=bl, bs=bs,
@@ -359,7 +374,8 @@ def attack(out_dir, scenario, preset, n_steps, bl, bs, ic, ia, chunk_size,
                               tau=tau)
         manifest = build_manifest(model_for(preset), default_optimizer(),
                                   dataset_for(preset), config, 11, 16, algo)
-        result = apply_scenario(scenario, manifest, out, seed=seed)
+        with _usage_errors(FileExistsError):
+            result = apply_scenario(scenario, manifest, out, seed=seed)
     _write_report(out, "scenario.json", asdict(result))
     click.echo(f"applied {scenario}; tampered blocks "
                f"{result.tampered_blocks} (detectable by "
@@ -384,7 +400,13 @@ def attack_stats(bl_values, steps, seed, out_file):
     x = ds.inputs[ATTACK_SAMPLE:ATTACK_SAMPLE + 1]
     rows = []
     click.echo(f"{'B_L':>4} {'boundaries':>11} {'min rel':>12} {'max rel':>12}")
-    for bl in (int(v) for v in bl_values.split(",")):
+    try:
+        bls = [int(v) for v in bl_values.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"{bl_values!r} is not a comma-separated "
+                                 f"list of integers",
+                                 param_hint="'--bl-values'") from None
+    for bl in bls:
         with _usage_errors():
             config = GridConfig(n_layers=len(layers), n_steps=1, bl=bl, bs=1)
         profile = boundary_attack_profile(layers, config, x, steps=steps,

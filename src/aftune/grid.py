@@ -292,6 +292,22 @@ class BlockGrid:
         hi = min(b for b in bounds if b > bid.i)
         return [BoundaryKey("activation", b, 0) for b in (lo, hi)]
 
+    def committed_keys(self, bid: BlockId, mode: str) -> list[BoundaryKey]:
+        """The key schedule of a ``mode`` run: the keys block (i, j)
+        commits, in the order its ledger entry holds their digests."""
+        if mode == "training":
+            return self.commitment_keys(bid)
+        return self.inference_commitment_keys(bid)
+
+    def n_committed_keys(self, bid: BlockId, mode: str) -> int:
+        """``len(committed_keys(bid, mode))``, counted without building
+        the keys."""
+        if mode != "training":
+            return 2
+        a, b = self.layer_blocks[bid.i]
+        bs, n_steps = self.config.bs, self.config.n_steps
+        return 4 * (min(bs, n_steps - bid.j * bs) + b - a)
+
     def neighbors(self, bid: BlockId) -> dict:
         """Provenance neighbors: left vouches for inputs, right for
         gradients, above for parameters; edges point at trust anchors."""

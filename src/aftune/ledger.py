@@ -2,7 +2,11 @@
 
 The ledger binary form is canonical: a magic header, a length-prefixed
 canonical-JSON manifest, then length-prefixed block entries in append
-order. Each entry carries a reserved (currently empty) signature slot.
+order. The run's key schedule (``BlockGrid.committed_keys``: which keys a
+block commits, and in what order) is the entry format: an entry is its
+block ``(i, j)`` and then one 32-byte digest per key of the block's
+schedule, in the manifest's ``hash_algo``. Every entry, appended or
+loaded, passes one rule (``RunLedger._file``).
 
 A recording writes the file in the same order: the header (magic and
 manifest) atomically with ``RunLedger.save`` before its first step, then
@@ -10,9 +14,9 @@ each sealed step-block row appended with ``RunLedger.append_row``, so
 every entry is encoded and written once. ``save`` stays the full atomic
 rewrite, for ledgers loaded and changed after the fact.
 
-Loading walks the file's frames once and checks each entry's bytes as
-strictly as decoding it would, but decodes an entry only when it is
-read, so a command pays for the blocks it touches.
+Loading walks the file's frames once and checks each entry under the
+entry rule, but decodes an entry only when it is read, so a command pays
+for the blocks it touches.
 """
 
 from __future__ import annotations
@@ -23,15 +27,15 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
-from .hashing import ALGORITHMS, Digest, hash_bytes
+from .grid import BlockGrid, BlockId, BoundaryKey
+from .hashing import Digest, hash_bytes
+from .verifier import check_run_spec
 
-MAGIC = b"AFTL1\x00"
+MAGIC = b"AFTL2\x00"
 SCHEMA_VERSION = 1
-SIGNATURE_SLOT_BYTES = 64
+DIGEST_BYTES = 32
 
-_KIND_CODE = {"activation": 0, "gradient": 1, "parameter": 2, "optimizer-state": 3}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
+_BLOCK = struct.Struct("<II")  # an entry's (i, j)
 
 
 class LedgerError(Exception):
@@ -50,101 +54,54 @@ def _file_stamp(fd: int) -> tuple[int, int, int, int]:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-class SealedError(LedgerError):
-    pass
-
-
 class OrderError(LedgerError):
     """Row-completeness append ordering violated."""
 
 
 @dataclass
 class CommitmentSet:
-    """The hash record of one block cell."""
+    """The hash record of one block cell: a digest per key of the
+    block's schedule."""
 
     block: BlockId
     entries: dict[BoundaryKey, Digest] = field(default_factory=dict)
-    sealed: bool = False
-    signature: bytes = b""  # reserved, unfilled
 
-    def add(self, key: BoundaryKey, digest: Digest) -> None:
-        if self.sealed:
-            raise SealedError(f"commitment set {self.block} is sealed")
-        self.entries[key] = digest
-
-    def seal(self) -> None:
-        if self.sealed:
-            raise SealedError(f"commitment set {self.block} already sealed")
-        self.sealed = True
-
-    def encode(self) -> bytes:
-        parts = [struct.pack("<IIH", self.block.i, self.block.j, len(self.entries))]
-        for key in sorted(self.entries):
-            d = self.entries[key]
-            parts.append(struct.pack("<BIIB", _KIND_CODE[key.kind], key.index,
-                                     key.step, ALGORITHMS.index(d.algo)))
-            parts.append(d.value)
-        sig = self.signature.ljust(SIGNATURE_SLOT_BYTES, b"\x00")
-        parts.append(struct.pack("<B", 1 if self.signature else 0))
-        parts.append(sig[:SIGNATURE_SLOT_BYTES])
-        return b"".join(parts)
+    def encode(self, keys: list[BoundaryKey], algo: str) -> bytes:
+        """``(i, j)``, then the digest of each of ``keys``, the block's
+        key schedule, in order. Raises LedgerError unless the set holds
+        exactly those keys, each digested with ``algo``, so nothing is
+        dropped or reordered silently."""
+        digests = [self.entries.get(k) for k in keys]
+        if len(self.entries) != len(keys) or None in digests \
+                or any(d.algo != algo for d in digests):
+            raise LedgerError(f"commitment set of block {self.block} does "
+                              f"not hold its key schedule's {len(keys)} "
+                              f"{algo} digests")
+        return _BLOCK.pack(self.block.i, self.block.j) \
+            + b"".join(d.value for d in digests)
 
     @classmethod
-    def decode(cls, data: bytes) -> "CommitmentSet":
-        i, j, n = _entry_header(data)
-        entries = {BoundaryKey(_CODE_KIND[kind_c], index, step):
-                   Digest(value, ALGORITHMS[algo_c])
-                   for kind_c, index, step, algo_c, value
-                   in struct.iter_unpack("<BIIB32s", data[10:10 + 42 * n])}
-        has_sig, sig = data[-SIGNATURE_SLOT_BYTES - 1], \
-            data[-SIGNATURE_SLOT_BYTES:]
-        return cls(BlockId(i, j), entries, sealed=True,
-                   signature=sig.rstrip(b"\x00") if has_sig else b"")
-
-
-_KIND_CODES = bytes(sorted(_CODE_KIND))
-_ALGO_CODES = bytes(range(len(ALGORITHMS)))
-
-
-def _entry_header(data: bytes) -> tuple[int, int, int]:
-    """Block ``(i, j)`` and key count of one encoded commitment set,
-    after every check its decoding needs: the exact size, each kind and
-    algorithm code, and the signature slot. Raises LedgerError, so bytes
-    that pass decode without error."""
-    if len(data) < 10:
-        raise LedgerError(f"commitment set of {len(data)} bytes is "
-                          f"shorter than its header")
-    i, j, n = struct.unpack_from("<IIH", data, 0)
-    end = 10 + 42 * n  # the keys end, and the signature slot starts
-    if len(data) != end + 1 + SIGNATURE_SLOT_BYTES:
-        raise LedgerError(f"commitment set of {len(data)} bytes; {n} "
-                          f"entries take {end + 1 + SIGNATURE_SLOT_BYTES}")
-    if data[10:end:42].strip(_KIND_CODES) \
-            or data[19:end:42].strip(_ALGO_CODES):
-        raise LedgerError(f"unknown kind or algorithm code in block {i},{j}")
-    has_sig = data[end]
-    if has_sig not in (0, 1) or (not has_sig and data[end + 1:].strip(b"\x00")):
-        raise LedgerError(f"malformed signature slot in block {i},{j}")
-    return i, j, n
+    def decode(cls, data: bytes, keys: list[BoundaryKey],
+               algo: str) -> "CommitmentSet":
+        """The set ``encode`` wrote as ``data`` for a block whose schedule
+        is ``keys``; the entry rule has checked its size."""
+        i, j = _BLOCK.unpack_from(data)
+        return cls(BlockId(i, j), {
+            k: Digest(data[off:off + DIGEST_BYTES], algo)
+            for k, off in zip(keys, range(_BLOCK.size, len(data),
+                                          DIGEST_BYTES))})
 
 
 def seal_block(grid: BlockGrid, bid: BlockId,
                digests: dict[BoundaryKey, Digest],
                mode: str = "training") -> CommitmentSet:
-    """Build and seal the commitment set for one block from a key->digest
-    map (typically the recorder's running hash table)."""
-    if mode == "training":
-        wanted = grid.commitment_keys(bid)
-    else:
-        wanted = grid.inference_commitment_keys(bid)
+    """Build the commitment set for one block from a key->digest map
+    (typically the recorder's running hash table)."""
+    wanted = grid.committed_keys(bid, mode)
     missing = [str(k) for k in wanted if k not in digests]
     if missing:
         raise LedgerError(f"missing boundary digests for block {bid}: {missing}")
-    cs = CommitmentSet(bid)
-    for k in wanted:
-        cs.add(k, digests[k])
-    cs.seal()
-    return cs
+    return CommitmentSet(bid, {k: digests[k] for k in wanted})
 
 
 class RunLedger:
@@ -164,90 +121,87 @@ class RunLedger:
     def __init__(self, manifest: dict):
         manifest.setdefault("schema_version", SCHEMA_VERSION)
         self.manifest = manifest
-        # per entry in file order: its block, its commitment set once
-        # decoded, and until then its checked bytes
-        self.blocks: list[BlockId] = []
-        self._sets: list[CommitmentSet | None] = []
-        self._raw: list[bytes | None] = []
-        self._undecoded = 0
-        self._first: dict[BlockId, int] = {}  # block -> its first entry
-        self._row_sizes: dict[int, int] = {}  # sealed blocks per row
-        self._last_row = -1
-        self._complete_rows = 0  # rows 0..n-1 known to hold every block
+        # block -> its entry, in file order: the commitment set once
+        # decoded, and until then the entry's checked bytes
+        self._entries: dict[BlockId, CommitmentSet | bytes] = {}
         self._stamp: tuple | None = None  # the file this ledger last wrote
 
     # -- structure -------------------------------------------------------
 
     @cached_property
     def grid(self) -> BlockGrid:
-        # built on first use: decoding must not depend on a valid grid
-        return BlockGrid(GridConfig.from_dict(self.manifest["grid"]))
+        """The grid of the manifest's run facts, which must pass
+        ``check_run_spec`` (ValueError otherwise)."""
+        return BlockGrid(check_run_spec(self.manifest))
 
-    def append(self, cs: CommitmentSet) -> None:
-        if not cs.sealed:
-            raise LedgerError("only sealed commitment sets may be appended")
-        if not self.grid.contains(cs.block):
-            raise LedgerError(f"block {cs.block} lies outside the grid")
-        if cs.block in self._first:
-            raise OrderError(f"duplicate entry for block {cs.block}")
-        # a row stops growing once a later one starts, so a row found
-        # complete stays complete
-        n_lb = self.grid.n_layer_blocks
-        while self._complete_rows < cs.block.j:
-            if self._row_sizes.get(self._complete_rows, 0) != n_lb:
-                raise OrderError(f"cannot append block {cs.block}: row "
-                                 f"{self._complete_rows} incomplete")
-            self._complete_rows += 1
-        if self._last_row > cs.block.j:
-            raise OrderError(
-                f"cannot append block {cs.block}: a later row already sealed")
-        self._add(cs.block, cs)
+    def _keys(self, bid: BlockId) -> list[BoundaryKey]:
+        """``bid``'s key schedule: what its entry commits, in order."""
+        return self.grid.committed_keys(bid, self.manifest["mode"])
 
-    def _add(self, bid: BlockId, cs: CommitmentSet | None,
-             raw: bytes | None = None) -> None:
-        """File an entry for ``bid``: decoded ``cs``, or checked ``raw``
-        bytes that decode on first read."""
-        if bid not in self._first:
-            self._first[bid] = len(self.blocks)
-            self._row_sizes[bid.j] = self._row_sizes.get(bid.j, 0) + 1
-            self._last_row = max(self._last_row, bid.j)
-        self.blocks.append(bid)
-        self._sets.append(cs)
-        self._raw.append(raw)
-        self._undecoded += cs is None
+    def append(self, cs: CommitmentSet) -> bytes:
+        """File ``cs`` under the entry rule; returns its encoding."""
+        return self._file(cs.block, cs)
 
-    def _entry_at(self, p: int) -> CommitmentSet:
-        cs = self._sets[p]
-        if cs is None:
-            cs = self._sets[p] = CommitmentSet.decode(self._raw[p])
-            self._raw[p] = None
-            self._undecoded -= 1
-        return cs
+    def _file(self, bid: BlockId, entry: CommitmentSet | bytes) -> bytes:
+        """The one entry rule, for every entry appended or loaded: ``bid``
+        lies in the grid, has no entry yet, and every row before its own
+        is complete; and the entry, a set or its bytes, is exactly
+        ``(i, j)`` and one digest per key of ``bid``'s schedule. Files
+        ``entry`` and returns its bytes; raises LedgerError (OrderError
+        for the order) and files nothing otherwise."""
+        grid = self.grid
+        if not grid.contains(bid):
+            raise LedgerError(f"ledger entry for block {bid} lies outside "
+                              f"the manifest's grid")
+        # every entry filed lies in the grid and is the only one of its
+        # block, so the rows before j are complete iff j rows' worth of
+        # entries are filed
+        filed = len(self._entries)
+        if filed < bid.j * grid.n_layer_blocks:
+            raise OrderError(f"entry for block {bid} before row "
+                             f"{filed // grid.n_layer_blocks} is complete")
+        raw = entry if isinstance(entry, bytes) else \
+            entry.encode(self._keys(bid), self.manifest["hash_algo"])
+        n = grid.n_committed_keys(bid, self.manifest["mode"])
+        if len(raw) != _BLOCK.size + DIGEST_BYTES * n:
+            raise LedgerError(f"ledger entry for block {bid} is {len(raw)} "
+                              f"bytes, not (i, j) and its {n} digests")
+        if self._entries.setdefault(bid, entry) is not entry:
+            raise OrderError(f"duplicate entry for block {bid}")
+        return raw
+
+    def _entry(self, bid: BlockId) -> CommitmentSet:
+        """``bid``'s entry, decoded on first read."""
+        e = self._entries[bid]
+        if isinstance(e, bytes):
+            e = self._entries[bid] = CommitmentSet.decode(
+                e, self._keys(bid), self.manifest["hash_algo"])
+        return e
+
+    @property
+    def blocks(self) -> list[BlockId]:
+        """The block of each entry, in file order; decodes nothing."""
+        return list(self._entries)
 
     @property
     def entries(self) -> list[CommitmentSet]:
-        """Every entry in file order, duplicates included, decoding those
-        not yet read. The list and its sets are the ledger's own: what is
-        changed in them is what ``encode`` and ``save`` write."""
-        if self._undecoded:
-            for p in range(len(self._sets)):
-                self._entry_at(p)
-        return self._sets
+        """Every entry in file order, decoding those not yet read. The
+        sets are the ledger's own: what is changed in them is what
+        ``encode`` and ``save`` write."""
+        return [self._entry(b) for b in self._entries]
 
     def __contains__(self, bid) -> bool:
         """Whether some entry commits ``bid``; decodes nothing."""
-        return bid in self._first
+        return bid in self._entries
 
     def entry_for(self, bid: BlockId) -> CommitmentSet | None:
-        """``bid``'s first entry, decoded on first read; None if none."""
-        p = self._first.get(bid)
-        return None if p is None else self._entry_at(p)
+        """``bid``'s entry, decoded on first read; None if none."""
+        return self._entry(bid) if bid in self._entries else None
 
     def entries_in(self, blocks: set[BlockId]) -> list[CommitmentSet]:
-        """Every entry for a block of ``blocks``, in file order, decoding
-        only those."""
-        return [self._entry_at(p) for p, b in enumerate(self.blocks)
-                if b in blocks]
+        """The entries of ``blocks``, in file order, decoding only
+        those."""
+        return [self._entry(b) for b in self._entries if b in blocks]
 
     def all_digests(self) -> dict[BoundaryKey, Digest]:
         out: dict[BoundaryKey, Digest] = {}
@@ -261,17 +215,22 @@ class RunLedger:
     # -- serialization ---------------------------------------------------
 
     def encode(self) -> bytes:
+        """The ledger's bytes. An entry not decoded since it was loaded
+        is written as it was read."""
         manifest_json = json.dumps(self.manifest, sort_keys=True,
                                    separators=(",", ":")).encode()
-        return b"".join([MAGIC, _frame(manifest_json)]
-                        + [_frame(e.encode()) for e in self.entries])
+        algo = self.manifest["hash_algo"]
+        return b"".join([MAGIC, _frame(manifest_json)] + [
+            _frame(e if isinstance(e, bytes)
+                   else e.encode(self._keys(b), algo))
+            for b, e in self._entries.items()])
 
     @classmethod
     def decode(cls, data: bytes) -> "RunLedger":
         """Parse ledger bytes; every length must match exactly, and any
         malformation raises LedgerError."""
         if data[:len(MAGIC)] != MAGIC:
-            raise LedgerError("bad ledger magic")
+            raise LedgerError("bad ledger magic: not an AFTL2 ledger")
         try:
             return cls._decode(data)
         except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -279,8 +238,8 @@ class RunLedger:
 
     @classmethod
     def _decode(cls, data: bytes) -> "RunLedger":
-        """One walk over the frames. Each entry's bytes get every check
-        ``CommitmentSet.decode`` relies on, and decode on first read."""
+        """One walk over the frames, filing each entry's bytes under the
+        entry rule; they decode on first read."""
         off = len(MAGIC)
         (mlen,) = struct.unpack_from("<I", data, off)
         off += 4
@@ -292,6 +251,10 @@ class RunLedger:
             raise LedgerError("ledger manifest is not a JSON object")
         off += mlen
         ledger = cls(manifest)
+        try:
+            ledger.grid  # the schedule every entry is read by
+        except ValueError as e:
+            raise LedgerError(f"manifest {e}") from None
         while off < len(data):
             (elen,) = struct.unpack_from("<I", data, off)
             off += 4
@@ -299,8 +262,8 @@ class RunLedger:
                 raise LedgerError(f"entry of {elen} bytes at offset {off} "
                                   f"overruns the {len(data)}-byte ledger")
             raw = data[off:off + elen]
-            i, j, _ = _entry_header(raw)
-            ledger._add(BlockId(i, j), None, raw)
+            i, j = _BLOCK.unpack_from(raw)
+            ledger._file(BlockId(i, j), raw)
             off += elen
         return ledger
 
@@ -317,11 +280,11 @@ class RunLedger:
         self._stamp = stamp
 
     def append_row(self, sets: list[CommitmentSet], path) -> None:
-        """Append sealed ``sets`` (a step-block row) through ``append``'s
-        order checks, then write their entries to the end of ``path`` with
-        one fsync. ``path`` must be the file this ledger last saved or
-        appended to, unchanged since; anything else raises LedgerError
-        and the file is left as it is."""
+        """Append ``sets`` (a step-block row) under the entry rule, then
+        write their entries to the end of ``path`` with one fsync.
+        ``path`` must be the file this ledger last saved or appended to,
+        unchanged since; anything else raises LedgerError and the file is
+        left as it is."""
         try:
             f = open(path, "r+b")
         except FileNotFoundError:
@@ -332,10 +295,9 @@ class RunLedger:
                 raise LedgerError(f"{path} is not the file this ledger last "
                                   f"wrote; refusing to append")
             self._stamp = None  # until the whole row is on disk
-            for cs in sets:
-                self.append(cs)
+            rows = b"".join(_frame(self.append(cs)) for cs in sets)
             f.seek(0, os.SEEK_END)
-            f.write(b"".join(_frame(cs.encode()) for cs in sets))
+            f.write(rows)
             f.flush()
             os.fsync(f.fileno())
             self._stamp = _file_stamp(f.fileno())

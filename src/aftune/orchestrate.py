@@ -39,8 +39,7 @@ from .store import StoreError, TensorStore
 from .tensors import BlobError, NonFiniteError
 from .verifier import (EVIDENCE_RELEASED, FAIL, NON_FINITE, REFUSED,
                        BindingMemo, VerificationReport, VerificationRequest,
-                       check_run_spec, non_finite_key, refusal,
-                       verify_or_refuse)
+                       non_finite_key, refusal, verify_or_refuse)
 from .verifier_worker import frame
 
 # the directory holding the imported package, for isolated workers
@@ -104,10 +103,6 @@ class Run:
             raise LedgerError(f"ledger schema version {version} != "
                               f"supported {SCHEMA_VERSION}")
         _check_manifest(ledger.manifest)
-        for bid in ledger.blocks:
-            if not ledger.grid.contains(bid):
-                raise LedgerError(f"ledger entry for block {bid} lies "
-                                  f"outside the manifest's grid")
         try:
             run = cls(run_dir, ledger)
             run._fresh_layers  # built now: an unbuildable model is exit 2
@@ -186,18 +181,15 @@ class Run:
 
     def _request(self, bid: BlockId, tensors: dict, grid: dict,
                  full_scan: bool) -> VerificationRequest:
-        """The request for ``bid`` checked on ``grid`` carrying ``tensors``
-        and the digests of its commitment keys as the block's own sealed
-        commitment holds them (a key it omits goes without, and the
-        verifier refuses); for a training loss block also its labels and
-        their anchors, for inference the served parameters."""
+        """The request for sealed block ``bid`` checked on ``grid``
+        carrying ``tensors`` and the digests of its key schedule as its
+        ledger entry holds them; for a training loss block also its labels
+        and their anchors, for inference the served parameters."""
         manifest = self.manifest
         training = self.mode == "training"
-        keys = self.grid.commitment_keys(bid) if training \
-            else self.grid.inference_commitment_keys(bid)
-        own = self.ledger.entry_for(bid)
-        committed = own.entries if own is not None else {}
-        ledger_digests = {str(k): committed[k] for k in keys if k in committed}
+        committed = self.ledger.entry_for(bid).entries
+        ledger_digests = {str(k): committed[k]
+                          for k in self.grid.committed_keys(bid, self.mode)}
         labels = {}
         if training and self._needs_labels(bid.i):
             steps = self.grid.block_steps(bid.j)
@@ -384,7 +376,7 @@ class Run:
             own = self.ledger.entry_for(BlockId(i, j))
             for k in grid.state_keys(i, step):
                 blobs[k] = row.blob(k)
-                if own is not None and k in own.entries:
+                if own is not None:
                     committed[k] = own.entries[k]
 
         got = chunked_hash_many(list(blobs.values()), config.chunk_size,
@@ -411,7 +403,7 @@ class Run:
                     f"block {bid} has no sealed commitment; cannot prune")
         if self.store is None:
             return 0
-        keep = reference_closure(self.grid, requested)
+        keep = reference_closure(self.grid, requested, self.mode)
         index = self.store.index
         return self.store.prune({index[str(k)]["digest"]
                                  for k in keep if str(k) in index})
@@ -439,14 +431,9 @@ def _stopped(e: Exception, where: str = "",
 
 
 def _check_manifest(manifest: dict) -> None:
-    """Raise LedgerError unless ``manifest`` obeys ``check_run_spec``, the
-    rules a request header obeys too, and a training manifest also holds
-    the run and dataset seeds, batch size and anchors its RunContext and
-    Run read."""
-    try:
-        check_run_spec(manifest)
-    except ValueError as e:
-        raise LedgerError(f"manifest {e}") from None
+    """Raise LedgerError unless a training ``manifest``, which obeys
+    ``check_run_spec`` once loaded, also holds the run and dataset seeds,
+    batch size and anchors its RunContext and Run read."""
     if manifest["mode"] == "inference":
         return
     try:
@@ -593,9 +580,11 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
     of their neighbors; a block with no entry is skipped. A walked block
     gets the same problems and bad-block mark whatever else is walked:
     the base-model anchor is recomputed whenever a walked block lies in
-    row 0."""
+    row 0. An inference run has no chain: its report is empty."""
     report = ChainReport(ok=True)
     manifest = ledger.manifest
+    if manifest["mode"] != "training":
+        return report
     grid = ledger.grid
     inputs = manifest.get("input_anchors", [])
     labels = manifest.get("label_anchors", [])
@@ -625,8 +614,6 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
     def neighbor_problem(neighbor, theirs, key, digest) -> str | None:
         if theirs is None:
             return f"missing neighbor commitment {neighbor} for {key}"
-        if key not in theirs.entries:
-            return f"neighbor {neighbor} does not commit {key}"
         if theirs.entries[key].value != digest.value:
             return f"digest conflict with neighbor {neighbor} on {key}"
         return None
@@ -644,10 +631,8 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
         consumed += [(key, "above", t_in)
                      for key in grid.state_keys(bid.i, t_in)]
         for key, side, t in consumed:
-            by, digest = near[side], e.entries.get(key)
-            if digest is None:
-                why = f"block {bid} does not commit {key}"
-            elif side in vouching:
+            by, digest = near[side], e.entries[key]
+            if side in vouching:
                 why = neighbor_problem(by, vouching[side], key, digest)
             else:
                 why = anchor_problem(by, key, digest, t)
@@ -661,7 +646,6 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
     row0 = [b for b in scope if b.j == 0]
     if row0 and store is not None \
             and "base_model_digest" in manifest \
-            and manifest["mode"] == "training" \
             and _base_anchor_broken(manifest, store):
         problem("stored step-0 parameters do not match the base-model anchor")
         bad.update(map(str, row0))

@@ -92,6 +92,18 @@ def build_manifest(model_spec: dict, opt_spec: dict, dataset_spec: dict,
     }
 
 
+def _new_run_dir(out_dir) -> Path:
+    """``out_dir``, made if missing. One that already holds a recorded
+    run raises FileExistsError before anything is written: the second
+    run's evidence would mix with the first's."""
+    out_dir = Path(out_dir)
+    if (out_dir / LEDGER_FILE).exists():
+        raise FileExistsError(f"{out_dir} already holds a recorded run; "
+                              f"record into a new directory")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _run_rows(ctx: RunContext, state: ModelState, step, on_params, on_step):
     """The one training loop: run the schedule from ``state``, the fresh
     state, with ``step(state, batch)``. Calls ``on_params(state, t)`` at
@@ -119,9 +131,9 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
     one training step (default: the honest ``train_step``). A step that
     goes non-finite ends the run with NonFiniteError after the store's
     index is saved, so the rows sealed before it stay verifiable.
+    ``out_dir`` must not hold a recorded run (FileExistsError).
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _new_run_dir(out_dir)
     ctx = RunContext(manifest)
     grid = ctx.grid
     ledger = RunLedger(manifest)
@@ -231,9 +243,10 @@ def record_inference(manifest: dict, layers, x: np.ndarray, out_dir) -> RunResul
     """Forward-only recording of ``layers``, the served parameter set, on
     ``x``: activations at every ia-th layer-block edge plus the model
     input and final output. One request = one step. The served
-    parameters are saved too, so verification requests can carry them."""
-    out_dir = Path(out_dir)
-    (out_dir / PARAMS_DIR).mkdir(parents=True, exist_ok=True)
+    parameters are saved too, so verification requests can carry them.
+    ``out_dir`` must not hold a recorded run (FileExistsError)."""
+    out_dir = _new_run_dir(out_dir)
+    (out_dir / PARAMS_DIR).mkdir(exist_ok=True)
     for l, layer in enumerate(layers):
         (out_dir / PARAMS_DIR / f"{l}.bin").write_bytes(param_bytes(layer))
     config = GridConfig.from_dict(manifest["grid"])
@@ -258,13 +271,15 @@ def record_inference(manifest: dict, layers, x: np.ndarray, out_dir) -> RunResul
 # -- pruning ------------------------------------------------------------
 
 
-def reference_closure(grid: BlockGrid, bids: list[BlockId]) -> set[BoundaryKey]:
-    """Keys a later verification of ``bids`` may need: their commitment
-    keys, the checkpoints their rows' replays start from, and the
-    boundary tensors those replays consume up to each block's entry."""
+def reference_closure(grid: BlockGrid, bids: list[BlockId],
+                      mode: str) -> set[BoundaryKey]:
+    """Keys a later verification of ``bids`` of a ``mode`` run may need:
+    their committed keys, the checkpoints their rows' replays start from,
+    and the boundary tensors those replays consume up to each block's
+    entry."""
     keep: set[BoundaryKey] = set()
     for bid in bids:
-        keep.update(grid.commitment_keys(bid))
+        keep.update(grid.committed_keys(bid, mode))
         target = grid.step_blocks[bid.j][0]
         t0 = grid.replay_origin(bid.i, target)
         if t0 is not None:

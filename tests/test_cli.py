@@ -212,6 +212,8 @@ VERIFY_AND_AUDIT_BAD_VALUES = [
     ["verify", "out", "--jobs", "0"],
     ["verify", "out", "--jobs", "-3"],
     ["audit", "out", "--trials", "-4"],
+    ["audit", "out", "--seed", "99999999999999999999999"],
+    ["audit", "out", "--seed", "99999999999999999999999", "--trials", "3"],
 ]
 
 
@@ -237,6 +239,10 @@ VERIFY_AND_AUDIT_BAD_VALUES = [
     ["detection-odds", "--m", "-1"],
     ["detection-odds", "--n", "0", "--k", "0"],
     ["attack-stats", "--bl-values", "2,0", "--steps", "1"],
+    ["attack-stats", "--bl-values", "a", "--steps", "1"],
+    ["record-train", "out", "--seed", "99999999999999999999999"],
+    ["record-train", "out", "--model-seed", "-99999999999999999999999"],
+    ["record-infer", "out", "--model-seed", "99999999999999999999999"],
     *VERIFY_AND_AUDIT_BAD_VALUES,
 ])
 def test_bad_option_value_is_a_usage_error(tmp_path, runner, args):
@@ -567,12 +573,13 @@ def _forge_block_1_0(run, forge):
 
 
 def test_out_of_grid_entry_is_a_usage_error(sha_run, tmp_path, runner):
-    # a sealed copy of the last entry filed as block 9,9 of a 3x2 grid
-    from aftune.ledger import CommitmentSet, RunLedger
+    # the last entry's digests filed as block 9,9 of a 3x2 grid
+    from aftune.ledger import RunLedger
     run = tmp_path / "outside"
     shutil.copytree(sha_run, run)
     last = RunLedger.load(run / "ledger.bin").entries[-1]
-    blob = CommitmentSet(BlockId(9, 9), last.entries, sealed=True).encode()
+    blob = struct.pack("<II", 9, 9) + b"".join(
+        d.value for d in last.entries.values())
     with open(run / "ledger.bin", "ab") as f:
         f.write(struct.pack("<I", len(blob)) + blob)
     for args in (["verify", "outside"], ["verify", "outside", "--isolated"],
@@ -581,6 +588,79 @@ def test_out_of_grid_entry_is_a_usage_error(sha_run, tmp_path, runner):
         result = _invoke(runner, tmp_path, *args)
         _exits_cleanly(result, 2)
         assert "block 9,9 lies outside the manifest's grid" in result.output
+
+
+def _ledger_frames(data: bytes) -> tuple[bytes, list[bytes]]:
+    """The header (magic and manifest frame) and the entries of ledger
+    bytes."""
+    off = 10 + struct.unpack_from("<I", data, 6)[0]
+    head, entries = data[:off], []
+    while off < len(data):
+        (n,) = struct.unpack_from("<I", data, off)
+        entries.append(data[off + 4:off + 4 + n])
+        off += 4 + n
+    return head, entries
+
+
+def _aftl1(ledger: RunLedger) -> bytes:
+    """``ledger`` in the AFTL1 format: each entry framed as its block and
+    key count, then per key its kind, index, step and algorithm codes and
+    its digest, then a 65-byte signature slot."""
+    kinds = ("activation", "gradient", "parameter", "optimizer-state")
+    frames = [json.dumps(ledger.manifest, sort_keys=True,
+                         separators=(",", ":")).encode()]
+    for e in ledger.entries:
+        frames.append(
+            struct.pack("<IIH", e.block.i, e.block.j, len(e.entries))
+            + b"".join(struct.pack("<BIIB", kinds.index(k.kind), k.index,
+                                   k.step, ("blake3", "sha256").index(d.algo))
+                       + d.value for k, d in sorted(e.entries.items()))
+            + bytes(65))
+    return b"AFTL1\x00" + b"".join(struct.pack("<I", len(f)) + f
+                                    for f in frames)
+
+
+def _misfiled(head: bytes, entries: list[bytes], case: str) -> bytes:
+    """The ledger of ``head`` and ``entries`` (a 3x2 grid's six, in
+    order) broken as ``case`` says."""
+    entries = list(entries)
+    if case == "one-digest-short":
+        entries[-1] = entries[-1][:-32]
+    elif case == "one-digest-long":
+        entries[-1] += entries[-1][-32:]
+    elif case == "duplicate-block":
+        entries.append(entries[-1])
+    else:  # block 0,1 before row 0's block 2,0
+        entries[2], entries[3] = entries[3], entries[2]
+    return head + b"".join(struct.pack("<I", len(e)) + e for e in entries)
+
+
+MALFORMED_LEDGERS = {
+    "one-digest-short": "ledger entry for block 2,1 is 488 bytes, not (i, j) "
+                        "and its 16 digests",
+    "one-digest-long": "ledger entry for block 2,1 is 552 bytes, not (i, j) "
+                       "and its 16 digests",
+    "duplicate-block": "duplicate entry for block 2,1",
+    "row-before-earlier-complete": "entry for block 0,1 before row 0 is "
+                                   "complete",
+    "aftl1": "bad ledger magic: not an AFTL2 ledger",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LEDGERS))
+def test_malformed_ledger_is_a_usage_error(sha_run, tmp_path, runner, case):
+    run = tmp_path / "malformed"
+    shutil.copytree(sha_run, run)
+    path = run / "ledger.bin"
+    if case == "aftl1":
+        path.write_bytes(_aftl1(RunLedger.load(path)))
+    else:
+        path.write_bytes(_misfiled(*_ledger_frames(path.read_bytes()), case))
+    for args in (["verify"], ["verify", "--isolated"], ["audit", "--m", "3"],
+                 ["audit", "--m", "3", "--isolated"]):
+        result = _invoke(runner, tmp_path, args[0], "malformed", *args[1:])
+        _exits_cleanly(result, 2)
+        assert MALFORMED_LEDGERS[case] in result.output
 
 
 def test_conflicting_neighbor_commitment_fails_the_block(sha_run, tmp_path,
@@ -604,22 +684,26 @@ def test_conflicting_neighbor_commitment_fails_the_block(sha_run, tmp_path,
         _exits_cleanly(_invoke(runner, tmp_path, *args), 1)
 
 
-def test_omitted_commitment_key_is_refused(sha_run, tmp_path, runner):
-    run = tmp_path / "omitted"
+@pytest.mark.parametrize("edit", ["omitted", "extra", "other-algorithm"])
+def test_commitment_set_off_its_schedule_cannot_be_saved(sha_run, tmp_path,
+                                                         edit):
+    # an entry is its key schedule's digests, so a set that drops a key,
+    # adds one, or holds a digest in another algorithm cannot be written
+    from aftune.hashing import Digest
+    from aftune.ledger import LedgerError, RunLedger
+    run = tmp_path / "off-schedule"
     shutil.copytree(sha_run, run)
+    before = (run / "ledger.bin").read_bytes()
     key = BoundaryKey("activation", 1, 0)
-    _forge_block_1_0(run, lambda e: e.pop(key))
-    result = _invoke(runner, tmp_path, "verify", "omitted")
-    _exits_cleanly(result, 1)
-    assert "block 0,0: pass" in result.output
-    assert "block 1,0: refused" in result.output
-    assert f"trust chain: BROKEN — block 1,0 does not commit {key}" \
-        in result.output
-    report = json.loads((run / "verify_report.json").read_text())
-    assert report["trust_chain"]["bad_blocks"] == ["1,0"]
-    assert f"missing ledger digest for {key}" in report["reports"][1]["note"]
-    _exits_cleanly(_invoke(runner, tmp_path, "audit", "omitted", "--strategy",
-                           "explicit", "--block", "1,0"), 1)
+    forge = {"omitted": lambda e: e.pop(key),
+             "extra": lambda e: e.update(
+                 {BoundaryKey("activation", 9, 0): e[key]}),
+             "other-algorithm": lambda e: e.update(
+                 {key: Digest(e[key].value, "blake3")})}[edit]
+    with pytest.raises(LedgerError, match="block 1,0 does not hold its key "
+                                          "schedule's 16 sha256 digests"):
+        _forge_block_1_0(run, forge)
+    assert (run / "ledger.bin").read_bytes() == before
 
 
 def test_short_input_anchors_break_the_chain(sha_run, tmp_path, runner):
@@ -651,6 +735,51 @@ def test_prune_at_infinite_interval_keeps_the_replay_inputs(tmp_path, runner):
     assert "block 1,2: evidence-released" in result.output
     assert _invoke(runner, tmp_path, "verify", "run", "--block",
                    "0,2").exit_code == 0
+
+
+def test_prune_of_an_inference_run_keeps_what_its_schedule_commits(
+        tmp_path, runner):
+    # at --ia 2 block 1,0 commits activation:0@0 and activation:2@0,
+    # where the training schedule would name activation:1@0 and :2@0
+    assert _invoke(runner, tmp_path, "record-infer", "inf", "--bl", "1",
+                   "--ia", "2", "--algo", "sha256").exit_code == 0
+    assert _invoke(runner, tmp_path, "prune", "inf", "--keep",
+                   "1,0").exit_code == 0
+    for args in ([], ["--isolated"]):
+        result = _invoke(runner, tmp_path, "verify", "inf", "--block", "1,0",
+                         *args)
+        assert result.exit_code == 0, result.output
+    result = _invoke(runner, tmp_path, "verify", "inf")
+    _exits_cleanly(result, 1)
+    assert "block 3,0: evidence-released" in result.output
+
+
+@pytest.mark.parametrize("second", [
+    ["record-train", "--n-steps", "8", "--ic", "4", "--seed", "6"],
+    ["record-infer"],
+    ["attack", "--scenario", "under-train"],
+    ["attack", "--scenario", "fabricate-output"],
+])
+def test_recording_into_a_recorded_run_is_a_usage_error(tmp_path, runner,
+                                                        second):
+    # the second run's evidence would mix with the first's and fail it
+    assert _invoke(runner, tmp_path, "record-train", "run", "--n-steps", "8",
+                   "--ic", "1", "--algo", "sha256",
+                   "--seed", "5").exit_code == 0
+
+    def files():
+        return {p: p.read_bytes() for p in (tmp_path / "run").rglob("*")
+                if p.is_file()}
+
+    before = files()
+    result = _invoke(runner, tmp_path, second[0], "run", *second[1:],
+                     "--algo", "sha256")
+    _exits_cleanly(result, 2)
+    assert "already holds a recorded run" in result.output
+    assert files() == before
+    result = _invoke(runner, tmp_path, "verify", "run")
+    assert result.exit_code == 0, result.output
+    assert result.output.endswith("PASS\n")
 
 
 def test_short_boundary_blob_is_evidence_released(sha_run, tmp_path, runner):
@@ -692,8 +821,8 @@ def _count_decodes(monkeypatch) -> list:
     decoded = []
     decode = CommitmentSet.decode.__func__
 
-    def counted(cls, data):
-        cs = decode(cls, data)
+    def counted(cls, *args):
+        cs = decode(cls, *args)
         decoded.append(cs.block)
         return cs
 
@@ -893,17 +1022,27 @@ def test_edited_manifest_field_ends_in_a_verdict(
 
 
 def test_unisolated_unstable_layer_is_refused_by_name(tmp_path, runner):
+    # at --bl 1 every layer block is one layer, isolated or not, so the
+    # edit keeps the key schedule and only the checkpoint interval moves
     assert _invoke(runner, tmp_path, "record-train", "edited", "--preset",
-                   "unstable", "--n-steps", "4", "--algo", "sha256",
-                   "--batch-size", "8").exit_code == 0
+                   "unstable", "--n-steps", "4", "--bl", "1", "--algo",
+                   "sha256", "--batch-size", "8").exit_code == 0
     run = _edited_copy(tmp_path / "edited", tmp_path / "copy",
                        lambda m: m["grid"].update(isolate_layers=[]))
-    report = _verify_both_ways(runner, run)
-    notes = {r["block"]: r["note"] for r in report["reports"]
-             if r["verdict"] == REFUSED}
-    assert "layer 2 is non-deterministic" in notes["1,1"]
-    _exits_cleanly(_invoke(runner, run.parent, "audit", run.name, "--m", "2"),
-                   1)
+    # the layer's jitter depends on the process that replays it, so the
+    # blocks that pass do not pass with equal errors; compare refusals
+    refusals = []
+    for extra in ([], ["--isolated"]):
+        _exits_cleanly(_invoke(runner, run.parent, "verify", run.name,
+                               *extra), 1)
+        refusals.append({r["block"]: r["note"]
+                         for r in _verify_report(run)["reports"]
+                         if r["verdict"] == REFUSED})
+    assert refusals[0] == refusals[1]
+    assert list(refusals[0]) == ["2,1"]
+    assert "layer 2 is non-deterministic" in refusals[0]["2,1"]
+    _exits_cleanly(_invoke(runner, run.parent, "audit", run.name,
+                           "--strategy", "explicit", "--block", "2,1"), 1)
 
 
 def test_index_shape_that_refits_the_bytes_is_refused(sha_run, tmp_path,

@@ -52,6 +52,26 @@ def test_block_counts_match_ceiling_formulas(config):
 
 
 @settings(max_examples=80, deadline=None)
+@given(config_strategy(), st.lists(st.integers(0, 39), max_size=3),
+       st.integers(1, 8))
+def test_committed_keys_are_the_mode_schedule_and_its_count(config, isolate,
+                                                            ia):
+    # a ledger entry's size is counted without building its keys
+    config = replace(config, ia=ia, isolate_layers=tuple(
+        sorted({l for l in isolate if l < config.n_layers})))
+    grid = BlockGrid(config)
+    for bid in grid.block_ids():
+        assert grid.committed_keys(bid, "training") == \
+            grid.commitment_keys(bid)
+        assert grid.committed_keys(bid, "inference") == \
+            grid.inference_commitment_keys(bid)
+        for mode in ("training", "inference"):
+            keys = grid.committed_keys(bid, mode)
+            assert len(set(keys)) == len(keys)
+            assert grid.n_committed_keys(bid, mode) == len(keys)
+
+
+@settings(max_examples=80, deadline=None)
 @given(config_strategy(), st.data())
 def test_block_of_inverts_partition(config, data):
     grid = BlockGrid(config)

@@ -1,4 +1,4 @@
-"""Commitment sets, append ordering, and the binary ledger format."""
+"""Commitment sets, the one entry rule, and the binary ledger format."""
 
 from __future__ import annotations
 
@@ -11,11 +11,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig
-from aftune.hashing import ALGORITHMS, Digest
-from aftune.ledger import (MAGIC, SCHEMA_VERSION, SIGNATURE_SLOT_BYTES,
-                           CommitmentSet, LedgerError, OrderError, RunLedger,
-                           SealedError, seal_block)
+from aftune.hashing import Digest
+from aftune.ledger import (MAGIC, SCHEMA_VERSION, CommitmentSet, LedgerError,
+                           OrderError, RunLedger, seal_block)
+from aftune.presets import default_optimizer
 from aftune.recorder import LEDGER_FILE
+from aftune.verifier import check_run_spec
+
+# the key schedule of every block the ledgers below hold: rows of two
+# steps, so a block's keys are the same at 4 steps as at 6
+GRID = BlockGrid(GridConfig(n_layers=4, n_steps=6, bl=2, bs=2))
 
 
 def _digest(n: int) -> Digest:
@@ -25,15 +30,17 @@ def _digest(n: int) -> Digest:
 def _manifest(n_layers=4, n_steps=4, bl=2, bs=2):
     return {"mode": "training", "hash_algo": "blake3",
             "grid": GridConfig(n_layers=n_layers, n_steps=n_steps,
-                               bl=bl, bs=bs).to_dict()}
+                               bl=bl, bs=bs).to_dict(),
+            "model": {"seed": 7, "layers": [{"kind": "relu"}] * n_layers},
+            "optimizer": default_optimizer()}
 
 
-def _sealed(i, j, n_entries=3):
-    cs = CommitmentSet(BlockId(i, j))
-    for k in range(n_entries):
-        cs.add(BoundaryKey("activation", k, j), _digest(i * 16 + j * 4 + k))
-    cs.seal()
-    return cs
+def _sealed(i, j):
+    """Block (i, j)'s set: a distinct digest for each key of its
+    schedule."""
+    return CommitmentSet(BlockId(i, j), {
+        k: _digest(i * 64 + j * 16 + n)
+        for n, k in enumerate(GRID.commitment_keys(BlockId(i, j)))})
 
 
 def _fill_row(ledger, j, n_lb):
@@ -41,36 +48,18 @@ def _fill_row(ledger, j, n_lb):
         ledger.append(_sealed(i, j))
 
 
-def test_sealing_freezes_the_set():
-    cs = CommitmentSet(BlockId(0, 0))
-    cs.add(BoundaryKey("activation", 0, 0), _digest(1))
-    cs.seal()
-    with pytest.raises(SealedError):
-        cs.add(BoundaryKey("activation", 1, 0), _digest(2))
-    with pytest.raises(SealedError):
-        cs.seal()
-
-
 def test_commitment_set_binary_roundtrip():
     rng = np.random.default_rng(0)
-    cs = CommitmentSet(BlockId(3, 7))
-    for kind in ("activation", "gradient", "parameter", "optimizer-state"):
-        cs.add(BoundaryKey(kind, int(rng.integers(0, 100)),
-                           int(rng.integers(0, 1000))),
-               Digest(rng.bytes(32), "sha256"))
-    cs.seal()
-    back = CommitmentSet.decode(cs.encode())
+    keys = GRID.commitment_keys(BlockId(1, 2))
+    cs = CommitmentSet(BlockId(1, 2), {k: Digest(rng.bytes(32), "sha256")
+                                       for k in keys})
+    data = cs.encode(keys, "sha256")
+    assert data == struct.pack("<II", 1, 2) + b"".join(
+        cs.entries[k].value for k in keys)
+    back = CommitmentSet.decode(data, keys, "sha256")
     assert back.block == cs.block
     assert back.entries == cs.entries
-    assert back.sealed
-    assert back.signature == b""
-
-
-def test_signature_slot_roundtrip():
-    cs = _sealed(0, 0)
-    cs.signature = b"reserved-for-provider-key"
-    back = CommitmentSet.decode(cs.encode())
-    assert back.signature == b"reserved-for-provider-key"
+    assert list(back.entries) == keys
 
 
 def test_seal_block_reports_missing_keys():
@@ -80,11 +69,24 @@ def test_seal_block_reports_missing_keys():
     assert "activation:0@0" in str(exc.value)
 
 
-def test_only_sealed_sets_may_be_appended():
+@pytest.mark.parametrize("edit", ["empty", "omitted", "extra",
+                                  "other-algorithm"])
+def test_only_sets_of_the_key_schedule_may_be_appended(edit):
     ledger = RunLedger(_manifest())
-    cs = CommitmentSet(BlockId(0, 0))
-    with pytest.raises(LedgerError):
+    cs = _sealed(0, 0)
+    key = BoundaryKey("activation", 1, 0)
+    if edit == "empty":
+        cs.entries.clear()
+    elif edit == "omitted":
+        del cs.entries[key]
+    elif edit == "extra":
+        cs.entries[BoundaryKey("activation", 2, 0)] = _digest(1)
+    else:
+        cs.entries[key] = Digest(cs.entries[key].value, "sha256")
+    with pytest.raises(LedgerError, match="key schedule's 16 blake3 digests"):
         ledger.append(cs)
+    assert BlockId(0, 0) not in ledger
+    ledger.append(_sealed(0, 0))
 
 
 def test_append_rejects_duplicates():
@@ -146,7 +148,8 @@ def test_append_row_writes_what_encode_does(tmp_path):
         ledger.append_row([_sealed(0, j), _sealed(1, j)], path)
         assert path.read_bytes() == ledger.encode()
     with pytest.raises(LedgerError):
-        ledger.append_row([_sealed(2, 0)], path)  # outside the grid
+        ledger.append_row([CommitmentSet(BlockId(2, 0),  # outside the grid
+                                         _sealed(1, 0).entries)], path)
     assert path.read_bytes() == ledger.encode()
 
 
@@ -179,13 +182,10 @@ def test_decode_rejects_bad_magic():
 
 
 def test_all_digests_detects_conflicts():
+    # blocks 0,0 and 1,0 both commit boundary 1, with distinct digests
     ledger = RunLedger(_manifest())
-    key = BoundaryKey("activation", 0, 0)
-    a = CommitmentSet(BlockId(0, 0), {key: _digest(1)}, sealed=True)
-    b = CommitmentSet(BlockId(1, 0), {key: _digest(2)}, sealed=True)
-    ledger.append(a)
-    ledger.append(b)
-    with pytest.raises(LedgerError):
+    _fill_row(ledger, 0, 2)
+    with pytest.raises(LedgerError, match="conflicting digests"):
         ledger.all_digests()
 
 
@@ -230,23 +230,30 @@ def test_trailing_bytes_are_rejected(ledger_bytes):
             RunLedger.decode(ledger_bytes + extra)
 
 
+def _framed(ledger: RunLedger, last: bytes) -> bytes:
+    """``ledger``'s bytes with ``last`` framed as one more entry."""
+    return ledger.encode() + struct.pack("<I", len(last)) + last
+
+
 def test_commitment_set_sizes_are_exact():
-    blob = _sealed(1, 2).encode()
-    assert len(blob) == 10 + 42 * 3 + 1 + SIGNATURE_SLOT_BYTES
-    for bad in (blob[:-1], blob + b"\x00", blob[:-7]):
+    # block 0,1 after a complete row 0: (i, j) and 16 digests, no more
+    ledger = RunLedger(_manifest())
+    _fill_row(ledger, 0, 2)
+    blob = _sealed(0, 1).encode(GRID.commitment_keys(BlockId(0, 1)),
+                                "blake3")
+    assert len(blob) == 8 + 32 * 16
+    assert RunLedger.decode(_framed(ledger, blob)).blocks[-1] == BlockId(0, 1)
+    for bad in (blob[:-1], blob + b"\x00", blob[:-32], blob + blob[-32:],
+                blob[:8], blob[:7]):
         with pytest.raises(LedgerError):
-            CommitmentSet.decode(bad)
-    padded = bytearray(blob)
-    padded[-1] = 1  # padding of an absent signature
-    with pytest.raises(LedgerError):
-        CommitmentSet.decode(bytes(padded))
+            RunLedger.decode(_framed(ledger, bad))
 
 
 def _eager_decode(data: bytes):
-    """Oracle: the ledger decoder that parses every entry at load, as
-    ``RunLedger.decode`` did before entries were decoded on first read.
-    Returns the manifest and every entry in file order, or raises
-    LedgerError."""
+    """Oracle: a ledger decoder that parses and checks every entry at
+    load, each against the key schedule of its block, and tracks row
+    completeness by counting each row's blocks. Returns the manifest and
+    every entry in file order, or raises LedgerError."""
     if data[:len(MAGIC)] != MAGIC:
         raise LedgerError("bad ledger magic")
     try:
@@ -258,48 +265,50 @@ def _eager_decode(data: bytes):
         manifest = json.loads(data[off:off + mlen])
         if not isinstance(manifest, dict):
             raise LedgerError("ledger manifest is not a JSON object")
+        try:
+            grid = BlockGrid(check_run_spec(manifest))
+        except ValueError as e:
+            raise LedgerError(str(e)) from None
         manifest.setdefault("schema_version", SCHEMA_VERSION)
         off += mlen
-        sets = []
+        sets, rows = [], {}
         while off < len(data):
             (elen,) = struct.unpack_from("<I", data, off)
             off += 4
             if off + elen > len(data):
                 raise LedgerError("entry overruns the ledger")
-            sets.append(_eager_entry(data[off:off + elen]))
+            cs = _eager_entry(data[off:off + elen], grid, manifest, sets)
+            rows.setdefault(cs.block.j, set()).add(cs.block.i)
+            if any(len(rows.get(r, ())) < grid.n_layer_blocks
+                   for r in range(cs.block.j)):
+                raise LedgerError("a row before the entry's is incomplete")
+            sets.append(cs)
             off += elen
     except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise LedgerError(str(e)) from e
     return manifest, sets
 
 
-def _eager_entry(data: bytes) -> CommitmentSet:
-    if len(data) < 10:
-        raise LedgerError("shorter than its header")
-    i, j, n = struct.unpack_from("<IIH", data, 0)
-    if len(data) != 10 + 42 * n + 1 + SIGNATURE_SLOT_BYTES:
+def _eager_entry(data: bytes, grid, manifest, sets) -> CommitmentSet:
+    i, j = struct.unpack_from("<II", data, 0)
+    bid = BlockId(i, j)
+    if not grid.contains(bid):
+        raise LedgerError("outside the grid")
+    if any(s.block == bid for s in sets):
+        raise LedgerError("duplicate")
+    keys = grid.committed_keys(bid, manifest["mode"])
+    if len(data) != 8 + 32 * len(keys):
         raise LedgerError("wrong size")
-    off, entries = 10, {}
-    kinds = ("activation", "gradient", "parameter", "optimizer-state")
-    for _ in range(n):
-        kind_c, index, step, algo_c = struct.unpack_from("<BIIB", data, off)
-        if kind_c >= len(kinds) or algo_c >= len(ALGORITHMS):
-            raise LedgerError("unknown kind or algorithm code")
-        off += 10
-        entries[BoundaryKey(kinds[kind_c], index, step)] = \
-            Digest(data[off:off + 32], ALGORITHMS[algo_c])
-        off += 32
-    has_sig, sig = data[off], data[off + 1:]
-    if has_sig not in (0, 1) or (not has_sig and sig.strip(b"\x00")):
-        raise LedgerError("malformed signature slot")
-    return CommitmentSet(BlockId(i, j), entries, sealed=True,
-                         signature=sig.rstrip(b"\x00") if has_sig else b"")
+    return CommitmentSet(bid, {k: Digest(data[8 + 32 * n:40 + 32 * n],
+                                         manifest["hash_algo"])
+                               for n, k in enumerate(keys)})
 
 
 def _oracle_encode(manifest, sets) -> bytes:
     frames = [json.dumps(manifest, sort_keys=True,
                          separators=(",", ":")).encode()]
-    frames += [s.encode() for s in sets]
+    frames += [struct.pack("<II", s.block.i, s.block.j)
+               + b"".join(d.value for d in s.entries.values()) for s in sets]
     return MAGIC + b"".join(struct.pack("<I", len(f)) + f for f in frames)
 
 
@@ -328,33 +337,23 @@ def test_damaged_ledger_bytes_decode_or_raise_ledger_error(ledger_bytes,
     manifest, sets = want
     assert ledger.manifest == manifest
     assert ledger.blocks == [s.block for s in sets]
-    # looked up before any full decode: the first entry of a block wins
-    first = {}
-    for s in sets:
-        first.setdefault(s.block, s)
-    for bid, s in first.items():
-        got = ledger.entry_for(bid)
-        assert (got.block, got.entries, got.signature) == \
-            (s.block, s.entries, s.signature)
-        assert bid in ledger and ledger.entry_for(bid) is got
-    assert [(e.block, e.entries, e.signature) for e in ledger.entries] == \
-        [(s.block, s.entries, s.signature) for s in sets]
+    # looked up in reverse file order before any full decode
+    for s in reversed(sets):
+        got = ledger.entry_for(s.block)
+        assert (got.block, got.entries) == (s.block, s.entries)
+        assert s.block in ledger and ledger.entry_for(s.block) is got
+    assert [(e.block, e.entries) for e in ledger.entries] == \
+        [(s.block, s.entries) for s in sets]
     assert ledger.encode() == _oracle_encode(manifest, sets)
 
 
-def test_repeated_block_resolves_to_its_first_entry():
+def test_repeated_block_entry_is_refused_at_load():
     ledger = RunLedger(_manifest())
     _fill_row(ledger, 0, 2)
-    data = ledger.encode()
-    again = _sealed(0, 0, n_entries=1).encode()
-    back = RunLedger.decode(data + struct.pack("<I", len(again)) + again)
-    assert back.blocks == [BlockId(0, 0), BlockId(1, 0), BlockId(0, 0)]
-    assert BlockId(0, 0) in back and BlockId(1, 0) in back
-    assert BlockId(0, 1) not in back
-    first, _, later = back.entries
-    assert back.entry_for(BlockId(0, 0)) is first
-    assert back.entries_in({BlockId(0, 0)}) == [first, later]
-    assert len(later.entries) == 1
+    again = _sealed(0, 0).encode(GRID.commitment_keys(BlockId(0, 0)),
+                                 "blake3")
+    with pytest.raises(OrderError, match="duplicate entry for block 0,0"):
+        RunLedger.decode(_framed(ledger, again))
 
 
 def test_entries_decode_when_read(monkeypatch):
@@ -364,8 +363,8 @@ def test_entries_decode_when_read(monkeypatch):
     decoded = []
     decode = CommitmentSet.decode.__func__
 
-    def counted(cls, data):
-        cs = decode(cls, data)
+    def counted(cls, *args):
+        cs = decode(cls, *args)
         decoded.append(cs.block)
         return cs
 
@@ -379,7 +378,7 @@ def test_entries_decode_when_read(monkeypatch):
     assert decoded == [BlockId(1, 1), BlockId(0, 0), BlockId(1, 0),
                        BlockId(0, 1)]
     # a change made to a decoded set is what the ledger writes back
-    key = BoundaryKey("activation", 0, 1)
+    key = BoundaryKey("activation", 1, 2)
     back.entry_for(BlockId(1, 1)).entries[key] = _digest(99)
     assert RunLedger.decode(back.encode()).entry_for(
         BlockId(1, 1)).entries[key] == _digest(99)

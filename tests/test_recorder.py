@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -45,15 +46,15 @@ def test_recording_does_not_perturb_training(tmp_path):
 # commits, or in which order, shows here
 GOLDEN_LEDGER_DIGESTS = [
     ("sha256", dict(algo="sha256"), None,
-     "3c6a6d05497aecc9f2ac72dbb46bf70206d2d0567eb8a28e2ee4f0a1afd52d72"),
+     "ef6fdc2fb15a9e1b5d681d64b69347e0b2e2ba680477a415a3b12389931ea304"),
     ("zero-storage", dict(algo="sha256", ic=None, zero_storage=True), None,
-     "34f90fc3c66831265f28b391af14f5e0f336dc53772b0c0a6d641b7f1d7dfaa5"),
+     "716d6f66dd7d266f0488d2b1cbb610ee852dac8c503e721c55f69f4c467fc096"),
     ("blake3", dict(algo="blake3"), None,
-     "aaa65b2debc9118c72b68562db6177042566e7f6bbc7ac2f43d55d14cae7b9c9"),
+     "e6902eac3529ee3893370a636a315fcfe590e218fa9eecf44253371d1f5cbed4"),
     ("under-train-sha256", dict(algo="sha256"), "under-train",
-     "797283b4e524252fb498be673c9e538d3e5fb2449ecac8a15277ba53b932385b"),
+     "b069a18c1811d452b7604bc0d27a9a3ada56de35a46f2c0bf23730e3b98cc206"),
     ("under-train-blake3", dict(algo="blake3"), "under-train",
-     "246a491484765472e37c6e76457651c2c27ed68b61f4fff20bc073609819060e"),
+     "186d53bb63c61981a33e64b8dbe7d0dd6b0aff14402e7b1504fc436dc1ecbce9"),
 ]
 
 
@@ -68,6 +69,38 @@ def test_ledger_digest_is_golden(tmp_path, kw, scenario, want):
         apply_scenario(scenario, manifest, tmp_path / "run")
     assert ledger_digest(tmp_path / "run" / LEDGER_FILE,
                          manifest["hash_algo"]) == want
+
+
+def test_ledger_format_is_the_key_schedule(tmp_path):
+    # parsed with struct alone: the magic, the manifest frame, then per
+    # block (i, j) and one digest per key of its schedule, in order
+    manifest = make_manifest(n_steps=4, algo="sha256")
+    record_training(manifest, tmp_path / "run")
+    data = (tmp_path / "run" / LEDGER_FILE).read_bytes()
+    assert data[:6] == b"AFTL2\x00"
+    (mlen,) = struct.unpack_from("<I", data, 6)
+    assert json.loads(data[10:10 + mlen]) == manifest
+    grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
+    store = TensorStore(tmp_path / "run")
+    chunk = 4 * manifest["grid"]["chunk_size"]  # bytes per map piece
+    off, hashed = 10 + mlen, 0
+    for bid in grid.block_ids():
+        keys = grid.commitment_keys(bid)
+        (elen,) = struct.unpack_from("<I", data, off)
+        assert elen == 8 + 32 * len(keys)
+        assert struct.unpack_from("<II", data, off + 4) == (bid.i, bid.j)
+        for n, key in enumerate(keys):
+            digest = data[off + 12 + 32 * n:off + 44 + 32 * n]
+            if store.has_blob(key):
+                blob = store.get_bytes(key)
+                want = hashlib.sha256(b"".join(
+                    hashlib.sha256(blob[a:a + chunk]).digest()
+                    for a in range(0, max(len(blob), 1), chunk))).digest()
+                assert digest == want, key
+                hashed += 1
+        off += 4 + elen
+    assert off == len(data)
+    assert hashed > 0
 
 
 # sha256 over every block's verification request bytes of the fixed
@@ -205,9 +238,9 @@ def test_recording_encodes_each_entry_once(tmp_path, monkeypatch, n_steps):
     encoded = []
     encode = CommitmentSet.encode
 
-    def counted(self):
+    def counted(self, *args):
         encoded.append(self.block)
-        return encode(self)
+        return encode(self, *args)
 
     monkeypatch.setattr(CommitmentSet, "encode", counted)
     result = record_training(make_manifest(n_steps=n_steps, algo="sha256"),
@@ -219,9 +252,9 @@ def test_record_train_command_encodes_each_entry_once(tmp_path, monkeypatch):
     encoded = []
     encode = CommitmentSet.encode
 
-    def counted(self):
+    def counted(self, *args):
         encoded.append(self.block)
-        return encode(self)
+        return encode(self, *args)
 
     monkeypatch.setattr(CommitmentSet, "encode", counted)
     result = CliRunner().invoke(main, ["--root", str(tmp_path), "record-train",

@@ -3,9 +3,11 @@
 Records one sha256 run per length (``--bl 2 --bs 2 --ic 2``, mlp) and
 prints, per length, the user CPU time of ``aftune audit --m 3`` and of
 ``aftune verify --block 1,1`` run in this process through the CLI, the
-number of ledger entries each decodes, and the user CPU time of loading
-the store's ``index.json`` alone. It also records the same run at
-``--ic inf`` and prints the user CPU time per block of a full ``aftune
+number of ledger entries each decodes, the user CPU time of loading
+the store's ``index.json`` alone, the size of the run's ``ledger.bin``,
+and the user CPU time of one ``RunLedger.load`` of it (the mean of
+LEDGER_LOADS loads, as one load is near the timer's resolution). It
+also records the same run at ``--ic inf`` and prints the user CPU time per block of a full ``aftune
 verify`` of it, and the training steps the orchestrator replayed for it
 (``Run._replay_step``, not the verifier's replays). It records the run
 once more with ``--zero-storage`` and prints the user CPU time of
@@ -32,13 +34,14 @@ from pathlib import Path
 import aftune
 from aftune.cli import main
 from aftune.data import make_dataset
-from aftune.ledger import CommitmentSet
+from aftune.ledger import CommitmentSet, RunLedger
 from aftune.model import ModelState, train_step
 from aftune.orchestrate import Run
 from aftune.presets import dataset_for, default_optimizer, model_for
 from aftune.store import TensorStore
 
 TRAIN_STEPS = 500  # steps per timed train_step run
+LEDGER_LOADS = 10  # loads per timed RunLedger.load run
 
 
 def _user_cpu() -> float:
@@ -55,9 +58,9 @@ class _DecodeCounter:
     def __enter__(self):
         original = self._decode.__func__
 
-        def counted(cls, data):
+        def counted(cls, *args):
             self.calls += 1
-            return original(cls, data)
+            return original(cls, *args)
 
         CommitmentSet.decode = classmethod(counted)
         return self
@@ -144,11 +147,15 @@ def measure(root: Path, steps: int, repeat: int) -> dict:
     verifies = [_timed(["verify", run, "--block", "1,1"])
                 for _ in range(repeat)]
     verify_alls = [_timed(["verify", full]) for _ in range(repeat)]
-    index = []
+    index, ledger = [], []
     for _ in range(repeat):
         t0 = _user_cpu()
         TensorStore(run)
         index.append((_user_cpu() - t0) * 1e3)
+        t0 = _user_cpu()
+        for _ in range(LEDGER_LOADS):
+            RunLedger.load(Path(run) / "ledger.bin")
+        ledger.append((_user_cpu() - t0) / LEDGER_LOADS * 1e3)
     bad = [c for *_, c in audits + zero_audits + verifies + verify_alls
            if c != 0]
     if bad:
@@ -161,6 +168,8 @@ def measure(root: Path, steps: int, repeat: int) -> dict:
         "verify_block_ms": round(min(ms for ms, *_ in verifies), 1),
         "verify_block_decoded": max(n for _, n, _, _ in verifies),
         "index_load_ms": round(min(index), 1),
+        "ledger_bytes": (Path(run) / "ledger.bin").stat().st_size,
+        "ledger_load_ms": round(min(ledger), 1),
         "verify_all_ms_per_block":
             round(min(ms for ms, *_ in verify_alls) / blocks, 2),
         "verify_all_replayed": max(n for _, _, n, _ in verify_alls),
