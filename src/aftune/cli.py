@@ -356,7 +356,8 @@ def audit(run_dir, strategy, m_samples, seed, trials, explicit_blocks,
 @click.option("--preset", type=click.Choice(PRESETS), default="mlp",
               show_default=True)
 @_grid_options()
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 def attack(out_dir, scenario, preset, n_steps, bl, bs, ic, ia, chunk_size,
            algo, tau, seed):
     """Produce a tampered run directory for later verify/audit."""
@@ -387,7 +388,8 @@ def attack(out_dir, scenario, preset, n_steps, bl, bs, ic, ia, chunk_size,
               help="Layer-block sizes to sweep for the PGD attack.")
 @click.option("--steps", default=400, show_default=True,
               help="PGD iterations per boundary.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--out", "out_file", default=None,
               help="Write the JSON table here as well.")
 def attack_stats(bl_values, steps, seed, out_file):

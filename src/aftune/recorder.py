@@ -128,9 +128,12 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
 
     Training results are bitwise identical to an uninstrumented run of
     the same manifest: instrumentation only reads state. ``step`` runs
-    one training step (default: the honest ``train_step``). A step that
-    goes non-finite ends the run with NonFiniteError after the store's
-    index is saved, so the rows sealed before it stay verifiable.
+    one training step (default: the honest ``train_step``). Every
+    tensor a step-block row commits is hashed in one batch once the
+    row's last step has run, then stored, then the row is sealed.
+    However the run stops (a non-finite step raises NonFiniteError
+    naming it), the store's index is saved, so the sealed rows stay
+    verifiable; an unsealed row leaves no blob and no index record.
     ``out_dir`` must not hold a recorded run (FileExistsError).
     """
     out_dir = _new_run_dir(out_dir)
@@ -142,44 +145,42 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
     state = ctx.fresh_state()
     table: dict[BoundaryKey, Digest] = {}
     losses: list[float] = []
+    # the open row's (key, tensor or blob, store write or None)
+    pending: list[tuple] = []
 
     def commit_params(state: ModelState, t: int) -> None:
-        """Hash every layer's parameters and optimizer state at step ``t``
-        in one batch, and store the blobs of the layer blocks that
-        checkpoint at ``t``."""
+        """Queue every layer's parameters and optimizer state at step
+        ``t``, to be stored for the layer blocks that checkpoint at
+        ``t``."""
         stored = {i for i in range(grid.n_layer_blocks)
                   if t in grid.checkpoint_steps(i)}
-        entries = [(key, state.blob(key), i in stored)
-                   for i in range(grid.n_layer_blocks)
-                   for key in grid.state_keys(i, t)]
-        digests = ctx.hash_many([blob for _, blob, _ in entries])
-        for (key, blob, checkpointed), digest in zip(entries, digests):
-            table[key] = digest
-            if checkpointed:
-                store.put_bytes(key, blob, digest)
+        pending.extend((key, state.blob(key),
+                        store.put_bytes if i in stored else None)
+                       for i in range(grid.n_layer_blocks)
+                       for key in grid.state_keys(i, t))
 
     def commit_boundaries(trace, t: int) -> None:
-        """Hash the activation and gradient at every grid boundary of step
-        ``t`` in one batch, and store them unless the run is
-        zero-storage."""
+        """Queue the activation and gradient at every grid boundary of
+        step ``t``, to be stored unless the run is zero-storage."""
         losses.append(trace.loss)
-        tensors = ctx.boundary_tensors(trace, t)
-        for (key, arr), digest in zip(tensors.items(),
-                                      ctx.hash_many(list(tensors.values()))):
-            table[key] = digest
-            if not ctx.config.zero_storage:
-                store.put_tensor(key, arr, digest)
+        put = None if ctx.config.zero_storage else store.put_tensor
+        pending.extend((key, arr, put)
+                       for key, arr in ctx.boundary_tensors(trace, t).items())
 
     try:
         for j in _run_rows(ctx, state, step, commit_params,
                            commit_boundaries):
+            digests = ctx.hash_many([data for _, data, _ in pending])
+            for (key, data, put), digest in zip(pending, digests):
+                table[key] = digest
+                if put:
+                    put(key, data, digest)
+            pending.clear()
             ledger.append_row([seal_block(grid, BlockId(i, j), table)
                                for i in range(grid.n_layer_blocks)],
                               out_dir / LEDGER_FILE)
-    except NonFiniteError:
-        store.save_index()  # the rows sealed before it stay verifiable
-        raise
-    store.save_index()
+    finally:
+        store.save_index()
     return RunResult(ledger, store, state, losses, store.logical_bytes())
 
 

@@ -244,6 +244,12 @@ VERIFY_AND_AUDIT_BAD_VALUES = [
     ["record-train", "out", "--model-seed", "-99999999999999999999999"],
     ["record-infer", "out", "--model-seed", "99999999999999999999999"],
     *VERIFY_AND_AUDIT_BAD_VALUES,
+    # the tampering draws from np.random.default_rng(seed), which takes no
+    # negative seed: refused before any run is recorded
+    ["attack", "out", "--scenario", "activation-perturbation", "--n-steps",
+     "4", "--seed", "-1"],
+    ["attack", "out", "--scenario", "serve-wrong-model", "--seed", "-1"],
+    ["attack-stats", "--steps", "1", "--seed", "-1"],
 ])
 def test_bad_option_value_is_a_usage_error(tmp_path, runner, args):
     result = _invoke(runner, tmp_path, *args)

@@ -129,7 +129,8 @@ def _raise_crash(*args):
 
 def _record_crashed(run, k, monkeypatch):
     """Record a 6-step sha256 run into ``run``, killed at the first step
-    of row k; past the last row, just before the store index is
+    of row k or, past the last row, just before the store index is
+    written. A killed process runs no cleanup, so the index is never
     written."""
     manifest = make_manifest(n_steps=6, algo="sha256")
     grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
@@ -143,8 +144,7 @@ def _record_crashed(run, k, monkeypatch):
         return train_step(state, batch)
 
     with monkeypatch.context() as m, pytest.raises(_Crash):
-        if first is None:
-            m.setattr(TensorStore, "save_index", _raise_crash)
+        m.setattr(TensorStore, "save_index", _raise_crash)
         record_training(manifest, run, step=step)
 
 
@@ -205,32 +205,90 @@ def test_audit_of_a_crashed_recording_ends_in_verdicts(tmp_path, monkeypatch,
     assert report["verdicts"]["0,2"] == "fail"
 
 
+def _record_stopped(manifest, run, t, error):
+    """Record ``manifest`` into ``run`` with step ``t`` raising ``error``."""
+
+    def step(state, batch):
+        if batch.step == t:
+            raise error
+        return train_step(state, batch)
+
+    record_training(manifest, run, step=step)
+
+
+def _sealed_rows_pass(root, run, manifest, sealed):
+    """``verify`` of ``run`` passes every block of the first ``sealed``
+    rows and fails every other block as unsealed."""
+    result = CliRunner().invoke(main, ["--root", str(root), "verify", run])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
+    reports = json.loads((root / run / "verify_report.json")
+                         .read_text())["reports"]
+    assert [r["block"] for r in reports] == [str(b) for b in grid.block_ids()]
+    for r in reports:
+        if BlockId.parse(r["block"]).j < sealed:
+            assert r["verdict"] == "pass", r
+        else:
+            assert (r["verdict"], r["note"]) == ("fail", "no sealed commitment")
+
+
 def test_diverging_recording_keeps_its_sealed_rows_verifiable(tmp_path):
     # step 4 opens row 2 of 4: rows 0 and 1 are sealed, and their blocks
     # pass; the store index is written although the run stopped
     manifest = make_manifest(n_steps=8, algo="sha256")
-
-    def step(state, batch):
-        if batch.step == 4:
-            raise NonFiniteError("non-finite values in a diverging step")
-        return train_step(state, batch)
-
     with pytest.raises(NonFiniteError, match="^step 4: non-finite"):
-        record_training(manifest, tmp_path / "run", step=step)
+        _record_stopped(manifest, tmp_path / "run", 4, NonFiniteError(
+            "non-finite values in a diverging step"))
     assert (tmp_path / "run" / "index.json").exists()
-    result = CliRunner().invoke(main, ["--root", str(tmp_path), "verify",
-                                       "run"])
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
+    _sealed_rows_pass(tmp_path, "run", manifest, 2)
+
+
+def test_interrupted_recording_keeps_its_sealed_rows_verifiable(tmp_path):
+    # an interrupt is not an Exception, and the index is saved all the same
+    manifest = make_manifest(n_steps=8, algo="sha256")
+    with pytest.raises(KeyboardInterrupt):
+        _record_stopped(manifest, tmp_path / "run", 4, KeyboardInterrupt())
+    assert (tmp_path / "run" / "index.json").exists()
+    _sealed_rows_pass(tmp_path, "run", manifest, 2)
+
+
+@pytest.mark.parametrize("grid_kw", [dict(ic=2), dict(ic=None),
+                                     dict(ic=None, zero_storage=True)],
+                         ids=["ic2", "inf", "zero-storage"])
+def test_recording_hashes_each_row_once(tmp_path, monkeypatch, grid_kw):
+    batches = []
+    hash_many = RunContext.hash_many
+
+    def counted(self, items):
+        batches.append(len(items))
+        return hash_many(self, items)
+
+    monkeypatch.setattr(RunContext, "hash_many", counted)
+    manifest = make_manifest(n_steps=8, algo="sha256", **grid_kw)
     grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
-    reports = json.loads((tmp_path / "run" / "verify_report.json")
-                         .read_text())["reports"]
-    assert [r["block"] for r in reports] == [str(b) for b in grid.block_ids()]
-    for r in reports:
-        if BlockId.parse(r["block"]).j < 2:
-            assert r["verdict"] == "pass", r
-        else:
-            assert (r["verdict"], r["note"]) == ("fail", "no sealed commitment")
+
+    def keys(rows):
+        return {k for bid in grid.block_ids() if bid.j < rows
+                for k in grid.committed_keys(bid, "training")}
+
+    record_training(manifest, tmp_path / "full")
+    assert len(batches) == grid.n_step_blocks == 4
+    assert sum(batches) == len(keys(4))
+    # step 5 is the second step of row 2: that row is never hashed, and
+    # the index holds exactly what the full run stored for rows 0 and 1
+    batches.clear()
+    with pytest.raises(NonFiniteError, match="^step 5: "):
+        _record_stopped(manifest, tmp_path / "stopped", 5,
+                        NonFiniteError("non-finite values"))
+    assert len(batches) == 2 and sum(batches) == len(keys(2))
+    full = json.loads((tmp_path / "full" / "index.json").read_text())
+    stopped = json.loads((tmp_path / "stopped" / "index.json").read_text())
+    sealed = {str(k) for k in keys(2)}
+    assert stopped == {k: v for k, v in full.items() if k in sealed}
+    assert bool(stopped) != grid.config.zero_storage
+    assert {p.name for p in (tmp_path / "stopped" / "store").iterdir()} \
+        == {v["digest"] for v in stopped.values()}
 
 
 @pytest.mark.parametrize("n_steps", [16, 64])

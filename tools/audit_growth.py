@@ -7,16 +7,19 @@ number of ledger entries each decodes, the user CPU time of loading
 the store's ``index.json`` alone, the size of the run's ``ledger.bin``,
 and the user CPU time of one ``RunLedger.load`` of it (the mean of
 LEDGER_LOADS loads, as one load is near the timer's resolution). It
-also records the same run at ``--ic inf`` and prints the user CPU time per block of a full ``aftune
-verify`` of it, and the training steps the orchestrator replayed for it
-(``Run._replay_step``, not the verifier's replays). It records the run
-once more with ``--zero-storage`` and prints the user CPU time of
-``aftune audit --m 3`` on it, where every check re-runs training from
-step 0. Before the table it prints the user CPU time of one
-``train_step`` of the mlp preset (batch 16, the default optimizer), in
-microseconds. Times are the minimum over ``--repeat`` runs (audits use
-seeds 0, 1, ...). The aftune on ``sys.path`` is the one measured, so the
-same script times any checkout:
+also records the same run at ``--ic inf`` and prints the user CPU time
+per block of a full ``aftune verify`` of it, and the training steps the
+orchestrator replayed for it (``Run._replay_step``, not the verifier's
+replays). It records the run once more with ``--zero-storage`` and
+prints the user CPU time of ``aftune audit --m 3`` on it, where every
+check re-runs training from step 0. It prints the user CPU time per
+step of ``aftune record-train`` for the ``--ic 2`` recording and for one
+more recording with the CLI defaults (blake3 in pure Python,
+``--ic 2``), each timed once. Before the table it prints the user CPU time of
+one ``train_step`` of the mlp preset (batch 16, the default optimizer),
+in microseconds. The other times are the minimum over ``--repeat`` runs
+(audits use seeds 0, 1, ...). The aftune on ``sys.path`` is the one
+measured, so the same script times any checkout:
 
     PYTHONPATH=src python tools/audit_growth.py --steps 96,384,1536
 """
@@ -42,6 +45,8 @@ from aftune.store import TensorStore
 
 TRAIN_STEPS = 500  # steps per timed train_step run
 LEDGER_LOADS = 10  # loads per timed RunLedger.load run
+# the sha256 recordings the checks run on: 2x2 blocks, batch 8
+SHA256 = ["--bl", "2", "--bs", "2", "--algo", "sha256", "--batch-size", "8"]
 
 
 def _user_cpu() -> float:
@@ -111,11 +116,14 @@ def _timed(args: list[str]) -> tuple[float, int, int, int]:
     return ms, decoded.calls, replayed.calls, code
 
 
-def _record(run: str, steps: int, *args: str) -> None:
-    code = _cli(["record-train", run, "--n-steps", str(steps), "--bl", "2",
-                 "--bs", "2", "--algo", "sha256", "--batch-size", "8", *args])
+def _record(run: str, steps: int, *args: str) -> float:
+    """User CPU ms per step of one ``record-train`` of ``steps`` steps."""
+    t0 = _user_cpu()
+    code = _cli(["record-train", run, "--n-steps", str(steps), *args])
+    ms = (_user_cpu() - t0) * 1e3 / steps
     if code != 0:
         raise SystemExit(f"record-train of {steps} steps exited {code}")
+    return ms
 
 
 def train_step_us(repeat: int) -> float:
@@ -136,10 +144,11 @@ def train_step_us(repeat: int) -> float:
 
 def measure(root: Path, steps: int, repeat: int) -> dict:
     run, full = str(root / f"run{steps}"), str(root / f"inf{steps}")
-    zero = str(root / f"zero{steps}")
-    _record(run, steps, "--ic", "2")
-    _record(full, steps, "--ic", "inf")
-    _record(zero, steps, "--zero-storage")
+    zero, blake3 = str(root / f"zero{steps}"), str(root / f"blake3{steps}")
+    record_ms = _record(run, steps, *SHA256, "--ic", "2")
+    _record(full, steps, *SHA256, "--ic", "inf")
+    _record(zero, steps, *SHA256, "--zero-storage")
+    blake3_record_ms = _record(blake3, steps)
     audits = [_timed(["audit", run, "--m", "3", "--seed", str(s)])
               for s in range(repeat)]
     zero_audits = [_timed(["audit", zero, "--m", "3", "--seed", str(s)])
@@ -163,6 +172,8 @@ def measure(root: Path, steps: int, repeat: int) -> dict:
     blocks = len(Run.open(full).grid.block_ids())
     return {
         "steps": steps,
+        "record_ms_per_step": round(record_ms, 3),
+        "blake3_record_ms_per_step": round(blake3_record_ms, 3),
         "audit_ms": round(min(ms for ms, *_ in audits), 1),
         "audit_decoded": max(n for _, n, _, _ in audits),
         "verify_block_ms": round(min(ms for ms, *_ in verifies), 1),
