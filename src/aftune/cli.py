@@ -25,7 +25,7 @@ from .auditor import (STRATEGIES, AuditError, AuditPlan, audit_run,
                       p_detect_approx, p_detect_exact, run_campaign,
                       sample_blocks)
 from .data import make_dataset
-from .grid import BlockId, GridConfig, check_tau
+from .grid import BlockId, GridConfig
 from .hashing import ALGORITHMS
 from .ledger import LedgerError, ledger_digest
 from .model import build_model
@@ -38,6 +38,7 @@ from .recorder import (LEDGER_FILE, build_inference_manifest,
 from .rng import is_seed
 from .store import StoreError
 from .tensors import NonFiniteError
+from .verifier import DEFAULT_TAU, check_tau
 
 RUN_ROOT_ENV = "AFTUNE_RUN_ROOT"
 
@@ -116,8 +117,6 @@ def _grid_options(*names):
                                    help="Hash chunk size in elements."),
         "algo": click.option("--algo", type=click.Choice(ALGORITHMS),
                              default="blake3", show_default=True),
-        "tau": click.option("--tau", default=1e-5, show_default=True,
-                            help="Verification tolerance (relative L2)."),
     }
 
     def add(f):
@@ -128,12 +127,11 @@ def _grid_options(*names):
 
 
 def _tau_option(ctx, param, tau):
-    """``--tau`` unless it breaks the tolerance rule GridConfig applies."""
-    if tau is not None:
-        try:
-            check_tau(tau)
-        except ValueError as e:
-            raise click.BadParameter(str(e))
+    """``--tau`` unless it breaks the verifier's tolerance rule."""
+    try:
+        check_tau(tau)
+    except ValueError as e:
+        raise click.BadParameter(str(e))
     return tau
 
 
@@ -157,7 +155,7 @@ def _parse_ic(ic: str):
 @click.argument("out_dir")
 @click.option("--preset", type=click.Choice(PRESETS), default="mlp",
               show_default=True)
-@_grid_options("n_steps", "bl", "bs", "ic", "chunk_size", "algo", "tau")
+@_grid_options("n_steps", "bl", "bs", "ic", "chunk_size", "algo")
 @click.option("--optimizer", type=click.Choice(("adamw", "sgd-momentum")),
               default="adamw", show_default=True)
 @click.option("--lr", default=0.01, show_default=True)
@@ -169,15 +167,14 @@ def _parse_ic(ic: str):
               type=click.IntRange(min=1))
 @click.option("--zero-storage", is_flag=True,
               help="Commit hashes only; store no blobs (implies --ic inf).")
-def record_train(out_dir, preset, n_steps, bl, bs, ic, chunk_size, algo, tau,
+def record_train(out_dir, preset, n_steps, bl, bs, ic, chunk_size, algo,
                  optimizer, lr, seed, model_seed, batch_size, zero_storage):
     """Run instrumented training into OUT_DIR."""
     ic_val = None if zero_storage else _parse_ic(ic)
     opt_spec = default_optimizer(optimizer, lr)
     with _usage_errors():
         config = grid_for(preset, n_steps=n_steps, bl=bl, bs=bs, ic=ic_val,
-                          chunk_size=chunk_size, tau=tau,
-                          zero_storage=zero_storage)
+                          chunk_size=chunk_size, zero_storage=zero_storage)
         check_optimizer_spec(opt_spec)
     manifest = build_manifest(model_for(preset, model_seed), opt_spec,
                               dataset_for(preset), config, seed,
@@ -206,7 +203,7 @@ def record_train(out_dir, preset, n_steps, bl, bs, ic, chunk_size, algo, tau,
     click.echo(f"ledger digest {summary['ledger_digest']}")
 
 
-def _served_pass(preset, bl, ia, chunk_size, algo, tau, model_seed=7,
+def _served_pass(preset, bl, ia, chunk_size, algo, model_seed=7,
                  input_seed=0):
     """Manifest, served layers and input of one forward pass of
     ``preset``'s model without its loss head."""
@@ -214,8 +211,7 @@ def _served_pass(preset, bl, ia, chunk_size, algo, tau, model_seed=7,
     model_spec = {"seed": spec["seed"], "layers": spec["layers"][:-1]}
     with _usage_errors():
         config = GridConfig(n_layers=len(model_spec["layers"]), n_steps=1,
-                            bl=bl, bs=1, ia=ia, chunk_size=chunk_size,
-                            tau=tau)
+                            bl=bl, bs=1, ia=ia, chunk_size=chunk_size)
     layers = build_model(model_spec)
     ds = make_dataset(dataset_for(preset))
     x = ds.inputs[input_seed % ds.n][None, ...]
@@ -226,15 +222,15 @@ def _served_pass(preset, bl, ia, chunk_size, algo, tau, model_seed=7,
 @click.argument("out_dir")
 @click.option("--preset", type=click.Choice(PRESETS), default="mlp",
               show_default=True)
-@_grid_options("bl", "ia", "chunk_size", "algo", "tau")
+@_grid_options("bl", "ia", "chunk_size", "algo")
 @click.option("--model-seed", default=7, show_default=True,
               callback=_seed_option)
 @click.option("--input-seed", default=0, show_default=True,
               help="Which dataset sample to run.")
-def record_infer(out_dir, preset, bl, ia, chunk_size, algo, tau, model_seed,
+def record_infer(out_dir, preset, bl, ia, chunk_size, algo, model_seed,
                  input_seed):
     """Record one verified forward pass into OUT_DIR."""
-    manifest, layers, x = _served_pass(preset, bl, ia, chunk_size, algo, tau,
+    manifest, layers, x = _served_pass(preset, bl, ia, chunk_size, algo,
                                        model_seed, input_seed)
     out = _run_dir(out_dir)
     with _usage_errors(FileExistsError):
@@ -257,8 +253,9 @@ def record_infer(out_dir, preset, bl, ia, chunk_size, algo, tau, model_seed,
               help="Block to verify as 'i,j'; default verifies all.")
 @click.option("--full-scan", is_flag=True,
               help="Report all failures instead of stopping at the first.")
-@click.option("--tau", type=float, default=None, callback=_tau_option,
-              help="Override the run's verification tolerance.")
+@click.option("--tau", type=float, default=DEFAULT_TAU, show_default=True,
+              callback=_tau_option,
+              help="Verification tolerance (relative L2).")
 @click.option("--isolated", is_flag=True,
               help="Check in a separate verifier process that serves the "
                    "whole command and receives only request bytes.")
@@ -359,20 +356,18 @@ def audit(run_dir, strategy, m_samples, seed, trials, explicit_blocks,
 @click.option("--seed", default=0, show_default=True,
               type=click.IntRange(min=0))
 def attack(out_dir, scenario, preset, n_steps, bl, bs, ic, ia, chunk_size,
-           algo, tau, seed):
+           algo, seed):
     """Produce a tampered run directory for later verify/audit."""
     out = _run_dir(out_dir)
     if scenario in ("serve-wrong-model", "fabricate-output"):
-        manifest, layers, x = _served_pass(preset, bl, ia, chunk_size, algo,
-                                           tau)
+        manifest, layers, x = _served_pass(preset, bl, ia, chunk_size, algo)
         with _usage_errors(FileExistsError):
             result = apply_inference_scenario(scenario, manifest, layers, x,
                                               out, seed=seed)
     else:
         with _usage_errors():
             config = grid_for(preset, n_steps=n_steps, bl=bl, bs=bs,
-                              ic=_parse_ic(ic), ia=ia, chunk_size=chunk_size,
-                              tau=tau)
+                              ic=_parse_ic(ic), ia=ia, chunk_size=chunk_size)
         manifest = build_manifest(model_for(preset), default_optimizer(),
                                   dataset_for(preset), config, 11, 16, algo)
         with _usage_errors(FileExistsError):

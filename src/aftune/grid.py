@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,14 +16,6 @@ def label_anchor_key(step: int) -> str:
     """Name of step ``step``'s label-anchor digest in a verification
     request."""
     return f"{LABEL_ANCHOR}@{step}"
-
-
-def check_tau(tau) -> None:
-    """Raise ValueError unless ``tau`` is a verification tolerance: a
-    positive, finite number. NaN, which no error is within, and Inf,
-    which every finite error is within, are not."""
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -74,8 +65,6 @@ class GridConfig:
     ic: int | None = 1           # checkpoint interval; None means infinity
     ia: int = 1                  # activation interval (inference only)
     chunk_size: int = 4096
-    tau: float = 1e-5
-    precision: str = "f32"       # the arithmetic recorded and replayed
     zero_storage: bool = False   # ledger-only: no blobs at all
     isolate_layers: tuple[int, ...] = field(default_factory=tuple)
 
@@ -96,9 +85,6 @@ class GridConfig:
             raise ValueError("ia must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        check_tau(self.tau)
-        if self.precision != "f32":
-            raise ValueError("precision must be f32")
         if len({l for l in self.isolate_layers if 0 <= l < self.n_layers}) \
                 < len(self.isolate_layers):
             raise ValueError("isolate_layers must be distinct layer indices")
@@ -107,8 +93,7 @@ class GridConfig:
         return {
             "n_layers": self.n_layers, "n_steps": self.n_steps,
             "bl": self.bl, "bs": self.bs, "ic": self.ic, "ia": self.ia,
-            "chunk_size": self.chunk_size, "tau": self.tau,
-            "precision": self.precision, "zero_storage": self.zero_storage,
+            "chunk_size": self.chunk_size, "zero_storage": self.zero_storage,
             "isolate_layers": list(self.isolate_layers),
         }
 

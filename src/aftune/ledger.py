@@ -32,7 +32,7 @@ from .hashing import Digest, hash_bytes
 from .verifier import check_run_spec
 
 MAGIC = b"AFTL2\x00"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DIGEST_BYTES = 32
 
 _BLOCK = struct.Struct("<II")  # an entry's (i, j)
@@ -238,8 +238,9 @@ class RunLedger:
 
     @classmethod
     def _decode(cls, data: bytes) -> "RunLedger":
-        """One walk over the frames, filing each entry's bytes under the
-        entry rule; they decode on first read."""
+        """One walk over the frames: the manifest, which must be of this
+        SCHEMA_VERSION, then each entry's bytes, filed under the entry
+        rule; they decode on first read."""
         off = len(MAGIC)
         (mlen,) = struct.unpack_from("<I", data, off)
         off += 4
@@ -249,6 +250,10 @@ class RunLedger:
         manifest = json.loads(data[off:off + mlen])
         if not isinstance(manifest, dict):
             raise LedgerError("ledger manifest is not a JSON object")
+        version = manifest.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise LedgerError(f"ledger schema version {version!r} is not the "
+                              f"supported {SCHEMA_VERSION}")
         off += mlen
         ledger = cls(manifest)
         try:

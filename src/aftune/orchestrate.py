@@ -30,16 +30,17 @@ from pathlib import Path
 from .grid import (INPUT_ANCHOR, LABEL_ANCHOR, BlockId, BoundaryKey,
                    label_anchor_key)
 from .hashing import Digest, chunked_hash_many
-from .ledger import SCHEMA_VERSION, LedgerError, RunLedger
+from .ledger import LedgerError, RunLedger
 from .model import ModelState, build_model, param_bytes, params_digest
 from .recorder import (LEDGER_FILE, PARAMS_DIR, RunContext,
                        reference_closure, rerun_rows)
 from .rng import is_seed
 from .store import StoreError, TensorStore
 from .tensors import BlobError, NonFiniteError
-from .verifier import (EVIDENCE_RELEASED, FAIL, NON_FINITE, REFUSED,
-                       BindingMemo, VerificationReport, VerificationRequest,
-                       non_finite_key, refusal, verify_or_refuse)
+from .verifier import (DEFAULT_TAU, EVIDENCE_RELEASED, FAIL, NON_FINITE,
+                       REFUSED, BindingMemo, VerificationReport,
+                       VerificationRequest, non_finite_key, refusal,
+                       verify_or_refuse)
 from .verifier_worker import frame
 
 # the directory holding the imported package, for isolated workers
@@ -98,10 +99,6 @@ class Run:
         if not path.exists():
             raise FileNotFoundError(f"no ledger at {path}")
         ledger = RunLedger.load(path)
-        version = ledger.manifest.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise LedgerError(f"ledger schema version {version} != "
-                              f"supported {SCHEMA_VERSION}")
         _check_manifest(ledger.manifest)
         try:
             run = cls(run_dir, ledger)
@@ -159,19 +156,18 @@ class Run:
     def request(self, bid: BlockId, **kw):
         return next(self.requests([bid], **kw))[1]
 
-    def requests(self, bids, tau: float | None = None, full_scan: bool = False,
+    def requests(self, bids, tau: float = DEFAULT_TAU, full_scan: bool = False,
                  session: BindingMemo | None = None):
         """Yield ``(bid, request)`` for each distinct block of ``bids`` in
         grid order (row j ascending). ``request`` is a VerificationReport
         instead when the block cannot reach the verifier: its evidence was
         released, or the replay to its entry state went non-finite.
-        ``tau``, when given, replaces the manifest's in every request's
-        grid. ``session`` is the verifier session that checks each
-        request before the next is asked for: a block it passed hands its
-        replay on to the block's row."""
+        Every request is checked within ``tau``, the auditor's tolerance.
+        ``session`` is the verifier session that checks each request
+        before the next is asked for: a block it passed hands its replay
+        on to the block's row."""
         order = sorted(set(bids), key=lambda b: (b.j, b.i))
-        grid = self.config if tau is None else replace(self.config, tau=tau)
-        opts = dict(grid=grid.to_dict(), full_scan=full_scan)
+        opts = dict(grid=self.config.to_dict(), tau=tau, full_scan=full_scan)
         if self.mode == "inference":
             yield from self._inference_requests(order, opts)
         elif self.store is None:
@@ -179,12 +175,12 @@ class Run:
         else:
             yield from self._stored_requests(order, opts, session)
 
-    def _request(self, bid: BlockId, tensors: dict, grid: dict,
+    def _request(self, bid: BlockId, tensors: dict, grid: dict, tau: float,
                  full_scan: bool) -> VerificationRequest:
-        """The request for sealed block ``bid`` checked on ``grid``
-        carrying ``tensors`` and the digests of its key schedule as its
-        ledger entry holds them; for a training loss block also its labels
-        and their anchors, for inference the served parameters."""
+        """The request for sealed block ``bid`` checked on ``grid`` within
+        ``tau`` carrying ``tensors`` and the digests of its key schedule as
+        its ledger entry holds them; for a training loss block also its
+        labels and their anchors, for inference the served parameters."""
         manifest = self.manifest
         training = self.mode == "training"
         committed = self.ledger.entry_for(bid).entries
@@ -203,7 +199,7 @@ class Run:
         return VerificationRequest(
             block=bid, mode=self.mode, grid=grid, model=manifest["model"],
             optimizer=manifest.get("optimizer"),
-            hash_algo=manifest["hash_algo"], tensors=tensors,
+            hash_algo=manifest["hash_algo"], tau=tau, tensors=tensors,
             ledger_digests=ledger_digests, labels=labels,
             model_digest=manifest.get("model_digest"), full_scan=full_scan,
         )
@@ -642,10 +638,9 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
             if why is not None:
                 problem(why, bid)
 
-    # when evidence is on hand, tie the row-0 parameters to the anchor value
+    # tie the row-0 parameters to the anchor value and the model spec
     row0 = [b for b in scope if b.j == 0]
-    if row0 and store is not None \
-            and "base_model_digest" in manifest \
+    if row0 and "base_model_digest" in manifest \
             and _base_anchor_broken(manifest, store):
         problem("stored step-0 parameters do not match the base-model anchor")
         bad.update(map(str, row0))
@@ -653,21 +648,19 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
     return report
 
 
-def _base_anchor_broken(manifest, store: TensorStore) -> bool:
-    """Whether the stored step-0 parameters contradict the base-model
-    anchor: a blob before the first pruned layer that does not decode
-    does. Otherwise False when any was pruned, as there is nothing to
-    recompute against."""
-    blobs = {}
-    for l in range(len(manifest["model"]["layers"])):
-        key = BoundaryKey("parameter", l, 0)
-        if not store.has_blob(key):
-            break
-        blobs[l] = store.get_bytes(key)
-    try:
-        layers = build_model(manifest["model"], blobs)
-    except BlobError:
+def _base_anchor_broken(manifest, store: TensorStore | None) -> bool:
+    """Whether the base-model anchor is not the digest of the model the
+    manifest's spec seeds, or some stored step-0 parameter blob is not
+    that model's bytes; a blob not stored (``ic``, zero-storage) or
+    pruned is not compared."""
+    layers = build_model(manifest["model"])
+    if params_digest(layers, manifest["grid"]["chunk_size"],
+                     manifest["hash_algo"]).hex != manifest["base_model_digest"]:
         return True
-    return len(blobs) == len(layers) and params_digest(
-        layers, manifest["grid"]["chunk_size"],
-        manifest["hash_algo"]).hex != manifest["base_model_digest"]
+    if store is None:
+        return False
+    for l, layer in enumerate(layers):
+        key = BoundaryKey("parameter", l, 0)
+        if store.has_blob(key) and store.get_bytes(key) != param_bytes(layer):
+            return True
+    return False

@@ -28,6 +28,7 @@ from .rng import is_seed
 from .tensors import NonFiniteError, rel_l2_error
 
 MEMORY_BUDGET = 64 * 1024 * 1024  # bytes of payload this verifier accepts
+DEFAULT_TAU = 1e-5  # the tolerance a check uses unless the auditor names one
 
 PASS = "pass"
 FAIL = "fail"
@@ -41,6 +42,14 @@ NON_FINITE = "non-finite"
 
 class VerifierError(Exception):
     pass
+
+
+def check_tau(tau) -> None:
+    """Raise ValueError unless ``tau`` is a verification tolerance: a
+    positive, finite number. NaN, which no error is within, and Inf,
+    which every finite error is within, are not."""
+    if type(tau) not in (int, float) or not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
 
 
 def check_run_spec(spec: dict) -> GridConfig:
@@ -76,10 +85,11 @@ def check_run_spec(spec: dict) -> GridConfig:
 class VerificationRequest:
     block: BlockId
     mode: str                    # training | inference
-    grid: dict                   # GridConfig.to_dict(), tau and all
+    grid: dict                   # GridConfig.to_dict()
     model: dict
     optimizer: dict | None
     hash_algo: str
+    tau: float                   # the auditor's tolerance, not the run's
     tensors: dict[str, np.ndarray | bytes]
     ledger_digests: dict[str, Digest]
     labels: dict[int, np.ndarray] = field(default_factory=dict)
@@ -88,9 +98,9 @@ class VerificationRequest:
 
     # -- wire format: header length (<I), JSON header, raw payload ---------
     # The header's keys are exactly the fields above, so each run fact is
-    # carried once, under its manifest name (tau and chunk_size only in
-    # ``grid``); "tensors" maps each key to its payload offset, length
-    # and shape (None for raw bytes, else little-endian float32).
+    # carried once, under its manifest name (chunk_size only in ``grid``);
+    # "tensors" maps each key to its payload offset, length and shape
+    # (None for raw bytes, else little-endian float32).
 
     def to_bytes(self) -> bytes:
         blobs: list[bytes] = []
@@ -108,7 +118,8 @@ class VerificationRequest:
         header = json.dumps({
             "block": str(self.block), "mode": self.mode, "grid": self.grid,
             "model": self.model, "optimizer": self.optimizer,
-            "hash_algo": self.hash_algo, "model_digest": self.model_digest,
+            "hash_algo": self.hash_algo, "tau": self.tau,
+            "model_digest": self.model_digest,
             "labels": {str(t): np.asarray(v).tolist()
                        for t, v in self.labels.items()},
             "ledger_digests": {k: [d.algo, d.hex]
@@ -158,7 +169,7 @@ class VerificationRequest:
         return cls(
             block=BlockId.parse(h["block"]), mode=h["mode"], grid=h["grid"],
             model=h["model"], optimizer=h["optimizer"],
-            hash_algo=h["hash_algo"], tensors=tensors,
+            hash_algo=h["hash_algo"], tau=h["tau"], tensors=tensors,
             ledger_digests={k: Digest.from_hex(v[1], v[0])
                             for k, v in h["ledger_digests"].items()},
             labels={int(t): np.asarray(v, dtype=np.int64)
@@ -323,7 +334,7 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
         for replayed, key in zip((acts[-1], gacts[0]),
                                  grid.replay_outputs(i, t)):
             err = rel_l2_error(replayed, req.tensors[str(key)])
-            if collector.compare(key, err, config.tau):
+            if collector.compare(key, err, req.tau):
                 return
 
     # block-exit parameter/optimizer check; where no blob is stored at
@@ -341,7 +352,7 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
                 else float("inf")
         else:
             err = _exit_blob_error(k.kind, replayed[k], req.tensors[str(k)])
-        if collector.compare(k, err, config.tau):
+        if collector.compare(k, err, req.tau):
             return
     return replayer
 
@@ -402,7 +413,7 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
                        keys[0] if not np.isfinite(x).all() else keys[1])
         return
     collector.compare(keys[1], rel_l2_error(acts[-1], req.tensors[str(keys[1])]),
-                      config.tau)
+                      req.tau)
 
 
 def verify_block(req: VerificationRequest,
@@ -413,13 +424,15 @@ def verify_block(req: VerificationRequest,
     in ``memo``, the session's (a fresh one by default), and a training
     block that passes is left in ``memo.passed``. A request that
     cannot be checked raises: VerifierError from a check of its own
-    (``check_run_spec`` among them), else what its load or replay did."""
+    (``check_run_spec`` and ``check_tau`` among them), else what its load
+    or replay did."""
     try:
         config = check_run_spec(vars(req))
+        check_tau(req.tau)
     except ValueError as e:
         raise VerifierError(f"request {e}") from None
     t_start = time.perf_counter()
-    report = VerificationReport(block=req.block, verdict=PASS, tau=config.tau)
+    report = VerificationReport(block=req.block, verdict=PASS, tau=req.tau)
     if req.payload_bytes() > MEMORY_BUDGET:
         report.verdict = REFUSED
         report.note = (f"payload {req.payload_bytes()} bytes exceeds memory "

@@ -161,20 +161,18 @@ def test_detection_odds_output(runner, tmp_path):
 # every command and its options; a knob added or removed shows up here
 CLI_SURFACE = {
     "attack": ["--algo", "--bl", "--bs", "--chunk-size", "--ia", "--ic",
-               "--n-steps", "--preset", "--scenario", "--seed", "--tau",
-               "out_dir"],
+               "--n-steps", "--preset", "--scenario", "--seed", "out_dir"],
     "attack-stats": ["--bl-values", "--out", "--seed", "--steps"],
     "audit": ["--block", "--isolated", "--m", "--seed", "--strategy",
               "--trials", "run_dir"],
     "detection-odds": ["--k", "--m", "--n"],
     "prune": ["--keep", "run_dir"],
     "record-infer": ["--algo", "--bl", "--chunk-size", "--ia",
-                     "--input-seed", "--model-seed", "--preset", "--tau",
-                     "out_dir"],
+                     "--input-seed", "--model-seed", "--preset", "out_dir"],
     "record-train": ["--algo", "--batch-size", "--bl", "--bs",
                      "--chunk-size", "--ic", "--lr", "--model-seed",
                      "--n-steps", "--optimizer", "--preset", "--seed",
-                     "--tau", "--zero-storage", "out_dir"],
+                     "--zero-storage", "out_dir"],
     "verify": ["--block", "--full-scan", "--isolated", "--jobs", "--tau",
                "run_dir"],
 }
@@ -198,6 +196,13 @@ def test_cli_surface_is_pinned():
     ["verify", "run", "--precision", "f64"],
     ["record-train", "out", "--ia", "2"],
     ["record-infer", "out", "--ic", "2"],
+    # the tolerance is the auditor's (verify --tau), not a recorded fact
+    ["record-train", "out", "--tau", "0"],
+    ["record-train", "out", "--tau", "-1"],
+    ["record-train", "out", "--tau", "nan"],
+    ["record-train", "out", "--tau", "inf"],
+    ["record-infer", "out", "--tau", "nan"],
+    ["attack", "out", "--scenario", "under-train", "--tau", "1e-5"],
 ])
 def test_removed_knobs_are_usage_errors(cli_run, runner, args):
     _exits_cleanly(_invoke(runner, cli_run, *args), 2)
@@ -206,6 +211,7 @@ def test_removed_knobs_are_usage_errors(cli_run, runner, args):
 # a tolerance must be positive and finite; a count of workers or trials
 # must mean something
 VERIFY_AND_AUDIT_BAD_VALUES = [
+    ["verify", "out", "--tau", "0"],
     ["verify", "out", "--tau", "nan"],
     ["verify", "out", "--tau", "-1"],
     ["verify", "out", "--tau", "inf"],
@@ -220,14 +226,9 @@ VERIFY_AND_AUDIT_BAD_VALUES = [
 @pytest.mark.parametrize("args", [
     ["record-train", "out", "--bl", "0"],
     ["record-train", "out", "--ic", "0"],
-    ["record-train", "out", "--tau", "0"],
-    ["record-train", "out", "--tau", "-1"],
-    ["record-train", "out", "--tau", "nan"],
-    ["record-train", "out", "--tau", "inf"],
     ["record-train", "out", "--lr", "nan"],
     ["record-train", "out", "--lr", "inf"],
     ["record-train", "out", "--lr", "-inf"],
-    ["record-infer", "out", "--tau", "nan"],
     ["record-train", "out", "--chunk-size", "0"],
     ["record-train", "out", "--batch-size", "0"],
     ["record-train", "out", "--n-steps", "0", "--bs", "1"],
@@ -991,6 +992,7 @@ MANIFEST_EDITS = {
     "grid-bl-1": lambda m: m["grid"].update(bl=1),
     "grid-isolate-layers-1": lambda m: m["grid"].update(isolate_layers=[1]),
     "grid-precision-f64": lambda m: m["grid"].update(precision="f64"),
+    "grid-tau-loosened": lambda m: m["grid"].update(tau=0.5),
     "optimizer-lr-1e30": lambda m: m["optimizer"].update(lr=1e30),
     "grid-ic-null": lambda m: m["grid"].update(ic=None),
     "grid-zero-storage-on": lambda m: m["grid"].update(zero_storage=True),
@@ -998,7 +1000,8 @@ MANIFEST_EDITS = {
 # facts Run.open checks: a usage error before any block is read
 EDITS_REFUSED_AT_OPEN = {"batch-size-0", "batch-size-negative",
                          "batch-size-true", "dataset-n-0",
-                         "dataset-kind-blobs", "grid-precision-f64"}
+                         "dataset-kind-blobs", "grid-precision-f64",
+                         "grid-tau-loosened"}
 # edits that describe the same run: it must still verify
 EDITS_KEEPING_PASS = {"grid-ic-null", "grid-zero-storage-on"}
 
@@ -1025,6 +1028,74 @@ def test_edited_manifest_field_ends_in_a_verdict(
             reports.append(_verify_report(run))
     assert len(reports) in (0, 2)
     assert reports[:1] == reports[1:]
+
+
+def test_the_auditors_tolerance_decides(tmp_path, runner):
+    # a 1% perturbation of activation 1@4 is beyond the default tolerance
+    # and within 0.5; the provider cannot write the looser one into the
+    # manifest, as a grid that names a tolerance does not open
+    assert _invoke(runner, tmp_path, "attack", "run", "--scenario",
+                   "activation-perturbation", "--algo",
+                   "sha256").exit_code == 0
+    strict = _invoke(runner, tmp_path, "verify", "run", "--block", "1,2")
+    _exits_cleanly(strict, 1)
+    assert "numerical-mismatch" in strict.output
+    loose = _invoke(runner, tmp_path, "verify", "run", "--block", "1,2",
+                    "--tau", "0.5")
+    assert loose.exit_code == 0, loose.output
+    _edited_copy(tmp_path / "run", tmp_path,
+                 lambda m: m["grid"].update(tau=0.5))
+    for args in (["verify"], ["verify", "--isolated"],
+                 ["audit", "--strategy", "explicit", "--block", "1,2"]):
+        result = _invoke(runner, tmp_path, args[0], "edited", *args[1:])
+        _exits_cleanly(result, 2)
+        assert "grid is malformed" in result.output
+
+
+# manifest edits that claim another base model: a model seed the run was
+# not recorded with, or a base-model digest the seeded model does not have
+BASE_MODEL_EDITS = {
+    "model-seed-8": lambda m: m["model"].update(seed=8),
+    "base-digest-one-hex-digit": lambda m: m.update(
+        base_model_digest=("0" if m["base_model_digest"][0] != "0" else "1")
+        + m["base_model_digest"][1:]),
+}
+
+
+@pytest.mark.parametrize("storage", ["ic-2", "ic-inf", "zero-storage"])
+@pytest.mark.parametrize("case", sorted(BASE_MODEL_EDITS))
+def test_a_claimed_base_model_fails_row_0(sha_run, sha_inf_run, sha_zs_run,
+                                          tmp_path, runner, case, storage):
+    source = {"ic-2": sha_run, "ic-inf": sha_inf_run,
+              "zero-storage": sha_zs_run}[storage]
+    _edited_copy(source, tmp_path, BASE_MODEL_EDITS[case])
+    for args in (["verify"], ["verify", "--isolated"],
+                 ["audit", "--strategy", "explicit", "--block", "0,0"]):
+        result = _invoke(runner, tmp_path, args[0], "edited", *args[1:])
+        _exits_cleanly(result, 1)
+        assert "block 0,0: fail" in result.output
+        if args[0] == "verify":
+            assert "trust chain: BROKEN" in result.output
+
+
+def test_a_ledger_of_the_old_schema_names_its_version(sha_run, tmp_path,
+                                                      runner):
+    # schema 1 manifests carried grid.tau and grid.precision
+    run = tmp_path / "old"
+    shutil.copytree(sha_run, run)
+    data = (run / LEDGER_FILE).read_bytes()
+    (n,) = struct.unpack_from("<I", data, 6)
+    manifest = json.loads(data[10:10 + n])
+    manifest["schema_version"] = 1
+    manifest["grid"].update(tau=1e-5, precision="f32")
+    head = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    (run / LEDGER_FILE).write_bytes(data[:6] + struct.pack("<I", len(head))
+                                    + head + data[10 + n:])
+    for args in (["verify"], ["verify", "--isolated"], ["audit"]):
+        result = _invoke(runner, tmp_path, args[0], "old", *args[1:])
+        _exits_cleanly(result, 2)
+        assert "ledger schema version 1 is not the supported 2" \
+            in result.output
 
 
 def test_unisolated_unstable_layer_is_refused_by_name(tmp_path, runner):

@@ -241,11 +241,6 @@ def test_config_validation():
         GridConfig(n_layers=4, n_steps=4, bl=2, bs=0)
     with pytest.raises(ValueError):
         GridConfig(n_layers=4, n_steps=4, bl=2, bs=2, ic=0)
-    with pytest.raises(ValueError):
-        GridConfig(n_layers=4, n_steps=4, bl=2, bs=2, tau=0)
-    for precision in ("f16", "f64"):  # f32 is all a recorder writes
-        with pytest.raises(ValueError):
-            GridConfig(n_layers=4, n_steps=4, bl=2, bs=2, precision=precision)
     for isolated in ((4,), (-1,), (1, 1)):  # outside [0, n_layers), repeated
         with pytest.raises(ValueError, match="isolate_layers"):
             GridConfig(n_layers=4, n_steps=4, bl=2, bs=2,

@@ -269,7 +269,8 @@ def _eager_decode(data: bytes):
             grid = BlockGrid(check_run_spec(manifest))
         except ValueError as e:
             raise LedgerError(str(e)) from None
-        manifest.setdefault("schema_version", SCHEMA_VERSION)
+        if manifest.get("schema_version") != SCHEMA_VERSION:
+            raise LedgerError("unsupported schema version")
         off += mlen
         sets, rows = [], {}
         while off < len(data):

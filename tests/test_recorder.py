@@ -46,15 +46,15 @@ def test_recording_does_not_perturb_training(tmp_path):
 # commits, or in which order, shows here
 GOLDEN_LEDGER_DIGESTS = [
     ("sha256", dict(algo="sha256"), None,
-     "ef6fdc2fb15a9e1b5d681d64b69347e0b2e2ba680477a415a3b12389931ea304"),
+     "549286d1aad2d9664e428080ac77f327e781aa623d6fae89db9c99126f145d90"),
     ("zero-storage", dict(algo="sha256", ic=None, zero_storage=True), None,
-     "716d6f66dd7d266f0488d2b1cbb610ee852dac8c503e721c55f69f4c467fc096"),
+     "1303f75ccba5100e2c8ff55dd0fe619a1ba521107ff3c6148ed8da77ade42dbe"),
     ("blake3", dict(algo="blake3"), None,
-     "e6902eac3529ee3893370a636a315fcfe590e218fa9eecf44253371d1f5cbed4"),
+     "45a891e3b3d0b9905de54357d050b20a5c50a2f0f9decb6074867605fc6f115f"),
     ("under-train-sha256", dict(algo="sha256"), "under-train",
-     "b069a18c1811d452b7604bc0d27a9a3ada56de35a46f2c0bf23730e3b98cc206"),
+     "a11022cc428f78857f8be0510b2d1d5bbd591d843d8b758fa1d96f04feb6bee1"),
     ("under-train-blake3", dict(algo="blake3"), "under-train",
-     "186d53bb63c61981a33e64b8dbe7d0dd6b0aff14402e7b1504fc436dc1ecbce9"),
+     "67af03ceb79f9477fad72d11a8601f4075bd36475c909a4a7f7712162bef08ed"),
 ]
 
 
@@ -107,7 +107,7 @@ def test_ledger_format_is_the_key_schedule(tmp_path):
 # 4-step sha256 run: any change to what a request carries, or in which
 # order, shows here
 GOLDEN_REQUESTS_DIGEST = \
-    "5ad22cc937a3ce515cec63fec208944564c3d3da11aa417f601ae672dc9be37a"
+    "6bf869efd5560043ee84f5d9cffd6a21cc9b82d6a8930f73de241c6b58ee0e55"
 
 
 def test_request_bytes_are_golden(tmp_path):

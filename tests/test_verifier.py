@@ -437,9 +437,11 @@ HOSTILE = {
     "boundary-tensor-as-bytes":
         lambda h: h["tensors"]["activation:0@0"].update(shape=None),
     "state-blob-as-array": _parameter_blob_as_array,
-    "tau-nan": lambda h: h["grid"].update(tau=float("nan")),
-    "tau-negative": lambda h: h["grid"].update(tau=-1.0),
-    "tau-infinite": lambda h: h["grid"].update(tau=float("inf")),
+    "tau-nan": lambda h: h.update(tau=float("nan")),
+    "tau-negative": lambda h: h.update(tau=-1.0),
+    "tau-infinite": lambda h: h.update(tau=float("inf")),
+    "tau-missing": lambda h: h.pop("tau"),
+    "tau-string": lambda h: h.update(tau="1e-5"),
     "precision-f64": lambda h: h["grid"].update(precision="f64"),
     "hash-algo-md5": lambda h: h.update(hash_algo="md5"),
     "chunk-size-zero": lambda h: h["grid"].update(chunk_size=0),
@@ -453,7 +455,7 @@ HOSTILE = {
     "optimizer-key-unknown": lambda h: h["optimizer"].update(foo=1),
     "optimizer-lr-string": lambda h: h["optimizer"].update(lr="abc"),
     "optimizer-lr-nan": lambda h: h["optimizer"].update(lr=float("nan")),
-    "header-key-unknown": lambda h: h.update(tau=1e-5),
+    "header-key-unknown": lambda h: h.update(precision="f32"),
     "header-key-missing": lambda h: h.pop("hash_algo"),
 }
 INFERENCE_HOSTILE = {"model-digest-missing"}

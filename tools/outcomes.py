@@ -11,12 +11,12 @@ Every run uses the CLI defaults otherwise (mlp, 8 steps, ``--bl 2 --bs
 2``). The tool then runs each command group on each run: ``verify``,
 ``verify --isolated``, ``verify --full-scan``, ``audit --m 3`` and
 ``audit --m 3 --isolated``, plus one group per ``--group``. It prints
-one JSON object: per run, the SHA-256 of its ``ledger.bin`` and, per
-group, the exit code, stdout, and the JSON report the command wrote,
-without its ``wall_time`` fields. Two checkouts that reach the same
-verdicts by the same path print the same JSON, so a diff of two outputs
-shows every outcome a change moved. The aftune on ``sys.path`` is the
-one run:
+one JSON object: per run, the SHA-256 and byte length of its
+``ledger.bin`` and, per group, the exit code, stdout, and the JSON
+report the command wrote, without its ``wall_time`` fields. Two
+checkouts that reach the same verdicts by the same path print the same
+JSON, so a diff of two outputs shows every outcome a change moved. The
+aftune on ``sys.path`` is the one run:
 
     PYTHONPATH=src python tools/outcomes.py /tmp/outcomes > outcomes.json
     PYTHONPATH=src python tools/outcomes.py ROOT --group "verify --tau 1e-3"
@@ -96,9 +96,10 @@ def outcomes(root: Path, groups) -> dict:
         if result.exit_code != 0:
             raise RuntimeError(f"recording {name} exited {result.exit_code}: "
                                f"{result.output}")
+        ledger = (run_dir / LEDGER_FILE).read_bytes()
         out[name] = {
-            "ledger_sha256": hashlib.sha256(
-                (run_dir / LEDGER_FILE).read_bytes()).hexdigest(),
+            "ledger_bytes": len(ledger),
+            "ledger_sha256": hashlib.sha256(ledger).hexdigest(),
             "groups": {g: _outcome(runner, run_dir, g) for g in groups},
         }
     return out
