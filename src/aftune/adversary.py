@@ -10,7 +10,7 @@ to change model behavior, versus the tolerance the verifier enforces.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +125,7 @@ def apply_scenario(scenario: str, manifest: dict, out_dir,
                               detectable_by="trust-chain")
 
     if scenario == "backdoor-poison":
-        # train on label-flipped data, present the clean data's anchors
+        # train on other data, present the clean data's spec
         poisoned = dict(manifest["dataset"]["spec"])
         poisoned["seed"] = poisoned["seed"] + 7777
         alt = build_manifest(manifest["model"], manifest["optimizer"],
@@ -134,8 +134,6 @@ def apply_scenario(scenario: str, manifest: dict, out_dir,
         record_training(alt, out_dir)
         ledger = RunLedger.load(out_dir / LEDGER_FILE)
         ledger.manifest["dataset"] = manifest["dataset"]
-        ledger.manifest["input_anchors"] = manifest["input_anchors"]
-        ledger.manifest["label_anchors"] = manifest["label_anchors"]
         ledger.save(out_dir / LEDGER_FILE)
         return ScenarioResult(scenario, str(out_dir),
                               [str(BlockId(0, j)) for j in range(grid.n_step_blocks)],
@@ -241,13 +239,6 @@ class PerturbationResult:
     @property
     def max_rel_norm(self) -> float:
         return max(self.boundary_rel_norms.values(), default=0.0)
-
-    def to_json(self) -> dict:
-        return {**asdict(self),
-                "boundary_rel_norms": {str(k): v for k, v
-                                       in self.boundary_rel_norms.items()},
-                "min_rel_norm": self.min_rel_norm,
-                "max_rel_norm": self.max_rel_norm}
 
 
 def _forward_with_deltas(layers, grid: BlockGrid, x, deltas,

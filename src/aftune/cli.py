@@ -109,7 +109,7 @@ def _grid_options(*names):
                            help="Step-block size."),
         "ic": click.option("--ic", default="2", show_default=True,
                            help="Checkpoint interval in step blocks; 'inf' "
-                                "for the zero-storage strategy."),
+                                "checkpoints only the final state."),
         "ia": click.option("--ia", default=1, show_default=True,
                            help="Recorded-boundary interval (inference)."),
         "chunk_size": click.option("--chunk-size", default=4096,
@@ -143,7 +143,7 @@ def _seed_option(ctx, param, seed):
 
 
 def _parse_ic(ic: str):
-    if ic in ("inf", "none", "zero-storage"):
+    if ic == "inf":
         return None
     try:
         return int(ic)

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import Digest, chunked_hash
 from .model import Batch
 from .rng import rng_for
 
@@ -20,11 +19,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.inputs)
-
-    def digest(self, chunk_size: int, algo: str) -> Digest:
-        payload = (np.ascontiguousarray(self.inputs, "<f4").tobytes()
-                   + np.ascontiguousarray(self.labels, "<i8").tobytes())
-        return chunked_hash(payload, chunk_size, algo)
 
     def batch(self, data_seed: int, t: int, batch_size: int) -> Batch:
         """Batch composition is a pure function of (dataset, seed, t)."""

@@ -68,11 +68,6 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
 
-def label_bytes(labels) -> bytes:
-    """Canonical serialization of a step's labels: little-endian int64."""
-    return np.ascontiguousarray(labels, "<i8").tobytes()
-
-
 def _pieces(data: bytes | np.ndarray, chunk_size: int) -> list[bytes]:
     """The map pieces of one tensor or byte string."""
     if isinstance(data, np.ndarray):

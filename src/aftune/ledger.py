@@ -32,7 +32,7 @@ from .hashing import Digest, hash_bytes
 from .verifier import check_run_spec
 
 MAGIC = b"AFTL2\x00"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DIGEST_BYTES = 32
 
 _BLOCK = struct.Struct("<II")  # an entry's (i, j)

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-from .grid import (INPUT_ANCHOR, LABEL_ANCHOR, BlockId, BoundaryKey,
-                   label_anchor_key)
+from .grid import BASE_MODEL_ANCHOR, INPUT_ANCHOR, BlockId, BoundaryKey
 from .hashing import Digest, chunked_hash_many
 from .ledger import LedgerError, RunLedger
 from .model import ModelState, build_model, param_bytes, params_digest
@@ -179,8 +178,9 @@ class Run:
                  full_scan: bool) -> VerificationRequest:
         """The request for sealed block ``bid`` checked on ``grid`` within
         ``tau`` carrying ``tensors`` and the digests of its key schedule as
-        its ledger entry holds them; for a training loss block also its
-        labels and their anchors, for inference the served parameters."""
+        its ledger entry holds them; for a training loss block also the
+        labels the manifest's spec derives, for inference the served
+        parameters."""
         manifest = self.manifest
         training = self.mode == "training"
         committed = self.ledger.entry_for(bid).entries
@@ -188,12 +188,8 @@ class Run:
                           for k in self.grid.committed_keys(bid, self.mode)}
         labels = {}
         if training and self._needs_labels(bid.i):
-            steps = self.grid.block_steps(bid.j)
-            labels = {t: self.ctx.batch(t).labels for t in steps}
-            anchors = manifest["label_anchors"]
-            ledger_digests.update(
-                (label_anchor_key(t), Digest.from_hex(anchors[t], self.ctx.algo))
-                for t in steps if t < len(anchors))
+            labels = {t: self.ctx.batch(t).labels
+                      for t in self.grid.block_steps(bid.j)}
         if not training:
             tensors.update(self._served_params)
         return VerificationRequest(
@@ -300,7 +296,10 @@ class Run:
         return {k: fresh.blob(k) for k in self.grid.state_keys(i, 0)}
 
     def _replay_step(self, i: int, row: _Row, t: int, x, upstream) -> None:
-        labels = self.ctx.batch(t).labels if self._needs_labels(i) else None
+        # the loss block backpropagates the seed its loss derives
+        labels = None
+        if self._needs_labels(i):
+            labels, upstream = self.ctx.batch(t).labels, None
         try:
             if row.state is None:
                 row.state = ModelState(
@@ -428,8 +427,8 @@ def _stopped(e: Exception, where: str = "",
 
 def _check_manifest(manifest: dict) -> None:
     """Raise LedgerError unless a training ``manifest``, which obeys
-    ``check_run_spec`` once loaded, also holds the run and dataset seeds,
-    batch size and anchors its RunContext and Run read."""
+    ``check_run_spec`` once loaded, also holds the run and dataset seeds
+    and the batch size its RunContext reads."""
     if manifest["mode"] == "inference":
         return
     try:
@@ -445,18 +444,6 @@ def _check_manifest(manifest: dict) -> None:
     if type(batch_size) is not int or batch_size < 1:
         raise LedgerError("manifest field 'batch_size' is not an integer "
                           "of at least 1")
-    for key in ("input_anchors", "label_anchors"):
-        anchors = manifest.get(key)
-        if not (isinstance(anchors, list)
-                and all(map(_is_digest_hex, anchors))):
-            raise LedgerError(f"manifest field {key!r} is malformed")
-
-
-def _is_digest_hex(s) -> bool:
-    try:
-        return isinstance(s, str) and len(bytes.fromhex(s)) == 32
-    except ValueError:
-        return False
 
 
 class _Worker:
@@ -569,23 +556,32 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
                       blocks) -> ChainReport:
     """Confirm every digest a verification of ``blocks`` consumes is
     vouched for: by the sealed commitment of the neighbor
-    ``grid.neighbors`` names, or, at the grid's edges, by a trust anchor
-    in the manifest (inputs/labels per step, the base model for row 0).
+    ``grid.neighbors`` names, or, at the grid's edges, by a trust anchor.
+    The client derives the data edge: a step's input anchor is the
+    digest of the batch the manifest's dataset spec, run seed and batch
+    size give, and the loss-side gradient is the seed the verifier
+    derives from the labels. Row 0's anchor is the manifest's base-model
+    digest, recomputed from the model spec.
 
     Only the entries of ``blocks`` are walked, which reads the entries
     of their neighbors; a block with no entry is skipped. A walked block
     gets the same problems and bad-block mark whatever else is walked:
-    the base-model anchor is recomputed whenever a walked block lies in
-    row 0. An inference run has no chain: its report is empty."""
+    only the batches of walked layer-block-0 blocks are hashed, and the
+    base-model anchor is recomputed whenever a walked block lies in row
+    0. An inference run has no chain: its report is empty."""
     report = ChainReport(ok=True)
     manifest = ledger.manifest
     if manifest["mode"] != "training":
         return report
     grid = ledger.grid
-    inputs = manifest.get("input_anchors", [])
-    labels = manifest.get("label_anchors", [])
     bad: set[str] = set()
     scope = {b for b in blocks if b in ledger}
+    entries = ledger.entries_in(scope)
+    ctx = RunContext(manifest)
+    steps = sorted({t for e in entries if e.block.i == 0
+                    for t in grid.block_steps(e.block.j)})
+    inputs = dict(zip(steps, ctx.hash_many([ctx.batch(t).inputs
+                                            for t in steps])))
 
     def problem(msg, bid=None):
         report.ok = False
@@ -595,17 +591,12 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
 
     def anchor_problem(anchor, key, digest, t) -> str | None:
         if anchor == INPUT_ANCHOR:
-            if t >= len(inputs):
-                return f"no input anchor for step {t} backing {key}"
-            if digest.hex != inputs[t]:
+            if digest.value != inputs[t].value:
                 return f"{key} does not match the input anchor for step {t}"
-        elif anchor == LABEL_ANCHOR:
-            # loss-side seed: fixed by the committed labels for step t
-            if t >= len(labels):
-                return f"no label anchor for step {t} backing {key}"
-        elif "base_model_digest" not in manifest:  # the base-model anchor
+        elif anchor == BASE_MODEL_ANCHOR \
+                and "base_model_digest" not in manifest:
             return f"row 0 {key} has no base-model anchor"
-        return None
+        return None  # the label anchor: the verifier derives the seed
 
     def neighbor_problem(neighbor, theirs, key, digest) -> str | None:
         if theirs is None:
@@ -614,7 +605,7 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
             return f"digest conflict with neighbor {neighbor} on {key}"
         return None
 
-    for e in ledger.entries_in(scope):
+    for e in entries:
         report.checked += 1
         bid = e.block
         near = grid.neighbors(bid)
@@ -640,27 +631,30 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
 
     # tie the row-0 parameters to the anchor value and the model spec
     row0 = [b for b in scope if b.j == 0]
-    if row0 and "base_model_digest" in manifest \
-            and _base_anchor_broken(manifest, store):
-        problem("stored step-0 parameters do not match the base-model anchor")
-        bad.update(map(str, row0))
+    if row0 and "base_model_digest" in manifest:
+        why = _base_anchor_problem(manifest, store)
+        if why is not None:
+            problem(why)
+            bad.update(map(str, row0))
     report.bad_blocks = sorted(bad)
     return report
 
 
-def _base_anchor_broken(manifest, store: TensorStore | None) -> bool:
-    """Whether the base-model anchor is not the digest of the model the
-    manifest's spec seeds, or some stored step-0 parameter blob is not
-    that model's bytes; a blob not stored (``ic``, zero-storage) or
-    pruned is not compared."""
+def _base_anchor_problem(manifest, store: TensorStore | None) -> str | None:
+    """Why the base-model anchor does not vouch for row 0: it is not the
+    digest of the model the manifest's spec seeds, or some stored step-0
+    parameter blob is not that model's bytes; a blob not stored (``ic``,
+    zero-storage) or pruned is not compared. None when it vouches."""
     layers = build_model(manifest["model"])
     if params_digest(layers, manifest["grid"]["chunk_size"],
                      manifest["hash_algo"]).hex != manifest["base_model_digest"]:
-        return True
+        return ("the base-model anchor is not the digest of the model the "
+                "manifest's spec seeds")
     if store is None:
-        return False
+        return None
     for l, layer in enumerate(layers):
         key = BoundaryKey("parameter", l, 0)
         if store.has_blob(key) and store.get_bytes(key) != param_bytes(layer):
-            return True
-    return False
+            return ("stored step-0 parameters do not match the base-model "
+                    "anchor")
+    return None

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import make_dataset
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
-from .hashing import Digest, chunked_hash_many, label_bytes
+from .hashing import Digest, chunked_hash_many
 from .ledger import RunLedger, seal_block
 from .model import (ModelState, build_model, forward_block, param_bytes,
                     params_digest, train_step)
@@ -65,30 +65,22 @@ class RunContext:
 def build_manifest(model_spec: dict, opt_spec: dict, dataset_spec: dict,
                    config: GridConfig, run_seed: int, batch_size: int,
                    algo: str = "blake3") -> dict:
-    """Assemble the run manifest, including all trust anchors, before any
-    training step executes."""
-    dataset = make_dataset(dataset_spec)
-    layers = build_model(model_spec)
-    base_digest = params_digest(layers, config.chunk_size, algo)
-    batches = [dataset.batch(run_seed, t, batch_size)
-               for t in range(config.n_steps)]
-    input_anchors = [d.hex for d in chunked_hash_many(
-        [b.inputs for b in batches], config.chunk_size, algo)]
-    label_anchors = [d.hex for d in chunked_hash_many(
-        [label_bytes(b.labels) for b in batches], config.chunk_size, algo)]
+    """Assemble the run manifest before any training step executes. Its
+    one trust anchor is the base model's digest: every batch is a pure
+    function of the dataset spec, ``run_seed`` and ``batch_size``, so a
+    client derives the data edge rather than reading it here."""
+    base_digest = params_digest(build_model(model_spec), config.chunk_size,
+                                algo)
     return {
         "mode": "training",
         "grid": config.to_dict(),
         "model": model_spec,
         "optimizer": opt_spec,
-        "dataset": {"spec": dataset_spec,
-                    "digest": dataset.digest(config.chunk_size, algo).hex},
+        "dataset": {"spec": dataset_spec},
         "run_seed": run_seed,
         "batch_size": batch_size,
         "hash_algo": algo,
         "base_model_digest": base_digest.hex,
-        "input_anchors": input_anchors,
-        "label_anchors": label_anchors,
     }
 
 
@@ -140,7 +132,7 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
     ctx = RunContext(manifest)
     grid = ctx.grid
     ledger = RunLedger(manifest)
-    ledger.save(out_dir / LEDGER_FILE)  # anchors on disk before step 0
+    ledger.save(out_dir / LEDGER_FILE)  # the manifest on disk before step 0
     store = TensorStore(out_dir)
     state = ctx.fresh_state()
     table: dict[BoundaryKey, Digest] = {}

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig, label_anchor_key
-from .hashing import (ALGORITHMS, Digest, chunked_hash_many, label_bytes,
-                      tensor_bytes)
+from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
+from .hashing import ALGORITHMS, Digest, chunked_hash_many, tensor_bytes
 from .model import ModelState, param_items, params_digest
 from .optim import check_optimizer_spec
 from .rng import is_seed
@@ -219,10 +218,11 @@ class VerificationReport:
 
 def non_finite_key(grid: BlockGrid, i: int, t: int, x, upstream) -> str:
     """The boundary a NonFiniteError in layer block i's step-t replay is
-    charged to: the first consumed tensor holding NaN or Inf, else the
-    block's replayed output activation."""
+    charged to: the first consumed tensor holding NaN or Inf (the loss
+    block consumes no ``upstream``: None), else the block's replayed
+    output activation."""
     for key, arr in zip(grid.replay_inputs(i, t), (x, upstream)):
-        if not np.isfinite(arr).all():
+        if arr is not None and not np.isfinite(arr).all():
             return str(key)
     return str(grid.replay_outputs(i, t)[0])
 
@@ -265,26 +265,23 @@ class _FailureCollector:
         return not err <= tau and self.fail(NUMERICAL_MISMATCH, key, err, tau)
 
 
-def _check_hashes(req: VerificationRequest, grid: BlockGrid, keys, collector,
-                  label_steps=()) -> bool:
-    """Stored tensors, then the labels of ``label_steps``, against their
-    ledger digests, in that order. Returns True when verification should
-    stop. Everything before the first missing item is hashed in one
-    batch and checked in order; the missing item raises VerifierError
-    only if no mismatch before it stopped verification."""
+def _check_hashes(req: VerificationRequest, grid: BlockGrid, keys,
+                  collector) -> bool:
+    """Stored tensors against their ledger digests, in order. Returns
+    True when verification should stop. Everything before the first
+    missing tensor is hashed in one batch and checked in order; the
+    missing one raises VerifierError only if no mismatch before it
+    stopped verification."""
     names, data, missing = [], [], None
-    items = [(str(k), req.tensors.get(str(k)), "tensor") for k in keys]
-    items += [(label_anchor_key(t), req.labels.get(t), "labels")
-              for t in label_steps]
-    for name, value, what in items:
-        if value is None:
-            missing = f"request is missing {what} {name}"
+    for name in map(str, keys):
+        if name not in req.tensors:
+            missing = f"request is missing tensor {name}"
         elif name not in req.ledger_digests:
             missing = f"request is missing ledger digest for {name}"
         if missing:
             break
         names.append(name)
-        data.append(label_bytes(value) if what == "labels" else value)
+        data.append(req.tensors[name])
     digests = chunked_hash_many(data, grid.config.chunk_size, req.hash_algo)
     for name, got in zip(names, digests):
         if got.value != req.ledger_digests[name].value \
@@ -313,17 +310,20 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
     entry_keys = grid.state_keys(i, t_in)
     exit_keys = grid.state_keys(i, t_out)
     stored_exit = [k for k in exit_keys if str(k) in req.tensors]
-    # the loss block's labels are bound to the manifest's label anchors
-    label_steps = steps if grid.config.n_layers - 1 in layer_ids else ()
     if _check_hashes(req, grid, entry_keys + grid.boundary_keys(req.block)
-                     + stored_exit, collector, label_steps):
+                     + stored_exit, collector):
         return
 
     config = grid.config
+    # the loss block backpropagates the seed its loss derives, and the
+    # recorded final-boundary gradient must be that seed
+    loss = config.n_layers - 1 in layer_ids
     replayer = ModelState(req.model, req.optimizer, layer_ids,
                           {k: req.tensors[str(k)] for k in entry_keys})
     for t in steps:
-        x, upstream = (req.tensors[str(k)] for k in grid.replay_inputs(i, t))
+        x_key, up_key = grid.replay_inputs(i, t)
+        x = req.tensors[str(x_key)]
+        upstream = None if loss else req.tensors[str(up_key)]
         try:
             acts, gacts = replayer.replay_step(x, upstream,
                                                labels=req.labels.get(t))
@@ -331,8 +331,9 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
             # replay cannot go on past NaN/Inf, full scan or not
             collector.fail(NON_FINITE, non_finite_key(grid, i, t, x, upstream))
             return
-        for replayed, key in zip((acts[-1], gacts[0]),
-                                 grid.replay_outputs(i, t)):
+        compared = [(gacts[-1], up_key)] if loss else []
+        compared += zip((acts[-1], gacts[0]), grid.replay_outputs(i, t))
+        for replayed, key in compared:
             err = rel_l2_error(replayed, req.tensors[str(key)])
             if collector.compare(key, err, req.tau):
                 return

@@ -22,7 +22,7 @@ from aftune.adversary import apply_inference_scenario, apply_scenario, \
 from aftune.auditor import AuditPlan, p_detect_exact, run_campaign
 from aftune.data import make_dataset
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
-    label_anchor_key, storage_estimate
+    storage_estimate
 from aftune.hashing import chunked_hash, chunked_hash_many
 from aftune.ledger import RunLedger
 from aftune.model import build_model, forward_block, param_bytes
@@ -430,16 +430,16 @@ def _loss_block_failures(run: Run, isolated: bool) -> dict:
             if r.verdict != PASS}
 
 
-def test_acceptance_labels_are_bound_to_their_anchors(tmp_path):
-    """The loss block's labels are hashed against the manifest's label
-    anchors before any replay: zeroed anchors fail, and so do flipped
-    labels that an orchestrator sends for an honest run, in process and
-    isolated."""
+def test_acceptance_flipped_labels_fail_the_loss_block(tmp_path):
+    """The loss block replays the labels its request carries, which the
+    client derives from the manifest's dataset spec: labels that an
+    orchestrator flips for an honest run fail the replay of every loss
+    block at its first step's loss, in process and isolated."""
     manifest, result = record_run(tmp_path / "run", n_steps=4)
     grid = result.ledger.grid
     last = grid.n_layer_blocks - 1
-    want = {BlockId(last, j): (HASH_MISMATCH,
-                               label_anchor_key(grid.block_steps(j)[0]))
+    want = {BlockId(last, j): (NUMERICAL_MISMATCH, str(BoundaryKey(
+                "activation", last + 1, grid.block_steps(j)[0])))
             for j in range(grid.n_step_blocks)}
     n_classes = manifest["dataset"]["spec"].get("n_classes", 2)
 
@@ -454,11 +454,3 @@ def test_acceptance_labels_are_bound_to_their_anchors(tmp_path):
     run.requests = flipped
     for isolated in (False, True):
         assert _loss_block_failures(run, isolated) == want
-
-    zeroed = shutil.copytree(tmp_path / "run", tmp_path / "zeroed")
-    ledger = RunLedger.load(zeroed / LEDGER_FILE)
-    ledger.manifest["label_anchors"] = ["0" * 64] * len(
-        ledger.manifest["label_anchors"])
-    ledger.save(zeroed / LEDGER_FILE)
-    for isolated in (False, True):
-        assert _loss_block_failures(Run.open(zeroed), isolated) == want

@@ -110,9 +110,10 @@ def test_backdoor_poison_detected_by_input_anchors(tmp_path):
     chain = _full_chain(tmp_path / "bp")
     assert not chain.ok
     assert set(result.tampered_blocks) <= set(chain.bad_blocks)
-    # interior rows replay cleanly, so the trust chain fails the blocks it
-    # marks; the loss-head row fails replay too because verification
-    # feeds it the committed (clean) labels
+    # the client derives the input anchors from the clean spec, so the
+    # trust chain fails the layer-block-0 blocks it marks; interior rows
+    # replay cleanly, and the loss-head row fails replay too because
+    # verification feeds it the labels the clean spec derives
     verdicts = _verdicts(tmp_path / "bp")
     grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
     head_row = grid.n_layer_blocks - 1
@@ -225,8 +226,13 @@ def test_parameter_poison_attack(attack_subject):
     assert res.rel_delta_norm > 100 * 1e-5
 
 
-BASE_ANCHOR_PROBLEM = \
-    "stored step-0 parameters do not match the base-model anchor"
+# the trust chain's problems with row 0's anchor: the anchor is not the
+# seeded model's digest, or a stored step-0 blob is not that model's
+BASE_ANCHOR_PROBLEMS = (
+    "the base-model anchor is not the digest of the model the manifest's "
+    "spec seeds",
+    "stored step-0 parameters do not match the base-model anchor",
+)
 
 
 def _assert_scoped_chain_agrees(run_dir):
@@ -238,7 +244,7 @@ def _assert_scoped_chain_agrees(run_dir):
     store = TensorStore(run_dir)
     ledger = load()
     full = check_trust_chain(ledger, store, ledger.grid.block_ids())
-    base_broken = BASE_ANCHOR_PROBLEM in full.problems
+    base = [p for p in full.problems if p in BASE_ANCHOR_PROBLEMS]
     walked = []
     # the full walk lists each entry's problems in file order, then the
     # base-model anchor's
@@ -246,10 +252,11 @@ def _assert_scoped_chain_agrees(run_dir):
         scoped = check_trust_chain(load(), store, [bid])
         assert scoped.bad_blocks == \
             ([str(bid)] if str(bid) in full.bad_blocks else []), bid
-        assert (BASE_ANCHOR_PROBLEM in scoped.problems) == \
-            (base_broken and bid.j == 0), bid
-        walked += [p for p in scoped.problems if p != BASE_ANCHOR_PROBLEM]
-    assert walked == [p for p in full.problems if p != BASE_ANCHOR_PROBLEM]
+        assert [p for p in scoped.problems if p in BASE_ANCHOR_PROBLEMS] \
+            == (base if bid.j == 0 else []), bid
+        walked += [p for p in scoped.problems if p not in BASE_ANCHOR_PROBLEMS]
+    assert walked == [p for p in full.problems
+                      if p not in BASE_ANCHOR_PROBLEMS]
     return full
 
 
@@ -277,17 +284,22 @@ def test_scoped_trust_chain_on_a_neighbor_conflict(mlp_run, tmp_path):
 
 def test_trust_chain_finds_a_base_anchor_beside_another_break(mlp_run,
                                                              tmp_path):
-    # a broken input anchor at step 4 does not hide the base-model check:
-    # every walk over a row-0 block recomputes it
+    # block 0,2 disagrees with its neighbor 1,2 about the gradient at
+    # step 4, which does not hide the base-model check: every walk over a
+    # row-0 block recomputes it
+    from aftune.hashing import Digest
     run = copy_run(mlp_run["dir"], tmp_path / "base")
     ledger = RunLedger.load(run / LEDGER_FILE)
     ledger.manifest["base_model_digest"] = "f" * 64
-    ledger.manifest["input_anchors"][4] = "0" * 64
+    ledger.entry_for(BlockId(0, 2)).entries[
+        BoundaryKey("gradient", 1, 4)] = Digest(bytes(32))
     ledger.save(run / LEDGER_FILE)
     full = _assert_scoped_chain_agrees(run)
     row0 = [str(BlockId(i, 0)) for i in range(ledger.grid.n_layer_blocks)]
     assert full.bad_blocks == sorted(row0 + ["0,2"])
-    assert full.problems[-1] == BASE_ANCHOR_PROBLEM
+    assert full.problems[0] == \
+        "digest conflict with neighbor 1,2 on gradient:1@4"
+    assert full.problems[-1] == BASE_ANCHOR_PROBLEMS[0]
     store = TensorStore(run)
 
     def scoped(*bids):

@@ -20,9 +20,12 @@ from aftune.cli import main
 from aftune.grid import BlockId, BoundaryKey
 from aftune.ledger import RunLedger, ledger_digest
 from aftune.orchestrate import ReconstructionError, Run
-from aftune.recorder import LEDGER_FILE
+from aftune.model import StepTrace
+from aftune.recorder import LEDGER_FILE, record_training
 from aftune.store import TensorStore
 from aftune.verifier import REFUSED
+
+from conftest import make_manifest
 
 
 @pytest.fixture()
@@ -188,70 +191,88 @@ def test_cli_surface_is_pinned():
         == CLI_SURFACE
 
 
-@pytest.mark.parametrize("args", [
-    ["bench-hash"],
-    ["verify", "run", "--all"],
-    ["verify", "run", "--no-trust-chain"],
-    ["verify", "run", "--trust-chain"],
-    ["verify", "run", "--precision", "f64"],
-    ["record-train", "out", "--ia", "2"],
-    ["record-infer", "out", "--ic", "2"],
+# Each row's id is explicit, so a row keeps its name wherever it moves.
+# The rows that predate explicit ids keep the positional names pytest
+# gave them.
+REMOVED_KNOBS = {
+    "args0": ["bench-hash"],
+    "args1": ["verify", "run", "--all"],
+    "args2": ["verify", "run", "--no-trust-chain"],
+    "args3": ["verify", "run", "--trust-chain"],
+    "args4": ["verify", "run", "--precision", "f64"],
+    "args5": ["record-train", "out", "--ia", "2"],
+    "args6": ["record-infer", "out", "--ic", "2"],
     # the tolerance is the auditor's (verify --tau), not a recorded fact
-    ["record-train", "out", "--tau", "0"],
-    ["record-train", "out", "--tau", "-1"],
-    ["record-train", "out", "--tau", "nan"],
-    ["record-train", "out", "--tau", "inf"],
-    ["record-infer", "out", "--tau", "nan"],
-    ["attack", "out", "--scenario", "under-train", "--tau", "1e-5"],
-])
+    "args7": ["record-train", "out", "--tau", "0"],
+    "args8": ["record-train", "out", "--tau", "-1"],
+    "args9": ["record-train", "out", "--tau", "nan"],
+    "args10": ["record-train", "out", "--tau", "inf"],
+    "args11": ["record-infer", "out", "--tau", "nan"],
+    "args12": ["attack", "out", "--scenario", "under-train", "--tau", "1e-5"],
+}
+
+
+@pytest.mark.parametrize("args", list(REMOVED_KNOBS.values()),
+                         ids=list(REMOVED_KNOBS))
 def test_removed_knobs_are_usage_errors(cli_run, runner, args):
     _exits_cleanly(_invoke(runner, cli_run, *args), 2)
 
 
 # a tolerance must be positive and finite; a count of workers or trials
 # must mean something
-VERIFY_AND_AUDIT_BAD_VALUES = [
-    ["verify", "out", "--tau", "0"],
-    ["verify", "out", "--tau", "nan"],
-    ["verify", "out", "--tau", "-1"],
-    ["verify", "out", "--tau", "inf"],
-    ["verify", "out", "--jobs", "0"],
-    ["verify", "out", "--jobs", "-3"],
-    ["audit", "out", "--trials", "-4"],
-    ["audit", "out", "--seed", "99999999999999999999999"],
-    ["audit", "out", "--seed", "99999999999999999999999", "--trials", "3"],
-]
+VERIFY_AND_AUDIT_BAD_VALUES = {
+    "args20": ["verify", "out", "--tau", "0"],
+    "args21": ["verify", "out", "--tau", "nan"],
+    "args22": ["verify", "out", "--tau", "-1"],
+    "args23": ["verify", "out", "--tau", "inf"],
+    "args24": ["verify", "out", "--jobs", "0"],
+    "args25": ["verify", "out", "--jobs", "-3"],
+    "args26": ["audit", "out", "--trials", "-4"],
+    "args27": ["audit", "out", "--seed", "99999999999999999999999"],
+    "args28": ["audit", "out", "--seed", "99999999999999999999999",
+               "--trials", "3"],
+}
 
-
-@pytest.mark.parametrize("args", [
-    ["record-train", "out", "--bl", "0"],
-    ["record-train", "out", "--ic", "0"],
-    ["record-train", "out", "--lr", "nan"],
-    ["record-train", "out", "--lr", "inf"],
-    ["record-train", "out", "--lr", "-inf"],
-    ["record-train", "out", "--chunk-size", "0"],
-    ["record-train", "out", "--batch-size", "0"],
-    ["record-train", "out", "--n-steps", "0", "--bs", "1"],
-    ["record-infer", "out", "--bl", "99"],
-    ["record-infer", "out", "--ia", "0"],
-    ["attack", "out", "--scenario", "under-train", "--bs", "0"],
-    ["attack", "out", "--scenario", "fabricate-output", "--ia", "0"],
-    ["detection-odds", "--k", "2000"],
-    ["detection-odds", "--m", "-1"],
-    ["detection-odds", "--n", "0", "--k", "0"],
-    ["attack-stats", "--bl-values", "2,0", "--steps", "1"],
-    ["attack-stats", "--bl-values", "a", "--steps", "1"],
-    ["record-train", "out", "--seed", "99999999999999999999999"],
-    ["record-train", "out", "--model-seed", "-99999999999999999999999"],
-    ["record-infer", "out", "--model-seed", "99999999999999999999999"],
-    *VERIFY_AND_AUDIT_BAD_VALUES,
+BAD_OPTION_VALUES = {
+    "args0": ["record-train", "out", "--bl", "0"],
+    "args1": ["record-train", "out", "--ic", "0"],
+    # --ic is a checkpoint interval: zero-storage is --zero-storage
+    "ic-none": ["record-train", "out", "--ic", "none"],
+    "ic-zero-storage": ["record-train", "out", "--ic", "zero-storage"],
+    "args2": ["record-train", "out", "--lr", "nan"],
+    "args3": ["record-train", "out", "--lr", "inf"],
+    "args4": ["record-train", "out", "--lr", "-inf"],
+    "args5": ["record-train", "out", "--chunk-size", "0"],
+    "args6": ["record-train", "out", "--batch-size", "0"],
+    "args7": ["record-train", "out", "--n-steps", "0", "--bs", "1"],
+    "args8": ["record-infer", "out", "--bl", "99"],
+    "args9": ["record-infer", "out", "--ia", "0"],
+    "args10": ["attack", "out", "--scenario", "under-train", "--bs", "0"],
+    "args11": ["attack", "out", "--scenario", "fabricate-output", "--ia",
+               "0"],
+    "args12": ["detection-odds", "--k", "2000"],
+    "args13": ["detection-odds", "--m", "-1"],
+    "args14": ["detection-odds", "--n", "0", "--k", "0"],
+    "args15": ["attack-stats", "--bl-values", "2,0", "--steps", "1"],
+    "args16": ["attack-stats", "--bl-values", "a", "--steps", "1"],
+    "args17": ["record-train", "out", "--seed", "99999999999999999999999"],
+    "args18": ["record-train", "out", "--model-seed",
+               "-99999999999999999999999"],
+    "args19": ["record-infer", "out", "--model-seed",
+               "99999999999999999999999"],
+    **VERIFY_AND_AUDIT_BAD_VALUES,
     # the tampering draws from np.random.default_rng(seed), which takes no
     # negative seed: refused before any run is recorded
-    ["attack", "out", "--scenario", "activation-perturbation", "--n-steps",
-     "4", "--seed", "-1"],
-    ["attack", "out", "--scenario", "serve-wrong-model", "--seed", "-1"],
-    ["attack-stats", "--steps", "1", "--seed", "-1"],
-])
+    "args29": ["attack", "out", "--scenario", "activation-perturbation",
+               "--n-steps", "4", "--seed", "-1"],
+    "args30": ["attack", "out", "--scenario", "serve-wrong-model", "--seed",
+               "-1"],
+    "args31": ["attack-stats", "--steps", "1", "--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("args", list(BAD_OPTION_VALUES.values()),
+                         ids=list(BAD_OPTION_VALUES))
 def test_bad_option_value_is_a_usage_error(tmp_path, runner, args):
     result = _invoke(runner, tmp_path, *args)
     _exits_cleanly(result, 2)
@@ -271,7 +292,7 @@ def test_diverging_record_train_is_a_usage_error(tmp_path, runner):
     assert not (tmp_path / "r" / "record_report.json").exists()
 
 
-@pytest.mark.parametrize("args", VERIFY_AND_AUDIT_BAD_VALUES)
+@pytest.mark.parametrize("args", list(VERIFY_AND_AUDIT_BAD_VALUES.values()))
 def test_bad_value_is_refused_before_the_run_is_opened(tmp_path, runner,
                                                        args):
     assert _invoke(runner, tmp_path, "record-train", "out", "--n-steps", "2",
@@ -354,7 +375,7 @@ def test_reports_are_strict_json(sha_run, tmp_path, runner):
 
 
 @pytest.mark.parametrize("field", ["mode", "grid", "model", "hash_algo",
-                                   "dataset", "run_seed", "label_anchors"])
+                                   "dataset", "run_seed", "batch_size"])
 def test_garbled_manifest_field_is_a_usage_error(sha_run, tmp_path, runner,
                                                  field):
     # one byte of the key's name flipped: well-formed ledger bytes whose
@@ -451,19 +472,6 @@ def test_malformed_manifest_optimizer_is_a_usage_error(
         result = _invoke(runner, tmp_path, *args)
         _exits_cleanly(result, 2)
         assert "optimizer" in result.output
-
-
-def test_zeroed_label_anchors_fail_verify(sha_run, tmp_path, runner):
-    from aftune.ledger import RunLedger
-    run = tmp_path / "zeroed"
-    shutil.copytree(sha_run, run)
-    ledger = RunLedger.load(run / "ledger.bin")
-    anchors = ledger.manifest["label_anchors"]
-    ledger.manifest["label_anchors"] = ["0" * 64] * len(anchors)
-    ledger.save(run / "ledger.bin")
-    result = _invoke(runner, tmp_path, "verify", "zeroed")
-    assert result.exit_code == 1, result.output
-    assert "fail (hash-mismatch" in result.output
 
 
 def _exits_cleanly(result, code):
@@ -711,23 +719,6 @@ def test_commitment_set_off_its_schedule_cannot_be_saved(sha_run, tmp_path,
                                           "schedule's 16 sha256 digests"):
         _forge_block_1_0(run, forge)
     assert (run / "ledger.bin").read_bytes() == before
-
-
-def test_short_input_anchors_break_the_chain(sha_run, tmp_path, runner):
-    from aftune.ledger import RunLedger
-    run = tmp_path / "short-anchors"
-    shutil.copytree(sha_run, run)
-    ledger = RunLedger.load(run / "ledger.bin")
-    ledger.manifest["input_anchors"] = ledger.manifest["input_anchors"][:2]
-    ledger.save(run / "ledger.bin")
-    result = _invoke(runner, tmp_path, "verify", "short-anchors")
-    _exits_cleanly(result, 1)
-    assert "trust chain: BROKEN — no input anchor for step 2 backing " \
-        "activation:0@2" in result.output
-    report = json.loads((run / "verify_report.json").read_text())
-    assert report["trust_chain"]["bad_blocks"] == ["0,1"]
-    _exits_cleanly(_invoke(runner, tmp_path, "audit", "short-anchors",
-                           "--strategy", "explicit", "--block", "0,1"), 1)
 
 
 def test_prune_at_infinite_interval_keeps_the_replay_inputs(tmp_path, runner):
@@ -1075,27 +1066,107 @@ def test_a_claimed_base_model_fails_row_0(sha_run, sha_inf_run, sha_zs_run,
         _exits_cleanly(result, 1)
         assert "block 0,0: fail" in result.output
         if args[0] == "verify":
-            assert "trust chain: BROKEN" in result.output
+            assert "trust chain: BROKEN — the base-model anchor is not " \
+                "the digest of the model the manifest's spec seeds\n" \
+                in result.output
+
+
+# manifest edits that claim other batches: every step's batch is derived
+# from the dataset spec, the run seed and the batch size, and the client
+# derives the digests of layer block 0's inputs from them
+DATA_EDITS = {
+    "dataset-seed+1": lambda m: m["dataset"]["spec"].update(
+        seed=m["dataset"]["spec"]["seed"] + 1),
+    "run-seed+1": lambda m: m.update(run_seed=m["run_seed"] + 1),
+    "batch-size-4": lambda m: m.update(batch_size=4),
+}
+
+
+@pytest.mark.parametrize("storage", ["ic-2", "ic-inf", "zero-storage"])
+@pytest.mark.parametrize("case", sorted(DATA_EDITS))
+def test_claimed_batches_fail_layer_block_0(sha_run, sha_inf_run, sha_zs_run,
+                                            tmp_path, runner, case, storage):
+    source = {"ic-2": sha_run, "ic-inf": sha_inf_run,
+              "zero-storage": sha_zs_run}[storage]
+    run = _edited_copy(source, tmp_path, DATA_EDITS[case])
+    report = _verify_both_ways(runner, run)
+    grid = RunLedger.load(run / LEDGER_FILE).grid
+    row = [str(BlockId(0, j)) for j in range(grid.n_step_blocks)]
+    chain = report["trust_chain"]
+    assert set(row) <= set(chain["bad_blocks"])
+    assert chain["problems"][0] == \
+        "activation:0@0 does not match the input anchor for step 0"
+    verdicts = {r["block"]: r["verdict"] for r in report["reports"]}
+    assert [verdicts[b] for b in row] == ["fail"] * len(row)
+    for b in row:
+        _exits_cleanly(_invoke(runner, tmp_path, "audit", "edited",
+                               "--strategy", "explicit", "--block", b), 1)
+
+
+def _zero_seed_step(state, batch):
+    """A provider's training step that backpropagates a zero loss seed
+    instead of the loss's own: it never learns from the data, yet every
+    tensor it records is consistent with the seed it recorded. The loss
+    head's output holds one loss per label."""
+    acts, gacts = state.replay_step(
+        batch.inputs, np.zeros(batch.labels.shape, np.float32),
+        labels=batch.labels)
+    return StepTrace(acts, gacts, float(acts[-1].mean()))
+
+
+@pytest.mark.parametrize("ic", [2, None], ids=["ic-2", "ic-inf"])
+def test_a_zero_loss_seed_fails_the_loss_row(tmp_path, runner, ic):
+    # the loss block replays from the seed its loss derives, and the
+    # recorded final-boundary gradient must be that seed
+    run = tmp_path / "run"
+    record_training(make_manifest(n_steps=8, algo="sha256", ic=ic), run,
+                    step=_zero_seed_step)
+    report = _verify_both_ways(runner, run)
+    grid = Run.open(run).grid
+    loss = grid.n_layer_blocks - 1
+    failed = {r["block"]: (r["cause"], r["failed_key"])
+              for r in report["reports"] if r["verdict"] != "pass"}
+    assert sorted(failed) == [f"{loss},{j}" for j in range(grid.n_step_blocks)]
+    assert failed[f"{loss},0"] == ("numerical-mismatch",
+                                   f"gradient:{loss + 1}@0")
+    assert report["trust_chain"]["ok"]
+
+
+def _schema_2(manifest):
+    # schema 2 manifests carried the data edge: per-step input and label
+    # anchors and the dataset's digest
+    manifest.update(input_anchors=["0" * 64] * 4, label_anchors=["0" * 64] * 4)
+    manifest["dataset"]["digest"] = "0" * 64
+
+
+def _schema_1(manifest):
+    # schema 1 manifests also carried grid.tau and grid.precision
+    _schema_2(manifest)
+    manifest["grid"].update(tau=1e-5, precision="f32")
+
+
+OLD_SCHEMAS = {1: _schema_1, 2: _schema_2}
 
 
 def test_a_ledger_of_the_old_schema_names_its_version(sha_run, tmp_path,
                                                       runner):
-    # schema 1 manifests carried grid.tau and grid.precision
-    run = tmp_path / "old"
-    shutil.copytree(sha_run, run)
-    data = (run / LEDGER_FILE).read_bytes()
-    (n,) = struct.unpack_from("<I", data, 6)
-    manifest = json.loads(data[10:10 + n])
-    manifest["schema_version"] = 1
-    manifest["grid"].update(tau=1e-5, precision="f32")
-    head = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    (run / LEDGER_FILE).write_bytes(data[:6] + struct.pack("<I", len(head))
-                                    + head + data[10 + n:])
-    for args in (["verify"], ["verify", "--isolated"], ["audit"]):
-        result = _invoke(runner, tmp_path, args[0], "old", *args[1:])
-        _exits_cleanly(result, 2)
-        assert "ledger schema version 1 is not the supported 2" \
-            in result.output
+    for version, older in OLD_SCHEMAS.items():
+        run = tmp_path / f"old-{version}"
+        shutil.copytree(sha_run, run)
+        data = (run / LEDGER_FILE).read_bytes()
+        (n,) = struct.unpack_from("<I", data, 6)
+        manifest = json.loads(data[10:10 + n])
+        manifest["schema_version"] = version
+        older(manifest)
+        head = json.dumps(manifest, sort_keys=True,
+                          separators=(",", ":")).encode()
+        (run / LEDGER_FILE).write_bytes(data[:6] + struct.pack("<I", len(head))
+                                        + head + data[10 + n:])
+        for args in (["verify"], ["verify", "--isolated"], ["audit"]):
+            result = _invoke(runner, tmp_path, args[0], run.name, *args[1:])
+            _exits_cleanly(result, 2)
+            assert f"ledger schema version {version} is not the supported 3" \
+                in result.output
 
 
 def test_unisolated_unstable_layer_is_refused_by_name(tmp_path, runner):

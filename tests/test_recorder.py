@@ -1,5 +1,6 @@
-"""Instrumented recording: non-interference, blob schedules, anchors,
-storage accounting, zero-storage rematerialization, and pruning."""
+"""Instrumented recording: non-interference, blob schedules, the
+manifest, storage accounting, zero-storage rematerialization, and
+pruning."""
 
 from __future__ import annotations
 
@@ -46,15 +47,15 @@ def test_recording_does_not_perturb_training(tmp_path):
 # commits, or in which order, shows here
 GOLDEN_LEDGER_DIGESTS = [
     ("sha256", dict(algo="sha256"), None,
-     "549286d1aad2d9664e428080ac77f327e781aa623d6fae89db9c99126f145d90"),
+     "5b4340986eb78a0f3eeb67ae5c38b71106db74a98d59c41d52c830fd3e35e287"),
     ("zero-storage", dict(algo="sha256", ic=None, zero_storage=True), None,
-     "1303f75ccba5100e2c8ff55dd0fe619a1ba521107ff3c6148ed8da77ade42dbe"),
+     "17bc830cfbe0fcca89c2883c91710281f4284aa8dbd2852a23eeedcca552d8d3"),
     ("blake3", dict(algo="blake3"), None,
-     "45a891e3b3d0b9905de54357d050b20a5c50a2f0f9decb6074867605fc6f115f"),
+     "c9203b738ad297c0561030cf68e35be818c9d3b7c8760d955ced8cad6d79ed68"),
     ("under-train-sha256", dict(algo="sha256"), "under-train",
-     "a11022cc428f78857f8be0510b2d1d5bbd591d843d8b758fa1d96f04feb6bee1"),
+     "c1915b59c4116070c659735dbf2f8f1a338297ee37dc41131a0d042b00145565"),
     ("under-train-blake3", dict(algo="blake3"), "under-train",
-     "67af03ceb79f9477fad72d11a8601f4075bd36475c909a4a7f7712162bef08ed"),
+     "f64cd5174ebc1a17d2566a6711d8cf463b7f9e44f756338faae4a88a9e50b36b"),
 ]
 
 
@@ -107,7 +108,7 @@ def test_ledger_format_is_the_key_schedule(tmp_path):
 # 4-step sha256 run: any change to what a request carries, or in which
 # order, shows here
 GOLDEN_REQUESTS_DIGEST = \
-    "6bf869efd5560043ee84f5d9cffd6a21cc9b82d6a8930f73de241c6b58ee0e55"
+    "42cc885e0f7a5ba75c2069bea41eca68a72843f17f53c49e690c8912b9dc5e7d"
 
 
 def test_request_bytes_are_golden(tmp_path):
@@ -337,17 +338,15 @@ def test_ledger_row_structure(tmp_path):
     assert ledger.encode() == result.ledger.encode()
 
 
-def test_manifest_anchors_are_recomputable(tmp_path):
-    manifest, _ = record_run(tmp_path / "run")
-    ctx = RunContext(manifest)
-    for t in range(ctx.config.n_steps):
-        batch = ctx.batch(t)
-        chunk = ctx.config.chunk_size
-        assert manifest["input_anchors"][t] == \
-            chunked_hash(batch.inputs, chunk, ctx.algo).hex
-        labels = np.ascontiguousarray(batch.labels, "<i8").tobytes()
-        assert manifest["label_anchors"][t] == \
-            chunked_hash(labels, chunk, ctx.algo).hex
+def test_manifest_holds_no_data_digests(tmp_path):
+    # every batch is a pure function of the dataset spec, the run seed
+    # and the batch size, so a client derives the data edge itself
+    manifest, _ = record_run(tmp_path / "run", n_steps=4)
+    assert RunLedger.load(tmp_path / "run" / LEDGER_FILE).manifest == manifest
+    assert sorted(manifest) == [
+        "base_model_digest", "batch_size", "dataset", "grid", "hash_algo",
+        "mode", "model", "optimizer", "run_seed", "schema_version"]
+    assert manifest["dataset"] == {"spec": dataset_for("mlp")}
 
 
 def test_checkpoint_blobs_follow_the_schedule(tmp_path):

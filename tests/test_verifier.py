@@ -16,8 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from aftune import orchestrate, verifier, verifier_worker
-from aftune.grid import (BlockGrid, BlockId, BoundaryKey, GridConfig,
-                         label_anchor_key)
+from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from aftune.hashing import Digest, chunked_hash
 from aftune.orchestrate import Run
 from aftune.model import ModelState, params_digest
@@ -182,26 +181,24 @@ def test_mismatch_before_a_missing_tensor_stays_a_failure(mlp_run):
         assert report.failed_key == forged
 
 
-def test_loss_block_labels_are_hash_checked(mlp_run):
+def test_loss_block_replays_its_request_labels(mlp_run):
+    # the labels travel in the request, derived from the manifest's spec,
+    # and no ledger digest binds them: the replay does
     bid = BlockId(mlp_run["result"].ledger.grid.n_layer_blocks - 1, 1)
     req = _request(mlp_run, bid)
     assert set(req.labels) == {2, 3}
-    assert {label_anchor_key(t) for t in (2, 3)} <= set(req.ledger_digests)
+    assert set(req.ledger_digests) == set(req.tensors)
     assert verify_block(req).verdict == PASS
     req.labels[3] = (req.labels[3] + 1) % 2
     report = verify_block(req)
     assert (report.verdict, report.cause, report.failed_key) == \
-        (FAIL, HASH_MISMATCH, label_anchor_key(3))
-    assert not report.errors  # caught before any replay
-    # a request that leaves the labels or their digest out is refused
+        (FAIL, NUMERICAL_MISMATCH, "activation:3@3")
+    # a request that leaves the labels out cannot be replayed
     req = _request(mlp_run, bid)
     del req.labels[2]
-    with pytest.raises(VerifierError, match="missing labels label-anchor@2"):
+    with pytest.raises(ValueError, match="needs labels"):
         verify_block(req)
-    req = _request(mlp_run, bid)
-    del req.ledger_digests[label_anchor_key(2)]
-    with pytest.raises(VerifierError, match="digest for label-anchor@2"):
-        verify_block(req)
+    assert verify_or_refuse(req).verdict == REFUSED
 
 
 def test_unknown_mode_rejected(mlp_run):
