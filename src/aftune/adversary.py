@@ -4,8 +4,9 @@ Every scenario produces a run directory whose evidence is self-
 consistent (stored blobs match their hashes, the ledger is well-formed)
 but dishonest in a specific way. The point is that spot-check
 verification or the trust-chain walk still catches each of them. The
-gradient-based attacks measure how large a hidden perturbation must be
-to change model behavior, versus the tolerance the verifier enforces.
+gradient-based attacks measure the smallest hidden perturbation that
+changes model behavior; an exact replay rejects every such perturbation,
+since a replayed tensor must be the committed bytes.
 """
 
 from __future__ import annotations

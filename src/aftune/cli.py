@@ -38,7 +38,6 @@ from .recorder import (LEDGER_FILE, build_inference_manifest,
 from .rng import is_seed
 from .store import StoreError
 from .tensors import NonFiniteError
-from .verifier import DEFAULT_TAU, check_tau
 
 RUN_ROOT_ENV = "AFTUNE_RUN_ROOT"
 
@@ -124,15 +123,6 @@ def _grid_options(*names):
             f = options[name](f)
         return f
     return add
-
-
-def _tau_option(ctx, param, tau):
-    """``--tau`` unless it breaks the verifier's tolerance rule."""
-    try:
-        check_tau(tau)
-    except ValueError as e:
-        raise click.BadParameter(str(e))
-    return tau
 
 
 def _seed_option(ctx, param, seed):
@@ -253,9 +243,6 @@ def record_infer(out_dir, preset, bl, ia, chunk_size, algo, model_seed,
               help="Block to verify as 'i,j'; default verifies all.")
 @click.option("--full-scan", is_flag=True,
               help="Report all failures instead of stopping at the first.")
-@click.option("--tau", type=float, default=DEFAULT_TAU, show_default=True,
-              callback=_tau_option,
-              help="Verification tolerance (relative L2).")
 @click.option("--isolated", is_flag=True,
               help="Check in a separate verifier process that serves the "
                    "whole command and receives only request bytes.")
@@ -263,7 +250,7 @@ def record_infer(out_dir, preset, bl, ia, chunk_size, algo, model_seed,
               type=click.IntRange(min=1),
               help="Number of isolated verifier processes checking blocks "
                    "at once (implies --isolated when above 1).")
-def verify(run_dir, block_id, full_scan, tau, isolated, jobs):
+def verify(run_dir, block_id, full_scan, isolated, jobs):
     """Replay and check one block or the whole grid."""
     run = _open_run(_run_dir(run_dir))
     if block_id is not None:
@@ -278,7 +265,7 @@ def verify(run_dir, block_id, full_scan, tau, isolated, jobs):
         targets = run.grid.block_ids()
 
     reports = run.verify(targets, isolated=isolated, jobs=jobs,
-                         full_scan=full_scan, tau=tau)
+                         full_scan=full_scan)
     chain = run.chain
     ok = all(r.passed for r in reports)
     payload = {"reports": [r.to_json() for r in reports],
@@ -289,10 +276,7 @@ def verify(run_dir, block_id, full_scan, tau, isolated, jobs):
         line = f"block {r.block}: {r.verdict}"
         if r.cause:
             at = f" at {r.failed_key}" if r.failed_key else ""
-            line += f" ({r.cause}{at}"
-            if r.measured_error is not None:
-                line += f", err {r.measured_error:.3e} vs tau {r.tau:.1e}"
-            line += ")"
+            line += f" ({r.cause}{at})"
         click.echo(line)
     if chain is not None:
         click.echo(f"trust chain: {'ok' if chain.ok else 'BROKEN'}"

@@ -19,7 +19,9 @@ SEEDED_KINDS = ("linear", "attention-head")
 
 class Layer:
     kind: str = "?"
-    deterministic: bool = True
+    # the relative L2 by which two runs of this kernel on one input may
+    # differ: 0.0 for a deterministic kernel, which reproduces its bytes
+    drift: float = 0.0
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -218,8 +220,10 @@ class UnstableScale(Layer):
     """
 
     kind = "unstable-scale"
-    deterministic = False
     JITTER = 1e-7
+    # two calls' factors differ by up to 6 JITTER relative, and AdamW's
+    # second moment squares that difference
+    drift = 16 * JITTER
 
     _calls = 0  # process-global execution-order counter
 

@@ -36,10 +36,9 @@ from .recorder import (LEDGER_FILE, PARAMS_DIR, RunContext,
 from .rng import is_seed
 from .store import StoreError, TensorStore
 from .tensors import BlobError, NonFiniteError
-from .verifier import (DEFAULT_TAU, EVIDENCE_RELEASED, FAIL, NON_FINITE,
-                       REFUSED, BindingMemo, VerificationReport,
-                       VerificationRequest, non_finite_key, refusal,
-                       verify_or_refuse)
+from .verifier import (EVIDENCE_RELEASED, FAIL, NON_FINITE, REFUSED,
+                       BindingMemo, VerificationReport, VerificationRequest,
+                       non_finite_key, refusal, verify_or_refuse)
 from .verifier_worker import frame
 
 # the directory holding the imported package, for isolated workers
@@ -155,18 +154,17 @@ class Run:
     def request(self, bid: BlockId, **kw):
         return next(self.requests([bid], **kw))[1]
 
-    def requests(self, bids, tau: float = DEFAULT_TAU, full_scan: bool = False,
+    def requests(self, bids, full_scan: bool = False,
                  session: BindingMemo | None = None):
         """Yield ``(bid, request)`` for each distinct block of ``bids`` in
         grid order (row j ascending). ``request`` is a VerificationReport
         instead when the block cannot reach the verifier: its evidence was
         released, or the replay to its entry state went non-finite.
-        Every request is checked within ``tau``, the auditor's tolerance.
         ``session`` is the verifier session that checks each request
         before the next is asked for: a block it passed hands its replay
         on to the block's row."""
         order = sorted(set(bids), key=lambda b: (b.j, b.i))
-        opts = dict(grid=self.config.to_dict(), tau=tau, full_scan=full_scan)
+        opts = dict(grid=self.config.to_dict(), full_scan=full_scan)
         if self.mode == "inference":
             yield from self._inference_requests(order, opts)
         elif self.store is None:
@@ -174,10 +172,10 @@ class Run:
         else:
             yield from self._stored_requests(order, opts, session)
 
-    def _request(self, bid: BlockId, tensors: dict, grid: dict, tau: float,
+    def _request(self, bid: BlockId, tensors: dict, grid: dict,
                  full_scan: bool) -> VerificationRequest:
-        """The request for sealed block ``bid`` checked on ``grid`` within
-        ``tau`` carrying ``tensors`` and the digests of its key schedule as
+        """The request for sealed block ``bid`` checked on ``grid``
+        carrying ``tensors`` and the digests of its key schedule as
         its ledger entry holds them; for a training loss block also the
         labels the manifest's spec derives, for inference the served
         parameters."""
@@ -195,7 +193,7 @@ class Run:
         return VerificationRequest(
             block=bid, mode=self.mode, grid=grid, model=manifest["model"],
             optimizer=manifest.get("optimizer"),
-            hash_algo=manifest["hash_algo"], tau=tau, tensors=tensors,
+            hash_algo=manifest["hash_algo"], tensors=tensors,
             ledger_digests=ledger_digests, labels=labels,
             model_digest=manifest.get("model_digest"), full_scan=full_scan,
         )
@@ -270,7 +268,7 @@ class Run:
         if row is None or row.origin != t0 or row.t > target:
             row = _Row(t0, self._checkpoint(i, t0))
         unstable = [l for l in self.grid.block_layers(i)
-                    if not self._fresh_layers[l].deterministic]
+                    if self._fresh_layers[l].drift]
         if unstable and (t0 or 0) < target and not row.broken:
             row.broken = VerificationReport(block=None, verdict=REFUSED, note=(
                 f"layer {unstable[0]} is non-deterministic: replaying steps "
@@ -416,8 +414,7 @@ def _stopped(e: Exception, where: str = "",
     elif isinstance(e, NonFiniteError):
         report = VerificationReport(
             block=None, verdict=FAIL, cause=NON_FINITE, failed_key=key,
-            failures=[{"cause": NON_FINITE, "key": key, "error": None,
-                       "tau": None}], note=str(e))
+            failures=[{"cause": NON_FINITE, "key": key}], note=str(e))
     else:
         report = refusal(None, e)
     if where:

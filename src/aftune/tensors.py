@@ -23,17 +23,3 @@ def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
         raise NonFiniteError(f"non-finite values in {what}")
     return arr
 
-
-def rel_l2_error(replayed: np.ndarray, recorded: np.ndarray) -> float:
-    """Relative L2 error ||a - b|| / ||b||.
-
-    Falls back to the absolute error when the recorded tensor has zero
-    norm (the relative form is undefined there).
-    """
-    a = np.asarray(replayed, dtype=np.float64).ravel()
-    b = np.asarray(recorded, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    diff = float(np.linalg.norm(a - b))
-    denom = float(np.linalg.norm(b))
-    return diff / denom if denom > 0.0 else diff

@@ -4,9 +4,10 @@ The verifier models the TEE side: it receives a self-contained request
 (block-scoped tensors plus the ledger digests they must match), replays
 the block, and reports Pass/Fail. Hash checks confirm the provided
 stored tensors are the committed ones; numerical checks confirm the
-recomputation agrees with them within the tolerance. It can run in-
-process or as an isolated worker process that sees nothing but the
-request bytes.
+recomputation reproduces them byte for byte, the rule the digests
+already apply (only a kernel that is not deterministic may drift, by
+the bound its layer kind declares). It can run in-process or as an
+isolated worker process that sees nothing but the request bytes.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .hashing import ALGORITHMS, Digest, chunked_hash_many, tensor_bytes
 from .model import ModelState, param_items, params_digest
 from .optim import check_optimizer_spec
 from .rng import is_seed
-from .tensors import NonFiniteError, rel_l2_error
+from .tensors import NonFiniteError
 
 MEMORY_BUDGET = 64 * 1024 * 1024  # bytes of payload this verifier accepts
-DEFAULT_TAU = 1e-5  # the tolerance a check uses unless the auditor names one
 
 PASS = "pass"
 FAIL = "fail"
@@ -41,14 +41,6 @@ NON_FINITE = "non-finite"
 
 class VerifierError(Exception):
     pass
-
-
-def check_tau(tau) -> None:
-    """Raise ValueError unless ``tau`` is a verification tolerance: a
-    positive, finite number. NaN, which no error is within, and Inf,
-    which every finite error is within, are not."""
-    if type(tau) not in (int, float) or not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
 
 
 def check_run_spec(spec: dict) -> GridConfig:
@@ -88,7 +80,6 @@ class VerificationRequest:
     model: dict
     optimizer: dict | None
     hash_algo: str
-    tau: float                   # the auditor's tolerance, not the run's
     tensors: dict[str, np.ndarray | bytes]
     ledger_digests: dict[str, Digest]
     labels: dict[int, np.ndarray] = field(default_factory=dict)
@@ -117,7 +108,7 @@ class VerificationRequest:
         header = json.dumps({
             "block": str(self.block), "mode": self.mode, "grid": self.grid,
             "model": self.model, "optimizer": self.optimizer,
-            "hash_algo": self.hash_algo, "tau": self.tau,
+            "hash_algo": self.hash_algo,
             "model_digest": self.model_digest,
             "labels": {str(t): np.asarray(v).tolist()
                        for t, v in self.labels.items()},
@@ -168,7 +159,7 @@ class VerificationRequest:
         return cls(
             block=BlockId.parse(h["block"]), mode=h["mode"], grid=h["grid"],
             model=h["model"], optimizer=h["optimizer"],
-            hash_algo=h["hash_algo"], tau=h["tau"], tensors=tensors,
+            hash_algo=h["hash_algo"], tensors=tensors,
             ledger_digests={k: Digest.from_hex(v[1], v[0])
                             for k, v in h["ledger_digests"].items()},
             labels={int(t): np.asarray(v, dtype=np.int64)
@@ -189,9 +180,6 @@ class VerificationReport:
     verdict: str
     cause: str | None = None          # hash-mismatch | numerical-mismatch | non-finite
     failed_key: str | None = None
-    measured_error: float | None = None
-    tau: float | None = None
-    errors: dict[str, float] = field(default_factory=dict)
     failures: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
     note: str | None = None
@@ -227,14 +215,21 @@ def non_finite_key(grid: BlockGrid, i: int, t: int, x, upstream) -> str:
     return str(grid.replay_outputs(i, t)[0])
 
 
-def _exit_blob_error(kind: str, replayed: bytes, recorded: bytes) -> float:
-    """Relative error of a recorded block-exit blob against the replayed
-    one. An optimizer state's step counter must match exactly."""
-    head = 4 if kind == "optimizer-state" else 0
-    if len(recorded) != len(replayed) or recorded[:head] != replayed[:head]:
-        return float("inf")
-    return rel_l2_error(np.frombuffer(replayed, "<f4", offset=head),
-                        np.frombuffer(recorded, "<f4", offset=head))
+def _reproduces(replayed, committed, drift: float, head: int = 0) -> bool:
+    """Whether a replay reproduced committed float32 data, an array or a
+    blob: byte for byte, or, where a kernel that is not deterministic
+    ran (``drift`` above 0), within the relative L2 ``drift`` that kernel
+    declares, with the first ``head`` bytes (an optimizer state's step
+    counter) exact. NaN is never within it."""
+    a, b = (tensor_bytes(x) if isinstance(x, np.ndarray) else x
+            for x in (replayed, committed))
+    if a == b:
+        return True
+    if not drift or len(a) != len(b) or a[:head] != b[:head]:
+        return False
+    a, b = (np.frombuffer(x, "<f4", offset=head).astype(np.float64)
+            for x in (a, b))
+    return bool(np.linalg.norm(a - b) <= drift * np.linalg.norm(b))
 
 
 # -- the verification protocol ------------------------------------------
@@ -245,24 +240,20 @@ class _FailureCollector:
         self.report = report
         self.full_scan = full_scan
 
-    def fail(self, cause, key, error=None, tau=None) -> bool:
+    def fail(self, cause, key) -> bool:
         """Record a failure; returns True when verification should stop."""
-        entry = {"cause": cause, "key": str(key), "error": error, "tau": tau}
-        self.report.failures.append(entry)
+        self.report.failures.append({"cause": cause, "key": str(key)})
         if self.report.cause is None:
             self.report.verdict = FAIL
             self.report.cause = cause
             self.report.failed_key = str(key)
-            self.report.measured_error = error
-            self.report.tau = tau
         return not self.full_scan
 
-    def compare(self, key, err: float, tau: float) -> bool:
-        """Record ``key``'s measured error, a failure when it is not within
-        ``tau`` (NaN never is); returns True when verification should
-        stop."""
-        self.report.errors[str(key)] = err
-        return not err <= tau and self.fail(NUMERICAL_MISMATCH, key, err, tau)
+    def compare(self, key, same: bool) -> bool:
+        """A numerical mismatch at ``key`` unless its replay reproduced
+        the committed data (``same``); returns True when verification
+        should stop."""
+        return not same and self.fail(NUMERICAL_MISMATCH, key)
 
 
 def _check_hashes(req: VerificationRequest, grid: BlockGrid, keys,
@@ -320,6 +311,7 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
     loss = config.n_layers - 1 in layer_ids
     replayer = ModelState(req.model, req.optimizer, layer_ids,
                           {k: req.tensors[str(k)] for k in entry_keys})
+    drift = max(layer.drift for layer in replayer.layers)
     for t in steps:
         x_key, up_key = grid.replay_inputs(i, t)
         x = req.tensors[str(x_key)]
@@ -334,12 +326,12 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
         compared = [(gacts[-1], up_key)] if loss else []
         compared += zip((acts[-1], gacts[0]), grid.replay_outputs(i, t))
         for replayed, key in compared:
-            err = rel_l2_error(replayed, req.tensors[str(key)])
-            if collector.compare(key, err, req.tau):
+            if collector.compare(key, _reproduces(
+                    replayed, req.tensors[str(key)], drift)):
                 return
 
-    # block-exit parameter/optimizer check; where no blob is stored at
-    # this step, fall back to a bitwise hash check of the replayed one
+    # block-exit parameter/optimizer check: a stored blob against the
+    # replayed one, else the replayed blob's digest against the ledger's
     replayed = {k: replayer.blob(k) for k in exit_keys}
     unstored = [k for k in exit_keys if k not in stored_exit]
     for k in unstored:
@@ -348,12 +340,11 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
     hashed = dict(zip(unstored, chunked_hash_many(
         [replayed[k] for k in unstored], config.chunk_size, req.hash_algo)))
     for k in exit_keys:
-        if k in hashed:
-            err = 0.0 if hashed[k].value == req.ledger_digests[str(k)].value \
-                else float("inf")
-        else:
-            err = _exit_blob_error(k.kind, replayed[k], req.tensors[str(k)])
-        if collector.compare(k, err, req.tau):
+        head = 4 if k.kind == "optimizer-state" else 0
+        same = hashed[k].value == req.ledger_digests[str(k)].value \
+            if k in hashed \
+            else _reproduces(replayed[k], req.tensors[str(k)], drift, head)
+        if collector.compare(k, same):
             return
     return replayer
 
@@ -413,8 +404,9 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
         collector.fail(NON_FINITE,
                        keys[0] if not np.isfinite(x).all() else keys[1])
         return
-    collector.compare(keys[1], rel_l2_error(acts[-1], req.tensors[str(keys[1])]),
-                      req.tau)
+    collector.compare(keys[1], _reproduces(
+        acts[-1], req.tensors[str(keys[1])],
+        max(layer.drift for layer in replayer.layers)))
 
 
 def verify_block(req: VerificationRequest,
@@ -425,15 +417,13 @@ def verify_block(req: VerificationRequest,
     in ``memo``, the session's (a fresh one by default), and a training
     block that passes is left in ``memo.passed``. A request that
     cannot be checked raises: VerifierError from a check of its own
-    (``check_run_spec`` and ``check_tau`` among them), else what its load
-    or replay did."""
+    (``check_run_spec`` among them), else what its load or replay did."""
     try:
         config = check_run_spec(vars(req))
-        check_tau(req.tau)
     except ValueError as e:
         raise VerifierError(f"request {e}") from None
     t_start = time.perf_counter()
-    report = VerificationReport(block=req.block, verdict=PASS, tau=req.tau)
+    report = VerificationReport(block=req.block, verdict=PASS)
     if req.payload_bytes() > MEMORY_BUDGET:
         report.verdict = REFUSED
         report.note = (f"payload {req.payload_bytes()} bytes exceeds memory "

@@ -176,8 +176,7 @@ CLI_SURFACE = {
                      "--chunk-size", "--ic", "--lr", "--model-seed",
                      "--n-steps", "--optimizer", "--preset", "--seed",
                      "--zero-storage", "out_dir"],
-    "verify": ["--block", "--full-scan", "--isolated", "--jobs", "--tau",
-               "run_dir"],
+    "verify": ["--block", "--full-scan", "--isolated", "--jobs", "run_dir"],
 }
 
 
@@ -192,8 +191,8 @@ def test_cli_surface_is_pinned():
 
 
 # Each row's id is explicit, so a row keeps its name wherever it moves.
-# The rows that predate explicit ids keep the positional names pytest
-# gave them.
+# The rows of the first two tables that predate explicit ids keep the
+# positional names pytest gave them.
 REMOVED_KNOBS = {
     "args0": ["bench-hash"],
     "args1": ["verify", "run", "--all"],
@@ -202,13 +201,19 @@ REMOVED_KNOBS = {
     "args4": ["verify", "run", "--precision", "f64"],
     "args5": ["record-train", "out", "--ia", "2"],
     "args6": ["record-infer", "out", "--ic", "2"],
-    # the tolerance is the auditor's (verify --tau), not a recorded fact
+    # no command takes a tolerance: a replay must reproduce the committed
+    # bytes, so neither the provider nor the auditor can loosen it
     "args7": ["record-train", "out", "--tau", "0"],
     "args8": ["record-train", "out", "--tau", "-1"],
     "args9": ["record-train", "out", "--tau", "nan"],
     "args10": ["record-train", "out", "--tau", "inf"],
     "args11": ["record-infer", "out", "--tau", "nan"],
     "args12": ["attack", "out", "--scenario", "under-train", "--tau", "1e-5"],
+    "verify-tau-0": ["verify", "run", "--tau", "0"],
+    "verify-tau-nan": ["verify", "run", "--tau", "nan"],
+    "verify-tau-negative": ["verify", "run", "--tau", "-1"],
+    "verify-tau-inf": ["verify", "run", "--tau", "inf"],
+    "verify-tau-loose": ["verify", "run", "--tau", "0.5"],
 }
 
 
@@ -218,19 +223,15 @@ def test_removed_knobs_are_usage_errors(cli_run, runner, args):
     _exits_cleanly(_invoke(runner, cli_run, *args), 2)
 
 
-# a tolerance must be positive and finite; a count of workers or trials
-# must mean something
+# a count of workers or trials must mean something, and a seed must fit
+# in signed 64 bits
 VERIFY_AND_AUDIT_BAD_VALUES = {
-    "args20": ["verify", "out", "--tau", "0"],
-    "args21": ["verify", "out", "--tau", "nan"],
-    "args22": ["verify", "out", "--tau", "-1"],
-    "args23": ["verify", "out", "--tau", "inf"],
-    "args24": ["verify", "out", "--jobs", "0"],
-    "args25": ["verify", "out", "--jobs", "-3"],
-    "args26": ["audit", "out", "--trials", "-4"],
-    "args27": ["audit", "out", "--seed", "99999999999999999999999"],
-    "args28": ["audit", "out", "--seed", "99999999999999999999999",
-               "--trials", "3"],
+    "verify-jobs-0": ["verify", "out", "--jobs", "0"],
+    "verify-jobs-negative": ["verify", "out", "--jobs", "-3"],
+    "audit-trials-negative": ["audit", "out", "--trials", "-4"],
+    "audit-seed-2**76": ["audit", "out", "--seed", "99999999999999999999999"],
+    "audit-seed-2**76-trials": ["audit", "out", "--seed",
+                                "99999999999999999999999", "--trials", "3"],
 }
 
 BAD_OPTION_VALUES = {
@@ -292,7 +293,8 @@ def test_diverging_record_train_is_a_usage_error(tmp_path, runner):
     assert not (tmp_path / "r" / "record_report.json").exists()
 
 
-@pytest.mark.parametrize("args", list(VERIFY_AND_AUDIT_BAD_VALUES.values()))
+@pytest.mark.parametrize("args", list(VERIFY_AND_AUDIT_BAD_VALUES.values()),
+                         ids=list(VERIFY_AND_AUDIT_BAD_VALUES))
 def test_bad_value_is_refused_before_the_run_is_opened(tmp_path, runner,
                                                        args):
     assert _invoke(runner, tmp_path, "record-train", "out", "--n-steps", "2",
@@ -369,9 +371,6 @@ def test_reports_are_strict_json(sha_run, tmp_path, runner):
     failing = [r for r in payload["reports"] if r["failed_key"] == str(key)
                and r["cause"] == "numerical-mismatch"]
     assert failing
-    for r in failing:
-        assert r["errors"][str(key)] is None
-        assert r["measured_error"] is None
 
 
 @pytest.mark.parametrize("field", ["mode", "grid", "model", "hash_algo",
@@ -1019,28 +1018,6 @@ def test_edited_manifest_field_ends_in_a_verdict(
             reports.append(_verify_report(run))
     assert len(reports) in (0, 2)
     assert reports[:1] == reports[1:]
-
-
-def test_the_auditors_tolerance_decides(tmp_path, runner):
-    # a 1% perturbation of activation 1@4 is beyond the default tolerance
-    # and within 0.5; the provider cannot write the looser one into the
-    # manifest, as a grid that names a tolerance does not open
-    assert _invoke(runner, tmp_path, "attack", "run", "--scenario",
-                   "activation-perturbation", "--algo",
-                   "sha256").exit_code == 0
-    strict = _invoke(runner, tmp_path, "verify", "run", "--block", "1,2")
-    _exits_cleanly(strict, 1)
-    assert "numerical-mismatch" in strict.output
-    loose = _invoke(runner, tmp_path, "verify", "run", "--block", "1,2",
-                    "--tau", "0.5")
-    assert loose.exit_code == 0, loose.output
-    _edited_copy(tmp_path / "run", tmp_path,
-                 lambda m: m["grid"].update(tau=0.5))
-    for args in (["verify"], ["verify", "--isolated"],
-                 ["audit", "--strategy", "explicit", "--block", "1,2"]):
-        result = _invoke(runner, tmp_path, args[0], "edited", *args[1:])
-        _exits_cleanly(result, 2)
-        assert "grid is malformed" in result.output
 
 
 # manifest edits that claim another base model: a model seed the run was

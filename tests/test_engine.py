@@ -12,9 +12,8 @@ import pytest
 from aftune.layers import (AttentionHead, LayerNorm, Linear, ReLU,
                            SoftmaxCrossEntropyHead, UnstableScale, build_layer)
 from aftune.grid import BoundaryKey
-from aftune.model import (ModelState, backward_block, build_model,
-                          forward_block, load_param_bytes, param_bytes,
-                          train_step)
+from aftune.model import (ModelState, build_model, forward_block,
+                          load_param_bytes, param_bytes, train_step)
 from aftune.optim import AdamW, SGDMomentum, build_optimizer
 from aftune.presets import dataset_for, mlp_model, model_for
 from aftune.data import make_dataset

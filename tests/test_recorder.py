@@ -20,11 +20,11 @@ from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
 from aftune.hashing import chunked_hash
 from aftune.ledger import CommitmentSet, RunLedger, ledger_digest
 from aftune.model import build_model, forward_block, param_bytes, train_step
-from aftune.presets import dataset_for, default_optimizer, grid_for, model_for
+from aftune.presets import dataset_for, model_for
 from aftune.orchestrate import Run
 from aftune.recorder import (LEDGER_FILE, RunContext, build_inference_manifest,
-                             build_manifest, record_inference,
-                             record_training, rerun_rows, run_uninstrumented)
+                             record_inference, record_training, rerun_rows,
+                             run_uninstrumented)
 from aftune.store import TensorStore
 from aftune.tensors import NonFiniteError
 from aftune.verifier import EVIDENCE_RELEASED
@@ -108,7 +108,7 @@ def test_ledger_format_is_the_key_schedule(tmp_path):
 # 4-step sha256 run: any change to what a request carries, or in which
 # order, shows here
 GOLDEN_REQUESTS_DIGEST = \
-    "42cc885e0f7a5ba75c2069bea41eca68a72843f17f53c49e690c8912b9dc5e7d"
+    "2bb1d2c62a6bf5d3805a693163a4b5e07e944ea59336b1dfd66c76f4a23820de"
 
 
 def test_request_bytes_are_golden(tmp_path):

@@ -19,7 +19,7 @@ JSON, so a diff of two outputs shows every outcome a change moved. The
 aftune on ``sys.path`` is the one run:
 
     PYTHONPATH=src python tools/outcomes.py /tmp/outcomes > outcomes.json
-    PYTHONPATH=src python tools/outcomes.py ROOT --group "verify --tau 1e-3"
+    PYTHONPATH=src python tools/outcomes.py ROOT --group "verify --jobs 2"
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def main_cli() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("root", type=Path, help="empty directory to record into")
     p.add_argument("--group", action="append", default=[],
-                   help="one more command group, e.g. 'verify --tau 1e-3'")
+                   help="one more command group, e.g. 'verify --jobs 2'")
     args = p.parse_args()
     args.root.mkdir(parents=True, exist_ok=True)
     if any(args.root.iterdir()):
