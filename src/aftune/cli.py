@@ -180,7 +180,7 @@ def record_train(out_dir, preset, n_steps, bl, bs, ic, chunk_size, algo,
     elapsed = time.perf_counter() - t0
     summary = {
         "run_dir": str(out), "mode": "training", "preset": preset,
-        "blocks": len(result.ledger.entries),
+        "blocks": len(result.ledger.blocks),
         "bytes_written": result.bytes_written,
         "final_loss": result.losses[-1] if result.losses else None,
         "ledger_digest": ledger_digest(out / LEDGER_FILE, algo),
@@ -226,7 +226,7 @@ def record_infer(out_dir, preset, bl, ia, chunk_size, algo, model_seed,
     with _usage_errors(FileExistsError):
         result = record_inference(manifest, layers, x, out)
     summary = {"run_dir": str(out), "mode": "inference",
-               "blocks": len(result.ledger.entries),
+               "blocks": len(result.ledger.blocks),
                "bytes_written": result.bytes_written,
                "ledger_digest": ledger_digest(out / LEDGER_FILE, algo)}
     _write_report(out, "record_report.json", summary)

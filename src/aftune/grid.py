@@ -6,11 +6,6 @@ import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 
-# trust anchor markers returned by ``neighbors`` at grid edges
-INPUT_ANCHOR = "input-anchor"
-LABEL_ANCHOR = "label-anchor"
-BASE_MODEL_ANCHOR = "base-model-anchor"
-
 
 @dataclass(frozen=True, order=True)
 class BlockId:
@@ -278,25 +273,32 @@ class BlockGrid:
             return self.commitment_keys(bid)
         return self.inference_commitment_keys(bid)
 
-    def n_committed_keys(self, bid: BlockId, mode: str) -> int:
-        """``len(committed_keys(bid, mode))``, counted without building
-        the keys."""
+    def row_keys(self, j: int, mode: str) -> list[BoundaryKey]:
+        """The keys step-block row j of a ``mode`` run commits first, in
+        the order its ledger row holds their digests. Training: row 0's
+        step-0 state, then each step's activation and gradient at every
+        boundary, then every layer's state at the row's exit step.
+        Inference (one row): the recorded activations."""
         if mode != "training":
-            return 2
-        a, b = self.layer_blocks[bid.i]
-        bs, n_steps = self.config.bs, self.config.n_steps
-        return 4 * (min(bs, n_steps - bid.j * bs) + b - a)
+            return [BoundaryKey("activation", b, 0)
+                    for b in self.inference_boundaries()]
+        entry, exit_ = self.commitment_boundary_steps(j)
+        layer_blocks = range(self.n_layer_blocks)
+        return ([k for i in layer_blocks for k in self.state_keys(i, 0)]
+                if j == 0 else []) \
+            + [BoundaryKey(kind, b, t) for t in range(entry, exit_)
+               for kind in ("activation", "gradient")
+               for b in range(self.n_boundaries)] \
+            + [k for i in layer_blocks for k in self.state_keys(i, exit_)]
 
-    def neighbors(self, bid: BlockId) -> dict:
-        """Provenance neighbors: left vouches for inputs, right for
-        gradients, above for parameters; edges point at trust anchors."""
-        i, j = bid.i, bid.j
-        return {
-            "left": BlockId(i - 1, j) if i > 0 else INPUT_ANCHOR,
-            "right": (BlockId(i + 1, j) if i < self.n_layer_blocks - 1
-                      else LABEL_ANCHOR),
-            "above": BlockId(i, j - 1) if j > 0 else BASE_MODEL_ANCHOR,
-        }
+    def n_row_keys(self, j: int, mode: str) -> int:
+        """``len(row_keys(j, mode))``, counted without building the
+        keys."""
+        if mode != "training":
+            return len(self.inference_boundaries())
+        entry, exit_ = self.commitment_boundary_steps(j)
+        return 2 * (self.n_boundaries * (exit_ - entry)
+                    + self.config.n_layers * (2 if j == 0 else 1))
 
 
 def storage_estimate(config: GridConfig, param_bytes: int, opt_bytes: int,

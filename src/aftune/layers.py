@@ -211,8 +211,9 @@ def _label_index(labels):
 
 
 class UnstableScale(Layer):
-    """Elementwise scale whose forward mixes in a call-order-dependent
-    jitter — a stand-in for layers without deterministic kernels.
+    """Elementwise scale whose forward mixes in a jitter that depends on
+    how often this layer has run — a stand-in for layers without
+    deterministic kernels.
 
     Backward is consistent with the cached forward, so training is
     self-consistent, but recomputing the forward yields different bits
@@ -225,21 +226,20 @@ class UnstableScale(Layer):
     # second moment squares that difference
     drift = 16 * JITTER
 
-    _calls = 0  # process-global execution-order counter
-
     def __init__(self, dim: int, force_deterministic: bool = False):
         super().__init__()
         self.dim = dim
         self.force_deterministic = force_deterministic
         self.params = {"scale": np.ones(dim, dtype=np.float32)}
+        self._calls = 0  # this layer's execution-order counter
 
     def forward(self, x, labels=None):
         s = self._p("scale", x.dtype)
         if self.force_deterministic:
             eps = 0.0
         else:
-            UnstableScale._calls += 1
-            eps = self.JITTER * ((UnstableScale._calls % 7) - 3)
+            self._calls += 1
+            eps = self.JITTER * ((self._calls % 7) - 3)
         factor = s * x.dtype.type(1.0 + eps)
         return x * factor, {"x": x, "factor": factor, "eps": eps}
 

@@ -11,8 +11,10 @@ processes that serve the whole command. In process, a block the
 verifier passed hands its replay, at the block's exit step, on to the
 row; after any other verdict, in workers, and between blocks the walk
 replays the row itself (``_stopped`` gives the verdict where it raises).
-It also reconstructs model state from sparse checkpoints and walks the
-cross-block trust chain.
+It also reconstructs model state from sparse checkpoints and checks the
+trust chain: the anchors at the grid's edges (the derived batches, the
+base model). The ledger commits each key once, so neighboring blocks
+share one digest by construction and need no check between them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-from .grid import BASE_MODEL_ANCHOR, INPUT_ANCHOR, BlockId, BoundaryKey
+from .grid import BlockId, BoundaryKey
 from .hashing import Digest, chunked_hash_many
 from .ledger import LedgerError, RunLedger
 from .model import ModelState, build_model, param_bytes, params_digest
@@ -551,19 +553,19 @@ class ChainReport:
 
 def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
                       blocks) -> ChainReport:
-    """Confirm every digest a verification of ``blocks`` consumes is
-    vouched for: by the sealed commitment of the neighbor
-    ``grid.neighbors`` names, or, at the grid's edges, by a trust anchor.
-    The client derives the data edge: a step's input anchor is the
-    digest of the batch the manifest's dataset spec, run seed and batch
-    size give, and the loss-side gradient is the seed the verifier
-    derives from the labels. Row 0's anchor is the manifest's base-model
-    digest, recomputed from the model spec.
+    """Confirm the trust anchors at the grid's edges vouch for the
+    digests a verification of ``blocks`` consumes there. Between blocks
+    there is nothing to confirm: the ledger commits each key once, so
+    neighbors share one digest by construction. The client derives the
+    data edge: a step's input anchor is the digest of the batch the
+    manifest's dataset spec, run seed and batch size give, and the
+    loss-side gradient is the seed the verifier derives from the labels.
+    Row 0's anchor is the manifest's base-model digest, recomputed from
+    the model spec.
 
-    Only the entries of ``blocks`` are walked, which reads the entries
-    of their neighbors; a block with no entry is skipped. A walked block
-    gets the same problems and bad-block mark whatever else is walked:
-    only the batches of walked layer-block-0 blocks are hashed, and the
+    A block with no entry is skipped. A walked block gets the same
+    problems and bad-block mark whatever else is walked: only the
+    batches of walked layer-block-0 blocks are hashed, and the
     base-model anchor is recomputed whenever a walked block lies in row
     0. An inference run has no chain: its report is empty."""
     report = ChainReport(ok=True)
@@ -571,77 +573,53 @@ def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
     if manifest["mode"] != "training":
         return report
     grid = ledger.grid
+    wanted = set(blocks)
+    scope = [b for b in ledger.blocks if b in wanted]
+    report.checked = len(scope)
     bad: set[str] = set()
-    scope = {b for b in blocks if b in ledger}
-    entries = ledger.entries_in(scope)
-    ctx = RunContext(manifest)
-    steps = sorted({t for e in entries if e.block.i == 0
-                    for t in grid.block_steps(e.block.j)})
-    inputs = dict(zip(steps, ctx.hash_many([ctx.batch(t).inputs
-                                            for t in steps])))
 
-    def problem(msg, bid=None):
+    def problem(msg, bids):
         report.ok = False
         report.problems.append(msg)
-        if bid is not None:
-            bad.add(str(bid))
+        bad.update(map(str, bids))
 
-    def anchor_problem(anchor, key, digest, t) -> str | None:
-        if anchor == INPUT_ANCHOR:
-            if digest.value != inputs[t].value:
-                return f"{key} does not match the input anchor for step {t}"
-        elif anchor == BASE_MODEL_ANCHOR \
-                and "base_model_digest" not in manifest:
-            return f"row 0 {key} has no base-model anchor"
-        return None  # the label anchor: the verifier derives the seed
-
-    def neighbor_problem(neighbor, theirs, key, digest) -> str | None:
-        if theirs is None:
-            return f"missing neighbor commitment {neighbor} for {key}"
-        if theirs.entries[key].value != digest.value:
-            return f"digest conflict with neighbor {neighbor} on {key}"
-        return None
-
-    for e in entries:
-        report.checked += 1
-        bid = e.block
-        near = grid.neighbors(bid)
-        vouching = {side: ledger.entry_for(by) for side, by in near.items()
-                    if isinstance(by, BlockId)}
-        t_in, _ = grid.commitment_boundary_steps(bid.j)
-        consumed = [(key, side, t) for t in grid.block_steps(bid.j)
-                    for key, side in zip(grid.replay_inputs(bid.i, t),
-                                         ("left", "right"))]
-        consumed += [(key, "above", t_in)
-                     for key in grid.state_keys(bid.i, t_in)]
-        for key, side, t in consumed:
-            by, digest = near[side], e.entries[key]
-            if side in vouching:
-                why = neighbor_problem(by, vouching[side], key, digest)
-            else:
-                why = anchor_problem(by, key, digest, t)
-                if why is None:
-                    kind = by.removesuffix("-anchor")
-                    report.anchored[kind] = report.anchored.get(kind, 0) + 1
-            if why is not None:
-                problem(why, bid)
-
-    # tie the row-0 parameters to the anchor value and the model spec
+    # layer block 0's inputs against the batches the manifest implies
+    ctx = RunContext(manifest)
+    edge = [(ledger.entry_for(b), t) for b in scope if b.i == 0
+            for t in grid.block_steps(b.j)]
+    vouched = 0
+    for (e, t), anchor in zip(edge, ctx.hash_many(
+            [ctx.batch(t).inputs for _, t in edge])):
+        key = BoundaryKey("activation", 0, t)
+        if e.entries[key].value == anchor.value:
+            vouched += 1
+        else:
+            problem(f"{key} does not match the input anchor for step {t}",
+                    [e.block])
     row0 = [b for b in scope if b.j == 0]
-    if row0 and "base_model_digest" in manifest:
-        why = _base_anchor_problem(manifest, store)
-        if why is not None:
-            problem(why)
-            bad.update(map(str, row0))
+    anchored = {
+        "input": vouched,
+        "label": sum(len(grid.block_steps(b.j)) for b in scope
+                     if b.i == grid.n_layer_blocks - 1),
+        "base-model": sum(len(grid.state_keys(b.i, 0)) for b in row0)
+        if "base_model_digest" in manifest else 0}
+    report.anchored = {kind: n for kind, n in anchored.items() if n}
+    # tie the row-0 parameters to the anchor value and the model spec
+    why = _base_anchor_problem(manifest, store) if row0 else None
+    if why is not None:
+        problem(why, row0)
     report.bad_blocks = sorted(bad)
     return report
 
 
 def _base_anchor_problem(manifest, store: TensorStore | None) -> str | None:
-    """Why the base-model anchor does not vouch for row 0: it is not the
-    digest of the model the manifest's spec seeds, or some stored step-0
-    parameter blob is not that model's bytes; a blob not stored (``ic``,
-    zero-storage) or pruned is not compared. None when it vouches."""
+    """Why the base-model anchor does not vouch for row 0: the manifest
+    has none, it is not the digest of the model the manifest's spec
+    seeds, or some stored step-0 parameter blob is not that model's
+    bytes; a blob not stored (``ic``, zero-storage) or pruned is not
+    compared. None when it vouches."""
+    if "base_model_digest" not in manifest:
+        return "row 0 has no base-model anchor"
     layers = build_model(manifest["model"])
     if params_digest(layers, manifest["grid"]["chunk_size"],
                      manifest["hash_algo"]).hex != manifest["base_model_digest"]:

@@ -11,7 +11,7 @@ import numpy as np
 from .data import make_dataset
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from .hashing import Digest, chunked_hash_many
-from .ledger import RunLedger, seal_block
+from .ledger import RunLedger
 from .model import (ModelState, build_model, forward_block, param_bytes,
                     params_digest, train_step)
 from .store import TensorStore
@@ -135,7 +135,6 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
     ledger.save(out_dir / LEDGER_FILE)  # the manifest on disk before step 0
     store = TensorStore(out_dir)
     state = ctx.fresh_state()
-    table: dict[BoundaryKey, Digest] = {}
     losses: list[float] = []
     # the open row's (key, tensor or blob, store write or None)
     pending: list[tuple] = []
@@ -160,17 +159,15 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
                        for key, arr in ctx.boundary_tensors(trace, t).items())
 
     try:
-        for j in _run_rows(ctx, state, step, commit_params,
+        for _ in _run_rows(ctx, state, step, commit_params,
                            commit_boundaries):
-            digests = ctx.hash_many([data for _, data, _ in pending])
-            for (key, data, put), digest in zip(pending, digests):
-                table[key] = digest
+            row = dict(zip((key for key, _, _ in pending),
+                           ctx.hash_many([data for _, data, _ in pending])))
+            for key, data, put in pending:
                 if put:
-                    put(key, data, digest)
+                    put(key, data, row[key])
             pending.clear()
-            ledger.append_row([seal_block(grid, BlockId(i, j), table)
-                               for i in range(grid.n_layer_blocks)],
-                              out_dir / LEDGER_FILE)
+            ledger.append_row(row, out_dir / LEDGER_FILE)
     finally:
         store.save_index()
     return RunResult(ledger, store, state, losses, store.logical_bytes())
@@ -247,15 +244,13 @@ def record_inference(manifest: dict, layers, x: np.ndarray, out_dir) -> RunResul
     ledger = RunLedger(manifest)
     store = TensorStore(out_dir)
     acts, _ = forward_block(layers, x)
-    keys = [BoundaryKey("activation", b, 0) for b in grid.inference_boundaries()]
+    keys = grid.row_keys(0, "inference")
     tensors = [acts[grid.boundary_layer(k.index)] for k in keys]
-    table: dict[BoundaryKey, Digest] = {}
-    for key, arr, digest in zip(keys, tensors, chunked_hash_many(
-            tensors, config.chunk_size, manifest["hash_algo"])):
-        table[key] = digest
-        store.put_tensor(key, arr, digest)
-    for i in range(grid.n_layer_blocks):
-        ledger.append(seal_block(grid, BlockId(i, 0), table, mode="inference"))
+    row = dict(zip(keys, chunked_hash_many(tensors, config.chunk_size,
+                                           manifest["hash_algo"])))
+    for key, arr in zip(keys, tensors):
+        store.put_tensor(key, arr, row[key])
+    ledger.append(row)
     ledger.save(out_dir / LEDGER_FILE)
     store.save_index()
     return RunResult(ledger, store, None, [], store.logical_bytes())

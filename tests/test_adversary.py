@@ -271,34 +271,23 @@ def test_scoped_trust_chain_matches_the_full_walk(tmp_path, scenario):
     _assert_scoped_chain_agrees(tmp_path / "run")
 
 
-def test_scoped_trust_chain_on_a_neighbor_conflict(mlp_run, tmp_path):
-    from aftune.hashing import Digest
-    run = copy_run(mlp_run["dir"], tmp_path / "conflict")
-    ledger = RunLedger.load(run / LEDGER_FILE)
-    ledger.entry_for(BlockId(1, 0)).entries[
-        BoundaryKey("activation", 1, 0)] = Digest(bytes(32))
-    ledger.save(run / LEDGER_FILE)
-    full = _assert_scoped_chain_agrees(run)
-    assert full.bad_blocks == ["1,0"]
-
-
 def test_trust_chain_finds_a_base_anchor_beside_another_break(mlp_run,
                                                              tmp_path):
-    # block 0,2 disagrees with its neighbor 1,2 about the gradient at
-    # step 4, which does not hide the base-model check: every walk over a
-    # row-0 block recomputes it
+    # block 0,2 commits another input at step 4 than the batch the
+    # manifest's spec gives, which does not hide the base-model check:
+    # every walk over a row-0 block recomputes it
     from aftune.hashing import Digest
     run = copy_run(mlp_run["dir"], tmp_path / "base")
     ledger = RunLedger.load(run / LEDGER_FILE)
     ledger.manifest["base_model_digest"] = "f" * 64
     ledger.entry_for(BlockId(0, 2)).entries[
-        BoundaryKey("gradient", 1, 4)] = Digest(bytes(32))
+        BoundaryKey("activation", 0, 4)] = Digest(bytes(32))
     ledger.save(run / LEDGER_FILE)
     full = _assert_scoped_chain_agrees(run)
     row0 = [str(BlockId(i, 0)) for i in range(ledger.grid.n_layer_blocks)]
     assert full.bad_blocks == sorted(row0 + ["0,2"])
     assert full.problems[0] == \
-        "digest conflict with neighbor 1,2 on gradient:1@4"
+        "activation:0@4 does not match the input anchor for step 4"
     assert full.problems[-1] == BASE_ANCHOR_PROBLEMS[0]
     store = TensorStore(run)
 

@@ -587,33 +587,31 @@ def _forge_block_1_0(run, forge):
 
 
 def test_out_of_grid_entry_is_a_usage_error(sha_run, tmp_path, runner):
-    # the last entry's digests filed as block 9,9 of a 3x2 grid
-    from aftune.ledger import RunLedger
+    # the last row's frame filed again, as a third row of a 2-row grid
     run = tmp_path / "outside"
     shutil.copytree(sha_run, run)
-    last = RunLedger.load(run / "ledger.bin").entries[-1]
-    blob = struct.pack("<II", 9, 9) + b"".join(
-        d.value for d in last.entries.values())
+    _, rows = _ledger_frames((run / "ledger.bin").read_bytes())
     with open(run / "ledger.bin", "ab") as f:
-        f.write(struct.pack("<I", len(blob)) + blob)
+        f.write(struct.pack("<I", len(rows[-1])) + rows[-1])
     for args in (["verify", "outside"], ["verify", "outside", "--isolated"],
                  ["audit", "outside", "--m", "3"],
                  ["audit", "outside", "--m", "3", "--isolated"]):
         result = _invoke(runner, tmp_path, *args)
         _exits_cleanly(result, 2)
-        assert "block 9,9 lies outside the manifest's grid" in result.output
+        assert "ledger row 2 lies outside the manifest's grid of 2 rows" \
+            in result.output
 
 
 def _ledger_frames(data: bytes) -> tuple[bytes, list[bytes]]:
-    """The header (magic and manifest frame) and the entries of ledger
+    """The header (magic and manifest frame) and the rows of ledger
     bytes."""
     off = 10 + struct.unpack_from("<I", data, 6)[0]
-    head, entries = data[:off], []
+    head, rows = data[:off], []
     while off < len(data):
         (n,) = struct.unpack_from("<I", data, off)
-        entries.append(data[off + 4:off + 4 + n])
+        rows.append(data[off + 4:off + 4 + n])
         off += 4 + n
-    return head, entries
+    return head, rows
 
 
 def _aftl1(ledger: RunLedger) -> bytes:
@@ -634,30 +632,43 @@ def _aftl1(ledger: RunLedger) -> bytes:
                                     for f in frames)
 
 
-def _misfiled(head: bytes, entries: list[bytes], case: str) -> bytes:
-    """The ledger of ``head`` and ``entries`` (a 3x2 grid's six, in
-    order) broken as ``case`` says."""
-    entries = list(entries)
+def _aftl2(ledger: RunLedger) -> bytes:
+    """``ledger`` in the AFTL2 format: one entry per block, framed as its
+    block and then the digest of each key of its schedule, so a key two
+    blocks share is committed twice."""
+    frames = [json.dumps(ledger.manifest, sort_keys=True,
+                         separators=(",", ":")).encode()]
+    frames += [struct.pack("<II", e.block.i, e.block.j)
+               + b"".join(d.value for d in e.entries.values())
+               for e in ledger.entries]
+    return b"AFTL2\x00" + b"".join(struct.pack("<I", len(f)) + f
+                                    for f in frames)
+
+
+def _misfiled(head: bytes, rows: list[bytes], case: str) -> bytes:
+    """The ledger of ``head`` and ``rows`` (a 2-row grid's, in order)
+    broken as ``case`` says."""
+    rows = list(rows)
     if case == "one-digest-short":
-        entries[-1] = entries[-1][:-32]
+        rows[-1] = rows[-1][:-32]
     elif case == "one-digest-long":
-        entries[-1] += entries[-1][-32:]
+        rows[-1] += rows[-1][-32:]
     elif case == "duplicate-block":
-        entries.append(entries[-1])
-    else:  # block 0,1 before row 0's block 2,0
-        entries[2], entries[3] = entries[3], entries[2]
-    return head + b"".join(struct.pack("<I", len(e)) + e for e in entries)
+        rows.append(rows[-1])
+    else:  # row 1 before row 0
+        rows.reverse()
+    return head + b"".join(struct.pack("<I", len(r)) + r for r in rows)
 
 
 MALFORMED_LEDGERS = {
-    "one-digest-short": "ledger entry for block 2,1 is 488 bytes, not (i, j) "
-                        "and its 16 digests",
-    "one-digest-long": "ledger entry for block 2,1 is 552 bytes, not (i, j) "
-                       "and its 16 digests",
-    "duplicate-block": "duplicate entry for block 2,1",
-    "row-before-earlier-complete": "entry for block 0,1 before row 0 is "
-                                   "complete",
-    "aftl1": "bad ledger magic: not an AFTL2 ledger",
+    "one-digest-short": "ledger row 1 is 864 bytes, not its 28 digests",
+    "one-digest-long": "ledger row 1 is 928 bytes, not its 28 digests",
+    "duplicate-block": "ledger row 2 lies outside the manifest's grid of 2 "
+                       "rows",
+    "row-before-earlier-complete": "ledger row 0 is 896 bytes, not its 40 "
+                                   "digests",
+    "aftl1": "bad ledger magic: not an AFTL3 ledger",
+    "aftl2": "bad ledger magic: not an AFTL3 ledger",
 }
 
 
@@ -666,8 +677,9 @@ def test_malformed_ledger_is_a_usage_error(sha_run, tmp_path, runner, case):
     run = tmp_path / "malformed"
     shutil.copytree(sha_run, run)
     path = run / "ledger.bin"
-    if case == "aftl1":
-        path.write_bytes(_aftl1(RunLedger.load(path)))
+    if case in ("aftl1", "aftl2"):
+        encode = {"aftl1": _aftl1, "aftl2": _aftl2}[case]
+        path.write_bytes(encode(RunLedger.load(path)))
     else:
         path.write_bytes(_misfiled(*_ledger_frames(path.read_bytes()), case))
     for args in (["verify"], ["verify", "--isolated"], ["audit", "--m", "3"],
@@ -677,25 +689,44 @@ def test_malformed_ledger_is_a_usage_error(sha_run, tmp_path, runner, case):
         assert MALFORMED_LEDGERS[case] in result.output
 
 
-def test_conflicting_neighbor_commitment_fails_the_block(sha_run, tmp_path,
-                                                          runner):
-    # block 1,0 commits another activation:1@0 than block 0,0 does
-    from aftune.hashing import Digest
-    run = tmp_path / "conflict"
+def _damaged_ledgers(data: bytes, rng) -> dict[str, bytes]:
+    """``data``, a ledger's bytes, cut at every frame boundary and inside
+    every frame (in its length prefix and in its body), and with one bit
+    flipped in every length prefix and at 64 byte offsets past the
+    manifest frame drawn from ``rng``."""
+    frames, off = [], 6  # (start, end) of each frame, its prefix included
+    while off < len(data):
+        end = off + 4 + struct.unpack_from("<I", data, off)[0]
+        frames.append((off, end))
+        off = end
+    damaged = {}
+    for start, end in frames:
+        for n in (start, start + 2, (start + 4 + end) // 2):
+            damaged[f"cut-{n}"] = data[:n]
+    past_manifest = range(frames[0][1], len(data))
+    for n in sorted({p + k for p, _ in frames for k in range(4)}
+                    | set(rng.sample(past_manifest, 64))):
+        flipped = bytearray(data)
+        flipped[n] ^= 1 << rng.randrange(8)
+        damaged[f"flip-{n}"] = bytes(flipped)
+    return damaged
+
+
+def test_damaged_ledger_never_verifies(sha_run, tmp_path, runner):
+    # a ledger cut short or with one bit flipped anywhere past its
+    # manifest fails (exit 1) or is refused (exit 2); it never passes
+    import random
+    data = (sha_run / "ledger.bin").read_bytes()
+    run = tmp_path / "damaged"
     shutil.copytree(sha_run, run)
-    key = BoundaryKey("activation", 1, 0)
-    _forge_block_1_0(run, lambda e: e.update({key: Digest(bytes(32),
-                                                           "sha256")}))
-    result = _invoke(runner, tmp_path, "verify", "conflict")
-    _exits_cleanly(result, 1)
-    assert "block 0,0: pass" in result.output
-    assert f"block 1,0: fail (hash-mismatch at {key})" in result.output
-    assert "trust chain: BROKEN — digest conflict with neighbor 0,0 on " \
-        f"{key}" in result.output
-    for args in (["verify", "conflict", "--isolated"],
-                 ["audit", "conflict", "--strategy", "explicit",
-                  "--block", "1,0"]):
-        _exits_cleanly(_invoke(runner, tmp_path, *args), 1)
+    damaged = _damaged_ledgers(data, random.Random(28))
+    assert sum(k.startswith("cut-") for k in damaged) == 3 * 3
+    assert sum(k.startswith("flip-") for k in damaged) >= 64
+    for case, ledger in damaged.items():
+        (run / "ledger.bin").write_bytes(ledger)
+        result = _invoke(runner, tmp_path, "verify", "damaged")
+        assert result.exit_code in (1, 2), (case, result.output)
+        assert isinstance(result.exception, SystemExit), case
 
 
 @pytest.mark.parametrize("edit", ["omitted", "extra", "other-algorithm"])
@@ -814,16 +845,15 @@ def test_unservable_audit_plan_is_a_usage_error(sha_run, runner, plan):
 
 
 def _count_decodes(monkeypatch) -> list:
-    from aftune.ledger import CommitmentSet
+    """The rows the ledger decodes while the test runs, in order."""
     decoded = []
-    decode = CommitmentSet.decode.__func__
+    decode = RunLedger._decode_row
 
-    def counted(cls, *args):
-        cs = decode(cls, *args)
-        decoded.append(cs.block)
-        return cs
+    def counted(self, j):
+        decoded.append(j)
+        return decode(self, j)
 
-    monkeypatch.setattr(CommitmentSet, "decode", classmethod(counted))
+    monkeypatch.setattr(RunLedger, "_decode_row", counted)
     return decoded
 
 
@@ -833,7 +863,7 @@ def test_spot_checks_decode_only_the_entries_they_read(tmp_path, runner,
                    "384", "--ic", "2", "--algo", "sha256",
                    "--batch-size", "8").exit_code == 0
     decoded = _count_decodes(monkeypatch)
-    # a checked block's own entry and its left, right and above neighbors'
+    # a checked block's own row and the row above it
     for args, checked in ((["audit", "run", "--m", "3", "--seed", "1"], 3),
                           (["audit", "run", "--strategy", "explicit",
                             "--block", "0,0", "--block", "2,191"], 2),
@@ -841,16 +871,15 @@ def test_spot_checks_decode_only_the_entries_they_read(tmp_path, runner,
         decoded.clear()
         result = _invoke(runner, tmp_path, *args)
         assert result.exit_code == 0, result.output
-        assert 0 < len(decoded) <= 4 * checked, (args, decoded)
+        assert 0 < len(decoded) <= 2 * checked, (args, decoded)
 
 
 def test_full_verify_decodes_each_entry_once(sha_run, runner, monkeypatch):
-    from aftune.ledger import RunLedger
-    blocks = RunLedger.load(sha_run / "ledger.bin").blocks
+    rows = RunLedger.load(sha_run / "ledger.bin").grid.n_step_blocks
     decoded = _count_decodes(monkeypatch)
     result = _invoke(runner, sha_run.parent, "verify", "run")
     assert result.exit_code == 0, result.output
-    assert sorted(decoded) == sorted(blocks)
+    assert sorted(decoded) == list(range(rows))
 
 
 @pytest.mark.parametrize("scenario, block", [("model-substitution", "0,0"),
@@ -883,10 +912,11 @@ def test_ledger_cut_short_fails_its_unsealed_blocks(tmp_path, runner,
                    *storage).exit_code == 0
     path = tmp_path / "run" / "ledger.bin"
     ledger = RunLedger.load(path)
+    committed = ledger.all_digests()
     cut = RunLedger(ledger.manifest)
-    for e in ledger.entries:
-        if e.block.j < 2:
-            cut.append(e)
+    for j in range(2):
+        cut.append({k: committed[k]
+                    for k in ledger.grid.row_keys(j, "training")})
     data = cut.encode()
     assert path.read_bytes().startswith(data)  # cut at a frame boundary
     path.write_bytes(data)

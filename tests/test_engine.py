@@ -15,7 +15,8 @@ from aftune.grid import BoundaryKey
 from aftune.model import (ModelState, build_model, forward_block,
                           load_param_bytes, param_bytes, train_step)
 from aftune.optim import AdamW, SGDMomentum, build_optimizer
-from aftune.presets import dataset_for, mlp_model, model_for
+from aftune.presets import (dataset_for, default_optimizer, mlp_model,
+                            model_for)
 from aftune.data import make_dataset
 from aftune.rng import rng_for
 from aftune.tensors import BlobError, NonFiniteError
@@ -437,6 +438,22 @@ def test_unstable_layer_forward_is_unstable():
     assert len({det.forward(x)[0].tobytes() for _ in range(14)}) == 1
 
 
+def test_unstable_jitter_depends_only_on_the_layers_own_calls():
+    # two states built from the same blobs step to the same bits, though
+    # another unstable layer ran in between
+    spec, opt = model_for("unstable"), default_optimizer()
+    fresh = ModelState(spec, opt)
+    blobs = {BoundaryKey(kind, l, 0): fresh.blob(BoundaryKey(kind, l, 0))
+             for l in range(len(spec["layers"]))
+             for kind in ("parameter", "optimizer-state")}
+    batch = make_dataset(dataset_for("unstable")).batch(11, 0, 8)
+    first = train_step(ModelState(spec, opt, None, blobs), batch)
+    UnstableScale(4).forward(np.ones(4, np.float32))
+    second = train_step(ModelState(spec, opt, None, blobs), batch)
+    assert [a.tobytes() for a in first.acts] == \
+        [a.tobytes() for a in second.acts]
+
+
 def test_build_layer_rejects_unknown_kind():
     with pytest.raises(ValueError):
         build_layer({"kind": "conv"})
@@ -525,12 +542,12 @@ ORACLE_OPTIMIZERS = {
 ORACLE_STEPS = 200
 
 
-def _trajectory(preset, opt_spec, reference, monkeypatch, keep=()):
+def _trajectory(preset, opt_spec, reference, keep=()):
     """Every step's parameter and optimizer-state blobs of a 200-step run
     of ``preset``, by the flat optimizer or the per-tensor ``reference``,
-    and the step traces of the steps in ``keep``. The unstable layer's
-    call counter starts from 0, so both runs see the same jitter."""
-    monkeypatch.setattr(UnstableScale, "_calls", 0)
+    and the step traces of the steps in ``keep``. Each run builds its own
+    unstable layer, whose call counter starts from 0, so both runs see
+    the same jitter."""
     ds = make_dataset(dataset_for(preset))
     state = ModelState(model_for(preset), opt_spec)
     if reference:
@@ -549,11 +566,10 @@ def _trajectory(preset, opt_spec, reference, monkeypatch, keep=()):
 
 @pytest.mark.parametrize("opt", sorted(ORACLE_OPTIMIZERS))
 @pytest.mark.parametrize("preset", ["mlp", "attention", "unstable"])
-def test_flat_update_is_bitwise_the_per_tensor_rule(preset, opt,
-                                                    monkeypatch):
+def test_flat_update_is_bitwise_the_per_tensor_rule(preset, opt):
     spec = ORACLE_OPTIMIZERS[opt]
-    flat, _ = _trajectory(preset, spec, False, monkeypatch)
-    reference, _ = _trajectory(preset, spec, True, monkeypatch)
+    flat, _ = _trajectory(preset, spec, False)
+    reference, _ = _trajectory(preset, spec, True)
     for t, (got, want) in enumerate(zip(flat, reference)):
         assert got == want, f"step {t} differs"
     assert len(flat) == ORACLE_STEPS
@@ -576,14 +592,12 @@ def test_step_of_a_slice_without_parameters_only_counts(layer, opt):
 @pytest.mark.parametrize("opt", sorted(ORACLE_OPTIMIZERS))
 @pytest.mark.parametrize("layer_ids", [[0, 1], [2, 3, 4, 5]],
                          ids=["first-layers", "with-loss-head"])
-def test_replayer_from_mid_run_blobs_continues_bitwise(layer_ids, opt,
-                                                        monkeypatch):
+def test_replayer_from_mid_run_blobs_continues_bitwise(layer_ids, opt):
     # the reference trajectory's state at step k, loaded into a block
     # replayer, replays steps k.. into the reference's own blobs
     spec, k = ORACLE_OPTIMIZERS[opt], 120
     replayed = range(k, k + 6)
-    reference, traces = _trajectory("mlp", spec, True, monkeypatch,
-                                    keep=replayed)
+    reference, traces = _trajectory("mlp", spec, True, keep=replayed)
     params, states = reference[k - 1]
     blobs = {BoundaryKey(kind, l, k): blob[l] for l in layer_ids
              for kind, blob in (("parameter", params),

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aftune.grid import (BASE_MODEL_ANCHOR, INPUT_ANCHOR, LABEL_ANCHOR,
-                         BlockGrid, BlockId, BoundaryKey, GridConfig,
+from aftune.grid import (BlockGrid, BlockId, BoundaryKey, GridConfig,
                          storage_estimate)
 
 
@@ -56,19 +55,30 @@ def test_block_counts_match_ceiling_formulas(config):
        st.integers(1, 8))
 def test_committed_keys_are_the_mode_schedule_and_its_count(config, isolate,
                                                             ia):
-    # a ledger entry's size is counted without building its keys
+    # the ledger's rows hold every committed key once: block (i, j)'s in
+    # row j, or its entry state in row j-1; a row's size is counted
+    # without building its keys
     config = replace(config, ia=ia, isolate_layers=tuple(
         sorted({l for l in isolate if l < config.n_layers})))
     grid = BlockGrid(config)
+    for mode, n_rows in (("training", grid.n_step_blocks), ("inference", 1)):
+        rows = [grid.row_keys(j, mode) for j in range(n_rows)]
+        row_of = {k: j for j, keys in enumerate(rows) for k in keys}
+        assert len(row_of) == sum(map(len, rows))
+        assert [grid.n_row_keys(j, mode) for j in range(n_rows)] == \
+            list(map(len, rows))
+        committed = set()
+        for bid in grid.block_ids()[:n_rows * grid.n_layer_blocks]:
+            keys = grid.committed_keys(bid, mode)
+            assert len(set(keys)) == len(keys)
+            assert {row_of[k] for k in keys} <= {bid.j, bid.j - 1}
+            committed.update(keys)
+        assert committed == set(row_of)
     for bid in grid.block_ids():
         assert grid.committed_keys(bid, "training") == \
             grid.commitment_keys(bid)
         assert grid.committed_keys(bid, "inference") == \
             grid.inference_commitment_keys(bid)
-        for mode in ("training", "inference"):
-            keys = grid.committed_keys(bid, mode)
-            assert len(set(keys)) == len(keys)
-            assert grid.n_committed_keys(bid, mode) == len(keys)
 
 
 @settings(max_examples=80, deadline=None)
@@ -158,17 +168,6 @@ def test_inference_boundaries_and_keys():
     # a block between recorded edges commits its enclosing pair
     keys = grid.inference_commitment_keys(BlockId(4, 0))
     assert [str(k) for k in keys] == ["activation:3@0", "activation:6@0"]
-
-
-def test_neighbors_and_anchors():
-    grid = BlockGrid(GridConfig(n_layers=6, n_steps=4, bl=2, bs=2))
-    n = grid.neighbors(BlockId(1, 1))
-    assert n == {"left": BlockId(0, 1), "right": BlockId(2, 1),
-                 "above": BlockId(1, 0)}
-    edge = grid.neighbors(BlockId(0, 0))
-    assert edge["left"] == INPUT_ANCHOR
-    assert edge["above"] == BASE_MODEL_ANCHOR
-    assert grid.neighbors(BlockId(2, 0))["right"] == LABEL_ANCHOR
 
 
 SCHEDULE_GRIDS = {

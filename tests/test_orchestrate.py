@@ -98,21 +98,6 @@ def test_trust_chain_ok_on_honest_run(mlp_run):
     assert report.anchored["base-model"] == 2 * config.n_layers
 
 
-def test_trust_chain_catches_neighbor_digest_conflict(mlp_run, tmp_path):
-    from aftune.hashing import Digest
-    run = copy_run(mlp_run["dir"], tmp_path / "conflict")
-    ledger = RunLedger.load(run / LEDGER_FILE)
-    # block (1,0) silently disagrees with (0,0) about their shared boundary
-    entry = ledger.entry_for(BlockId(1, 0))
-    key = BoundaryKey("activation", 1, 0)
-    entry.entries[key] = Digest(bytes(32))
-    ledger.save(run / LEDGER_FILE)
-    report = check_trust_chain(RunLedger.load(run / LEDGER_FILE), None,
-                               ledger.grid.block_ids())
-    assert not report.ok
-    assert any("conflict" in p for p in report.problems)
-
-
 def test_trust_chain_recomputes_base_model_anchor(mlp_run, tmp_path):
     run = copy_run(mlp_run["dir"], tmp_path / "base")
     ledger = RunLedger.load(run / LEDGER_FILE)

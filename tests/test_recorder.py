@@ -18,7 +18,7 @@ from aftune.cli import main
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
     storage_estimate
 from aftune.hashing import chunked_hash
-from aftune.ledger import CommitmentSet, RunLedger, ledger_digest
+from aftune.ledger import RunLedger, ledger_digest
 from aftune.model import build_model, forward_block, param_bytes, train_step
 from aftune.presets import dataset_for, model_for
 from aftune.orchestrate import Run
@@ -47,15 +47,15 @@ def test_recording_does_not_perturb_training(tmp_path):
 # commits, or in which order, shows here
 GOLDEN_LEDGER_DIGESTS = [
     ("sha256", dict(algo="sha256"), None,
-     "5b4340986eb78a0f3eeb67ae5c38b71106db74a98d59c41d52c830fd3e35e287"),
+     "606ac2f1a90ce79396394bd7dd125b15f5feece5a5fc185f66f40bd480261fa1"),
     ("zero-storage", dict(algo="sha256", ic=None, zero_storage=True), None,
-     "17bc830cfbe0fcca89c2883c91710281f4284aa8dbd2852a23eeedcca552d8d3"),
+     "4883790cdc1f5245adf7007297d86ba9418b7b54bfdd013b200d8a10ad91372a"),
     ("blake3", dict(algo="blake3"), None,
-     "c9203b738ad297c0561030cf68e35be818c9d3b7c8760d955ced8cad6d79ed68"),
+     "4376d50511ca64770b02d5d47223ad12ec10a4e6d43688c76a04f0c6c746eb93"),
     ("under-train-sha256", dict(algo="sha256"), "under-train",
-     "c1915b59c4116070c659735dbf2f8f1a338297ee37dc41131a0d042b00145565"),
+     "109f16383824c54fda85455de48492f24850f1e66dd6b33eefb5a262f7023b8b"),
     ("under-train-blake3", dict(algo="blake3"), "under-train",
-     "f64cd5174ebc1a17d2566a6711d8cf463b7f9e44f756338faae4a88a9e50b36b"),
+     "76fa093883213e1d9a99edb16ef89e299bdf8e9dc1891cd404980e874be5a2df"),
 ]
 
 
@@ -74,24 +74,23 @@ def test_ledger_digest_is_golden(tmp_path, kw, scenario, want):
 
 def test_ledger_format_is_the_key_schedule(tmp_path):
     # parsed with struct alone: the magic, the manifest frame, then per
-    # block (i, j) and one digest per key of its schedule, in order
+    # step-block row one digest per key of its schedule, in order
     manifest = make_manifest(n_steps=4, algo="sha256")
     record_training(manifest, tmp_path / "run")
     data = (tmp_path / "run" / LEDGER_FILE).read_bytes()
-    assert data[:6] == b"AFTL2\x00"
+    assert data[:6] == b"AFTL3\x00"
     (mlen,) = struct.unpack_from("<I", data, 6)
     assert json.loads(data[10:10 + mlen]) == manifest
     grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
     store = TensorStore(tmp_path / "run")
     chunk = 4 * manifest["grid"]["chunk_size"]  # bytes per map piece
-    off, hashed = 10 + mlen, 0
-    for bid in grid.block_ids():
-        keys = grid.commitment_keys(bid)
-        (elen,) = struct.unpack_from("<I", data, off)
-        assert elen == 8 + 32 * len(keys)
-        assert struct.unpack_from("<II", data, off + 4) == (bid.i, bid.j)
+    off, hashed, committed = 10 + mlen, 0, set()
+    for j in range(grid.n_step_blocks):
+        keys = grid.row_keys(j, "training")
+        (rlen,) = struct.unpack_from("<I", data, off)
+        assert rlen == 32 * len(keys)
         for n, key in enumerate(keys):
-            digest = data[off + 12 + 32 * n:off + 44 + 32 * n]
+            digest = data[off + 4 + 32 * n:off + 36 + 32 * n]
             if store.has_blob(key):
                 blob = store.get_bytes(key)
                 want = hashlib.sha256(b"".join(
@@ -99,9 +98,15 @@ def test_ledger_format_is_the_key_schedule(tmp_path):
                     for a in range(0, max(len(blob), 1), chunk))).digest()
                 assert digest == want, key
                 hashed += 1
-        off += 4 + elen
+        committed.update(keys)
+        off += 4 + rlen
     assert off == len(data)
     assert hashed > 0
+    # each committed key once
+    assert len(committed) == sum(grid.n_row_keys(j, "training")
+                                 for j in range(grid.n_step_blocks))
+    assert committed == {k for bid in grid.block_ids()
+                         for k in grid.commitment_keys(bid)}
 
 
 # sha256 over every block's verification request bytes of the fixed
@@ -292,36 +297,40 @@ def test_recording_hashes_each_row_once(tmp_path, monkeypatch, grid_kw):
         == {v["digest"] for v in stopped.values()}
 
 
+def _count_row_encodes(monkeypatch) -> list:
+    """The rows filed from digests while the test runs: each is encoded
+    as it is filed, and none is encoded again."""
+    encoded = []
+    append = RunLedger.append
+
+    def counted(self, digests):
+        encoded.append(len(self.blocks) // self.grid.n_layer_blocks)
+        return append(self, digests)
+
+    def encoded_again(self, j):
+        raise AssertionError(f"row {j} encoded again")
+
+    monkeypatch.setattr(RunLedger, "append", counted)
+    monkeypatch.setattr(RunLedger, "_row_bytes", encoded_again)
+    return encoded
+
+
 @pytest.mark.parametrize("n_steps", [16, 64])
 def test_recording_encodes_each_entry_once(tmp_path, monkeypatch, n_steps):
-    encoded = []
-    encode = CommitmentSet.encode
-
-    def counted(self, *args):
-        encoded.append(self.block)
-        return encode(self, *args)
-
-    monkeypatch.setattr(CommitmentSet, "encode", counted)
+    encoded = _count_row_encodes(monkeypatch)
     result = record_training(make_manifest(n_steps=n_steps, algo="sha256"),
                              tmp_path / "run")
-    assert encoded == [e.block for e in result.ledger.entries]
+    assert encoded == list(range(result.ledger.grid.n_step_blocks))
 
 
 def test_record_train_command_encodes_each_entry_once(tmp_path, monkeypatch):
-    encoded = []
-    encode = CommitmentSet.encode
-
-    def counted(self, *args):
-        encoded.append(self.block)
-        return encode(self, *args)
-
-    monkeypatch.setattr(CommitmentSet, "encode", counted)
+    encoded = _count_row_encodes(monkeypatch)
     result = CliRunner().invoke(main, ["--root", str(tmp_path), "record-train",
                                        "run", "--n-steps", "16", "--algo",
                                        "sha256", "--batch-size", "8"])
     assert result.exit_code == 0, result.output
     ledger = RunLedger.load(tmp_path / "run" / LEDGER_FILE)
-    assert encoded == ledger.blocks
+    assert encoded == list(range(ledger.grid.n_step_blocks))
     # the report's digest is that of the ledger the run wrote
     report = json.loads((tmp_path / "run" / "record_report.json").read_text())
     assert report["ledger_digest"] == ledger_digest(

@@ -3,7 +3,7 @@
 Records one sha256 run per length (``--bl 2 --bs 2 --ic 2``, mlp) and
 prints, per length, the user CPU time of ``aftune audit --m 3`` and of
 ``aftune verify --block 1,1`` run in this process through the CLI, the
-number of ledger entries each decodes, the user CPU time of loading
+number of ledger rows each decodes, the user CPU time of loading
 the store's ``index.json`` alone, the size of the run's ``ledger.bin``,
 and the user CPU time of one ``RunLedger.load`` of it (the mean of
 LEDGER_LOADS loads, as one load is near the timer's resolution). It
@@ -37,7 +37,7 @@ from pathlib import Path
 import aftune
 from aftune.cli import main
 from aftune.data import make_dataset
-from aftune.ledger import CommitmentSet, RunLedger
+from aftune.ledger import RunLedger
 from aftune.model import ModelState, train_step
 from aftune.orchestrate import Run
 from aftune.presets import dataset_for, default_optimizer, model_for
@@ -54,24 +54,25 @@ def _user_cpu() -> float:
 
 
 class _DecodeCounter:
-    """Counts ``CommitmentSet.decode`` calls while installed."""
+    """Counts the ledger rows decoded (``RunLedger._decode_row`` calls)
+    while installed."""
 
     def __init__(self):
         self.calls = 0
-        self._decode = CommitmentSet.decode
+        self._decode = RunLedger._decode_row
 
     def __enter__(self):
-        original = self._decode.__func__
+        original = self._decode
 
-        def counted(cls, *args):
+        def counted(ledger, *args):
             self.calls += 1
-            return original(cls, *args)
+            return original(ledger, *args)
 
-        CommitmentSet.decode = classmethod(counted)
+        RunLedger._decode_row = counted
         return self
 
     def __exit__(self, *exc):
-        CommitmentSet.decode = self._decode
+        RunLedger._decode_row = self._decode
 
 
 class _ReplayCounter:
@@ -107,7 +108,7 @@ def _cli(args: list[str]) -> int:
 
 
 def _timed(args: list[str]) -> tuple[float, int, int, int]:
-    """User CPU ms, entries decoded, steps the orchestrator replayed and
+    """User CPU ms, ledger rows decoded, steps the orchestrator replayed and
     exit code of one CLI command."""
     with _DecodeCounter() as decoded, _ReplayCounter() as replayed:
         t0 = _user_cpu()

@@ -5,12 +5,15 @@ Records into ROOT, through the CLI:
 - an honest run and each training attack of ``adversary.SCENARIOS``, in
   sha256 and blake3, at ``--ic 2`` and ``--ic inf``
 - one sha256 ``--zero-storage`` run
+- one honest sha256 run of the ``unstable`` preset at ``--ic 2``, whose
+  isolated layer runs a kernel that is not deterministic
 - one ``record-infer`` run and each inference attack
 
-Every run uses the CLI defaults otherwise (mlp, 8 steps, ``--bl 2 --bs
-2``). The tool then runs each command group on each run: ``verify``,
-``verify --isolated``, ``verify --full-scan``, ``audit --m 3`` and
-``audit --m 3 --isolated``, plus one group per ``--group``. It prints
+Every run uses the CLI defaults otherwise (the mlp preset unless named,
+8 steps, ``--bl 2 --bs 2``). The tool then runs each command group on
+each run: ``verify``, ``verify --isolated``, ``verify --full-scan``,
+``audit --m 3`` and ``audit --m 3 --isolated``, plus one group per
+``--group``. It prints
 one JSON object: per run, the SHA-256 and byte length of its
 ``ledger.bin`` and, per group, the exit code, stdout, and the JSON
 report the command wrote, without its ``wall_time`` fields. Two
@@ -54,6 +57,8 @@ def _runs():
                                                  *grid]
     yield "sha256-zero-storage", ["record-train", "--algo", "sha256",
                                   "--zero-storage"]
+    yield "sha256-ic2-unstable-honest", ["record-train", "--algo", "sha256",
+                                         "--ic", "2", "--preset", "unstable"]
     yield "infer-honest", ["record-infer", "--algo", "sha256"]
     for s in INFERENCE_SCENARIOS:
         yield f"infer-{s}", ["attack", "--scenario", s, "--algo", "sha256"]
