@@ -3,10 +3,13 @@
 Every scenario produces a run directory whose evidence is self-
 consistent (stored blobs match their hashes, the ledger is well-formed)
 but dishonest in a specific way. The point is that spot-check
-verification or the trust-chain walk still catches each of them. The
-gradient-based attacks measure the smallest hidden perturbation that
-changes model behavior; an exact replay rejects every such perturbation,
-since a replayed tensor must be the committed bytes.
+verification still catches each of them: by replay, or, where the
+provider trained from another base model or on other data than the
+manifest claims, by the hash check of the step-0 state and model inputs
+the client derives from the manifest. The gradient-based attacks
+measure the smallest hidden perturbation that changes model behavior;
+an exact replay rejects every such perturbation, since a replayed
+tensor must be the committed bytes.
 """
 
 from __future__ import annotations
@@ -87,7 +90,6 @@ class ScenarioResult:
     scenario: str
     run_dir: str
     tampered_blocks: list[str] = field(default_factory=list)
-    detectable_by: str = "verify"     # verify | trust-chain
     details: dict = field(default_factory=dict)
 
 
@@ -110,7 +112,7 @@ def apply_scenario(scenario: str, manifest: dict, out_dir,
                               details={"frozen_from_step": freeze})
 
     if scenario == "model-substitution":
-        # train from a different base model, keep the claimed anchors
+        # train from a different base model, claim the agreed one
         cheap = dict(manifest["model"], seed=manifest["model"]["seed"] + 9999)
         alt = build_manifest(cheap, manifest["optimizer"],
                              manifest["dataset"]["spec"], config,
@@ -119,11 +121,9 @@ def apply_scenario(scenario: str, manifest: dict, out_dir,
         record_training(alt, out_dir)
         ledger = RunLedger.load(out_dir / LEDGER_FILE)
         ledger.manifest["model"] = manifest["model"]
-        ledger.manifest["base_model_digest"] = manifest["base_model_digest"]
         ledger.save(out_dir / LEDGER_FILE)
         return ScenarioResult(scenario, str(out_dir),
-                              [str(BlockId(i, 0)) for i in range(grid.n_layer_blocks)],
-                              detectable_by="trust-chain")
+                              [str(BlockId(i, 0)) for i in range(grid.n_layer_blocks)])
 
     if scenario == "backdoor-poison":
         # train on other data, present the clean data's spec
@@ -137,8 +137,7 @@ def apply_scenario(scenario: str, manifest: dict, out_dir,
         ledger.manifest["dataset"] = manifest["dataset"]
         ledger.save(out_dir / LEDGER_FILE)
         return ScenarioResult(scenario, str(out_dir),
-                              [str(BlockId(0, j)) for j in range(grid.n_step_blocks)],
-                              detectable_by="trust-chain")
+                              [str(BlockId(0, j)) for j in range(grid.n_step_blocks)])
 
     if scenario == "activation-perturbation":
         record_training(manifest, out_dir)
@@ -163,23 +162,20 @@ def apply_scenario(scenario: str, manifest: dict, out_dir,
         record_training(manifest, out_dir)
         store = TensorStore(out_dir)
         rng = np.random.default_rng(seed)
-        # poison a checkpointed mid-run parameter tensor
-        t = None
-        for cand in grid.checkpoint_steps(0):
-            if 0 < cand < config.n_steps:
-                t = cand
-        if t is None:
-            t = config.n_steps
+        # poison the last checkpointed mid-run parameter tensor, else the
+        # final one
+        t = max((s for s in grid.checkpoint_steps(0) if s < config.n_steps),
+                default=config.n_steps)
         key = BoundaryKey("parameter", 0, t)
         raw = np.frombuffer(store.get_bytes(key), "<f4").copy()
         delta = rng.normal(0, 1, raw.shape).astype(np.float32)
         delta *= 0.05 * np.linalg.norm(raw) / max(np.linalg.norm(delta), 1e-12)
         rewrite_key(out_dir, key, (raw + delta).tobytes())
-        j = next((jj for jj, (a, bb) in enumerate(grid.step_blocks) if a == t),
-                 grid.n_step_blocks - 1)
-        bad = [str(BlockId(0, j))]
-        if j > 0:
-            bad.append(str(BlockId(0, j - 1)))
+        # the rows that commit the key: the one it enters (none for the
+        # final state) and the one it exits
+        j = -(-t // config.bs)
+        bad = [str(BlockId(0, jj)) for jj in (j, j - 1)
+               if jj < grid.n_step_blocks]
         return ScenarioResult(scenario, str(out_dir), bad,
                               details={"key": str(key), "step": t})
 

@@ -44,6 +44,14 @@ class BoundaryKey:
         index, step = rest.split("@")
         return cls(kind, int(index), int(step))
 
+    @property
+    def derived(self) -> bool:
+        """Whether a training run's client derives this tensor from the
+        manifest: a model input (its step's batch) or the step-0 state."""
+        if self.kind == "activation":
+            return self.index == 0
+        return self.kind != "gradient" and self.step == 0
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -188,8 +196,9 @@ class BlockGrid:
 
     def checkpoint_steps(self, i: int) -> list[int]:
         """Steps at which layer block i's parameters/optimizer state are
-        stored as checkpoint blobs. The delivered final state is always
-        checkpointed."""
+        stored as checkpoint blobs: the entry of every ic-th step block
+        but the first, and the delivered final state. Step 0 never is:
+        the manifest derives it."""
         return list(self._checkpoint_schedule(i))
 
     def _checkpoint_schedule(self, i: int) -> tuple[int, ...]:
@@ -201,7 +210,7 @@ class BlockGrid:
                 steps = ()
             else:
                 starts = [] if ic is None else \
-                    [a for a, _ in self.step_blocks[::ic]]
+                    [a for a, _ in self.step_blocks[ic::ic]]
                 steps = tuple(sorted({*starts, self.config.n_steps}))
             self._checkpoints[i] = steps
         return steps
@@ -241,8 +250,8 @@ class BlockGrid:
 
     def replay_origin(self, i: int, target: int) -> int | None:
         """The stored checkpoint step a replay of layer block i to step
-        ``target`` starts from; None for the step-0 init, which the
-        manifest alone derives."""
+        ``target`` starts from; None before the first one, where the
+        replay starts from the step-0 state the manifest derives."""
         steps = self._checkpoint_schedule(i)
         k = bisect.bisect_right(steps, target)
         return steps[k - 1] if k else None
@@ -306,29 +315,27 @@ def storage_estimate(config: GridConfig, param_bytes: int, opt_bytes: int,
     """Predicted logical bytes the recorder will persist.
 
     ``boundary_bytes`` is either a per-boundary list of activation sizes
-    or a single uniform size. Gradients mirror activation sizes. The
-    returned checkpoint term reflects the actual schedule: blobs at every
-    ic-th step block plus the final state, or nothing in zero-storage
-    mode.
+    or a single uniform size. Gradients mirror activation sizes; the
+    model input is derived, never stored. The returned checkpoint term
+    reflects the actual schedule: blobs at every ic-th step block but the
+    first plus the final state, or nothing in zero-storage mode.
     """
     grid = BlockGrid(config)
-    ckpt = 0
+    if config.zero_storage:
+        return {"checkpoint_bytes": 0, "boundary_bytes": 0, "total_bytes": 0}
     # param/opt sizes are whole-model totals; without isolation every layer
     # block checkpoints at the same steps, so the count is uniform
-    if not config.zero_storage:
-        if config.isolate_layers:
-            raise ValueError(
-                "storage_estimate with isolated layers needs per-layer sizes")
-        ckpt = len(grid.checkpoint_steps(0)) * (param_bytes + opt_bytes)
-    if config.zero_storage:
-        bound = 0
+    if config.isolate_layers:
+        raise ValueError(
+            "storage_estimate with isolated layers needs per-layer sizes")
+    ckpt = len(grid.checkpoint_steps(0)) * (param_bytes + opt_bytes)
+    if isinstance(boundary_bytes, (int, float)):
+        per_boundary = [int(boundary_bytes)] * grid.n_boundaries
     else:
-        if isinstance(boundary_bytes, (int, float)):
-            per_boundary = [int(boundary_bytes)] * grid.n_boundaries
-        else:
-            per_boundary = [int(b) for b in boundary_bytes]
-            if len(per_boundary) != grid.n_boundaries:
-                raise ValueError("need one size per boundary")
-        bound = 2 * config.n_steps * sum(per_boundary)  # activations + gradients
+        per_boundary = [int(b) for b in boundary_bytes]
+        if len(per_boundary) != grid.n_boundaries:
+            raise ValueError("need one size per boundary")
+    # activations but the model input, and gradients
+    bound = config.n_steps * (2 * sum(per_boundary) - per_boundary[0])
     return {"checkpoint_bytes": ckpt, "boundary_bytes": bound,
             "total_bytes": ckpt + bound}

@@ -37,7 +37,7 @@ from .hashing import Digest, hash_bytes
 from .verifier import check_run_spec
 
 MAGIC = b"AFTL3\x00"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 DIGEST_BYTES = 32
 
 

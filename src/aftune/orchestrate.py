@@ -11,10 +11,11 @@ processes that serve the whole command. In process, a block the
 verifier passed hands its replay, at the block's exit step, on to the
 row; after any other verdict, in workers, and between blocks the walk
 replays the row itself (``_stopped`` gives the verdict where it raises).
-It also reconstructs model state from sparse checkpoints and checks the
-trust chain: the anchors at the grid's edges (the derived batches, the
-base model). The ledger commits each key once, so neighboring blocks
-share one digest by construction and need no check between them.
+It also reconstructs model state from sparse checkpoints. The client
+ships what it derives from the manifest, a training run's model inputs
+and step-0 state, and never reads them from the store: the verifier's
+hash check against the ledger is the check of the grid's edges, and
+neighbors share each key's one digest by construction.
 """
 
 from __future__ import annotations
@@ -25,22 +26,23 @@ import subprocess
 import sys
 import tempfile
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
 from .grid import BlockId, BoundaryKey
 from .hashing import Digest, chunked_hash_many
 from .ledger import LedgerError, RunLedger
-from .model import ModelState, build_model, param_bytes, params_digest
+from .model import ModelState, build_model, param_bytes
 from .recorder import (LEDGER_FILE, PARAMS_DIR, RunContext,
                        reference_closure, rerun_rows)
 from .rng import is_seed
 from .store import StoreError, TensorStore
 from .tensors import BlobError, NonFiniteError
-from .verifier import (EVIDENCE_RELEASED, FAIL, NON_FINITE, REFUSED,
-                       BindingMemo, VerificationReport, VerificationRequest,
-                       non_finite_key, refusal, verify_or_refuse)
+from .verifier import (EVIDENCE_RELEASED, FAIL, HASH_MISMATCH, NON_FINITE,
+                       REFUSED, BindingMemo, VerificationReport,
+                       VerificationRequest, non_finite_key, refusal,
+                       verify_or_refuse)
 from .verifier_worker import frame
 
 # the directory holding the imported package, for isolated workers
@@ -91,7 +93,6 @@ class Run:
         self.ctx = RunContext(self.manifest) if training else None
         self.store = None if training and self.config.zero_storage \
             else TensorStore(self.dir)
-        self.chain: ChainReport | None = None  # the last verify's walk
 
     @classmethod
     def open(cls, run_dir) -> "Run":
@@ -119,11 +120,9 @@ class Run:
         """Verify ``bids``, one report per entry in the order given: the
         one rule every command decides a block's verdict by. A block
         with no sealed commitment fails before anything is read; every
-        other block is replayed. For a training run, one trust-chain
-        walk over ``bids`` then fails each block that replayed ``pass``
-        but whose commitment provenance is broken; ``self.chain`` keeps
-        that walk's report. ``isolated``, or ``jobs`` above 1, checks
-        in isolated worker processes, up to ``jobs`` of them at once."""
+        other block is replayed. ``isolated``, or ``jobs`` above 1,
+        checks in isolated worker processes, up to ``jobs`` of them at
+        once."""
         done = {b: VerificationReport(block=b, verdict=FAIL,
                                       note="no sealed commitment")
                 for b in bids if b not in self.ledger}
@@ -143,14 +142,6 @@ class Run:
         finally:
             if workers is not None:
                 workers.close()
-        self.chain = None
-        if self.mode == "training":
-            self.chain = check_trust_chain(self.ledger, self.store, sealed)
-            for bid in map(BlockId.parse, self.chain.bad_blocks):
-                if done[bid].passed:
-                    done[bid] = replace(
-                        done[bid], verdict=FAIL,
-                        note="commitment provenance broken (trust chain)")
         return [done[b] for b in bids]
 
     def request(self, bid: BlockId, **kw):
@@ -237,7 +228,7 @@ class Run:
             i = bid.i
             t_in, t_out = grid.commitment_boundary_steps(bid.j)
             try:
-                tensors = {str(k): store.get_tensor(k)
+                tensors = {str(k): self._boundary(k)
                            for k in grid.boundary_keys(bid)}
                 row = rows[i] = self._row_at(i, t_in, rows.pop(i, None))
                 if row.broken:
@@ -280,17 +271,25 @@ class Run:
             if row.broken:
                 break
             inputs = row.pending.get(t) or tuple(
-                self.store.get_tensor(k) for k in self.grid.replay_inputs(i, t))
+                map(self._boundary, self.grid.replay_inputs(i, t)))
             self._replay_step(i, row, t, *inputs)
         row.pending = {}
         return row
+
+    def _boundary(self, key: BoundaryKey):
+        """The activation or gradient ``key`` of a training run: the
+        batch the manifest derives for a model input, else the stored
+        tensor."""
+        if key.derived:
+            return self.ctx.batch(key.step).inputs
+        return self.store.get_tensor(key)
 
     def _checkpoint(self, i: int, t0: int | None) -> dict[BoundaryKey, bytes]:
         if t0 is not None:
             return {k: self.store.get_bytes(k)
                     for k in self.grid.state_keys(i, t0)}
-        # no stored checkpoint covers the target, but the step-0 state is
-        # derivable from the manifest alone: base init, zeroed optimizer
+        # before the first stored checkpoint: the step-0 state, which the
+        # manifest derives (base init, zeroed optimizer)
         fresh = ModelState(self.manifest["model"], self.manifest["optimizer"],
                            self.grid.block_layers(i))
         return {k: fresh.blob(k) for k in self.grid.state_keys(i, 0)}
@@ -307,10 +306,30 @@ class Run:
                     self.grid.block_layers(i), row.blobs)
             row.state.replay_step(x, upstream, labels=labels)
         except Exception as e:
-            row.broken = _stopped(e, "replay to the block's entry state",
-                                  non_finite_key(self.grid, i, t, x, upstream))
+            row.broken = self._uncommitted(i, t, x, upstream) or _stopped(
+                e, "replay to the block's entry state",
+                non_finite_key(self.grid, i, t, x, upstream))
             return
         row.t = t + 1
+
+    def _uncommitted(self, i: int, t: int, x, upstream):
+        """The 'fail' report, block unset, on layer block i's step-t
+        replay that raised after consuming a tensor that is not the
+        committed bytes (a derived input the ledger does not commit),
+        charged to the first as the verifier charges what it hashes
+        before it replays; None when there is none."""
+        own = self.ledger.entry_for(BlockId(i, t // self.config.bs))
+        pairs = [(k, a) for k, a in zip(self.grid.replay_inputs(i, t),
+                                        (x, upstream)) if a is not None]
+        got = self.ctx.hash_many([a for _, a in pairs])
+        bad = [str(k) for (k, _), d in zip(pairs, got)
+               if own and d.value != own.entries[k].value]
+        if not bad:
+            return None
+        return VerificationReport(
+            block=None, verdict=FAIL, cause=HASH_MISMATCH, failed_key=bad[0],
+            failures=[{"cause": HASH_MISMATCH, "key": bad[0]}],
+            note="replay to the block's entry state")
 
     def _needs_labels(self, i: int) -> bool:
         return self.config.n_layers - 1 in self.grid.block_layers(i)
@@ -338,7 +357,7 @@ class Run:
                 path.read_bytes() if path.exists() else param_bytes(layer)
         return blobs
 
-    # -- state, provenance and pruning ------------------------------------
+    # -- state and pruning ------------------------------------------------
 
     def state_at(self, step: int) -> ModelState:
         """Rebuild the full model/optimizer state at ``step`` (which must be
@@ -538,98 +557,3 @@ class _Workers:
         for worker in self._idle + [w for w, _ in self._busy]:
             worker.close()
 
-
-# -- trust chain ---------------------------------------------------------
-
-
-@dataclass
-class ChainReport:
-    ok: bool
-    problems: list[str] = field(default_factory=list)
-    anchored: dict[str, int] = field(default_factory=dict)
-    checked: int = 0
-    bad_blocks: list[str] = field(default_factory=list)
-
-
-def check_trust_chain(ledger: RunLedger, store: TensorStore | None,
-                      blocks) -> ChainReport:
-    """Confirm the trust anchors at the grid's edges vouch for the
-    digests a verification of ``blocks`` consumes there. Between blocks
-    there is nothing to confirm: the ledger commits each key once, so
-    neighbors share one digest by construction. The client derives the
-    data edge: a step's input anchor is the digest of the batch the
-    manifest's dataset spec, run seed and batch size give, and the
-    loss-side gradient is the seed the verifier derives from the labels.
-    Row 0's anchor is the manifest's base-model digest, recomputed from
-    the model spec.
-
-    A block with no entry is skipped. A walked block gets the same
-    problems and bad-block mark whatever else is walked: only the
-    batches of walked layer-block-0 blocks are hashed, and the
-    base-model anchor is recomputed whenever a walked block lies in row
-    0. An inference run has no chain: its report is empty."""
-    report = ChainReport(ok=True)
-    manifest = ledger.manifest
-    if manifest["mode"] != "training":
-        return report
-    grid = ledger.grid
-    wanted = set(blocks)
-    scope = [b for b in ledger.blocks if b in wanted]
-    report.checked = len(scope)
-    bad: set[str] = set()
-
-    def problem(msg, bids):
-        report.ok = False
-        report.problems.append(msg)
-        bad.update(map(str, bids))
-
-    # layer block 0's inputs against the batches the manifest implies
-    ctx = RunContext(manifest)
-    edge = [(ledger.entry_for(b), t) for b in scope if b.i == 0
-            for t in grid.block_steps(b.j)]
-    vouched = 0
-    for (e, t), anchor in zip(edge, ctx.hash_many(
-            [ctx.batch(t).inputs for _, t in edge])):
-        key = BoundaryKey("activation", 0, t)
-        if e.entries[key].value == anchor.value:
-            vouched += 1
-        else:
-            problem(f"{key} does not match the input anchor for step {t}",
-                    [e.block])
-    row0 = [b for b in scope if b.j == 0]
-    anchored = {
-        "input": vouched,
-        "label": sum(len(grid.block_steps(b.j)) for b in scope
-                     if b.i == grid.n_layer_blocks - 1),
-        "base-model": sum(len(grid.state_keys(b.i, 0)) for b in row0)
-        if "base_model_digest" in manifest else 0}
-    report.anchored = {kind: n for kind, n in anchored.items() if n}
-    # tie the row-0 parameters to the anchor value and the model spec
-    why = _base_anchor_problem(manifest, store) if row0 else None
-    if why is not None:
-        problem(why, row0)
-    report.bad_blocks = sorted(bad)
-    return report
-
-
-def _base_anchor_problem(manifest, store: TensorStore | None) -> str | None:
-    """Why the base-model anchor does not vouch for row 0: the manifest
-    has none, it is not the digest of the model the manifest's spec
-    seeds, or some stored step-0 parameter blob is not that model's
-    bytes; a blob not stored (``ic``, zero-storage) or pruned is not
-    compared. None when it vouches."""
-    if "base_model_digest" not in manifest:
-        return "row 0 has no base-model anchor"
-    layers = build_model(manifest["model"])
-    if params_digest(layers, manifest["grid"]["chunk_size"],
-                     manifest["hash_algo"]).hex != manifest["base_model_digest"]:
-        return ("the base-model anchor is not the digest of the model the "
-                "manifest's spec seeds")
-    if store is None:
-        return None
-    for l, layer in enumerate(layers):
-        key = BoundaryKey("parameter", l, 0)
-        if store.has_blob(key) and store.get_bytes(key) != param_bytes(layer):
-            return ("stored step-0 parameters do not match the base-model "
-                    "anchor")
-    return None

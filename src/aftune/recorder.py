@@ -65,12 +65,10 @@ class RunContext:
 def build_manifest(model_spec: dict, opt_spec: dict, dataset_spec: dict,
                    config: GridConfig, run_seed: int, batch_size: int,
                    algo: str = "blake3") -> dict:
-    """Assemble the run manifest before any training step executes. Its
-    one trust anchor is the base model's digest: every batch is a pure
-    function of the dataset spec, ``run_seed`` and ``batch_size``, so a
-    client derives the data edge rather than reading it here."""
-    base_digest = params_digest(build_model(model_spec), config.chunk_size,
-                                algo)
+    """Assemble the run manifest before any training step executes. It
+    holds no digest: the step-0 state is a pure function of the model and
+    optimizer specs, and every batch of the dataset spec, ``run_seed``
+    and ``batch_size``, so a client derives both edges of the grid."""
     return {
         "mode": "training",
         "grid": config.to_dict(),
@@ -80,7 +78,6 @@ def build_manifest(model_spec: dict, opt_spec: dict, dataset_spec: dict,
         "run_seed": run_seed,
         "batch_size": batch_size,
         "hash_algo": algo,
-        "base_model_digest": base_digest.hex,
     }
 
 
@@ -122,7 +119,8 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
     the same manifest: instrumentation only reads state. ``step`` runs
     one training step (default: the honest ``train_step``). Every
     tensor a step-block row commits is hashed in one batch once the
-    row's last step has run, then stored, then the row is sealed.
+    row's last step has run, then stored (but for the model inputs and
+    the step-0 state, which a client derives), then the row is sealed.
     However the run stops (a non-finite step raises NonFiniteError
     naming it), the store's index is saved, so the sealed rows stay
     verifiable; an unsealed row leaves no blob and no index record.
@@ -152,10 +150,11 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
 
     def commit_boundaries(trace, t: int) -> None:
         """Queue the activation and gradient at every grid boundary of
-        step ``t``, to be stored unless the run is zero-storage."""
+        step ``t``, to be stored unless the run is zero-storage or the
+        tensor is the derived model input."""
         losses.append(trace.loss)
         put = None if ctx.config.zero_storage else store.put_tensor
-        pending.extend((key, arr, put)
+        pending.extend((key, arr, None if key.derived else put)
                        for key, arr in ctx.boundary_tensors(trace, t).items())
 
     try:

@@ -26,7 +26,7 @@ from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
 from aftune.hashing import chunked_hash, chunked_hash_many
 from aftune.ledger import RunLedger
 from aftune.model import build_model, forward_block, param_bytes
-from aftune.orchestrate import Run, check_trust_chain
+from aftune.orchestrate import Run
 from aftune.presets import attack_mlp_model, dataset_for, default_optimizer, \
     trained_attack_classifier
 from aftune.recorder import (LEDGER_FILE, RunContext,
@@ -115,7 +115,7 @@ def test_acceptance_detection_probability(tmp_path):
     manifest = make_manifest(n_steps=6, bl=2, bs=2, ic=1)
     record_training(manifest, tmp_path / "run")
     store = TensorStore(tmp_path / "run")
-    key = BoundaryKey("activation", 0, 2)  # checked only by block (0,1)
+    key = BoundaryKey("gradient", 0, 2)  # checked only by block (0,1)
     blob = store.blob_dir / store.index[str(key)]["digest"]
     raw = bytearray(blob.read_bytes())
     raw[0] ^= 0x01
@@ -343,17 +343,20 @@ def test_acceptance_scenarios_detected_by_documented_strategy(tmp_path,
         assert lo <= campaign.exact_rate <= hi, scenario
         assert campaign.detections > 0, scenario
 
-    # provenance-detectable scenarios: the trust-chain walk flags the
-    # tampered blocks deterministically even though replay passes
+    # provenance scenarios: trained from another base model or on other
+    # batches than the manifest claims, each tampered block fails the
+    # hash check of the step-0 state or model inputs the client derives,
+    # or of an entry state replayed from them
     for scenario in ("model-substitution", "backdoor-poison"):
         run = tmp_path / scenario
         result = apply_scenario(scenario, make_manifest(), run)
-        assert result.detectable_by == "trust-chain"
-        ledger = RunLedger.load(run / LEDGER_FILE)
-        chain = check_trust_chain(ledger, TensorStore(run),
-                                  ledger.grid.block_ids())
-        assert not chain.ok, scenario
-        assert set(result.tampered_blocks) <= set(chain.bad_blocks)
+        opened = Run.open(run)
+        bids = [BlockId.parse(b) for b in result.tampered_blocks]
+        for bid, report in zip(bids, opened.verify(bids)):
+            assert (report.verdict, report.cause) == (FAIL, HASH_MISMATCH)
+            key = BoundaryKey.parse(report.failed_key)
+            entry = opened.grid.block_steps(bid.j)[0]
+            assert key.derived or key in opened.grid.state_keys(bid.i, entry)
 
     # inference scenarios: direct verification of the tampered block
     x = make_dataset(dataset_for("mlp")).inputs[:1]

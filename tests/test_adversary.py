@@ -12,7 +12,7 @@ from aftune.adversary import (SCENARIOS, AdversaryError,
                               rewrite_key)
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from aftune.ledger import RunLedger
-from aftune.orchestrate import Run, check_trust_chain
+from aftune.orchestrate import Run
 from aftune.presets import (ATTACK_SAMPLE, attack_mlp_model,
                             trained_attack_classifier)
 from aftune.recorder import LEDGER_FILE, build_inference_manifest
@@ -77,64 +77,63 @@ def test_under_train_detected_by_replay(tmp_path):
             assert report.verdict == PASS, bid
 
 
-CHAIN_NOTE = "commitment provenance broken (trust chain)"
-
-
-def _full_chain(run_dir):
-    ledger = RunLedger.load(run_dir / LEDGER_FILE)
-    return check_trust_chain(ledger, TensorStore(run_dir),
-                             ledger.grid.block_ids())
+def _failed(run_dir, bids=None):
+    """``{block: failed key}`` of every block of ``bids`` (by default the
+    whole grid) that one verification of them all does not pass."""
+    run = Run.open(run_dir)
+    reports = run.verify(bids or run.grid.block_ids())
+    assert all(r.cause in (None, HASH_MISMATCH, NUMERICAL_MISMATCH)
+               for r in reports)
+    return {str(r.block): r.failed_key for r in reports if not r.passed}
 
 
 def test_model_substitution_detected_by_trust_chain(tmp_path):
-    manifest = make_manifest()
-    result = apply_scenario("model-substitution", manifest, tmp_path / "ms")
-    assert result.detectable_by == "trust-chain"
-    chain = _full_chain(tmp_path / "ms")
-    assert not chain.ok
-    assert set(result.tampered_blocks) <= set(chain.bad_blocks)
-    # block replay is self-consistent, so replay finds no fault; the
-    # trust chain fails exactly the blocks it marks
-    for bid, report in _verdicts(tmp_path / "ms").items():
-        assert report.cause is None, bid
-        if bid in chain.bad_blocks:
-            assert (report.verdict, report.note) == (FAIL, CHAIN_NOTE), bid
-        else:
-            assert report.verdict == PASS, bid
+    # the client derives row 0's entry state from the claimed model spec,
+    # and the ledger commits the substituted model's: every row-0 block
+    # fails the hash check of its first state key. Row 1 replays its
+    # entry from that state; rows 2 and 3 start from the step-4
+    # checkpoint the provider stored, and replay consistently from it
+    result = apply_scenario("model-substitution", make_manifest(),
+                            tmp_path / "ms")
+    grid = Run.open(tmp_path / "ms").grid
+    assert result.tampered_blocks == [str(BlockId(i, 0))
+                                      for i in range(grid.n_layer_blocks)]
+    failed = _failed(tmp_path / "ms")
+    assert failed == {str(BlockId(i, j)): str(grid.state_keys(i, 2 * j)[0])
+                      for j in (0, 1) for i in range(grid.n_layer_blocks)}
+    assert all(BoundaryKey.parse(failed[b]).derived
+               for b in result.tampered_blocks)
 
 
 def test_backdoor_poison_detected_by_input_anchors(tmp_path):
-    manifest = make_manifest()
-    result = apply_scenario("backdoor-poison", manifest, tmp_path / "bp")
-    assert result.detectable_by == "trust-chain"
-    chain = _full_chain(tmp_path / "bp")
-    assert not chain.ok
-    assert set(result.tampered_blocks) <= set(chain.bad_blocks)
-    # the client derives the input anchors from the clean spec, so the
-    # trust chain fails the layer-block-0 blocks it marks; interior rows
-    # replay cleanly, and the loss-head row fails replay too because
-    # verification feeds it the labels the clean spec derives
-    verdicts = _verdicts(tmp_path / "bp")
-    grid = BlockGrid(GridConfig.from_dict(manifest["grid"]))
-    head_row = grid.n_layer_blocks - 1
-    for bid, report in verdicts.items():
-        if BlockId.parse(bid).i == head_row:
-            assert report.verdict == FAIL, bid
-        elif bid in chain.bad_blocks:
-            assert (report.verdict, report.cause, report.note) == \
-                (FAIL, None, CHAIN_NOTE), bid
-        else:
-            assert (report.verdict, report.cause) == (PASS, None), bid
+    # the client derives layer block 0's inputs from the clean spec: a
+    # row that starts from a derived state fails at its first input, a
+    # row whose entry is replayed from derived inputs at its entry state.
+    # The loss-head row fails too, because verification feeds it the
+    # labels the clean spec derives; interior rows replay cleanly
+    result = apply_scenario("backdoor-poison", make_manifest(),
+                            tmp_path / "bp")
+    grid = Run.open(tmp_path / "bp").grid
+    head = grid.n_layer_blocks - 1
+    failed = _failed(tmp_path / "bp")
+    assert {b: k for b, k in failed.items() if BlockId.parse(b).i == 0} \
+        == {"0,0": "activation:0@0", "0,1": "parameter:0@2",
+            "0,2": "activation:0@4", "0,3": "parameter:0@6"}
+    assert set(result.tampered_blocks) < set(failed)
+    assert set(failed) == set(result.tampered_blocks) | {
+        str(BlockId(head, j)) for j in range(grid.n_step_blocks)}
 
 
-@pytest.mark.parametrize("scenario", ["activation-perturbation",
-                                      "parameter-poison"])
-def test_forgery_scenarios_fail_replay(tmp_path, scenario):
+@pytest.mark.parametrize("scenario, ic", [
+    pytest.param("activation-perturbation", 1, id="activation-perturbation"),
+    pytest.param("parameter-poison", 1, id="parameter-poison"),
+    pytest.param("parameter-poison", None, id="parameter-poison-ic-inf")])
+def test_forgery_scenarios_fail_replay(tmp_path, scenario, ic):
     # ic=1 keeps every block entry checkpointed, so the forgery's blast
-    # radius is exactly the blocks the scenario reports
-    manifest = make_manifest(ic=1)
+    # radius is exactly the blocks the scenario reports; at ic=inf the
+    # poisoned tensor is the final state, which only the last row commits
+    manifest = make_manifest(ic=ic)
     result = apply_scenario(scenario, manifest, tmp_path / "sc")
-    assert result.detectable_by == "verify"
     verdicts = _verdicts(tmp_path / "sc")
     assert result.tampered_blocks
     for bid in result.tampered_blocks:
@@ -142,6 +141,31 @@ def test_forgery_scenarios_fail_replay(tmp_path, scenario):
     for bid, report in verdicts.items():
         if bid not in result.tampered_blocks:
             assert report.verdict == PASS, bid
+
+
+TRAINING_STORAGE = {"ic-2": dict(ic=2), "ic-inf": dict(ic=None),
+                    "zero-storage": dict(ic=None, zero_storage=True)}
+# a forgery of a stored tensor has nothing to rewrite in a zero-storage run
+FORGERIES = ("activation-perturbation", "parameter-poison")
+
+
+@pytest.mark.parametrize("scenario, storage", [
+    (scenario, storage) for scenario in SCENARIOS
+    if scenario not in ("serve-wrong-model", "fabricate-output")
+    for storage in TRAINING_STORAGE
+    if not (storage == "zero-storage" and scenario in FORGERIES)])
+def test_every_training_scenario_fails_its_tampered_blocks(tmp_path,
+                                                           scenario,
+                                                           storage):
+    # in process and in the isolated worker alike
+    manifest = make_manifest(algo="sha256", **TRAINING_STORAGE[storage])
+    result = apply_scenario(scenario, manifest, tmp_path / "run")
+    run = Run.open(tmp_path / "run")
+    bids = [BlockId.parse(b) for b in result.tampered_blocks]
+    assert bids
+    for isolated in (False, True):
+        reports = run.verify(bids, isolated=isolated)
+        assert [r.verdict for r in reports] == [FAIL] * len(bids), isolated
 
 
 def test_unknown_scenario_rejected(tmp_path):
@@ -226,93 +250,73 @@ def test_parameter_poison_attack(attack_subject):
     assert res.rel_delta_norm > 100 * 1e-5
 
 
-# the trust chain's problems with row 0's anchor: the anchor is not the
-# seeded model's digest, or a stored step-0 blob is not that model's
-BASE_ANCHOR_PROBLEMS = (
-    "the base-model anchor is not the digest of the model the manifest's "
-    "spec seeds",
-    "stored step-0 parameters do not match the base-model anchor",
-)
-
-
-def _assert_scoped_chain_agrees(run_dir):
-    """Walking one block gives it exactly the problems and bad-block mark
-    that the walk of every grid block gives it; returns the full walk."""
-    def load():
-        return RunLedger.load(run_dir / LEDGER_FILE)
-
-    store = TensorStore(run_dir)
-    ledger = load()
-    full = check_trust_chain(ledger, store, ledger.grid.block_ids())
-    base = [p for p in full.problems if p in BASE_ANCHOR_PROBLEMS]
-    walked = []
-    # the full walk lists each entry's problems in file order, then the
-    # base-model anchor's
-    for bid in dict.fromkeys(ledger.blocks):
-        scoped = check_trust_chain(load(), store, [bid])
-        assert scoped.bad_blocks == \
-            ([str(bid)] if str(bid) in full.bad_blocks else []), bid
-        assert [p for p in scoped.problems if p in BASE_ANCHOR_PROBLEMS] \
-            == (base if bid.j == 0 else []), bid
-        walked += [p for p in scoped.problems if p not in BASE_ANCHOR_PROBLEMS]
-    assert walked == [p for p in full.problems
-                      if p not in BASE_ANCHOR_PROBLEMS]
-    return full
+def _invoke(tmp_path, *args):
+    """One CLI command with ``--root tmp_path``, which must not raise."""
+    from click.testing import CliRunner
+    from aftune.cli import main
+    result = CliRunner().invoke(main, ["--root", str(tmp_path), *args])
+    assert result.exception is None or \
+        isinstance(result.exception, SystemExit), result.output
+    return result
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_scoped_trust_chain_matches_the_full_walk(tmp_path, scenario):
-    from click.testing import CliRunner
-    from aftune.cli import main
-    result = CliRunner().invoke(main, ["--root", str(tmp_path), "attack",
-                                       "run", "--scenario", scenario,
-                                       "--n-steps", "4", "--algo", "sha256"])
-    assert result.exit_code == 0, result.output
-    _assert_scoped_chain_agrees(tmp_path / "run")
+    # a verify report's trust_chain lists each failure at a key the
+    # client derives; verifying one block lists exactly that block's
+    # problems of the full walk
+    import json
+    _invoke(tmp_path, "attack", "run", "--scenario", scenario,
+            "--n-steps", "4", "--algo", "sha256")
+    path = tmp_path / "run" / "verify_report.json"
+    _invoke(tmp_path, "verify", "run")
+    full = json.loads(path.read_text())["trust_chain"]
+    grid = Run.open(tmp_path / "run").grid
+    if scenario in ("serve-wrong-model", "fabricate-output"):
+        assert full is None
+        return
+    assert full["ok"] == (scenario not in ("model-substitution",
+                                           "backdoor-poison"))
+    for bid in grid.block_ids():
+        _invoke(tmp_path, "verify", "run", "--block", str(bid))
+        own = [p for p in full["problems"] if p.startswith(f"block {bid}:")]
+        assert json.loads(path.read_text())["trust_chain"] == \
+            {"ok": not own, "problems": own}, bid
 
 
 def test_trust_chain_finds_a_base_anchor_beside_another_break(mlp_run,
                                                              tmp_path):
-    # block 0,2 commits another input at step 4 than the batch the
-    # manifest's spec gives, which does not hide the base-model check:
-    # every walk over a row-0 block recomputes it
+    # a claimed model seed the run was not recorded with fails rows 0 and
+    # 1 (row 1 replays its entry from the derived step-0 state); block
+    # 0,2 also commits another input at step 4 than the batch the
+    # manifest's spec gives. Each block fails alike in any walk
     from aftune.hashing import Digest
     run = copy_run(mlp_run["dir"], tmp_path / "base")
     ledger = RunLedger.load(run / LEDGER_FILE)
-    ledger.manifest["base_model_digest"] = "f" * 64
+    ledger.manifest["model"]["seed"] += 1
     ledger.entry_for(BlockId(0, 2)).entries[
         BoundaryKey("activation", 0, 4)] = Digest(bytes(32))
     ledger.save(run / LEDGER_FILE)
-    full = _assert_scoped_chain_agrees(run)
-    row0 = [str(BlockId(i, 0)) for i in range(ledger.grid.n_layer_blocks)]
-    assert full.bad_blocks == sorted(row0 + ["0,2"])
-    assert full.problems[0] == \
-        "activation:0@4 does not match the input anchor for step 4"
-    assert full.problems[-1] == BASE_ANCHOR_PROBLEMS[0]
-    store = TensorStore(run)
-
-    def scoped(*bids):
-        return check_trust_chain(RunLedger.load(run / LEDGER_FILE), store,
-                                 list(bids)).bad_blocks
-
-    assert scoped(BlockId(0, 0)) == ["0,0"]
-    assert scoped(BlockId(1, 0), BlockId(1, 1)) == ["1,0"]
-    assert scoped(BlockId(0, 0), BlockId(0, 2)) == ["0,0", "0,2"]
+    grid = ledger.grid
+    full = _failed(run)
+    assert full == {
+        "0,2": "activation:0@4",
+        **{str(BlockId(i, j)): str(grid.state_keys(i, 2 * j)[0])
+           for j in (0, 1) for i in range(grid.n_layer_blocks)}}
+    for bids in ([BlockId(0, 0)], [BlockId(1, 0), BlockId(1, 1)],
+                 [BlockId(0, 0), BlockId(0, 2)], [BlockId(0, 2)]):
+        assert _failed(run, bids) == {str(b): full[str(b)] for b in bids}
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_every_command_gives_a_block_the_same_verdict(tmp_path, scenario):
-    # one block alone, every block, an explicit audit of the block, and
-    # the campaign's failing set all agree on each grid block
+    # one block alone, every block in process and isolated, an explicit
+    # audit of the block, and the campaign's failing set all agree on
+    # each grid block
     import json
-    from click.testing import CliRunner
-    from aftune.cli import main
 
     def invoke(*args):
-        result = CliRunner().invoke(main, ["--root", str(tmp_path), *args])
-        assert result.exception is None or \
-            isinstance(result.exception, SystemExit), result.output
-        return result
+        return _invoke(tmp_path, *args)
 
     invoke("attack", "run", "--scenario", scenario, "--n-steps", "4",
            "--algo", "sha256")
@@ -321,9 +325,16 @@ def test_every_command_gives_a_block_the_same_verdict(tmp_path, scenario):
     def report(name):
         return json.loads((run / name).read_text())
 
+    def outcomes():
+        return {r["block"]: (r["verdict"], r["cause"], r["failed_key"])
+                for r in report("verify_report.json")["reports"]}
+
     invoke("verify", "run")
-    full = {r["block"]: r["verdict"]
-            for r in report("verify_report.json")["reports"]}
+    in_process = outcomes()
+    full = {b: verdict for b, (verdict, _, _) in in_process.items()}
+    # the isolated worker hashes what the client derives just as well
+    invoke("verify", "run", "--isolated")
+    assert outcomes() == in_process
     grid = Run.open(run).grid
     assert list(full) == [str(b) for b in grid.block_ids()]
     invoke("audit", "run", "--trials", "3")

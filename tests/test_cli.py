@@ -63,10 +63,10 @@ def test_record_train_writes_report(cli_run):
 def test_verify_all_exit_zero(cli_run, runner):
     result = _invoke(runner, cli_run, "verify", "run")
     assert result.exit_code == 0, result.output
-    assert "trust chain: ok" in result.output
     assert result.output.strip().endswith("PASS")
     report = json.loads((cli_run / "run" / "verify_report.json").read_text())
     assert report["ok"] and len(report["reports"]) == 6
+    assert report["trust_chain"] == {"ok": True, "problems": []}
 
 
 def test_verify_single_block(cli_run, runner):
@@ -240,6 +240,11 @@ BAD_OPTION_VALUES = {
     # --ic is a checkpoint interval: zero-storage is --zero-storage
     "ic-none": ["record-train", "out", "--ic", "none"],
     "ic-zero-storage": ["record-train", "out", "--ic", "zero-storage"],
+    # --zero-storage stores no checkpoint, yet its --ic is checked alike
+    "zero-storage-ic-banana": ["record-train", "out", "--zero-storage",
+                               "--ic", "banana"],
+    "zero-storage-ic-0": ["record-train", "out", "--zero-storage", "--ic",
+                          "0"],
     "args2": ["record-train", "out", "--lr", "nan"],
     "args3": ["record-train", "out", "--lr", "inf"],
     "args4": ["record-train", "out", "--lr", "-inf"],
@@ -279,6 +284,14 @@ def test_bad_option_value_is_a_usage_error(tmp_path, runner, args):
     _exits_cleanly(result, 2)
     assert "Error:" in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_zero_storage_records_no_checkpoint_interval(tmp_path, runner):
+    # a valid --ic beside --zero-storage is checked, then dropped
+    assert _invoke(runner, tmp_path, "record-train", "run", "--zero-storage",
+                   "--ic", "3", "--n-steps", "2").exit_code == 0
+    grid = RunLedger.load(tmp_path / "run" / LEDGER_FILE).manifest["grid"]
+    assert grid["zero_storage"] and grid["ic"] is None
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -539,25 +552,25 @@ def test_garbled_index_is_a_usage_error(sha_run, tmp_path, runner, text):
         assert "index.json" in result.output
 
 
-@pytest.mark.parametrize("kind,keep,chain", [
-    ("parameter", -4, "BROKEN — stored step-0 parameters do not match"),
-    ("optimizer-state", 2, "ok")],
-    ids=["parameter-4-bytes-short", "optimizer-state-without-counter"])
-def test_short_checkpoint_blob_is_refused(sha_run, tmp_path, runner, kind,
-                                          keep, chain):
-    # a self-consistently rewritten step-0 blob that does not decode
+@pytest.mark.parametrize("kind,keep", [("parameter", -4),
+                                       ("optimizer-state", 2)],
+                         ids=["parameter-4-bytes-short",
+                              "optimizer-state-without-counter"])
+def test_short_checkpoint_blob_is_refused(cli_run, tmp_path, runner, kind,
+                                          keep):
+    # a self-consistently rewritten checkpoint blob that does not decode:
+    # the --ic 1 run stores the step-2 state, which block 0,1 starts from
     run = tmp_path / "short"
-    shutil.copytree(sha_run, run)
-    key = BoundaryKey(kind, 0, 0)
+    shutil.copytree(cli_run / "run", run)
+    key = BoundaryKey(kind, 0, 2)
     rewrite_key(run, key, TensorStore(run).get_bytes(key)[:keep])
-    for args in (["verify", "short"], ["verify", "short", "--block", "0,0"],
-                 ["verify", "short", "--block", "0,0", "--isolated"],
-                 ["audit", "short", "--m", "3"]):
+    for args in (["verify", "short"], ["verify", "short", "--block", "0,1"],
+                 ["verify", "short", "--block", "0,1", "--isolated"],
+                 ["audit", "short", "--strategy", "explicit", "--block",
+                  "0,1"]):
         result = _invoke(runner, tmp_path, *args)
         _exits_cleanly(result, 1)
-        assert "block 0,0: refused" in result.output
-        if args == ["verify", "short"]:
-            assert f"trust chain: {chain}" in result.output
+        assert "block 0,1: refused" in result.output
 
 
 @pytest.mark.parametrize("scenario", ["serve-wrong-model", "fabricate-output"])
@@ -882,21 +895,25 @@ def test_full_verify_decodes_each_entry_once(sha_run, runner, monkeypatch):
     assert sorted(decoded) == list(range(rows))
 
 
-@pytest.mark.parametrize("scenario, block", [("model-substitution", "0,0"),
-                                             ("backdoor-poison", "0,1")])
+@pytest.mark.parametrize("scenario, block, key", [
+    ("model-substitution", "0,0", "parameter:0@0"),
+    ("backdoor-poison", "0,1", "parameter:0@2")],
+    ids=["model-substitution-0,0", "backdoor-poison-0,1"])
 def test_one_block_verify_walks_the_trust_chain(tmp_path, runner, scenario,
-                                                block):
-    # the block replays cleanly; only its commitment provenance is broken
+                                                block, key):
+    # verified alone, the block fails the hash check of the step-0 state
+    # the client derives, or of the entry state it replays from derived
+    # inputs; the trust_chain lists only a failure at a derived key
     assert _invoke(runner, tmp_path, "attack", "run", "--scenario", scenario,
                    "--algo", "sha256").exit_code == 0
     result = _invoke(runner, tmp_path, "verify", "run", "--block", block)
     _exits_cleanly(result, 1)
-    assert f"block {block}: fail" in result.output
-    assert "trust chain: BROKEN" in result.output
+    assert f"block {block}: fail (hash-mismatch at {key})\n" in result.output
     report = json.loads((tmp_path / "run" / "verify_report.json").read_text())
-    assert report["trust_chain"]["bad_blocks"] == [block]
-    assert report["reports"][0]["note"] == \
-        "commitment provenance broken (trust chain)"
+    derived = BoundaryKey.parse(key).derived
+    assert report["trust_chain"] == {
+        "ok": not derived,
+        "problems": [f"block {block}: hash-mismatch at {key}"] * derived}
     _exits_cleanly(_invoke(runner, tmp_path, "audit", "run", "--strategy",
                            "explicit", "--block", block), 1)
 
@@ -1051,12 +1068,9 @@ def test_edited_manifest_field_ends_in_a_verdict(
 
 
 # manifest edits that claim another base model: a model seed the run was
-# not recorded with, or a base-model digest the seeded model does not have
+# not recorded with
 BASE_MODEL_EDITS = {
     "model-seed-8": lambda m: m["model"].update(seed=8),
-    "base-digest-one-hex-digit": lambda m: m.update(
-        base_model_digest=("0" if m["base_model_digest"][0] != "0" else "1")
-        + m["base_model_digest"][1:]),
 }
 
 
@@ -1073,8 +1087,8 @@ def test_a_claimed_base_model_fails_row_0(sha_run, sha_inf_run, sha_zs_run,
         _exits_cleanly(result, 1)
         assert "block 0,0: fail" in result.output
         if args[0] == "verify":
-            assert "trust chain: BROKEN — the base-model anchor is not " \
-                "the digest of the model the manifest's spec seeds\n" \
+            # the client derives the step-0 state from the claimed spec
+            assert "block 0,0: fail (hash-mismatch at parameter:0@0)\n" \
                 in result.output
 
 
@@ -1100,9 +1114,8 @@ def test_claimed_batches_fail_layer_block_0(sha_run, sha_inf_run, sha_zs_run,
     grid = RunLedger.load(run / LEDGER_FILE).grid
     row = [str(BlockId(0, j)) for j in range(grid.n_step_blocks)]
     chain = report["trust_chain"]
-    assert set(row) <= set(chain["bad_blocks"])
-    assert chain["problems"][0] == \
-        "activation:0@0 does not match the input anchor for step 0"
+    assert not chain["ok"]
+    assert chain["problems"][0] == "block 0,0: hash-mismatch at activation:0@0"
     verdicts = {r["block"]: r["verdict"] for r in report["reports"]}
     assert [verdicts[b] for b in row] == ["fail"] * len(row)
     for b in row:
@@ -1139,9 +1152,15 @@ def test_a_zero_loss_seed_fails_the_loss_row(tmp_path, runner, ic):
     assert report["trust_chain"]["ok"]
 
 
+def _schema_3(manifest):
+    # schema 3 manifests carried the base model's digest
+    manifest["base_model_digest"] = "0" * 64
+
+
 def _schema_2(manifest):
-    # schema 2 manifests carried the data edge: per-step input and label
-    # anchors and the dataset's digest
+    # schema 2 manifests also carried the data edge: per-step input and
+    # label anchors and the dataset's digest
+    _schema_3(manifest)
     manifest.update(input_anchors=["0" * 64] * 4, label_anchors=["0" * 64] * 4)
     manifest["dataset"]["digest"] = "0" * 64
 
@@ -1152,7 +1171,7 @@ def _schema_1(manifest):
     manifest["grid"].update(tau=1e-5, precision="f32")
 
 
-OLD_SCHEMAS = {1: _schema_1, 2: _schema_2}
+OLD_SCHEMAS = {1: _schema_1, 2: _schema_2, 3: _schema_3}
 
 
 def test_a_ledger_of_the_old_schema_names_its_version(sha_run, tmp_path,
@@ -1172,7 +1191,7 @@ def test_a_ledger_of_the_old_schema_names_its_version(sha_run, tmp_path,
         for args in (["verify"], ["verify", "--isolated"], ["audit"]):
             result = _invoke(runner, tmp_path, args[0], run.name, *args[1:])
             _exits_cleanly(result, 2)
-            assert f"ledger schema version {version} is not the supported 3" \
+            assert f"ledger schema version {version} is not the supported 4" \
                 in result.output
 
 

@@ -126,11 +126,12 @@ def test_boundary_layer_maps_to_layer_indices():
 def test_checkpoint_steps_schedule():
     config = GridConfig(n_layers=4, n_steps=12, bl=2, bs=2, ic=3)
     grid = BlockGrid(config)
-    # step blocks start at 0,2,4,6,8,10; every 3rd start plus the final step
-    assert grid.checkpoint_steps(0) == [0, 6, 12]
+    # step blocks start at 0,2,4,6,8,10; every 3rd start but step 0, which
+    # the manifest derives, plus the final step
+    assert grid.checkpoint_steps(0) == [6, 12]
     assert BlockGrid(replace(config, ic=None)).checkpoint_steps(0) == [12]
     assert BlockGrid(replace(config, ic=1)).checkpoint_steps(0) \
-        == [0, 2, 4, 6, 8, 10, 12]
+        == [2, 4, 6, 8, 10, 12]
     assert BlockGrid(replace(config, zero_storage=True)) \
         .checkpoint_steps(0) == []
 
@@ -143,8 +144,8 @@ def test_isolated_layers_become_singleton_blocks():
     assert grid.is_isolated(1) and not grid.is_isolated(0)
     # the isolated block checkpoints at every step block
     assert grid.checkpoint_interval(1) == 1
-    assert grid.checkpoint_steps(1) == [0, 2, 4]
-    assert grid.checkpoint_steps(0) == [0, 4]
+    assert grid.checkpoint_steps(1) == [2, 4]
+    assert grid.checkpoint_steps(0) == [4]
 
 
 def test_commitment_keys_shape():
@@ -214,7 +215,8 @@ def test_replay_origin_is_the_last_checkpoint_at_or_before(name):
             else:
                 j = next(j for j, (a, b) in enumerate(grid.step_blocks)
                          if a <= t < b)
-                want = grid.step_blocks[j // ic * ic][0]
+                # the step-0 state is derived, never stored
+                want = grid.step_blocks[j // ic * ic][0] or None
             assert grid.replay_origin(i, t) == want, (i, t)
 
 
@@ -226,7 +228,7 @@ def test_checkpoint_steps_are_the_schedule(name):
         ic = grid.checkpoint_interval(i)
         want = [] if config.zero_storage else sorted(
             {a for j, (a, _) in enumerate(grid.step_blocks)
-             if ic is not None and j % ic == 0} | {config.n_steps})
+             if ic is not None and j % ic == 0 and j} | {config.n_steps})
         got = grid.checkpoint_steps(i)
         assert got == want
         got.append(-1)  # each call hands out its own list
@@ -259,18 +261,28 @@ def test_key_string_roundtrip():
     assert BlockId.parse(str(bid)) == bid
 
 
+def test_derived_keys_are_the_model_inputs_and_the_step_0_state():
+    derived = {"activation:0@0", "activation:0@5", "parameter:3@0",
+               "optimizer-state:0@0"}
+    stored = {"activation:1@0", "gradient:0@0", "gradient:0@5",
+              "parameter:3@2", "optimizer-state:0@5"}
+    for s in derived | stored:
+        assert BoundaryKey.parse(s).derived == (s in derived), s
+
+
 def test_storage_estimate_matches_hand_formula():
     config = GridConfig(n_layers=6, n_steps=8, bl=2, bs=2, ic=2)
     sizes = [64, 256, 256, 12]  # one per boundary
     est = storage_estimate(config, param_bytes=1000, opt_bytes=2000,
                            boundary_bytes=sizes)
-    # checkpoints at steps 0, 4, 8: 3 * (1000 + 2000)
-    assert est["checkpoint_bytes"] == 3 * 3000
-    # activations + gradients at every boundary, every step
-    assert est["boundary_bytes"] == 2 * 8 * sum(sizes)
+    # checkpoints at steps 4, 8 (step 0 is derived): 2 * (1000 + 2000)
+    assert est["checkpoint_bytes"] == 2 * 3000
+    # activations + gradients at every boundary, every step, but the
+    # derived model input
+    assert est["boundary_bytes"] == 2 * 8 * sum(sizes) - 8 * 64
     assert est["total_bytes"] == est["checkpoint_bytes"] + est["boundary_bytes"]
     uniform = storage_estimate(config, 1000, 2000, 100)
-    assert uniform["boundary_bytes"] == 2 * 8 * 4 * 100
+    assert uniform["boundary_bytes"] == (2 * 4 - 1) * 8 * 100
 
 
 def test_storage_estimate_zero_storage_and_errors():

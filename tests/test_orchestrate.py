@@ -1,16 +1,18 @@
-"""Sparse-checkpoint reconstruction and the cross-block trust chain."""
+"""Sparse-checkpoint reconstruction, row replay, and the tensors the
+client derives."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from aftune.grid import BlockId, BoundaryKey
 from aftune.ledger import RunLedger
 from aftune.model import param_bytes
-from aftune.orchestrate import ReconstructionError, Run, check_trust_chain
+from aftune.orchestrate import ReconstructionError, Run
 from aftune.recorder import LEDGER_FILE
 from aftune.store import TensorStore
-from aftune.verifier import PASS, REFUSED
+from aftune.verifier import FAIL, HASH_MISMATCH, PASS, REFUSED
 
 from conftest import copy_run, record_run
 
@@ -83,29 +85,39 @@ def test_isolated_unstable_preset_verifies(tmp_path):
         assert Run.open(tmp_path / "iso").verify([bid])[0].verdict == PASS
 
 
+
 def test_trust_chain_ok_on_honest_run(mlp_run):
-    ledger = RunLedger.load(mlp_run["dir"] / LEDGER_FILE)
-    report = check_trust_chain(ledger, TensorStore(mlp_run["dir"]),
-                               ledger.grid.block_ids())
-    assert report.ok
-    assert report.problems == []
-    assert report.checked == len(ledger.entries)
-    assert report.bad_blocks == []
-    config = ledger.grid.config
-    assert report.anchored["input"] == config.n_steps
-    assert report.anchored["label"] == config.n_steps
-    # one base-model anchor per (layer, kind) pair in row 0
-    assert report.anchored["base-model"] == 2 * config.n_layers
+    # the client ships what it derives, never reading it from the store:
+    # layer block 0's inputs are the manifest's batches and row 0's entry
+    # state is its base model with a zeroed optimizer; the verifier's
+    # hash check of each against the ledger passes
+    run = Run.open(mlp_run["dir"])
+    fresh = run.ctx.fresh_state()
+    shipped = 0
+    for _, req in run.requests(run.grid.block_ids()):
+        for name, tensor in req.tensors.items():
+            key = BoundaryKey.parse(name)
+            if key.kind == "activation" and key.derived:
+                assert np.array_equal(tensor, run.ctx.batch(key.step).inputs)
+            elif key.derived:
+                assert tensor == fresh.blob(key)
+            shipped += key.derived
+    config = run.config
+    assert shipped == config.n_steps + 2 * config.n_layers
+    assert all(r.passed for r in run.verify(run.grid.block_ids()))
 
 
 def test_trust_chain_recomputes_base_model_anchor(mlp_run, tmp_path):
+    # the step-0 state is built from the manifest's model spec: a claimed
+    # seed the run was not recorded with fails every row-0 block at its
+    # first step-0 key
     run = copy_run(mlp_run["dir"], tmp_path / "base")
     ledger = RunLedger.load(run / LEDGER_FILE)
-    ledger.manifest["base_model_digest"] = "f" * 64
+    ledger.manifest["model"]["seed"] += 1
     ledger.save(run / LEDGER_FILE)
-    grid = ledger.grid
-    report = check_trust_chain(RunLedger.load(run / LEDGER_FILE),
-                               TensorStore(run), grid.block_ids())
-    assert not report.ok
-    assert report.bad_blocks == sorted(str(BlockId(i, 0))
-                                       for i in range(grid.n_layer_blocks))
+    opened = Run.open(run)
+    row0 = [BlockId(i, 0) for i in range(opened.grid.n_layer_blocks)]
+    assert [(r.verdict, r.cause, r.failed_key)
+            for r in opened.verify(row0)] == \
+        [(FAIL, HASH_MISMATCH, str(opened.grid.state_keys(b.i, 0)[0]))
+         for b in row0]

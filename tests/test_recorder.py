@@ -47,15 +47,15 @@ def test_recording_does_not_perturb_training(tmp_path):
 # commits, or in which order, shows here
 GOLDEN_LEDGER_DIGESTS = [
     ("sha256", dict(algo="sha256"), None,
-     "606ac2f1a90ce79396394bd7dd125b15f5feece5a5fc185f66f40bd480261fa1"),
+     "29d04884363acf29ccaa5fc96006581acf1cc69013729b5cb8f0282eb75f5b3b"),
     ("zero-storage", dict(algo="sha256", ic=None, zero_storage=True), None,
-     "4883790cdc1f5245adf7007297d86ba9418b7b54bfdd013b200d8a10ad91372a"),
+     "80910af570cc4d192c509ef90d1211180b479c67b5d8f342eb1355e81ec41fd1"),
     ("blake3", dict(algo="blake3"), None,
-     "4376d50511ca64770b02d5d47223ad12ec10a4e6d43688c76a04f0c6c746eb93"),
+     "6fb547e9b16053223706434118ec22188389cd0f2da4ac8273aabf6a84c9a3e9"),
     ("under-train-sha256", dict(algo="sha256"), "under-train",
-     "109f16383824c54fda85455de48492f24850f1e66dd6b33eefb5a262f7023b8b"),
+     "95a2d7ba844550b282c17577deac1f5f2109916b7bcc95bdcdef8230e59fc7a4"),
     ("under-train-blake3", dict(algo="blake3"), "under-train",
-     "76fa093883213e1d9a99edb16ef89e299bdf8e9dc1891cd404980e874be5a2df"),
+     "ecd3b4b89f9c1b93fd92dd396fb3abc55f59783956e0a38764d1b9d498e50015"),
 ]
 
 
@@ -349,12 +349,13 @@ def test_ledger_row_structure(tmp_path):
 
 def test_manifest_holds_no_data_digests(tmp_path):
     # every batch is a pure function of the dataset spec, the run seed
-    # and the batch size, so a client derives the data edge itself
+    # and the batch size, and the step-0 state of the model and optimizer
+    # specs, so a client derives both edges of the grid itself
     manifest, _ = record_run(tmp_path / "run", n_steps=4)
     assert RunLedger.load(tmp_path / "run" / LEDGER_FILE).manifest == manifest
     assert sorted(manifest) == [
-        "base_model_digest", "batch_size", "dataset", "grid", "hash_algo",
-        "mode", "model", "optimizer", "run_seed", "schema_version"]
+        "batch_size", "dataset", "grid", "hash_algo", "mode", "model",
+        "optimizer", "run_seed", "schema_version"]
     assert manifest["dataset"] == {"spec": dataset_for("mlp")}
 
 
@@ -364,11 +365,28 @@ def test_checkpoint_blobs_follow_the_schedule(tmp_path):
     grid = ledger.grid
     store = TensorStore(tmp_path / "run")
     want = set(grid.checkpoint_steps(0))
-    assert want == {0, 4, 8}
+    assert want == {4, 8}  # the step-0 state is derived
     for l in range(grid.config.n_layers):
         for t in range(grid.config.n_steps + 1):
             key = BoundaryKey("parameter", l, t)
             assert store.has_blob(key) == (t in want)
+
+
+@pytest.mark.parametrize("ic", [2, None], ids=["ic-2", "ic-inf"])
+def test_derived_tensors_are_committed_but_never_stored(tmp_path, ic):
+    # the client derives the model inputs and the step-0 state from the
+    # manifest and ships them itself, so the provider stores neither
+    record_training(make_manifest(n_steps=8, algo="sha256", ic=ic),
+                    tmp_path / "run")
+    run = Run.open(tmp_path / "run")
+    derived = [k for k in run.ledger.all_digests()
+               if (k.kind, k.index) == ("activation", 0)
+               or (k.kind in ("parameter", "optimizer-state") and k.step == 0)]
+    assert len(derived) == 8 + 2 * run.config.n_layers
+    assert [str(k) for k in derived if str(k) in run.store.index] == []
+    for isolated in (False, True):
+        reports = run.verify(run.grid.block_ids(), isolated=isolated)
+        assert [r.verdict for r in reports] == ["pass"] * len(reports)
 
 
 def test_stored_digests_match_ledger(tmp_path):

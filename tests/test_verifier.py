@@ -148,7 +148,6 @@ def test_an_in_step_nudge_fails_its_producing_blocks(tmp_path, preset, ic):
         assert {r.block: (r.cause, r.failed_key) for r in reports
                 if r.verdict != PASS} == want, isolated
         assert all(r.verdict in (PASS, FAIL) for r in reports)
-        assert run.chain.ok
 
 
 def test_a_kernel_that_is_not_deterministic_drifts_only_by_its_bound(
