@@ -1,14 +1,19 @@
-"""Two-dimensional (layer x step) block partitioning and recording schedules."""
+"""Two-dimensional (layer x step) block partitioning and recording schedules.
+
+Block ids and boundary keys are named tuples: they are hashed, compared
+and ordered as the tuple of their fields, in C, and their ``str`` is the
+form every report, request and index entry uses.
+"""
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class BlockId:
+class BlockId(NamedTuple):
     i: int  # layer-block index
     j: int  # step-block index
 
@@ -21,8 +26,7 @@ class BlockId:
         return cls(int(i), int(j))
 
 
-@dataclass(frozen=True, order=True)
-class BoundaryKey:
+class BoundaryKey(NamedTuple):
     """Unique name of one recordable tensor.
 
     ``index`` is a boundary position for activations/gradients (0 is the
@@ -239,9 +243,15 @@ class BlockGrid:
                 for kind in ("parameter", "optimizer-state")]
 
     def replay_inputs(self, i: int, t: int) -> tuple[BoundaryKey, BoundaryKey]:
-        """What a step-t replay of layer block i consumes: its input
+        """The inputs of a step-t replay of layer block i: its input
         activation and the gradient flowing back into it."""
         return BoundaryKey("activation", i, t), BoundaryKey("gradient", i + 1, t)
+
+    def replay_reads(self, i: int, t: int) -> tuple[BoundaryKey, ...]:
+        """The replay inputs a step-t replay of layer block i reads: the
+        last layer block backpropagates the seed its loss derives."""
+        x, upstream = self.replay_inputs(i, t)
+        return (x,) if i == self.n_layer_blocks - 1 else (x, upstream)
 
     def replay_outputs(self, i: int, t: int) -> tuple[BoundaryKey, BoundaryKey]:
         """What a step-t replay of layer block i produces: its output

@@ -59,7 +59,7 @@ class Optimizer:
                 grads.append(g)
         if grads:
             g = np.concatenate(grads, axis=None, out=self._grads)
-            if not np.isfinite(g).all():
+            if not np.logical_and.reduce(np.isfinite(g), axis=None):
                 li, pname = next(
                     (li, pname) for li, layer in enumerate(layers)
                     for pname in layer.params

@@ -245,7 +245,7 @@ class Run:
                 yield bid, replace(_stopped(e), block=bid)
                 continue
             row.pending = {t: tuple(tensors[str(k)]
-                                    for k in grid.replay_inputs(i, t))
+                                    for k in grid.replay_reads(i, t))
                            for t in grid.block_steps(bid.j)}
             yield bid, self._request(bid, tensors, **opts)
             passed = session and session.passed
@@ -271,7 +271,7 @@ class Run:
             if row.broken:
                 break
             inputs = row.pending.get(t) or tuple(
-                map(self._boundary, self.grid.replay_inputs(i, t)))
+                map(self._boundary, self.grid.replay_reads(i, t)))
             self._replay_step(i, row, t, *inputs)
         row.pending = {}
         return row
@@ -294,11 +294,10 @@ class Run:
                            self.grid.block_layers(i))
         return {k: fresh.blob(k) for k in self.grid.state_keys(i, 0)}
 
-    def _replay_step(self, i: int, row: _Row, t: int, x, upstream) -> None:
+    def _replay_step(self, i: int, row: _Row, t: int, x,
+                     upstream=None) -> None:
         # the loss block backpropagates the seed its loss derives
-        labels = None
-        if self._needs_labels(i):
-            labels, upstream = self.ctx.batch(t).labels, None
+        labels = self.ctx.batch(t).labels if self._needs_labels(i) else None
         try:
             if row.state is None:
                 row.state = ModelState(

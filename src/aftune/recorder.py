@@ -272,5 +272,5 @@ def reference_closure(grid: BlockGrid, bids: list[BlockId],
         if t0 is not None:
             keep.update(grid.state_keys(bid.i, t0))
         for t in range(t0 or 0, target):
-            keep.update(grid.replay_inputs(bid.i, t))
+            keep.update(grid.replay_reads(bid.i, t))
     return keep

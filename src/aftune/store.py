@@ -2,9 +2,13 @@
 
 Blobs live at ``<root>/store/<hex-digest>`` so tensors shared between
 adjacent blocks (or bit-identical across steps) are physically stored
-once. The index maps boundary keys to (digest, length, shape); logical
-byte accounting sums blob lengths per index entry, independent of
-physical deduplication.
+once. A new blob is written whole to ``<hex-digest>.tmp``, through
+``os`` calls on a string path, and renamed into place; a digest already
+stored is not written again. Blobs are not fsynced, while ledger rows
+are: after a crash the newest blobs may be lost, and the blocks that
+read them do not verify. The index maps boundary keys to (digest,
+length, shape); logical byte accounting sums blob lengths per index
+entry, independent of physical deduplication.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ class TensorStore:
         self.root = Path(root)
         self.blob_dir = self.root / "store"
         self.blob_dir.mkdir(parents=True, exist_ok=True)
+        self._blob_prefix = os.path.join(self.blob_dir, "")
         self.index: dict[str, dict] = {}
         if self.index_path.exists():
             try:
@@ -55,8 +60,8 @@ class TensorStore:
     def save_index(self) -> None:
         self.index_path.write_text(json.dumps(self.index, sort_keys=True))
 
-    def _blob_path(self, digest_hex: str) -> Path:
-        return self.blob_dir / digest_hex
+    def _blob_path(self, digest_hex: str) -> str:
+        return self._blob_prefix + digest_hex
 
     # -- writes ----------------------------------------------------------
 
@@ -69,10 +74,16 @@ class TensorStore:
 
     def _put(self, key, data, digest, shape) -> int:
         path = self._blob_path(digest.hex)
-        if not path.exists():
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+        if not os.path.exists(path):
+            fd = os.open(path + ".tmp", os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                         0o666)
+            try:
+                view = memoryview(data)
+                while view:  # one write may take fewer bytes than given
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+            os.replace(path + ".tmp", path)
         self.index[str(key)] = {
             "digest": digest.hex, "algo": digest.algo,
             "length": len(data), "shape": shape,
@@ -89,7 +100,8 @@ class TensorStore:
 
     def has_blob(self, key: BoundaryKey) -> bool:
         ent = self.index.get(str(key))
-        return ent is not None and self._blob_path(ent["digest"]).exists()
+        return ent is not None \
+            and os.path.exists(self._blob_path(ent["digest"]))
 
     def get_bytes(self, key: BoundaryKey) -> bytes:
         return self._read(key, self._entry(key))

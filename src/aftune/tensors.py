@@ -19,7 +19,7 @@ class BlobError(ValueError):
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError(f"non-finite values in {what}")
     return arr
 

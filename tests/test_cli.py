@@ -21,7 +21,7 @@ from aftune.grid import BlockId, BoundaryKey
 from aftune.ledger import RunLedger, ledger_digest
 from aftune.orchestrate import ReconstructionError, Run
 from aftune.model import StepTrace
-from aftune.recorder import LEDGER_FILE, record_training
+from aftune.recorder import LEDGER_FILE, record_training, reference_closure
 from aftune.store import TensorStore
 from aftune.verifier import REFUSED
 
@@ -776,6 +776,73 @@ def test_prune_at_infinite_interval_keeps_the_replay_inputs(tmp_path, runner):
     assert "block 1,2: evidence-released" in result.output
     assert _invoke(runner, tmp_path, "verify", "run", "--block",
                    "0,2").exit_code == 0
+
+
+def test_the_loss_block_row_replay_reads_no_seed_gradient(tmp_path, runner):
+    # the loss block backpropagates the seed its loss derives, so replaying
+    # its row to block 2,3's entry reads no gradient:3@t: with those index
+    # entries gone nothing the block checks is missing
+    assert _invoke(runner, tmp_path, "record-train", "run", "--n-steps", "8",
+                   "--bl", "2", "--bs", "2", "--ic", "inf",
+                   "--algo", "sha256").exit_code == 0
+    index_path = tmp_path / "run" / "index.json"
+    index = json.loads(index_path.read_text())
+    for t in range(6):
+        del index[f"gradient:3@{t}"]
+    index_path.write_text(json.dumps(index))
+    for args in ([], ["--isolated"]):
+        result = _invoke(runner, tmp_path, "verify", "run", "--block", "2,3",
+                         *args)
+        assert result.exit_code == 0, result.output
+    grid = Run.open(tmp_path / "run").grid
+    keep = {str(k) for k in reference_closure(grid, [BlockId(2, 3)],
+                                              "training")}
+    assert {f"gradient:3@{t}" for t in range(8)} & keep \
+        == {"gradient:3@6", "gradient:3@7"}
+    assert {f"activation:2@{t}" for t in range(8)} <= keep
+
+
+def test_reports_hold_blocks_and_keys_as_strings(tmp_path, runner):
+    # blocks and keys are tuples in memory; a JSON report holds each as
+    # its "i,j" or "kind:index@step" string, never as a list
+    assert _invoke(runner, tmp_path, "attack", "atk", "--scenario",
+                   "activation-perturbation", "--n-steps", "4",
+                   "--ic", "1").exit_code == 0
+    assert _invoke(runner, tmp_path, "record-infer", "inf",
+                   "--bl", "2").exit_code == 0
+    atk, inf = tmp_path / "atk", tmp_path / "inf"
+    reports = [json.loads((atk / "scenario.json").read_text()),
+               json.loads((inf / "record_report.json").read_text())]
+    for run, args, name in (
+            (atk, ["verify", "--full-scan"], "verify_report.json"),
+            (atk, ["audit", "--m", "3"], "audit_report.json"),
+            (atk, ["audit", "--trials", "5"], "audit_report.json"),
+            (inf, ["verify"], "verify_report.json")):
+        _invoke(runner, tmp_path, args[0], run.name, *args[1:])
+        reports.append(json.loads((run / name).read_text()))
+    named = []
+
+    def walk(v, name=None):
+        if isinstance(v, dict):
+            if name == "verdicts":
+                named.extend(v)
+            for k, x in v.items():
+                walk(x, k)
+        elif isinstance(v, list):
+            assert not (len(v) in (2, 3)
+                        and all(type(x) is int for x in v[-2:])), v
+            for x in v:
+                walk(x, name)
+        elif name in ("block", "failed_key", "key", "sampled",
+                      "failing_blocks", "tampered_blocks") and v is not None:
+            named.append(v)
+
+    for report in reports:
+        walk(report)
+    assert {type(s) for s in named} == {str}
+    keys = [s for s in named if ":" in s]
+    assert keys and all(str(BoundaryKey.parse(s)) == s for s in keys)
+    assert all(str(BlockId.parse(s)) == s for s in named if ":" not in s)
 
 
 def test_prune_of_an_inference_run_keeps_what_its_schedule_commits(

@@ -261,6 +261,39 @@ def test_key_string_roundtrip():
     assert BlockId.parse(str(bid)) == bid
 
 
+def test_keys_hash_compare_and_order_as_their_fields():
+    # a key is the tuple of its fields: hash, order and iteration order of
+    # a set stay those the keys always had, so nothing written moves
+    keys = [BoundaryKey(kind, index, step)
+            for kind in ("parameter", "gradient", "optimizer-state",
+                         "activation")
+            for index in (3, 0, 12) for step in (7, 0, 100)]
+    bids = [BlockId(i, j) for i in (2, 0, 11) for j in (5, 1, 0)]
+    for k in keys + bids:
+        assert hash(k) == hash(tuple(k))
+        assert type(k).parse(str(k)) == k and f"{k}" == str(k)
+    assert sorted(keys) == sorted(keys, key=lambda k: (k.kind, k.index,
+                                                       k.step))
+    assert sorted(bids) == sorted(bids, key=lambda b: (b.i, b.j))
+    assert [tuple(k) for k in set(keys)] == list({tuple(k) for k in keys})
+    assert [str(k) for k in sorted(keys)[:2]] == \
+        ["activation:0@0", "activation:0@7"]
+    assert repr(BlockId(1, 2)) == "BlockId(i=1, j=2)"
+    with pytest.raises(AttributeError):
+        keys[0].step = 1
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_GRIDS))
+def test_a_replay_reads_its_inputs_but_the_loss_seed(name):
+    grid = BlockGrid(SCHEDULE_GRIDS[name])
+    last = grid.n_layer_blocks - 1
+    for i in range(grid.n_layer_blocks):
+        for t in range(grid.config.n_steps):
+            x, upstream = grid.replay_inputs(i, t)
+            assert grid.replay_reads(i, t) == \
+                ((x,) if i == last else (x, upstream))
+
+
 def test_derived_keys_are_the_model_inputs_and_the_step_0_state():
     derived = {"activation:0@0", "activation:0@5", "parameter:3@0",
                "optimizer-state:0@0"}

@@ -9,6 +9,8 @@ from aftune.grid import BoundaryKey
 from aftune.hashing import chunked_hash
 from aftune.store import EvidenceReleasedError, StoreError, TensorStore
 
+from conftest import record_run
+
 
 def _key(i, t=0, kind="activation"):
     return BoundaryKey(kind, i, t)
@@ -61,3 +63,35 @@ def test_prune_releases_evidence(tmp_path):
     assert str(_key(1)) in store.index and not store.has_blob(_key(1))
     with pytest.raises(EvidenceReleasedError):
         store.get_tensor(_key(1))
+
+
+def test_a_stored_digest_is_not_rewritten(tmp_path):
+    store = TensorStore(tmp_path)
+    arr = np.arange(16, dtype=np.float32)
+    _put(store, _key(0), arr)
+    [blob] = store.blob_dir.iterdir()
+    before = blob.stat()
+    _put(store, _key(1), arr)
+    after = blob.stat()
+    assert (after.st_ino, after.st_mtime_ns) == \
+        (before.st_ino, before.st_mtime_ns)
+    assert [p.name for p in store.blob_dir.iterdir()] == [blob.name]
+
+
+def test_a_blob_of_several_mb_round_trips(tmp_path):
+    arr = np.random.default_rng(0).standard_normal((3, 1 << 19), np.float32)
+    store = TensorStore(tmp_path)
+    _put(store, _key(0), arr)
+    store.save_index()
+    [blob] = store.blob_dir.iterdir()
+    assert blob.stat().st_size == arr.nbytes == 6 << 20
+    assert TensorStore(tmp_path).get_tensor(_key(0)).tobytes() \
+        == arr.tobytes()
+
+
+def test_a_recording_leaves_no_temporary_blob(tmp_path):
+    _, result = record_run(tmp_path / "run", ic=1)
+    names = [p.name for p in (tmp_path / "run" / "store").iterdir()]
+    assert names and not [n for n in names if n.endswith(".tmp")]
+    assert set(names) == {ent["digest"]
+                          for ent in result.store.index.values()}

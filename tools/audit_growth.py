@@ -13,12 +13,13 @@ orchestrator replayed for it (``Run._replay_step``, not the verifier's
 replays). It records the run once more with ``--zero-storage`` and
 prints the user CPU time of ``aftune audit --m 3`` on it, where every
 check re-runs training from step 0. It prints the user CPU time per
-step of ``aftune record-train`` for the ``--ic 2`` recording and for one
-more recording with the CLI defaults (blake3 in pure Python,
-``--ic 2``), each timed once. Before the table it prints the user CPU time of
-one ``train_step`` of the mlp preset (batch 16, the default optimizer),
-in microseconds. The other times are the minimum over ``--repeat`` runs
-(audits use seeds 0, 1, ...). The aftune on ``sys.path`` is the one
+step of ``aftune record-train`` for the ``--ic 2``, ``--ic inf`` and
+``--zero-storage`` recordings and for one more recording with the CLI
+defaults (blake3 in pure Python, ``--ic 2``). Before the table it prints
+the user CPU time of one ``train_step`` of the mlp preset (batch 16, the
+default optimizer), in microseconds. Every time is the minimum over
+``--repeat`` runs (audits use seeds 0, 1, ...; each timed recording but
+the first is deleted once timed). The aftune on ``sys.path`` is the one
 measured, so the same script times any checkout:
 
     PYTHONPATH=src python tools/audit_growth.py --steps 96,384,1536
@@ -31,6 +32,7 @@ import contextlib
 import io
 import json
 import resource
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -117,14 +119,20 @@ def _timed(args: list[str]) -> tuple[float, int, int, int]:
     return ms, decoded.calls, replayed.calls, code
 
 
-def _record(run: str, steps: int, *args: str) -> float:
-    """User CPU ms per step of one ``record-train`` of ``steps`` steps."""
-    t0 = _user_cpu()
-    code = _cli(["record-train", run, "--n-steps", str(steps), *args])
-    ms = (_user_cpu() - t0) * 1e3 / steps
-    if code != 0:
-        raise SystemExit(f"record-train of {steps} steps exited {code}")
-    return ms
+def _record(run: str, steps: int, repeat: int, *args: str) -> float:
+    """User CPU ms per step of ``record-train`` of ``steps`` steps, the
+    minimum over ``repeat`` recordings. The first stays at ``run``."""
+    runs = []
+    for r in range(repeat):
+        out = f"{run}-{r}" if r else run
+        t0 = _user_cpu()
+        code = _cli(["record-train", out, "--n-steps", str(steps), *args])
+        runs.append((_user_cpu() - t0) * 1e3 / steps)
+        if code != 0:
+            raise SystemExit(f"record-train of {steps} steps exited {code}")
+        if r:
+            shutil.rmtree(out)
+    return min(runs)
 
 
 def train_step_us(repeat: int) -> float:
@@ -146,10 +154,10 @@ def train_step_us(repeat: int) -> float:
 def measure(root: Path, steps: int, repeat: int) -> dict:
     run, full = str(root / f"run{steps}"), str(root / f"inf{steps}")
     zero, blake3 = str(root / f"zero{steps}"), str(root / f"blake3{steps}")
-    record_ms = _record(run, steps, *SHA256, "--ic", "2")
-    _record(full, steps, *SHA256, "--ic", "inf")
-    _record(zero, steps, *SHA256, "--zero-storage")
-    blake3_record_ms = _record(blake3, steps)
+    record_ms = _record(run, steps, repeat, *SHA256, "--ic", "2")
+    inf_record_ms = _record(full, steps, repeat, *SHA256, "--ic", "inf")
+    zero_record_ms = _record(zero, steps, repeat, *SHA256, "--zero-storage")
+    blake3_record_ms = _record(blake3, steps, repeat)
     audits = [_timed(["audit", run, "--m", "3", "--seed", str(s)])
               for s in range(repeat)]
     zero_audits = [_timed(["audit", zero, "--m", "3", "--seed", str(s)])
@@ -174,6 +182,8 @@ def measure(root: Path, steps: int, repeat: int) -> dict:
     return {
         "steps": steps,
         "record_ms_per_step": round(record_ms, 3),
+        "inf_record_ms_per_step": round(inf_record_ms, 3),
+        "zero_record_ms_per_step": round(zero_record_ms, 3),
         "blake3_record_ms_per_step": round(blake3_record_ms, 3),
         "audit_ms": round(min(ms for ms, *_ in audits), 1),
         "audit_decoded": max(n for _, n, _, _ in audits),
