@@ -24,7 +24,7 @@ from .hashing import chunked_hash_many
 from .ledger import RunLedger
 from .model import backward_block, build_model, forward_block, train_step
 from .recorder import (LEDGER_FILE, build_manifest, record_inference,
-                       record_training)
+                       record_training, rerun_rows)
 from .store import TensorStore
 
 SCENARIOS = (
@@ -141,12 +141,13 @@ def apply_scenario(scenario: str, manifest: dict, out_dir,
 
     if scenario == "activation-perturbation":
         record_training(manifest, out_dir)
-        store = TensorStore(out_dir)
         rng = np.random.default_rng(seed)
         b = grid.n_boundaries // 2
         t = config.n_steps // 2
         key = BoundaryKey("activation", b, t)
-        arr = store.get_tensor(key)
+        # rerun: with one layer block, b is the unstored loss head output
+        arr = next(row[key] for _, row in rerun_rows(manifest, {key})
+                   if key in row)
         delta = rng.normal(0, 1, arr.shape).astype(np.float32)
         delta *= 0.01 * np.linalg.norm(arr) / max(np.linalg.norm(delta), 1e-12)
         rewrite_key(out_dir, key, arr + delta)

@@ -191,6 +191,13 @@ class BlockGrid:
         a, b = self.layer_blocks[i]
         return b - a == 1 and a in self.config.isolate_layers
 
+    def stores_boundary(self, b: int) -> bool:
+        """Whether a training run stores boundary ``b``'s tensors (not the
+        derived model input): interior ones, which replays read, and an
+        isolated block's edge, whose replay drifts; else only commits them."""
+        n = self.n_layer_blocks
+        return 0 < b < n or self.is_isolated(min(b, n - 1))
+
     def checkpoint_interval(self, i: int) -> int | None:
         """Isolated (non-deterministic) layer blocks checkpoint at every
         step block regardless of the configured interval."""
@@ -279,6 +286,13 @@ class BlockGrid:
         return (self.boundary_keys(bid) + self.state_keys(bid.i, entry)
                 + self.state_keys(bid.i, exit_))
 
+    def request_keys(self, bid: BlockId) -> list[BoundaryKey]:
+        """What a training request carries: ``commitment_keys(bid)`` but
+        the edge outputs no run stores."""
+        return [k for k in self.commitment_keys(bid)
+                if k.kind in ("parameter", "optimizer-state") or k.derived
+                or self.stores_boundary(k.index)]
+
     def inference_commitment_keys(self, bid: BlockId) -> list[BoundaryKey]:
         bounds = self.inference_boundaries()
         lo = max(b for b in bounds if b <= bid.i)
@@ -325,10 +339,10 @@ def storage_estimate(config: GridConfig, param_bytes: int, opt_bytes: int,
     """Predicted logical bytes the recorder will persist.
 
     ``boundary_bytes`` is either a per-boundary list of activation sizes
-    or a single uniform size. Gradients mirror activation sizes; the
-    model input is derived, never stored. The returned checkpoint term
-    reflects the actual schedule: blobs at every ic-th step block but the
-    first plus the final state, or nothing in zero-storage mode.
+    or a single uniform size. Gradients mirror activation sizes; only
+    interior boundaries are stored. The returned checkpoint term reflects
+    the actual schedule: blobs at every ic-th step block but the first
+    plus the final state, or nothing in zero-storage mode.
     """
     grid = BlockGrid(config)
     if config.zero_storage:
@@ -345,7 +359,7 @@ def storage_estimate(config: GridConfig, param_bytes: int, opt_bytes: int,
         per_boundary = [int(b) for b in boundary_bytes]
         if len(per_boundary) != grid.n_boundaries:
             raise ValueError("need one size per boundary")
-    # activations but the model input, and gradients
-    bound = config.n_steps * (2 * sum(per_boundary) - per_boundary[0])
+    bound = config.n_steps * 2 * sum(
+        size for b, size in enumerate(per_boundary) if grid.stores_boundary(b))
     return {"checkpoint_bytes": ckpt, "boundary_bytes": bound,
             "total_bytes": ckpt + bound}

@@ -13,8 +13,8 @@ row; after any other verdict, in workers, and between blocks the walk
 replays the row itself (``_stopped`` gives the verdict where it raises).
 It also reconstructs model state from sparse checkpoints. The client
 ships what it derives from the manifest, a training run's model inputs
-and step-0 state, and never reads them from the store: the verifier's
-hash check against the ledger is the check of the grid's edges, and
+and step-0 state, and no edge output, which no run stores: the
+verifier's hash checks against the ledger check the grid's edges, and
 neighbors share each key's one digest by construction.
 """
 
@@ -198,7 +198,7 @@ class Run:
         by_row: dict[int, list[BlockId]] = {}
         for bid in order:
             by_row.setdefault(bid.j, []).append(bid)
-        wanted = {k for bid in order for k in self.grid.commitment_keys(bid)}
+        wanted = {k for bid in order for k in self.grid.request_keys(bid)}
         rerun = rerun_rows(self.manifest, wanted)
         done = 0
         while done < len(order):
@@ -229,7 +229,8 @@ class Run:
             t_in, t_out = grid.commitment_boundary_steps(bid.j)
             try:
                 tensors = {str(k): self._boundary(k)
-                           for k in grid.boundary_keys(bid)}
+                           for k in grid.request_keys(bid)
+                           if k.kind in ("activation", "gradient")}
                 row = rows[i] = self._row_at(i, t_in, rows.pop(i, None))
                 if row.broken:
                     yield bid, replace(row.broken, block=bid)

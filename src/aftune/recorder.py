@@ -12,8 +12,8 @@ from .data import make_dataset
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from .hashing import Digest, chunked_hash_many
 from .ledger import RunLedger
-from .model import (ModelState, build_model, forward_block, param_bytes,
-                    params_digest, train_step)
+from .model import (Batch, ModelState, build_model, forward_block,
+                    param_bytes, params_digest, train_step)
 from .store import TensorStore
 from .tensors import NonFiniteError
 
@@ -41,13 +41,20 @@ class RunContext:
         self.run_seed = manifest["run_seed"]
         self.batch_size = manifest["batch_size"]
         self.algo = manifest["hash_algo"]
+        self._batches: dict[int, Batch] = {}
         self.batch(0)  # a dataset that yields no batch raises here
 
     def fresh_state(self) -> ModelState:
         return ModelState(self.manifest["model"], self.manifest["optimizer"])
 
     def batch(self, t: int):
-        return self.dataset.batch(self.run_seed, t, self.batch_size)
+        """Step ``t``'s batch, derived once per context, its arrays
+        read-only so that no consumer corrupts a later replay's."""
+        if t not in self._batches:
+            b = self._batches[t] = self.dataset.batch(self.run_seed, t,
+                                                      self.batch_size)
+            b.inputs.flags.writeable = b.labels.flags.writeable = False
+        return self._batches[t]
 
     def hash_many(self, items) -> list[Digest]:
         return chunked_hash_many(items, self.config.chunk_size, self.algo)
@@ -119,8 +126,8 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
     the same manifest: instrumentation only reads state. ``step`` runs
     one training step (default: the honest ``train_step``). Every
     tensor a step-block row commits is hashed in one batch once the
-    row's last step has run, then stored (but for the model inputs and
-    the step-0 state, which a client derives), then the row is sealed.
+    row's last step has run, then stored where a replay reads it (derived
+    tensors and edge outputs are only committed), then the row is sealed.
     However the run stops (a non-finite step raises NonFiniteError
     naming it), the store's index is saved, so the sealed rows stay
     verifiable; an unsealed row leaves no blob and no index record.
@@ -150,11 +157,12 @@ def record_training(manifest: dict, out_dir, step=train_step) -> RunResult:
 
     def commit_boundaries(trace, t: int) -> None:
         """Queue the activation and gradient at every grid boundary of
-        step ``t``, to be stored unless the run is zero-storage or the
-        tensor is the derived model input."""
+        step ``t``, to be stored where some replay reads them, unless the
+        run is zero-storage or the tensor is the derived model input."""
         losses.append(trace.loss)
         put = None if ctx.config.zero_storage else store.put_tensor
-        pending.extend((key, arr, None if key.derived else put)
+        pending.extend((key, arr, put if grid.stores_boundary(key.index)
+                        and not key.derived else None)
                        for key, arr in ctx.boundary_tensors(trace, t).items())
 
     try:
@@ -261,12 +269,13 @@ def record_inference(manifest: dict, layers, x: np.ndarray, out_dir) -> RunResul
 def reference_closure(grid: BlockGrid, bids: list[BlockId],
                       mode: str) -> set[BoundaryKey]:
     """Keys a later verification of ``bids`` of a ``mode`` run may need:
-    their committed keys, the checkpoints their rows' replays start from,
-    and the boundary tensors those replays consume up to each block's
-    entry."""
+    the committed keys their requests carry, the checkpoints their rows'
+    replays start from, and the boundary tensors those replays consume up
+    to each block's entry."""
     keep: set[BoundaryKey] = set()
     for bid in bids:
-        keep.update(grid.committed_keys(bid, mode))
+        keep.update(grid.request_keys(bid) if mode == "training"
+                    else grid.committed_keys(bid, mode))
         target = grid.step_blocks[bid.j][0]
         t0 = grid.replay_origin(bid.i, target)
         if t0 is not None:

@@ -1,12 +1,13 @@
 """Content-addressable tensor store.
 
-Blobs live at ``<root>/store/<hex-digest>`` so tensors shared between
-adjacent blocks (or bit-identical across steps) are physically stored
-once. A new blob is written whole to ``<hex-digest>.tmp``, through
-``os`` calls on a string path, and renamed into place; a digest already
-stored is not written again. Blobs are not fsynced, while ledger rows
-are: after a crash the newest blobs may be lost, and the blocks that
-read them do not verify. The index maps boundary keys to (digest,
+Blobs live at ``<root>/store/<hex-digest>``, so bit-identical tensors
+are physically stored once. A training run stores what some replay
+reads: its checkpoints and interior boundary tensors, not the edge
+outputs a verifier checks by digest. A new blob is written whole to
+``<hex-digest>.tmp`` through ``os`` calls and renamed into place; a
+stored digest is not written again. Blobs are not fsynced, while ledger
+rows are: after a crash the newest blobs may be lost, and the blocks
+that read them do not verify. The index maps stored keys to (digest,
 length, shape); logical byte accounting sums blob lengths per index
 entry, independent of physical deduplication.
 """

@@ -3,11 +3,11 @@
 The verifier models the TEE side: it receives a self-contained request
 (block-scoped tensors plus the ledger digests they must match), replays
 the block, and reports Pass/Fail. Hash checks confirm the provided
-stored tensors are the committed ones; numerical checks confirm the
-recomputation reproduces them byte for byte, the rule the digests
-already apply (only a kernel that is not deterministic may drift, by
-the bound its layer kind declares). It can run in-process or as an
-isolated worker process that sees nothing but the request bytes.
+tensors are the committed ones; numerical checks confirm the replay
+reproduces each output byte for byte: the carried copy, or else its
+ledger digest (only a kernel that is not deterministic may drift from
+a carried copy, by the bound its layer kind declares). It can run in
+process or as an isolated worker process that sees only request bytes.
 """
 
 from __future__ import annotations
@@ -249,12 +249,6 @@ class _FailureCollector:
             self.report.failed_key = str(key)
         return not self.full_scan
 
-    def compare(self, key, same: bool) -> bool:
-        """A numerical mismatch at ``key`` unless its replay reproduced
-        the committed data (``same``); returns True when verification
-        should stop."""
-        return not same and self.fail(NUMERICAL_MISMATCH, key)
-
 
 def _check_hashes(req: VerificationRequest, grid: BlockGrid, keys,
                   collector) -> bool:
@@ -285,13 +279,13 @@ def _check_hashes(req: VerificationRequest, grid: BlockGrid, keys,
 
 def _verify_training(req: VerificationRequest, grid: BlockGrid,
                      collector: _FailureCollector) -> ModelState | None:
-    """Replay one training block cell and check it against its
-    commitments (hash integrity first, then numerical correctness of the
-    forward, backward, and parameter-update recomputation). Returns the
-    replayer at the block's exit step once every check ran, else None."""
+    """Replay one training block cell and check it: the hashes of what
+    the request carries (at least the entry state and replay inputs), then
+    each step's outputs and the exit state, in one ``_compare`` batch.
+    Returns the replayer at the block's exit once all checks ran, else None."""
     i, j = req.block.i, req.block.j
     t_in, t_out = grid.commitment_boundary_steps(j)
-    if t_out - t_in > len(req.tensors):  # a step replays four tensors
+    if t_out - t_in > len(req.tensors):  # a step reads its input activation
         raise VerifierError(f"block {req.block} spans more steps than the "
                             f"request carries tensors")
     steps = range(t_in, t_out)
@@ -300,18 +294,19 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
     # integrity of everything provided (Step-1 preconditions first)
     entry_keys = grid.state_keys(i, t_in)
     exit_keys = grid.state_keys(i, t_out)
-    stored_exit = [k for k in exit_keys if str(k) in req.tensors]
-    if _check_hashes(req, grid, entry_keys + grid.boundary_keys(req.block)
-                     + stored_exit, collector):
+    reads = {k for t in steps for k in grid.replay_reads(i, t)}
+    if _check_hashes(req, grid, entry_keys + [
+            k for k in grid.boundary_keys(req.block) + exit_keys
+            if k in reads or str(k) in req.tensors], collector):
         return
 
-    config = grid.config
     # the loss block backpropagates the seed its loss derives, and the
-    # recorded final-boundary gradient must be that seed
-    loss = config.n_layers - 1 in layer_ids
+    # committed final-boundary gradient must be that seed
+    loss = grid.config.n_layers - 1 in layer_ids
     replayer = ModelState(req.model, req.optimizer, layer_ids,
                           {k: req.tensors[str(k)] for k in entry_keys})
     drift = max(layer.drift for layer in replayer.layers)
+    compared = []  # each step's outputs, then the exit state, in order
     for t in steps:
         x_key, up_key = grid.replay_inputs(i, t)
         x = req.tensors[str(x_key)]
@@ -319,34 +314,39 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
         try:
             acts, gacts = replayer.replay_step(x, upstream,
                                                labels=req.labels.get(t))
-        except NonFiniteError:
+        except Exception as e:
+            # as if each step were compared as it ran: earlier ones first
+            if _compare(req, grid, compared, drift, collector):
+                return
+            if not isinstance(e, NonFiniteError):
+                raise
             # replay cannot go on past NaN/Inf, full scan or not
             collector.fail(NON_FINITE, non_finite_key(grid, i, t, x, upstream))
             return
-        compared = [(gacts[-1], up_key)] if loss else []
-        compared += zip((acts[-1], gacts[0]), grid.replay_outputs(i, t))
-        for replayed, key in compared:
-            if collector.compare(key, _reproduces(
-                    replayed, req.tensors[str(key)], drift)):
-                return
+        compared += [(up_key, gacts[-1])] if loss else []
+        compared += zip(grid.replay_outputs(i, t), (acts[-1], gacts[0]))
+    compared += [(k, replayer.blob(k)) for k in exit_keys]
+    if not _compare(req, grid, compared, drift, collector):
+        return replayer
 
-    # block-exit parameter/optimizer check: a stored blob against the
-    # replayed one, else the replayed blob's digest against the ledger's
-    replayed = {k: replayer.blob(k) for k in exit_keys}
-    unstored = [k for k in exit_keys if k not in stored_exit]
-    for k in unstored:
-        if str(k) not in req.ledger_digests:
-            raise VerifierError(f"request is missing ledger digest for {k}")
-    hashed = dict(zip(unstored, chunked_hash_many(
-        [replayed[k] for k in unstored], config.chunk_size, req.hash_algo)))
-    for k in exit_keys:
+
+def _compare(req: VerificationRequest, grid: BlockGrid, replayed, drift,
+             collector: _FailureCollector) -> bool:
+    """Check each ``(key, replayed tensor)`` in order against the bytes
+    the request carries, else against the key's ledger digest (all such
+    hashed in one batch). True when verification should stop."""
+    unsent = [(k, r) for k, r in replayed if str(k) not in req.tensors]
+    if any(str(k) not in req.ledger_digests for k, _ in unsent):
+        raise VerifierError("request is missing an output's ledger digest")
+    hashed = dict(zip((k for k, _ in unsent), chunked_hash_many(
+        [r for _, r in unsent], grid.config.chunk_size, req.hash_algo)))
+    for k, r in replayed:
         head = 4 if k.kind == "optimizer-state" else 0
         same = hashed[k].value == req.ledger_digests[str(k)].value \
-            if k in hashed \
-            else _reproduces(replayed[k], req.tensors[str(k)], drift, head)
-        if collector.compare(k, same):
-            return
-    return replayer
+            if k in hashed else _reproduces(r, req.tensors[str(k)], drift, head)
+        if not same and collector.fail(NUMERICAL_MISMATCH, k):
+            return True
+    return False
 
 
 class BindingMemo:
@@ -404,9 +404,8 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
         collector.fail(NON_FINITE,
                        keys[0] if not np.isfinite(x).all() else keys[1])
         return
-    collector.compare(keys[1], _reproduces(
-        acts[-1], req.tensors[str(keys[1])],
-        max(layer.drift for layer in replayer.layers)))
+    _compare(req, grid, [(keys[1], acts[-1])],
+             max(layer.drift for layer in replayer.layers), collector)
 
 
 def verify_block(req: VerificationRequest,

@@ -10,7 +10,7 @@ import pytest
 
 from aftune.presets import (dataset_for, default_optimizer, grid_for,
                             model_for)
-from aftune.recorder import build_manifest, record_training
+from aftune.recorder import build_manifest, record_training, rerun_rows
 
 # worker processes the tests start themselves import aftune from this
 # checkout, as pytest's own ``pythonpath`` setting does for the tests
@@ -44,6 +44,14 @@ def mlp_run(tmp_path_factory):
     run_dir = tmp_path_factory.mktemp("runs") / "mlp"
     manifest, result = record_run(run_dir)
     return {"dir": run_dir, "manifest": manifest, "result": result}
+
+
+def committed_tensor(manifest: dict, key):
+    """The tensor a run of ``manifest`` commits under ``key``, rerun: the
+    grid's edge outputs are committed but not stored."""
+    for _, row in rerun_rows(manifest, {key}):
+        if key in row:
+            return row[key]
 
 
 def copy_run(src_dir, dst_dir) -> Path:

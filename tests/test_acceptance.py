@@ -37,7 +37,7 @@ from aftune.store import TensorStore
 from aftune.verifier import (FAIL, HASH_MISMATCH, NON_FINITE,
                              NUMERICAL_MISMATCH, PASS)
 
-from conftest import make_manifest, record_run
+from conftest import committed_tensor, make_manifest, record_run
 from test_engine import _fd_check, _layer_instance
 
 
@@ -114,12 +114,16 @@ def test_acceptance_detection_probability(tmp_path):
     # sampling m=3 of 9 must detect at exactly 1/3
     manifest = make_manifest(n_steps=6, bl=2, bs=2, ic=1)
     record_training(manifest, tmp_path / "run")
-    store = TensorStore(tmp_path / "run")
-    key = BoundaryKey("gradient", 0, 2)  # checked only by block (0,1)
-    blob = store.blob_dir / store.index[str(key)]["digest"]
-    raw = bytearray(blob.read_bytes())
-    raw[0] ^= 0x01
-    blob.write_bytes(bytes(raw))
+    # an edge output, committed but not stored: only its producing block
+    # (0,1) checks it, by hashing its replay
+    key = BoundaryKey("gradient", 0, 2)
+    ledger = RunLedger.load(tmp_path / "run" / LEDGER_FILE)
+    for e in ledger.entries:
+        if key in e.entries:
+            d = e.entries[key]
+            e.entries[key] = type(d)(bytes([d.value[0] ^ 1]) + d.value[1:],
+                                     d.algo)
+    ledger.save(tmp_path / "run" / LEDGER_FILE)
     plan = AuditPlan(m=3, strategy="uniform", seed=2)
     result = run_campaign(Run.open(tmp_path / "run"), plan, trials=10_000)
     assert result.failing_blocks == ["0,1"]
@@ -176,9 +180,8 @@ def test_acceptance_small_forgeries_fail_numerically(tmp_path):
     for n, (b, t) in enumerate(cases):
         run = tmp_path / f"forged{n}"
         shutil.copytree(tmp_path / "base", run)
-        store = TensorStore(run)
         key = BoundaryKey("activation", b, t)
-        x = store.get_tensor(key)
+        x = committed_tensor(manifest, key)
         noise = rng.normal(size=x.shape).astype(np.float32)
         # relative L2 of the forgery, log-uniform in [1e-6, 1e-3]
         rel = float(10 ** rng.uniform(-6, -3))

@@ -124,15 +124,20 @@ def test_backdoor_poison_detected_by_input_anchors(tmp_path):
         str(BlockId(head, j)) for j in range(grid.n_step_blocks)}
 
 
-@pytest.mark.parametrize("scenario, ic", [
-    pytest.param("activation-perturbation", 1, id="activation-perturbation"),
-    pytest.param("parameter-poison", 1, id="parameter-poison"),
-    pytest.param("parameter-poison", None, id="parameter-poison-ic-inf")])
-def test_forgery_scenarios_fail_replay(tmp_path, scenario, ic):
+@pytest.mark.parametrize("scenario, ic, bl", [
+    pytest.param("activation-perturbation", 1, 2,
+                 id="activation-perturbation"),
+    pytest.param("activation-perturbation", 1, 6,
+                 id="activation-perturbation-one-layer-block"),
+    pytest.param("parameter-poison", 1, 2, id="parameter-poison"),
+    pytest.param("parameter-poison", None, 2, id="parameter-poison-ic-inf")])
+def test_forgery_scenarios_fail_replay(tmp_path, scenario, ic, bl):
     # ic=1 keeps every block entry checkpointed, so the forgery's blast
     # radius is exactly the blocks the scenario reports; at ic=inf the
-    # poisoned tensor is the final state, which only the last row commits
-    manifest = make_manifest(ic=ic)
+    # poisoned tensor is the final state, which only the last row commits;
+    # with one layer block the forged activation is the loss head's
+    # output, which the run commits but does not store
+    manifest = make_manifest(ic=ic, bl=bl)
     result = apply_scenario(scenario, manifest, tmp_path / "sc")
     verdicts = _verdicts(tmp_path / "sc")
     assert result.tampered_blocks

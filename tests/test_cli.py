@@ -779,17 +779,14 @@ def test_prune_at_infinite_interval_keeps_the_replay_inputs(tmp_path, runner):
 
 
 def test_the_loss_block_row_replay_reads_no_seed_gradient(tmp_path, runner):
-    # the loss block backpropagates the seed its loss derives, so replaying
-    # its row to block 2,3's entry reads no gradient:3@t: with those index
-    # entries gone nothing the block checks is missing
+    # the loss block backpropagates the seed its loss derives, so neither
+    # replaying its row to block 2,3's entry nor the block itself reads a
+    # gradient:3@t: the recorder stores none, and the block verifies
     assert _invoke(runner, tmp_path, "record-train", "run", "--n-steps", "8",
                    "--bl", "2", "--bs", "2", "--ic", "inf",
                    "--algo", "sha256").exit_code == 0
-    index_path = tmp_path / "run" / "index.json"
-    index = json.loads(index_path.read_text())
-    for t in range(6):
-        del index[f"gradient:3@{t}"]
-    index_path.write_text(json.dumps(index))
+    index = json.loads((tmp_path / "run" / "index.json").read_text())
+    assert not [k for k in index if k.startswith("gradient:3@")]
     for args in ([], ["--isolated"]):
         result = _invoke(runner, tmp_path, "verify", "run", "--block", "2,3",
                          *args)
@@ -797,8 +794,7 @@ def test_the_loss_block_row_replay_reads_no_seed_gradient(tmp_path, runner):
     grid = Run.open(tmp_path / "run").grid
     keep = {str(k) for k in reference_closure(grid, [BlockId(2, 3)],
                                               "training")}
-    assert {f"gradient:3@{t}" for t in range(8)} & keep \
-        == {"gradient:3@6", "gradient:3@7"}
+    assert not {f"gradient:3@{t}" for t in range(8)} & keep
     assert {f"activation:2@{t}" for t in range(8)} <= keep
 
 

@@ -310,12 +310,13 @@ def test_storage_estimate_matches_hand_formula():
                            boundary_bytes=sizes)
     # checkpoints at steps 4, 8 (step 0 is derived): 2 * (1000 + 2000)
     assert est["checkpoint_bytes"] == 2 * 3000
-    # activations + gradients at every boundary, every step, but the
-    # derived model input
-    assert est["boundary_bytes"] == 2 * 8 * sum(sizes) - 8 * 64
+    # activations + gradients at the interior boundaries, every step: the
+    # model input is derived, and the grid's edge outputs are committed
+    # but not stored
+    assert est["boundary_bytes"] == 2 * 8 * (256 + 256)
     assert est["total_bytes"] == est["checkpoint_bytes"] + est["boundary_bytes"]
     uniform = storage_estimate(config, 1000, 2000, 100)
-    assert uniform["boundary_bytes"] == (2 * 4 - 1) * 8 * 100
+    assert uniform["boundary_bytes"] == 2 * 2 * 8 * 100
 
 
 def test_storage_estimate_zero_storage_and_errors():

@@ -20,10 +20,11 @@ from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig, \
 from aftune.hashing import chunked_hash
 from aftune.ledger import RunLedger, ledger_digest
 from aftune.model import build_model, forward_block, param_bytes, train_step
-from aftune.presets import dataset_for, model_for
+from aftune.data import make_dataset
+from aftune.presets import dataset_for, default_optimizer, model_for
 from aftune.orchestrate import Run
 from aftune.recorder import (LEDGER_FILE, RunContext, build_inference_manifest,
-                             record_inference, record_training, rerun_rows,
+                             build_manifest, record_inference, record_training, rerun_rows,
                              run_uninstrumented)
 from aftune.store import TensorStore
 from aftune.tensors import NonFiniteError
@@ -111,9 +112,10 @@ def test_ledger_format_is_the_key_schedule(tmp_path):
 
 # sha256 over every block's verification request bytes of the fixed
 # 4-step sha256 run: any change to what a request carries, or in which
-# order, shows here
+# order, shows here (the grid's edge outputs are not carried: the
+# verifier checks their replay by digest)
 GOLDEN_REQUESTS_DIGEST = \
-    "2bb1d2c62a6bf5d3805a693163a4b5e07e944ea59336b1dfd66c76f4a23820de"
+    "c1043f998bc4f687f1af07cf92920612cd61a507850e2bc898b4bc6928d4bb7c"
 
 
 def test_request_bytes_are_golden(tmp_path):
@@ -387,6 +389,87 @@ def test_derived_tensors_are_committed_but_never_stored(tmp_path, ic):
     for isolated in (False, True):
         reports = run.verify(run.grid.block_ids(), isolated=isolated)
         assert [r.verdict for r in reports] == ["pass"] * len(reports)
+
+
+def _storage_estimate(manifest) -> dict:
+    """``storage_estimate`` of ``manifest``'s run, sized from its honest
+    rerun's final state and step-0 activations."""
+    ctx = RunContext(manifest)
+    state, _ = run_uninstrumented(manifest)
+    p_total = sum(len(param_bytes(l)) for l in state.layers)
+    o_total = sum(len(state.blob(BoundaryKey("optimizer-state", l, 0)))
+                  for l in range(len(state.layers)))
+    acts, _ = forward_block(state.layers, ctx.batch(0).inputs,
+                            labels=ctx.batch(0).labels)
+    sizes = [acts[ctx.grid.boundary_layer(b)].nbytes
+             for b in range(ctx.grid.n_boundaries)]
+    return storage_estimate(ctx.config, p_total, o_total, sizes)
+
+
+@pytest.mark.parametrize("ic", [1, 2, None], ids=["ic-1", "ic-2", "ic-inf"])
+@pytest.mark.parametrize("bl", [1, 2, "n_layers"])
+@pytest.mark.parametrize("preset", ["mlp", "attention", "unstable"])
+def test_store_holds_the_interior_boundaries_and_the_checkpoints(
+        tmp_path, preset, bl, ic):
+    # a replay reads the interior boundaries alone: the grid's edge outputs
+    # (the input gradient, the loss head's output and its seed) are
+    # committed, and checked by the block producing them, but not stored
+    n_layers = len(model_for(preset)["layers"])
+    manifest = make_manifest(preset, n_steps=4, ic=ic, algo="sha256",
+                             bl=n_layers if bl == "n_layers" else bl)
+    result = record_training(manifest, tmp_path / "run")
+    grid = result.ledger.grid
+    n = grid.n_layer_blocks
+    # one layer block has no interior boundary, unless a layer is isolated
+    assert (n == 1) == (bl == "n_layers" and preset != "unstable")
+    want = {f"{kind}:{b}@{t}" for t in range(4) for b in range(1, n)
+            for kind in ("activation", "gradient")}
+    want |= {str(k) for i in range(n) for t in grid.checkpoint_steps(i)
+             for k in grid.state_keys(i, t)}
+    assert set(result.store.index) == want
+    if preset != "unstable":  # the estimate takes no per-layer sizes
+        assert result.bytes_written == _storage_estimate(manifest)[
+            "total_bytes"]
+    reports = Run.open(tmp_path / "run").verify(grid.block_ids())
+    assert [r.verdict for r in reports] == ["pass"] * len(reports)
+
+
+def test_an_isolated_edge_block_stores_its_edge_output(tmp_path):
+    # a layer that is not deterministic drifts in replay, so the input
+    # gradient of an isolated first layer is stored and compared with the
+    # stored bytes within its drift, not by digest
+    model = {"seed": 7, "layers": [
+        {"kind": "unstable-scale", "dim": 2},
+        {"kind": "linear", "d_in": 2, "d_out": 3},
+        {"kind": "softmax-cross-entropy-head", "n_classes": 3}]}
+    config = GridConfig(n_layers=3, n_steps=4, bl=2, bs=2, ic=2,
+                        isolate_layers=(0,))
+    manifest = build_manifest(model, default_optimizer(), dataset_for("mlp"),
+                              config, 11, 8, "sha256")
+    result = record_training(manifest, tmp_path / "run")
+    assert {k for k in result.store.index if k.startswith("gradient:")} == {
+        f"gradient:{b}@{t}" for b in (0, 1) for t in range(4)}
+    assert not [k for k in result.store.index if k.startswith("activation:2")]
+    run = Run.open(tmp_path / "run")
+    for isolated in (False, True):
+        reports = run.verify(run.grid.block_ids(), isolated=isolated)
+        assert [r.verdict for r in reports] == ["pass"] * len(reports)
+
+
+def test_run_context_derives_each_batch_once_read_only():
+    manifest = make_manifest(n_steps=4)
+    ctx = RunContext(manifest)
+    batch = ctx.batch(3)
+    assert ctx.batch(3) is batch
+    fresh = make_dataset(manifest["dataset"]["spec"]).batch(
+        manifest["run_seed"], 3, manifest["batch_size"])
+    for got, want in ((batch.inputs, fresh.inputs),
+                      (batch.labels, fresh.labels)):
+        assert (got.dtype, got.shape, got.tobytes()) == \
+            (want.dtype, want.shape, want.tobytes())
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0
 
 
 def test_stored_digests_match_ledger(tmp_path):

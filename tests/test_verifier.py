@@ -21,14 +21,16 @@ from aftune.hashing import Digest, chunked_hash
 from aftune.orchestrate import Run
 from aftune.model import (ModelState, StepTrace, backward_block,
                           forward_block, params_digest)
+from aftune.adversary import rewrite_key
 from aftune.recorder import record_training
 from aftune.tensors import BlobError
-from aftune.verifier import (FAIL, HASH_MISMATCH, NUMERICAL_MISMATCH, PASS,
+from aftune.verifier import (FAIL, HASH_MISMATCH, NON_FINITE,
+                             NUMERICAL_MISMATCH, PASS,
                              REFUSED, BindingMemo, VerificationReport,
                              VerificationRequest, VerifierError, refusal,
                              verify_block, verify_or_refuse)
 
-from conftest import copy_run, make_manifest
+from conftest import committed_tensor, copy_run, make_manifest
 
 
 def _request(run, bid=BlockId(0, 0), **kw):
@@ -233,11 +235,13 @@ def test_mismatch_before_a_missing_tensor_stays_a_failure(mlp_run):
 
 def test_loss_block_replays_its_request_labels(mlp_run):
     # the labels travel in the request, derived from the manifest's spec,
-    # and no ledger digest binds them: the replay does
+    # and no ledger digest binds them: the replay does, whose output and
+    # seed the request does not carry and the ledger's digests check
     bid = BlockId(mlp_run["result"].ledger.grid.n_layer_blocks - 1, 1)
     req = _request(mlp_run, bid)
     assert set(req.labels) == {2, 3}
-    assert set(req.ledger_digests) == set(req.tensors)
+    assert set(req.ledger_digests) - set(req.tensors) == {
+        f"{kind}:3@{t}" for kind in ("activation", "gradient") for t in (2, 3)}
     assert verify_block(req).verdict == PASS
     req.labels[3] = (req.labels[3] + 1) % 2
     report = verify_block(req)
@@ -249,6 +253,89 @@ def test_loss_block_replays_its_request_labels(mlp_run):
     with pytest.raises(ValueError, match="needs labels"):
         verify_block(req)
     assert verify_or_refuse(req).verdict == REFUSED
+
+
+@pytest.mark.parametrize("edge", ["input-gradient", "loss-head-output"])
+def test_a_recommitted_edge_output_fails_its_producer_alone(tmp_path, edge):
+    # an edge output is committed but not stored: its producing block
+    # checks its replay against the ledger digest, and no other block
+    # reads it
+    manifest = make_manifest(n_steps=4, algo="sha256")
+    record_training(manifest, tmp_path / "run")
+    n = BlockGrid(GridConfig.from_dict(manifest["grid"])).n_layer_blocks
+    key, producer = {
+        "input-gradient": (BoundaryKey("gradient", 0, 2), BlockId(0, 1)),
+        "loss-head-output": (BoundaryKey("activation", n, 2),
+                             BlockId(n - 1, 1))}[edge]
+    rewrite_key(tmp_path / "run", key,
+                committed_tensor(manifest, key) + np.float32(1e-3))
+    run = Run.open(tmp_path / "run")
+    for isolated in (False, True):
+        reports = run.verify(run.grid.block_ids(), isolated=isolated)
+        assert {r.block: (r.verdict, r.cause, r.failed_key)
+                for r in reports if not r.passed} == \
+            {producer: (FAIL, NUMERICAL_MISMATCH, str(key))}
+
+
+def test_a_carried_edge_output_is_hash_checked_and_compared(mlp_run):
+    # a request may still carry an edge output: its bytes are checked
+    # against the ledger digest, and the replay against those bytes
+    bid = BlockId(mlp_run["result"].ledger.grid.n_layer_blocks - 1, 1)
+    key = "activation:3@2"
+    committed = committed_tensor(mlp_run["manifest"],
+                                  BoundaryKey.parse(key))
+    req = _request(mlp_run, bid)
+    assert key not in req.tensors
+    req.tensors[key] = committed
+    assert verify_block(req).verdict == PASS
+    req.tensors[key] = committed + np.float32(1e-3)
+    for cause in (HASH_MISMATCH, NUMERICAL_MISMATCH):
+        for report in (verify_block(req), verify_or_refuse(req.to_bytes())):
+            assert (report.verdict, report.cause, report.failed_key) == \
+                (FAIL, cause, key)
+        # re-committed to the carried bytes, the replay still differs
+        req.ledger_digests[key] = chunked_hash(
+            req.tensors[key], req.grid["chunk_size"], req.hash_algo)
+
+
+@pytest.mark.parametrize("later", ["non-finite", "raises"])
+def test_an_output_mismatch_is_reported_before_a_later_step_fails(mlp_run,
+                                                                  later):
+    # the outputs of a block's steps are compared in one batch, but in
+    # step order and before any later step that cannot be replayed: the
+    # loss block's step-2 output is re-committed, and its step-3 input
+    # holds a NaN or has rows its labels do not fit
+    bid = BlockId(mlp_run["result"].ledger.grid.n_layer_blocks - 1, 1)
+    out, x = "activation:3@2", "activation:2@3"
+    failures = []
+    for full_scan in (False, True):
+        req = _request(mlp_run, bid, full_scan=full_scan)
+        req.ledger_digests[out] = Digest(bytes(32), req.hash_algo)
+        bad = req.tensors[x].copy()
+        if later == "non-finite":
+            bad[0, 0] = np.nan
+        else:
+            bad = bad[:4]
+        req.tensors[x] = bad
+        req.ledger_digests[x] = chunked_hash(bad, req.grid["chunk_size"],
+                                             req.hash_algo)
+        report = verify_or_refuse(req)
+        failures.append((report.verdict, report.failures))
+    assert failures[0] == (FAIL, [{"cause": NUMERICAL_MISMATCH, "key": out}])
+    assert failures[1] == ((FAIL, [{"cause": NUMERICAL_MISMATCH, "key": out},
+                                   {"cause": NON_FINITE, "key": x}])
+                           if later == "non-finite" else (REFUSED, []))
+
+
+@pytest.mark.parametrize("bid,key", [
+    (BlockId(1, 1), "gradient:2@3"), (BlockId(1, 1), "activation:1@2"),
+    (BlockId(1, 1), "parameter:2@2"), (BlockId(2, 1), "activation:2@3")])
+def test_a_request_missing_a_replay_input_is_refused(mlp_run, bid, key):
+    req = _request(mlp_run, bid)
+    del req.tensors[key]
+    for report in (verify_or_refuse(req), verify_or_refuse(req.to_bytes())):
+        assert report.verdict == REFUSED
+        assert report.note == f"request is missing tensor {key}"
 
 
 def test_unknown_mode_rejected(mlp_run):

@@ -15,7 +15,12 @@ prints the user CPU time of ``aftune audit --m 3`` on it, where every
 check re-runs training from step 0. It prints the user CPU time per
 step of ``aftune record-train`` for the ``--ic 2``, ``--ic inf`` and
 ``--zero-storage`` recordings and for one more recording with the CLI
-defaults (blake3 in pure Python, ``--ic 2``). Before the table it prints
+defaults (blake3 in pure Python, ``--ic 2``), each beside its system CPU
+time per step (blob files are created in the kernel). For the ``--ic 2``
+and ``--ic inf`` recordings it prints what they leave on disk: evidence
+bytes per step (``ledger.bin``, ``index.json`` and the blobs, as
+``perfbench`` counts them), the number of blob files and the size of
+``index.json``. Before the table it prints
 the user CPU time of one ``train_step`` of the mlp preset (batch 16, the
 default optimizer), in microseconds. Every time is the minimum over
 ``--repeat`` runs (audits use seeds 0, 1, ...; each timed recording but
@@ -53,6 +58,10 @@ SHA256 = ["--bl", "2", "--bs", "2", "--algo", "sha256", "--batch-size", "8"]
 
 def _user_cpu() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_utime
+
+
+def _sys_cpu() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_stime
 
 
 class _DecodeCounter:
@@ -119,20 +128,34 @@ def _timed(args: list[str]) -> tuple[float, int, int, int]:
     return ms, decoded.calls, replayed.calls, code
 
 
-def _record(run: str, steps: int, repeat: int, *args: str) -> float:
-    """User CPU ms per step of ``record-train`` of ``steps`` steps, the
-    minimum over ``repeat`` recordings. The first stays at ``run``."""
-    runs = []
+def _record(run: str, steps: int, repeat: int,
+            *args: str) -> tuple[float, float]:
+    """User and system CPU ms per step of ``record-train`` of ``steps``
+    steps, each the minimum over ``repeat`` recordings. The first stays at
+    ``run``."""
+    user, system = [], []
     for r in range(repeat):
         out = f"{run}-{r}" if r else run
-        t0 = _user_cpu()
+        t0, s0 = _user_cpu(), _sys_cpu()
         code = _cli(["record-train", out, "--n-steps", str(steps), *args])
-        runs.append((_user_cpu() - t0) * 1e3 / steps)
+        user.append((_user_cpu() - t0) * 1e3 / steps)
+        system.append((_sys_cpu() - s0) * 1e3 / steps)
         if code != 0:
             raise SystemExit(f"record-train of {steps} steps exited {code}")
         if r:
             shutil.rmtree(out)
-    return min(runs)
+    return min(user), min(system)
+
+
+def _on_disk(run: str, steps: int) -> tuple[float, int, int]:
+    """Evidence bytes per step of the recording at ``run`` (its ledger,
+    index and blobs, as ``perfbench`` counts them), its number of blob
+    files and the bytes of its ``index.json``."""
+    run = Path(run)
+    blobs = [p.stat().st_size for p in (run / "store").iterdir()]
+    index = (run / "index.json").stat().st_size
+    ledger = (run / "ledger.bin").stat().st_size
+    return round((ledger + index + sum(blobs)) / steps, 2), len(blobs), index
 
 
 def train_step_us(repeat: int) -> float:
@@ -158,6 +181,8 @@ def measure(root: Path, steps: int, repeat: int) -> dict:
     inf_record_ms = _record(full, steps, repeat, *SHA256, "--ic", "inf")
     zero_record_ms = _record(zero, steps, repeat, *SHA256, "--zero-storage")
     blake3_record_ms = _record(blake3, steps, repeat)
+    evidence, blob_files, index_bytes = _on_disk(run, steps)
+    inf_evidence, inf_blob_files, inf_index_bytes = _on_disk(full, steps)
     audits = [_timed(["audit", run, "--m", "3", "--seed", str(s)])
               for s in range(repeat)]
     zero_audits = [_timed(["audit", zero, "--m", "3", "--seed", str(s)])
@@ -181,10 +206,20 @@ def measure(root: Path, steps: int, repeat: int) -> dict:
     blocks = len(Run.open(full).grid.block_ids())
     return {
         "steps": steps,
-        "record_ms_per_step": round(record_ms, 3),
-        "inf_record_ms_per_step": round(inf_record_ms, 3),
-        "zero_record_ms_per_step": round(zero_record_ms, 3),
-        "blake3_record_ms_per_step": round(blake3_record_ms, 3),
+        "record_ms_per_step": round(record_ms[0], 3),
+        "record_sys_ms_per_step": round(record_ms[1], 3),
+        "inf_record_ms_per_step": round(inf_record_ms[0], 3),
+        "inf_record_sys_ms_per_step": round(inf_record_ms[1], 3),
+        "zero_record_ms_per_step": round(zero_record_ms[0], 3),
+        "zero_record_sys_ms_per_step": round(zero_record_ms[1], 3),
+        "blake3_record_ms_per_step": round(blake3_record_ms[0], 3),
+        "blake3_record_sys_ms_per_step": round(blake3_record_ms[1], 3),
+        "evidence_bytes_per_step": evidence,
+        "blob_files": blob_files,
+        "index_bytes": index_bytes,
+        "inf_evidence_bytes_per_step": inf_evidence,
+        "inf_blob_files": inf_blob_files,
+        "inf_index_bytes": inf_index_bytes,
         "audit_ms": round(min(ms for ms, *_ in audits), 1),
         "audit_decoded": max(n for _, n, _, _ in audits),
         "verify_block_ms": round(min(ms for ms, *_ in verifies), 1),

@@ -15,11 +15,13 @@ each run: ``verify``, ``verify --isolated``, ``verify --full-scan``,
 ``audit --m 3`` and ``audit --m 3 --isolated``, plus one group per
 ``--group``. It prints
 one JSON object: per run, the SHA-256 and byte length of its
-``ledger.bin`` and, per group, the exit code, stdout, and the JSON
+``ledger.bin``, what its store holds once recorded (the keys in its
+index, its blob files, and ``bytes_written``, the logical bytes of the
+indexed blobs) and, per group, the exit code, stdout, and the JSON
 report the command wrote, without its ``wall_time`` fields. Two
 checkouts that reach the same verdicts by the same path print the same
-JSON, so a diff of two outputs shows every outcome a change moved. The
-aftune on ``sys.path`` is the one run:
+JSON, so a diff of two outputs shows every outcome a change moved, and
+what it stores beside them. The aftune on ``sys.path`` is the one run:
 
     PYTHONPATH=src python tools/outcomes.py /tmp/outcomes > outcomes.json
     PYTHONPATH=src python tools/outcomes.py ROOT --group "verify --jobs 2"
@@ -38,6 +40,7 @@ from click.testing import CliRunner
 from aftune.adversary import SCENARIOS
 from aftune.cli import main
 from aftune.recorder import LEDGER_FILE
+from aftune.store import TensorStore
 
 INFERENCE_SCENARIOS = ("serve-wrong-model", "fabricate-output")
 GROUPS = ("verify", "verify --isolated", "verify --full-scan",
@@ -102,9 +105,13 @@ def outcomes(root: Path, groups) -> dict:
             raise RuntimeError(f"recording {name} exited {result.exit_code}: "
                                f"{result.output}")
         ledger = (run_dir / LEDGER_FILE).read_bytes()
+        store = TensorStore(run_dir)
         out[name] = {
             "ledger_bytes": len(ledger),
             "ledger_sha256": hashlib.sha256(ledger).hexdigest(),
+            "stored_keys": len(store.index),
+            "blob_files": len(list(store.blob_dir.iterdir())),
+            "bytes_written": store.logical_bytes(),
             "groups": {g: _outcome(runner, run_dir, g) for g in groups},
         }
     return out
