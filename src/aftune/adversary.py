@@ -23,8 +23,8 @@ from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
 from .hashing import chunked_hash_many
 from .ledger import RunLedger
 from .model import backward_block, build_model, forward_block, train_step
-from .recorder import (LEDGER_FILE, build_manifest, record_inference,
-                       record_training, rerun_rows)
+from .recorder import (LEDGER_FILE, RunContext, build_manifest,
+                       record_inference, record_training, rerun_rows)
 from .store import TensorStore
 
 SCENARIOS = (
@@ -146,8 +146,8 @@ def apply_scenario(scenario: str, manifest: dict, out_dir,
         t = config.n_steps // 2
         key = BoundaryKey("activation", b, t)
         # rerun: with one layer block, b is the unstored loss head output
-        arr = next(row[key] for _, row in rerun_rows(manifest, {key})
-                   if key in row)
+        arr = next(row[key] for _, row in
+                   rerun_rows(RunContext(manifest), {key}) if key in row)
         delta = rng.normal(0, 1, arr.shape).astype(np.float32)
         delta *= 0.01 * np.linalg.norm(arr) / max(np.linalg.norm(delta), 1e-12)
         rewrite_key(out_dir, key, arr + delta)

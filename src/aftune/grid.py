@@ -306,6 +306,13 @@ class BlockGrid:
             return self.commitment_keys(bid)
         return self.inference_commitment_keys(bid)
 
+    def n_committed_keys(self, bid: BlockId, mode: str) -> int:
+        """``len(committed_keys(bid, mode))``, without building the keys."""
+        if mode != "training":
+            return 2
+        entry, exit_ = self.commitment_boundary_steps(bid.j)
+        return 4 * (exit_ - entry + len(self.block_layers(bid.i)))
+
     def row_keys(self, j: int, mode: str) -> list[BoundaryKey]:
         """The keys step-block row j of a ``mode`` run commits first, in
         the order its ledger row holds their digests. Training: row 0's

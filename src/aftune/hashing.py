@@ -55,10 +55,6 @@ class Digest:
     def hex(self) -> str:
         return self.value.hex()
 
-    @classmethod
-    def from_hex(cls, s: str, algo: str = DEFAULT_ALGO) -> "Digest":
-        return cls(bytes.fromhex(s), algo)
-
     def __repr__(self):
         return f"Digest({self.algo}:{self.hex[:12]}…)"
 

@@ -4,8 +4,8 @@ A ``Run`` opens a recorded run once per command: the ledger, the run
 context, and the tensor store. It builds self-contained verification
 requests for a list of blocks in one forward walk over the grid,
 carrying each layer-block row's replayed state from block to block (or,
-in zero-storage mode, taking tensors from a single deterministic rerun);
-each request carries the digests of its block's own sealed commitment.
+in zero-storage mode, from one rerun on its batches); a request carries
+its block's sealed digests as one raw row in its key schedule's order.
 It hands them to the verifier in process or to isolated worker
 processes that serve the whole command. In process, a block the
 verifier passed hands its replay, at the block's exit step, on to the
@@ -168,15 +168,15 @@ class Run:
     def _request(self, bid: BlockId, tensors: dict, grid: dict,
                  full_scan: bool) -> VerificationRequest:
         """The request for sealed block ``bid`` checked on ``grid``
-        carrying ``tensors`` and the digests of its key schedule as
-        its ledger entry holds them; for a training loss block also the
-        labels the manifest's spec derives, for inference the served
-        parameters."""
+        carrying ``tensors`` and the digests of its key schedule, in
+        order, as its ledger entry holds them; for a training loss block
+        also the labels the manifest's spec derives, for inference the
+        served parameters."""
         manifest = self.manifest
         training = self.mode == "training"
         committed = self.ledger.entry_for(bid).entries
-        ledger_digests = {str(k): committed[k]
-                          for k in self.grid.committed_keys(bid, self.mode)}
+        ledger_digests = b"".join(committed[k].value for k in
+                                  self.grid.committed_keys(bid, self.mode))
         labels = {}
         if training and self._needs_labels(bid.i):
             labels = {t: self.ctx.batch(t).labels
@@ -199,7 +199,7 @@ class Run:
         for bid in order:
             by_row.setdefault(bid.j, []).append(bid)
         wanted = {k for bid in order for k in self.grid.request_keys(bid)}
-        rerun = rerun_rows(self.manifest, wanted)
+        rerun = rerun_rows(self.ctx, wanted)
         done = 0
         while done < len(order):
             try:
@@ -210,7 +210,7 @@ class Run:
                     yield bid, replace(stopped, block=bid)
                 return
             for bid in by_row.get(j, ()):
-                tensors = {str(k): captured[k]
+                tensors = {k: captured[k]
                            for k in self.grid.commitment_keys(bid)
                            if k in captured}
                 yield bid, self._request(bid, tensors, **opts)
@@ -228,7 +228,7 @@ class Run:
             i = bid.i
             t_in, t_out = grid.commitment_boundary_steps(bid.j)
             try:
-                tensors = {str(k): self._boundary(k)
+                tensors = {k: self._boundary(k)
                            for k in grid.request_keys(bid)
                            if k.kind in ("activation", "gradient")}
                 row = rows[i] = self._row_at(i, t_in, rows.pop(i, None))
@@ -236,16 +236,16 @@ class Run:
                     yield bid, replace(row.broken, block=bid)
                     continue
                 for k in grid.state_keys(i, t_in):
-                    tensors[str(k)] = row.blob(k)
+                    tensors[k] = row.blob(k)
                 # exit blobs are optional: included when checkpointed
                 for k in grid.state_keys(i, t_out):
                     if store.has_blob(k):
-                        tensors[str(k)] = store.get_bytes(k)
+                        tensors[k] = store.get_bytes(k)
             except StoreError as e:
                 rows.pop(i, None)
                 yield bid, replace(_stopped(e), block=bid)
                 continue
-            row.pending = {t: tuple(tensors[str(k)]
+            row.pending = {t: tuple(tensors[k]
                                     for k in grid.replay_reads(i, t))
                            for t in grid.block_steps(bid.j)}
             yield bid, self._request(bid, tensors, **opts)
@@ -337,7 +337,7 @@ class Run:
     def _inference_requests(self, order, opts):
         for bid in order:
             try:
-                tensors = {str(k): self.store.get_tensor(k)
+                tensors = {k: self.store.get_tensor(k)
                            for k in self.grid.inference_commitment_keys(bid)}
             except StoreError as e:
                 yield bid, replace(_stopped(e), block=bid)
@@ -345,7 +345,7 @@ class Run:
             yield bid, self._request(bid, tensors, **opts)
 
     @cached_property
-    def _served_params(self) -> dict[str, bytes]:
+    def _served_params(self) -> dict[BoundaryKey, bytes]:
         """Blobs of the served parameter set of an inference run, read
         once. All of it travels with every request: the digest binding
         covers every layer, not just the replayed span. A layer with no
@@ -353,7 +353,7 @@ class Run:
         blobs = {}
         for l, layer in enumerate(self._fresh_layers):
             path = self.dir / PARAMS_DIR / f"{l}.bin"
-            blobs[str(BoundaryKey("parameter", l, 0))] = \
+            blobs[BoundaryKey("parameter", l, 0)] = \
                 path.read_bytes() if path.exists() else param_bytes(layer)
         return blobs
 

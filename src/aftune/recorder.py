@@ -190,13 +190,12 @@ def run_uninstrumented(manifest: dict) -> tuple[ModelState, list[float]]:
     return state, losses
 
 
-def rerun_rows(manifest: dict, wanted: set[BoundaryKey]):
-    """Deterministic rerun that yields ``(j, tensors)`` as soon as it has
-    passed step-block row j: the wanted keys whose step lies in row j's
-    span, its entry and exit parameter steps included. Parameters and
-    optimizer states are checkpoint blobs (bytes). Stop iterating to stop
-    the rerun."""
-    ctx = RunContext(manifest)
+def rerun_rows(ctx: RunContext, wanted: set[BoundaryKey]):
+    """Deterministic rerun of ``ctx``'s run, on its batches, that yields
+    ``(j, tensors)`` as soon as it has passed step-block row j: the wanted
+    keys whose step lies in row j's span, its entry and exit parameter
+    steps included. Parameters and optimizer states are checkpoint blobs
+    (bytes). Stop iterating to stop the rerun."""
     grid = ctx.grid
     row: dict[BoundaryKey, np.ndarray | bytes] = {}
 

@@ -1,7 +1,7 @@
 """Recomputation-based block verification.
 
 The verifier models the TEE side: it receives a self-contained request
-(block-scoped tensors plus the ledger digests they must match), replays
+(block-scoped tensors plus the digests of the block's key schedule), replays
 the block, and reports Pass/Fail. Hash checks confirm the provided
 tensors are the committed ones; numerical checks confirm the replay
 reproduces each output byte for byte: the carried copy, or else its
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .grid import BlockGrid, BlockId, BoundaryKey, GridConfig
-from .hashing import ALGORITHMS, Digest, chunked_hash_many, tensor_bytes
+from .hashing import ALGORITHMS, chunked_hash_many, tensor_bytes
 from .model import ModelState, param_items, params_digest
 from .optim import check_optimizer_spec
 from .rng import is_seed
@@ -80,8 +80,8 @@ class VerificationRequest:
     model: dict
     optimizer: dict | None
     hash_algo: str
-    tensors: dict[str, np.ndarray | bytes]
-    ledger_digests: dict[str, Digest]
+    tensors: dict[BoundaryKey, np.ndarray | bytes]
+    ledger_digests: bytes  # committed_keys(block, mode)'s, 32 bytes each
     labels: dict[int, np.ndarray] = field(default_factory=dict)
     model_digest: str | None = None   # inference: manifest binding
     full_scan: bool = False
@@ -89,20 +89,21 @@ class VerificationRequest:
     # -- wire format: header length (<I), JSON header, raw payload ---------
     # The header's keys are exactly the fields above, so each run fact is
     # carried once, under its manifest name (chunk_size only in ``grid``);
-    # "tensors" maps each key to its payload offset, length and shape
-    # (None for raw bytes, else little-endian float32).
+    # "ledger_digests" is the length of the digest row the payload opens
+    # with, and "tensors" maps each key's ``str`` to its payload offset,
+    # length and shape (None for raw bytes, else little-endian float32).
 
     def to_bytes(self) -> bytes:
-        blobs: list[bytes] = []
+        blobs = [self.ledger_digests]
         meta = {}
-        off = 0
+        off = len(self.ledger_digests)
         for k, v in self.tensors.items():
             if isinstance(v, np.ndarray):
                 data = np.ascontiguousarray(v, "<f4").tobytes()
                 shape = list(v.shape)
             else:
                 data, shape = v, None
-            meta[k] = {"offset": off, "length": len(data), "shape": shape}
+            meta[str(k)] = {"offset": off, "length": len(data), "shape": shape}
             blobs.append(data)
             off += len(data)
         header = json.dumps({
@@ -112,8 +113,7 @@ class VerificationRequest:
             "model_digest": self.model_digest,
             "labels": {str(t): np.asarray(v).tolist()
                        for t, v in self.labels.items()},
-            "ledger_digests": {k: [d.algo, d.hex]
-                               for k, d in self.ledger_digests.items()},
+            "ledger_digests": len(self.ledger_digests),
             "full_scan": self.full_scan, "tensors": meta,
         }).encode()
         return struct.pack("<I", len(header)) + header + b"".join(blobs)
@@ -140,8 +140,14 @@ class VerificationRequest:
         if not isinstance(h, dict) or h.keys() != names:
             raise VerifierError(f"request header keys are not {sorted(names)}")
         payload = memoryview(data)[4 + hlen:]
-        tensors: dict[str, np.ndarray | bytes] = {}
-        for k, m in h["tensors"].items():
+        n = h["ledger_digests"]
+        if not (type(n) is int and 0 <= n <= len(payload)):
+            raise VerifierError(f"digest row of {n!r} bytes overruns payload")
+        tensors: dict[BoundaryKey, np.ndarray | bytes] = {}
+        for name, m in h["tensors"].items():
+            k = BoundaryKey.parse(name)
+            if str(k) != name:
+                raise VerifierError(f"tensor name {name!r} is not {k}")
             off, length, shape = m["offset"], m["length"], m["shape"]
             if not (isinstance(off, int) and isinstance(length, int)
                     and 0 <= off and 0 <= length
@@ -160,8 +166,7 @@ class VerificationRequest:
             block=BlockId.parse(h["block"]), mode=h["mode"], grid=h["grid"],
             model=h["model"], optimizer=h["optimizer"],
             hash_algo=h["hash_algo"], tensors=tensors,
-            ledger_digests={k: Digest.from_hex(v[1], v[0])
-                            for k, v in h["ledger_digests"].items()},
+            ledger_digests=bytes(payload[:n]),
             labels={int(t): np.asarray(v, dtype=np.int64)
                     for t, v in h["labels"].items()},
             model_digest=h["model_digest"], full_scan=bool(h["full_scan"]),
@@ -250,34 +255,26 @@ class _FailureCollector:
         return not self.full_scan
 
 
-def _check_hashes(req: VerificationRequest, grid: BlockGrid, keys,
-                  collector) -> bool:
-    """Stored tensors against their ledger digests, in order. Returns
-    True when verification should stop. Everything before the first
-    missing tensor is hashed in one batch and checked in order; the
-    missing one raises VerifierError only if no mismatch before it
+def _check_hashes(req: VerificationRequest, grid: BlockGrid, digests,
+                  keys, collector) -> bool:
+    """Carried tensors of ``keys`` against their ``digests``, in order.
+    Returns True when verification should stop. Everything before the
+    first missing tensor is hashed in one batch and checked in order;
+    the missing one raises VerifierError only if no mismatch before it
     stopped verification."""
-    names, data, missing = [], [], None
-    for name in map(str, keys):
-        if name not in req.tensors:
-            missing = f"request is missing tensor {name}"
-        elif name not in req.ledger_digests:
-            missing = f"request is missing ledger digest for {name}"
-        if missing:
-            break
-        names.append(name)
-        data.append(req.tensors[name])
-    digests = chunked_hash_many(data, grid.config.chunk_size, req.hash_algo)
-    for name, got in zip(names, digests):
-        if got.value != req.ledger_digests[name].value \
-                and collector.fail(HASH_MISMATCH, name):
+    n = next((n for n, k in enumerate(keys) if k not in req.tensors),
+             len(keys))
+    got = chunked_hash_many([req.tensors[k] for k in keys[:n]],
+                            grid.config.chunk_size, req.hash_algo)
+    for k, d in zip(keys, got):
+        if d.value != digests[k] and collector.fail(HASH_MISMATCH, k):
             return True
-    if missing:
-        raise VerifierError(missing)
+    if n < len(keys):
+        raise VerifierError(f"request is missing tensor {keys[n]}")
     return False
 
 
-def _verify_training(req: VerificationRequest, grid: BlockGrid,
+def _verify_training(req: VerificationRequest, grid: BlockGrid, digests,
                      collector: _FailureCollector) -> ModelState | None:
     """Replay one training block cell and check it: the hashes of what
     the request carries (at least the entry state and replay inputs), then
@@ -285,9 +282,6 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
     Returns the replayer at the block's exit once all checks ran, else None."""
     i, j = req.block.i, req.block.j
     t_in, t_out = grid.commitment_boundary_steps(j)
-    if t_out - t_in > len(req.tensors):  # a step reads its input activation
-        raise VerifierError(f"block {req.block} spans more steps than the "
-                            f"request carries tensors")
     steps = range(t_in, t_out)
     layer_ids = list(grid.block_layers(i))
 
@@ -295,28 +289,28 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
     entry_keys = grid.state_keys(i, t_in)
     exit_keys = grid.state_keys(i, t_out)
     reads = {k for t in steps for k in grid.replay_reads(i, t)}
-    if _check_hashes(req, grid, entry_keys + [
+    if _check_hashes(req, grid, digests, entry_keys + [
             k for k in grid.boundary_keys(req.block) + exit_keys
-            if k in reads or str(k) in req.tensors], collector):
+            if k in reads or k in req.tensors], collector):
         return
 
     # the loss block backpropagates the seed its loss derives, and the
     # committed final-boundary gradient must be that seed
     loss = grid.config.n_layers - 1 in layer_ids
     replayer = ModelState(req.model, req.optimizer, layer_ids,
-                          {k: req.tensors[str(k)] for k in entry_keys})
+                          {k: req.tensors[k] for k in entry_keys})
     drift = max(layer.drift for layer in replayer.layers)
     compared = []  # each step's outputs, then the exit state, in order
     for t in steps:
         x_key, up_key = grid.replay_inputs(i, t)
-        x = req.tensors[str(x_key)]
-        upstream = None if loss else req.tensors[str(up_key)]
+        x = req.tensors[x_key]
+        upstream = None if loss else req.tensors[up_key]
         try:
             acts, gacts = replayer.replay_step(x, upstream,
                                                labels=req.labels.get(t))
         except Exception as e:
             # as if each step were compared as it ran: earlier ones first
-            if _compare(req, grid, compared, drift, collector):
+            if _compare(req, grid, digests, compared, drift, collector):
                 return
             if not isinstance(e, NonFiniteError):
                 raise
@@ -326,24 +320,23 @@ def _verify_training(req: VerificationRequest, grid: BlockGrid,
         compared += [(up_key, gacts[-1])] if loss else []
         compared += zip(grid.replay_outputs(i, t), (acts[-1], gacts[0]))
     compared += [(k, replayer.blob(k)) for k in exit_keys]
-    if not _compare(req, grid, compared, drift, collector):
+    if not _compare(req, grid, digests, compared, drift, collector):
         return replayer
 
 
-def _compare(req: VerificationRequest, grid: BlockGrid, replayed, drift,
-             collector: _FailureCollector) -> bool:
+def _compare(req: VerificationRequest, grid: BlockGrid, digests, replayed,
+             drift, collector: _FailureCollector) -> bool:
     """Check each ``(key, replayed tensor)`` in order against the bytes
-    the request carries, else against the key's ledger digest (all such
-    hashed in one batch). True when verification should stop."""
-    unsent = [(k, r) for k, r in replayed if str(k) not in req.tensors]
-    if any(str(k) not in req.ledger_digests for k, _ in unsent):
-        raise VerifierError("request is missing an output's ledger digest")
+    the request carries, else against the key's ledger digest in
+    ``digests`` (all such hashed in one batch). True when verification
+    should stop."""
+    unsent = [(k, r) for k, r in replayed if k not in req.tensors]
     hashed = dict(zip((k for k, _ in unsent), chunked_hash_many(
         [r for _, r in unsent], grid.config.chunk_size, req.hash_algo)))
     for k, r in replayed:
         head = 4 if k.kind == "optimizer-state" else 0
-        same = hashed[k].value == req.ledger_digests[str(k)].value \
-            if k in hashed else _reproduces(r, req.tensors[str(k)], drift, head)
+        same = hashed[k].value == digests[k] if k in hashed \
+            else _reproduces(r, req.tensors[k], drift, head)
         if not same and collector.fail(NUMERICAL_MISMATCH, k):
             return True
     return False
@@ -373,22 +366,21 @@ class BindingMemo:
         return self._hex
 
 
-def _verify_inference(req: VerificationRequest, grid: BlockGrid,
+def _verify_inference(req: VerificationRequest, grid: BlockGrid, digests,
                       collector: _FailureCollector,
                       memo: BindingMemo) -> None:
     """Forward-only verification between two recorded boundaries (with
     ia > 1 the replay spans the unrecorded blocks in between)."""
     config = grid.config
     keys = grid.inference_commitment_keys(req.block)
-    if _check_hashes(req, grid, keys, collector):
+    if _check_hashes(req, grid, digests, keys, collector):
         return
     # the full served parameter set is loaded and bound to the manifest's
     # model digest; the replay runs on the span between the boundaries
     lo, hi = (grid.boundary_layer(k.index) for k in keys)
     span = range(lo, hi)
     params = {l: BoundaryKey("parameter", l, 0) for l in range(config.n_layers)}
-    blobs = {k: req.tensors[str(k)] for k in params.values()
-             if str(k) in req.tensors}
+    blobs = {k: req.tensors[k] for k in params.values() if k in req.tensors}
     missing = [l for l in span if params[l] not in blobs]
     if missing:
         raise VerifierError(f"request is missing parameters of layers {missing}")
@@ -397,14 +389,14 @@ def _verify_inference(req: VerificationRequest, grid: BlockGrid,
                                        req.hash_algo):
         collector.fail(HASH_MISMATCH, "model-parameters")
         return
-    x = req.tensors[str(keys[0])]
+    x = req.tensors[keys[0]]
     try:
         acts, _ = replayer.forward(x, labels=req.labels.get(0))
     except NonFiniteError:
         collector.fail(NON_FINITE,
                        keys[0] if not np.isfinite(x).all() else keys[1])
         return
-    _compare(req, grid, [(keys[1], acts[-1])],
+    _compare(req, grid, digests, [(keys[1], acts[-1])],
              max(layer.drift for layer in replayer.layers), collector)
 
 
@@ -432,19 +424,25 @@ def verify_block(req: VerificationRequest,
     i, j = req.block.i, req.block.j
     if not (0 <= i < grid.n_layer_blocks and 0 <= j < grid.n_step_blocks):
         raise VerifierError(f"block {req.block} lies outside the grid")
+    # counted first: a block longer than its digest row is never walked
+    row, n = req.ledger_digests, grid.n_committed_keys(req.block, req.mode)
+    if len(row) != 32 * n:
+        raise VerifierError(f"digest row is not {req.block}'s {n} digests")
+    digests = dict(zip(grid.committed_keys(req.block, req.mode),
+                       (row[k:k + 32] for k in range(0, len(row), 32))))
     for k, v in req.tensors.items():
         # boundary tensors are replayed as arrays; state blobs are decoded
-        array = k.startswith(("activation:", "gradient:"))
+        array = k.kind in ("activation", "gradient")
         if array != isinstance(v, np.ndarray):
             raise VerifierError(f"tensor {k} must be "
                                 f"{'an array' if array else 'raw bytes'}")
     collector = _FailureCollector(report, req.full_scan)
     if req.mode == "training":
-        replayer = _verify_training(req, grid, collector)
+        replayer = _verify_training(req, grid, digests, collector)
         if memo is not None and report.passed:
             memo.passed = (req.block, replayer)
     else:
-        _verify_inference(req, grid, collector, memo or BindingMemo())
+        _verify_inference(req, grid, digests, collector, memo or BindingMemo())
     report.wall_time = time.perf_counter() - t_start
     return report
 

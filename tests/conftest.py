@@ -10,7 +10,8 @@ import pytest
 
 from aftune.presets import (dataset_for, default_optimizer, grid_for,
                             model_for)
-from aftune.recorder import build_manifest, record_training, rerun_rows
+from aftune.recorder import (RunContext, build_manifest, record_training,
+                             rerun_rows)
 
 # worker processes the tests start themselves import aftune from this
 # checkout, as pytest's own ``pythonpath`` setting does for the tests
@@ -49,7 +50,7 @@ def mlp_run(tmp_path_factory):
 def committed_tensor(manifest: dict, key):
     """The tensor a run of ``manifest`` commits under ``key``, rerun: the
     grid's edge outputs are committed but not stored."""
-    for _, row in rerun_rows(manifest, {key}):
+    for _, row in rerun_rows(RunContext(manifest), {key}):
         if key in row:
             return row[key]
 

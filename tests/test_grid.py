@@ -56,8 +56,8 @@ def test_block_counts_match_ceiling_formulas(config):
 def test_committed_keys_are_the_mode_schedule_and_its_count(config, isolate,
                                                             ia):
     # the ledger's rows hold every committed key once: block (i, j)'s in
-    # row j, or its entry state in row j-1; a row's size is counted
-    # without building its keys
+    # row j, or its entry state in row j-1; a row's size, and a block's,
+    # is counted without building its keys
     config = replace(config, ia=ia, isolate_layers=tuple(
         sorted({l for l in isolate if l < config.n_layers})))
     grid = BlockGrid(config)
@@ -71,6 +71,7 @@ def test_committed_keys_are_the_mode_schedule_and_its_count(config, isolate,
         for bid in grid.block_ids()[:n_rows * grid.n_layer_blocks]:
             keys = grid.committed_keys(bid, mode)
             assert len(set(keys)) == len(keys)
+            assert grid.n_committed_keys(bid, mode) == len(keys)
             assert {row_of[k] for k in keys} <= {bid.j, bid.j - 1}
             committed.update(keys)
         assert committed == set(row_of)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from aftune.data import Dataset
 from aftune.grid import BlockId, BoundaryKey
 from aftune.ledger import RunLedger
 from aftune.model import param_bytes
@@ -95,8 +96,7 @@ def test_trust_chain_ok_on_honest_run(mlp_run):
     fresh = run.ctx.fresh_state()
     shipped = 0
     for _, req in run.requests(run.grid.block_ids()):
-        for name, tensor in req.tensors.items():
-            key = BoundaryKey.parse(name)
+        for key, tensor in req.tensors.items():
             if key.kind == "activation" and key.derived:
                 assert np.array_equal(tensor, run.ctx.batch(key.step).inputs)
             elif key.derived:
@@ -121,3 +121,42 @@ def test_trust_chain_recomputes_base_model_anchor(mlp_run, tmp_path):
             for r in opened.verify(row0)] == \
         [(FAIL, HASH_MISMATCH, str(opened.grid.state_keys(b.i, 0)[0]))
          for b in row0]
+
+
+def _count_calls(monkeypatch, cls, name: str) -> list:
+    """Each call of method ``cls.name`` from now on, as it happens."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(*args, **kw):
+        calls.append(args[1:])
+        return method(*args, **kw)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_zero_storage_verify_derives_each_batch_once(tmp_path, monkeypatch):
+    # the rerun runs on the Run's own context, so the loss blocks'
+    # labels and the rerun's steps read the same derived batches
+    record_run(tmp_path / "zs", n_steps=64, ic=None, zero_storage=True,
+               algo="sha256")
+    batches = _count_calls(monkeypatch, Dataset, "batch")
+    run = Run.open(tmp_path / "zs")
+    assert all(r.passed for r in run.verify(run.grid.block_ids()))
+    assert len(batches) == 64
+
+
+@pytest.mark.parametrize("zero_storage", [True, False])
+def test_verify_formats_no_key_but_for_store_lookups(tmp_path, monkeypatch,
+                                                     zero_storage):
+    # requests and the verifier key tensors and digests by BoundaryKey;
+    # a key's string is made only where the store's index is looked up
+    record_run(tmp_path / "run", ic=None if zero_storage else 2,
+               zero_storage=zero_storage, algo="sha256")
+    formatted = _count_calls(monkeypatch, BoundaryKey, "__str__")
+    reads = [_count_calls(monkeypatch, TensorStore, name)
+             for name in ("get_bytes", "get_tensor", "has_blob")]
+    run = Run.open(tmp_path / "run")
+    assert all(r.passed for r in run.verify(run.grid.block_ids()))
+    assert len(formatted) == sum(map(len, reads))
+    assert bool(formatted) != zero_storage

@@ -113,9 +113,10 @@ def test_ledger_format_is_the_key_schedule(tmp_path):
 # sha256 over every block's verification request bytes of the fixed
 # 4-step sha256 run: any change to what a request carries, or in which
 # order, shows here (the grid's edge outputs are not carried: the
-# verifier checks their replay by digest)
+# verifier checks their replay by digest; the ledger digests travel as
+# one raw row in the block's key schedule order)
 GOLDEN_REQUESTS_DIGEST = \
-    "c1043f998bc4f687f1af07cf92920612cd61a507850e2bc898b4bc6928d4bb7c"
+    "e6c5280bf620abe22604663d960f4b4bbbf35cfd606d8f41e3ac02596f664ff0"
 
 
 def test_request_bytes_are_golden(tmp_path):
@@ -520,7 +521,7 @@ def test_materialized_tensors_match_ledger_digests(tmp_path):
     digests = ledger.all_digests()
     wanted = set(grid.commitment_keys(BlockId(1, 1)))
     mat = {}
-    for _, row in rerun_rows(manifest, wanted):
+    for _, row in rerun_rows(RunContext(manifest), wanted):
         mat.update(row)
     assert set(mat) == wanted
     for key, value in mat.items():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from aftune import orchestrate, verifier, verifier_worker
 from aftune.grid import BlockGrid, BlockId, BoundaryKey, GridConfig
-from aftune.hashing import Digest, chunked_hash
+from aftune.hashing import chunked_hash
 from aftune.orchestrate import Run
 from aftune.model import (ModelState, StepTrace, backward_block,
                           forward_block, params_digest)
@@ -37,6 +37,19 @@ def _request(run, bid=BlockId(0, 0), **kw):
     req = Run.open(run["dir"]).request(bid, **kw)
     assert isinstance(req, VerificationRequest)
     return req
+
+
+def _set_digest(req: VerificationRequest, key: BoundaryKey,
+                value: bytes | None = None) -> None:
+    """Set ``key``'s digest in ``req``'s digest row to ``value``, by
+    default the digest of the tensor ``req`` carries under ``key``."""
+    if value is None:
+        value = chunked_hash(req.tensors[key], req.grid["chunk_size"],
+                             req.hash_algo).value
+    grid = BlockGrid(GridConfig.from_dict(req.grid))
+    n = 32 * grid.committed_keys(req.block, req.mode).index(key)
+    row = req.ledger_digests
+    req.ledger_digests = row[:n] + value + row[n + 32:]
 
 
 def test_request_wire_roundtrip(mlp_run):
@@ -92,13 +105,12 @@ def test_tampered_output_fails_at_any_size(mlp_run, rel):
     # the replay can see the change; rel = 1e-6 lies inside a relative-L2
     # tolerance of 1e-5
     req = _request(mlp_run, BlockId(1, 1))
-    key = str(Run.open(mlp_run["dir"]).grid.replay_outputs(1, 2)[0])
+    key = Run.open(mlp_run["dir"]).grid.replay_outputs(1, 2)[0]
     req.tensors[key] = req.tensors[key] * np.float32(1 + rel)
-    req.ledger_digests[key] = chunked_hash(
-        req.tensors[key], req.grid["chunk_size"], req.hash_algo)
+    _set_digest(req, key)
     report = verify_block(req)
     assert (report.verdict, report.cause, report.failed_key) == \
-        (FAIL, NUMERICAL_MISMATCH, key)
+        (FAIL, NUMERICAL_MISMATCH, str(key))
 
 
 def _nudging_step(grid: BlockGrid, rel: float):
@@ -164,8 +176,8 @@ def test_a_kernel_that_is_not_deterministic_drifts_only_by_its_bound(
     [i] = [i for i in range(grid.n_layer_blocks) if grid.is_isolated(i)]
     run = Run.open(tmp_path / "iso")
     assert verify_block(run.request(BlockId(i, 0))).verdict == PASS
-    output = str(grid.replay_outputs(i, 0)[0])
-    [state] = [str(k) for k in grid.state_keys(i, 2)
+    output = grid.replay_outputs(i, 0)[0]
+    [state] = [k for k in grid.state_keys(i, 2)
                if k.kind == "optimizer-state"]
     for key, forge in (
             (output, lambda v: v * np.float32(1 + 1e-5)),
@@ -173,29 +185,27 @@ def test_a_kernel_that_is_not_deterministic_drifts_only_by_its_bound(
              .to_bytes(4, "little") + v[4:])):
         req = run.request(BlockId(i, 0))
         req.tensors[key] = forge(req.tensors[key])
-        req.ledger_digests[key] = chunked_hash(
-            req.tensors[key], req.grid["chunk_size"], req.hash_algo)
+        _set_digest(req, key)
         report = verify_block(req)
         assert (report.verdict, report.cause, report.failed_key) == \
-            (FAIL, NUMERICAL_MISMATCH, key)
+            (FAIL, NUMERICAL_MISMATCH, str(key))
 
 def test_tampered_digest_is_hash_mismatch(mlp_run):
     req = _request(mlp_run, BlockId(0, 0))
-    key = str(BoundaryKey("activation", 0, 0))
-    old = req.ledger_digests[key]
-    req.ledger_digests[key] = Digest(bytes(32), old.algo)
+    key = BoundaryKey("activation", 0, 0)
+    _set_digest(req, key, bytes(32))
     report = verify_block(req)
     assert report.verdict == FAIL
     assert report.cause == HASH_MISMATCH
-    assert report.failed_key == key
+    assert report.failed_key == str(key)
 
 
 def test_first_failure_stops_unless_full_scan(mlp_run):
     def tampered(full_scan):
         req = _request(mlp_run, BlockId(0, 0), full_scan=full_scan)
-        for key in (str(BoundaryKey("activation", 0, 0)),
-                    str(BoundaryKey("gradient", 1, 1))):
-            req.ledger_digests[key] = Digest(bytes(32))
+        for key in (BoundaryKey("activation", 0, 0),
+                    BoundaryKey("gradient", 1, 1)):
+            _set_digest(req, key, bytes(32))
         return verify_block(req)
 
     quick = tampered(False)
@@ -207,7 +217,7 @@ def test_first_failure_stops_unless_full_scan(mlp_run):
 
 def test_missing_tensor_is_an_error(mlp_run):
     req = _request(mlp_run, BlockId(0, 0))
-    del req.tensors[str(BoundaryKey("activation", 0, 0))]
+    del req.tensors[BoundaryKey("activation", 0, 0)]
     with pytest.raises(VerifierError):
         verify_block(req)
 
@@ -215,8 +225,8 @@ def test_missing_tensor_is_an_error(mlp_run):
 def test_mismatch_before_a_missing_tensor_stays_a_failure(mlp_run):
     # a forged tensor stops a quick check before it reaches the missing
     # one; a full scan walks on and finds the request malformed
-    forged = str(BoundaryKey("activation", 0, 0))
-    missing = str(BoundaryKey("gradient", 1, 1))
+    forged = BoundaryKey("activation", 0, 0)
+    missing = BoundaryKey("gradient", 1, 1)
     for full_scan in (False, True):
         req = _request(mlp_run, BlockId(0, 0), full_scan=full_scan)
         keys = list(req.tensors)
@@ -224,24 +234,26 @@ def test_mismatch_before_a_missing_tensor_stays_a_failure(mlp_run):
         req.tensors[forged] = req.tensors[forged] + np.float32(1.0)
         del req.tensors[missing]
         if full_scan:
-            with pytest.raises(VerifierError, match=missing):
+            with pytest.raises(VerifierError, match=str(missing)):
                 verify_block(req)
             continue
         report = verify_block(req)
         assert report.verdict == FAIL
         assert report.cause == HASH_MISMATCH
-        assert report.failed_key == forged
+        assert report.failed_key == str(forged)
 
 
 def test_loss_block_replays_its_request_labels(mlp_run):
     # the labels travel in the request, derived from the manifest's spec,
     # and no ledger digest binds them: the replay does, whose output and
     # seed the request does not carry and the ledger's digests check
-    bid = BlockId(mlp_run["result"].ledger.grid.n_layer_blocks - 1, 1)
+    grid = mlp_run["result"].ledger.grid
+    bid = BlockId(grid.n_layer_blocks - 1, 1)
     req = _request(mlp_run, bid)
     assert set(req.labels) == {2, 3}
-    assert set(req.ledger_digests) - set(req.tensors) == {
-        f"{kind}:3@{t}" for kind in ("activation", "gradient") for t in (2, 3)}
+    assert set(grid.committed_keys(bid, req.mode)) - set(req.tensors) == {
+        BoundaryKey(kind, 3, t) for kind in ("activation", "gradient")
+        for t in (2, 3)}
     assert verify_block(req).verdict == PASS
     req.labels[3] = (req.labels[3] + 1) % 2
     report = verify_block(req)
@@ -281,9 +293,8 @@ def test_a_carried_edge_output_is_hash_checked_and_compared(mlp_run):
     # a request may still carry an edge output: its bytes are checked
     # against the ledger digest, and the replay against those bytes
     bid = BlockId(mlp_run["result"].ledger.grid.n_layer_blocks - 1, 1)
-    key = "activation:3@2"
-    committed = committed_tensor(mlp_run["manifest"],
-                                  BoundaryKey.parse(key))
+    key = BoundaryKey("activation", 3, 2)
+    committed = committed_tensor(mlp_run["manifest"], key)
     req = _request(mlp_run, bid)
     assert key not in req.tensors
     req.tensors[key] = committed
@@ -292,10 +303,9 @@ def test_a_carried_edge_output_is_hash_checked_and_compared(mlp_run):
     for cause in (HASH_MISMATCH, NUMERICAL_MISMATCH):
         for report in (verify_block(req), verify_or_refuse(req.to_bytes())):
             assert (report.verdict, report.cause, report.failed_key) == \
-                (FAIL, cause, key)
+                (FAIL, cause, str(key))
         # re-committed to the carried bytes, the replay still differs
-        req.ledger_digests[key] = chunked_hash(
-            req.tensors[key], req.grid["chunk_size"], req.hash_algo)
+        _set_digest(req, key)
 
 
 @pytest.mark.parametrize("later", ["non-finite", "raises"])
@@ -306,21 +316,21 @@ def test_an_output_mismatch_is_reported_before_a_later_step_fails(mlp_run,
     # loss block's step-2 output is re-committed, and its step-3 input
     # holds a NaN or has rows its labels do not fit
     bid = BlockId(mlp_run["result"].ledger.grid.n_layer_blocks - 1, 1)
-    out, x = "activation:3@2", "activation:2@3"
+    out, x = BoundaryKey("activation", 3, 2), BoundaryKey("activation", 2, 3)
     failures = []
     for full_scan in (False, True):
         req = _request(mlp_run, bid, full_scan=full_scan)
-        req.ledger_digests[out] = Digest(bytes(32), req.hash_algo)
+        _set_digest(req, out, bytes(32))
         bad = req.tensors[x].copy()
         if later == "non-finite":
             bad[0, 0] = np.nan
         else:
             bad = bad[:4]
         req.tensors[x] = bad
-        req.ledger_digests[x] = chunked_hash(bad, req.grid["chunk_size"],
-                                             req.hash_algo)
+        _set_digest(req, x)
         report = verify_or_refuse(req)
         failures.append((report.verdict, report.failures))
+    out, x = str(out), str(x)
     assert failures[0] == (FAIL, [{"cause": NUMERICAL_MISMATCH, "key": out}])
     assert failures[1] == ((FAIL, [{"cause": NUMERICAL_MISMATCH, "key": out},
                                    {"cause": NON_FINITE, "key": x}])
@@ -332,7 +342,7 @@ def test_an_output_mismatch_is_reported_before_a_later_step_fails(mlp_run,
     (BlockId(1, 1), "parameter:2@2"), (BlockId(2, 1), "activation:2@3")])
 def test_a_request_missing_a_replay_input_is_refused(mlp_run, bid, key):
     req = _request(mlp_run, bid)
-    del req.tensors[key]
+    del req.tensors[BoundaryKey.parse(key)]
     for report in (verify_or_refuse(req), verify_or_refuse(req.to_bytes())):
         assert report.verdict == REFUSED
         assert report.note == f"request is missing tensor {key}"
@@ -366,16 +376,14 @@ def test_exit_params_checked_via_hash_fallback(mlp_run):
     # with ic=2 the checkpoints land at steps 0, 4, 8; row 0 exits at
     # step 2 where no blob exists, forcing the hash-fallback path
     req = _request(mlp_run, BlockId(0, 0))
-    exit_param = str(BoundaryKey("parameter", 0, 2))
+    exit_param = BoundaryKey("parameter", 0, 2)
     assert exit_param not in req.tensors
-    assert exit_param in req.ledger_digests
     assert verify_block(req).verdict == PASS
     # the replayed blob is hashed: another committed digest fails it
-    req.ledger_digests[exit_param] = Digest(bytes(32),
-                                            req.ledger_digests[exit_param].algo)
+    _set_digest(req, exit_param, bytes(32))
     report = verify_block(req)
     assert (report.verdict, report.cause, report.failed_key) == \
-        (FAIL, NUMERICAL_MISMATCH, exit_param)
+        (FAIL, NUMERICAL_MISMATCH, str(exit_param))
 
 
 def test_zero_storage_blocks_verify_by_rematerialization(tmp_path):
@@ -429,18 +437,41 @@ def request_bytes(mlp_run):
 @given(st.data())
 def test_damaged_request_bytes_parse_or_raise_verifier_error(request_bytes,
                                                              data):
+    # bytes cut or flipped anywhere, or a header that gives the digest row
+    # another length or a tensor another name: what parses is a request,
+    # a parsed name is canonical, and a request whose digest row is not
+    # the block's schedule is refused
     raw = bytearray(request_bytes)
-    if data.draw(st.booleans(), label="truncate"):
+    damage = data.draw(st.sampled_from(["truncate", "flip", "row", "name"]),
+                       label="damage")
+    row = name = None
+    if damage == "truncate":
         raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
-    else:
+    elif damage == "flip":
         for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1),
                                       min_size=1, max_size=8), label="bits"):
             raw[bit // 8] ^= 1 << (bit % 8)
+    elif damage == "row":
+        row = data.draw(st.integers(-1, len(raw)), label="row length")
+        raw = _edit_header(raw, lambda h: h.update(ledger_digests=row))
+    else:
+        name = data.draw(st.text(max_size=16) | st.sampled_from(
+            ["activation:2@2", "activation:02@2", "activation:2@+2",
+             "activation:2@2 ", "activation:2@2@2", "gradient:2@2"]),
+                         label="name")
+        raw = _edit_header(raw, lambda h: h["tensors"].update(
+            {name: h["tensors"].pop("activation:2@2")}))
     try:
         req = VerificationRequest.from_bytes(bytes(raw))
     except VerifierError:
         return
     assert isinstance(req, VerificationRequest)
+    if name is not None:
+        assert str(BoundaryKey.parse(name)) == name
+    if row is not None:
+        honest = VerificationRequest.from_bytes(request_bytes)
+        assert (verify_or_refuse(req).verdict == REFUSED) == \
+            (row != len(honest.ledger_digests))
 
 
 # what one header field is replaced by: a value of the wrong type, out of
@@ -562,6 +593,27 @@ def _parameter_blob_as_array(h):
     blob["shape"] = [blob["length"] // 4]
 
 
+def _digest_row_of(n: int):
+    """A header edit that moves the digest row's length by ``n`` bytes:
+    the row then ends short of the payload's tensors or runs into them."""
+    return lambda h: h.update(ledger_digests=h["ledger_digests"] + n)
+
+
+def _digest_row_overrunning(h):
+    end = max(m["offset"] + m["length"] for m in h["tensors"].values())
+    h["ledger_digests"] = end + 1
+
+
+def _tensor_named(name: str, keep: bool = False):
+    """A header edit that names tensor ``activation:0@0`` ``name``
+    instead, or, with ``keep``, as well."""
+    def edit(h):
+        meta = h["tensors"]
+        meta[name] = meta["activation:0@0"] if keep \
+            else meta.pop("activation:0@0")
+    return edit
+
+
 # header edits that leave a request parseable but uncheckable, on block
 # 0,0 of the mlp run (which exits at step 2, where no parameter blob is
 # stored) or, for those in INFERENCE_HOSTILE, of an inference run
@@ -570,8 +622,13 @@ HOSTILE = {
     "block-outside-grid": lambda h: h.update(block="7,7"),
     "unknown-layer-kind":
         lambda h: h["model"]["layers"][0].update(kind="no-such-layer"),
-    "unstored-exit-digest-missing":
-        lambda h: h["ledger_digests"].pop("parameter:0@2"),
+    # the last digest of the block's schedule is an unstored exit's
+    "unstored-exit-digest-missing": _digest_row_of(-32),
+    "digest-row-one-long": _digest_row_of(32),
+    "digest-row-ragged": _digest_row_of(-1),
+    "digest-row-overruns-payload": _digest_row_overrunning,
+    "tensor-name-unparsed": _tensor_named("activation-0@0"),
+    "tensor-name-not-canonical": _tensor_named("activation:00@0", keep=True),
     "boundary-tensor-as-bytes":
         lambda h: h["tensors"]["activation:0@0"].update(shape=None),
     "state-blob-as-array": _parameter_blob_as_array,
@@ -628,12 +685,14 @@ def test_inference_tensor_of_the_wrong_type_is_refused(tmp_path):
                                      "inf"]).exit_code == 0
     honest = Run.open(tmp_path / "inf").request(BlockId(0, 0))
     frames = []
-    for key, wrong in (("activation:0@0", lambda v: v.tobytes()),
-                       ("parameter:0@0", lambda v: np.zeros(2, np.float32))):
+    for key, wrong in ((BoundaryKey("activation", 0, 0),
+                        lambda v: v.tobytes()),
+                       (BoundaryKey("parameter", 0, 0),
+                        lambda v: np.zeros(2, np.float32))):
         req = Run.open(tmp_path / "inf").request(BlockId(0, 0))
         req.tensors[key] = wrong(req.tensors[key])
         report = verify_or_refuse(req)
-        assert report.verdict == REFUSED and key in report.note
+        assert report.verdict == REFUSED and str(key) in report.note
         frames.append(verifier_worker.frame(req.to_bytes()))
     reports, _ = _stream(b"".join(frames)
                          + verifier_worker.frame(honest.to_bytes()))
@@ -747,7 +806,7 @@ def test_binding_is_computed_once_per_session(infer_run, monkeypatch,
 def test_binding_memo_answers_only_its_own_bytes(infer_run, monkeypatch,
                                                  capsys):
     honest = Run.open(infer_run).request(BlockId(0, 0))
-    key = str(BoundaryKey("parameter", 0, 0))
+    key = BoundaryKey("parameter", 0, 0)
     raw = bytearray(honest.tensors[key])
     raw[0] ^= 1  # the lowest mantissa bit of layer 0's first weight
     flipped = replace(honest, tensors={**honest.tensors, key: bytes(raw)})
@@ -768,7 +827,7 @@ def test_binding_memo_answers_only_its_own_bytes(infer_run, monkeypatch,
 
 def test_stray_or_short_parameter_blob_is_refused(infer_run):
     req = Run.open(infer_run).request(BlockId(0, 0))
-    key = str(BoundaryKey("parameter", 0, 0))
+    key = BoundaryKey("parameter", 0, 0)
     req.tensors[key] = req.tensors[key][:-4]
     report = verify_or_refuse(req)
     assert report.verdict == REFUSED and "bytes, not" in report.note

@@ -20,7 +20,9 @@ time per step (blob files are created in the kernel). For the ``--ic 2``
 and ``--ic inf`` recordings it prints what they leave on disk: evidence
 bytes per step (``ledger.bin``, ``index.json`` and the blobs, as
 ``perfbench`` counts them), the number of blob files and the size of
-``index.json``. Before the table it prints
+``index.json``, and, over every request a full verify of the ``--ic 2``
+recording builds (``Run.requests``), the request bytes per block and the
+JSON header bytes per block among them. Before the table it prints
 the user CPU time of one ``train_step`` of the mlp preset (batch 16, the
 default optimizer), in microseconds. Every time is the minimum over
 ``--repeat`` runs (audits use seeds 0, 1, ...; each timed recording but
@@ -38,6 +40,7 @@ import io
 import json
 import resource
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -158,6 +161,19 @@ def _on_disk(run: str, steps: int) -> tuple[float, int, int]:
     return round((ledger + index + sum(blobs)) / steps, 2), len(blobs), index
 
 
+def _request_bytes(run: str) -> tuple[float, float]:
+    """Request bytes and JSON header bytes per block, over the requests
+    of every block of the recording at ``run``."""
+    opened = Run.open(run)
+    blocks = opened.grid.block_ids()
+    total = header = 0
+    for _, req in opened.requests(blocks):
+        raw = req.to_bytes()
+        total += len(raw)
+        header += struct.unpack_from("<I", raw)[0]
+    return round(total / len(blocks), 1), round(header / len(blocks), 1)
+
+
 def train_step_us(repeat: int) -> float:
     """User CPU microseconds of one ``train_step`` of the mlp preset with
     batch 16 and the default optimizer, the minimum over ``repeat`` runs
@@ -183,6 +199,7 @@ def measure(root: Path, steps: int, repeat: int) -> dict:
     blake3_record_ms = _record(blake3, steps, repeat)
     evidence, blob_files, index_bytes = _on_disk(run, steps)
     inf_evidence, inf_blob_files, inf_index_bytes = _on_disk(full, steps)
+    request_bytes, header_bytes = _request_bytes(run)
     audits = [_timed(["audit", run, "--m", "3", "--seed", str(s)])
               for s in range(repeat)]
     zero_audits = [_timed(["audit", zero, "--m", "3", "--seed", str(s)])
@@ -220,6 +237,8 @@ def measure(root: Path, steps: int, repeat: int) -> dict:
         "inf_evidence_bytes_per_step": inf_evidence,
         "inf_blob_files": inf_blob_files,
         "inf_index_bytes": inf_index_bytes,
+        "request_bytes_per_block": request_bytes,
+        "request_header_bytes_per_block": header_bytes,
         "audit_ms": round(min(ms for ms, *_ in audits), 1),
         "audit_decoded": max(n for _, n, _, _ in audits),
         "verify_block_ms": round(min(ms for ms, *_ in verifies), 1),
